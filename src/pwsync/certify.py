@@ -37,7 +37,7 @@ from scipy import optimize
 
 from .dynamics import AffineDecomposedField
 from .graph import Laplacian, Topology, build_laplacian, lambda2
-from .linalg import jacobi_eigenvalues, symmetric_part
+from .linalg import symmetric_part
 
 __all__ = [
     "CertifyError",
@@ -347,7 +347,7 @@ def quad_linear_cert(a_matrix, p=None) -> QuadCertificate:
         p = np.asarray(p, dtype=float)
         if p.shape != (n,) or p.min() <= 0.0:
             raise CertifyError("p must be a positive vector matching a_matrix")
-    lam = float(jacobi_eigenvalues(symmetric_part(p[:, None] * A))[-1])
+    lam = float(np.linalg.eigvalsh(symmetric_part(p[:, None] * A))[-1])
     return QuadCertificate(p=p, w=np.full(n, lam), method="analytic-linear")
 
 
@@ -391,14 +391,14 @@ def _uniform_ball(rng: np.random.Generator, k: int, n: int, radius: float) -> np
 
 
 def _batch_h(h: Callable, t: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate h on rows of x, using broadcasting when the field supports it."""
-    try:
-        out = np.asarray(h(t, x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(h(t, row), dtype=float) for row in x])
+    """Evaluate h on all rows of x in one call; h must broadcast over them."""
+    out = np.asarray(h(t, x), dtype=float)
+    if out.shape != x.shape:
+        raise CertifyError(
+            f"h must broadcast over leading axes: input of shape {x.shape} "
+            f"gave output of shape {out.shape}"
+        )
+    return out
 
 
 def check_quad_sampled(h: Callable, cert: QuadCertificate, radius: float,
@@ -586,24 +586,26 @@ class EnsembleFamily:
         return rng.uniform(-2.3, 2.3, size=(k, self.n_params))
 
 
+def _identity_rows(fields: Sequence[AffineDecomposedField]) -> np.ndarray:
+    """Each node's declared identity-metric W diagonal, shape (n_nodes, dim)."""
+    for f in fields:
+        if f.w_identity is None:
+            raise CertifyError(
+                f"node '{f.label or '?'}' carries no identity-metric certificate"
+            )
+    return np.array([f.w_identity for f in fields], dtype=float)
+
+
 class IdentityEnsemble(EnsembleFamily):
     """P = I with each node's declared identity-metric certificate."""
 
     n_params = 0
 
     def __init__(self, fields: Sequence[AffineDecomposedField]):
-        rows = []
-        for f in fields:
-            if f.w_identity is None:
-                raise CertifyError(
-                    f"node '{f.label or '?'}' carries no identity-metric certificate"
-                )
-            rows.append(f.w_identity)
-        self._dim = fields[0].dim
-        self._rows = np.array(rows, dtype=float)
+        self._rows = _identity_rows(fields)
 
     def ensemble(self, theta):
-        return np.ones(self._dim), self._rows
+        return np.ones(self._rows.shape[1]), self._rows
 
 
 def _multistart_minimize(objective: Callable, family, extra_starts=(),
@@ -1098,7 +1100,7 @@ def nonlinear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topol
     sqrt_n = math.sqrt(n_nodes)
     m_bar, h_bar0 = _stack_mismatch_bounds(fields)
 
-    rows = IdentityEnsemble(fields)._rows
+    rows = _identity_rows(fields)
     w_top = float(rows.max())
     if w_top >= 0.0:
         raise CertifyError(
@@ -1203,7 +1205,7 @@ def nonlinear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topol
     sqrt_n = math.sqrt(n_nodes)
     m_bar = max(f.M for f in fields)
 
-    rows = IdentityEnsemble(fields)._rows
+    rows = _identity_rows(fields)
     w_diag = rows.max(axis=0)
     if ((w_diag >= 0.0) & ~active).any():
         raise CertifyError(

@@ -150,7 +150,9 @@ def cmd_simulate(args) -> int:
         eps_bar = report.eps_bar
         lines.append("eps_bar = n/a" if eps_bar is None else f"eps_bar = {eps_bar:.17g}")
         lines.append(f"certified = {'yes' if report.certified else 'no'}")
-        if report.certified and eps_bar is not None and np.isfinite(eps_bar):
+        if report.certified and eps_bar == 0.0:
+            lines.append("eps_hat <= eps_bar = n/a (a zero eps_bar is only reached as t -> inf)")
+        elif report.certified and eps_bar is not None and np.isfinite(eps_bar):
             ok = "yes" if eps_hat <= eps_bar else "no"
             lines.append(f"eps_hat <= eps_bar = {ok}")
     else:

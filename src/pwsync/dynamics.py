@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import jacobi_eigenvalues, spectral_norm, symmetric_part
+from .linalg import spectral_norm, symmetric_part
 
 __all__ = [
     "hard_sgn",
@@ -37,7 +37,6 @@ __all__ = [
     "chua_field",
     "relay_field",
     "kuramoto_error_field",
-    "eval_stack",
 ]
 
 
@@ -237,7 +236,7 @@ def relay_field(p: RelayParams) -> AffineDecomposedField:
         return -np.multiply.outer(sgn(y), B)
 
     bound = float(np.sqrt(B @ B)) if p.m_override is None else float(p.m_override)
-    lam_max = float(jacobi_eigenvalues(symmetric_part(A))[-1])
+    lam_max = float(np.linalg.eigvalsh(symmetric_part(A))[-1])
     return AffineDecomposedField(
         dim=n,
         h=h,
@@ -272,34 +271,3 @@ def kuramoto_error_field(p: KuramotoParams, omega_mean: float) -> AffineDecompos
         w_identity=np.zeros(1),
         label=f"kuramoto(detune={detune:g})",
     )
-
-
-def eval_stack(
-    fields: Sequence[AffineDecomposedField],
-    t: float,
-    x_stack,
-    history: Optional[Sequence[Callable]] = None,
-    sgn: Callable = hard_sgn,
-) -> np.ndarray:
-    """Stacked uncoupled drift: concatenation of hᵢ + gᵢ over the nodes.
-
-    ``history``, when given, supplies one past-state accessor per node;
-    it is mandatory as soon as any field carries a delay.
-    """
-    if not fields:
-        raise ValueError("need at least one field")
-    n = fields[0].dim
-    if any(f.dim != n for f in fields):
-        raise ValueError("all nodes must share one state dimension")
-    x = np.asarray(x_stack, dtype=float)
-    if x.shape != (len(fields) * n,):
-        raise ValueError(f"x_stack must have shape ({len(fields) * n},)")
-    out = np.empty_like(x)
-    for i, f in enumerate(fields):
-        block = slice(i * n, (i + 1) * n)
-        hist = history[i] if history is not None else None
-        if f.delay is not None and hist is None:
-            raise ValueError("a delayed field needs a history accessor")
-        xb = x[block]
-        out[block] = f.h(t, xb) + f.g(t, xb, hist, sgn)
-    return out

@@ -2,18 +2,15 @@
 
 The coupling strength certified elsewhere always enters through the
 algebraic connectivity (second-smallest Laplacian eigenvalue), so that
-number gets a dedicated, cached accessor plus the diagonal-Kronecker
-shortcut used by partially coupled configurations.
+number gets a dedicated accessor that also checks the graph is connected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .linalg import jacobi_eigenvalues
 
 __all__ = [
     "GraphError",
@@ -27,7 +24,6 @@ __all__ = [
     "build_laplacian",
     "is_connected",
     "lambda2",
-    "lambda2_kron_diag",
 ]
 
 _ATOL = 1e-12
@@ -50,6 +46,8 @@ class Topology:
             raise GraphError("weights must form a square matrix")
         if w.shape[0] < 1:
             raise GraphError("a topology needs at least one node")
+        if not np.isfinite(w.sum(axis=1)).all():
+            raise GraphError("edge weights and every node's total weight must be finite")
         if not np.allclose(w, w.T, rtol=0.0, atol=_ATOL):
             raise GraphError("weights must be symmetric")
         if np.abs(np.diagonal(w)).max() > _ATOL:
@@ -77,7 +75,6 @@ class Laplacian:
     """Graph Laplacian: row sums on the diagonal, minus weights elsewhere."""
 
     matrix: np.ndarray
-    _lambda2: float | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -193,35 +190,18 @@ def is_connected(topo: Topology) -> bool:
 
 
 def lambda2(lap: Laplacian) -> float:
-    """Algebraic connectivity: second-smallest Laplacian eigenvalue (cached).
+    """Algebraic connectivity: second-smallest Laplacian eigenvalue.
 
     Raises GraphError when the graph is disconnected (zero algebraic
     connectivity) or the structural zero eigenvalue is lost to numerical
     noise.
     """
-    if lap._lambda2 is not None:
-        return lap._lambda2
     if lap.n_nodes < 2:
         raise GraphError("algebraic connectivity needs at least two nodes")
-    evals = jacobi_eigenvalues(lap.matrix)
+    evals = np.linalg.eigvalsh(lap.matrix)
     if abs(evals[0]) > _ZERO_EIG_TOL:
         raise GraphError(f"Laplacian lost its structural zero eigenvalue (got {evals[0]:.3e})")
     lam2 = float(evals[1])
     if lam2 < _ZERO_EIG_TOL:
         raise GraphError("graph is disconnected: algebraic connectivity is zero")
-    lap._lambda2 = lam2
     return lam2
-
-
-def lambda2_kron_diag(lap: Laplacian, diag) -> float:
-    """Second-smallest eigenvalue of L ⊗ D for diagonal positive D.
-
-    Eigenvalues of the Kronecker product are pairwise products, so the
-    smallest nonzero one is λ₂(L) times the smallest diagonal entry.
-    """
-    d = np.asarray(diag, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise GraphError("diag must be a nonempty vector")
-    if d.min() <= 0.0:
-        raise GraphError("diagonal entries must be positive")
-    return lambda2(lap) * float(d.min())

@@ -1,18 +1,13 @@
-"""Dense symmetric eigenvalue routines built on cyclic Jacobi sweeps.
+"""Small dense-matrix helpers shared by the node families and the certificates.
 
-The matrices handled here are small (graph Laplacians and diagonal-metric
-quadratic forms, n rarely above a few dozen), so a plain cyclic Jacobi
-iteration is accurate, dependency-free, and fast enough.
+Symmetric spectra come from LAPACK through ``numpy.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jacobi_eigenvalues", "spectral_norm", "symmetric_part"]
-
-_OFFDIAG_TOL = 1e-12
-_MAX_SWEEPS = 100
+__all__ = ["spectral_norm", "symmetric_part"]
 
 
 def symmetric_part(a: np.ndarray) -> np.ndarray:
@@ -21,65 +16,9 @@ def symmetric_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(len(a), dtype=bool)
-    return float(np.sqrt(np.sum(a[mask] ** 2)))
-
-
-def jacobi_eigenvalues(matrix, tol: float = _OFFDIAG_TOL, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted ascending.
-
-    Cyclic Jacobi rotations; sweeps stop once the off-diagonal Frobenius
-    norm falls below ``tol`` times the Frobenius norm of the input.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
-        raise ValueError("matrix must be symmetric")
-    a = symmetric_part(a)
-    if n == 1:
-        return a[0].copy()
-    if scale == 0.0:
-        return np.zeros(n)
-    threshold = tol * scale
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not reach the requested off-diagonal tolerance")
-    return np.sort(np.diagonal(a))
-
-
 def spectral_norm(matrix) -> float:
     """Largest singular value of a (possibly nonsymmetric) matrix."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    gram = a.T @ a
-    evals = jacobi_eigenvalues(symmetric_part(gram))
-    return float(np.sqrt(max(evals[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(a.T @ a)[-1], 0.0)))

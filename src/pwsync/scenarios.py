@@ -30,6 +30,7 @@ from .certify import (
     IdentityEnsemble,
     PointFamily,
     QuadCertificate,
+    _identity_rows,
     _require_common_h,
     certify_upsilon,
     linear_common_bounds,
@@ -183,16 +184,8 @@ class Scenario:
 
 
 def _default_point_family(fields) -> PointFamily:
-    rows = []
-    for f in fields:
-        if f.w_identity is None:
-            raise CertifyError(
-                "no certificate family given and node "
-                f"'{f.label or '?'}' carries no identity-metric certificate"
-            )
-        rows.append(f.w_identity)
-    w = np.max(np.array(rows, dtype=float), axis=0)
-    return PointFamily(QuadCertificate(np.ones(fields[0].dim), w))
+    w = _identity_rows(fields).max(axis=0)
+    return PointFamily(QuadCertificate(np.ones(w.size), w))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,9 @@ class SimConfig:
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise SimError("dt must be positive")
         if self.t_end < 10.0 * self.dt:

@@ -148,6 +148,18 @@ def test_sampled_check_respects_domain_radius():
         check_quad_sampled(lambda t, x: -np.asarray(x), cert, radius=2.0, n_samples=10)
 
 
+def test_sampled_check_rejects_field_that_does_not_broadcast():
+    # a rotation written for one state at a time: on a (k, 2) batch it
+    # returns a (2, 2) block instead of one row per state
+    def h(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.array([x[1], -x[0]])
+
+    cert = QuadCertificate(p=np.ones(2), w=np.zeros(2))
+    with pytest.raises(CertifyError, match="broadcast"):
+        check_quad_sampled(h, cert, radius=1.0, n_samples=10)
+
+
 # ---------------------------------------------------------------------------
 # sector bounds
 # ---------------------------------------------------------------------------

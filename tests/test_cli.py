@@ -178,3 +178,50 @@ def test_certify_gain_override_matches_scenario_math(tmp_path):
     assert payload["report"]["eps_bar"] == pytest.approx(
         0.632 * math.pi / (2.25 * math.sqrt(3.0)), rel=1e-6
     )
+
+
+RING_INI = """
+[topology]
+source = ring
+n = 4
+weight = {weight}
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+c = 1
+gamma = 1
+
+[sim]
+dt = {dt}
+t_end = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize(
+    "weight, dt, key",
+    [("inf", "0.01", "weight"), ("nan", "0.01", "weight"), ("1", "nan", "dt")],
+)
+def test_non_finite_scenario_numbers_exit_one(tmp_path, capsys, command, weight, dt, key):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(RING_INI.format(weight=weight, dt=dt))
+    rc = main([command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err and "finite" in err
+
+
+def test_simulate_contraction3_does_not_fail_a_zero_bound(tmp_path):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--scenario", "contraction3", "--t-end", "2", "--out", str(out)])
+    assert rc == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "eps_bar = 0" in summary
+    assert "certified = yes" in summary
+    assert "diverged = no" in summary
+    assert "eps_hat <= eps_bar = no" not in summary
+    assert any(line.startswith("eps_hat <= eps_bar = n/a") for line in summary)

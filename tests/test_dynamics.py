@@ -10,17 +10,12 @@ from pwsync.dynamics import (
     KuramotoParams,
     RelayParams,
     chua_field,
-    eval_stack,
     hard_sgn,
     ikeda_field,
     kuramoto_error_field,
     relay_field,
     saturated_sgn,
 )
-
-# dx/dt = -a x + b sin(x(t - tau)) with unit constant history at x = 1:
-# both nodes see -1 + 4 sin(1).
-IKEDA_STACK_VALUE = -1.0 + 4.0 * math.sin(1.0)
 
 RELAY_B_NORM = math.sqrt(6.0)
 
@@ -120,27 +115,6 @@ def test_kuramoto_error_field():
     assert np.allclose(f.g(2.0, x, None, hard_sgn), [1.0], atol=0.0)
     assert f.M == 1.0
     assert np.allclose(f.w_identity, [0.0], atol=0.0)
-
-
-def test_eval_stack_two_delayed_nodes():
-    f = ikeda_field(IkedaParams(a=1.0, b=4.0, tau=2.0))
-    const_history = lambda s: np.array([1.0])
-    out = eval_stack([f, f], 0.0, np.array([1.0, 1.0]), history=[const_history, const_history])
-    assert np.allclose(out, [IKEDA_STACK_VALUE, IKEDA_STACK_VALUE], atol=1e-14)
-
-
-def test_eval_stack_requires_history_for_delay():
-    f = ikeda_field(IkedaParams())
-    with pytest.raises(ValueError):
-        eval_stack([f], 0.0, np.array([1.0]))
-
-
-def test_eval_stack_shape_checks():
-    f = kuramoto_error_field(KuramotoParams(0.1), 0.0)
-    with pytest.raises(ValueError):
-        eval_stack([f, f], 0.0, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        eval_stack([], 0.0, np.array([]))
 
 
 def test_field_validation():

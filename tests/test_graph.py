@@ -8,15 +8,12 @@ from pwsync.graph import (
     complete_topology,
     is_connected,
     lambda2,
-    lambda2_kron_diag,
     load_edge_list,
     random_connected,
     ring_topology,
     topology_from_edges,
 )
-from pwsync.linalg import jacobi_eigenvalues
-
-from oracles import lambda2_brute
+from oracles import eigenvalues_brute, lambda2_brute
 
 N_ORACLE_GRAPHS = 100
 ORACLE_TOL = 1e-8
@@ -49,9 +46,10 @@ def test_lambda2_matches_charpoly_oracle_on_random_graphs():
 def test_five_node_benchmark_spectrum():
     topo = topology_from_edges(5, FIVE_NODE_EDGES)
     lap = build_laplacian(topo)
-    vals = jacobi_eigenvalues(lap.matrix)
+    vals = eigenvalues_brute(lap.matrix)
     assert np.allclose(vals, [0.0, 2.0, 4.0, 5.0, 5.0], atol=1e-9)
     assert abs(lambda2(lap) - 2.0) < 1e-9
+    assert abs(lambda2(lap) - lambda2_brute(lap.matrix)) < ORACLE_TOL
 
 
 def test_ring_four_lambda2_is_two():
@@ -88,13 +86,6 @@ def test_lambda2_invariant_under_relabeling():
         assert abs(lambda2(build_laplacian(shuffled)) - base) < 1e-10
 
 
-def test_lambda2_kron_diag_uses_smallest_component_weight():
-    lap = build_laplacian(ring_topology(4))
-    assert abs(lambda2_kron_diag(lap, np.array([0.5, 3.0])) - 1.0) < 1e-12
-    with pytest.raises(GraphError):
-        lambda2_kron_diag(lap, np.array([0.5, 0.0]))
-
-
 def test_disconnected_graph_rejected_by_lambda2():
     topo = topology_from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected(topo)
@@ -111,6 +102,11 @@ def test_topology_validation():
         Topology(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative weight
     with pytest.raises(GraphError):
         Topology(np.zeros((2, 3)))  # not square
+    for bad in (np.inf, np.nan):
+        with pytest.raises(GraphError, match="finite"):
+            Topology(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(GraphError, match="finite"):
+        Topology(np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]))
 
 
 def test_edge_builder_validation():
