@@ -9,8 +9,9 @@ file) and a seed override:
 * ``simulate`` - integrate the network, write ``trajectory.csv``,
   ``errors.csv`` and ``summary.txt``; exit 0, or 3 when the state
   diverged, 1 on bad input.
-* ``sweep``    - rerun certification and simulation over a gain grid,
-  write ``sweep.csv``; exit 0, 1 on bad input.
+* ``sweep``    - integrate every gain of a grid in one pass and certify
+  each, write ``sweep.csv``; exit 0, 1 on bad input (checked before the
+  output directory is created).
 
 Outputs carry no timestamps, so a rerun with identical arguments
 produces byte-identical files.
@@ -169,10 +170,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _apply_sim_overrides(load_scenario(args.scenario, args.seed), args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
     if args.c_max <= args.c_min:
@@ -183,6 +180,9 @@ def cmd_sweep(args) -> int:
         c_values = np.geomspace(args.c_min, args.c_max, args.points)
     else:
         c_values = np.linspace(args.c_min, args.c_max, args.points)
+    scenario = _apply_sim_overrides(load_scenario(args.scenario, args.seed), args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     rows = sweep_coupling(scenario, c_values, scenario.sim)
     meta = _scenario_meta(scenario)

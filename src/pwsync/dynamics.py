@@ -2,17 +2,24 @@
 quadratic contraction certificate, plus a norm-bounded part g that may
 switch, carry a delay, or simply differ from node to node.
 
-Four concrete families are provided: a delayed scalar saturation
+Five concrete families are provided: a delayed scalar saturation
 oscillator (Ikeda), a double-scroll circuit with square-wave forcing
-(Chua), a linear plant under relay feedback, and phase oscillators
-reduced to their error field (Kuramoto).
+(Chua), a linear plant under relay feedback, phase oscillators reduced
+to their error field (Kuramoto), and plain linear decay.
 
 Conventions: ``h(t, x)`` must broadcast over leading axes of ``x``
 (shape (..., dim)), which lets the certificate sampler evaluate it in
-batches. ``g(t, x, history, sgn)`` is called one state at a time by the
-integrator; ``history`` is a callable mapping a past time to that node's
-state block (only used by delayed fields), and ``sgn`` is the sign
-function in effect (exact or boundary-layer regularized).
+batches. ``g(t, x, history, sgn)`` takes one state at a time; ``history``
+is a callable mapping a past time to that node's state block (only used
+by delayed fields), and ``sgn`` is the sign function in effect (exact or
+boundary-layer regularized).
+
+Each family builder also records ``family`` and ``params`` on the field.
+The integrator evaluates all nodes of a recorded family at once from
+those parameters, with one vectorized delayed-history lookup; it calls
+``h`` and ``g`` node by node only for fields that carry no family, such
+as hand-built ones.  ``h`` and ``g`` remain the description the
+certificates and tests evaluate.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "chua_field",
     "relay_field",
     "kuramoto_error_field",
+    "decay_field",
 ]
 
 
@@ -74,6 +82,10 @@ class AffineDecomposedField:
     - ``w_identity``: diagonal entries of a W certifying the identity-metric
       quadratic bound (x−y)ᵀ(h(t,x)−h(t,y)) ≤ (x−y)ᵀ diag(w) (x−y),
       required by the nonlinear-coupling certification pipelines.
+    - ``family`` and ``params``: set by the family builders below, and
+      read by the integrator in place of ``h`` and ``g``; a field that
+      sets ``family`` must compute exactly what that family's builder
+      would from ``params``.
     """
 
     dim: int
@@ -86,6 +98,8 @@ class AffineDecomposedField:
     h0_norm: float = 0.0
     w_identity: Optional[np.ndarray] = None
     label: str = ""
+    family: Optional[str] = None
+    params: Optional[dict] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -166,6 +180,8 @@ def ikeda_field(p: IkedaParams) -> AffineDecomposedField:
         h0_norm=0.0,
         w_identity=np.array([-a]),
         label=f"ikeda(a={a:g}, b={b:g}, tau={tau:g})",
+        family="ikeda",
+        params={"a": a, "b": b, "tau": tau},
     )
 
 
@@ -215,6 +231,8 @@ def chua_field(p: ChuaParams, node_index: int, n_nodes: int) -> AffineDecomposed
         h_gain=gain,
         h0_norm=0.0,
         label=f"chua(node {node_index}/{n_nodes})",
+        family="chua",
+        params={"alpha": alpha, "beta": beta, "slope_a": sa, "slope_b": sb, "offset": offset},
     )
 
 
@@ -247,6 +265,8 @@ def relay_field(p: RelayParams) -> AffineDecomposedField:
         h0_norm=0.0,
         w_identity=np.full(n, lam_max),
         label="relay",
+        family="relay",
+        params={"a_matrix": A, "b_vector": B, "c_vector": C},
     )
 
 
@@ -270,4 +290,31 @@ def kuramoto_error_field(p: KuramotoParams, omega_mean: float) -> AffineDecompos
         h0_norm=0.0,
         w_identity=np.zeros(1),
         label=f"kuramoto(detune={detune:g})",
+        family="kuramoto",
+        params={"detune": detune},
+    )
+
+
+def decay_field(rate: float = 1.0) -> AffineDecomposedField:
+    """Scalar linear decay: h = -rate·x, g ≡ 0."""
+    rate = float(rate)
+    if rate <= 0.0:
+        raise ValueError("decay rate must be positive")
+
+    def h(t, x):
+        return -rate * np.asarray(x, dtype=float)
+
+    def g(t, x, history, sgn):
+        return np.zeros(np.shape(x))
+
+    return AffineDecomposedField(
+        dim=1,
+        h=h,
+        g=g,
+        M=0.0,
+        h_gain=rate,
+        w_identity=np.array([-rate]),
+        label=f"decay(rate={rate:g})",
+        family="decay",
+        params={"rate": rate},
     )

@@ -41,12 +41,12 @@ from .certify import (
     quad_linear_cert,
 )
 from .dynamics import (
-    AffineDecomposedField,
     ChuaParams,
     IkedaParams,
     KuramotoParams,
     RelayParams,
     chua_field,
+    decay_field,
     ikeda_field,
     kuramoto_error_field,
     relay_field,
@@ -350,33 +350,11 @@ def ikeda10_nonlinear(seed: int = 0) -> Scenario:
     )
 
 
-def _decay_h(t, x):
-    return -np.asarray(x, dtype=float)
-
-
-def _zero_g(t, x, history, sgn):
-    return np.zeros(np.shape(x))
-
-
-def _decay_field(rate: float = 1.0) -> AffineDecomposedField:
-    if rate <= 0.0:
-        raise ConfigError("decay rate must be positive")
-    if rate == 1.0:
-        h = _decay_h
-    else:
-        def h(t, x, rate=rate):
-            return -rate * np.asarray(x, dtype=float)
-    return AffineDecomposedField(
-        dim=1, h=h, g=_zero_g, M=0.0, h_gain=rate,
-        w_identity=np.array([-rate]), label=f"decay(rate={rate:g})",
-    )
-
-
 def contraction3(seed: int = 0) -> Scenario:
     """Three identical contracting nodes on a triangle; the error must
     vanish (no mismatch, so the certified residual is exactly zero)."""
     topo = complete_topology(3)
-    node = _decay_field(1.0)
+    node = decay_field(1.0)
     fields = [node] * 3
     coupling = CouplingSpec("linear", c=1.0, gamma=np.ones(1), label="scalar linear")
     rng = np.random.default_rng(seed)
@@ -556,7 +534,9 @@ def _config_nodes(parser, n_nodes, global_seed):
         return fields, None, meta
     if family == "decay":
         rate = _as_float(_get(parser, "nodes", "rate", "1.0"), "[nodes] rate")
-        node = _decay_field(rate)
+        if rate <= 0.0:
+            raise ConfigError("decay rate must be positive")
+        node = decay_field(rate)
         return [node] * n_nodes, None, meta
     raise ConfigError(
         f"[nodes] family must be ikeda|chua|relay|kuramoto|decay, got '{family}'"

@@ -169,6 +169,16 @@ def test_sweep_argument_validation(tmp_path, capsys):
     assert rc == 1
 
 
+def test_rejected_sweep_grid_leaves_no_output_directory(tmp_path):
+    for grid in (["--c-min", "1", "--c-max", "1"],
+                 ["--c-min", "0", "--c-max", "1", "--grid", "log"],
+                 ["--c-min", "0", "--c-max", "1", "--points", "1"]):
+        out = tmp_path / "never"
+        rc = main(["sweep", "--scenario", "contraction3", *grid, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
+
 def test_certify_gain_override_matches_scenario_math(tmp_path):
     out = tmp_path / "cert"
     rc = main(["certify", "--scenario", "kuramoto4", "--out", str(out)])

@@ -1,17 +1,27 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pwsync.certify import CouplingSpec
-from pwsync.dynamics import AffineDecomposedField, IkedaParams, ikeda_field
-from pwsync.graph import Topology, complete_topology, random_connected
+from pwsync.certify import CouplingSpec, pws_coupling
+from pwsync.dynamics import (
+    AffineDecomposedField,
+    ChuaParams,
+    IkedaParams,
+    chua_field,
+    decay_field,
+    ikeda_field,
+)
+from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
+from pwsync.scenarios import Scenario, contraction3, kuramoto4, relay5
 from pwsync.sim import (
     ErrorSeries,
     SimConfig,
     SimError,
     error_series,
     integrate,
+    integrate_gains,
     steady_state_eps,
     sweep_coupling,
     write_error_csv,
@@ -244,3 +254,195 @@ def test_integrate_shape_validation():
     with pytest.raises(SimError):
         integrate([node, node], complete_topology(2), NO_COUPLING,
                   np.array([1.0]), SimConfig())
+
+
+def test_coupling_shapes_are_checked_at_zero_gain():
+    node = _decay_field()
+    wrong_gamma = CouplingSpec("linear", c=0.0, gamma=np.ones(3))
+    wrong_upsilon = CouplingSpec("nonlinear", c=0.0, eta=np.sin,
+                                 upsilon=np.full(3, 0.8), e_max=math.pi)
+    for coupling in (wrong_gamma, wrong_upsilon):
+        with pytest.raises(SimError):
+            integrate([node, node], complete_topology(2), coupling,
+                      np.array([1.0, -1.0]), SimConfig(dt=1e-2, t_end=0.5))
+
+
+def _assert_sweep_matches_scalar_runs(scenario, gains):
+    """sweep_coupling's one-pass batch against one integrate per gain."""
+    cfg = scenario.sim
+    gains = sorted(gains)
+    batch = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
+                            gains, scenario.x0, cfg)
+    rows = sweep_coupling(scenario, gains, cfg)
+    assert [row["c"] for row in rows] == gains
+    for c, traj, row in zip(gains, batch, rows):
+        single = integrate(scenario.fields, scenario.topo, scenario.coupling.with_gain(c),
+                           scenario.x0, cfg)
+        assert traj.diverged == single.diverged == row["diverged"]
+        assert traj.meta == single.meta
+        assert np.array_equal(traj.times, single.times)
+        assert traj.states.shape == single.states.shape
+        assert float(np.abs(traj.states - single.states).max()) <= 1e-12
+        eps_hat = steady_state_eps(error_series(single), cfg.tail_fraction)
+        assert row["eps_hat"] == pytest.approx(eps_hat, rel=0.0, abs=1e-12)
+
+
+def _custom_scenario(name, fields, topo, coupling, sim, x0):
+    return Scenario(name=name, topo=topo, fields=fields, coupling=coupling,
+                    sim=sim, x0=np.asarray(x0, dtype=float), mode="auto")
+
+
+def _ikeda4(coupling):
+    dt = 2.0 ** -6
+    # the first delay is exactly four steps, so its reads land on grid points
+    taus = (4 * dt, 0.05, 0.1 + 1e-3, 0.3)
+    fields = [ikeda_field(IkedaParams(1.0 + 0.1 * i, 4.0 - 0.2 * i, tau))
+              for i, tau in enumerate(taus)]
+    return _custom_scenario("ikeda4", fields, ring_topology(4), coupling,
+                            SimConfig(dt=dt, t_end=0.75), [0.4, -1.1, 0.9, 0.2])
+
+
+def test_sweep_matches_scalar_runs_ikeda_heterogeneous_delays():
+    linear = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
+    pws = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.array([0.75]))
+    for coupling in (linear, pws):
+        _assert_sweep_matches_scalar_runs(_ikeda4(coupling), [5.0, 0.0, 1.5])
+
+
+def _chua3():
+    fields = [chua_field(ChuaParams(), i, 3) for i in range(3)]
+    coupling = CouplingSpec("linear", c=2.0, gamma=np.array([1.0, 0.0, 1.0]))
+    x0 = np.random.default_rng(3).normal(scale=0.5, size=9)
+    return _custom_scenario("chua3", fields, complete_topology(3), coupling,
+                            SimConfig(dt=1e-3, t_end=0.3), x0)
+
+
+def test_sweep_matches_scalar_runs_chua():
+    _assert_sweep_matches_scalar_runs(_chua3(), [0.0, 2.0, 10.0])
+
+
+def test_sweep_matches_scalar_runs_relay_with_and_without_boundary_layer():
+    base = relay5(seed=1)
+    for width in (1e-4, 0.0):
+        scenario = base.with_sim(dt=5e-5, t_end=5e-3, regularization_width=width)
+        _assert_sweep_matches_scalar_runs(scenario, [10.0, 50.0])
+
+
+def test_sweep_matches_scalar_runs_kuramoto_and_decay():
+    _assert_sweep_matches_scalar_runs(kuramoto4(seed=2).with_sim(t_end=1.0), [0.0, 0.75, 2.0])
+    _assert_sweep_matches_scalar_runs(contraction3(seed=2).with_sim(t_end=1.0), [0.0, 1.0, 3.0])
+
+
+def test_sweep_matches_scalar_runs_closure_fields_beside_a_family():
+    def g(t, x, history, sgn):
+        return -0.5 * history(t - 0.05) + 0.3 * math.cos(t)
+
+    delayed = AffineDecomposedField(dim=1, h=lambda t, x: -np.asarray(x, dtype=float),
+                                    g=g, M=2.0, delay=0.05, h_gain=1.0,
+                                    w_identity=np.array([-1.0]), label="custom delayed")
+    fields = [decay_field(1.0), delayed, decay_field(2.0), _decay_field(1.5, 0.7)]
+    coupling = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
+    scenario = _custom_scenario("mixed", fields, ring_topology(4), coupling,
+                                SimConfig(dt=1e-2, t_end=0.5), [1.0, -0.5, 0.25, 2.0])
+    _assert_sweep_matches_scalar_runs(scenario, [0.0, 0.5, 2.0])
+
+
+def test_family_kernels_match_the_fields_own_closures():
+    # a field without a family goes through h and g node by node, the
+    # reference the vectorized family kernels must reproduce
+    ikeda_net = _ikeda4(CouplingSpec("linear", c=2.0, gamma=np.ones(1)))
+    relay = relay5(seed=1).with_sim(dt=5e-5, t_end=5e-3)
+    networks = [
+        ikeda_net,
+        _chua3(),
+        relay,
+        relay.with_sim(regularization_width=0.0),
+        kuramoto4(seed=2).with_sim(t_end=1.0),
+        contraction3(seed=2).with_sim(t_end=1.0),
+    ]
+    for scenario in networks:
+        assert all(f.family is not None for f in scenario.fields)
+        closures = [dataclasses.replace(f, family=None, params=None) for f in scenario.fields]
+        kernel = integrate(scenario.fields, scenario.topo, scenario.coupling, scenario.x0,
+                           scenario.sim)
+        reference = integrate(closures, scenario.topo, scenario.coupling, scenario.x0,
+                              scenario.sim)
+        assert kernel.states.shape == reference.states.shape
+        assert float(np.abs(kernel.states - reference.states).max()) <= 1e-12, scenario.name
+
+
+def test_history_reads_follow_the_interpolation_rule():
+    # every history read equals the rule applied to the stored trajectory:
+    # x0 for s <= 0, the earlier row when the step fraction is <= 1e-9, and
+    # linear interpolation otherwise
+    for dt, tau in ((0.01, 0.0537), (2.0 ** -6, 4 * 2.0 ** -6)):
+        reads = []
+
+        def g(t, x, history, sgn, tau=tau, reads=reads):
+            s = t - tau
+            value = history(s)
+            reads.append((s, value.copy()))
+            return -value
+
+        node = AffineDecomposedField(dim=1, h=lambda t, x: -np.asarray(x, dtype=float), g=g,
+                                     M=5.0, delay=tau, h_gain=1.0, label="recorder")
+        traj = integrate([node], SINGLE_NODE, NO_COUPLING, np.array([1.3]),
+                         SimConfig(dt=dt, t_end=0.5))
+        rows = traj.states
+        for s, value in reads:
+            if s <= 0.0:
+                expected = rows[0]
+            else:
+                u = s / dt
+                idx = int(u)
+                frac = u - idx
+                expected = rows[idx] if frac <= 1e-9 else rows[idx] + frac * (rows[idx + 1] - rows[idx])
+            assert np.array_equal(value, expected), (dt, s)
+        assert any(s > 0.0 for s, _ in reads)
+
+
+def test_coupling_term_matches_dense_sums():
+    from pwsync.graph import build_laplacian
+    from pwsync.sim import _coupling_term
+
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.2, 1.5, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.7)
+    w = np.triu(w, 1)
+    w = w + w.T
+    w[4, :] = w[:, 4] = 0.0  # an isolated node receives no coupling
+    topo = Topology(w)
+    x = rng.normal(size=(3, 5, 2))
+    gains = np.array([0.0, 0.5, 2.0])
+    nonlinear = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(2, 0.75))
+    diffs = x[:, None, :, :] - x[:, :, None, :]
+    expected = gains[:, None, None] * np.einsum("ij,bijk->bik", w, pws_coupling(diffs))
+    got = _coupling_term(nonlinear, topo, gains)(x)
+    assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
+    assert not got[:, 4].any()
+    linear = CouplingSpec("linear", c=1.0, gamma=np.array([1.0, 0.5]))
+    lap = build_laplacian(topo).matrix
+    expected = -gains[:, None, None] * np.einsum("ij,bjk->bik", lap, x) * linear.gamma
+    got = _coupling_term(linear, topo, gains)(x)
+    assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_diverging_gain_is_isolated_within_a_batch():
+    # RK4 is unstable for the disagreement mode once dt (a + c λ_max) is
+    # past about 2.8: c = 20 on the triangle at dt = 0.1, and c = 100 on
+    # the delayed ring at dt = 1/64, whose stable member keeps reading its
+    # history after the other one drops out
+    linear = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
+    cases = [(contraction3(seed=0).with_sim(dt=0.1, t_end=5.0), 0.5, 20.0),
+             (_ikeda4(linear), 1.0, 100.0)]
+    for scenario, calm, wild in cases:
+        _assert_sweep_matches_scalar_runs(scenario, [wild, calm])
+        rows = sweep_coupling(scenario, [calm, wild], scenario.sim)
+        assert [row["diverged"] for row in rows] == [False, True]
+        assert rows[1]["eps_hat"] == math.inf
+        assert math.isfinite(rows[0]["eps_hat"])
+        stable, runaway = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
+                                          [calm, wild], scenario.x0, scenario.sim)
+        n_times = int(round(scenario.sim.t_end / scenario.sim.dt)) + 1
+        assert np.isfinite(stable.states).all() and stable.times.shape[0] == n_times
+        assert runaway.times.shape[0] < n_times
+        assert float(np.abs(runaway.states).max()) <= scenario.sim.divergence_threshold
