@@ -14,16 +14,21 @@ builders in this module compute:
 
 Five report modes exist, keyed by the CLI selector tokens:
 
-- ``thm1``: linear coupling, per-node certificates all negative definite
-  (heterogeneous smooth parts); bounded for every gain, two candidate
+- ``thm1`` (:func:`linear_hetero_bounds`): linear coupling, each node's
+  declared identity-metric certificate negative definite (heterogeneous
+  smooth parts); bounded for every gain, two closed-form candidate
   residual bounds.
-- ``thm2``: linear coupling, one smooth part shared by all nodes,
-  sign-indefinite W allowed on coupled components; gain threshold plus a
-  residual bound minimized over a certificate family.
+- ``thm2`` (:func:`linear_common_bounds`): linear coupling, one smooth part
+  shared by all nodes, sign-indefinite W allowed on coupled components;
+  gain threshold plus a residual bound minimized over a certificate family.
 - ``cor1``: same as thm2 with every state component coupled.
-- ``thm3``: odd componentwise nonlinear coupling, heterogeneous smooth
-  parts with identity-metric certificates.
-- ``thm4``: odd componentwise nonlinear coupling, shared smooth part.
+- ``thm3`` (:func:`nonlinear_bounds`): odd componentwise nonlinear coupling,
+  heterogeneous smooth parts with identity-metric certificates.
+- ``thm4`` (:func:`nonlinear_bounds`): odd componentwise nonlinear
+  coupling, shared smooth part.
+
+Only thm2 and cor1 search: thm1, thm3 and thm4 read P = I and each node's
+identity-metric W and are closed form.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ __all__ = [
     "CertificateFamily",
     "PointFamily",
     "ChuaCertFamily",
-    "EnsembleFamily",
-    "IdentityEnsemble",
     "pws_coupling",
     "check_quad_sampled",
     "quad_linear_cert",
@@ -61,9 +64,7 @@ __all__ = [
     "linear_common_ctilde",
     "linear_common_epsbar",
     "linear_common_bounds",
-    "linear_full_coupling_bounds",
-    "nonlinear_hetero_bounds",
-    "nonlinear_common_bounds",
+    "nonlinear_bounds",
 ]
 
 _MARGIN = 1e-6              # slack enforcing strict inequalities in searches
@@ -565,49 +566,6 @@ class ChuaCertFamily(CertificateFamily):
         return chua_quad_family(p1, p3, rho, self.alpha, self.beta, self.slope_a, self.slope_b)
 
 
-class EnsembleFamily:
-    """Search space of per-node certificates sharing one diagonal metric P.
-
-    ``ensemble(theta)`` returns (p, w_rows): the shared diagonal of P with
-    shape (dim,), and per-node diagonal W entries with shape (n_nodes, dim).
-    """
-
-    n_params: int = 0
-
-    def ensemble(self, theta):
-        raise NotImplementedError
-
-    def violations(self, theta) -> float:
-        return 0.0
-
-    def start_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        if self.n_params == 0:
-            return np.zeros((1, 0))
-        return rng.uniform(-2.3, 2.3, size=(k, self.n_params))
-
-
-def _identity_rows(fields: Sequence[AffineDecomposedField]) -> np.ndarray:
-    """Each node's declared identity-metric W diagonal, shape (n_nodes, dim)."""
-    for f in fields:
-        if f.w_identity is None:
-            raise CertifyError(
-                f"node '{f.label or '?'}' carries no identity-metric certificate"
-            )
-    return np.array([f.w_identity for f in fields], dtype=float)
-
-
-class IdentityEnsemble(EnsembleFamily):
-    """P = I with each node's declared identity-metric certificate."""
-
-    n_params = 0
-
-    def __init__(self, fields: Sequence[AffineDecomposedField]):
-        self._rows = _identity_rows(fields)
-
-    def ensemble(self, theta):
-        return np.ones(self._rows.shape[1]), self._rows
-
-
 def _multistart_minimize(objective: Callable, family, extra_starts=(),
                          n_starts: int = _N_STARTS, seed: int = _SEARCH_SEED):
     """Deterministic multi-start Nelder-Mead; winner by (value, start index)."""
@@ -648,6 +606,33 @@ def _guarded(objective: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 # shared report arithmetic
 # ---------------------------------------------------------------------------
+
+
+def _identity_rows(fields: Sequence[AffineDecomposedField]) -> np.ndarray:
+    """Each node's declared identity-metric W diagonal, shape (n_nodes, dim)."""
+    for f in fields:
+        if f.w_identity is None:
+            raise CertifyError(
+                f"node '{f.label or '?'}' carries no identity-metric certificate"
+            )
+    return np.array([f.w_identity for f in fields], dtype=float)
+
+
+def _trapping_radius(rows: np.ndarray, sqrt_n: float, m_bar: float, h_bar0: float):
+    """Largest W entry across nodes and the radius √N(M̄ + h̄₀)/(−w_top) of the
+    ball every node's error enters; the entry must be negative."""
+    w_top = float(rows.max())
+    if w_top >= 0.0:
+        raise CertifyError(
+            "every node needs a negative-definite identity-metric certificate "
+            f"(max W entry: {w_top:.6g})"
+        )
+    return w_top, sqrt_n * (m_bar + h_bar0) / (-w_top)
+
+
+def _smaller_candidate(eps1: float, eps2: float):
+    """ε̄ and its source: the ball candidate wins ties."""
+    return (eps1, "ball") if eps1 <= eps2 else (eps2, "decay")
 
 
 def _decay_margin(c: float, lam2_graph: float, pg: np.ndarray,
@@ -740,13 +725,12 @@ def _center_stack(x_stack: np.ndarray, n_nodes: int, dim: int) -> np.ndarray:
 
 
 def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float, q_family: Optional[EnsembleFamily] = None,
-                         p_family: Optional[EnsembleFamily] = None) -> BoundReport:
+                         gamma, c: float) -> BoundReport:
     """Residual bound for linearly coupled nodes that each contract.
 
-    Requires every node to admit a negative-definite certificate under a
-    shared diagonal metric; boundedness then holds for every gain c ≥ 0,
-    so the report carries no gain threshold.  Two candidate bounds are
+    Reads P = I and each node's declared identity-metric W; every W must be
+    negative definite.  Boundedness then holds for every gain c ≥ 0, so
+    the report carries no gain threshold.  Two candidate bounds are
     computed: the trapping-ball diameter (gain independent) and the
     decay-margin bound (shrinking with c); ε̄ is their minimum.
     """
@@ -759,63 +743,19 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     n_nodes = topo.n_nodes
     sqrt_n = math.sqrt(n_nodes)
     m_bar, h_bar0 = _stack_mismatch_bounds(fields)
-    if q_family is None:
-        q_family = IdentityEnsemble(fields)
-    if p_family is None:
-        p_family = q_family
     active = gamma > 0.0
 
-    def normalized(family, theta):
-        q, w_rows = family.ensemble(theta)
-        q = np.asarray(q, dtype=float)
-        w_rows = np.asarray(w_rows, dtype=float)
-        scale = 1.0 / q.max()
-        return q * scale, w_rows * scale
-
-    def ball_objective(theta):
-        q, w_rows = normalized(q_family, theta)
-        pen = _PENALTY * q_family.violations(theta)
-        w_top = float(w_rows.max())
-        if w_top >= -_MARGIN:
-            return _INFEASIBLE + _PENALTY * (w_top + _MARGIN) + pen
-        return sqrt_n * (m_bar + h_bar0) / (-w_top) + pen
-
-    theta_q, _ = _multistart_minimize(_guarded(ball_objective), q_family)
-    q_opt, wq_rows = normalized(q_family, theta_q)
-    w_top = float(wq_rows.max())
-    if w_top >= 0.0:
-        raise CertifyError(
-            "every node needs a negative-definite certificate for this mode "
-            f"(best achieved max W entry: {w_top:.6g})"
-        )
-    radius = sqrt_n * (m_bar + h_bar0) / (-w_top)
+    rows = _identity_rows(fields)
+    w_top, radius = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
     eps1 = 2.0 * radius
-
     h_max, h_method = _h_sup_on_ball(fields, radius)
 
     need_lam2 = bool(active.any()) and c > 0.0
     lam2_graph = lambda2(build_laplacian(topo)) if need_lam2 else 0.0
-
-    def decay_objective(theta):
-        p, w_rows = normalized(p_family, theta)
-        pen = _PENALTY * p_family.violations(theta)
-        w_diag = w_rows.max(axis=0)
-        m = _decay_margin(c, lam2_graph, p * gamma, w_diag, active)
-        if m <= _MARGIN:
-            return _INFEASIBLE + (_MARGIN - m) + pen
-        return sqrt_n * (m_bar + h_max) / m + pen
-
-    extra = [theta_q] if p_family is q_family else []
-    theta_p, eps2_val = _multistart_minimize(_guarded(decay_objective), p_family, extra_starts=extra)
-    p_opt, wp_rows = normalized(p_family, theta_p)
-    w_diag = wp_rows.max(axis=0)
-    m_value = _decay_margin(c, lam2_graph, p_opt * gamma, w_diag, active)
+    w_diag = rows.max(axis=0)
+    m_value = _decay_margin(c, lam2_graph, gamma, w_diag, active)
     eps2 = sqrt_n * (m_bar + h_max) / m_value if m_value > 0.0 else math.inf
-
-    if eps1 <= eps2:
-        eps_bar, source = eps1, "ball"
-    else:
-        eps_bar, source = eps2, "decay"
+    eps_bar, source = _smaller_candidate(eps1, eps2)
 
     hyps = (
         Hypothesis(
@@ -843,9 +783,8 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
         w_max_diag=tuple(float(v) for v in w_diag),
         m_value=m_value,
         lambda2=lam2_graph if need_lam2 else None,
-        lambda2_coupled=(lam2_graph * float((p_opt * gamma)[active].min()))
-        if need_lam2 else None,
-        p_opt=tuple(float(v) for v in p_opt),
+        lambda2_coupled=(lam2_graph * float(gamma[active].min())) if need_lam2 else None,
+        p_opt=(1.0,) * dim,
         gamma=tuple(float(v) for v in gamma),
         hypotheses=hyps,
     )
@@ -1037,62 +976,49 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     return _linear_common_report(m_bar, topo, gamma, c, family, l, mode, dim, h_bar0)
 
 
-def linear_full_coupling_bounds(family: CertificateFamily, topo: Topology, gamma,
-                                c: float, m_bar: float) -> BoundReport:
-    """Shared-smooth-part bounds when every component is coupled (γ > 0).
-
-    Field-free variant of :func:`linear_common_bounds`; the caller vouches
-    that all nodes share one smooth part with mismatch bound ``m_bar``.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or gamma.size == 0:
-        raise CertifyError("gamma must be a nonempty vector")
-    if gamma.min() <= 0.0:
-        raise CertifyError("full-coupling mode requires every gamma entry positive")
-    if m_bar < 0.0:
-        raise CertifyError("m_bar must be nonnegative")
-    return _linear_common_report(
-        float(m_bar), topo, gamma, c, family, l=gamma.size, mode="cor1", dim=gamma.size
-    )
-
-
 # ---------------------------------------------------------------------------
 # nonlinear coupling (modes thm3 / thm4)
 # ---------------------------------------------------------------------------
 
 
-def _nonlinear_common_pieces(coupling: CouplingSpec, topo: Topology):
-    if coupling.variant != "nonlinear":
-        raise CertifyError("this mode needs a nonlinear coupling spec")
-    ups = coupling.upsilon
-    active = ups > 0.0
-    lam2_graph = lambda2(build_laplacian(topo))
-    lam2_coupled = lam2_graph * float(ups[active].min())
-    return ups, active, lam2_graph, lam2_coupled
+def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
+                     coupling: CouplingSpec, x0, c: Optional[float] = None,
+                     mode: str = "thm3", delta: float = 1e-6) -> BoundReport:
+    """Gain threshold and residual bound for odd componentwise coupling.
 
+    Both modes read P = I and each node's identity-metric W.
 
-def nonlinear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                            coupling: CouplingSpec, x0, c: Optional[float] = None,
-                            delta: float = 1e-6) -> BoundReport:
-    """Gain threshold and residual bound for odd componentwise coupling of
-    heterogeneous nodes whose smooth parts contract in the identity metric.
+    - ``thm3``: heterogeneous nodes whose W is negative definite.  ε̄ is
+      the smaller of the trapping-ball radius and the decay bound.  The
+      h supremum is taken on the ball of radius r_max, the larger of that
+      radius and ‖x(0)‖, inflated by delta.
+    - ``thm4``: one shared smooth part with a sign-indefinite W; components
+      whose W entry is nonnegative must carry a positive sector bound.  No
+      trapping ball is needed, so ε̄ is the decay bound alone.
 
     The sector bounds υ are only valid on ‖z‖ ≤ e_max, so two state-dependent
-    hypotheses are checked: the initial error must fit in half the sector
-    radius, and trajectories confined to the trapping ball must keep
-    uncoupled components small enough.  r_max (the ball radius used for
-    the h supremum) is the larger of the gain-free residual bound and
-    ‖x(0)‖, inflated by delta.
+    hypotheses are checked: the initial error x(0) − x̄(0) must fit in half
+    the sector radius, and so must the residual of the uncoupled components.
     """
+    if mode not in ("thm3", "thm4"):
+        raise CertifyError(f"nonlinear mode must be thm3 or thm4, got '{mode}'")
+    hetero = mode == "thm3"
     dim = _validate_network(fields, topo)
+    if not hetero:
+        _require_common_h(fields)
     if delta <= 0.0:
         raise CertifyError("delta must be positive")
     c = float(coupling.c if c is None else c)
     if c < 0.0:
         raise CertifyError("gain c must be nonnegative")
-    ups, active, lam2_graph, lam2_coupled = _nonlinear_common_pieces(coupling, topo)
+    if coupling.variant != "nonlinear":
+        raise CertifyError("this mode needs a nonlinear coupling spec")
+    ups = coupling.upsilon
     if ups.shape != (dim,):
         raise CertifyError("upsilon must have one entry per state component")
+    active = ups > 0.0
+    lam2_graph = lambda2(build_laplacian(topo))
+    lam2_coupled = lam2_graph * float(ups[active].min())
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n_nodes = topo.n_nodes
     if x0.shape != (n_nodes * dim,):
@@ -1101,24 +1027,30 @@ def nonlinear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topol
     m_bar, h_bar0 = _stack_mismatch_bounds(fields)
 
     rows = _identity_rows(fields)
-    w_top = float(rows.max())
-    if w_top >= 0.0:
-        raise CertifyError(
-            "every node needs a negative-definite identity-metric certificate "
-            f"(max W entry: {w_top:.6g})"
-        )
-    eps1 = sqrt_n * (m_bar + h_bar0) / (-w_top)
-    nu = float(np.linalg.norm(x0))
-    r_max = max(eps1, nu) + delta
-    h_max, h_method = _h_sup_on_ball(fields, r_max)
     w_diag = rows.max(axis=0)
+    if hetero:
+        w_top, eps1 = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
+        nu = float(np.linalg.norm(x0))
+        r_max = max(eps1, nu) + delta
+        h_max, h_method = _h_sup_on_ball(fields, r_max)
+        h_extra = h_max
+        ball = dict(eps1=eps1, h_bar0=h_bar0, w_max=w_top, ball_radius=eps1, h_max=h_max,
+                    h_max_method=h_method, r_max=r_max, nu=nu, delta=delta)
+    else:
+        if ((w_diag >= 0.0) & ~active).any():
+            raise CertifyError(
+                "components with nonnegative W entries must carry positive sector bounds"
+            )
+        h_extra = 0.0
+        ball = {}
     e_max = coupling.e_max
+    half = e_max / 2.0
 
     e0_norm = float(np.linalg.norm(_center_stack(x0, n_nodes, dim)))
     hyp_init = Hypothesis(
         "initial error within half the sector radius",
-        e0_norm <= e_max / 2.0,
-        f"‖e(0)‖ = {e0_norm:.6g} vs e_max/2 = {e_max / 2.0:.6g}",
+        e0_norm <= half,
+        f"‖e(0)‖ = {e0_norm:.6g} vs e_max/2 = {half:.6g}",
     )
     if active.all() or math.isinf(e_max):
         hyp_unc = Hypothesis(
@@ -1128,141 +1060,42 @@ def nonlinear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topol
         )
     else:
         w_unc = float(w_diag[~active].max())
-        ok = w_unc < 0.0 and (-sqrt_n * (m_bar + h_max) / w_unc) < e_max / 2.0
+        residual = -sqrt_n * (m_bar + h_extra) / w_unc if w_unc < 0.0 else math.inf
         hyp_unc = Hypothesis(
             "uncoupled components stay within half the sector radius",
-            ok,
-            f"residual {(-sqrt_n * (m_bar + h_max) / w_unc) if w_unc < 0 else math.inf:.6g} "
-            f"vs e_max/2 = {e_max / 2.0:.6g}",
+            residual < half if hetero else residual <= half,
+            f"residual {residual:.6g} vs e_max/2 = {half:.6g}",
         )
 
-    gain_term = (2.0 * sqrt_n * (m_bar + h_max) / e_max) if math.isfinite(e_max) else 0.0
+    gain_term = (2.0 * sqrt_n * (m_bar + h_extra) / e_max) if math.isfinite(e_max) else 0.0
     c_tilde = max((gain_term + float(w_diag[active].max())) / lam2_coupled, 0.0)
     hyp_gain = Hypothesis(
         "gain exceeds threshold", c > c_tilde, f"c = {c:g} vs c_tilde = {c_tilde:.10g}"
     )
 
     hyps = (hyp_init, hyp_unc, hyp_gain)
-    eps2 = None
-    eps_bar = None
-    source = None
-    m_value = None
+    eps2 = eps_bar = source = m_value = None
     if all(h.passed for h in hyps):
         m_value = _decay_margin(c, lam2_graph, ups, w_diag, active)
-        eps2 = sqrt_n * (m_bar + h_max) / m_value if m_value > 0.0 else math.inf
-        if eps1 <= eps2:
-            eps_bar, source = eps1, "ball"
-        else:
+        if m_value > 0.0:
+            eps2 = sqrt_n * (m_bar + h_extra) / m_value
+        elif hetero:
+            eps2 = math.inf
+        if hetero:
+            eps_bar, source = _smaller_candidate(eps1, eps2)
+        elif eps2 is not None:
             eps_bar, source = eps2, "decay"
 
     return BoundReport(
-        mode="thm3",
+        mode=mode,
         n_nodes=n_nodes,
         dim=dim,
         c=c,
         c_tilde=c_tilde,
-        eps1=eps1,
         eps2=eps2,
         eps_bar=eps_bar,
         eps_source=source,
         m_bar=m_bar,
-        h_bar0=h_bar0,
-        w_max=w_top,
-        ball_radius=eps1,
-        h_max=h_max,
-        h_max_method=h_method,
-        w_max_diag=tuple(float(v) for v in w_diag),
-        m_value=m_value,
-        r_max=r_max,
-        nu=nu,
-        delta=delta,
-        lambda2=lam2_graph,
-        lambda2_coupled=lam2_coupled,
-        upsilon=tuple(float(v) for v in ups),
-        e_max=e_max,
-        hypotheses=hyps,
-    )
-
-
-def nonlinear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                            coupling: CouplingSpec, e0, c: Optional[float] = None) -> BoundReport:
-    """Gain threshold and residual bound for odd componentwise coupling of a
-    shared smooth part with a sign-indefinite identity-metric certificate.
-
-    Components whose W entry is nonnegative must carry a positive sector
-    bound.  Takes the initial error stack e0 directly (the shared smooth
-    part needs no trapping-ball construction, so no full state is needed).
-    """
-    dim = _validate_network(fields, topo)
-    _require_common_h(fields)
-    c = float(coupling.c if c is None else c)
-    if c < 0.0:
-        raise CertifyError("gain c must be nonnegative")
-    ups, active, lam2_graph, lam2_coupled = _nonlinear_common_pieces(coupling, topo)
-    if ups.shape != (dim,):
-        raise CertifyError("upsilon must have one entry per state component")
-    n_nodes = topo.n_nodes
-    sqrt_n = math.sqrt(n_nodes)
-    m_bar = max(f.M for f in fields)
-
-    rows = _identity_rows(fields)
-    w_diag = rows.max(axis=0)
-    if ((w_diag >= 0.0) & ~active).any():
-        raise CertifyError(
-            "components with nonnegative W entries must carry positive sector bounds"
-        )
-
-    e0 = np.asarray(e0, dtype=float).reshape(-1)
-    if e0.shape != (n_nodes * dim,):
-        raise CertifyError(f"e0 must have shape ({n_nodes * dim},)")
-    e0_norm = float(np.linalg.norm(e0))
-    e_max = coupling.e_max
-    hyp_init = Hypothesis(
-        "initial error within half the sector radius",
-        e0_norm <= e_max / 2.0,
-        f"‖e(0)‖ = {e0_norm:.6g} vs e_max/2 = {e_max / 2.0:.6g}",
-    )
-    if active.all() or math.isinf(e_max):
-        hyp_unc = Hypothesis(
-            "uncoupled components stay within half the sector radius",
-            True,
-            "vacuous: all components coupled" if active.all() else "vacuous: global sector bound",
-        )
-    else:
-        w_unc = float(w_diag[~active].max())
-        ok = w_unc < 0.0 and (-sqrt_n * m_bar / w_unc) <= e_max / 2.0
-        hyp_unc = Hypothesis(
-            "uncoupled components stay within half the sector radius",
-            ok,
-            f"residual {(-sqrt_n * m_bar / w_unc) if w_unc < 0 else math.inf:.6g} "
-            f"vs e_max/2 = {e_max / 2.0:.6g}",
-        )
-
-    gain_term = (2.0 * sqrt_n * m_bar / e_max) if math.isfinite(e_max) else 0.0
-    c_tilde = max((gain_term + float(w_diag[active].max())) / lam2_coupled, 0.0)
-    hyp_gain = Hypothesis(
-        "gain exceeds threshold", c > c_tilde, f"c = {c:g} vs c_tilde = {c_tilde:.10g}"
-    )
-
-    hyps = (hyp_init, hyp_unc, hyp_gain)
-    eps_bar = None
-    m_value = None
-    if all(h.passed for h in hyps):
-        m_value = _decay_margin(c, lam2_graph, ups, w_diag, active)
-        if m_value > 0.0:
-            eps_bar = m_bar * sqrt_n / m_value
-
-    return BoundReport(
-        mode="thm4",
-        n_nodes=n_nodes,
-        dim=dim,
-        c=c,
-        c_tilde=c_tilde,
-        eps1=None,
-        eps2=eps_bar,
-        eps_bar=eps_bar,
-        eps_source="decay" if eps_bar is not None else None,
-        m_bar=m_bar,
         w_max_diag=tuple(float(v) for v in w_diag),
         m_value=m_value,
         lambda2=lam2_graph,
@@ -1270,4 +1103,5 @@ def nonlinear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topol
         upsilon=tuple(float(v) for v in ups),
         e_max=e_max,
         hypotheses=hyps,
+        **ball,
     )

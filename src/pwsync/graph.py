@@ -46,7 +46,9 @@ class Topology:
             raise GraphError("weights must form a square matrix")
         if w.shape[0] < 1:
             raise GraphError("a topology needs at least one node")
-        if not np.isfinite(w.sum(axis=1)).all():
+        with np.errstate(over="ignore"):  # an overflowing row sum is rejected below
+            row_sums = w.sum(axis=1)
+        if not np.isfinite(row_sums).all():
             raise GraphError("edge weights and every node's total weight must be finite")
         if not np.allclose(w, w.T, rtol=0.0, atol=_ATOL):
             raise GraphError("weights must be symmetric")

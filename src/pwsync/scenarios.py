@@ -27,7 +27,6 @@ from .certify import (
     CertifyError,
     ChuaCertFamily,
     CouplingSpec,
-    IdentityEnsemble,
     PointFamily,
     QuadCertificate,
     _identity_rows,
@@ -35,8 +34,7 @@ from .certify import (
     certify_upsilon,
     linear_common_bounds,
     linear_hetero_bounds,
-    nonlinear_common_bounds,
-    nonlinear_hetero_bounds,
+    nonlinear_bounds,
     pws_coupling,
     quad_linear_cert,
 )
@@ -96,7 +94,6 @@ class Scenario:
     x0: np.ndarray
     mode: str = "auto"
     family: Optional[object] = None
-    ensemble: Optional[object] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -144,21 +141,13 @@ class Scenario:
         mode = self.resolved_mode()
         c_val = float(self.coupling.c if c is None else c)
         if mode == "thm1":
-            return linear_hetero_bounds(
-                self.fields, self.topo, self.coupling.gamma, c_val, self.ensemble
-            )
+            return linear_hetero_bounds(self.fields, self.topo, self.coupling.gamma, c_val)
         if mode in ("thm2", "cor1"):
             fam = self.family if self.family is not None else _default_point_family(self.fields)
             return linear_common_bounds(
                 self.fields, self.topo, self.coupling.gamma, c_val, fam, mode=mode
             )
-        if mode == "thm3":
-            return nonlinear_hetero_bounds(
-                self.fields, self.topo, self.coupling, self.x0, c_val
-            )
-        blocks = self.x0.reshape(self.topo.n_nodes, self.dim)
-        e0 = (blocks - blocks.mean(axis=0)).reshape(-1)
-        return nonlinear_common_bounds(self.fields, self.topo, self.coupling, e0, c_val)
+        return nonlinear_bounds(self.fields, self.topo, self.coupling, self.x0, c_val, mode=mode)
 
     def simulate(self, config: Optional[SimConfig] = None, c: Optional[float] = None):
         cfg = config if config is not None else self.sim
@@ -167,25 +156,44 @@ class Scenario:
 
     def with_sim(self, **changes) -> "Scenario":
         """Copy with replaced simulation settings (dt, t_end, ...)."""
-        new = replace(self.sim, **changes)
-        return Scenario(
-            name=self.name, topo=self.topo, fields=self.fields,
-            coupling=self.coupling, sim=new, x0=self.x0, mode=self.mode,
-            family=self.family, ensemble=self.ensemble, meta=dict(self.meta),
-        )
+        return replace(self, sim=replace(self.sim, **changes), meta=dict(self.meta))
 
     def with_gain(self, c: float) -> "Scenario":
-        return Scenario(
-            name=self.name, topo=self.topo, fields=self.fields,
-            coupling=self.coupling.with_gain(c), sim=self.sim, x0=self.x0,
-            mode=self.mode, family=self.family, ensemble=self.ensemble,
-            meta=dict(self.meta),
-        )
+        return replace(self, coupling=self.coupling.with_gain(c), meta=dict(self.meta))
 
 
 def _default_point_family(fields) -> PointFamily:
     w = _identity_rows(fields).max(axis=0)
     return PointFamily(QuadCertificate(np.ones(w.size), w))
+
+
+def _kuramoto_nodes(rng: np.random.Generator, n_nodes: int, scale: float):
+    """Phase-error nodes whose frequencies are a centred normal draw rescaled
+    to max |ω| = scale; returns the fields and their per-node metadata."""
+    omega = rng.normal(size=n_nodes)
+    omega = omega - omega.mean()
+    peak = float(np.abs(omega).max())
+    if peak == 0.0:
+        raise ConfigError("degenerate frequency draw; pick another seed")
+    omega = omega * (scale / peak)
+    fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
+    return fields, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
+
+
+def _ikeda_nodes(rng: np.random.Generator, n_nodes: int, base, mismatch: float):
+    """Ikeda nodes with (a, b, tau) = base + uniform(−mismatch, mismatch) per
+    node (no draw when mismatch ≤ 0); returns the fields and their metadata."""
+    if mismatch > 0:
+        spread = rng.uniform(-mismatch, mismatch, size=(3, n_nodes))
+    else:
+        spread = np.zeros((3, n_nodes))
+    a, b, tau = (base_k + row for base_k, row in zip(base, spread))
+    fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(n_nodes)]
+    meta = {
+        f"node_{i + 1}": f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
+        for i in range(n_nodes)
+    }
+    return fields, meta
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +273,7 @@ def kuramoto4(seed: int = 0) -> Scenario:
     """
     topo = ring_topology(4)
     rng = np.random.default_rng(seed)
-    omega = rng.normal(size=4)
-    omega = omega - omega.mean()
-    peak = float(np.abs(omega).max())
-    if peak == 0.0:
-        raise ConfigError("degenerate frequency draw; pick another seed")
-    omega = omega * (0.316 / peak)
-    fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
+    fields, node_meta = _kuramoto_nodes(rng, 4, 0.316)
     e_max = math.pi / 3.0
     ups = certify_upsilon(np.sin, e_max, dim=1)
     coupling = CouplingSpec(
@@ -288,9 +290,8 @@ def kuramoto4(seed: int = 0) -> Scenario:
         "graph": "ring of 4, unit weights",
         "omega_scaling": "centered normal draw scaled to max |omega| = 0.316",
         "x0_draw": "centered uniform(-0.3, 0.3), error norm capped at 0.45",
+        **node_meta,
     }
-    for i, w in enumerate(omega):
-        meta[f"node_{i + 1}_omega"] = f"{w:.17g}"
     return Scenario(
         name="kuramoto4", topo=topo, fields=fields, coupling=coupling,
         sim=SimConfig(dt=1e-3, t_end=40.0, tail_fraction=0.25, seed=seed),
@@ -301,20 +302,15 @@ def kuramoto4(seed: int = 0) -> Scenario:
 def _ikeda_core(seed: int):
     topo = random_connected(10, _IKEDA_GRAPH_P, _IKEDA_GRAPH_SEED)
     rng = np.random.default_rng(seed)
-    spread = rng.uniform(-0.25, 0.25, size=(3, 10))
-    a = 1.0 + spread[0]
-    b = 4.0 + spread[1]
-    tau = 2.0 + spread[2]
-    fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(10)]
+    fields, node_meta = _ikeda_nodes(rng, 10, (1.0, 4.0, 2.0), 0.25)
     x0 = rng.normal(size=10)
     meta = {
         "seed": seed,
         "graph": f"random_connected(10, {_IKEDA_GRAPH_P}, seed={_IKEDA_GRAPH_SEED}) (fixed graph seed)",
         "mismatch": "a,b,tau = 1,4,2 + uniform(-0.25, 0.25) per node",
         "x0_draw": "normal(0,1)",
+        **node_meta,
     }
-    for i in range(10):
-        meta[f"node_{i + 1}"] = f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
     return topo, fields, x0, meta
 
 
@@ -326,7 +322,7 @@ def ikeda10_linear(seed: int = 0) -> Scenario:
     return Scenario(
         name="ikeda10-linear", topo=topo, fields=fields, coupling=coupling,
         sim=SimConfig(dt=1e-3, t_end=15.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm1", ensemble=IdentityEnsemble(fields), meta=meta,
+        x0=x0, mode="thm1", meta=meta,
     )
 
 
@@ -369,7 +365,7 @@ def contraction3(seed: int = 0) -> Scenario:
     return Scenario(
         name="contraction3", topo=topo, fields=fields, coupling=coupling,
         sim=SimConfig(dt=1e-3, t_end=15.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm1", ensemble=IdentityEnsemble(fields), meta=meta,
+        x0=x0, mode="thm1", meta=meta,
     )
 
 
@@ -484,20 +480,23 @@ def _config_topology(parser, path, global_seed) -> Topology:
 def _config_nodes(parser, n_nodes, global_seed):
     family = _get(parser, "nodes", "family", required=True)
     seed = _section_seed(parser, "nodes", global_seed)
-    meta = {"node_family": family}
+    try:
+        fields, fam, node_meta = _family_nodes(parser, family, n_nodes, seed)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a family builder rejected a parameter value
+        raise ConfigError(f"[nodes] {exc}") from exc
+    return fields, fam, {"node_family": family, **node_meta}
+
+
+def _family_nodes(parser, family, n_nodes, seed):
     if family == "ikeda":
         base = [
             _as_float(_get(parser, "nodes", k, d), f"[nodes] {k}")
             for k, d in (("a", "1.0"), ("b", "4.0"), ("tau", "2.0"))
         ]
         mism = _as_float(_get(parser, "nodes", "mismatch", "0.0"), "[nodes] mismatch")
-        rng = np.random.default_rng(seed)
-        spread = rng.uniform(-mism, mism, size=(3, n_nodes)) if mism > 0 else np.zeros((3, n_nodes))
-        fields = []
-        for i in range(n_nodes):
-            p = IkedaParams(base[0] + spread[0, i], base[1] + spread[1, i], base[2] + spread[2, i])
-            fields.append(ikeda_field(p))
-            meta[f"node_{i + 1}"] = f"a={p.a:.17g} b={p.b:.17g} tau={p.tau:.17g}"
+        fields, meta = _ikeda_nodes(np.random.default_rng(seed), n_nodes, base, mism)
         return fields, None, meta
     if family == "chua":
         p = ChuaParams(
@@ -508,9 +507,9 @@ def _config_nodes(parser, n_nodes, global_seed):
         )
         fields = [chua_field(p, i, n_nodes) for i in range(n_nodes)]
         fam = ChuaCertFamily(p.alpha, p.beta, p.slope_a, p.slope_b)
-        meta["node_params"] = (
-            f"alpha={p.alpha:g} beta={p.beta:g} slopes {p.slope_a:g}/{p.slope_b:g}"
-        )
+        meta = {
+            "node_params": f"alpha={p.alpha:g} beta={p.beta:g} slopes {p.slope_a:g}/{p.slope_b:g}"
+        }
         return fields, fam, meta
     if family == "relay":
         override_raw = _get(parser, "nodes", "m_override")
@@ -518,26 +517,14 @@ def _config_nodes(parser, n_nodes, global_seed):
         p = RelayParams(m_override=override)
         node = relay_field(p)
         fam = PointFamily(quad_linear_cert(np.asarray(p.a_matrix, dtype=float)))
-        return [node] * n_nodes, fam, meta
+        return [node] * n_nodes, fam, {}
     if family == "kuramoto":
         scale = _as_float(_get(parser, "nodes", "omega_scale", "0.316"), "[nodes] omega_scale")
-        rng = np.random.default_rng(seed)
-        omega = rng.normal(size=n_nodes)
-        omega = omega - omega.mean()
-        peak = float(np.abs(omega).max())
-        if peak == 0.0:
-            raise ConfigError("degenerate frequency draw; pick another seed")
-        omega = omega * (scale / peak)
-        fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
-        for i, w in enumerate(omega):
-            meta[f"node_{i + 1}_omega"] = f"{w:.17g}"
+        fields, meta = _kuramoto_nodes(np.random.default_rng(seed), n_nodes, scale)
         return fields, None, meta
     if family == "decay":
         rate = _as_float(_get(parser, "nodes", "rate", "1.0"), "[nodes] rate")
-        if rate <= 0.0:
-            raise ConfigError("decay rate must be positive")
-        node = decay_field(rate)
-        return [node] * n_nodes, None, meta
+        return [decay_field(rate)] * n_nodes, None, {}
     raise ConfigError(
         f"[nodes] family must be ikeda|chua|relay|kuramoto|decay, got '{family}'"
     )
@@ -620,13 +607,10 @@ def _load_config(path: Path, global_seed) -> Scenario:
 
     name = _get(parser, "scenario", "name", path.stem)
     mode = _get(parser, "scenario", "mode", "auto")
-    ensemble = None
-    if all(f.w_identity is not None for f in fields):
-        ensemble = IdentityEnsemble(fields)
     meta = {"scenario": name, "source_file": path.name, **node_meta}
     return Scenario(
         name=name, topo=topo, fields=fields, coupling=coupling, sim=sim_cfg,
-        x0=x0, mode=mode, family=family, ensemble=ensemble, meta=meta,
+        x0=x0, mode=mode, family=family, meta=meta,
     )
 
 

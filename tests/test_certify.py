@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pwsync.certify import (
     CertifyError,
     ChuaCertFamily,
     CouplingSpec,
-    IdentityEnsemble,
     PointFamily,
     QuadCertificate,
     certify_upsilon,
@@ -17,10 +17,8 @@ from pwsync.certify import (
     linear_common_bounds,
     linear_common_ctilde,
     linear_common_epsbar,
-    linear_full_coupling_bounds,
     linear_hetero_bounds,
-    nonlinear_common_bounds,
-    nonlinear_hetero_bounds,
+    nonlinear_bounds,
     pws_coupling,
     quad_linear_cert,
 )
@@ -291,8 +289,11 @@ def test_full_coupling_mode_requires_positive_gamma():
 
 
 def test_field_free_full_coupling_variant():
+    # relay nodes sharing A with the mismatch bound set to M = 2: cor1's
+    # eps_bar is sqrt(N)·M / m with m = c·λ₂ − λ_max(sym A)
+    fields = [relay_field(RelayParams(m_override=2.0))] * 5
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_full_coupling_bounds(family, _relay_topo(), np.ones(3), 50.0, 2.0)
+    report = linear_common_bounds(fields, _relay_topo(), np.ones(3), 50.0, family, mode="cor1")
     m = 50.0 * 2.0 - RELAY_LAMBDA_MAX
     expected = 2.0 * math.sqrt(5.0) / m
     assert abs(report.eps_bar - expected) < REL_TOL * expected
@@ -362,11 +363,17 @@ def test_hetero_linear_requires_contracting_nodes():
 
 
 def test_identity_ensemble_requires_annotations():
+    # thm1 and thm3 read each node's identity-metric certificate, which chua
+    # nodes do not declare
     from pwsync.dynamics import ChuaParams
 
     fields = [chua_field(ChuaParams(), i, 3) for i in range(3)]
-    with pytest.raises(CertifyError):
-        IdentityEnsemble(fields)
+    named = re.escape(f"node '{fields[0].label}'") + ".*identity-metric"
+    with pytest.raises(CertifyError, match=named):
+        linear_hetero_bounds(fields, complete_topology(3), np.ones(3), 1.0)
+    coupling = _pws_coupling_spec(1.0, math.inf, dim=3)
+    with pytest.raises(CertifyError, match=named):
+        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(9))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +381,8 @@ def test_identity_ensemble_requires_annotations():
 # ---------------------------------------------------------------------------
 
 
-def _pws_coupling_spec(c, e_max):
-    ups = certify_upsilon(pws_coupling, e_max, probe_radius=100.0)
+def _pws_coupling_spec(c, e_max, dim=1):
+    ups = certify_upsilon(pws_coupling, e_max, dim=dim, probe_radius=100.0)
     return CouplingSpec("nonlinear", c=c, eta=pws_coupling, upsilon=ups,
                         e_max=e_max, label="piecewise odd")
 
@@ -385,7 +392,7 @@ def test_nonlinear_hetero_unbounded_sector_matches_hand_formulas():
     topo = complete_topology(3)
     x0 = np.array([0.5, -0.2, 0.1])
     coupling = _pws_coupling_spec(2.0, math.inf)
-    report = nonlinear_hetero_bounds(fields, topo, coupling, x0, delta=1e-6)
+    report = nonlinear_bounds(fields, topo, coupling, x0, delta=1e-6)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5  # no doubling for this mode
     assert abs(report.eps1 - eps1) < REL_TOL * eps1
@@ -408,7 +415,7 @@ def test_nonlinear_hetero_finite_sector_threshold():
     x0 = np.array([0.5, -0.2, 0.1])
     e_max = 3.0
     coupling = _pws_coupling_spec(8.0, e_max)
-    report = nonlinear_hetero_bounds(fields, topo, coupling, x0, delta=1e-6)
+    report = nonlinear_bounds(fields, topo, coupling, x0, delta=1e-6)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5
     r_max = max(eps1, float(np.linalg.norm(x0))) + 1e-6
@@ -423,7 +430,7 @@ def test_nonlinear_hetero_rejects_large_initial_error():
     fields = _hetero_fields()
     coupling = _pws_coupling_spec(8.0, 3.0)
     x0 = np.array([10.0, -10.0, 0.0])
-    report = nonlinear_hetero_bounds(fields, complete_topology(3), coupling, x0)
+    report = nonlinear_bounds(fields, complete_topology(3), coupling, x0)
     assert not report.certified
     assert report.eps_bar is None
     failed = [h for h in report.hypotheses if not h.passed]
@@ -434,7 +441,7 @@ def test_nonlinear_hetero_requires_contracting_nodes():
     fields = [kuramoto_error_field(KuramotoParams(0.1), 0.0) for _ in range(3)]
     coupling = _pws_coupling_spec(1.0, math.inf)
     with pytest.raises(CertifyError):
-        nonlinear_hetero_bounds(fields, complete_topology(3), coupling, np.zeros(3))
+        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(3))
 
 
 def test_nonlinear_common_kuramoto_hand_arithmetic():
@@ -444,8 +451,8 @@ def test_nonlinear_common_kuramoto_hand_arithmetic():
     e_max = math.pi / 3.0
     coupling = CouplingSpec("nonlinear", c=0.75, eta=np.sin,
                             upsilon=np.array([UPSILON_SIN]), e_max=e_max)
-    e0 = np.array([0.1, -0.1, 0.05, -0.05])
-    report = nonlinear_common_bounds(fields, topo, coupling, e0)
+    x0 = np.array([0.1, -0.1, 0.05, -0.05])  # already centred
+    report = nonlinear_bounds(fields, topo, coupling, x0, mode="thm4")
 
     expected_ct = 1.264 / math.sqrt(3.0)
     assert abs(report.c_tilde - expected_ct) < 1e-12
@@ -455,13 +462,36 @@ def test_nonlinear_common_kuramoto_hand_arithmetic():
     assert report.eps1 is None  # single decay bound in this mode
 
 
+def test_nonlinear_bounds_measure_the_centred_initial_error():
+    # a common offset of every node leaves e(0) = x(0) - mean(x(0)) unchanged
+    kuramoto = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in (0.316, -0.316, 0.1, -0.1)]
+    sin_coupling = CouplingSpec("nonlinear", c=0.75, eta=np.sin,
+                                upsilon=np.array([UPSILON_SIN]), e_max=math.pi / 3.0)
+    cases = [
+        (kuramoto, ring_topology(4), sin_coupling, np.array([0.1, -0.1, 0.05, -0.05]), "thm4"),
+        (_hetero_fields(), complete_topology(3), _pws_coupling_spec(8.0, 3.0),
+         np.array([0.5, -0.2, 0.1]), "thm3"),
+    ]
+    for fields, topo, coupling, x0, mode in cases:
+        ref = nonlinear_bounds(fields, topo, coupling, x0, mode=mode).hypotheses[0]
+        shifted = nonlinear_bounds(fields, topo, coupling, x0 + 0.25, mode=mode).hypotheses[0]
+        assert ref.passed and shifted.passed
+        assert ref.detail == shifted.detail
+
+
+def test_nonlinear_bounds_reject_unknown_mode():
+    with pytest.raises(CertifyError):
+        nonlinear_bounds(_hetero_fields(), complete_topology(3),
+                         _pws_coupling_spec(1.0, math.inf), np.zeros(3), mode="thm1")
+
+
 def test_nonlinear_common_threshold_blocks_low_gain():
     omegas = (0.316, -0.316, 0.1, -0.1)
     fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omegas]
     coupling = CouplingSpec("nonlinear", c=0.7, eta=np.sin,
                             upsilon=np.array([UPSILON_SIN]), e_max=math.pi / 3.0)
-    report = nonlinear_common_bounds(fields, ring_topology(4), coupling,
-                                     np.array([0.1, -0.1, 0.05, -0.05]))
+    report = nonlinear_bounds(fields, ring_topology(4), coupling,
+                              np.array([0.1, -0.1, 0.05, -0.05]), mode="thm4")
     assert not report.certified
     assert report.eps_bar is None
 
@@ -487,7 +517,7 @@ def test_nonlinear_common_uncoupled_component_boundary_is_inclusive():
     fields = [node] * 4
     coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, 0.0]), e_max=2.0)
-    report = nonlinear_common_bounds(fields, ring_topology(4), coupling, np.zeros(8))
+    report = nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
     hyp = [h for h in report.hypotheses if "uncoupled" in h.name][0]
     assert hyp.passed
     assert report.certified
@@ -499,7 +529,7 @@ def test_nonlinear_common_rejects_noncontracting_uncoupled_component():
     coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, 0.0]), e_max=2.0)
     with pytest.raises(CertifyError):
-        nonlinear_common_bounds(fields, ring_topology(4), coupling, np.zeros(8))
+        nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
 
 
 def test_upsilon_shape_must_match_dimension():
@@ -507,7 +537,7 @@ def test_upsilon_shape_must_match_dimension():
     coupling = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, UPSILON_PWS]), e_max=math.inf)
     with pytest.raises(CertifyError):
-        nonlinear_hetero_bounds(fields, complete_topology(3), coupling, np.zeros(3))
+        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +580,7 @@ def test_report_serialization_round_trip():
 def test_report_infinities_serialize_as_strings():
     fields = _hetero_fields()
     coupling = _pws_coupling_spec(2.0, math.inf)
-    report = nonlinear_hetero_bounds(fields, complete_topology(3), coupling,
+    report = nonlinear_bounds(fields, complete_topology(3), coupling,
                                      np.array([0.5, -0.2, 0.1]))
     blob = json.dumps(report.to_dict())
     assert "inf" in blob

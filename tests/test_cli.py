@@ -235,3 +235,38 @@ def test_simulate_contraction3_does_not_fail_a_zero_bound(tmp_path):
     assert "diverged = no" in summary
     assert "eps_hat <= eps_bar = no" not in summary
     assert any(line.startswith("eps_hat <= eps_bar = n/a") for line in summary)
+
+
+NODES_INI = """
+[topology]
+source = ring
+n = 4
+
+[nodes]
+family = {family}
+{key} = {value}
+
+[coupling]
+variant = linear
+c = 1
+gamma = {gamma}
+
+[sim]
+dt = 0.01
+t_end = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize(
+    "family, key, value, gamma",
+    [("ikeda", "a", "-1", "1"), ("chua", "alpha", "0", "1,0,1"), ("decay", "rate", "0", "1")],
+)
+def test_bad_node_parameters_exit_one(tmp_path, capsys, command, family, key, value, gamma):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(NODES_INI.format(family=family, key=key, value=value, gamma=gamma))
+    rc = main([command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [nodes] ")
+    assert "must be positive" in err

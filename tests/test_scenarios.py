@@ -129,8 +129,7 @@ def test_auto_mode_resolution():
     assert k_auto.resolved_mode() == "thm4"
     i = ikeda10_linear(seed=0)
     i_auto = Scenario(name="i-auto", topo=i.topo, fields=i.fields,
-                      coupling=i.coupling, sim=i.sim, x0=i.x0, mode="auto",
-                      ensemble=i.ensemble)
+                      coupling=i.coupling, sim=i.sim, x0=i.x0, mode="auto")
     assert i_auto.resolved_mode() == "thm1"
     n = ikeda10_nonlinear(seed=0)
     n_auto = Scenario(name="n-auto", topo=n.topo, fields=n.fields,
