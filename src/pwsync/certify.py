@@ -41,7 +41,7 @@ import numpy as np
 from scipy import optimize
 
 from .dynamics import AffineDecomposedField
-from .graph import Laplacian, Topology, build_laplacian, lambda2
+from .graph import Topology, build_laplacian, lambda2
 from .linalg import symmetric_part
 
 __all__ = [

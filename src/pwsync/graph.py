@@ -19,6 +19,7 @@ __all__ = [
     "topology_from_edges",
     "ring_topology",
     "complete_topology",
+    "parse_edge_list",
     "load_edge_list",
     "random_connected",
     "build_laplacian",
@@ -120,32 +121,41 @@ def complete_topology(n_nodes: int, weight: float = 1.0) -> Topology:
     return Topology(w)
 
 
-def load_edge_list(path) -> Topology:
-    """Read a whitespace edge list: ``i j [weight]`` per line, zero-based.
+def parse_edge_list(text: str, source: str) -> Topology:
+    """Parse ``i j [weight]`` entries, zero-based, one per line or separated
+    by commas.
 
-    Blank lines and ``#`` comments are skipped; the node count is one plus
-    the largest index seen.
+    Blank entries and ``#`` comments are skipped; the node count is one
+    plus the largest index seen.  Every error message starts with
+    ``source``.
     """
-    path = Path(path)
     edges = []
     max_index = -1
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise GraphError(f"{path}:{lineno}: expected 'i j [weight]', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphError(f"{path}:{lineno}: {exc}") from exc
-        edges.append((i, j, weight))
-        max_index = max(max_index, i, j)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        for entry in raw.split("#", 1)[0].split(","):
+            parts = entry.split()
+            if not parts:
+                continue
+            if len(parts) not in (2, 3):
+                raise GraphError(f"{source}:{lineno}: expected 'i j [weight]', got {entry.strip()!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                weight = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                raise GraphError(f"{source}:{lineno}: {exc}") from exc
+            edges.append((i, j, weight))
+            max_index = max(max_index, i, j)
     if max_index < 1:
-        raise GraphError(f"{path}: no edges found")
-    return topology_from_edges(max_index + 1, edges)
+        raise GraphError(f"{source}: no edges found")
+    try:
+        return topology_from_edges(max_index + 1, edges)
+    except GraphError as exc:
+        raise GraphError(f"{source}: {exc}") from exc
+
+
+def load_edge_list(path) -> Topology:
+    """Read an edge-list file in the format of ``parse_edge_list``."""
+    return parse_edge_list(Path(path).read_text(), str(path))
 
 
 def random_connected(n_nodes: int, p: float, seed: int, max_tries: int = 1000) -> Topology:

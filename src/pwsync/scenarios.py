@@ -1,16 +1,18 @@
-"""Built-in network scenarios and the scenario-file loader.
+"""Scenarios: the built-ins and the scenario-file loader.
 
 A scenario bundles a topology, one field per node, a coupling spec, a
 simulation config, a certification mode, and the initial state, plus flat
 metadata echoed into every output header (seeded draws are expanded here
 so outputs document the exact parameters they were produced with).
 
-Built-ins: ``relay5`` (five relay plants, full-state linear coupling),
-``chua10`` (ten forced double-scrolls, first and third components
-coupled), ``kuramoto4`` (four phase oscillators on a ring, sine
-coupling), ``ikeda10-linear`` / ``ikeda10-nonlinear`` (ten mismatched
-delayed nodes on a seeded random graph), and ``contraction3`` (identical
-contracting nodes, the exact-synchronization sanity case).
+A built-in is scenario data: ``BUILTINS`` maps each name to the sections
+and string values of a scenario file, and ``load_scenario`` builds it by
+the same code that builds a file.  The built-ins are ``relay5`` (five relay
+plants, full-state linear coupling), ``chua10`` (ten forced double-scrolls,
+first and third components coupled), ``kuramoto4`` (four phase oscillators
+on a ring, sine coupling), ``ikeda10-linear`` / ``ikeda10-nonlinear`` (ten
+mismatched delayed nodes on a fixed random graph), and ``contraction3``
+(identical contracting nodes, the exact-synchronization sanity case).
 """
 
 from __future__ import annotations
@@ -50,15 +52,14 @@ from .dynamics import (
     relay_field,
 )
 from .graph import (
-    GraphError,
     Topology,
     build_laplacian,
     complete_topology,
     lambda2,
     load_edge_list,
+    parse_edge_list,
     random_connected,
     ring_topology,
-    topology_from_edges,
 )
 from .sim import SimConfig, integrate
 
@@ -67,12 +68,6 @@ __all__ = [
     "Scenario",
     "BUILTINS",
     "load_scenario",
-    "relay5",
-    "chua10",
-    "kuramoto4",
-    "ikeda10_linear",
-    "ikeda10_nonlinear",
-    "contraction3",
 ]
 
 _MODES = ("auto", "thm1", "thm2", "cor1", "thm3", "thm4")
@@ -167,225 +162,73 @@ def _default_point_family(fields) -> PointFamily:
     return PointFamily(QuadCertificate(np.ones(w.size), w))
 
 
-def _kuramoto_nodes(rng: np.random.Generator, n_nodes: int, scale: float):
-    """Phase-error nodes whose frequencies are a centred normal draw rescaled
-    to max |ω| = scale; returns the fields and their per-node metadata."""
-    omega = rng.normal(size=n_nodes)
-    omega = omega - omega.mean()
-    peak = float(np.abs(omega).max())
-    if peak == 0.0:
-        raise ConfigError("degenerate frequency draw; pick another seed")
-    omega = omega * (scale / peak)
-    fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
-    return fields, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
-
-
-def _ikeda_nodes(rng: np.random.Generator, n_nodes: int, base, mismatch: float):
-    """Ikeda nodes with (a, b, tau) = base + uniform(−mismatch, mismatch) per
-    node (no draw when mismatch ≤ 0); returns the fields and their metadata."""
-    if mismatch > 0:
-        spread = rng.uniform(-mismatch, mismatch, size=(3, n_nodes))
-    else:
-        spread = np.zeros((3, n_nodes))
-    a, b, tau = (base_k + row for base_k, row in zip(base, spread))
-    fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(n_nodes)]
-    meta = {
-        f"node_{i + 1}": f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
-        for i in range(n_nodes)
-    }
-    return fields, meta
-
-
 # ---------------------------------------------------------------------------
-# built-in scenarios
+# built-in scenarios, written in the scenario-file keys
 # ---------------------------------------------------------------------------
 
-_RELAY_EDGES = ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
-_IKEDA_GRAPH_SEED = 8
-_IKEDA_GRAPH_P = 0.45
-
-
-def relay5(seed: int = 0) -> Scenario:
-    """Five relay-feedback plants, full-state linear coupling at gain 50."""
-    topo = topology_from_edges(5, _RELAY_EDGES)
-    params = RelayParams()
-    node = relay_field(params)
-    fields = [node] * 5
-    coupling = CouplingSpec("linear", c=50.0, gamma=np.ones(3), label="full-state linear")
-    family = PointFamily(quad_linear_cert(np.asarray(params.a_matrix, dtype=float)))
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=15)
-    meta = {
-        "scenario": "relay5",
-        "seed": seed,
-        "graph": "fixed 5-node, 8 unit edges",
-        "node_family": "relay(A fixed, B=(1,-2,1), C=(1,0,0))",
-        "x0_draw": "normal(0,1)",
-    }
-    return Scenario(
-        name="relay5", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-5, t_end=0.2, tail_fraction=0.25,
-                      regularization_width=1e-4, seed=seed),
-        x0=x0, mode="cor1", family=family, meta=meta,
-    )
-
-
-def chua10(seed: int = 0) -> Scenario:
-    """Ten forced double-scroll circuits; components 1 and 3 coupled at gain 10.
-
-    The seeded random graph is rescaled so its algebraic connectivity is
-    exactly 2.22 (documented normalization; the certification target is
-    defined on that connectivity).
-    """
-    raw = random_connected(10, 0.35, seed)
-    lam_raw = lambda2(build_laplacian(raw))
-    scale = 2.22 / lam_raw
-    topo = raw.scaled(scale)
-    params = ChuaParams()
-    fields = [chua_field(params, i, 10) for i in range(10)]
-    coupling = CouplingSpec(
-        "linear", c=10.0, gamma=np.array([1.0, 0.0, 1.0]), label="components 1 and 3"
-    )
-    rng = np.random.default_rng(seed)
-    x0 = 0.5 * rng.normal(size=30)
-    meta = {
-        "scenario": "chua10",
-        "seed": seed,
-        "graph": f"random_connected(10, 0.35, seed={seed}) scaled by {scale:.17g}",
-        "lambda2": 2.22,
-        "node_family": "chua(alpha=10, beta=17.3, slopes -1.34/-0.73)",
-        "forcing_phases": "node i gets i*pi/10",
-        "x0_draw": "0.5*normal(0,1)",
-    }
-    return Scenario(
-        name="chua10", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-3, t_end=30.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm2", family=ChuaCertFamily(), meta=meta,
-    )
-
-
-def kuramoto4(seed: int = 0) -> Scenario:
-    """Four phase oscillators on a ring with sine coupling at c = 0.75.
-
-    Frequencies are a centered standard-normal draw rescaled so the
-    largest detuning magnitude is 0.316; phases start inside the sector
-    validity region (initial error capped at 0.45 < π/6).
-    """
-    topo = ring_topology(4)
-    rng = np.random.default_rng(seed)
-    fields, node_meta = _kuramoto_nodes(rng, 4, 0.316)
-    e_max = math.pi / 3.0
-    ups = certify_upsilon(np.sin, e_max, dim=1)
-    coupling = CouplingSpec(
-        "nonlinear", c=0.75, eta=np.sin, upsilon=ups, e_max=e_max, label="sin"
-    )
-    x0 = rng.uniform(-0.3, 0.3, size=4)
-    x0 = x0 - x0.mean()
-    norm = float(np.linalg.norm(x0))
-    if norm > 0.45:
-        x0 = x0 * (0.45 / norm)
-    meta = {
-        "scenario": "kuramoto4",
-        "seed": seed,
-        "graph": "ring of 4, unit weights",
-        "omega_scaling": "centered normal draw scaled to max |omega| = 0.316",
-        "x0_draw": "centered uniform(-0.3, 0.3), error norm capped at 0.45",
-        **node_meta,
-    }
-    return Scenario(
-        name="kuramoto4", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-3, t_end=40.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm4", meta=meta,
-    )
-
-
-def _ikeda_core(seed: int):
-    topo = random_connected(10, _IKEDA_GRAPH_P, _IKEDA_GRAPH_SEED)
-    rng = np.random.default_rng(seed)
-    fields, node_meta = _ikeda_nodes(rng, 10, (1.0, 4.0, 2.0), 0.25)
-    x0 = rng.normal(size=10)
-    meta = {
-        "seed": seed,
-        "graph": f"random_connected(10, {_IKEDA_GRAPH_P}, seed={_IKEDA_GRAPH_SEED}) (fixed graph seed)",
-        "mismatch": "a,b,tau = 1,4,2 + uniform(-0.25, 0.25) per node",
-        "x0_draw": "normal(0,1)",
-        **node_meta,
-    }
-    return topo, fields, x0, meta
-
-
-def ikeda10_linear(seed: int = 0) -> Scenario:
-    """Ten mismatched delayed nodes, scalar linear coupling at gain 20."""
-    topo, fields, x0, meta = _ikeda_core(seed)
-    meta = {"scenario": "ikeda10-linear", **meta}
-    coupling = CouplingSpec("linear", c=20.0, gamma=np.ones(1), label="scalar linear")
-    return Scenario(
-        name="ikeda10-linear", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-3, t_end=15.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm1", meta=meta,
-    )
-
-
-def ikeda10_nonlinear(seed: int = 0) -> Scenario:
-    """Same nodes and draws as ikeda10-linear under the piecewise odd coupling."""
-    topo, fields, x0, meta = _ikeda_core(seed)
-    meta = {
-        "scenario": "ikeda10-nonlinear",
-        **meta,
-        "sector_note": "sector bound certified on finite probe radius 100 (e_max infinite)",
-    }
-    ups = certify_upsilon(pws_coupling, math.inf, dim=1, probe_radius=100.0)
-    coupling = CouplingSpec(
-        "nonlinear", c=20.0, eta=pws_coupling, upsilon=ups,
-        e_max=math.inf, label="piecewise odd",
-    )
-    return Scenario(
-        name="ikeda10-nonlinear", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-3, t_end=15.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm3", meta=meta,
-    )
-
-
-def contraction3(seed: int = 0) -> Scenario:
-    """Three identical contracting nodes on a triangle; the error must
-    vanish (no mismatch, so the certified residual is exactly zero)."""
-    topo = complete_topology(3)
-    node = decay_field(1.0)
-    fields = [node] * 3
-    coupling = CouplingSpec("linear", c=1.0, gamma=np.ones(1), label="scalar linear")
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=3)
-    meta = {
-        "scenario": "contraction3",
-        "seed": seed,
-        "graph": "triangle, unit weights",
-        "node_family": "identical linear decay, no bounded part",
-        "x0_draw": "normal(0,1)",
-    }
-    return Scenario(
-        name="contraction3", topo=topo, fields=fields, coupling=coupling,
-        sim=SimConfig(dt=1e-3, t_end=15.0, tail_fraction=0.25, seed=seed),
-        x0=x0, mode="thm1", meta=meta,
-    )
-
+# The ikeda10 graph seed is fixed; the scenario seed redraws the mismatch and x0.
+_IKEDA10 = {
+    "topology": {"source": "random", "n": "10", "p": "0.45", "seed": "8"},
+    "nodes": {"family": "ikeda", "a": "1", "b": "4", "tau": "2", "mismatch": "0.25"},
+    "sim": {"dt": "1e-3", "t_end": "15"},
+}
 
 BUILTINS = {
-    "relay5": relay5,
-    "chua10": chua10,
-    "kuramoto4": kuramoto4,
-    "ikeda10-linear": ikeda10_linear,
-    "ikeda10-nonlinear": ikeda10_nonlinear,
-    "contraction3": contraction3,
+    "relay5": {
+        "scenario": {"mode": "cor1"},
+        "topology": {"source": "edgelist", "edges": "0 1, 0 3, 0 4, 1 2, 1 3, 1 4, 2 3, 3 4"},
+        "nodes": {"family": "relay"},
+        "coupling": {"variant": "linear", "c": "50", "gamma": "1,1,1"},
+        "sim": {"dt": "1e-5", "t_end": "0.2", "regularization_width": "1e-4"},
+    },
+    # The seeded random graph is rescaled to algebraic connectivity 2.22,
+    # the value the certification target is defined on.
+    "chua10": {
+        "scenario": {"mode": "thm2"},
+        "topology": {"source": "random", "n": "10", "p": "0.35", "rescale_lambda2": "2.22"},
+        "nodes": {"family": "chua"},
+        "coupling": {"variant": "linear", "c": "10", "gamma": "1,0,1"},
+        "init": {"kind": "normal", "scale": "0.5"},
+        "sim": {"dt": "1e-3", "t_end": "30"},
+    },
+    # e_max = pi/3; the initial error norm is capped at 0.45 < pi/6.
+    "kuramoto4": {
+        "scenario": {"mode": "thm4"},
+        "topology": {"source": "ring", "n": "4"},
+        "nodes": {"family": "kuramoto", "omega_scale": "0.316"},
+        "coupling": {"variant": "nonlinear", "c": "0.75", "eta": "sin",
+                     "e_max": "1.0471975511965976"},
+        "init": {"kind": "uniform", "low": "-0.3", "high": "0.3",
+                 "center": "true", "cap_norm": "0.45"},
+        "sim": {"dt": "1e-3", "t_end": "40"},
+    },
+    "ikeda10-linear": {
+        "scenario": {"mode": "thm1"},
+        **_IKEDA10,
+        "coupling": {"variant": "linear", "c": "20", "gamma": "1"},
+    },
+    "ikeda10-nonlinear": {
+        "scenario": {"mode": "thm3"},
+        **_IKEDA10,
+        "coupling": {"variant": "nonlinear", "c": "20", "eta": "pws", "e_max": "inf"},
+    },
+    "contraction3": {
+        "scenario": {"mode": "thm1"},
+        "topology": {"source": "complete", "n": "3"},
+        "nodes": {"family": "decay", "rate": "1"},
+        "coupling": {"variant": "linear", "c": "1", "gamma": "1"},
+        "sim": {"dt": "1e-3", "t_end": "15"},
+    },
 }
 
 
 # ---------------------------------------------------------------------------
-# scenario files
+# the loader, shared by built-ins and scenario files
 # ---------------------------------------------------------------------------
 
 _SCHEMA = {
     "scenario": {"name", "mode"},
-    "topology": {"source", "path", "n", "p", "seed", "weight", "rescale_lambda2"},
+    "topology": {"source", "path", "edges", "n", "p", "seed", "weight", "rescale_lambda2"},
     "nodes": {
         "family", "seed", "a", "b", "tau", "mismatch",
         "alpha", "beta", "slope_a", "slope_b",
@@ -397,23 +240,25 @@ _SCHEMA = {
 }
 
 _ETA_FUNCTIONS = {"sin": np.sin, "pws": pws_coupling}
+_PROBE_RADIUS = 100.0
 
 
-def _validate_schema(parser: configparser.ConfigParser, path: Path):
-    for section in parser.sections():
+def _validate_schema(cfg: dict, where):
+    for section, keys in cfg.items():
         if section not in _SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+            raise ConfigError(f"{where}: unknown section [{section}]")
+        for key in keys:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
+                raise ConfigError(f"{where}: unknown key '{key}' in section [{section}]")
     for required in ("topology", "nodes", "coupling"):
-        if required not in parser:
-            raise ConfigError(f"{path}: missing required section [{required}]")
+        if required not in cfg:
+            raise ConfigError(f"{where}: missing required section [{required}]")
 
 
-def _get(parser, section, key, default=None, required=False):
-    if section in parser and key in parser[section]:
-        return parser[section][key]
+def _get(cfg, section, key, default=None, required=False):
+    value = cfg.get(section, {}).get(key)
+    if value is not None:
+        return value
     if required:
         raise ConfigError(f"missing required key '{key}' in section [{section}]")
     return default
@@ -442,33 +287,47 @@ def _as_bool(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got '{raw}'")
 
 
-def _section_seed(parser, section, global_seed) -> int:
-    raw = _get(parser, section, "seed")
-    if raw is not None:
-        return _as_int(raw, f"[{section}] seed")
-    return 0 if global_seed is None else int(global_seed)
+def _section_rng(cfg, section, shared: np.random.Generator) -> np.random.Generator:
+    """A generator of the section's own ``seed``, else the shared stream."""
+    raw = _get(cfg, section, "seed")
+    if raw is None:
+        return shared
+    return np.random.default_rng(_as_int(raw, f"[{section}] seed"))
 
 
-def _config_topology(parser, path, global_seed) -> Topology:
-    source = _get(parser, "topology", "source", required=True)
+def _edge_list(cfg, path: Optional[Path]) -> Topology:
+    graph_path = _get(cfg, "topology", "path")
+    edges = _get(cfg, "topology", "edges")
+    if (graph_path is None) == (edges is None):
+        raise ConfigError("[topology] source = edgelist takes exactly one of 'path' or 'edges'")
+    if edges is not None:
+        return parse_edge_list(edges, "[topology] edges")
+    resolved = Path(graph_path)
+    if path is not None and not resolved.is_absolute():
+        resolved = path.parent / resolved
+    return load_edge_list(resolved)
+
+
+def _config_topology(cfg, path, seed: int) -> Topology:
+    source = _get(cfg, "topology", "source", required=True)
     if source == "edgelist":
-        graph_path = _get(parser, "topology", "path", required=True)
-        resolved = (path.parent / graph_path) if not Path(graph_path).is_absolute() else Path(graph_path)
-        topo = load_edge_list(resolved)
+        topo = _edge_list(cfg, path)
     elif source in ("ring", "complete", "random"):
-        n = _as_int(_get(parser, "topology", "n", required=True), "[topology] n")
+        n = _as_int(_get(cfg, "topology", "n", required=True), "[topology] n")
         if source == "ring":
-            weight = _as_float(_get(parser, "topology", "weight", "1.0"), "[topology] weight")
+            weight = _as_float(_get(cfg, "topology", "weight", "1.0"), "[topology] weight")
             topo = ring_topology(n, weight)
         elif source == "complete":
-            weight = _as_float(_get(parser, "topology", "weight", "1.0"), "[topology] weight")
+            weight = _as_float(_get(cfg, "topology", "weight", "1.0"), "[topology] weight")
             topo = complete_topology(n, weight)
         else:
-            p = _as_float(_get(parser, "topology", "p", required=True), "[topology] p")
-            topo = random_connected(n, p, _section_seed(parser, "topology", global_seed))
+            p = _as_float(_get(cfg, "topology", "p", required=True), "[topology] p")
+            raw_seed = _get(cfg, "topology", "seed")
+            graph_seed = seed if raw_seed is None else _as_int(raw_seed, "[topology] seed")
+            topo = random_connected(n, p, graph_seed)
     else:
         raise ConfigError(f"[topology] source must be ring|complete|random|edgelist, got '{source}'")
-    target = _get(parser, "topology", "rescale_lambda2")
+    target = _get(cfg, "topology", "rescale_lambda2")
     if target is not None:
         goal = _as_float(target, "[topology] rescale_lambda2")
         if goal <= 0.0:
@@ -477,11 +336,11 @@ def _config_topology(parser, path, global_seed) -> Topology:
     return topo
 
 
-def _config_nodes(parser, n_nodes, global_seed):
-    family = _get(parser, "nodes", "family", required=True)
-    seed = _section_seed(parser, "nodes", global_seed)
+def _config_nodes(cfg, n_nodes, rng):
+    family = _get(cfg, "nodes", "family", required=True)
+    rng = _section_rng(cfg, "nodes", rng)
     try:
-        fields, fam, node_meta = _family_nodes(parser, family, n_nodes, seed)
+        fields, fam, node_meta = _family_nodes(cfg, family, n_nodes, rng)
     except ConfigError:
         raise
     except ValueError as exc:  # a family builder rejected a parameter value
@@ -489,21 +348,31 @@ def _config_nodes(parser, n_nodes, global_seed):
     return fields, fam, {"node_family": family, **node_meta}
 
 
-def _family_nodes(parser, family, n_nodes, seed):
+def _family_nodes(cfg, family, n_nodes, rng):
     if family == "ikeda":
+        # (a, b, tau) = base + uniform(-mismatch, mismatch) per node; no draw without mismatch
         base = [
-            _as_float(_get(parser, "nodes", k, d), f"[nodes] {k}")
+            _as_float(_get(cfg, "nodes", k, d), f"[nodes] {k}")
             for k, d in (("a", "1.0"), ("b", "4.0"), ("tau", "2.0"))
         ]
-        mism = _as_float(_get(parser, "nodes", "mismatch", "0.0"), "[nodes] mismatch")
-        fields, meta = _ikeda_nodes(np.random.default_rng(seed), n_nodes, base, mism)
+        mism = _as_float(_get(cfg, "nodes", "mismatch", "0.0"), "[nodes] mismatch")
+        if mism > 0:
+            spread = rng.uniform(-mism, mism, size=(3, n_nodes))
+        else:
+            spread = np.zeros((3, n_nodes))
+        a, b, tau = (base_k + row for base_k, row in zip(base, spread))
+        fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(n_nodes)]
+        meta = {
+            f"node_{i + 1}": f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
+            for i in range(n_nodes)
+        }
         return fields, None, meta
     if family == "chua":
         p = ChuaParams(
-            alpha=_as_float(_get(parser, "nodes", "alpha", "10.0"), "[nodes] alpha"),
-            beta=_as_float(_get(parser, "nodes", "beta", "17.30"), "[nodes] beta"),
-            slope_a=_as_float(_get(parser, "nodes", "slope_a", "-1.34"), "[nodes] slope_a"),
-            slope_b=_as_float(_get(parser, "nodes", "slope_b", "-0.73"), "[nodes] slope_b"),
+            alpha=_as_float(_get(cfg, "nodes", "alpha", "10.0"), "[nodes] alpha"),
+            beta=_as_float(_get(cfg, "nodes", "beta", "17.30"), "[nodes] beta"),
+            slope_a=_as_float(_get(cfg, "nodes", "slope_a", "-1.34"), "[nodes] slope_a"),
+            slope_b=_as_float(_get(cfg, "nodes", "slope_b", "-0.73"), "[nodes] slope_b"),
         )
         fields = [chua_field(p, i, n_nodes) for i in range(n_nodes)]
         fam = ChuaCertFamily(p.alpha, p.beta, p.slope_a, p.slope_b)
@@ -512,41 +381,49 @@ def _family_nodes(parser, family, n_nodes, seed):
         }
         return fields, fam, meta
     if family == "relay":
-        override_raw = _get(parser, "nodes", "m_override")
+        override_raw = _get(cfg, "nodes", "m_override")
         override = _as_float(override_raw, "[nodes] m_override") if override_raw else None
         p = RelayParams(m_override=override)
         node = relay_field(p)
         fam = PointFamily(quad_linear_cert(np.asarray(p.a_matrix, dtype=float)))
         return [node] * n_nodes, fam, {}
     if family == "kuramoto":
-        scale = _as_float(_get(parser, "nodes", "omega_scale", "0.316"), "[nodes] omega_scale")
-        fields, meta = _kuramoto_nodes(np.random.default_rng(seed), n_nodes, scale)
-        return fields, None, meta
+        # a centred normal draw rescaled to max |omega| = omega_scale
+        scale = _as_float(_get(cfg, "nodes", "omega_scale", "0.316"), "[nodes] omega_scale")
+        omega = rng.normal(size=n_nodes)
+        omega = omega - omega.mean()
+        peak = float(np.abs(omega).max())
+        if peak == 0.0:
+            raise ConfigError("degenerate frequency draw; pick another seed")
+        omega = omega * (scale / peak)
+        fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
+        return fields, None, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
     if family == "decay":
-        rate = _as_float(_get(parser, "nodes", "rate", "1.0"), "[nodes] rate")
+        rate = _as_float(_get(cfg, "nodes", "rate", "1.0"), "[nodes] rate")
         return [decay_field(rate)] * n_nodes, None, {}
     raise ConfigError(
         f"[nodes] family must be ikeda|chua|relay|kuramoto|decay, got '{family}'"
     )
 
 
-def _config_coupling(parser, dim):
-    variant = _get(parser, "coupling", "variant", required=True)
-    c = _as_float(_get(parser, "coupling", "c", required=True), "[coupling] c")
+def _config_coupling(cfg, dim):
+    variant = _get(cfg, "coupling", "variant", required=True)
+    c = _as_float(_get(cfg, "coupling", "c", required=True), "[coupling] c")
     if variant == "linear":
-        raw = _get(parser, "coupling", "gamma", required=True)
+        raw = _get(cfg, "coupling", "gamma", required=True)
         gamma = np.array([_as_float(v, "[coupling] gamma") for v in raw.split(",")])
         if gamma.shape != (dim,):
             raise ConfigError(f"[coupling] gamma needs {dim} comma-separated entries")
         return CouplingSpec("linear", c=c, gamma=gamma, label="linear")
     if variant == "nonlinear":
-        eta_name = _get(parser, "coupling", "eta", required=True)
+        eta_name = _get(cfg, "coupling", "eta", required=True)
         if eta_name not in _ETA_FUNCTIONS:
             raise ConfigError(f"[coupling] eta must be one of {sorted(_ETA_FUNCTIONS)}")
-        raw_emax = _get(parser, "coupling", "e_max", "inf")
+        raw_emax = _get(cfg, "coupling", "e_max", "inf")
         e_max = math.inf if raw_emax.strip().lower() == "inf" else _as_float(raw_emax, "[coupling] e_max")
-        grid = _as_int(_get(parser, "coupling", "grid", "4096"), "[coupling] grid")
-        ups = certify_upsilon(_ETA_FUNCTIONS[eta_name], e_max, grid_points=grid, dim=dim)
+        grid = _as_int(_get(cfg, "coupling", "grid", "4096"), "[coupling] grid")
+        ups = certify_upsilon(_ETA_FUNCTIONS[eta_name], e_max, grid_points=grid, dim=dim,
+                              probe_radius=_PROBE_RADIUS)
         return CouplingSpec(
             "nonlinear", c=c, eta=_ETA_FUNCTIONS[eta_name],
             upsilon=ups, e_max=e_max, label=eta_name,
@@ -554,16 +431,15 @@ def _config_coupling(parser, dim):
     raise ConfigError(f"[coupling] variant must be linear|nonlinear, got '{variant}'")
 
 
-def _config_init(parser, size, global_seed) -> np.ndarray:
-    kind = _get(parser, "init", "kind", "normal")
-    seed = _section_seed(parser, "init", global_seed)
-    rng = np.random.default_rng(seed)
+def _config_init(cfg, size, rng) -> np.ndarray:
+    kind = _get(cfg, "init", "kind", "normal")
+    rng = _section_rng(cfg, "init", rng)
     if kind == "normal":
-        scale = _as_float(_get(parser, "init", "scale", "1.0"), "[init] scale")
+        scale = _as_float(_get(cfg, "init", "scale", "1.0"), "[init] scale")
         x0 = scale * rng.normal(size=size)
     elif kind == "uniform":
-        low = _as_float(_get(parser, "init", "low", "-1.0"), "[init] low")
-        high = _as_float(_get(parser, "init", "high", "1.0"), "[init] high")
+        low = _as_float(_get(cfg, "init", "low", "-1.0"), "[init] low")
+        high = _as_float(_get(cfg, "init", "high", "1.0"), "[init] high")
         if high <= low:
             raise ConfigError("[init] high must exceed low")
         x0 = rng.uniform(low, high, size=size)
@@ -571,10 +447,10 @@ def _config_init(parser, size, global_seed) -> np.ndarray:
         x0 = np.zeros(size)
     else:
         raise ConfigError(f"[init] kind must be normal|uniform|zero, got '{kind}'")
-    center_raw = _get(parser, "init", "center")
+    center_raw = _get(cfg, "init", "center")
     if center_raw is not None and _as_bool(center_raw, "[init] center"):
         x0 = x0 - x0.mean()
-    cap_raw = _get(parser, "init", "cap_norm")
+    cap_raw = _get(cfg, "init", "cap_norm")
     if cap_raw is not None:
         cap = _as_float(cap_raw, "[init] cap_norm")
         norm = float(np.linalg.norm(x0))
@@ -583,7 +459,7 @@ def _config_init(parser, size, global_seed) -> np.ndarray:
     return x0
 
 
-def _load_config(path: Path, global_seed) -> Scenario:
+def _read_file(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -591,23 +467,39 @@ def _load_config(path: Path, global_seed) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read scenario file {path}")
-    _validate_schema(parser, path)
+    return parser
 
-    topo = _config_topology(parser, path, global_seed)
-    fields, family, node_meta = _config_nodes(parser, topo.n_nodes, global_seed)
-    coupling = _config_coupling(parser, fields[0].dim)
-    x0 = _config_init(parser, topo.n_nodes * fields[0].dim, global_seed)
+
+def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) -> Scenario:
+    """Build the scenario that parsed INI sections describe; ``path`` is the
+    file they came from, None for a built-in."""
+    cfg = {section: dict(parser[section]) for section in parser.sections()}
+    _validate_schema(cfg, path or name)
+    seed = 0 if seed is None else int(seed)
+    # one stream for every section without its own seed: nodes draw first, then init
+    rng = np.random.default_rng(seed)
+
+    topo = _config_topology(cfg, path, seed)
+    fields, family, node_meta = _config_nodes(cfg, topo.n_nodes, rng)
+    coupling = _config_coupling(cfg, fields[0].dim)
+    x0 = _config_init(cfg, topo.n_nodes * fields[0].dim, rng)
 
     sim_kwargs = {}
     for key in ("dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"):
-        raw = _get(parser, "sim", key)
+        raw = _get(cfg, "sim", key)
         if raw is not None:
             sim_kwargs[key] = _as_float(raw, f"[sim] {key}")
-    sim_cfg = SimConfig(seed=0 if global_seed is None else int(global_seed), **sim_kwargs)
+    sim_cfg = SimConfig(seed=seed, **sim_kwargs)
 
-    name = _get(parser, "scenario", "name", path.stem)
-    mode = _get(parser, "scenario", "mode", "auto")
-    meta = {"scenario": name, "source_file": path.name, **node_meta}
+    name = _get(cfg, "scenario", "name", name)
+    mode = _get(cfg, "scenario", "mode", "auto")
+    meta = {"scenario": name, "seed": seed, **node_meta}
+    if path is not None:
+        meta["source_file"] = path.name
+    if coupling.variant == "nonlinear" and math.isinf(coupling.e_max):
+        meta["sector_note"] = (
+            f"sector bound certified on finite probe radius {_PROBE_RADIUS:g} (e_max infinite)"
+        )
     return Scenario(
         name=name, topo=topo, fields=fields, coupling=coupling, sim=sim_cfg,
         x0=x0, mode=mode, family=family, meta=meta,
@@ -617,9 +509,11 @@ def _load_config(path: Path, global_seed) -> Scenario:
 def load_scenario(spec: str, seed: Optional[int] = None) -> Scenario:
     """Resolve a built-in name or a scenario-file path into a Scenario."""
     if spec in BUILTINS:
-        return BUILTINS[spec](seed=0 if seed is None else int(seed))
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(BUILTINS[spec])
+        return _build(parser, spec, seed)
     path = Path(spec)
     if not path.exists():
         known = ", ".join(sorted(BUILTINS))
         raise ConfigError(f"unknown scenario '{spec}': not a built-in ({known}) and not a file")
-    return _load_config(path, seed)
+    return _build(_read_file(path), path.stem, seed, path)

@@ -33,14 +33,7 @@ from pwsync.graph import (
     ring_topology,
     topology_from_edges,
 )
-from pwsync.scenarios import (
-    chua10,
-    contraction3,
-    ikeda10_linear,
-    ikeda10_nonlinear,
-    kuramoto4,
-    relay5,
-)
+from pwsync.scenarios import load_scenario
 from pwsync.sim import SimConfig, error_series, integrate, steady_state_eps, sweep_coupling
 
 from oracles import lambda2_brute
@@ -54,7 +47,7 @@ def _line(cid: str, ok: bool, detail: str):
 
 def test_criterion_1_chua_threshold_search():
     t0 = time.perf_counter()
-    scenario = chua10(seed=0)
+    scenario = load_scenario("chua10", 0)
     report = scenario.certify()
     elapsed = time.perf_counter() - t0
 
@@ -80,7 +73,7 @@ def test_criterion_1_chua_threshold_search():
 
 def test_criterion_2a_relay_pipeline():
     t0 = time.perf_counter()
-    scenario = relay5(seed=0)
+    scenario = load_scenario("relay5", 0)
     lam2_graph = lambda2(build_laplacian(scenario.topo))
     report = scenario.certify()  # gain 50 = twice the computed threshold
     traj = scenario.simulate()
@@ -110,7 +103,7 @@ def test_criterion_2a_relay_pipeline():
 def test_criterion_2b_relay_stated_constants():
     cert = quad_linear_cert(RELAY_A)
     lam_max = float(cert.w[0])
-    scenario = relay5(seed=0)
+    scenario = load_scenario("relay5", 0)
     c_tilde, _ = linear_common_ctilde(
         PointFamily(cert), scenario.topo, np.ones(3)
     )
@@ -137,7 +130,7 @@ def test_criterion_3_kuramoto():
     t0 = time.perf_counter()
     lam2_ring = lambda2(build_laplacian(ring_topology(4)))
     ups = float(certify_upsilon(np.sin, math.pi / 3.0)[0])
-    scenario = kuramoto4(seed=0)
+    scenario = load_scenario("kuramoto4", 0)
     report = scenario.certify()
     traj = scenario.simulate()
     eps_hat = steady_state_eps(error_series(traj), scenario.sim.tail_fraction)
@@ -188,7 +181,7 @@ def test_criterion_3_kuramoto():
 
 def test_criterion_4_ikeda_sweep():
     t0 = time.perf_counter()
-    scenario = ikeda10_linear(seed=0)
+    scenario = load_scenario("ikeda10-linear", 0)
 
     traj = scenario.simulate()  # c = 20
     series = error_series(traj)
@@ -205,7 +198,7 @@ def test_criterion_4_ikeda_sweep():
     jitter_ok = all(b <= 1.10 * a for a, b in zip(eps_hats, eps_hats[1:]))
 
     ups = float(certify_upsilon(pws_coupling, math.inf, probe_radius=100.0)[0])
-    nonlinear = ikeda10_nonlinear(seed=0)
+    nonlinear = load_scenario("ikeda10-nonlinear", 0)
     report_nl = nonlinear.certify()
     traj_nl = nonlinear.simulate()
     eps_hat_nl = steady_state_eps(error_series(traj_nl), nonlinear.sim.tail_fraction)
@@ -322,7 +315,7 @@ def test_criterion_5d_integrator_order():
 
 
 def test_criterion_5e_identical_nodes_synchronize():
-    scenario = contraction3(seed=0)
+    scenario = load_scenario("contraction3", 0)
     report = scenario.certify()
     traj = scenario.simulate()
     series = error_series(traj)

@@ -270,3 +270,65 @@ def test_bad_node_parameters_exit_one(tmp_path, capsys, command, family, key, va
     err = capsys.readouterr().err
     assert err.startswith("error: [nodes] ")
     assert "must be positive" in err
+
+
+EDGES_INI = """
+[topology]
+source = edgelist
+{topology}
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+c = 1
+gamma = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "topology, message",
+    [
+        ("path = graph.txt\nedges = 0 1, 1 2", "exactly one of 'path' or 'edges'"),
+        ("", "exactly one of 'path' or 'edges'"),
+        ("edges = 0 1, 1", "expected 'i j [weight]'"),
+        ("edges = 0 1, 1 1", "self-loop"),
+    ],
+)
+def test_inline_edges_rules_exit_one(tmp_path, capsys, topology, message):
+    (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
+    ini = tmp_path / "edges.ini"
+    ini.write_text(EDGES_INI.format(topology=topology))
+    rc = main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "[topology]" in err and message in err
+
+
+PWS_INI = """
+[topology]
+source = complete
+n = 3
+
+[nodes]
+family = ikeda
+mismatch = 0.1
+
+[coupling]
+variant = nonlinear
+eta = pws
+e_max = inf
+c = 5
+"""
+
+
+def test_infinite_sector_report_carries_sector_note(tmp_path):
+    ini = tmp_path / "pws.ini"
+    ini.write_text(PWS_INI)
+    out = tmp_path / "cert"
+    assert main(["certify", "--scenario", str(ini), "--out", str(out)]) == 0
+    header = (out / "report.txt").read_text().split("\n\n", 1)[0].splitlines()
+    assert ("# sector_note = sector bound certified on finite probe radius 100 "
+            "(e_max infinite)") in header

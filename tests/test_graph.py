@@ -9,6 +9,7 @@ from pwsync.graph import (
     is_connected,
     lambda2,
     load_edge_list,
+    parse_edge_list,
     random_connected,
     ring_topology,
     topology_from_edges,
@@ -162,3 +163,15 @@ def test_edge_list_errors(tmp_path):
     empty.write_text("# nothing here\n")
     with pytest.raises(GraphError):
         load_edge_list(empty)
+
+
+def test_edge_text_takes_newlines_and_commas(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1\n1 2 2.5\n2 3\n")
+    inline = parse_edge_list("0 1, 1 2 2.5\n2 3", "edges")
+    assert np.array_equal(inline.weights, load_edge_list(path).weights)
+    with pytest.raises(GraphError, match="edges:1: expected"):
+        parse_edge_list("0 1, 2", "edges")
+    path.write_text("0 1\n1 1\n")
+    with pytest.raises(GraphError, match="graph.txt: self-loop"):
+        load_edge_list(path)

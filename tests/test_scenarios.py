@@ -1,3 +1,4 @@
+import configparser
 import math
 
 import numpy as np
@@ -5,18 +6,7 @@ import pytest
 
 from pwsync.certify import CertifyError, CouplingSpec
 from pwsync.graph import build_laplacian, lambda2
-from pwsync.scenarios import (
-    BUILTINS,
-    ConfigError,
-    Scenario,
-    chua10,
-    contraction3,
-    ikeda10_linear,
-    ikeda10_nonlinear,
-    kuramoto4,
-    load_scenario,
-    relay5,
-)
+from pwsync.scenarios import BUILTINS, ConfigError, Scenario, load_scenario
 
 EXPECTED_BUILTINS = {
     "relay5", "chua10", "kuramoto4",
@@ -35,24 +25,24 @@ EXPECTED_MODES = {
 
 def test_builtin_registry():
     assert set(BUILTINS) == EXPECTED_BUILTINS
-    for name, builder in BUILTINS.items():
-        s = builder(seed=0)
+    for name in BUILTINS:
+        s = load_scenario(name, 0)
         assert s.resolved_mode() == EXPECTED_MODES[name]
         assert len(s.fields) == s.topo.n_nodes
         assert s.x0.shape == (s.topo.n_nodes * s.dim,)
 
 
 def test_builders_are_seed_deterministic():
-    for builder in (relay5, chua10, kuramoto4, ikeda10_linear, contraction3):
-        a, b = builder(seed=3), builder(seed=3)
+    for name in BUILTINS:
+        a, b = load_scenario(name, 3), load_scenario(name, 3)
         assert np.array_equal(a.x0, b.x0)
         assert np.array_equal(a.topo.weights, b.topo.weights)
-        c = builder(seed=4)
+        c = load_scenario(name, 4)
         assert not np.array_equal(a.x0, c.x0)
 
 
 def test_relay5_graph_and_shared_field():
-    s = relay5(seed=0)
+    s = load_scenario("relay5", 0)
     assert abs(lambda2(build_laplacian(s.topo)) - 2.0) < 1e-9
     assert all(f is s.fields[0] for f in s.fields)
     assert s.sim.dt == 1e-5
@@ -61,15 +51,15 @@ def test_relay5_graph_and_shared_field():
 
 
 def test_chua10_connectivity_is_rescaled():
-    s = chua10(seed=0)
+    s = load_scenario("chua10", 0)
     assert abs(lambda2(build_laplacian(s.topo)) - 2.22) < 1e-9
-    s2 = chua10(seed=2)
+    s2 = load_scenario("chua10", 2)
     assert abs(lambda2(build_laplacian(s2.topo)) - 2.22) < 1e-9
     assert np.allclose(s.coupling.gamma, [1.0, 0.0, 1.0], atol=0.0)
 
 
 def test_kuramoto4_frequency_scaling():
-    s = kuramoto4(seed=0)
+    s = load_scenario("kuramoto4", 0)
     omegas = np.array([f.M for f in s.fields])
     assert abs(omegas.max() - 0.316) < 1e-12
     detunes = np.array([f.g(0.0, np.zeros(1), None, None)[0] for f in s.fields])
@@ -81,8 +71,8 @@ def test_kuramoto4_frequency_scaling():
 
 
 def test_ikeda_graph_is_independent_of_scenario_seed():
-    a = ikeda10_linear(seed=0)
-    b = ikeda10_linear(seed=9)
+    a = load_scenario("ikeda10-linear", 0)
+    b = load_scenario("ikeda10-linear", 9)
     assert np.array_equal(a.topo.weights, b.topo.weights)
     assert not np.array_equal(a.x0, b.x0)
     pa = [f.label for f in a.fields]
@@ -91,8 +81,8 @@ def test_ikeda_graph_is_independent_of_scenario_seed():
 
 
 def test_ikeda_variants_share_draws():
-    lin = ikeda10_linear(seed=1)
-    non = ikeda10_nonlinear(seed=1)
+    lin = load_scenario("ikeda10-linear", 1)
+    non = load_scenario("ikeda10-nonlinear", 1)
     assert np.array_equal(lin.x0, non.x0)
     assert [f.label for f in lin.fields] == [f.label for f in non.fields]
     assert lin.coupling.variant == "linear"
@@ -101,11 +91,11 @@ def test_ikeda_variants_share_draws():
 
 
 def test_mode_coupling_compatibility_is_enforced():
-    s = contraction3(seed=0)
+    s = load_scenario("contraction3", 0)
     with pytest.raises(ConfigError):
         Scenario(name="bad", topo=s.topo, fields=s.fields, coupling=s.coupling,
                  sim=s.sim, x0=s.x0, mode="thm4")
-    k = kuramoto4(seed=0)
+    k = load_scenario("kuramoto4", 0)
     with pytest.raises(ConfigError):
         Scenario(name="bad", topo=k.topo, fields=k.fields, coupling=k.coupling,
                  sim=k.sim, x0=k.x0, mode="thm2")
@@ -118,27 +108,27 @@ def test_mode_coupling_compatibility_is_enforced():
 
 
 def test_auto_mode_resolution():
-    s = relay5(seed=0)
+    s = load_scenario("relay5", 0)
     auto = Scenario(name="relay-auto", topo=s.topo, fields=s.fields,
                     coupling=s.coupling, sim=s.sim, x0=s.x0, mode="auto",
                     family=s.family)
     assert auto.resolved_mode() == "cor1"
-    k = kuramoto4(seed=0)
+    k = load_scenario("kuramoto4", 0)
     k_auto = Scenario(name="k-auto", topo=k.topo, fields=k.fields,
                       coupling=k.coupling, sim=k.sim, x0=k.x0, mode="auto")
     assert k_auto.resolved_mode() == "thm4"
-    i = ikeda10_linear(seed=0)
+    i = load_scenario("ikeda10-linear", 0)
     i_auto = Scenario(name="i-auto", topo=i.topo, fields=i.fields,
                       coupling=i.coupling, sim=i.sim, x0=i.x0, mode="auto")
     assert i_auto.resolved_mode() == "thm1"
-    n = ikeda10_nonlinear(seed=0)
+    n = load_scenario("ikeda10-nonlinear", 0)
     n_auto = Scenario(name="n-auto", topo=n.topo, fields=n.fields,
                       coupling=n.coupling, sim=n.sim, x0=n.x0, mode="auto")
     assert n_auto.resolved_mode() == "thm3"
 
 
 def test_certify_dispatch_reports_requested_mode():
-    s = relay5(seed=0)
+    s = load_scenario("relay5", 0)
     report = s.certify()
     assert report.mode == "cor1"
     forced = Scenario(name="relay-thm2", topo=s.topo, fields=s.fields,
@@ -148,7 +138,7 @@ def test_certify_dispatch_reports_requested_mode():
 
 
 def test_with_gain_and_with_sim_copy():
-    s = contraction3(seed=0)
+    s = load_scenario("contraction3", 0)
     g = s.with_gain(3.0)
     assert g.coupling.c == 3.0
     assert s.coupling.c == 1.0
@@ -343,7 +333,7 @@ def test_config_file_chua_matches_builtin_graph(tmp_path):
     path = tmp_path / "chua.ini"
     path.write_text(CHUA_INI)
     s = load_scenario(str(path))
-    ref = chua10(seed=0)
+    ref = load_scenario("chua10", 0)
     assert np.allclose(s.topo.weights, ref.topo.weights, atol=1e-12)
     assert s.family is not None
 
@@ -363,3 +353,31 @@ def test_config_seed_override_fills_missing_section_seeds(tmp_path):
     overridden = load_scenario(str(explicit_path), seed=5)
     fresh = load_scenario(str(explicit_path))
     assert np.array_equal(overridden.x0, fresh.x0)  # section seeds beat the override
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_written_as_a_file_loads_the_same(tmp_path, name):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(BUILTINS[name])
+    path = tmp_path / f"{name}.ini"
+    with path.open("w") as fh:
+        parser.write(fh)
+    for seed in (0, 1, 2):
+        builtin, from_file = load_scenario(name, seed), load_scenario(str(path), seed)
+        assert np.array_equal(builtin.x0, from_file.x0)
+        assert np.array_equal(builtin.topo.weights, from_file.topo.weights)
+        assert [f.label for f in builtin.fields] == [f.label for f in from_file.fields]
+        assert builtin.certify().to_text() == from_file.certify().to_text()
+
+
+def test_sections_without_seed_share_one_stream(tmp_path):
+    text = IKEDA_INI.replace("seed = 1\n", "").replace("seed = 2\n", "")
+    path = tmp_path / "shared.ini"
+    path.write_text(text)
+    s = load_scenario(str(path), seed=5)
+    rng = np.random.default_rng(5)
+    spread = rng.uniform(-0.2, 0.2, size=(3, 3))
+    assert [s.meta[f"node_{i + 1}"] for i in range(3)] == [
+        f"a={1 + a:.17g} b={4 + b:.17g} tau={2 + t:.17g}" for a, b, t in spread.T
+    ]
+    assert np.array_equal(s.x0, rng.normal(size=3))  # x0 continues the node stream

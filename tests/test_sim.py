@@ -14,7 +14,7 @@ from pwsync.dynamics import (
     ikeda_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
-from pwsync.scenarios import Scenario, contraction3, kuramoto4, relay5
+from pwsync.scenarios import Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
     SimConfig,
@@ -207,9 +207,7 @@ def test_steady_state_eps_uses_tail_window():
 
 
 def test_sweep_rows_are_sorted_and_flagged(tmp_path):
-    from pwsync.scenarios import contraction3
-
-    scenario = contraction3(seed=0).with_sim(t_end=2.0)
+    scenario = load_scenario("contraction3", 0).with_sim(t_end=2.0)
     rows = sweep_coupling(scenario, [2.0, 0.5, 1.0], scenario.sim)
     assert [r["c"] for r in rows] == [0.5, 1.0, 2.0]
     assert all(r["certified"] for r in rows)
@@ -322,15 +320,15 @@ def test_sweep_matches_scalar_runs_chua():
 
 
 def test_sweep_matches_scalar_runs_relay_with_and_without_boundary_layer():
-    base = relay5(seed=1)
+    base = load_scenario("relay5", 1)
     for width in (1e-4, 0.0):
         scenario = base.with_sim(dt=5e-5, t_end=5e-3, regularization_width=width)
         _assert_sweep_matches_scalar_runs(scenario, [10.0, 50.0])
 
 
 def test_sweep_matches_scalar_runs_kuramoto_and_decay():
-    _assert_sweep_matches_scalar_runs(kuramoto4(seed=2).with_sim(t_end=1.0), [0.0, 0.75, 2.0])
-    _assert_sweep_matches_scalar_runs(contraction3(seed=2).with_sim(t_end=1.0), [0.0, 1.0, 3.0])
+    _assert_sweep_matches_scalar_runs(load_scenario("kuramoto4", 2).with_sim(t_end=1.0), [0.0, 0.75, 2.0])
+    _assert_sweep_matches_scalar_runs(load_scenario("contraction3", 2).with_sim(t_end=1.0), [0.0, 1.0, 3.0])
 
 
 def test_sweep_matches_scalar_runs_closure_fields_beside_a_family():
@@ -351,14 +349,14 @@ def test_family_kernels_match_the_fields_own_closures():
     # a field without a family goes through h and g node by node, the
     # reference the vectorized family kernels must reproduce
     ikeda_net = _ikeda4(CouplingSpec("linear", c=2.0, gamma=np.ones(1)))
-    relay = relay5(seed=1).with_sim(dt=5e-5, t_end=5e-3)
+    relay = load_scenario("relay5", 1).with_sim(dt=5e-5, t_end=5e-3)
     networks = [
         ikeda_net,
         _chua3(),
         relay,
         relay.with_sim(regularization_width=0.0),
-        kuramoto4(seed=2).with_sim(t_end=1.0),
-        contraction3(seed=2).with_sim(t_end=1.0),
+        load_scenario("kuramoto4", 2).with_sim(t_end=1.0),
+        load_scenario("contraction3", 2).with_sim(t_end=1.0),
     ]
     for scenario in networks:
         assert all(f.family is not None for f in scenario.fields)
@@ -432,7 +430,7 @@ def test_diverging_gain_is_isolated_within_a_batch():
     # the delayed ring at dt = 1/64, whose stable member keeps reading its
     # history after the other one drops out
     linear = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
-    cases = [(contraction3(seed=0).with_sim(dt=0.1, t_end=5.0), 0.5, 20.0),
+    cases = [(load_scenario("contraction3", 0).with_sim(dt=0.1, t_end=5.0), 0.5, 20.0),
              (_ikeda4(linear), 1.0, 100.0)]
     for scenario, calm, wild in cases:
         _assert_sweep_matches_scalar_runs(scenario, [wild, calm])
