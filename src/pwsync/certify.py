@@ -28,7 +28,11 @@ Five report modes exist, keyed by the CLI selector tokens:
   coupling, shared smooth part.
 
 Only thm2 and cor1 search: thm1, thm3 and thm4 read P = I and each node's
-identity-metric W and are closed form.
+identity-metric W and are closed form.  The search minimizes c̃, then ε̄,
+over a :class:`CertificateFamily` by Nelder–Mead from 20 seeded starts
+run in lockstep (:func:`_lockstep_nelder_mead`); the family maps a whole
+batch of parameter rows to normalized (P, W) at once, and each start
+follows SciPy 1.17's Nelder–Mead bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import AffineDecomposedField
 from .graph import Topology, build_laplacian, lambda2
@@ -70,6 +73,7 @@ __all__ = [
 _MARGIN = 1e-6              # slack enforcing strict inequalities in searches
 _PENALTY = 1e6              # weight per unit of constraint violation
 _INFEASIBLE = 1e12          # objective plateau for infeasible points
+_NOT_A_CERT = 1e18          # objective value of a point that is no certificate
 _WITNESS_SLACK = 1e-9       # tolerance before the sampler reports a witness
 _N_STARTS = 20
 _SEARCH_SEED = 1729
@@ -352,6 +356,22 @@ def quad_linear_cert(a_matrix, p=None) -> QuadCertificate:
     return QuadCertificate(p=p, w=np.full(n, lam), method="analytic-linear")
 
 
+def _chua_diagonals(p1, p3, rho, alpha, beta, slope_a, slope_b):
+    """(P, W) diagonals of the double-scroll family; broadcasts over p1, p3, ρ.
+
+    The component is the last axis of both results.
+    """
+    p2 = beta * p3
+    s = min(slope_a, slope_b)
+    w1 = -alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0
+    w2 = (alpha * p1 + p2) / (2.0 * rho) - p2
+    p = np.empty(np.shape(w2) + (3,))
+    w = np.zeros(np.shape(w2) + (3,))
+    p[..., 0], p[..., 1], p[..., 2] = p1, p2, p3
+    w[..., 0], w[..., 1] = w1, w2
+    return p, w
+
+
 def chua_quad_family(p1: float, p3: float, rho: float,
                      alpha: float = 10.0, beta: float = 17.30,
                      slope_a: float = -1.34, slope_b: float = -0.73) -> QuadCertificate:
@@ -367,15 +387,8 @@ def chua_quad_family(p1: float, p3: float, rho: float,
     """
     if min(p1, p3, rho) <= 0.0:
         raise CertifyError("p1, p3, rho must be positive")
-    p2 = beta * p3
-    s = min(slope_a, slope_b)
-    w1 = -alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0
-    w2 = (alpha * p1 + p2) / (2.0 * rho) - p2
-    return QuadCertificate(
-        p=np.array([p1, p2, p3]),
-        w=np.array([w1, w2, 0.0]),
-        method="chua-family",
-    )
+    p, w = _chua_diagonals(p1, p3, rho, alpha, beta, slope_a, slope_b)
+    return QuadCertificate(p=p, w=w, method="chua-family")
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +530,11 @@ def certify_upsilon(eta: Callable, e_max: float, grid_points: int = 4096,
 class CertificateFamily:
     """A search space of certificates, parameterized in log space.
 
-    Subclasses map a parameter vector theta ∈ ℝ^n_params to a certificate;
-    positive quantities are exp(theta) components so that searches stay in
-    the feasible cone.  ``violations`` returns the total positive amount
-    by which family-specific constraints fail (zero when satisfied).
+    Subclasses map a parameter vector theta ∈ ℝ^n_params to a certificate
+    (``cert``), and a batch of such vectors, shape (k, n_params), to the
+    raw P and W diagonals, each of shape (k, dim) (``diagonals``).  Positive
+    quantities are exp(theta) components so that searches stay in the
+    feasible cone.
     """
 
     n_params: int = 0
@@ -528,8 +542,8 @@ class CertificateFamily:
     def cert(self, theta) -> QuadCertificate:
         raise NotImplementedError
 
-    def violations(self, theta) -> float:
-        return 0.0
+    def diagonals(self, theta: np.ndarray):
+        raise NotImplementedError
 
     def start_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
         if self.n_params == 0:
@@ -548,6 +562,10 @@ class PointFamily(CertificateFamily):
     def cert(self, theta) -> QuadCertificate:
         return self._cert
 
+    def diagonals(self, theta):
+        shape = (len(theta), self._cert.dim)
+        return np.broadcast_to(self._cert.p, shape), np.broadcast_to(self._cert.w, shape)
+
 
 class ChuaCertFamily(CertificateFamily):
     """Three-parameter family (p1, p3, ρ) for the double-scroll smooth part."""
@@ -565,42 +583,154 @@ class ChuaCertFamily(CertificateFamily):
         p1, p3, rho = np.exp(np.asarray(theta, dtype=float))
         return chua_quad_family(p1, p3, rho, self.alpha, self.beta, self.slope_a, self.slope_b)
 
+    def diagonals(self, theta):
+        p1, p3, rho = np.exp(theta).T
+        return _chua_diagonals(p1, p3, rho, self.alpha, self.beta, self.slope_a, self.slope_b)
 
-def _multistart_minimize(objective: Callable, family, extra_starts=(),
-                         n_starts: int = _N_STARTS, seed: int = _SEARCH_SEED):
-    """Deterministic multi-start Nelder-Mead; winner by (value, start index)."""
+
+def _family_objective(family: CertificateFamily, score: Callable) -> Callable:
+    """Batched search objective: ``score(P, W)`` of each row's normalized certificate.
+
+    Row for row this is the arithmetic of ``family.cert(theta).normalized()``;
+    a row whose certificate would fail validation (non-finite entries,
+    P ≤ 0) scores 1e18 instead of raising.
+    """
+
+    def objective(theta):
+        with np.errstate(all="ignore"):
+            p, w = family.diagonals(theta)
+            scale = 1.0 / p.max(axis=1, keepdims=True)
+            p, w = scale * p, scale * w
+            ok = np.isfinite(p).all(axis=1) & np.isfinite(w).all(axis=1) & (p.min(axis=1) > 0.0)
+            return np.where(ok, score(p, w), _NOT_A_CERT)
+
+    return objective
+
+
+def _lockstep_nelder_mead(objective: Callable, x0, xatol: float = 1e-10,
+                          fatol: float = 1e-13, maxiter: int = 2000, maxfev: int = 4000):
+    """Nelder–Mead from every row of x0 at once.
+
+    Returns each start's final simplex, sorted, and its values (SciPy's
+    ``final_simplex``), then ``nit`` and ``nfev``; SciPy's ``x`` is
+    ``sim[:, 0]`` and its ``fun`` is ``fsim.min(axis=1)``.
+
+    ``objective`` maps rows of shape (m, n) to m values.  Each start takes
+    the steps of SciPy 1.17's ``minimize(method="Nelder-Mead")`` (fixed
+    coefficients, no bounds) bit for bit: initial simplex, vertex order,
+    convergence test and the per-start maxiter/maxfev accounting, down to a
+    maxfev hit partway through a shrink.  An iteration makes at most three
+    objective calls, each on the starts that need it: the reflections, then
+    one expansion or contraction point per start, then the shrinks.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    k, n = x0.shape
+    s = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for j in range(n):
+        s[:, j + 1, j] = np.where(x0[:, j] != 0, (1 + 0.05) * x0[:, j], 0.00025)
+    fs = np.full((k, n + 1), np.inf)
+    n0 = min(n + 1, maxfev)
+    fs[:, :n0] = objective(s[:, :n0].reshape(-1, n)).reshape(k, n0)
+    ev = np.full(k, n0)
+    it = np.ones(k, dtype=int)
+    for _ in range(2):  # SciPy sorts twice before its first iteration
+        ind = np.argsort(fs, axis=1)
+        fs, s = np.take_along_axis(fs, ind, 1), np.take_along_axis(s, ind[:, :, None], 1)
+
+    sim_out, fsim_out = np.empty_like(s), np.empty_like(fs)
+    nit, nfev = np.empty(k, dtype=int), np.empty(k, dtype=int)
+    rows = np.arange(k)  # the start each working row belongs to
+    while rows.size:
+        with np.errstate(invalid="ignore"):  # inf − inf: not converged, as in SciPy
+            stop = ((ev >= maxfev) | (it >= maxiter)
+                    | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                       & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol)))
+        if stop.any():
+            done = rows[stop]
+            sim_out[done], fsim_out[done] = s[stop], fs[stop]
+            nit[done], nfev[done] = it[stop], ev[stop]
+            keep = ~stop
+            rows, s, fs, ev, it = rows[keep], s[keep], fs[keep], ev[keep], it[keep]
+            if not rows.size:
+                break
+
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        new_x = (1 + rho) * xbar - rho * worst
+        new_f = objective(new_x)
+        ev += 1
+        fxr = new_f.copy()
+        expand = fxr < fs[:, 0]
+        take = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~take & (fxr < fs[:, -1])
+        shrink = np.zeros_like(take)
+
+        # Expansion, outside or inside contraction: x = a·x̄ − b·x_worst with
+        # (a, b) = (1+ρχ, ρχ), (1+ψρ, ψρ) or (1−ψ, −ψ).  A start out of
+        # evaluations stops here, unchanged.
+        t = np.flatnonzero(~take & (ev < maxfev))
+        if t.size:
+            ex, out = expand[t], outside[t]
+            a = np.where(ex, 1 + rho * chi, np.where(out, 1 + psi * rho, 1 - psi))
+            b = np.where(ex, rho * chi, np.where(out, psi * rho, -psi))
+            xt = a[:, None] * xbar[t] - b[:, None] * worst[t]
+            ft = objective(xt)
+            ev[t] += 1
+            better = np.where(ex, ft < fxr[t], np.where(out, ft <= fxr[t], ft < fs[t, -1]))
+            new_x[t[better]], new_f[t[better]] = xt[better], ft[better]
+            take[t] = ex | better
+            shrink[t] = ~(ex | better)
+
+        s[take, -1], fs[take, -1] = new_x[take], new_f[take]
+        it += take
+
+        sh = np.flatnonzero(shrink)
+        if sh.size:
+            # SciPy moves vertex j before evaluating it, so a start that runs
+            # out of evaluations mid-shrink keeps one moved, unevaluated vertex.
+            left = maxfev - ev[sh]
+            j = np.arange(1, n + 1)
+            moved = j <= np.minimum(left + 1, n)[:, None]
+            evaluated = j <= left[:, None]
+            base = s[sh, :1]
+            pts = base + sigma * (s[sh, 1:] - base)
+            verts, fverts = s[sh, 1:], fs[sh, 1:]
+            verts[moved] = pts[moved]
+            fverts[evaluated] = objective(pts[evaluated])
+            s[sh, 1:], fs[sh, 1:] = verts, fverts
+            ev[sh] += evaluated.sum(axis=1)
+            it[sh] += evaluated[:, -1]
+
+        ind = np.argsort(fs, axis=1)
+        fs, s = np.take_along_axis(fs, ind, 1), np.take_along_axis(s, ind[:, :, None], 1)
+
+    return sim_out, fsim_out, nit, nfev
+
+
+def _multistart_minimize(objective: Callable, family: CertificateFamily, extra_starts=(),
+                         n_starts: int = _N_STARTS, seed: int = _SEARCH_SEED) -> np.ndarray:
+    """Deterministic multi-start Nelder–Mead, all starts in lockstep.
+
+    The winner is the first start whose value is strictly below every
+    earlier one; when no value is below inf, start 0's initial point.
+    A family with no parameters is evaluated once per start.
+    """
     rng = np.random.default_rng(seed)
-    starts = list(family.start_points(rng, n_starts))
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    best_val = math.inf
-    best_theta = starts[0]
-    for theta0 in starts:
-        if theta0.size == 0:
-            val = float(objective(theta0))
-            cand_theta = theta0
-        else:
-            res = optimize.minimize(
-                objective, theta0, method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000, "maxfev": 4000},
-            )
-            val = float(res.fun)
-            cand_theta = np.asarray(res.x, dtype=float)
+    starts = np.concatenate([
+        family.start_points(rng, n_starts),
+        np.asarray(extra_starts, dtype=float).reshape(len(extra_starts), family.n_params),
+    ])
+    if family.n_params == 0:
+        xs, values = starts, objective(starts)
+    else:
+        sim, fsim, _, _ = _lockstep_nelder_mead(objective, starts)
+        xs, values = sim[:, 0], fsim.min(axis=1)
+    best_val, best_theta = math.inf, starts[0]
+    for x, val in zip(xs, values):
         if val < best_val:
-            best_val = val
-            best_theta = cand_theta
-    return best_theta, best_val
-
-
-def _guarded(objective: Callable) -> Callable:
-    """Map construction failures inside a search to a large finite value."""
-
-    def wrapped(theta):
-        try:
-            return objective(theta)
-        except (CertifyError, FloatingPointError, OverflowError):
-            return 1e18
-
-    return wrapped
+            best_val, best_theta = val, x
+    return best_theta
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +766,20 @@ def _smaller_candidate(eps1: float, eps2: float):
 
 
 def _decay_margin(c: float, lam2_graph: float, pg: np.ndarray,
-                  w_diag: np.ndarray, active: np.ndarray) -> float:
-    """m = −max(coupled growth − c·λ₂·min coupled metric, uncoupled growth)."""
+                  w_diag: np.ndarray, active: np.ndarray):
+    """m = −max(coupled growth − c·λ₂·min coupled metric, uncoupled growth).
+
+    Reduces the last axis, so rows of (P·γ, W) give one margin each.
+    """
     terms = []
     if active.any():
-        terms.append(float(w_diag[active].max()) - c * lam2_graph * float(pg[active].min()))
+        terms.append(w_diag[..., active].max(axis=-1)
+                     - c * lam2_graph * pg[..., active].min(axis=-1))
     if (~active).any():
-        terms.append(float(w_diag[~active].max()))
-    return -max(terms)
+        terms.append(w_diag[..., ~active].max(axis=-1))
+    if len(terms) == 1:
+        return -terms[0]
+    return -np.where(terms[1] > terms[0], terms[1], terms[0])
 
 
 def _h_sup_on_ball(fields: Sequence[AffineDecomposedField], radius: float,
@@ -753,7 +889,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     need_lam2 = bool(active.any()) and c > 0.0
     lam2_graph = lambda2(build_laplacian(topo)) if need_lam2 else 0.0
     w_diag = rows.max(axis=0)
-    m_value = _decay_margin(c, lam2_graph, gamma, w_diag, active)
+    m_value = float(_decay_margin(c, lam2_graph, gamma, w_diag, active))
     eps2 = sqrt_n * (m_bar + h_max) / m_value if m_value > 0.0 else math.inf
     eps_bar, source = _smaller_candidate(eps1, eps2)
 
@@ -802,24 +938,41 @@ def _check_l(active: np.ndarray, l: Optional[int]):
         )
 
 
-def _ctilde_core(family: CertificateFamily, lam2_graph: float, gamma: np.ndarray,
-                 active: np.ndarray):
-    def objective(theta):
-        cert = family.cert(theta).normalized()
-        pen = _PENALTY * family.violations(theta)
-        w, pg = cert.w, cert.p * gamma
+def _ctilde_score(lam2_graph: float, gamma: np.ndarray, active: np.ndarray) -> Callable:
+    """c̃ search score of rows of normalized (P, W): the threshold, plus a
+    penalty where an uncoupled component does not contract."""
+
+    def score(p, w):
+        pen = np.zeros(len(p))
         if (~active).any():
-            worst = float(w[~active].max())
-            if worst >= -_MARGIN:
-                pen += _PENALTY * (worst + _MARGIN)
+            worst = w[:, ~active].max(axis=1)
+            pen = np.where(worst >= -_MARGIN, _PENALTY * (worst + _MARGIN), 0.0)
         if not active.any():
             return pen
-        return max(float(w[active].max()) / (lam2_graph * float(pg[active].min())), 0.0) + pen
+        ratio = w[:, active].max(axis=1) / (lam2_graph * (p * gamma)[:, active].min(axis=1))
+        return np.maximum(ratio, 0.0) + pen
 
-    theta, _ = _multistart_minimize(_guarded(objective), family)
+    return score
+
+
+def _epsbar_score(c: float, lam2_graph: float, gamma: np.ndarray, active: np.ndarray,
+                  m_bar: float, sqrt_n: float) -> Callable:
+    """ε̄ search score of rows of normalized (P, W); a margin not above
+    _MARGIN lands on the _INFEASIBLE plateau, sloped towards feasibility."""
+
+    def score(p, w):
+        m = _decay_margin(c, lam2_graph, p * gamma, w, active)
+        return np.where(m <= _MARGIN, _INFEASIBLE + (_MARGIN - m),
+                        m_bar * sqrt_n * p.max(axis=1) / m)
+
+    return score
+
+
+def _ctilde_core(family: CertificateFamily, lam2_graph: float, gamma: np.ndarray,
+                 active: np.ndarray):
+    score = _ctilde_score(lam2_graph, gamma, active)
+    theta = _multistart_minimize(_family_objective(family, score), family)
     cert = family.cert(theta).normalized()
-    if family.violations(theta) > 0.0:
-        raise CertifyError("no certificate satisfying the family constraints was found")
     if (~active).any() and float(cert.w[~active].max()) >= 0.0:
         raise CertifyError(
             "no certificate found with negative W entries on the uncoupled components "
@@ -868,7 +1021,7 @@ def linear_common_epsbar(cert: QuadCertificate, topo: Topology, gamma,
     active = gamma > 0.0
     _check_l(active, l)
     lam2_graph = lambda2(build_laplacian(topo)) if (active.any() and c > 0.0) else 0.0
-    m = _decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active)
+    m = float(_decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active))
     if m <= 0.0:
         parts = []
         if active.any():
@@ -909,19 +1062,12 @@ def _linear_common_report(m_bar: float, topo: Topology, gamma: np.ndarray, c: fl
     m_value = None
     cert_best = cert0
     if gain_ok:
-        def eps_objective(theta):
-            cert = family.cert(theta).normalized()
-            pen = _PENALTY * family.violations(theta)
-            m = _decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active)
-            if m <= _MARGIN:
-                return _INFEASIBLE + (_MARGIN - m) + pen
-            return m_bar * sqrt_n * cert.p_norm / m + pen
-
-        theta_e, val = _multistart_minimize(
-            _guarded(eps_objective), family, extra_starts=[theta0]
+        score = _epsbar_score(c, lam2_graph, gamma, active, m_bar, sqrt_n)
+        theta_e = _multistart_minimize(
+            _family_objective(family, score), family, extra_starts=[theta0]
         )
         cert_best = family.cert(theta_e).normalized()
-        m_value = _decay_margin(c, lam2_graph, cert_best.p * gamma, cert_best.w, active)
+        m_value = float(_decay_margin(c, lam2_graph, cert_best.p * gamma, cert_best.w, active))
         if m_value > 0.0:
             eps_bar = m_bar * sqrt_n * cert_best.p_norm / m_value
         else:
@@ -1076,7 +1222,7 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     hyps = (hyp_init, hyp_unc, hyp_gain)
     eps2 = eps_bar = source = m_value = None
     if all(h.passed for h in hyps):
-        m_value = _decay_margin(c, lam2_graph, ups, w_diag, active)
+        m_value = float(_decay_margin(c, lam2_graph, ups, w_diag, active))
         if m_value > 0.0:
             eps2 = sqrt_n * (m_bar + h_extra) / m_value
         elif hetero:

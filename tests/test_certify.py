@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwsync.certify import (
+    CertificateFamily,
     CertifyError,
     ChuaCertFamily,
     CouplingSpec,
@@ -22,6 +23,14 @@ from pwsync.certify import (
     pws_coupling,
     quad_linear_cert,
 )
+from pwsync.certify import (
+    _ctilde_score,
+    _epsbar_score,
+    _family_objective,
+    _lockstep_nelder_mead,
+    _multistart_minimize,
+    _stack_mismatch_bounds,
+)
 from pwsync.dynamics import (
     AffineDecomposedField,
     IkedaParams,
@@ -32,7 +41,14 @@ from pwsync.dynamics import (
     kuramoto_error_field,
     relay_field,
 )
-from pwsync.graph import complete_topology, ring_topology, topology_from_edges
+from pwsync.graph import (
+    build_laplacian,
+    complete_topology,
+    lambda2,
+    ring_topology,
+    topology_from_edges,
+)
+from pwsync.scenarios import load_scenario
 
 RELAY_A = np.array([[1.35, 1.0, 0.0], [-99.93, 0.0, 1.0], [-5.0, 0.0, 0.0]])
 RELAY_EDGES = ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
@@ -313,6 +329,157 @@ def test_below_threshold_report_is_uncertified():
     assert not report.certified
     assert report.eps_bar is None
     assert any(not h.passed for h in report.hypotheses)
+
+
+# ---------------------------------------------------------------------------
+# lockstep multi-start Nelder-Mead against SciPy
+# ---------------------------------------------------------------------------
+
+SEARCH_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000, "maxfev": 4000}
+
+
+def _rosenbrock(theta):
+    x = np.asarray(theta)
+    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2, axis=1)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _assert_matches_scipy(objective, starts, **options):
+    """Every lockstep start equals its own SciPy run: x, fun, nit, nfev and
+    the final simplex."""
+    from scipy import optimize
+
+    opts = {**SEARCH_OPTIONS, **options}
+    sim, fsim, nit, nfev = _lockstep_nelder_mead(objective, starts, **opts)
+    x, fun = sim[:, 0], fsim.min(axis=1)
+    for i, x0 in enumerate(starts):
+        ref = optimize.minimize(lambda th: objective(th[None])[0], x0,
+                                method="Nelder-Mead", options=opts)
+        assert _bits(x[i]) == _bits(ref.x), f"start {i}: x {x[i]} vs {ref.x}"
+        assert _bits(fun[i]) == _bits(ref.fun), f"start {i}: fun {fun[i]} vs {ref.fun}"
+        assert (nit[i], nfev[i]) == (ref.nit, ref.nfev), f"start {i}"
+        assert _bits(sim[i]) == _bits(ref.final_simplex[0]), f"start {i}: simplex"
+        assert _bits(fsim[i]) == _bits(ref.final_simplex[1]), f"start {i}: simplex values"
+    return x, fun, nit, nfev
+
+
+def _chua10_search_inputs():
+    scenario = load_scenario("chua10", seed=0)
+    gamma = scenario.coupling.gamma
+    lam2_graph = lambda2(build_laplacian(scenario.topo))
+    m_bar, _ = _stack_mismatch_bounds(scenario.fields)
+    return scenario, gamma, gamma > 0.0, lam2_graph, m_bar
+
+
+def _seeded_starts(k=20, seed=1729):
+    return ChuaCertFamily().start_points(np.random.default_rng(seed), k)
+
+
+def test_lockstep_nelder_mead_matches_scipy_on_rosenbrock():
+    starts = np.vstack([
+        np.random.default_rng(5).uniform(-2.0, 2.0, size=(8, 3)),
+        [[0.0, 0.0, 0.0], [1.2, 0.0, -0.5]],  # zero entries take the 0.00025 step
+    ])
+    x, fun, _, _ = _assert_matches_scipy(_rosenbrock, starts)
+    assert np.all(fun < 1e-8)
+    # a flat floor makes exact ties: expansion against reflection,
+    # contraction against reflection, and between vertices in the sort
+    _, fun, _, _ = _assert_matches_scipy(lambda th: np.maximum(_rosenbrock(th), 1.0), starts)
+    assert np.all(fun == 1.0)
+
+
+def test_lockstep_nelder_mead_matches_scipy_on_chua_threshold_objective():
+    scenario, gamma, active, lam2_graph, _ = _chua10_search_inputs()
+    objective = _family_objective(scenario.family, _ctilde_score(lam2_graph, gamma, active))
+    _assert_matches_scipy(objective, _seeded_starts())
+
+
+def test_lockstep_nelder_mead_matches_scipy_on_chua_residual_objective():
+    scenario, gamma, active, lam2_graph, m_bar = _chua10_search_inputs()
+    score = _epsbar_score(7.0, lam2_graph, gamma, active, m_bar, math.sqrt(scenario.topo.n_nodes))
+    objective = _family_objective(scenario.family, score)
+    starts = np.vstack([
+        _seeded_starts(),
+        [[800.0, 0.0, 0.0], [0.0, 800.0, 800.0], [705.0, 0.0, 0.0]],  # exp overflows
+        [[0.0, 0.0, 3.0], [2.0, -2.0, 0.0]],  # zero margin or worse at c = 7
+    ])
+    values = objective(starts)
+    assert (values == 1e18).sum() == 2  # θ = 705 overflows only once stepped
+    assert (values[-2:] > 1e12).all()
+    _, fun, _, _ = _assert_matches_scipy(objective, starts)
+    on_plateau = (fun >= 1e12) & (fun < 1e18)
+    assert on_plateau[:20].any() and (fun[:20] < 1e12).any()
+    assert (fun[20:22] == 1e18).all()
+
+
+def test_lockstep_nelder_mead_matches_scipy_when_cut_short():
+    starts = np.random.default_rng(11).uniform(-2.0, 2.0, size=(6, 3))
+    _, _, nit, _ = _assert_matches_scipy(_rosenbrock, starts, maxiter=25)
+    assert (nit == 25).all()
+    for maxfev in (30, 3):  # 3 < n + 1: the initial simplex is not fully evaluated
+        _, _, _, nfev = _assert_matches_scipy(_rosenbrock, starts, maxfev=maxfev)
+        assert (nfev == maxfev).all()
+
+    # An all-1e18 simplex shrinks every iteration: 4 initial evaluations,
+    # reflection, inside contraction, then the budget of 7 ends the shrink
+    # after one of its three vertices, with the iteration not counted and
+    # the second vertex moved but not evaluated (seen in the final simplex).
+    scenario, gamma, active, lam2_graph, m_bar = _chua10_search_inputs()
+    score = _epsbar_score(7.0, lam2_graph, gamma, active, m_bar, math.sqrt(scenario.topo.n_nodes))
+    objective = _family_objective(scenario.family, score)
+    starts = np.vstack([[[800.0, 800.0, 800.0]], _seeded_starts(3)])
+    _, _, nit, nfev = _assert_matches_scipy(objective, starts, maxfev=7)
+    assert (nit[0], nfev[0]) == (1, 7)
+
+
+class _TableFamily(CertificateFamily):
+    """Four one-parameter starts whose objective is constant near each."""
+
+    n_params = 1
+
+    def start_points(self, rng, k):
+        return np.array([[0.5], [1.0], [2.0], [3.0]])
+
+
+@pytest.mark.parametrize("table, winner", [
+    ((np.nan, 2.0, 1.0, 1.0), 2),  # a NaN never wins; the first of a tie does
+    ((3.0, np.nan, 3.0, 2.0), 3),
+    ((np.inf, np.nan, np.inf, np.nan), None),  # nothing below inf: start 0's point
+])
+def test_multistart_winner_rule(table, winner):
+    from scipy import optimize
+
+    values = np.array(table)
+
+    def objective(theta):
+        return values[np.rint(theta[:, 0]).astype(int)]
+
+    family = _TableFamily()
+    theta = _multistart_minimize(objective, family)
+    starts = family.start_points(None, 4)
+    if winner is None:
+        assert _bits(theta) == _bits(starts[0])
+    else:
+        ref = optimize.minimize(lambda th: objective(th[None])[0], starts[winner],
+                                method="Nelder-Mead", options=SEARCH_OPTIONS)
+        assert _bits(theta) == _bits(ref.x)
+
+
+def test_family_rows_match_the_validated_certificates():
+    family = ChuaCertFamily()
+    thetas = np.vstack([_seeded_starts(), [[800.0, 0.0, 0.0], [-800.0, 0.0, 0.0]]])
+    p, w = family.diagonals(thetas[:20])
+    for i, theta in enumerate(thetas[:20]):
+        cert = family.cert(theta)
+        assert _bits(p[i]) == _bits(cert.p) and _bits(w[i]) == _bits(cert.w)
+    for theta in thetas[20:]:
+        with np.errstate(over="ignore"), pytest.raises(CertifyError):
+            family.cert(theta).normalized()
+    objective = _family_objective(family, lambda p, w: p.sum(axis=1))
+    assert (objective(thetas[20:]) == 1e18).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,21 @@ def test_infinite_sector_report_carries_sector_note(tmp_path):
     header = (out / "report.txt").read_text().split("\n\n", 1)[0].splitlines()
     assert ("# sector_note = sector bound certified on finite probe radius 100 "
             "(e_max infinite)") in header
+
+
+def test_cli_certify_of_chua10_imports_no_scipy(tmp_path):
+    # A fresh interpreter, so modules that other tests imported do not count.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from pwsync.cli import main\n"
+        f"rc = main(['certify', '--scenario', 'chua10', '--out', {str(tmp_path / 'cert')!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' not in sys.modules, 'pwsync imported scipy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cert" / "report.json").exists()
