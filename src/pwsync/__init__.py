@@ -6,71 +6,34 @@ algebraic connectivity), ``dynamics`` (per-node vector fields split into
 a smooth part and a bounded remainder), ``certify`` (one-sided
 sector/metric certificates, coupling thresholds, residual error
 bounds), ``sim`` (fixed-step integration, error diagnostics, gain
-sweeps, CSV output) and ``cli`` (the ``pwsync`` command).
+sweeps, CSV output) and ``cli`` (the ``pwsync`` command).  The package
+namespace re-exports the names the README's Library section uses, plus
+the error classes; every other name is importable from its submodule.
 """
 
 from .certify import (
     BoundReport,
     CertifyError,
     ChuaCertFamily,
-    CouplingSpec,
-    Hypothesis,
     PointFamily,
     QuadCertificate,
-    QuadCheck,
-    QuadWitness,
     certify_upsilon,
     check_quad_sampled,
-    chua_quad_family,
     linear_common_bounds,
-    linear_common_ctilde,
-    linear_common_epsbar,
     linear_hetero_bounds,
     nonlinear_bounds,
-    pws_coupling,
     quad_linear_cert,
 )
 from .dynamics import (
     AffineDecomposedField,
-    ChuaParams,
-    IkedaParams,
-    KuramotoParams,
-    RelayParams,
     chua_field,
-    hard_sgn,
     ikeda_field,
     kuramoto_error_field,
     relay_field,
-    saturated_sgn,
 )
-from .graph import (
-    GraphError,
-    Laplacian,
-    Topology,
-    build_laplacian,
-    complete_topology,
-    is_connected,
-    lambda2,
-    load_edge_list,
-    random_connected,
-    ring_topology,
-    topology_from_edges,
-)
-from .linalg import spectral_norm, symmetric_part
+from .graph import GraphError, Topology, build_laplacian, lambda2, random_connected
 from .scenarios import BUILTINS, ConfigError, Scenario, load_scenario
-from .sim import (
-    ErrorSeries,
-    SimConfig,
-    SimError,
-    Trajectory,
-    error_series,
-    integrate,
-    steady_state_eps,
-    sweep_coupling,
-    write_error_csv,
-    write_sweep_csv,
-    write_trajectory_csv,
-)
+from .sim import SimError, error_series, integrate, steady_state_eps, sweep_coupling
 
 __version__ = "0.1.0"
 
@@ -80,58 +43,30 @@ __all__ = [
     "BUILTINS",
     "CertifyError",
     "ChuaCertFamily",
-    "ChuaParams",
     "ConfigError",
-    "CouplingSpec",
-    "ErrorSeries",
     "GraphError",
-    "Hypothesis",
-    "IkedaParams",
-    "KuramotoParams",
-    "Laplacian",
     "PointFamily",
     "QuadCertificate",
-    "QuadCheck",
-    "QuadWitness",
-    "RelayParams",
     "Scenario",
-    "SimConfig",
     "SimError",
     "Topology",
-    "Trajectory",
     "build_laplacian",
     "certify_upsilon",
     "check_quad_sampled",
     "chua_field",
-    "chua_quad_family",
-    "complete_topology",
     "error_series",
-    "hard_sgn",
     "ikeda_field",
     "integrate",
-    "is_connected",
     "kuramoto_error_field",
     "lambda2",
     "linear_common_bounds",
-    "linear_common_ctilde",
-    "linear_common_epsbar",
     "linear_hetero_bounds",
-    "load_edge_list",
     "load_scenario",
     "nonlinear_bounds",
-    "pws_coupling",
     "quad_linear_cert",
     "random_connected",
     "relay_field",
-    "ring_topology",
-    "saturated_sgn",
-    "spectral_norm",
     "steady_state_eps",
     "sweep_coupling",
-    "symmetric_part",
-    "topology_from_edges",
-    "write_error_csv",
-    "write_sweep_csv",
-    "write_trajectory_csv",
     "__version__",
 ]

@@ -30,15 +30,19 @@ Five report modes exist, keyed by the CLI selector tokens:
 Only thm2 and cor1 search: thm1, thm3 and thm4 read P = I and each node's
 identity-metric W and are closed form.  The search minimizes c̃, then ε̄,
 over a :class:`CertificateFamily` by Nelder–Mead from 20 seeded starts
-run in lockstep (:func:`_lockstep_nelder_mead`); the family maps a whole
-batch of parameter rows to normalized (P, W) at once, and each start
-follows SciPy 1.17's Nelder–Mead bit for bit.
+run in lockstep (:func:`_lockstep_nelder_mead`), and each start follows
+SciPy 1.17's Nelder–Mead bit for bit.  A family is only its batched
+``diagonals``: a batch of parameter rows to raw (P, W) diagonals.  One
+helper scales each row to ‖P‖₂ = 1 and marks the rows that are
+certificates; the search scores those rows, and the winning row, rebuilt
+by the same helper, becomes the validated :class:`QuadCertificate` the
+report prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,11 +65,8 @@ __all__ = [
     "pws_coupling",
     "check_quad_sampled",
     "quad_linear_cert",
-    "chua_quad_family",
     "certify_upsilon",
     "linear_hetero_bounds",
-    "linear_common_ctilde",
-    "linear_common_epsbar",
     "linear_common_bounds",
     "nonlinear_bounds",
 ]
@@ -95,7 +96,6 @@ class QuadCertificate:
     p: np.ndarray
     w: np.ndarray
     domain_radius: float = math.inf
-    method: str = "user"
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -121,16 +121,6 @@ class QuadCertificate:
     def p_norm(self) -> float:
         """Spectral norm of diagonal P."""
         return float(self.p.max())
-
-    def scaled(self, alpha: float) -> "QuadCertificate":
-        """(P, W) → (αP, αW); the certified inequality is scale invariant."""
-        if alpha <= 0.0:
-            raise CertifyError("scale factor must be positive")
-        return QuadCertificate(alpha * self.p, alpha * self.w, self.domain_radius, self.method)
-
-    def normalized(self) -> "QuadCertificate":
-        """Rescale so that ‖P‖₂ = 1."""
-        return self.scaled(1.0 / self.p_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,14 +255,7 @@ class BoundReport:
                 return {"name": v.name, "passed": v.passed, "detail": v.detail}
             return v
 
-        keys = [
-            "mode", "n_nodes", "dim", "c", "c_tilde", "eps1", "eps2", "eps_bar",
-            "eps_source", "m_bar", "h_bar0", "w_max", "ball_radius", "h_max",
-            "h_max_method", "w_max_diag", "m_value", "r_max", "nu", "delta",
-            "lambda2", "lambda2_coupled", "p_opt", "w_opt", "gamma", "upsilon",
-            "e_max", "hypotheses", "notes",
-        ]
-        out = {k: plain(getattr(self, k)) for k in keys}
+        out = {f.name: plain(getattr(self, f.name)) for f in dataclass_fields(self)}
         out["certified"] = self.certified
         return out
 
@@ -353,42 +336,7 @@ def quad_linear_cert(a_matrix, p=None) -> QuadCertificate:
         if p.shape != (n,) or p.min() <= 0.0:
             raise CertifyError("p must be a positive vector matching a_matrix")
     lam = float(np.linalg.eigvalsh(symmetric_part(p[:, None] * A))[-1])
-    return QuadCertificate(p=p, w=np.full(n, lam), method="analytic-linear")
-
-
-def _chua_diagonals(p1, p3, rho, alpha, beta, slope_a, slope_b):
-    """(P, W) diagonals of the double-scroll family; broadcasts over p1, p3, ρ.
-
-    The component is the last axis of both results.
-    """
-    p2 = beta * p3
-    s = min(slope_a, slope_b)
-    w1 = -alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0
-    w2 = (alpha * p1 + p2) / (2.0 * rho) - p2
-    p = np.empty(np.shape(w2) + (3,))
-    w = np.zeros(np.shape(w2) + (3,))
-    p[..., 0], p[..., 1], p[..., 2] = p1, p2, p3
-    w[..., 0], w[..., 1] = w1, w2
-    return p, w
-
-
-def chua_quad_family(p1: float, p3: float, rho: float,
-                     alpha: float = 10.0, beta: float = 17.30,
-                     slope_a: float = -1.34, slope_b: float = -0.73) -> QuadCertificate:
-    """Diagonal certificate family for the double-scroll smooth part.
-
-    P = diag(p1, β·p3, p3) cancels the cross terms between the second and
-    third components; the remaining 2×2 block is dominated via a
-    completed square with free parameter ρ > 0, giving
-
-        W = diag(−α(1+s)·p1 + ρ(α·p1 + p2)/2,  (α·p1 + p2)/(2ρ) − p2,  0)
-
-    with p2 = β·p3 and s the steeper diode sector slope.
-    """
-    if min(p1, p3, rho) <= 0.0:
-        raise CertifyError("p1, p3, rho must be positive")
-    p, w = _chua_diagonals(p1, p3, rho, alpha, beta, slope_a, slope_b)
-    return QuadCertificate(p=p, w=w, method="chua-family")
+    return QuadCertificate(p=p, w=np.full(n, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +478,14 @@ def certify_upsilon(eta: Callable, e_max: float, grid_points: int = 4096,
 class CertificateFamily:
     """A search space of certificates, parameterized in log space.
 
-    Subclasses map a parameter vector theta ∈ ℝ^n_params to a certificate
-    (``cert``), and a batch of such vectors, shape (k, n_params), to the
-    raw P and W diagonals, each of shape (k, dim) (``diagonals``).  Positive
-    quantities are exp(theta) components so that searches stay in the
-    feasible cone.
+    A family is ``n_params``, ``start_points`` and ``diagonals``, which maps
+    a batch of parameter rows, shape (k, n_params), to the raw P and W
+    diagonals, each of shape (k, dim).  Positive quantities are
+    exp(theta) components so that searches stay in the feasible cone; a
+    row whose diagonals are no certificate (non-finite, P ≤ 0) never wins.
     """
 
     n_params: int = 0
-
-    def cert(self, theta) -> QuadCertificate:
-        raise NotImplementedError
 
     def diagonals(self, theta: np.ndarray):
         raise NotImplementedError
@@ -559,16 +504,22 @@ class PointFamily(CertificateFamily):
     def __init__(self, cert: QuadCertificate):
         self._cert = cert
 
-    def cert(self, theta) -> QuadCertificate:
-        return self._cert
-
     def diagonals(self, theta):
         shape = (len(theta), self._cert.dim)
         return np.broadcast_to(self._cert.p, shape), np.broadcast_to(self._cert.w, shape)
 
 
 class ChuaCertFamily(CertificateFamily):
-    """Three-parameter family (p1, p3, ρ) for the double-scroll smooth part."""
+    """Three-parameter family (p1, p3, ρ) for the double-scroll smooth part.
+
+    P = diag(p1, β·p3, p3) cancels the cross terms between the second and
+    third components; the remaining 2×2 block is dominated via a
+    completed square with free parameter ρ > 0, giving
+
+        W = diag(−α(1+s)·p1 + ρ(α·p1 + p2)/2,  (α·p1 + p2)/(2ρ) − p2,  0)
+
+    with p2 = β·p3 and s the steeper diode sector slope.
+    """
 
     n_params = 3
 
@@ -579,32 +530,50 @@ class ChuaCertFamily(CertificateFamily):
         self.slope_a = slope_a
         self.slope_b = slope_b
 
-    def cert(self, theta) -> QuadCertificate:
-        p1, p3, rho = np.exp(np.asarray(theta, dtype=float))
-        return chua_quad_family(p1, p3, rho, self.alpha, self.beta, self.slope_a, self.slope_b)
-
     def diagonals(self, theta):
         p1, p3, rho = np.exp(theta).T
-        return _chua_diagonals(p1, p3, rho, self.alpha, self.beta, self.slope_a, self.slope_b)
+        alpha, p2 = self.alpha, self.beta * p3
+        s = min(self.slope_a, self.slope_b)
+        p = np.stack([p1, p2, p3], axis=-1)
+        w = np.zeros_like(p)
+        w[:, 0] = -alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0
+        w[:, 1] = (alpha * p1 + p2) / (2.0 * rho) - p2
+        return p, w
+
+
+def _unit_rows(family: CertificateFamily, theta: np.ndarray):
+    """Each row's (P, W) scaled to ‖P‖₂ = max|pᵢ| = 1, and which rows are
+    certificates.
+
+    The mask applies :class:`QuadCertificate`'s checks: a row with a
+    non-finite entry or P ≤ 0 (an overflowing exp, say) is marked False
+    instead of raising or warning.
+    """
+    with np.errstate(all="ignore"):
+        p, w = family.diagonals(theta)
+        scale = 1.0 / np.abs(p).max(axis=1, keepdims=True)
+        p, w = scale * p, scale * w
+        ok = np.isfinite(p).all(axis=1) & np.isfinite(w).all(axis=1) & (p.min(axis=1) > 0.0)
+    return p, w, ok
 
 
 def _family_objective(family: CertificateFamily, score: Callable) -> Callable:
-    """Batched search objective: ``score(P, W)`` of each row's normalized certificate.
-
-    Row for row this is the arithmetic of ``family.cert(theta).normalized()``;
-    a row whose certificate would fail validation (non-finite entries,
-    P ≤ 0) scores 1e18 instead of raising.
-    """
+    """Batched search objective: ``score(P, W)`` of each row's unit-scaled
+    certificate; a row that is no certificate scores 1e18."""
 
     def objective(theta):
+        p, w, ok = _unit_rows(family, theta)
         with np.errstate(all="ignore"):
-            p, w = family.diagonals(theta)
-            scale = 1.0 / p.max(axis=1, keepdims=True)
-            p, w = scale * p, scale * w
-            ok = np.isfinite(p).all(axis=1) & np.isfinite(w).all(axis=1) & (p.min(axis=1) > 0.0)
             return np.where(ok, score(p, w), _NOT_A_CERT)
 
     return objective
+
+
+def _family_cert(family: CertificateFamily, theta: np.ndarray) -> QuadCertificate:
+    """The unit-scaled certificate of one parameter row; a row that is no
+    certificate fails :class:`QuadCertificate`'s validation."""
+    p, w, _ = _unit_rows(family, theta[None])
+    return QuadCertificate(p[0], w[0])
 
 
 def _lockstep_nelder_mead(objective: Callable, x0, xatol: float = 1e-10,
@@ -765,6 +734,17 @@ def _smaller_candidate(eps1: float, eps2: float):
     return (eps1, "ball") if eps1 <= eps2 else (eps2, "decay")
 
 
+def _check_gain(c: float):
+    if not (math.isfinite(c) and c >= 0.0):
+        raise CertifyError("gain c must be finite and nonnegative")
+
+
+def _gain_ratio(lam2_graph: float, pg: np.ndarray, w_diag: np.ndarray, active: np.ndarray):
+    """c̃ before clipping at 0: the largest coupled W entry over λ₂·min
+    coupled p·γ.  Reduces the last axis, so rows of (P·γ, W) give one each."""
+    return w_diag[..., active].max(axis=-1) / (lam2_graph * pg[..., active].min(axis=-1))
+
+
 def _decay_margin(c: float, lam2_graph: float, pg: np.ndarray,
                   w_diag: np.ndarray, active: np.ndarray):
     """m = −max(coupled growth − c·λ₂·min coupled metric, uncoupled growth).
@@ -874,8 +854,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (dim,) or gamma.min() < 0.0:
         raise CertifyError("gamma must be a nonnegative vector of the node dimension")
-    if c < 0.0:
-        raise CertifyError("gain c must be nonnegative")
+    _check_gain(c)
     n_nodes = topo.n_nodes
     sqrt_n = math.sqrt(n_nodes)
     m_bar, h_bar0 = _stack_mismatch_bounds(fields)
@@ -931,13 +910,6 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 # ---------------------------------------------------------------------------
 
 
-def _check_l(active: np.ndarray, l: Optional[int]):
-    if l is not None and l != int(active.sum()):
-        raise CertifyError(
-            f"l = {l} disagrees with the {int(active.sum())} coupled components of gamma"
-        )
-
-
 def _ctilde_score(lam2_graph: float, gamma: np.ndarray, active: np.ndarray) -> Callable:
     """c̃ search score of rows of normalized (P, W): the threshold, plus a
     penalty where an uncoupled component does not contract."""
@@ -949,8 +921,7 @@ def _ctilde_score(lam2_graph: float, gamma: np.ndarray, active: np.ndarray) -> C
             pen = np.where(worst >= -_MARGIN, _PENALTY * (worst + _MARGIN), 0.0)
         if not active.any():
             return pen
-        ratio = w[:, active].max(axis=1) / (lam2_graph * (p * gamma)[:, active].min(axis=1))
-        return np.maximum(ratio, 0.0) + pen
+        return np.maximum(_gain_ratio(lam2_graph, p * gamma, w, active), 0.0) + pen
 
     return score
 
@@ -968,125 +939,67 @@ def _epsbar_score(c: float, lam2_graph: float, gamma: np.ndarray, active: np.nda
     return score
 
 
-def _ctilde_core(family: CertificateFamily, lam2_graph: float, gamma: np.ndarray,
-                 active: np.ndarray):
+def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
+                         gamma, c: float, family: CertificateFamily,
+                         mode: str = "thm2") -> BoundReport:
+    """Gain threshold and residual bound when all nodes share one smooth part.
+
+    The shared-h requirement is verified (structurally or by sampling);
+    M̄ is the largest per-node bound on the non-shared parts.  c̃ is
+    minimized over the certificate family, and uncoupled components must
+    admit negative W entries.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
+    decay margin, is minimized over the family at the requested gain,
+    starting also from the c̃ winner.  ``cor1`` requires every component
+    coupled.
+    """
+    if mode not in ("thm2", "cor1"):
+        raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
+    dim = _validate_network(fields, topo)
+    _require_common_h(fields)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (dim,) or gamma.min() < 0.0:
+        raise CertifyError("gamma must be a nonnegative vector of the node dimension")
+    active = gamma > 0.0
+    if mode == "cor1" and not active.all():
+        raise CertifyError("full-coupling mode requires every gamma entry positive")
+    _check_gain(c)
+    m_bar, h_bar0 = _stack_mismatch_bounds(fields)
+    sqrt_n = math.sqrt(topo.n_nodes)
+    lam2_graph = lambda2(build_laplacian(topo)) if active.any() else 0.0
+
     score = _ctilde_score(lam2_graph, gamma, active)
-    theta = _multistart_minimize(_family_objective(family, score), family)
-    cert = family.cert(theta).normalized()
+    theta0 = _multistart_minimize(_family_objective(family, score), family)
+    cert = _family_cert(family, theta0)
     if (~active).any() and float(cert.w[~active].max()) >= 0.0:
         raise CertifyError(
             "no certificate found with negative W entries on the uncoupled components "
             f"(best: {float(cert.w[~active].max()):.6g})"
         )
+    c_tilde = 0.0
     if active.any():
-        c_tilde = max(
-            float(cert.w[active].max())
-            / (lam2_graph * float((cert.p * gamma)[active].min())),
-            0.0,
-        )
-    else:
-        c_tilde = 0.0
-    return theta, c_tilde, cert
-
-
-def linear_common_ctilde(family: CertificateFamily, topo: Topology, gamma,
-                         l: Optional[int] = None):
-    """Gain threshold for linear coupling of a shared smooth part.
-
-    Minimizes max(λ_max(W on coupled)/λ₂(L)·min coupled p·γ, 0) over the
-    certificate family; returns (c_tilde, winning normalized certificate).
-    Uncoupled components must admit negative W entries.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or gamma.min() < 0.0:
-        raise CertifyError("gamma must be a nonnegative vector")
-    active = gamma > 0.0
-    _check_l(active, l)
-    lam2_graph = lambda2(build_laplacian(topo)) if active.any() else 0.0
-    _, c_tilde, cert = _ctilde_core(family, lam2_graph, gamma, active)
-    return c_tilde, cert
-
-
-def linear_common_epsbar(cert: QuadCertificate, topo: Topology, gamma,
-                         l: Optional[int], c: float, m_bar: float) -> float:
-    """Residual bound for one fixed certificate at gain c.
-
-    ε̄ = M̄·√N·‖P‖₂ / m with m the decay margin; raises when the margin is
-    not positive at this gain (the gain is below this certificate's
-    threshold, or an uncoupled component fails to contract).
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (cert.dim,) or gamma.min() < 0.0:
-        raise CertifyError("gamma must be a nonnegative vector of the certificate dimension")
-    active = gamma > 0.0
-    _check_l(active, l)
-    lam2_graph = lambda2(build_laplacian(topo)) if (active.any() and c > 0.0) else 0.0
-    m = float(_decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active))
-    if m <= 0.0:
-        parts = []
-        if active.any():
-            coupled = float(cert.w[active].max()) - c * lam2_graph * float((cert.p * gamma)[active].min())
-            if coupled >= 0.0:
-                parts.append(
-                    f"coupled components do not contract at c = {c:g} "
-                    f"(need c·λ₂·min(p·γ) > {float(cert.w[active].max()):.6g})"
-                )
-        if (~active).any() and float(cert.w[~active].max()) >= 0.0:
-            parts.append("an uncoupled component has a nonnegative W entry")
-        raise CertifyError("decay margin is not positive: " + "; ".join(parts or ["m <= 0"]))
-    return float(m_bar) * math.sqrt(topo.n_nodes) * cert.p_norm / m
-
-
-def _linear_common_report(m_bar: float, topo: Topology, gamma: np.ndarray, c: float,
-                          family: CertificateFamily, l: Optional[int], mode: str,
-                          dim: int, h_bar0: Optional[float] = None) -> BoundReport:
-    active = gamma > 0.0
-    _check_l(active, l)
-    if c < 0.0:
-        raise CertifyError("gain c must be nonnegative")
-    lam2_graph = lambda2(build_laplacian(topo)) if active.any() else 0.0
-    theta0, c_tilde, cert0 = _ctilde_core(family, lam2_graph, gamma, active)
-    n_nodes = topo.n_nodes
-    sqrt_n = math.sqrt(n_nodes)
+        c_tilde = max(float(_gain_ratio(lam2_graph, cert.p * gamma, cert.w, active)), 0.0)
 
     gain_ok = c > c_tilde
-    hyps = [
-        Hypothesis(
-            "gain exceeds threshold",
-            gain_ok,
-            f"c = {c:g} vs c_tilde = {c_tilde:.10g}",
-        )
-    ]
-
-    eps_bar = None
-    m_value = None
-    cert_best = cert0
+    hyps = [Hypothesis("gain exceeds threshold", gain_ok, f"c = {c:g} vs c_tilde = {c_tilde:.10g}")]
+    eps_bar = m_value = None
     if gain_ok:
         score = _epsbar_score(c, lam2_graph, gamma, active, m_bar, sqrt_n)
-        theta_e = _multistart_minimize(
-            _family_objective(family, score), family, extra_starts=[theta0]
-        )
-        cert_best = family.cert(theta_e).normalized()
-        m_value = float(_decay_margin(c, lam2_graph, cert_best.p * gamma, cert_best.w, active))
+        theta = _multistart_minimize(_family_objective(family, score), family, extra_starts=[theta0])
+        cert = _family_cert(family, theta)
+        m_value = float(_decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active))
         if m_value > 0.0:
-            eps_bar = m_bar * sqrt_n * cert_best.p_norm / m_value
+            eps_bar = m_bar * sqrt_n * cert.p_norm / m_value
         else:
-            hyps.append(
-                Hypothesis(
-                    "positive decay margin",
-                    False,
-                    "no family member has a positive margin at this gain",
-                )
-            )
+            hyps.append(Hypothesis("positive decay margin", False,
+                                   "no family member has a positive margin at this gain"))
 
-    pg = cert_best.p * gamma
+    pg = cert.p * gamma
     return BoundReport(
         mode=mode,
-        n_nodes=n_nodes,
+        n_nodes=topo.n_nodes,
         dim=dim,
         c=c,
         c_tilde=c_tilde,
-        eps1=None,
         eps2=eps_bar,
         eps_bar=eps_bar,
         eps_source="decay" if eps_bar is not None else None,
@@ -1095,31 +1008,11 @@ def _linear_common_report(m_bar: float, topo: Topology, gamma: np.ndarray, c: fl
         m_value=m_value,
         lambda2=lam2_graph if active.any() else None,
         lambda2_coupled=(lam2_graph * float(pg[active].min())) if active.any() else None,
-        p_opt=tuple(float(v) for v in cert_best.p),
-        w_opt=tuple(float(v) for v in cert_best.w),
+        p_opt=tuple(float(v) for v in cert.p),
+        w_opt=tuple(float(v) for v in cert.w),
         gamma=tuple(float(v) for v in gamma),
         hypotheses=tuple(hyps),
     )
-
-
-def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float, family: CertificateFamily,
-                         l: Optional[int] = None, mode: str = "thm2") -> BoundReport:
-    """Gain threshold and residual bound when all nodes share one smooth part.
-
-    The shared-h requirement is verified (structurally or by sampling);
-    M̄ is the largest per-node bound on the non-shared parts.  ε̄ is
-    minimized over the certificate family at the requested gain.
-    """
-    dim = _validate_network(fields, topo)
-    _require_common_h(fields)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (dim,) or gamma.min() < 0.0:
-        raise CertifyError("gamma must be a nonnegative vector of the node dimension")
-    if mode == "cor1" and not (gamma > 0.0).all():
-        raise CertifyError("full-coupling mode requires every gamma entry positive")
-    m_bar, h_bar0 = _stack_mismatch_bounds(fields)
-    return _linear_common_report(m_bar, topo, gamma, c, family, l, mode, dim, h_bar0)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,8 +1048,7 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     if delta <= 0.0:
         raise CertifyError("delta must be positive")
     c = float(coupling.c if c is None else c)
-    if c < 0.0:
-        raise CertifyError("gain c must be nonnegative")
+    _check_gain(c)
     if coupling.variant != "nonlinear":
         raise CertifyError("this mode needs a nonlinear coupling spec")
     ups = coupling.upsilon

@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_meta(scenario, c=None) -> dict:
+def _scenario_meta(scenario) -> dict:
     meta = dict(scenario.meta)
     meta["mode"] = scenario.resolved_mode()
-    meta["c"] = scenario.coupling.c if c is None else float(c)
+    meta["c"] = scenario.coupling.c
     meta["coupling"] = scenario.coupling.label or scenario.coupling.variant
     return meta
 
@@ -97,16 +97,21 @@ def _apply_sim_overrides(scenario, args):
     return scenario.with_sim(**overrides) if overrides else scenario
 
 
+def _apply_gain(scenario, args):
+    """The scenario at ``--c``; a negative or non-finite gain is bad input."""
+    return scenario if args.c is None else scenario.with_gain(args.c)
+
+
 def cmd_certify(args) -> int:
-    scenario = load_scenario(args.scenario, args.seed)
+    scenario = _apply_gain(load_scenario(args.scenario, args.seed), args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        report = scenario.certify(c=args.c)
+        report = scenario.certify()
     except CertifyError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
-    meta = _scenario_meta(scenario, args.c)
+    meta = _scenario_meta(scenario)
     header = [f"# {key} = {meta[key]}" for key in sorted(meta)]
     text = "\n".join(header) + "\n\n" + report.to_text() + "\n"
     (outdir / "report.txt").write_text(text)
@@ -119,21 +124,22 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _apply_sim_overrides(load_scenario(args.scenario, args.seed), args)
+    scenario = _apply_gain(scenario, args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    traj = scenario.simulate(c=args.c)
+    traj = scenario.simulate()
     series = error_series(traj)
     eps_hat = steady_state_eps(series, scenario.sim.tail_fraction)
 
     try:
-        report = scenario.certify(c=args.c)
+        report = scenario.certify()
     except CertifyError as exc:
         report, cert_note = None, str(exc)
     else:
         cert_note = None
 
-    meta = _scenario_meta(scenario, args.c)
+    meta = _scenario_meta(scenario)
     write_trajectory_csv(traj, outdir / "trajectory.csv", extra_meta=meta)
     write_error_csv(series, outdir / "errors.csv", extra_meta=meta)
 
@@ -172,6 +178,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
+    if not (np.isfinite(args.c_min) and np.isfinite(args.c_max)):
+        raise ConfigError("--c-min and --c-max must be finite")
     if args.c_max <= args.c_min:
         raise ConfigError("--c-max must exceed --c-min")
     if args.grid == "log":

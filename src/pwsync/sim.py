@@ -427,8 +427,6 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
     """
     cfg = config if config is not None else scenario.sim
     gains = sorted(float(v) for v in c_values)
-    if any(c < 0.0 for c in gains):
-        raise SimError("sweep gains must be nonnegative")
     trajectories = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
                                    gains, scenario.x0, cfg)
     rows = []

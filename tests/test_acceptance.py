@@ -18,8 +18,7 @@ from pwsync.certify import (
     QuadCertificate,
     certify_upsilon,
     check_quad_sampled,
-    linear_common_ctilde,
-    linear_common_epsbar,
+    linear_common_bounds,
     pws_coupling,
     quad_linear_cert,
 )
@@ -104,9 +103,9 @@ def test_criterion_2b_relay_stated_constants():
     cert = quad_linear_cert(RELAY_A)
     lam_max = float(cert.w[0])
     scenario = load_scenario("relay5", 0)
-    c_tilde, _ = linear_common_ctilde(
-        PointFamily(cert), scenario.topo, np.ones(3)
-    )
+    c_tilde = linear_common_bounds(
+        scenario.fields, scenario.topo, np.ones(3), scenario.coupling.c, PointFamily(cert)
+    ).c_tilde
     ok = abs(lam_max - 50.0) <= 1e-9 and c_tilde == 25.0
     _line(
         "2b relay stated constants",
@@ -274,13 +273,16 @@ def test_criterion_5c_scale_invariance():
     topo = topology_from_edges(5, ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3),
                                    (1, 4), (2, 3), (3, 4)))
     gamma = np.ones(3)
-    ct_ref, _ = linear_common_ctilde(PointFamily(base), topo, gamma)
-    eps_ref = linear_common_epsbar(base, topo, gamma, 3, 50.0, math.sqrt(6.0))
+    fields = [relay_field(RelayParams(m_override=math.sqrt(6.0)))] * 5
+
+    def bounds(cert):
+        report = linear_common_bounds(fields, topo, gamma, 50.0, PointFamily(cert))
+        return report.c_tilde, report.eps_bar
+
+    ct_ref, eps_ref = bounds(base)
     worst = 0.0
     for alpha in (0.1, 10.0):
-        scaled = base.scaled(alpha)
-        ct, _ = linear_common_ctilde(PointFamily(scaled), topo, gamma)
-        eps = linear_common_epsbar(scaled, topo, gamma, 3, 50.0, math.sqrt(6.0))
+        ct, eps = bounds(QuadCertificate(alpha * base.p, alpha * base.w))
         worst = max(worst, abs(ct - ct_ref) / ct_ref, abs(eps - eps_ref) / eps_ref)
     ok = worst < 1e-9
     _line("5c scale invariance", ok,

@@ -14,10 +14,7 @@ from pwsync.certify import (
     QuadCertificate,
     certify_upsilon,
     check_quad_sampled,
-    chua_quad_family,
     linear_common_bounds,
-    linear_common_ctilde,
-    linear_common_epsbar,
     linear_hetero_bounds,
     nonlinear_bounds,
     pws_coupling,
@@ -30,9 +27,11 @@ from pwsync.certify import (
     _lockstep_nelder_mead,
     _multistart_minimize,
     _stack_mismatch_bounds,
+    _unit_rows,
 )
 from pwsync.dynamics import (
     AffineDecomposedField,
+    ChuaParams,
     IkedaParams,
     KuramotoParams,
     RelayParams,
@@ -70,12 +69,23 @@ UPSILON_PWS = 2.0 * math.sqrt(2.0) - 2.0
 REL_TOL = 1e-9
 
 
-def _relay_fields(n):
-    return [relay_field(RelayParams())] * n
+def _relay_fields(n, m_override=None):
+    """n relay nodes sharing A; ``m_override`` sets their mismatch bound M."""
+    return [relay_field(RelayParams(m_override=m_override))] * n
 
 
 def _relay_topo():
     return topology_from_edges(5, RELAY_EDGES)
+
+
+def _chua_unit_params():
+    """The double-scroll family at p1 = p3 = ρ = 1 (θ = 0), as a certificate."""
+    p, w = ChuaCertFamily().diagonals(np.zeros((1, 3)))
+    return QuadCertificate(p[0], w[0])
+
+
+def _scaled(cert, alpha):
+    return QuadCertificate(alpha * cert.p, alpha * cert.w)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +112,20 @@ def test_quad_linear_cert_weighted_metric():
 
 
 def test_chua_family_known_values():
-    cert = chua_quad_family(1.0, 1.0, 1.0)
+    cert = _chua_unit_params()
     assert np.allclose(cert.p, [1.0, 17.3, 1.0], atol=1e-12)
     assert np.allclose(cert.w, [17.05, -3.65, 0.0], atol=1e-12)
-    with pytest.raises(CertifyError):
-        chua_quad_family(1.0, 1.0, 0.0)
 
 
 def test_certificate_validation_and_scaling():
     with pytest.raises(CertifyError):
         QuadCertificate(p=np.array([1.0, 0.0]), w=np.array([-1.0, -1.0]))
     cert = QuadCertificate(p=np.array([2.0, 1.0]), w=np.array([-3.0, 1.0]))
-    scaled = cert.scaled(0.5)
-    assert np.allclose(scaled.p, [1.0, 0.5], atol=0.0)
-    assert np.allclose(scaled.w, [-1.5, 0.5], atol=0.0)
-    unit = cert.normalized()
-    assert abs(unit.p_norm - 1.0) < 1e-14
+    p, w, ok = _unit_rows(PointFamily(cert), np.zeros((1, 0)))
+    assert np.allclose(p[0], [1.0, 0.5], atol=0.0)
+    assert np.allclose(w[0], [-1.5, 0.5], atol=0.0)
+    assert ok[0]
+    assert abs(QuadCertificate(p[0], w[0]).p_norm - 1.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +143,8 @@ def test_sampled_check_accepts_exact_linear_certificate():
 
 
 def test_sampled_check_accepts_chua_family_certificate():
-    from pwsync.dynamics import ChuaParams
-
     node = chua_field(ChuaParams(), node_index=0, n_nodes=10)
-    cert = chua_quad_family(1.0, 1.0, 1.0)
+    cert = _chua_unit_params()
     check = check_quad_sampled(node.h, cert, radius=5.0, n_samples=100_000, seed=3)
     assert check.holds
 
@@ -227,10 +233,10 @@ def test_pws_coupling_shape():
 
 def test_relay_threshold_from_point_family():
     family = PointFamily(quad_linear_cert(RELAY_A))
-    c_tilde, cert = linear_common_ctilde(family, _relay_topo(), np.ones(3))
+    report = linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 0.0, family)
     expected = RELAY_LAMBDA_MAX / 2.0
-    assert abs(c_tilde - expected) < REL_TOL * expected
-    assert abs(cert.p_norm - 1.0) < 1e-12
+    assert abs(report.c_tilde - expected) < REL_TOL * expected
+    assert abs(max(report.p_opt) - 1.0) < 1e-12
 
 
 def test_relay_own_residual_bound_at_double_gain():
@@ -247,42 +253,70 @@ def test_relay_own_residual_bound_at_double_gain():
 def test_literal_residual_arithmetic():
     # With a hand-entered certificate (P = I, W = 50 I), mismatch bound 2 and
     # gain 50 on the 5-node benchmark graph, the bound is 2*sqrt(5)/50.
-    cert = QuadCertificate(p=np.ones(3), w=np.full(3, 50.0))
-    val = linear_common_epsbar(cert, _relay_topo(), np.ones(3), 3, 50.0, 2.0)
+    family = PointFamily(QuadCertificate(p=np.ones(3), w=np.full(3, 50.0)))
+    report = linear_common_bounds(_relay_fields(5, 2.0), _relay_topo(), np.ones(3), 50.0, family)
     expected = 2.0 * math.sqrt(5.0) / 50.0
-    assert abs(val - expected) < 1e-12
+    assert abs(report.eps_bar - expected) < 1e-12
 
 
-def test_residual_raises_below_threshold():
-    cert = QuadCertificate(p=np.ones(3), w=np.full(3, 50.0))
-    with pytest.raises(CertifyError):
-        linear_common_epsbar(cert, _relay_topo(), np.ones(3), 3, 24.0, 2.0)
+def test_residual_is_withheld_below_threshold():
+    family = PointFamily(QuadCertificate(p=np.ones(3), w=np.full(3, 50.0)))
+    report = linear_common_bounds(_relay_fields(5, 2.0), _relay_topo(), np.ones(3), 24.0, family)
+    assert not report.certified
+    assert report.eps_bar is None
 
 
 def test_residual_raises_for_noncontracting_uncoupled_component():
-    cert = QuadCertificate(p=np.ones(3), w=np.array([-1.0, -1.0, 0.0]))
+    family = PointFamily(QuadCertificate(p=np.ones(3), w=np.array([-1.0, -1.0, 0.0])))
     gamma = np.array([1.0, 1.0, 0.0])
     with pytest.raises(CertifyError):
-        linear_common_epsbar(cert, _relay_topo(), gamma, 2, 100.0, 1.0)
+        linear_common_bounds(_relay_fields(5, 1.0), _relay_topo(), gamma, 100.0, family)
 
 
 def test_chua_family_threshold_matches_analytic_optimum():
     topo = complete_topology(10).scaled(2.22 / 10.0)
     gamma = np.array([1.0, 0.0, 1.0])
-    c_tilde, cert = linear_common_ctilde(ChuaCertFamily(), topo, gamma, l=2)
+    fields = [chua_field(ChuaParams(), node_index=i, n_nodes=10) for i in range(10)]
+    # at c = 0 no ε̄ search runs, so P* and W* are the c̃ winner
+    report = linear_common_bounds(fields, topo, gamma, 0.0, ChuaCertFamily())
     expected = CHUA_OBJECTIVE_MIN / 2.22
-    assert abs(c_tilde - expected) < 1e-4 * expected
-    assert cert.w[1] < 0.0  # the uncoupled middle component must contract
-    with pytest.raises(CertifyError):
-        linear_common_ctilde(ChuaCertFamily(), topo, gamma, l=3)
+    assert abs(report.c_tilde - expected) < 1e-4 * expected
+    assert report.w_opt[1] < 0.0  # the uncoupled middle component must contract
+
+
+def test_linear_common_bounds_rejects_unknown_mode():
+    family = PointFamily(quad_linear_cert(RELAY_A))
+    for mode in ("thm1", "thm4", "auto", "cor2"):
+        with pytest.raises(CertifyError, match="thm2 or cor1"):
+            linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0,
+                                 family, mode=mode)
+
+
+@pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+def test_report_builders_reject_bad_gains(c):
+    family = PointFamily(quad_linear_cert(RELAY_A))
+    with pytest.raises(CertifyError, match="finite and nonnegative"):
+        linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), c, family)
+    fields = [ikeda_field(IkedaParams(a=a, b=b)) for a, b in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.5))]
+    with pytest.raises(CertifyError, match="finite and nonnegative"):
+        linear_hetero_bounds(fields, complete_topology(3), np.ones(1), c)
+    scenario = load_scenario("kuramoto4", seed=0)
+    with pytest.raises(CertifyError, match="finite and nonnegative"):
+        nonlinear_bounds(scenario.fields, scenario.topo, scenario.coupling, scenario.x0,
+                         c, mode="thm4")
 
 
 def test_threshold_scale_invariance():
     base = quad_linear_cert(RELAY_A)
     topo = _relay_topo()
-    ref, _ = linear_common_ctilde(PointFamily(base), topo, np.ones(3))
+
+    def c_tilde(cert):
+        return linear_common_bounds(_relay_fields(5), topo, np.ones(3), 0.0,
+                                    PointFamily(cert)).c_tilde
+
+    ref = c_tilde(base)
     for alpha in (0.1, 10.0):
-        val, _ = linear_common_ctilde(PointFamily(base.scaled(alpha)), topo, np.ones(3))
+        val = c_tilde(_scaled(base, alpha))
         assert abs(val - ref) < REL_TOL * ref
 
 
@@ -290,9 +324,14 @@ def test_residual_scale_invariance():
     cert = QuadCertificate(p=np.array([1.0, 2.0, 0.5]), w=np.array([-1.0, -0.2, -3.0]))
     topo = _relay_topo()
     gamma = np.array([1.0, 1.0, 0.0])
-    ref = linear_common_epsbar(cert, topo, gamma, 2, 4.0, 1.5)
+
+    def eps_bar(cert):
+        return linear_common_bounds(_relay_fields(5, 1.5), topo, gamma, 4.0,
+                                    PointFamily(cert)).eps_bar
+
+    ref = eps_bar(cert)
     for alpha in (0.1, 10.0):
-        val = linear_common_epsbar(cert.scaled(alpha), topo, gamma, 2, 4.0, 1.5)
+        val = eps_bar(_scaled(cert, alpha))
         assert abs(val - ref) < REL_TOL * ref
 
 
@@ -468,18 +507,31 @@ def test_multistart_winner_rule(table, winner):
         assert _bits(theta) == _bits(ref.x)
 
 
-def test_family_rows_match_the_validated_certificates():
+def test_overflowing_rows_score_1e18_and_the_winner_is_validated():
     family = ChuaCertFamily()
-    thetas = np.vstack([_seeded_starts(), [[800.0, 0.0, 0.0], [-800.0, 0.0, 0.0]]])
-    p, w = family.diagonals(thetas[:20])
-    for i, theta in enumerate(thetas[:20]):
-        cert = family.cert(theta)
-        assert _bits(p[i]) == _bits(cert.p) and _bits(w[i]) == _bits(cert.w)
-    for theta in thetas[20:]:
-        with np.errstate(over="ignore"), pytest.raises(CertifyError):
-            family.cert(theta).normalized()
+    thetas = np.array([[800.0, 0.0, 0.0], [-800.0, 0.0, 0.0]])
     objective = _family_objective(family, lambda p, w: p.sum(axis=1))
-    assert (objective(thetas[20:]) == 1e18).all()
+    assert (objective(thetas) == 1e18).all()
+
+    # A family whose P is negative has no certificate in it: its rows score
+    # 1e18 (scaling by max|p| keeps the sign), and its search winner,
+    # rebuilt as a QuadCertificate, is refused.
+    class _NoCertificate(CertificateFamily):
+        n_params = 1
+
+        def diagonals(self, theta):
+            return -np.exp(theta) * np.ones((1, 3)), np.zeros((len(theta), 3))
+
+    no_cert = _NoCertificate()
+    assert (_family_objective(no_cert, lambda p, w: p.sum(axis=1))(np.zeros((2, 1))) == 1e18).all()
+    with pytest.raises(CertifyError, match="positive"):
+        linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0, no_cert)
+
+    # chua10's winner is a valid unit-scaled certificate
+    scenario = load_scenario("chua10", seed=0)
+    report = scenario.certify()
+    cert = QuadCertificate(np.array(report.p_opt), np.array(report.w_opt))
+    assert cert.p_norm == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +584,6 @@ def test_hetero_linear_requires_contracting_nodes():
 def test_identity_ensemble_requires_annotations():
     # thm1 and thm3 read each node's identity-metric certificate, which chua
     # nodes do not declare
-    from pwsync.dynamics import ChuaParams
-
     fields = [chua_field(ChuaParams(), i, 3) for i in range(3)]
     named = re.escape(f"node '{fields[0].label}'") + ".*identity-metric"
     with pytest.raises(CertifyError, match=named):

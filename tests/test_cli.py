@@ -183,6 +183,31 @@ def test_rejected_sweep_grid_leaves_no_output_directory(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, scenario, gain", [
+    ("certify", "relay5", "inf"),
+    ("certify", "contraction3", "nan"),
+    ("certify", "kuramoto4", "-1"),
+    ("simulate", "contraction3", "inf"),
+])
+def test_bad_gain_exits_one_before_any_output(tmp_path, capsys, command, scenario, gain):
+    out = tmp_path / "never"
+    rc = main([command, "--scenario", scenario, "--c", gain, "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("-inf", "1"), ("nan", "1"), ("0", "nan")])
+def test_sweep_rejects_non_finite_grid_ends(tmp_path, capsys, bounds):
+    out = tmp_path / "never"
+    rc = main(["sweep", "--scenario", "contraction3", f"--c-min={bounds[0]}",
+               f"--c-max={bounds[1]}", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: --c-min and --c-max must be finite\n"
+
+
 def test_certify_gain_override_matches_scenario_math(tmp_path):
     out = tmp_path / "cert"
     rc = main(["certify", "--scenario", "kuramoto4", "--out", str(out)])
