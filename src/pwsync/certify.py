@@ -27,16 +27,14 @@ Five report modes exist, keyed by the CLI selector tokens:
 - ``thm4`` (:func:`nonlinear_bounds`): odd componentwise nonlinear
   coupling, shared smooth part.
 
-Only thm2 and cor1 search: thm1, thm3 and thm4 read P = I and each node's
-identity-metric W and are closed form.  The search minimizes c̃, then ε̄,
-over a :class:`CertificateFamily` by Nelder–Mead from 20 seeded starts
-run in lockstep (:func:`_lockstep_nelder_mead`), and each start follows
-SciPy 1.17's Nelder–Mead bit for bit.  A family is only its batched
-``diagonals``: a batch of parameter rows to raw (P, W) diagonals.  One
-helper scales each row to ‖P‖₂ = 1 and marks the rows that are
-certificates; the search scores those rows, and the winning row, rebuilt
-by the same helper, becomes the validated :class:`QuadCertificate` the
-report prints.
+thm1, thm3 and thm4 read P = I and each node's identity-metric W.  thm2
+and cor1 ask a :class:`CertificateFamily` for two members: the one with
+the least c̃, and the one with the least ε̄ at the requested gain.  A
+:class:`PointFamily` holds one fixed certificate and gives it for both.
+The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
+ρ) and one scale: its best ρ is a quadratic root for each p1/p3, and the
+one-dimensional rest is minimised on a deterministic log grid through its
+kinks, so the same inputs always give the same certificate.
 """
 
 from __future__ import annotations
@@ -71,13 +69,8 @@ __all__ = [
     "nonlinear_bounds",
 ]
 
-_MARGIN = 1e-6              # slack enforcing strict inequalities in searches
-_PENALTY = 1e6              # weight per unit of constraint violation
-_INFEASIBLE = 1e12          # objective plateau for infeasible points
-_NOT_A_CERT = 1e18          # objective value of a point that is no certificate
+_MARGIN = 1e-6              # W ≤ −_MARGIN: the strict W < 0 a family member must meet
 _WITNESS_SLACK = 1e-9       # tolerance before the sampler reports a witness
-_N_STARTS = 20
-_SEARCH_SEED = 1729
 
 
 class CertifyError(ValueError):
@@ -471,46 +464,74 @@ def certify_upsilon(eta: Callable, e_max: float, grid_points: int = 4096,
 
 
 # ---------------------------------------------------------------------------
-# certificate families and the multi-start search
+# certificate families and their optimal members
 # ---------------------------------------------------------------------------
 
 
-class CertificateFamily:
-    """A search space of certificates, parameterized in log space.
+def _unit_cert(p, w) -> QuadCertificate:
+    """(P, W) scaled to ‖P‖₂ = max|pᵢ| = 1 and validated; scaling by
+    max|pᵢ| keeps a P ≤ 0 negative, so it is refused."""
+    scale = 1.0 / np.abs(p).max()
+    return QuadCertificate(scale * np.asarray(p), scale * np.asarray(w))
 
-    A family is ``n_params``, ``start_points`` and ``diagonals``, which maps
-    a batch of parameter rows, shape (k, n_params), to the raw P and W
-    diagonals, each of shape (k, dim).  Positive quantities are
-    exp(theta) components so that searches stay in the feasible cone; a
-    row whose diagonals are no certificate (non-finite, P ≤ 0) never wins.
+
+class CertificateFamily:
+    """The certificates thm2/cor1 may choose from, asked for their best.
+
+    ``threshold_cert(lam2_graph, gamma)`` is the member with the least gain
+    threshold c̃ whose W entries on uncoupled components (γᵢ = 0) are
+    negative; ``residual_cert(c, lam2_graph, gamma)`` is the member with
+    the largest decay margin, so the least ε̄, at gain c.  Both return a
+    unit-scaled, validated :class:`QuadCertificate` or raise
+    :class:`CertifyError` saying why no member qualifies.
     """
 
-    n_params: int = 0
-
-    def diagonals(self, theta: np.ndarray):
+    def threshold_cert(self, lam2_graph: float, gamma: np.ndarray) -> QuadCertificate:
         raise NotImplementedError
 
-    def start_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        if self.n_params == 0:
-            return np.zeros((1, 0))
-        return rng.uniform(-2.3, 2.3, size=(k, self.n_params))
+    def residual_cert(self, c: float, lam2_graph: float, gamma: np.ndarray) -> QuadCertificate:
+        raise NotImplementedError
 
 
 class PointFamily(CertificateFamily):
     """The degenerate family holding a single fixed certificate."""
 
-    n_params = 0
-
     def __init__(self, cert: QuadCertificate):
-        self._cert = cert
+        self._cert = _unit_cert(cert.p, cert.w)
 
-    def diagonals(self, theta):
-        shape = (len(theta), self._cert.dim)
-        return np.broadcast_to(self._cert.p, shape), np.broadcast_to(self._cert.w, shape)
+    def threshold_cert(self, lam2_graph, gamma):
+        return self._cert
+
+    def residual_cert(self, c, lam2_graph, gamma):
+        return self._cert
+
+
+def _log_argmin(score: Callable, knots) -> tuple:
+    """The u > 0 with the least ``score(u)`` (batched over u), and its score.
+
+    The first grid runs through the knots and six decades past them on a
+    log scale; each of eleven zooms puts 33 log-spaced points on the two
+    grid cells around the best point so far, shrinking the bracket 16-fold
+    to about 1e-14 in log u.  That settles a smooth minimum or one at a
+    kink off the grid to ~1e-14 relative, while points beside a knot stay
+    far enough from it to score visibly worse when the knot is the
+    minimum.  Ties keep the earliest point; when every score is inf the u
+    is nan.
+    """
+    knots = np.asarray(knots, dtype=float)
+    grid = np.union1d(np.geomspace(knots.min() * 1e-6, knots.max() * 1e6, 241), knots)
+    best_u, best_score = math.nan, math.inf
+    for _ in range(12):
+        scores = score(grid)
+        i = int(np.argmin(scores))
+        if scores[i] < best_score:
+            best_u, best_score = float(grid[i]), float(scores[i])
+        grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 33)
+    return best_u, best_score
 
 
 class ChuaCertFamily(CertificateFamily):
-    """Three-parameter family (p1, p3, ρ) for the double-scroll smooth part.
+    """The double-scroll certificates (p1, p3, ρ), solved for their best.
 
     P = diag(p1, β·p3, p3) cancels the cross terms between the second and
     third components; the remaining 2×2 block is dominated via a
@@ -518,188 +539,104 @@ class ChuaCertFamily(CertificateFamily):
 
         W = diag(−α(1+s)·p1 + ρ(α·p1 + p2)/2,  (α·p1 + p2)/(2ρ) − p2,  0)
 
-    with p2 = β·p3 and s the steeper diode sector slope.
+    with p2 = β·p3 and s the steeper diode sector slope.  (P, W) scale
+    together, so take p2 = 1 and u = p1.  In ρ, w1 is affine and increasing
+    and w2 is decreasing.  Each objective is a maximum of a w1 term, a w2
+    term and terms free of ρ, so it is least where the w1 and w2 terms
+    meet, the positive root of a·ρ² + 2b·ρ − a = 0 with a = α·u + 1,
+    clipped to the ρ where an uncoupled w1 or w2 is ≤ −_MARGIN on the
+    unit-scaled W.  That leaves a function of u, smooth between kinks where
+    max(u, 1, 1/β) or the least coupled p·γ changes entry, minimised by
+    :func:`_log_argmin` on a grid through those kinks.
     """
-
-    n_params = 3
 
     def __init__(self, alpha: float = 10.0, beta: float = 17.30,
                  slope_a: float = -1.34, slope_b: float = -0.73):
+        if not (alpha > 0.0 and beta > 0.0):
+            raise CertifyError("alpha and beta must be positive")
         self.alpha = alpha
         self.beta = beta
         self.slope_a = slope_a
         self.slope_b = slope_b
+        self._k = -alpha * (1.0 + min(slope_a, slope_b))  # w1 = k·u + ρ·a/2
 
-    def diagonals(self, theta):
-        p1, p3, rho = np.exp(theta).T
-        alpha, p2 = self.alpha, self.beta * p3
-        s = min(self.slope_a, self.slope_b)
-        p = np.stack([p1, p2, p3], axis=-1)
-        w = np.zeros_like(p)
-        w[:, 0] = -alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0
-        w[:, 1] = (alpha * p1 + p2) / (2.0 * rho) - p2
-        return p, w
+    def _active(self, gamma) -> np.ndarray:
+        """Coupled components; raises on the patterns no member certifies."""
+        active = np.asarray(gamma, dtype=float) > 0.0
+        if active.shape != (3,):
+            raise CertifyError("the double-scroll family needs three gamma entries")
+        if not active[2]:
+            raise CertifyError(
+                "component 3 is uncoupled, but every double-scroll certificate has w3 = 0"
+            )
+        if not active[0] and self._k >= 0.0:
+            raise CertifyError(
+                "component 1 is uncoupled, but every double-scroll certificate has "
+                "w1 = −α(1+s)·p1 + ρ(α·p1 + p2)/2 > 0, since "
+                f"−α(1+s) = {self._k:.6g} ≥ 0 and ρ > 0"
+            )
+        return active
 
+    def _knots(self, gamma, active) -> list:
+        """Where max(u, 1, 1/β) or the least coupled p·γ changes entry."""
+        knots = [1.0, 1.0 / self.beta]
+        if active[0]:
+            knots += [g * p / gamma[0] for g, p, on in
+                      zip(gamma[1:], (1.0, 1.0 / self.beta), active[1:]) if on]
+        return knots
 
-def _unit_rows(family: CertificateFamily, theta: np.ndarray):
-    """Each row's (P, W) scaled to ‖P‖₂ = max|pᵢ| = 1, and which rows are
-    certificates.
+    def _members(self, u, b, lo=0.0, hi=math.inf):
+        """Unit-scaled (P, W) rows for an array of u, at ρ the positive root
+        of a·ρ² + 2b·ρ − a = 0 clipped to [lo, hi]."""
+        a = self.alpha * u + 1.0
+        r = np.hypot(b, a)
+        rho = np.clip(np.where(b > 0.0, a / (b + r), (r - b) / a), lo, hi)
+        one = np.ones_like(u)
+        p = np.stack([u, one, one / self.beta], axis=-1)
+        w = np.stack([self._k * u + rho * a / 2.0, a / (2.0 * rho) - 1.0, 0.0 * u], axis=-1)
+        scale = 1.0 / p.max(axis=-1, keepdims=True)
+        return scale * p, scale * w
 
-    The mask applies :class:`QuadCertificate`'s checks: a row with a
-    non-finite entry or P ≤ 0 (an overflowing exp, say) is marked False
-    instead of raising or warning.
-    """
-    with np.errstate(all="ignore"):
-        p, w = family.diagonals(theta)
-        scale = 1.0 / np.abs(p).max(axis=1, keepdims=True)
-        p, w = scale * p, scale * w
-        ok = np.isfinite(p).all(axis=1) & np.isfinite(w).all(axis=1) & (p.min(axis=1) > 0.0)
-    return p, w, ok
+    def _best(self, score, gamma, active, what: str) -> QuadCertificate:
+        u, value = _log_argmin(lambda u: score(u)[0], self._knots(gamma, active))
+        if not math.isfinite(value):
+            raise CertifyError(f"no double-scroll certificate {what}")
+        _, p, w = score(np.array([u]))
+        return QuadCertificate(p[0], w[0])
 
+    def threshold_cert(self, lam2_graph, gamma):
+        gamma = np.asarray(gamma, dtype=float)
+        active = self._active(gamma)
 
-def _family_objective(family: CertificateFamily, score: Callable) -> Callable:
-    """Batched search objective: ``score(P, W)`` of each row's unit-scaled
-    certificate; a row that is no certificate scores 1e18."""
+        def score(u):
+            # uncoupled wᵢ ≤ −_MARGIN·max(u, 1, 1/β) before unit scaling
+            margin = _MARGIN * np.maximum(np.maximum(u, 1.0), 1.0 / self.beta)
+            a = self.alpha * u + 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo = np.zeros_like(u) if active[1] else a / (2.0 * (1.0 - margin))
+                hi = np.full_like(u, np.inf) if active[0] else 2.0 * (-margin - self._k * u) / a
+                feasible = (margin < 1.0) & (hi > 0.0) & (lo <= hi)
+                p, w = self._members(u, self._k * u + 1.0, lo, hi)
+                ratio = np.maximum(_gain_ratio(lam2_graph, p * gamma, w, active), 0.0)
+            return np.where(feasible, ratio, np.inf), p, w
 
-    def objective(theta):
-        p, w, ok = _unit_rows(family, theta)
-        with np.errstate(all="ignore"):
-            return np.where(ok, score(p, w), _NOT_A_CERT)
+        return self._best(score, gamma, active,
+                          f"has W ≤ −{_MARGIN:g} on the uncoupled components")
 
-    return objective
+    def residual_cert(self, c, lam2_graph, gamma):
+        gamma = np.asarray(gamma, dtype=float)
+        active = self._active(gamma)
 
+        def score(u):
+            # the margin's coupling term c·λ₂·min coupled p·γ, before unit scaling
+            one = np.ones_like(u)
+            pg = np.stack([u, one, one / self.beta], axis=-1) * gamma
+            shift = c * lam2_graph * pg[:, active].min(axis=-1)
+            b = self._k * u + 1.0 - shift * active[0] + shift * active[1]
+            p, w = self._members(u, b)
+            return -_decay_margin(c, lam2_graph, p * gamma, w, active), p, w
 
-def _family_cert(family: CertificateFamily, theta: np.ndarray) -> QuadCertificate:
-    """The unit-scaled certificate of one parameter row; a row that is no
-    certificate fails :class:`QuadCertificate`'s validation."""
-    p, w, _ = _unit_rows(family, theta[None])
-    return QuadCertificate(p[0], w[0])
-
-
-def _lockstep_nelder_mead(objective: Callable, x0, xatol: float = 1e-10,
-                          fatol: float = 1e-13, maxiter: int = 2000, maxfev: int = 4000):
-    """Nelder–Mead from every row of x0 at once.
-
-    Returns each start's final simplex, sorted, and its values (SciPy's
-    ``final_simplex``), then ``nit`` and ``nfev``; SciPy's ``x`` is
-    ``sim[:, 0]`` and its ``fun`` is ``fsim.min(axis=1)``.
-
-    ``objective`` maps rows of shape (m, n) to m values.  Each start takes
-    the steps of SciPy 1.17's ``minimize(method="Nelder-Mead")`` (fixed
-    coefficients, no bounds) bit for bit: initial simplex, vertex order,
-    convergence test and the per-start maxiter/maxfev accounting, down to a
-    maxfev hit partway through a shrink.  An iteration makes at most three
-    objective calls, each on the starts that need it: the reflections, then
-    one expansion or contraction point per start, then the shrinks.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float)
-    k, n = x0.shape
-    s = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for j in range(n):
-        s[:, j + 1, j] = np.where(x0[:, j] != 0, (1 + 0.05) * x0[:, j], 0.00025)
-    fs = np.full((k, n + 1), np.inf)
-    n0 = min(n + 1, maxfev)
-    fs[:, :n0] = objective(s[:, :n0].reshape(-1, n)).reshape(k, n0)
-    ev = np.full(k, n0)
-    it = np.ones(k, dtype=int)
-    for _ in range(2):  # SciPy sorts twice before its first iteration
-        ind = np.argsort(fs, axis=1)
-        fs, s = np.take_along_axis(fs, ind, 1), np.take_along_axis(s, ind[:, :, None], 1)
-
-    sim_out, fsim_out = np.empty_like(s), np.empty_like(fs)
-    nit, nfev = np.empty(k, dtype=int), np.empty(k, dtype=int)
-    rows = np.arange(k)  # the start each working row belongs to
-    while rows.size:
-        with np.errstate(invalid="ignore"):  # inf − inf: not converged, as in SciPy
-            stop = ((ev >= maxfev) | (it >= maxiter)
-                    | ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                       & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol)))
-        if stop.any():
-            done = rows[stop]
-            sim_out[done], fsim_out[done] = s[stop], fs[stop]
-            nit[done], nfev[done] = it[stop], ev[stop]
-            keep = ~stop
-            rows, s, fs, ev, it = rows[keep], s[keep], fs[keep], ev[keep], it[keep]
-            if not rows.size:
-                break
-
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        new_x = (1 + rho) * xbar - rho * worst
-        new_f = objective(new_x)
-        ev += 1
-        fxr = new_f.copy()
-        expand = fxr < fs[:, 0]
-        take = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~take & (fxr < fs[:, -1])
-        shrink = np.zeros_like(take)
-
-        # Expansion, outside or inside contraction: x = a·x̄ − b·x_worst with
-        # (a, b) = (1+ρχ, ρχ), (1+ψρ, ψρ) or (1−ψ, −ψ).  A start out of
-        # evaluations stops here, unchanged.
-        t = np.flatnonzero(~take & (ev < maxfev))
-        if t.size:
-            ex, out = expand[t], outside[t]
-            a = np.where(ex, 1 + rho * chi, np.where(out, 1 + psi * rho, 1 - psi))
-            b = np.where(ex, rho * chi, np.where(out, psi * rho, -psi))
-            xt = a[:, None] * xbar[t] - b[:, None] * worst[t]
-            ft = objective(xt)
-            ev[t] += 1
-            better = np.where(ex, ft < fxr[t], np.where(out, ft <= fxr[t], ft < fs[t, -1]))
-            new_x[t[better]], new_f[t[better]] = xt[better], ft[better]
-            take[t] = ex | better
-            shrink[t] = ~(ex | better)
-
-        s[take, -1], fs[take, -1] = new_x[take], new_f[take]
-        it += take
-
-        sh = np.flatnonzero(shrink)
-        if sh.size:
-            # SciPy moves vertex j before evaluating it, so a start that runs
-            # out of evaluations mid-shrink keeps one moved, unevaluated vertex.
-            left = maxfev - ev[sh]
-            j = np.arange(1, n + 1)
-            moved = j <= np.minimum(left + 1, n)[:, None]
-            evaluated = j <= left[:, None]
-            base = s[sh, :1]
-            pts = base + sigma * (s[sh, 1:] - base)
-            verts, fverts = s[sh, 1:], fs[sh, 1:]
-            verts[moved] = pts[moved]
-            fverts[evaluated] = objective(pts[evaluated])
-            s[sh, 1:], fs[sh, 1:] = verts, fverts
-            ev[sh] += evaluated.sum(axis=1)
-            it[sh] += evaluated[:, -1]
-
-        ind = np.argsort(fs, axis=1)
-        fs, s = np.take_along_axis(fs, ind, 1), np.take_along_axis(s, ind[:, :, None], 1)
-
-    return sim_out, fsim_out, nit, nfev
-
-
-def _multistart_minimize(objective: Callable, family: CertificateFamily, extra_starts=(),
-                         n_starts: int = _N_STARTS, seed: int = _SEARCH_SEED) -> np.ndarray:
-    """Deterministic multi-start Nelder–Mead, all starts in lockstep.
-
-    The winner is the first start whose value is strictly below every
-    earlier one; when no value is below inf, start 0's initial point.
-    A family with no parameters is evaluated once per start.
-    """
-    rng = np.random.default_rng(seed)
-    starts = np.concatenate([
-        family.start_points(rng, n_starts),
-        np.asarray(extra_starts, dtype=float).reshape(len(extra_starts), family.n_params),
-    ])
-    if family.n_params == 0:
-        xs, values = starts, objective(starts)
-    else:
-        sim, fsim, _, _ = _lockstep_nelder_mead(objective, starts)
-        xs, values = sim[:, 0], fsim.min(axis=1)
-    best_val, best_theta = math.inf, starts[0]
-    for x, val in zip(xs, values):
-        if val < best_val:
-            best_val, best_theta = val, x
-    return best_theta
+        return self._best(score, gamma, active, "has a finite decay margin")
 
 
 # ---------------------------------------------------------------------------
@@ -910,47 +847,17 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 # ---------------------------------------------------------------------------
 
 
-def _ctilde_score(lam2_graph: float, gamma: np.ndarray, active: np.ndarray) -> Callable:
-    """c̃ search score of rows of normalized (P, W): the threshold, plus a
-    penalty where an uncoupled component does not contract."""
-
-    def score(p, w):
-        pen = np.zeros(len(p))
-        if (~active).any():
-            worst = w[:, ~active].max(axis=1)
-            pen = np.where(worst >= -_MARGIN, _PENALTY * (worst + _MARGIN), 0.0)
-        if not active.any():
-            return pen
-        return np.maximum(_gain_ratio(lam2_graph, p * gamma, w, active), 0.0) + pen
-
-    return score
-
-
-def _epsbar_score(c: float, lam2_graph: float, gamma: np.ndarray, active: np.ndarray,
-                  m_bar: float, sqrt_n: float) -> Callable:
-    """ε̄ search score of rows of normalized (P, W); a margin not above
-    _MARGIN lands on the _INFEASIBLE plateau, sloped towards feasibility."""
-
-    def score(p, w):
-        m = _decay_margin(c, lam2_graph, p * gamma, w, active)
-        return np.where(m <= _MARGIN, _INFEASIBLE + (_MARGIN - m),
-                        m_bar * sqrt_n * p.max(axis=1) / m)
-
-    return score
-
-
 def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
                          gamma, c: float, family: CertificateFamily,
                          mode: str = "thm2") -> BoundReport:
     """Gain threshold and residual bound when all nodes share one smooth part.
 
     The shared-h requirement is verified (structurally or by sampling);
-    M̄ is the largest per-node bound on the non-shared parts.  c̃ is
-    minimized over the certificate family, and uncoupled components must
-    admit negative W entries.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
-    decay margin, is minimized over the family at the requested gain,
-    starting also from the c̃ winner.  ``cor1`` requires every component
-    coupled.
+    M̄ is the largest per-node bound on the non-shared parts.  c̃ is read
+    off the family's threshold certificate, whose W entries on uncoupled
+    components must be negative.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
+    decay margin, is read off the family's residual certificate at the
+    requested gain.  ``cor1`` requires every component coupled.
     """
     if mode not in ("thm2", "cor1"):
         raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
@@ -967,13 +874,11 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     sqrt_n = math.sqrt(topo.n_nodes)
     lam2_graph = lambda2(build_laplacian(topo)) if active.any() else 0.0
 
-    score = _ctilde_score(lam2_graph, gamma, active)
-    theta0 = _multistart_minimize(_family_objective(family, score), family)
-    cert = _family_cert(family, theta0)
+    cert = family.threshold_cert(lam2_graph, gamma)
     if (~active).any() and float(cert.w[~active].max()) >= 0.0:
         raise CertifyError(
-            "no certificate found with negative W entries on the uncoupled components "
-            f"(best: {float(cert.w[~active].max()):.6g})"
+            "the certificate's W entries on the uncoupled components must be negative "
+            f"(largest: {float(cert.w[~active].max()):.6g})"
         )
     c_tilde = 0.0
     if active.any():
@@ -983,9 +888,7 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     hyps = [Hypothesis("gain exceeds threshold", gain_ok, f"c = {c:g} vs c_tilde = {c_tilde:.10g}")]
     eps_bar = m_value = None
     if gain_ok:
-        score = _epsbar_score(c, lam2_graph, gamma, active, m_bar, sqrt_n)
-        theta = _multistart_minimize(_family_objective(family, score), family, extra_starts=[theta0])
-        cert = _family_cert(family, theta)
+        cert = family.residual_cert(c, lam2_graph, gamma)
         m_value = float(_decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active))
         if m_value > 0.0:
             eps_bar = m_bar * sqrt_n * cert.p_norm / m_value
@@ -1038,6 +941,8 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     The sector bounds υ are only valid on ‖z‖ ≤ e_max, so two state-dependent
     hypotheses are checked: the initial error x(0) − x̄(0) must fit in half
     the sector radius, and so must the residual of the uncoupled components.
+    Both tests are ≤ e_max/2 in both modes: υ holds on the closed range
+    0 < |z| ≤ e_max, so pairwise errors of twice that size stay inside it.
     """
     if mode not in ("thm3", "thm4"):
         raise CertifyError(f"nonlinear mode must be thm3 or thm4, got '{mode}'")
@@ -1101,7 +1006,7 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
         residual = -sqrt_n * (m_bar + h_extra) / w_unc if w_unc < 0.0 else math.inf
         hyp_unc = Hypothesis(
             "uncoupled components stay within half the sector radius",
-            residual < half if hetero else residual <= half,
+            residual <= half,
             f"residual {residual:.6g} vs e_max/2 = {half:.6g}",
         )
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pwsync.certify import (
-    CertificateFamily,
     CertifyError,
     ChuaCertFamily,
     CouplingSpec,
@@ -20,15 +19,7 @@ from pwsync.certify import (
     pws_coupling,
     quad_linear_cert,
 )
-from pwsync.certify import (
-    _ctilde_score,
-    _epsbar_score,
-    _family_objective,
-    _lockstep_nelder_mead,
-    _multistart_minimize,
-    _stack_mismatch_bounds,
-    _unit_rows,
-)
+from pwsync.certify import _MARGIN, _unit_cert
 from pwsync.dynamics import (
     AffineDecomposedField,
     ChuaParams,
@@ -40,13 +31,7 @@ from pwsync.dynamics import (
     kuramoto_error_field,
     relay_field,
 )
-from pwsync.graph import (
-    build_laplacian,
-    complete_topology,
-    lambda2,
-    ring_topology,
-    topology_from_edges,
-)
+from pwsync.graph import complete_topology, ring_topology, topology_from_edges
 from pwsync.scenarios import load_scenario
 
 RELAY_A = np.array([[1.35, 1.0, 0.0], [-99.93, 0.0, 1.0], [-5.0, 0.0, 0.0]])
@@ -78,12 +63,6 @@ def _relay_topo():
     return topology_from_edges(5, RELAY_EDGES)
 
 
-def _chua_unit_params():
-    """The double-scroll family at p1 = p3 = ρ = 1 (θ = 0), as a certificate."""
-    p, w = ChuaCertFamily().diagonals(np.zeros((1, 3)))
-    return QuadCertificate(p[0], w[0])
-
-
 def _scaled(cert, alpha):
     return QuadCertificate(alpha * cert.p, alpha * cert.w)
 
@@ -112,20 +91,46 @@ def test_quad_linear_cert_weighted_metric():
 
 
 def test_chua_family_known_values():
-    cert = _chua_unit_params()
-    assert np.allclose(cert.p, [1.0, 17.3, 1.0], atol=1e-12)
-    assert np.allclose(cert.w, [17.05, -3.65, 0.0], atol=1e-12)
+    # at the paper's parameters the c̃ member sits on the kink p1 = p3 (with
+    # p2 = 1) and on the boundary w2 = −_MARGIN, so ρ = a / (2(1 − _MARGIN))
+    # with a = α/β + 1 and w1 = −α(1+s)/β + a²/(4(1 − _MARGIN))
+    cert = ChuaCertFamily().threshold_cert(2.22, np.array([1.0, 0.0, 1.0]))
+    a = 10.0 / 17.3 + 1.0
+    assert np.allclose(cert.p, [1.0 / 17.3, 1.0, 1.0 / 17.3], rtol=1e-14, atol=0.0)
+    w1 = 3.4 / 17.3 + a * a / (4.0 * (1.0 - _MARGIN))
+    assert np.allclose(cert.w, [w1, -_MARGIN, 0.0], rtol=1e-9, atol=0.0)
+    # β < 1 makes p3 the largest entry of P: the unit-scaled w2 stays at −_MARGIN
+    cert = ChuaCertFamily(beta=0.8).threshold_cert(2.22, np.array([1.0, 0.0, 1.0]))
+    assert cert.p[2] == 1.0
+    assert abs(cert.w[1] + _MARGIN) < 1e-9 * _MARGIN
+    # γ1 = 2 moves the kink of min(p1·γ1, p3) to p1 = p3/2, which is hit exactly
+    cert = ChuaCertFamily().threshold_cert(2.22, np.array([2.0, 0.0, 1.0]))
+    assert cert.p[0] * 2.0 == cert.p[2] == 1.0 / 17.3
+    # γ1 = 0.1 puts that kink past p1 = 1/α, so the optimum is smooth: there
+    # c̃ ∝ −α(1+s) + (α·p1 + 1)² / (4(1 − _MARGIN)·p1) is least at p1 = 1/α
+    report = linear_common_bounds([chua_field(ChuaParams(), i, 10) for i in range(10)],
+                                  complete_topology(10).scaled(2.22 / 10.0),
+                                  np.array([0.1, 0.0, 1.0]), 0.0, ChuaCertFamily())
+    expected = 10.0 * (1.0 / (1.0 - _MARGIN) - 1.0 + 1.34) / (2.22 * 0.1)
+    assert abs(report.c_tilde - expected) < 1e-13 * expected
+    assert abs(report.p_opt[0] - 0.1) < 1e-6
 
 
 def test_certificate_validation_and_scaling():
     with pytest.raises(CertifyError):
         QuadCertificate(p=np.array([1.0, 0.0]), w=np.array([-1.0, -1.0]))
     cert = QuadCertificate(p=np.array([2.0, 1.0]), w=np.array([-3.0, 1.0]))
-    p, w, ok = _unit_rows(PointFamily(cert), np.zeros((1, 0)))
-    assert np.allclose(p[0], [1.0, 0.5], atol=0.0)
-    assert np.allclose(w[0], [-1.5, 0.5], atol=0.0)
-    assert ok[0]
-    assert abs(QuadCertificate(p[0], w[0]).p_norm - 1.0) < 1e-14
+    for unit in (PointFamily(cert).threshold_cert(1.0, np.ones(2)),
+                 PointFamily(cert).residual_cert(1.0, 1.0, np.ones(2))):
+        assert np.allclose(unit.p, [1.0, 0.5], atol=0.0)
+        assert np.allclose(unit.w, [-1.5, 0.5], atol=0.0)
+        assert unit.p_norm == 1.0
+    # scaling by max|p| keeps a negative P negative, so it is refused
+    with pytest.raises(CertifyError, match="positive"):
+        _unit_cert(-np.ones(3), np.zeros(3))
+    # chua10's printed certificate is a valid unit-scaled certificate
+    report = load_scenario("chua10", seed=0).certify()
+    assert QuadCertificate(np.array(report.p_opt), np.array(report.w_opt)).p_norm == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +149,10 @@ def test_sampled_check_accepts_exact_linear_certificate():
 
 def test_sampled_check_accepts_chua_family_certificate():
     node = chua_field(ChuaParams(), node_index=0, n_nodes=10)
-    cert = _chua_unit_params()
-    check = check_quad_sampled(node.h, cert, radius=5.0, n_samples=100_000, seed=3)
-    assert check.holds
+    family, gamma = ChuaCertFamily(), np.array([1.0, 0.0, 1.0])
+    for cert in (family.threshold_cert(2.22, gamma), family.residual_cert(10.0, 2.22, gamma)):
+        check = check_quad_sampled(node.h, cert, radius=5.0, n_samples=100_000, seed=3)
+        assert check.holds
 
 
 def test_sampled_check_finds_witness_for_deflated_certificate():
@@ -371,167 +377,105 @@ def test_below_threshold_report_is_uncertified():
 
 
 # ---------------------------------------------------------------------------
-# lockstep multi-start Nelder-Mead against SciPy
+# the double-scroll family's optimal members
 # ---------------------------------------------------------------------------
 
-SEARCH_OPTIONS = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000, "maxfev": 4000}
+
+def _chua_rows(alpha, beta, s, p1, p3, rho):
+    """Unit-scaled (P, W) of the family formula, broadcast over its arguments."""
+    p1, p3, rho = np.broadcast_arrays(p1, p3, rho)
+    p2 = beta * p3
+    p = np.stack([p1, p2, p3], axis=-1)
+    w = np.stack([-alpha * (1.0 + s) * p1 + rho * (alpha * p1 + p2) / 2.0,
+                  (alpha * p1 + p2) / (2.0 * rho) - p2, np.zeros_like(p1)], axis=-1)
+    scale = 1.0 / p.max(axis=-1, keepdims=True)
+    return scale * p, scale * w
 
 
-def _rosenbrock(theta):
-    x = np.asarray(theta)
-    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1.0 - x[:, :-1]) ** 2, axis=1)
+def _grid_optima(alpha, beta, s, gamma, lam2_graph, c):
+    """c̃ and the decay margin m, optimised over a 320 × 320 log grid in
+    (u, ρ) = (p1, ρ) at p2 = 1, from the family formula alone."""
+    u, rho = np.meshgrid(np.geomspace(1e-3, 10.0, 320), np.geomspace(1e-2, 1e2, 320))
+    p, w = _chua_rows(alpha, beta, s, u.ravel(), 1.0 / beta, rho.ravel())
+    on = gamma > 0.0
+    least = lam2_graph * (p * gamma)[:, on].min(axis=1)
+    top = w[:, on].max(axis=1)
+    valid = (w[:, ~on] <= -_MARGIN).all(axis=1)
+    c_tilde = np.where(valid, np.maximum(top / least, 0.0), np.inf).min()
+    terms = top - c * least
+    if (~on).any():
+        terms = np.maximum(terms, w[:, ~on].max(axis=1))
+    return c_tilde, (-terms).max()
 
 
-def _bits(v):
-    return np.asarray(v, dtype=float).tobytes()
+def _chua_case(rng):
+    alpha, beta = rng.uniform(2.0, 20.0), rng.uniform(0.5, 30.0)
+    slope_a, slope_b = rng.uniform(-2.0, 0.5, size=2)
+    gamma = np.array([rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0) * rng.integers(2), 1.0])
+    return ChuaParams(alpha, beta, slope_a, slope_b), gamma, rng.uniform(0.5, 5.0)
 
 
-def _assert_matches_scipy(objective, starts, **options):
-    """Every lockstep start equals its own SciPy run: x, fun, nit, nfev and
-    the final simplex."""
-    from scipy import optimize
+def test_chua_family_optimum_beats_a_dense_grid():
+    # Seeded draws of the node parameters, γ ∈ {(γ1, 0, 1), (γ1, γ2, 1)} and
+    # the graph's λ₂: the family's c̃ and ε̄, read through the report, are no
+    # worse than a dense grid over the same members, and both certificates
+    # are unit-scaled members of the family that sampling cannot break.
+    rng = np.random.default_rng(20240611)
+    topo = complete_topology(4)
+    for case in range(50):
+        params, gamma, lam2_graph = _chua_case(rng)
+        alpha, beta = params.alpha, params.beta
+        s = min(params.slope_a, params.slope_b)
+        fields = [chua_field(params, i, 4) for i in range(4)]
+        family = ChuaCertFamily(alpha, beta, params.slope_a, params.slope_b)
+        scaled = topo.scaled(lam2_graph / 4.0)
+        c_tilde = linear_common_bounds(fields, scaled, gamma, 0.0, family).c_tilde
+        c = (c_tilde + 0.1) * rng.uniform(1.05, 5.0)
+        report = linear_common_bounds(fields, scaled, gamma, c, family)
+        grid_c_tilde, grid_margin = _grid_optima(alpha, beta, s, gamma, lam2_graph, c)
+        assert report.c_tilde <= grid_c_tilde * (1.0 + 1e-9), case
+        assert report.certified, case
+        assert report.eps_bar <= 2.0 / grid_margin * (1.0 + 1e-9), case  # M̄√N = 2
 
-    opts = {**SEARCH_OPTIONS, **options}
-    sim, fsim, nit, nfev = _lockstep_nelder_mead(objective, starts, **opts)
-    x, fun = sim[:, 0], fsim.min(axis=1)
-    for i, x0 in enumerate(starts):
-        ref = optimize.minimize(lambda th: objective(th[None])[0], x0,
-                                method="Nelder-Mead", options=opts)
-        assert _bits(x[i]) == _bits(ref.x), f"start {i}: x {x[i]} vs {ref.x}"
-        assert _bits(fun[i]) == _bits(ref.fun), f"start {i}: fun {fun[i]} vs {ref.fun}"
-        assert (nit[i], nfev[i]) == (ref.nit, ref.nfev), f"start {i}"
-        assert _bits(sim[i]) == _bits(ref.final_simplex[0]), f"start {i}: simplex"
-        assert _bits(fsim[i]) == _bits(ref.final_simplex[1]), f"start {i}: simplex values"
-    return x, fun, nit, nfev
+        threshold = family.threshold_cert(lam2_graph, gamma)
+        assert (threshold.w[gamma == 0.0] <= -_MARGIN * (1.0 - 1e-9)).all(), case
+        for cert in (threshold, family.residual_cert(c, lam2_graph, gamma)):
+            assert cert.p_norm == 1.0 and cert.p.max() == 1.0, case
+            # a member: u = p1/p2 and ρ from w2, then w1 from the formula
+            u = cert.p[0] / cert.p[1]
+            rho = (alpha * u + 1.0) / (2.0 * (cert.w[1] / cert.p[1] + 1.0))
+            p, w = _chua_rows(alpha, beta, s, u, 1.0 / beta, rho)
+            assert np.allclose(cert.p, p, rtol=1e-12, atol=0.0), case
+            assert np.allclose(cert.w, w, rtol=1e-9, atol=1e-12), case
+            check = check_quad_sampled(fields[0].h, cert, radius=5.0, n_samples=20_000, seed=case)
+            assert check.holds, (case, check.witness)
 
 
-def _chua10_search_inputs():
+# chua10 at c = 10 (λ₂ = 2.22) for every nonzero γ pattern: c̃ and ε̄ where
+# a certificate exists, else the structural reason none does.
+CHUA10_PATTERNS = [
+    ((1, 0, 1), "thm2", (6.38292679067559, 12.491954254337237)),
+    ((1, 1, 1), "cor1", (4.585692083643672, 4.551454209784553)),
+    ((0, 0, 1), "thm2", "component 1 is uncoupled.*−α\\(1\\+s\\) = 3.4 ≥ 0"),
+    ((0, 1, 1), "thm2", "component 1 is uncoupled.*−α\\(1\\+s\\) = 3.4 ≥ 0"),
+    ((1, 0, 0), "thm2", "component 3 is uncoupled.*w3 = 0"),
+    ((1, 1, 0), "thm2", "component 3 is uncoupled.*w3 = 0"),
+    ((0, 1, 0), "thm2", "component 3 is uncoupled.*w3 = 0"),
+]
+
+
+@pytest.mark.parametrize("gamma, mode, expected", CHUA10_PATTERNS)
+def test_chua10_gamma_patterns(gamma, mode, expected):
     scenario = load_scenario("chua10", seed=0)
-    gamma = scenario.coupling.gamma
-    lam2_graph = lambda2(build_laplacian(scenario.topo))
-    m_bar, _ = _stack_mismatch_bounds(scenario.fields)
-    return scenario, gamma, gamma > 0.0, lam2_graph, m_bar
-
-
-def _seeded_starts(k=20, seed=1729):
-    return ChuaCertFamily().start_points(np.random.default_rng(seed), k)
-
-
-def test_lockstep_nelder_mead_matches_scipy_on_rosenbrock():
-    starts = np.vstack([
-        np.random.default_rng(5).uniform(-2.0, 2.0, size=(8, 3)),
-        [[0.0, 0.0, 0.0], [1.2, 0.0, -0.5]],  # zero entries take the 0.00025 step
-    ])
-    x, fun, _, _ = _assert_matches_scipy(_rosenbrock, starts)
-    assert np.all(fun < 1e-8)
-    # a flat floor makes exact ties: expansion against reflection,
-    # contraction against reflection, and between vertices in the sort
-    _, fun, _, _ = _assert_matches_scipy(lambda th: np.maximum(_rosenbrock(th), 1.0), starts)
-    assert np.all(fun == 1.0)
-
-
-def test_lockstep_nelder_mead_matches_scipy_on_chua_threshold_objective():
-    scenario, gamma, active, lam2_graph, _ = _chua10_search_inputs()
-    objective = _family_objective(scenario.family, _ctilde_score(lam2_graph, gamma, active))
-    _assert_matches_scipy(objective, _seeded_starts())
-
-
-def test_lockstep_nelder_mead_matches_scipy_on_chua_residual_objective():
-    scenario, gamma, active, lam2_graph, m_bar = _chua10_search_inputs()
-    score = _epsbar_score(7.0, lam2_graph, gamma, active, m_bar, math.sqrt(scenario.topo.n_nodes))
-    objective = _family_objective(scenario.family, score)
-    starts = np.vstack([
-        _seeded_starts(),
-        [[800.0, 0.0, 0.0], [0.0, 800.0, 800.0], [705.0, 0.0, 0.0]],  # exp overflows
-        [[0.0, 0.0, 3.0], [2.0, -2.0, 0.0]],  # zero margin or worse at c = 7
-    ])
-    values = objective(starts)
-    assert (values == 1e18).sum() == 2  # θ = 705 overflows only once stepped
-    assert (values[-2:] > 1e12).all()
-    _, fun, _, _ = _assert_matches_scipy(objective, starts)
-    on_plateau = (fun >= 1e12) & (fun < 1e18)
-    assert on_plateau[:20].any() and (fun[:20] < 1e12).any()
-    assert (fun[20:22] == 1e18).all()
-
-
-def test_lockstep_nelder_mead_matches_scipy_when_cut_short():
-    starts = np.random.default_rng(11).uniform(-2.0, 2.0, size=(6, 3))
-    _, _, nit, _ = _assert_matches_scipy(_rosenbrock, starts, maxiter=25)
-    assert (nit == 25).all()
-    for maxfev in (30, 3):  # 3 < n + 1: the initial simplex is not fully evaluated
-        _, _, _, nfev = _assert_matches_scipy(_rosenbrock, starts, maxfev=maxfev)
-        assert (nfev == maxfev).all()
-
-    # An all-1e18 simplex shrinks every iteration: 4 initial evaluations,
-    # reflection, inside contraction, then the budget of 7 ends the shrink
-    # after one of its three vertices, with the iteration not counted and
-    # the second vertex moved but not evaluated (seen in the final simplex).
-    scenario, gamma, active, lam2_graph, m_bar = _chua10_search_inputs()
-    score = _epsbar_score(7.0, lam2_graph, gamma, active, m_bar, math.sqrt(scenario.topo.n_nodes))
-    objective = _family_objective(scenario.family, score)
-    starts = np.vstack([[[800.0, 800.0, 800.0]], _seeded_starts(3)])
-    _, _, nit, nfev = _assert_matches_scipy(objective, starts, maxfev=7)
-    assert (nit[0], nfev[0]) == (1, 7)
-
-
-class _TableFamily(CertificateFamily):
-    """Four one-parameter starts whose objective is constant near each."""
-
-    n_params = 1
-
-    def start_points(self, rng, k):
-        return np.array([[0.5], [1.0], [2.0], [3.0]])
-
-
-@pytest.mark.parametrize("table, winner", [
-    ((np.nan, 2.0, 1.0, 1.0), 2),  # a NaN never wins; the first of a tie does
-    ((3.0, np.nan, 3.0, 2.0), 3),
-    ((np.inf, np.nan, np.inf, np.nan), None),  # nothing below inf: start 0's point
-])
-def test_multistart_winner_rule(table, winner):
-    from scipy import optimize
-
-    values = np.array(table)
-
-    def objective(theta):
-        return values[np.rint(theta[:, 0]).astype(int)]
-
-    family = _TableFamily()
-    theta = _multistart_minimize(objective, family)
-    starts = family.start_points(None, 4)
-    if winner is None:
-        assert _bits(theta) == _bits(starts[0])
-    else:
-        ref = optimize.minimize(lambda th: objective(th[None])[0], starts[winner],
-                                method="Nelder-Mead", options=SEARCH_OPTIONS)
-        assert _bits(theta) == _bits(ref.x)
-
-
-def test_overflowing_rows_score_1e18_and_the_winner_is_validated():
-    family = ChuaCertFamily()
-    thetas = np.array([[800.0, 0.0, 0.0], [-800.0, 0.0, 0.0]])
-    objective = _family_objective(family, lambda p, w: p.sum(axis=1))
-    assert (objective(thetas) == 1e18).all()
-
-    # A family whose P is negative has no certificate in it: its rows score
-    # 1e18 (scaling by max|p| keeps the sign), and its search winner,
-    # rebuilt as a QuadCertificate, is refused.
-    class _NoCertificate(CertificateFamily):
-        n_params = 1
-
-        def diagonals(self, theta):
-            return -np.exp(theta) * np.ones((1, 3)), np.zeros((len(theta), 3))
-
-    no_cert = _NoCertificate()
-    assert (_family_objective(no_cert, lambda p, w: p.sum(axis=1))(np.zeros((2, 1))) == 1e18).all()
-    with pytest.raises(CertifyError, match="positive"):
-        linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0, no_cert)
-
-    # chua10's winner is a valid unit-scaled certificate
-    scenario = load_scenario("chua10", seed=0)
-    report = scenario.certify()
-    cert = QuadCertificate(np.array(report.p_opt), np.array(report.w_opt))
-    assert cert.p_norm == 1.0
+    args = (scenario.fields, scenario.topo, np.array(gamma, dtype=float), 10.0, scenario.family)
+    if isinstance(expected, str):
+        with pytest.raises(CertifyError, match=expected):
+            linear_common_bounds(*args, mode=mode)
+        return
+    report = linear_common_bounds(*args, mode=mode)
+    assert report.certified
+    assert abs(report.c_tilde - expected[0]) < 1e-13 * expected[0]
+    assert abs(report.eps_bar - expected[1]) < 1e-13 * expected[1]
 
 
 # ---------------------------------------------------------------------------
@@ -728,16 +672,25 @@ def _two_component_field(w1, w2, m):
 
 
 def test_nonlinear_common_uncoupled_component_boundary_is_inclusive():
-    # uncoupled second component: residual sqrt(N)*M/|w2| = 2*1/2 = 1 equals
-    # e_max/2 exactly, which this mode accepts.
+    # uncoupled second component: a residual √N(M + h)/|w2| of exactly
+    # e_max/2 is accepted by both modes, h being thm3's sup of h on its ball
+    # (thm4 adds none), since υ holds on the closed range |z| ≤ e_max.
     node = _two_component_field(-1.0, -2.0, 1.0)
     fields = [node] * 4
-    coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
-                            upsilon=np.array([UPSILON_PWS, 0.0]), e_max=2.0)
-    report = nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
-    hyp = [h for h in report.hypotheses if "uncoupled" in h.name][0]
-    assert hyp.passed
-    assert report.certified
+
+    def bounds(e_max, mode):
+        coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
+                                upsilon=np.array([UPSILON_PWS, 0.0]), e_max=e_max)
+        return nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode=mode)
+
+    for mode in ("thm3", "thm4"):
+        h_extra = bounds(math.inf, mode).h_max or 0.0
+        residual = -math.sqrt(4) * (1.0 + h_extra) / -2.0
+        report = bounds(2.0 * residual, mode)
+        hyp = [h for h in report.hypotheses if "uncoupled" in h.name][0]
+        assert hyp.passed, mode
+        assert report.certified, mode
+    assert residual == 1.0  # thm4: 2·1/2
 
 
 def test_nonlinear_common_rejects_noncontracting_uncoupled_component():

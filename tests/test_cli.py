@@ -83,6 +83,30 @@ gamma = 1,0,1
     assert "certification failed" in err
 
 
+def test_certify_of_an_uncertifiable_chua_pattern_exits_two(tmp_path, capsys):
+    # no double-scroll certificate has w1 < 0 at the default diode slopes,
+    # so the first component cannot be the uncoupled one
+    ini = tmp_path / "chua-011.ini"
+    ini.write_text("""
+[topology]
+source = complete
+n = 4
+
+[nodes]
+family = chua
+
+[coupling]
+variant = linear
+c = 10
+gamma = 0,1,1
+""")
+    rc = main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "certification failed: component 1 is uncoupled" in err
+    assert "−α(1+s) = 3.4 ≥ 0" in err
+
+
 def test_unknown_scenario_exits_one(tmp_path, capsys):
     rc = main(["certify", "--scenario", "missing", "--out", str(tmp_path)])
     assert rc == 1
