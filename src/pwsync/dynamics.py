@@ -15,11 +15,12 @@ by delayed fields), and ``sgn`` is the sign function in effect (exact or
 boundary-layer regularized).
 
 Each family builder also records ``family`` and ``params`` on the field.
-The integrator evaluates all nodes of a recorded family at once from
-those parameters, with one vectorized delayed-history lookup; it calls
-``h`` and ``g`` node by node only for fields that carry no family, such
-as hand-built ones.  ``h`` and ``g`` remain the description the
-certificates and tests evaluate.
+The integrator splits a recorded family into its linear block and a
+residual, evaluated for all its nodes at once from those parameters,
+with one vectorized delayed-history lookup; it calls ``h`` and ``g``
+node by node only for fields that carry no family, such as hand-built
+ones.  ``h`` and ``g`` remain the description the certificates and tests
+evaluate.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def saturated_sgn(width: float) -> Callable:
         raise ValueError("boundary layer width must be positive")
 
     def sgn(y):
-        return np.clip(np.asarray(y, dtype=float) / width, -1.0, 1.0)
+        return np.minimum(np.maximum(y / width, -1.0), 1.0)
 
     return sgn
 

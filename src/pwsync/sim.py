@@ -1,12 +1,13 @@
 """Fixed-step RK4 integration of coupled networks.
 
 One RK4 loop advances a state of shape (B, N, dim): B coupling gains,
-each a copy of the N-node network.  A single run is a batch of one; a
-gain sweep integrates its whole grid in one pass.  Nodes whose fields
-record a family (see ``dynamics``) are evaluated all at once from
-per-node parameter arrays; other fields go through their own ``h`` and
-``g``, one node at a time.  The nonlinear coupling is summed over the
-edge list.
+each a copy of the N-node network; a gain sweep is one pass.  Every term
+linear in the state sits in one matrix per gain, J_b = blockdiag(Aᵢ) −
+c_b·(L ⊗ Γ), so a stage is one batched matmul plus each node family's
+residual (h + g − Aᵢx), evaluated for all nodes of the family at once
+from per-node parameter arrays.  Fields without a family have a zero
+block and go through their own ``h`` and ``g``, one node at a time.
+Nonlinear coupling is summed over the edge list.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -161,13 +162,18 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     width = config.regularization_width
     sgn = hard_sgn if width == 0.0 else saturated_sgn(width)
     history = _History(states, dt)
-    kernels = _node_kernels(fields, sgn, history)
-    couple = _coupling_term(coupling, topo, gains)
+    blocks, residuals = _node_terms(fields, sgn, history)
+    jac_t = _linear_part(blocks, coupling, topo, gains)
+    edge = _edge_sum(coupling, topo) if coupling.variant != "linear" and gains.any() else None
+    c_live = gains[:, None, None]
 
     def rhs(t, x):
-        out = couple(x)
-        for nodes, hg in kernels:
-            out[:, nodes] += hg(t, x[:, nodes])
+        rows = x.reshape(len(x), 1, size)
+        out = np.zeros(x.shape) if jac_t is None else (rows @ jac_t).reshape(x.shape)
+        for residual in residuals:
+            residual(t, x, out)
+        if edge is not None:
+            out += c_live * edge(x)
         return out
 
     x = states[:, 0].copy()
@@ -178,19 +184,21 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     threshold = config.divergence_threshold
     for k in range(n_steps):
         t = times[k]
+        t_half = t + half
         k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        k2 = rhs(t_half, x + half * k1)
+        k3 = rhs(t_half, x + half * k2)
+        k4 = rhs(times[k + 1], x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
             ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
             last[live[~ok]] = k
-            live, x = live[ok], x[ok]
+            live, x, c_live = live[ok], x[ok], c_live[ok]
             if live.size == 0:
                 break
             history.keep(live)
-            couple = _coupling_term(coupling, topo, gains[live])
+            if jac_t is not None:
+                jac_t = jac_t[ok]
         states[history.rows, k + 1] = x
 
     trajectories = []
@@ -270,122 +278,129 @@ class _History:
         return np.where(frac > 1e-9, row + frac * (nxt - row), row)
 
 
-def _coupling_term(coupling: CouplingSpec, topo: Topology, gains: np.ndarray):
-    """Coupling term x (B, N, dim) -> (B, N, dim) for one gain per row of x."""
-    if not gains.any():
-        return lambda x: np.zeros(x.shape)
-    c = gains[:, None, None]
-    if coupling.variant == "linear":
-        c_lap = c * build_laplacian(topo).matrix
-        neg_gamma = -coupling.gamma
-        return lambda x: np.matmul(c_lap, x) * neg_gamma
-    # Σⱼ w_ij η(x_j − x_i) over the edge list, summed per receiving node.
-    rows, cols = np.nonzero(topo.weights)
+def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarray):
+    """J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ) per gain, transposed to act on row
+    states (B, 1, N·dim): shape (B, N·dim, N·dim), or None if all zero."""
+    n_nodes, dim = blocks.shape[:2]
+    size = n_nodes * dim
+    jac = np.einsum("ij,ikl->ikjl", np.eye(n_nodes), blocks).reshape(size, size)
+    if coupling.variant == "linear" and gains.any():
+        coupled = np.kron(build_laplacian(topo).matrix, np.diag(coupling.gamma))
+        jac = jac - gains[:, None, None] * coupled
+    elif not jac.any():
+        return None
+    return np.ascontiguousarray(np.broadcast_to(jac, (gains.size, size, size)).transpose(0, 2, 1))
+
+
+def _edge_sum(coupling: CouplingSpec, topo: Topology):
+    """Σⱼ w_ij η(x_j − x_i) over the edge list, x (B, N, dim) -> (B, N, dim);
+    a node without edges gets a zero-weight self-loop, so each owns a sum."""
+    edges = topo.weights != 0.0
+    isolated = np.flatnonzero(~edges.any(axis=1))
+    edges[isolated, isolated] = True
+    rows, cols = np.nonzero(edges)
     weights = topo.weights[rows, cols][:, None]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    targets = rows[starts]
     eta = coupling.eta
 
     def term(x):
         diffs = x.take(cols, axis=1) - x.take(rows, axis=1)
-        return c * np.add.reduceat(weights * eta(diffs), starts, axis=1)
+        return np.add.reduceat(weights * eta(diffs), starts, axis=1)
 
-    if targets.size == topo.n_nodes:
-        return term
-
-    def scattered(x):
-        out = np.zeros(x.shape)
-        if targets.size:
-            out[:, targets] = term(x)
-        return out
-
-    return scattered
+    return term
 
 
 def _column(fields, key):
     return np.array([f.params[key] for f in fields], dtype=float)[:, None]
 
 
-def _ikeda_kernel(fields, nodes, sgn, history):
-    neg_a = -_column(fields, "a")
+def _ikeda_terms(fields, nodes, idx, sgn, history):
     b = _column(fields, "b")
     tau = _column(fields, "tau")[:, 0]
-    return lambda t, x: neg_a * x + b * np.sin(history(t, tau, nodes))
+
+    def residual(t, x, out):
+        out[:, nodes] += b * np.sin(history(t, tau, idx))
+
+    return -_column(fields, "a")[:, :, None], residual
 
 
-def _chua_kernel(fields, nodes, sgn, history):
+def _chua_terms(fields, nodes, idx, sgn, history):
     alpha, beta, sa, sb, offset = (
         _column(fields, key)[:, 0] for key in ("alpha", "beta", "slope_a", "slope_b", "offset"))
-    half_span = 0.5 * (sa - sb)
+    blocks = np.array([[[-a * (1.0 + s), a, 0.0], [1.0, -1.0, 1.0], [0.0, -b, 0.0]]
+                       for a, b, s in zip(alpha, beta, sb)])
+    knee = -0.5 * alpha * (sa - sb)
+    forcing = [None, None]  # (t, value): stages at one time share it
 
-    def hg(t, x):
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        phi = sb * x1 + half_span * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0))
-        return np.stack(
-            [alpha * (x2 - x1 - phi) + sgn(np.sin(t - offset)), x1 - x2 + x3, -beta * x2],
-            axis=-1,
-        )
+    def residual(t, x, out):
+        if t != forcing[0]:
+            forcing[:] = t, sgn(np.sin(t - offset))
+        x1 = x[:, nodes, 0]
+        out[:, nodes, 0] += knee * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0)) + forcing[1]
 
-    return hg
-
-
-def _relay_kernel(fields, nodes, sgn, history):
-    a_t = np.array([f.params["a_matrix"].T for f in fields])
-    b = np.array([f.params["b_vector"] for f in fields])
-    c = np.array([f.params["c_vector"] for f in fields])[..., None]
-
-    def hg(t, x):
-        row = x[..., None, :]
-        return (row @ a_t)[..., 0, :] - sgn((row @ c)[..., 0, 0])[..., None] * b
-
-    return hg
+    return blocks, residual
 
 
-def _kuramoto_kernel(fields, nodes, sgn, history):
+def _relay_terms(fields, nodes, idx, sgn, history):
+    c = np.array([f.params["c_vector"] for f in fields])[:, :, None]
+    neg_b = -np.array([f.params["b_vector"] for f in fields])[:, None, :]
+
+    def residual(t, x, out):
+        out[:, nodes] += (sgn(x[:, nodes, None, :] @ c) @ neg_b)[:, :, 0]
+
+    return np.array([f.params["a_matrix"] for f in fields]), residual
+
+
+def _kuramoto_terms(fields, nodes, idx, sgn, history):
     detune = _column(fields, "detune")
-    return lambda t, x: detune
+
+    def residual(t, x, out):
+        out[:, nodes] += detune
+
+    return 0.0, residual
 
 
-def _decay_kernel(fields, nodes, sgn, history):
-    neg_rate = -_column(fields, "rate")
-    return lambda t, x: neg_rate * x
+def _decay_terms(fields, nodes, idx, sgn, history):
+    return -_column(fields, "rate")[:, :, None], None
 
 
-def _closure_kernel(fields, nodes, sgn, history):
-    """Fields without a recorded family: their own h and g, node by node."""
+def _closure_terms(fields, nodes, idx, sgn, history):
+    """Fields without a recorded family: a zero block; h + g node by node."""
 
-    def hg(t, x):
-        out = np.empty(x.shape)
+    def residual(t, x, out):
         for p in range(x.shape[0]):
-            for j, f in enumerate(fields):
-                xb = x[p, j]
-                out[p, j] = f.h(t, xb) + f.g(t, xb, history.node(p, nodes[j]), sgn)
-        return out
+            for i, f in zip(idx, fields):
+                xb = x[p, i]
+                out[p, i] += f.h(t, xb) + f.g(t, xb, history.node(p, i), sgn)
 
-    return hg
+    return 0.0, residual
 
 
-_FAMILY_KERNELS = {
-    "ikeda": _ikeda_kernel,
-    "chua": _chua_kernel,
-    "relay": _relay_kernel,
-    "kuramoto": _kuramoto_kernel,
-    "decay": _decay_kernel,
+_FAMILY_TERMS = {
+    "ikeda": _ikeda_terms,
+    "chua": _chua_terms,
+    "relay": _relay_terms,
+    "kuramoto": _kuramoto_terms,
+    "decay": _decay_terms,
 }
 
 
-def _node_kernels(fields, sgn, history) -> list:
-    """(nodes, h + g evaluator) per family; ``nodes`` indexes the node axis."""
+def _node_terms(fields, sgn, history):
+    """Linear blocks Aᵢ (N, dim, dim) and the family residuals: each family
+    gives its blocks and a residual(t, x, out) adding h + g − Aᵢx into out."""
+    blocks = np.zeros((len(fields), fields[0].dim, fields[0].dim))
     groups = {}
     for i, f in enumerate(fields):
-        groups.setdefault(f.family if f.family in _FAMILY_KERNELS else None, []).append(i)
-    kernels = []
+        groups.setdefault(f.family if f.family in _FAMILY_TERMS else None, []).append(i)
+    residuals = []
     for family, idx in groups.items():
-        members = [fields[i] for i in idx]
-        build = _FAMILY_KERNELS.get(family, _closure_kernel)
-        nodes = slice(None) if len(idx) == len(fields) else np.array(idx)
-        kernels.append((nodes, build(members, np.arange(len(fields))[nodes], sgn, history)))
-    return kernels
+        idx = np.array(idx)
+        nodes = slice(None) if idx.size == len(fields) else idx
+        build = _FAMILY_TERMS.get(family, _closure_terms)
+        blocks[idx], residual = build([fields[i] for i in idx], nodes, idx, sgn, history)
+        if residual is not None:
+            residuals.append(residual)
+    return blocks, residuals
 
 
 def error_series(traj: Trajectory) -> ErrorSeries:
@@ -451,61 +466,41 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
     return rows
 
 
-def _fmt_float(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _meta_lines(meta: dict) -> list:
     return [f"# {key} = {meta[key]}" for key in sorted(meta)]
 
 
+def _write_csv(path, meta: dict, header: str, *columns) -> None:
+    """'#' meta lines, the header, then one line per row of the stacked
+    columns, each float as ``f"{v:.17g}"``.  Rows are formatted about 4096
+    values at a time, so no whole table of Python floats is held at once."""
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    block = max(1, 4096 // table.shape[1])
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in _meta_lines(meta) + [header]))
+        for start in range(0, table.shape[0], block):
+            fh.write("".join([fmt % tuple(row) for row in table[start:start + block].tolist()]))
+
+
 def write_trajectory_csv(traj: Trajectory, path, extra_meta: Optional[dict] = None) -> None:
     """Write times and stacked states; '#' meta lines precede the header."""
-    meta = dict(traj.meta)
-    if extra_meta:
-        meta.update(extra_meta)
-    header = ["t"] + [
-        f"x_{i + 1}_{j + 1}" for i in range(traj.n_nodes) for j in range(traj.dim)
-    ]
-    lines = _meta_lines(meta)
-    lines.append(",".join(header))
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt_float(t)] + [_fmt_float(v) for v in row]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t"] + [f"x_{i + 1}_{j + 1}" for i in range(traj.n_nodes) for j in range(traj.dim)]
+    _write_csv(path, {**traj.meta, **(extra_meta or {})}, ",".join(header),
+               traj.times, traj.states)
 
 
 def write_error_csv(series: ErrorSeries, path, extra_meta: Optional[dict] = None) -> None:
     """Write times, stacked error norm, and per-component deviations."""
-    meta = dict(series.meta)
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {**series.meta, **(extra_meta or {})}
     n_nodes = int(meta.get("n_nodes", 0)) or 1
     dim = series.errors.shape[1] // n_nodes
-    header = ["t", "err_norm"] + [
-        f"e_{i + 1}_{j + 1}" for i in range(n_nodes) for j in range(dim)
-    ]
-    lines = _meta_lines(meta)
-    lines.append(",".join(header))
-    for t, norm, row in zip(series.times, series.norms, series.errors):
-        lines.append(
-            ",".join([_fmt_float(t), _fmt_float(norm)] + [_fmt_float(v) for v in row])
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", "err_norm"] + [f"e_{i + 1}_{j + 1}" for i in range(n_nodes) for j in range(dim)]
+    _write_csv(path, meta, ",".join(header), series.times, series.norms, series.errors)
 
 
 def write_sweep_csv(rows: list, path, extra_meta: Optional[dict] = None) -> None:
     """Write one row per gain: c, measured ε̂, certified ε̄, flags as 0/1."""
-    lines = _meta_lines(extra_meta or {})
-    lines.append("c,eps_hat,eps_bar,certified,diverged")
-    for row in rows:
-        lines.append(",".join([
-            _fmt_float(row["c"]),
-            _fmt_float(row["eps_hat"]),
-            _fmt_float(row["eps_bar"]),
-            "1" if row["certified"] else "0",
-            "1" if row["diverged"] else "0",
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    keys = ("c", "eps_hat", "eps_bar", "certified", "diverged")
+    _write_csv(path, extra_meta or {}, ",".join(keys),
+               *(np.array([float(row[key]) for row in rows]) for key in keys))

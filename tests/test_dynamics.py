@@ -36,6 +36,21 @@ def test_saturated_sgn_boundary_layer():
         saturated_sgn(0.0)
 
 
+def test_saturated_sgn_equals_clip():
+    width = 1e-2
+    sgn = saturated_sgn(width)
+    rng = np.random.default_rng(4)
+    y = np.concatenate([rng.normal(scale=2e-2, size=500),
+                        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-2, -1e-2, 5e-324]])
+    got = sgn(y)
+    expected = np.clip(y / width, -1.0, 1.0)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    for v in (0.0, -0.0, math.inf, -math.inf, math.nan, 3e-3):
+        one, ref = sgn(v), np.clip(v / width, -1.0, 1.0)
+        assert np.array_equal(one, ref, equal_nan=True) and np.signbit(one) == np.signbit(ref)
+
+
 def test_chua_smooth_part_known_point():
     f = chua_field(ChuaParams(), node_index=0, n_nodes=10)
     out = f.h(0.0, np.array([2.0, 0.0, 0.0]))

@@ -9,9 +9,13 @@ from pwsync.dynamics import (
     AffineDecomposedField,
     ChuaParams,
     IkedaParams,
+    KuramotoParams,
+    RelayParams,
     chua_field,
     decay_field,
     ikeda_field,
+    kuramoto_error_field,
+    relay_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
 from pwsync.scenarios import Scenario, load_scenario
@@ -19,6 +23,7 @@ from pwsync.sim import (
     ErrorSeries,
     SimConfig,
     SimError,
+    Trajectory,
     error_series,
     integrate,
     integrate_gains,
@@ -331,23 +336,65 @@ def test_sweep_matches_scalar_runs_kuramoto_and_decay():
     _assert_sweep_matches_scalar_runs(load_scenario("contraction3", 2).with_sim(t_end=1.0), [0.0, 1.0, 3.0])
 
 
-def test_sweep_matches_scalar_runs_closure_fields_beside_a_family():
+def _delayed_closure_field(tau=0.05):
     def g(t, x, history, sgn):
-        return -0.5 * history(t - 0.05) + 0.3 * math.cos(t)
+        return -0.5 * history(t - tau) + 0.3 * math.cos(t)
 
-    delayed = AffineDecomposedField(dim=1, h=lambda t, x: -np.asarray(x, dtype=float),
-                                    g=g, M=2.0, delay=0.05, h_gain=1.0,
-                                    w_identity=np.array([-1.0]), label="custom delayed")
-    fields = [decay_field(1.0), delayed, decay_field(2.0), _decay_field(1.5, 0.7)]
+    return AffineDecomposedField(dim=1, h=lambda t, x: -np.asarray(x, dtype=float),
+                                 g=g, M=2.0, delay=tau, h_gain=1.0,
+                                 w_identity=np.array([-1.0]), label="custom delayed")
+
+
+def test_sweep_matches_scalar_runs_closure_fields_beside_a_family():
+    fields = [decay_field(1.0), _delayed_closure_field(), decay_field(2.0), _decay_field(1.5, 0.7)]
     coupling = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
     scenario = _custom_scenario("mixed", fields, ring_topology(4), coupling,
                                 SimConfig(dt=1e-2, t_end=0.5), [1.0, -0.5, 0.25, 2.0])
     _assert_sweep_matches_scalar_runs(scenario, [0.0, 0.5, 2.0])
 
 
+def _assert_families_match_closures(scenario, gains):
+    """Each family's linear block and residual against the field's own h
+    and g (the closure path, a zero block), gain by gain, within 1e-12."""
+    closures = [dataclasses.replace(f, family=None, params=None) for f in scenario.fields]
+    args = (scenario.topo, scenario.coupling, gains, scenario.x0, scenario.sim)
+    for kernel, reference in zip(integrate_gains(scenario.fields, *args),
+                                 integrate_gains(closures, *args)):
+        assert kernel.diverged == reference.diverged, scenario.name
+        assert kernel.states.shape == reference.states.shape, scenario.name
+        assert float(np.abs(kernel.states - reference.states).max()) <= 1e-12, scenario.name
+
+
+def _interleaved_networks():
+    """(scenario, diverging gain): ikeda4 under pws (J holds node blocks
+    only) and two networks whose family groups are not contiguous."""
+    guard = {"divergence_threshold": 1e3}
+    pws = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.array([0.75]))
+    ikeda_pws = _ikeda4(pws)
+    ikeda_pws = dataclasses.replace(ikeda_pws, sim=dataclasses.replace(ikeda_pws.sim, **guard))
+
+    chua, relay = ChuaParams(), RelayParams()
+    fields = [chua_field(chua, 0, 4), relay_field(relay), chua_field(chua, 2, 4), relay_field(relay)]
+    x0 = np.random.default_rng(8).normal(scale=0.5, size=12)
+    dim3 = _custom_scenario("chua-relay", fields, complete_topology(4),
+                            CouplingSpec("linear", c=1.0, gamma=np.array([1.0, 0.0, 1.0])),
+                            SimConfig(dt=1e-3, t_end=0.2, regularization_width=1e-4, **guard), x0)
+
+    dt = 2.0 ** -6
+    fields = [ikeda_field(IkedaParams(1.0, 4.0, 4 * dt)), decay_field(1.0),
+              kuramoto_error_field(KuramotoParams(1.3), 1.0), _delayed_closure_field(),
+              ikeda_field(IkedaParams(1.2, 3.5, 0.1 + 1e-3)), decay_field(2.0),
+              kuramoto_error_field(KuramotoParams(0.6), 1.0), _decay_field(1.5, 0.7)]
+    dim1 = _custom_scenario("mixed-dim1", fields, ring_topology(8),
+                            CouplingSpec("linear", c=1.0, gamma=np.ones(1)),
+                            SimConfig(dt=dt, t_end=0.75, **guard), np.linspace(-1.2, 1.5, 8))
+    # RK4 is unstable once dt·c·λ_max is past about 2.8
+    return [(ikeda_pws, 100.0), (dim3, 2000.0), (dim1, 100.0)]
+
+
 def test_family_kernels_match_the_fields_own_closures():
     # a field without a family goes through h and g node by node, the
-    # reference the vectorized family kernels must reproduce
+    # reference the vectorized family terms must reproduce
     ikeda_net = _ikeda4(CouplingSpec("linear", c=2.0, gamma=np.ones(1)))
     relay = load_scenario("relay5", 1).with_sim(dt=5e-5, t_end=5e-3)
     networks = [
@@ -360,13 +407,15 @@ def test_family_kernels_match_the_fields_own_closures():
     ]
     for scenario in networks:
         assert all(f.family is not None for f in scenario.fields)
-        closures = [dataclasses.replace(f, family=None, params=None) for f in scenario.fields]
-        kernel = integrate(scenario.fields, scenario.topo, scenario.coupling, scenario.x0,
-                           scenario.sim)
-        reference = integrate(closures, scenario.topo, scenario.coupling, scenario.x0,
-                              scenario.sim)
-        assert kernel.states.shape == reference.states.shape
-        assert float(np.abs(kernel.states - reference.states).max()) <= 1e-12, scenario.name
+        _assert_families_match_closures(scenario, [scenario.coupling.c])
+    # non-contiguous groups pin where each block sits in J, and a batch
+    # with c = 0 and a diverging gain pins the slicing of J to live rows
+    for scenario, wild in _interleaved_networks():
+        gains = [0.0, 1.5, wild]
+        runs = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
+                               gains, scenario.x0, scenario.sim)
+        assert [traj.diverged for traj in runs] == [False, False, True], scenario.name
+        _assert_families_match_closures(scenario, gains)
 
 
 def test_history_reads_follow_the_interpolation_rule():
@@ -401,7 +450,7 @@ def test_history_reads_follow_the_interpolation_rule():
 
 def test_coupling_term_matches_dense_sums():
     from pwsync.graph import build_laplacian
-    from pwsync.sim import _coupling_term
+    from pwsync.sim import _edge_sum, _linear_part
 
     rng = np.random.default_rng(5)
     w = rng.uniform(0.2, 1.5, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.7)
@@ -414,14 +463,66 @@ def test_coupling_term_matches_dense_sums():
     nonlinear = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(2, 0.75))
     diffs = x[:, None, :, :] - x[:, :, None, :]
     expected = gains[:, None, None] * np.einsum("ij,bijk->bik", w, pws_coupling(diffs))
-    got = _coupling_term(nonlinear, topo, gains)(x)
+    got = gains[:, None, None] * _edge_sum(nonlinear, topo)(x)
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
     assert not got[:, 4].any()
+    # J x = Aᵢ xᵢ − c (L ⊗ Γ) x, one matrix per gain acting on row states
+    blocks = rng.normal(size=(5, 2, 2))
     linear = CouplingSpec("linear", c=1.0, gamma=np.array([1.0, 0.5]))
     lap = build_laplacian(topo).matrix
-    expected = -gains[:, None, None] * np.einsum("ij,bjk->bik", lap, x) * linear.gamma
-    got = _coupling_term(linear, topo, gains)(x)
+    expected = (np.einsum("ikl,bil->bik", blocks, x)
+                - gains[:, None, None] * np.einsum("ij,bjk->bik", lap, x) * linear.gamma)
+    jac_t = _linear_part(blocks, linear, topo, gains)
+    assert jac_t.shape == (3, 10, 10)
+    got = np.matmul(x.reshape(3, 1, 10), jac_t).reshape(x.shape)
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
+    assert _linear_part(np.zeros((5, 2, 2)), nonlinear, topo, gains) is None
+
+
+def _reference_csv(meta, header, columns):
+    """The CSV writers' text, built one value at a time with f"{v:.17g}"."""
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta)] + [header]
+    for row in zip(*columns):
+        lines.append(",".join(f"{float(v):.17g}" for v in np.hstack(row)))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-310]
+    rng = np.random.default_rng(12)
+    states = np.concatenate([np.array(special).reshape(4, 3),
+                             rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-300, 300, size=(6, 3))])
+    times = np.arange(10) * 0.1
+    handmade = Trajectory(times=times, states=states, n_nodes=3, dim=1, meta={"n_nodes": 3})
+    growth = integrate([_growth_field()], SINGLE_NODE, NO_COUPLING, np.array([1.0]),
+                       SimConfig(dt=1e-2, t_end=30.0, divergence_threshold=1e3))
+    assert growth.diverged and growth.times.shape[0] < 3001
+    for traj in (handmade, growth):
+        header = "t," + ",".join(f"x_{i + 1}_1" for i in range(traj.n_nodes))
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path, extra_meta={"scenario": "demo"})
+        expected = _reference_csv({**traj.meta, "scenario": "demo"}, header,
+                                  (traj.times, traj.states))
+        assert path.read_text() == expected
+
+        series = ErrorSeries(times=traj.times, norms=np.abs(traj.states).max(axis=1),
+                             errors=traj.states[:, ::-1], meta=dict(traj.meta))
+        header = "t,err_norm," + ",".join(f"e_{i + 1}_1" for i in range(traj.n_nodes))
+        path = tmp_path / "errors.csv"
+        write_error_csv(series, path)
+        assert path.read_text() == _reference_csv(series.meta, header,
+                                                  (series.times, series.norms, series.errors))
+
+    rows = [{"c": 0.5, "eps_hat": math.inf, "eps_bar": math.nan, "certified": False, "diverged": True},
+            {"c": 5e-324, "eps_hat": -0.0, "eps_bar": 1.7976931348623157e308,
+             "certified": True, "diverged": False}]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path, extra_meta={"scenario": "demo"})
+    assert path.read_text() == (
+        "# scenario = demo\nc,eps_hat,eps_bar,certified,diverged\n"
+        "0.5,inf,nan,0,1\n"
+        f"{5e-324:.17g},-0,{1.7976931348623157e308:.17g},1,0\n")
 
 
 def test_diverging_gain_is_isolated_within_a_batch():
