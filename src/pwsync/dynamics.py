@@ -16,11 +16,13 @@ boundary-layer regularized).
 
 Each family builder also records ``family`` and ``params`` on the field.
 The integrator splits a recorded family into its linear block and a
-residual, evaluated for all its nodes at once from those parameters,
-with one vectorized delayed-history lookup; it calls ``h`` and ``g``
-node by node only for fields that carry no family, such as hand-built
-ones.  ``h`` and ``g`` remain the description the certificates and tests
-evaluate.
+residual, evaluated for all its nodes at once from those parameters.
+Ikeda's delayed sine and Chua's forcing depend only on time and stored
+history, so the integrator tabulates them once per block of steps, one
+vectorized delayed-history read for all stage times of the block.  It
+calls ``h`` and ``g`` node by node only for fields that carry no family,
+such as hand-built ones.  ``h`` and ``g`` remain the description the
+certificates and tests evaluate.
 """
 
 from __future__ import annotations

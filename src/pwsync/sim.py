@@ -9,12 +9,18 @@ from per-node parameter arrays.  Fields without a family have a zero
 block and go through their own ``h`` and ``g``, one node at a time.
 Nonlinear coupling is summed over the edge list.
 
+Terms that depend only on time and stored history (Ikeda's delayed
+feedback b·sin x(t − τ), Chua's forcing sgn sin(t − offset)) are
+tabulated once per block of steps, at all 2m + 1 stage times of the
+block, and each RK4 stage reads its row.  By the method of steps every
+delayed value a block needs is already stored when m ≤ τ_min/dt; m is at
+most 64, so a table holds at most 129 rows.
+
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
 solver; delayed terms read a linearly interpolated history of the stored
-trajectory, one vectorized lookup with per-node delays.  Post-processing
-reduces trajectories to stacked error norms and a steady-state residual
-estimate ε̂ over the final window.
+trajectory.  Post-processing reduces trajectories to stacked error norms
+and a steady-state residual estimate ε̂ over the final window.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ __all__ = [
     "write_error_csv",
     "write_sweep_csv",
 ]
+
+
+_BLOCK = 64  # most steps per table of time-only terms
 
 
 class SimError(ValueError):
@@ -98,11 +107,14 @@ class Trajectory:
 
 @dataclass(eq=False)
 class ErrorSeries:
-    """Per-time deviations from the node average and their stacked norm."""
+    """Per-time deviations from the node average and their stacked norm;
+    ``errors`` has one column per (node, component), node-major."""
 
     times: np.ndarray
     norms: np.ndarray
     errors: np.ndarray
+    n_nodes: int
+    dim: int
     diverged: bool = False
     meta: dict = field(default_factory=dict)
 
@@ -112,9 +124,10 @@ def integrate(fields: Sequence[AffineDecomposedField], topo: Topology,
     """Integrate the coupled network with classical RK4 at fixed step.
 
     A batch of one gain through :func:`integrate_gains`.  Delayed fields
-    require their delay to be at least one step so that stage evaluations
-    never read ahead of the stored history; before t=0 the history is the
-    constant initial state.
+    require their delay to be at least one step.  The shortest delay τ_min
+    bounds the block of steps whose delayed reads are tabulated at once
+    (at most ⌊τ_min/dt⌋ steps), so no read runs ahead of the stored
+    history; before t=0 the history is the constant initial state.
     """
     return integrate_gains(fields, topo, coupling, [coupling.c], x0, config)[0]
 
@@ -162,16 +175,19 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     width = config.regularization_width
     sgn = hard_sgn if width == 0.0 else saturated_sgn(width)
     history = _History(states, dt)
-    blocks, residuals = _node_terms(fields, sgn, history)
+    blocks, residuals, tables = _node_terms(fields, sgn, history)
     jac_t = _linear_part(blocks, coupling, topo, gains)
     edge = _edge_sum(coupling, topo) if coupling.variant != "linear" and gains.any() else None
     c_live = gains[:, None, None]
+    # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
+    # delayed reads need no row past the one stored at the start
+    block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
 
-    def rhs(t, x):
+    def rhs(t, stage, x):
         rows = x.reshape(len(x), 1, size)
         out = np.zeros(x.shape) if jac_t is None else (rows @ jac_t).reshape(x.shape)
         for residual in residuals:
-            residual(t, x, out)
+            residual(t, stage, x, out)
         if edge is not None:
             out += c_live * edge(x)
         return out
@@ -183,12 +199,20 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     sixth = dt / 6.0
     threshold = config.divergence_threshold
     for k in range(n_steps):
+        stage = 2 * (k % block)
+        if stage == 0 and tables:
+            end = min(k + block, n_steps)
+            stage_times = np.empty(2 * (end - k) + 1)
+            stage_times[0::2] = times[k:end + 1]
+            stage_times[1::2] = times[k:end] + half
+            for table in tables:
+                table.fill(stage_times)
         t = times[k]
         t_half = t + half
-        k1 = rhs(t, x)
-        k2 = rhs(t_half, x + half * k1)
-        k3 = rhs(t_half, x + half * k2)
-        k4 = rhs(times[k + 1], x + dt * k3)
+        k1 = rhs(t, stage, x)
+        k2 = rhs(t_half, stage + 1, x + half * k1)
+        k3 = rhs(t_half, stage + 1, x + half * k2)
+        k4 = rhs(times[k + 1], stage + 2, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
             ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
@@ -197,6 +221,8 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             if live.size == 0:
                 break
             history.keep(live)
+            for table in tables:
+                table.keep(ok)
             if jac_t is not None:
                 jac_t = jac_t[ok]
         states[history.rows, k + 1] = x
@@ -245,24 +271,17 @@ class _History:
         self.states = states
         self.dt = dt
         self.live = np.arange(states.shape[0])
-        self.rows = self._members = slice(None)
-        self._last = (None, None, None)
+        self.rows = slice(None)
 
     def keep(self, live):
         """Drop the members not in ``live`` (batch indices, ascending)."""
         self.live = self.rows = live
-        self._members = live[:, None]
-        self._last = (None, None, None)
 
-    def __call__(self, t, delays, nodes):
-        """States of ``nodes`` at t − ``delays`` (one delay each), shape
-        (B, n, dim).  Stages at one time read the same stored rows (no delay
-        is shorter than a step), so the last result is reused."""
-        last_t, last_delays, rows = self._last
-        if t != last_t or delays is not last_delays:
-            rows = self.read(self._members, nodes, t - delays)
-            self._last = (t, delays, rows)
-        return rows
+    def delayed(self, ts, delays, nodes):
+        """States of ``nodes`` at each of ``ts`` minus that node's delay,
+        for every live member: shape (len(ts), B, n, dim)."""
+        s = (ts[:, None] - delays)[:, None]
+        return self.read(self.live[:, None], nodes, s)
 
     def node(self, p, i):
         """History callable of node ``i`` in the live member at position ``p``."""
@@ -276,6 +295,23 @@ class _History:
         row = self.states[members, idx, nodes]
         nxt = self.states[members, idx + 1, nodes]
         return np.where(frac > 1e-9, row + frac * (nxt - row), row)
+
+
+class _Table:
+    """A term that depends only on time and stored history, at the 2m + 1
+    stage times of a block of m steps: ``rows`` has shape (2m + 1, B, …),
+    row 2j at the block's step j and row 2j + 1 at its half step."""
+
+    def __init__(self, tabulate):
+        self.tabulate = tabulate
+        self.rows = None
+
+    def fill(self, ts):
+        self.rows = self.tabulate(ts)
+
+    def keep(self, ok):
+        """Keep the live members ``ok`` (a mask over the current ones)."""
+        self.rows = self.rows[:, ok]
 
 
 def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarray):
@@ -318,10 +354,12 @@ def _ikeda_terms(fields, nodes, idx, sgn, history):
     b = _column(fields, "b")
     tau = _column(fields, "tau")[:, 0]
 
-    def residual(t, x, out):
-        out[:, nodes] += b * np.sin(history(t, tau, idx))
+    table = _Table(lambda ts: b * np.sin(history.delayed(ts, tau, idx)))
 
-    return -_column(fields, "a")[:, :, None], residual
+    def residual(t, stage, x, out):
+        out[:, nodes] += table.rows[stage]
+
+    return -_column(fields, "a")[:, :, None], residual, table
 
 
 def _chua_terms(fields, nodes, idx, sgn, history):
@@ -330,50 +368,53 @@ def _chua_terms(fields, nodes, idx, sgn, history):
     blocks = np.array([[[-a * (1.0 + s), a, 0.0], [1.0, -1.0, 1.0], [0.0, -b, 0.0]]
                        for a, b, s in zip(alpha, beta, sb)])
     knee = -0.5 * alpha * (sa - sb)
-    forcing = [None, None]  # (t, value): stages at one time share it
 
-    def residual(t, x, out):
-        if t != forcing[0]:
-            forcing[:] = t, sgn(np.sin(t - offset))
+    def tabulate(ts):
+        forcing = sgn(np.sin(ts[:, None] - offset))[:, None]
+        return np.broadcast_to(forcing, (len(ts), len(history.live), len(offset)))
+
+    table = _Table(tabulate)
+
+    def residual(t, stage, x, out):
         x1 = x[:, nodes, 0]
-        out[:, nodes, 0] += knee * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0)) + forcing[1]
+        out[:, nodes, 0] += knee * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0)) + table.rows[stage]
 
-    return blocks, residual
+    return blocks, residual, table
 
 
 def _relay_terms(fields, nodes, idx, sgn, history):
     c = np.array([f.params["c_vector"] for f in fields])[:, :, None]
     neg_b = -np.array([f.params["b_vector"] for f in fields])[:, None, :]
 
-    def residual(t, x, out):
+    def residual(t, stage, x, out):
         out[:, nodes] += (sgn(x[:, nodes, None, :] @ c) @ neg_b)[:, :, 0]
 
-    return np.array([f.params["a_matrix"] for f in fields]), residual
+    return np.array([f.params["a_matrix"] for f in fields]), residual, None
 
 
 def _kuramoto_terms(fields, nodes, idx, sgn, history):
     detune = _column(fields, "detune")
 
-    def residual(t, x, out):
+    def residual(t, stage, x, out):
         out[:, nodes] += detune
 
-    return 0.0, residual
+    return 0.0, residual, None
 
 
 def _decay_terms(fields, nodes, idx, sgn, history):
-    return -_column(fields, "rate")[:, :, None], None
+    return -_column(fields, "rate")[:, :, None], None, None
 
 
 def _closure_terms(fields, nodes, idx, sgn, history):
     """Fields without a recorded family: a zero block; h + g node by node."""
 
-    def residual(t, x, out):
+    def residual(t, stage, x, out):
         for p in range(x.shape[0]):
             for i, f in zip(idx, fields):
                 xb = x[p, i]
                 out[p, i] += f.h(t, xb) + f.g(t, xb, history.node(p, i), sgn)
 
-    return 0.0, residual
+    return 0.0, residual, None
 
 
 _FAMILY_TERMS = {
@@ -386,21 +427,26 @@ _FAMILY_TERMS = {
 
 
 def _node_terms(fields, sgn, history):
-    """Linear blocks Aᵢ (N, dim, dim) and the family residuals: each family
-    gives its blocks and a residual(t, x, out) adding h + g − Aᵢx into out."""
+    """Linear blocks Aᵢ (N, dim, dim), the family residuals and their
+    tables.  Each family gives its blocks, a residual(t, stage, x, out) adding
+    h + g − Aᵢx into out, and, where part of that depends only on time and
+    stored history, the :class:`_Table` of that part, which the residual
+    reads at row ``stage``."""
     blocks = np.zeros((len(fields), fields[0].dim, fields[0].dim))
     groups = {}
     for i, f in enumerate(fields):
         groups.setdefault(f.family if f.family in _FAMILY_TERMS else None, []).append(i)
-    residuals = []
+    residuals, tables = [], []
     for family, idx in groups.items():
         idx = np.array(idx)
         nodes = slice(None) if idx.size == len(fields) else idx
         build = _FAMILY_TERMS.get(family, _closure_terms)
-        blocks[idx], residual = build([fields[i] for i in idx], nodes, idx, sgn, history)
+        blocks[idx], residual, table = build([fields[i] for i in idx], nodes, idx, sgn, history)
         if residual is not None:
             residuals.append(residual)
-    return blocks, residuals
+        if table is not None:
+            tables.append(table)
+    return blocks, residuals, tables
 
 
 def error_series(traj: Trajectory) -> ErrorSeries:
@@ -414,6 +460,8 @@ def error_series(traj: Trajectory) -> ErrorSeries:
         times=traj.times,
         norms=norms,
         errors=flat,
+        n_nodes=traj.n_nodes,
+        dim=traj.dim,
         diverged=traj.diverged,
         meta=dict(traj.meta),
     )
@@ -492,11 +540,10 @@ def write_trajectory_csv(traj: Trajectory, path, extra_meta: Optional[dict] = No
 
 def write_error_csv(series: ErrorSeries, path, extra_meta: Optional[dict] = None) -> None:
     """Write times, stacked error norm, and per-component deviations."""
-    meta = {**series.meta, **(extra_meta or {})}
-    n_nodes = int(meta.get("n_nodes", 0)) or 1
-    dim = series.errors.shape[1] // n_nodes
-    header = ["t", "err_norm"] + [f"e_{i + 1}_{j + 1}" for i in range(n_nodes) for j in range(dim)]
-    _write_csv(path, meta, ",".join(header), series.times, series.norms, series.errors)
+    header = ["t", "err_norm"] + [f"e_{i + 1}_{j + 1}"
+                                  for i in range(series.n_nodes) for j in range(series.dim)]
+    _write_csv(path, {**series.meta, **(extra_meta or {})}, ",".join(header),
+               series.times, series.norms, series.errors)
 
 
 def write_sweep_csv(rows: list, path, extra_meta: Optional[dict] = None) -> None:

@@ -403,3 +403,13 @@ def test_cli_certify_of_chua10_imports_no_scipy(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cert" / "report.json").exists()
+
+
+def test_python_dash_m_pwsync_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "pwsync", "certify", "--scenario", "contraction3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "pwsync-out" / "report.txt").exists()

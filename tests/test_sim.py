@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_steady_state_eps_uses_tail_window():
     times = np.linspace(0.0, 10.0, 101)
     norms = np.concatenate([np.full(75, 5.0), np.full(26, 1.0)])
     norms[80] = 2.0
-    series = ErrorSeries(times=times, norms=norms, errors=np.zeros((101, 1)))
+    series = ErrorSeries(times=times, norms=norms, errors=np.zeros((101, 1)), n_nodes=1, dim=1)
     assert steady_state_eps(series, 0.25) == 2.0
     with pytest.raises(SimError):
         steady_state_eps(series, 0.0)
@@ -448,6 +449,115 @@ def test_history_reads_follow_the_interpolation_rule():
         assert any(s > 0.0 for s, _ in reads)
 
 
+def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
+    """One uncoupled Ikeda node by a scalar RK4 loop over its own stored
+    rows, in the integrator's order of operations: the linear part -a·x,
+    then b·sin of the delayed read, added."""
+    rows = [x0]
+
+    def delayed(s):
+        if s <= 0.0:
+            return rows[0]
+        u = s / dt
+        idx = int(u)
+        frac = u - idx
+        return rows[idx] if frac <= 1e-9 else rows[idx] + frac * (rows[idx + 1] - rows[idx])
+
+    def f(t, x):
+        return x * -a + b * np.sin(delayed(t - tau))
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(n_steps):
+        t, x = k * dt, rows[-1]
+        k1 = f(t, x)
+        k2 = f(t + half, x + half * k1)
+        k3 = f(t + half, x + half * k2)
+        k4 = f((k + 1) * dt, x + dt * k3)
+        rows.append(x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
+    return np.array(rows)[:, None]
+
+
+def test_tabulated_delayed_reads_match_a_scalar_rk4_loop():
+    # blocks of 5 steps (τ/dt = 5.37), of 64 (τ/dt = 70.3, past the cap)
+    # and of one step (τ = dt), each over at least three blocks
+    for dt, tau, t_end in ((0.01, 0.0537, 0.5), (0.01, 0.703, 2.5), (0.01, 0.01, 0.2)):
+        a, b = 1.3, 4.0
+        traj = integrate([ikeda_field(IkedaParams(a, b, tau))], SINGLE_NODE, NO_COUPLING,
+                         np.array([0.7]), SimConfig(dt=dt, t_end=t_end))
+        n_steps = traj.times.shape[0] - 1
+        assert n_steps >= 3 * min(int(tau // dt), 64), (dt, tau)
+        expected = _ikeda_rk4_reference(a, b, tau, 0.7, dt, n_steps)
+        assert np.array_equal(traj.states, expected), (dt, tau)
+
+
+def test_tabulated_terms_survive_a_divergence_mid_block():
+    # the shortest delay is 20.5 steps, so blocks hold 20 steps; the gain
+    # c = 46 leaves the batch after step 32, inside the block of steps
+    # 20-39, and the surviving member keeps reading its sliced table
+    dt = 2.0 ** -6
+    taus = (20.5 * dt, 25 * dt, 30.3 * dt, 70 * dt)
+    fields = [ikeda_field(IkedaParams(1.0 + 0.1 * i, 4.0 - 0.2 * i, tau))
+              for i, tau in enumerate(taus)]
+    scenario = _custom_scenario("ikeda4-blocks", fields, ring_topology(4),
+                                CouplingSpec("linear", c=1.0, gamma=np.ones(1)),
+                                SimConfig(dt=dt, t_end=1.0, divergence_threshold=1e2),
+                                [0.4, -1.1, 0.9, 0.2])
+    gains = [1.0, 46.0]
+    calm, wild = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
+                                 gains, scenario.x0, scenario.sim)
+    assert not calm.diverged and wild.diverged
+    last = wild.times.shape[0] - 1
+    assert last > 20 and (last + 1) % 20 != 0, last
+    _assert_sweep_matches_scalar_runs(scenario, gains)
+    _assert_families_match_closures(scenario, gains)
+
+    # Chua's forcing table, with and without the boundary layer (0.05 puts
+    # node 0's forcing, which switches at t = 0, inside the layer for 50
+    # steps); the gain 2000 diverges, so the table is sliced to the live
+    # members
+    for width in (0.0, 1e-4, 0.05):
+        chua = _chua3()
+        chua = dataclasses.replace(chua, sim=dataclasses.replace(
+            chua.sim, regularization_width=width, divergence_threshold=1e3))
+        _assert_sweep_matches_scalar_runs(chua, [0.0, 2.0, 10.0])
+        runs = integrate_gains(chua.fields, chua.topo, chua.coupling, [0.0, 2.0, 2000.0],
+                               chua.x0, chua.sim)
+        assert [traj.diverged for traj in runs] == [False, False, True]
+        _assert_families_match_closures(chua, [0.0, 2.0, 2000.0])
+
+
+def test_delay_table_memory_is_capped_at_a_block():
+    # τ/dt = 20 000: a table over every step the delay allows would hold
+    # 40 001 stage rows; one over the whole 2000-step horizon 4001.  The
+    # capped table holds 129, so the run peaks well below states + 4001 rows.
+    n_nodes, gains = 50, [0.0, 0.0]
+    fields = [ikeda_field(IkedaParams(1.0, 2.0, 20.0))] * n_nodes
+    row_bytes = len(gains) * n_nodes * 8
+    tracemalloc.start()
+    try:
+        runs = integrate_gains(fields, Topology(np.zeros((n_nodes, n_nodes))), NO_COUPLING, gains,
+                               np.linspace(-1.0, 1.0, n_nodes), SimConfig(dt=1e-3, t_end=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_rows = runs[0].times.shape[0]
+    assert n_rows == 2001
+    assert peak < n_rows * row_bytes + 4001 * row_bytes, peak
+
+
+def test_error_csv_labels_come_from_the_series(tmp_path):
+    times = np.arange(4) * 0.1
+    states = np.arange(16, dtype=float).reshape(4, 4)
+    series = error_series(Trajectory(times=times, states=states, n_nodes=2, dim=2))
+    assert (series.n_nodes, series.dim) == (2, 2)
+    header = "t,err_norm,e_1_1,e_1_2,e_2_1,e_2_2"
+    for extra in (None, {"n_nodes": 4}):
+        path = tmp_path / "errors.csv"
+        write_error_csv(series, path, extra_meta=extra)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0] == header, extra
+
+
 def test_coupling_term_matches_dense_sums():
     from pwsync.graph import build_laplacian
     from pwsync.sim import _edge_sum, _linear_part
@@ -507,7 +617,8 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
         assert path.read_text() == expected
 
         series = ErrorSeries(times=traj.times, norms=np.abs(traj.states).max(axis=1),
-                             errors=traj.states[:, ::-1], meta=dict(traj.meta))
+                             errors=traj.states[:, ::-1], n_nodes=traj.n_nodes, dim=traj.dim,
+                             meta=dict(traj.meta))
         header = "t,err_norm," + ",".join(f"e_{i + 1}_1" for i in range(traj.n_nodes))
         path = tmp_path / "errors.csv"
         write_error_csv(series, path)
