@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from pwsync.sim import (
 )
 
 from oracles import rk4_reference_scalar
+
+BENCH_SCENARIOS = Path(__file__).parents[1] / "bench" / "scenarios"
 
 SINGLE_NODE = Topology(np.zeros((1, 1)))
 NO_COUPLING = CouplingSpec("linear", c=0.0, gamma=np.ones(1))
@@ -354,16 +357,20 @@ def test_sweep_matches_scalar_runs_closure_fields_beside_a_family():
     _assert_sweep_matches_scalar_runs(scenario, [0.0, 0.5, 2.0])
 
 
-def _assert_families_match_closures(scenario, gains):
+def _assert_families_match_closures(scenario, gains, relative=False):
     """Each family's linear block and residual against the field's own h
-    and g (the closure path, a zero block), gain by gain, within 1e-12."""
+    and g (the closure path, a zero block, always the four-stage step),
+    gain by gain, within 1e-12, or within 1e-12 of each run's max|x| when
+    ``relative``.  Returns the family path's trajectories."""
     closures = [dataclasses.replace(f, family=None, params=None) for f in scenario.fields]
     args = (scenario.topo, scenario.coupling, gains, scenario.x0, scenario.sim)
-    for kernel, reference in zip(integrate_gains(scenario.fields, *args),
-                                 integrate_gains(closures, *args)):
+    runs = integrate_gains(scenario.fields, *args)
+    for kernel, reference in zip(runs, integrate_gains(closures, *args)):
         assert kernel.diverged == reference.diverged, scenario.name
         assert kernel.states.shape == reference.states.shape, scenario.name
-        assert float(np.abs(kernel.states - reference.states).max()) <= 1e-12, scenario.name
+        tol = 1e-12 * (float(np.abs(reference.states).max()) if relative else 1.0)
+        assert float(np.abs(kernel.states - reference.states).max()) <= tol, scenario.name
+    return runs
 
 
 def _interleaved_networks():
@@ -451,8 +458,9 @@ def test_history_reads_follow_the_interpolation_rule():
 
 def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
     """One uncoupled Ikeda node by a scalar RK4 loop over its own stored
-    rows, in the integrator's order of operations: the linear part -a·x,
-    then b·sin of the delayed read, added."""
+    rows, in the affine step's order of operations: with z = dt·(−a),
+    x_{k+1} = x_k·M + g_k, M = R(z) and the forcing f = b·sin of the
+    delayed read weighted by F₀, F½ and dt/6, each in Horner form."""
     rows = [x0]
 
     def delayed(s):
@@ -463,17 +471,23 @@ def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
         frac = u - idx
         return rows[idx] if frac <= 1e-9 else rows[idx] + frac * (rows[idx + 1] - rows[idx])
 
-    def f(t, x):
-        return x * -a + b * np.sin(delayed(t - tau))
+    def f(t):
+        return b * np.sin(delayed(t - tau))
 
     half, sixth = 0.5 * dt, dt / 6.0
+    z = dt * -a
+    m = 1.0 + z / 4.0
+    m = 1.0 + z * m / 3.0
+    m = 1.0 + z * m / 2.0
+    m = 1.0 + z * m
+    f0 = 0.5 + z / 4.0
+    f0 = 1.0 + z * f0
+    f0 = sixth * (1.0 + z * f0)
+    f_half = sixth * (4.0 + z * (2.0 + z / 2.0))
     for k in range(n_steps):
         t, x = k * dt, rows[-1]
-        k1 = f(t, x)
-        k2 = f(t + half, x + half * k1)
-        k3 = f(t + half, x + half * k2)
-        k4 = f((k + 1) * dt, x + dt * k3)
-        rows.append(x + sixth * (k1 + 2.0 * (k2 + k3) + k4))
+        g = f(t) * f0 + f(t + half) * f_half + sixth * f((k + 1) * dt)
+        rows.append(x * m + g)
     return np.array(rows)[:, None]
 
 
@@ -488,6 +502,50 @@ def test_tabulated_delayed_reads_match_a_scalar_rk4_loop():
         assert n_steps >= 3 * min(int(tau // dt), 64), (dt, tau)
         expected = _ikeda_rk4_reference(a, b, tau, 0.7, dt, n_steps)
         assert np.array_equal(traj.states, expected), (dt, tau)
+
+
+def test_affine_step_matches_staged_rk4():
+    # linear coupling on decay and Ikeda nodes, at the benchmark horizons:
+    # every node term is linear or time-only, so the run takes one product
+    # per step
+    decay100 = load_scenario(str(BENCH_SCENARIOS / "decay100-linear.ini"), 0)
+    _assert_families_match_closures(load_scenario("contraction3", 1).with_sim(t_end=2.0),
+                                    [0.0, 1.0, 3.0], relative=True)
+    _assert_families_match_closures(load_scenario("ikeda10-linear", 0).with_sim(dt=4e-3, t_end=3.2),
+                                    [1.0, 7.0, 50.0], relative=True)
+    _assert_families_match_closures(decay100, [0.25, 1.0], relative=True)
+
+    # decay and Ikeda nodes side by side; the shortest delay is 20.5
+    # steps, so blocks hold 20 steps, and c = 60 makes RK4 unstable
+    # (dt·(a + c·λ_max) ≈ 3.8), leaving the batch inside a block
+    dt = 2.0 ** -6
+    fields = [ikeda_field(IkedaParams(1.0, 4.0, 20.5 * dt)), decay_field(1.0),
+              ikeda_field(IkedaParams(1.2, 3.5, 30.3 * dt)), decay_field(2.0),
+              ikeda_field(IkedaParams(0.8, 2.5, 70 * dt)), decay_field(0.5)]
+    mixed = _custom_scenario("decay-ikeda", fields, ring_topology(6),
+                             CouplingSpec("linear", c=1.0, gamma=np.ones(1)),
+                             SimConfig(dt=dt, t_end=1.5), np.linspace(-1.2, 1.5, 6))
+    calm, quiet, wild = _assert_families_match_closures(mixed, [1.0, 0.0, 60.0], relative=True)
+    assert not calm.diverged and not quiet.diverged and wild.diverged
+    last = wild.times.shape[0] - 1
+    assert last > 20 and (last + 1) % 20 != 0, last
+    _assert_sweep_matches_scalar_runs(mixed, [1.0, 0.0, 60.0])
+
+
+def test_affine_step_keeps_fourth_order():
+    # identical decay-family nodes on K2: the mean decays at rate r and the
+    # difference at r + 2c, and the one-product step keeps RK4's order
+    rate, c = 1.5, 0.8
+    coupling = CouplingSpec("linear", c=c, gamma=np.ones(1))
+    x0 = np.array([1.0, -0.5])
+    mean, diff = 0.25 * math.exp(-rate), 1.5 * math.exp(-(rate + 2.0 * c))
+    exact = np.array([mean + 0.5 * diff, mean - 0.5 * diff])
+    errs = []
+    for dt in (0.05, 0.025):
+        traj = integrate([decay_field(rate)] * 2, complete_topology(2), coupling, x0,
+                         SimConfig(dt=dt, t_end=1.0))
+        errs.append(float(np.abs(traj.states[-1] - exact).max()))
+    assert errs[0] / errs[1] >= RK4_ORDER_MIN_RATIO
 
 
 def test_tabulated_terms_survive_a_divergence_mid_block():
@@ -543,6 +601,17 @@ def test_delay_table_memory_is_capped_at_a_block():
     n_rows = runs[0].times.shape[0]
     assert n_rows == 2001
     assert peak < n_rows * row_bytes + 4001 * row_bytes, peak
+
+
+def test_error_series_shape_is_checked():
+    times, norms = np.arange(3) * 0.1, np.zeros(3)
+    with pytest.raises(SimError, match="columns"):
+        ErrorSeries(times=times, norms=norms, errors=np.zeros((3, 4)), n_nodes=3, dim=1)
+    with pytest.raises(SimError, match="one row per time"):
+        ErrorSeries(times=times, norms=np.zeros(2), errors=np.zeros((3, 3)), n_nodes=3, dim=1)
+    with pytest.raises(SimError, match="one row per time"):
+        ErrorSeries(times=times, norms=norms, errors=np.zeros((4, 3)), n_nodes=3, dim=1)
+    ErrorSeries(times=times, norms=norms, errors=np.zeros((3, 3)), n_nodes=3, dim=1)
 
 
 def test_error_csv_labels_come_from_the_series(tmp_path):
