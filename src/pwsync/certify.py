@@ -145,8 +145,8 @@ class CouplingSpec:
             if self.gamma is None:
                 raise CertifyError("linear coupling needs gamma")
             gamma = np.array(self.gamma, dtype=float)
-            if gamma.ndim != 1 or gamma.size == 0 or gamma.min() < 0.0:
-                raise CertifyError("gamma must be a nonnegative vector")
+            if gamma.ndim != 1 or gamma.size == 0 or not (np.isfinite(gamma) & (gamma >= 0.0)).all():
+                raise CertifyError("gamma must be a finite nonnegative vector")
             gamma.setflags(write=False)
             object.__setattr__(self, "gamma", gamma)
         else:
@@ -155,11 +155,11 @@ class CouplingSpec:
             if self.upsilon is None:
                 raise CertifyError("nonlinear coupling needs certified sector bounds upsilon")
             ups = np.array(self.upsilon, dtype=float)
-            if ups.ndim != 1 or ups.size == 0 or ups.min() < 0.0:
-                raise CertifyError("upsilon must be a nonnegative vector")
+            if ups.ndim != 1 or ups.size == 0 or not (np.isfinite(ups) & (ups >= 0.0)).all():
+                raise CertifyError("upsilon must be a finite nonnegative vector")
             if not ups.max() > 0.0:
                 raise CertifyError("at least one upsilon entry must be positive")
-            if self.e_max <= 0.0:
+            if not self.e_max > 0.0:
                 raise CertifyError("e_max must be positive")
             ups.setflags(write=False)
             object.__setattr__(self, "upsilon", ups)
@@ -430,7 +430,7 @@ def certify_upsilon(eta: Callable, e_max: float, grid_points: int = 4096,
     certified on a finite probe).  Raises when η fails the oddness spot
     check or no component has a positive bound.
     """
-    if e_max <= 0.0:
+    if not e_max > 0.0:
         raise CertifyError("e_max must be positive")
     if grid_points < 8:
         raise CertifyError("grid_points must be at least 8")
@@ -671,6 +671,13 @@ def _smaller_candidate(eps1: float, eps2: float):
     return (eps1, "ball") if eps1 <= eps2 else (eps2, "decay")
 
 
+def _checked_gamma(gamma, dim: int) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (dim,) or not (np.isfinite(gamma) & (gamma >= 0.0)).all():
+        raise CertifyError("gamma must be a finite nonnegative vector of the node dimension")
+    return gamma
+
+
 def _check_gain(c: float):
     if not (math.isfinite(c) and c >= 0.0):
         raise CertifyError("gain c must be finite and nonnegative")
@@ -728,26 +735,21 @@ def _h_sup_on_ball(fields: Sequence[AffineDecomposedField], radius: float,
     return best, method
 
 
-def _require_common_h(fields: Sequence[AffineDecomposedField], seed: int = 11):
-    """All nodes must share one smooth part: identical callable or sampled equality."""
+def _require_common_h(fields: Sequence[AffineDecomposedField]):
+    """All nodes must share one smooth part: the identical ``h`` callable,
+    or one family with equal h-parameters.  Decided from structure alone."""
     f0 = fields[0]
-    if all(f.h is f0.h for f in fields):
-        return
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(64, f0.dim))
-    times = rng.uniform(0.0, 10.0, 4)
-    for f in fields[1:]:
-        if f.dim != f0.dim:
-            raise CertifyError("all nodes must share one state dimension")
-        for t in times:
-            a = _batch_h(f0.h, float(t), x)
-            b = _batch_h(f.h, float(t), x)
-            scale = max(1.0, float(np.abs(a).max()))
-            if float(np.abs(a - b).max()) > 1e-9 * scale:
-                raise CertifyError(
-                    "this mode requires all nodes to share one smooth part; "
-                    f"node '{f.label or '?'}' differs from node '{f0.label or '?'}'"
-                )
+    for i, f in enumerate(fields[1:], start=2):
+        if f.h is f0.h:
+            continue
+        family = f.family
+        if family is not None and family is f0.family and all(
+                np.array_equal(f.params[key], f0.params[key]) for key in family.h_keys):
+            continue
+        raise CertifyError(
+            "this mode requires all nodes to share one smooth part; "
+            f"node {i} '{f.label or '?'}' differs from node 1 '{f0.label or '?'}'"
+        )
 
 
 def _stack_mismatch_bounds(fields: Sequence[AffineDecomposedField]):
@@ -788,9 +790,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     decay-margin bound (shrinking with c); ε̄ is their minimum.
     """
     dim = _validate_network(fields, topo)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (dim,) or gamma.min() < 0.0:
-        raise CertifyError("gamma must be a nonnegative vector of the node dimension")
+    gamma = _checked_gamma(gamma, dim)
     _check_gain(c)
     n_nodes = topo.n_nodes
     sqrt_n = math.sqrt(n_nodes)
@@ -852,7 +852,8 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
                          mode: str = "thm2") -> BoundReport:
     """Gain threshold and residual bound when all nodes share one smooth part.
 
-    The shared-h requirement is verified (structurally or by sampling);
+    The shared-h requirement is checked structurally (one ``h``, or one
+    family with equal h-parameters);
     M̄ is the largest per-node bound on the non-shared parts.  c̃ is read
     off the family's threshold certificate, whose W entries on uncoupled
     components must be negative.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
@@ -863,9 +864,7 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
         raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
     dim = _validate_network(fields, topo)
     _require_common_h(fields)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (dim,) or gamma.min() < 0.0:
-        raise CertifyError("gamma must be a nonnegative vector of the node dimension")
+    gamma = _checked_gamma(gamma, dim)
     active = gamma > 0.0
     if mode == "cor1" and not active.all():
         raise CertifyError("full-coupling mode requires every gamma entry positive")

@@ -212,10 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CertifyError, GraphError, SimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, CertifyError, GraphError, SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,27 +2,23 @@
 quadratic contraction certificate, plus a norm-bounded part g that may
 switch, carry a delay, or simply differ from node to node.
 
-Five concrete families are provided: a delayed scalar saturation
-oscillator (Ikeda), a double-scroll circuit with square-wave forcing
-(Chua), a linear plant under relay feedback, phase oscillators reduced
-to their error field (Kuramoto), and plain linear decay.
+Five node families are each defined once, as a :class:`NodeFamily`
+whose kernels read per-node parameters stacked one row per node: a
+delayed scalar saturation oscillator (Ikeda), a double-scroll circuit
+with square-wave forcing (Chua), a linear plant under relay feedback,
+phase oscillators reduced to their error field (Kuramoto), and plain
+linear decay.  The integrator reads the kernels for all of a family's
+nodes at once; each builder reads them with its one node's parameters
+to give that node's ``h`` and ``g``.  Nodes share one h when they have
+the identical ``h`` callable, or one family and equal h-parameters.
 
 Conventions: ``h(t, x)`` must broadcast over leading axes of ``x``
 (shape (..., dim)), which lets the certificate sampler evaluate it in
 batches. ``g(t, x, history, sgn)`` takes one state at a time; ``history``
 is a callable mapping a past time to that node's state block (only used
 by delayed fields), and ``sgn`` is the sign function in effect (exact or
-boundary-layer regularized).
-
-Each family builder also records ``family`` and ``params`` on the field.
-The integrator splits a recorded family into its linear block and a
-residual, evaluated for all its nodes at once from those parameters.
-Ikeda's delayed sine and Chua's forcing depend only on time and stored
-history, so the integrator tabulates them once per block of steps, one
-vectorized delayed-history read for all stage times of the block.  It
-calls ``h`` and ``g`` node by node only for fields that carry no family,
-such as hand-built ones.  ``h`` and ``g`` remain the description the
-certificates and tests evaluate.
+boundary-layer regularized).  A hand-built field sets no family, and the
+integrator calls its ``h`` and ``g`` node by node.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ __all__ = [
     "hard_sgn",
     "saturated_sgn",
     "AffineDecomposedField",
+    "NodeFamily",
     "IkedaParams",
     "ChuaParams",
     "RelayParams",
@@ -85,10 +82,8 @@ class AffineDecomposedField:
     - ``w_identity``: diagonal entries of a W certifying the identity-metric
       quadratic bound (x−y)ᵀ(h(t,x)−h(t,y)) ≤ (x−y)ᵀ diag(w) (x−y),
       required by the nonlinear-coupling certification pipelines.
-    - ``family`` and ``params``: set by the family builders below, and
-      read by the integrator in place of ``h`` and ``g``; a field that
-      sets ``family`` must compute exactly what that family's builder
-      would from ``params``.
+    - ``family`` and ``params``: set by the builders below, whose ``h``
+      and ``g`` are the :class:`NodeFamily` kernels read with ``params``.
     """
 
     dim: int
@@ -96,12 +91,11 @@ class AffineDecomposedField:
     g: Callable
     M: float
     delay: Optional[float] = None
-    discontinuous: bool = False
     h_gain: Optional[float] = None
     h0_norm: float = 0.0
     w_identity: Optional[np.ndarray] = None
     label: str = ""
-    family: Optional[str] = None
+    family: Optional["NodeFamily"] = None
     params: Optional[dict] = None
 
     def __post_init__(self):
@@ -109,18 +103,192 @@ class AffineDecomposedField:
             raise ValueError("dim must be at least 1")
         if not (math.isfinite(self.M) and self.M >= 0.0):
             raise ValueError("M must be finite and nonnegative")
-        if self.delay is not None and self.delay <= 0.0:
-            raise ValueError("delay must be positive when present")
-        if self.h_gain is not None and self.h_gain < 0.0:
-            raise ValueError("h_gain must be nonnegative")
-        if self.h0_norm < 0.0:
-            raise ValueError("h0_norm must be nonnegative")
+        if self.delay is not None and not (math.isfinite(self.delay) and self.delay > 0.0):
+            raise ValueError("delay must be finite and positive when present")
+        if self.h_gain is not None and not (math.isfinite(self.h_gain) and self.h_gain >= 0.0):
+            raise ValueError("h_gain must be finite and nonnegative")
+        if not (math.isfinite(self.h0_norm) and self.h0_norm >= 0.0):
+            raise ValueError("h0_norm must be finite and nonnegative")
         if self.w_identity is not None:
             w = np.array(self.w_identity, dtype=float)
             if w.shape != (self.dim,):
                 raise ValueError("w_identity must have one entry per state component")
+            if not np.isfinite(w).all():
+                raise ValueError("w_identity must be finite")
             w.setflags(write=False)
             object.__setattr__(self, "w_identity", w)
+
+
+class NodeFamily:
+    """One family of node equations f(t, x) = Aᵢx + rest(x) + forcing(t),
+    read over per-node parameters stacked by :meth:`stack` into a dict q
+    of arrays, one row per node (plus what the kernels derive once):
+
+    - ``linear(q)``: the blocks Aᵢ, shape (n, dim, dim);
+    - ``rest(q, x, sgn)``: the state-dependent remainder at x (..., n, dim),
+      in h when ``rest_in_h`` (Chua's diode knee), else in g (the relay's
+      −B·sgn(Cx));
+    - ``forcing(q, ts, delayed, sgn)``: the term in g that depends only on
+      time and stored history, at times ts, shape (T, B or 1, n, ...), with
+      ``delayed(lags)`` the states (T, B, n, dim) at ts − lags (Ikeda's
+      delayed sine, Chua's square wave, Kuramoto's detuning).
+
+    rest and forcing act on the components ``column`` and are None when
+    absent.  ``h_keys`` names the parameters that make up h, ``positive``
+    those that must be positive, and ``delay_key`` the delay, if any.
+    """
+
+    name = ""
+    keys = ()
+    h_keys = ()
+    positive = ()
+    delay_key = None
+    column = slice(None)
+    rest_in_h = False
+    rest = None
+    forcing = None
+
+    def check(self, params: dict) -> dict:
+        """``params`` if all are finite and the ``positive`` ones positive."""
+        for key in self.keys:
+            value = params[key]
+            if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+                raise ValueError(f"{self.name} parameter {key} must be finite")
+        for key in self.positive:
+            if not params[key] > 0.0:
+                raise ValueError(f"{self.name} parameter {key} must be positive")
+        return params
+
+    def stack(self, params: list) -> dict:
+        return {key: np.array([p[key] for p in params], dtype=float) for key in self.keys}
+
+    def linear(self, q) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _Ikeda(NodeFamily):
+    """dx/dt = −a x + b sin x(t − τ): h = −a x, g the delayed sine."""
+
+    name = "ikeda"
+    keys = positive = ("a", "b", "tau")
+    h_keys = ("a",)
+    delay_key = "tau"
+
+    def linear(self, q):
+        return -q["a"][:, None, None]
+
+    def forcing(self, q, ts, delayed, sgn):
+        return q["b"][:, None] * np.sin(delayed(q["tau"]))
+
+
+class _Chua(NodeFamily):
+    """The double-scroll circuit: h is Aᵢx plus the diode knee on x₁, and g
+    the square wave sgn sin(t − offset) on x₁."""
+
+    name = "chua"
+    keys = ("alpha", "beta", "slope_a", "slope_b", "offset")
+    h_keys = keys[:4]
+    positive = ("alpha", "beta")
+    column = 0
+    rest_in_h = True
+
+    def stack(self, params):
+        q = super().stack(params)
+        q["knee"] = -0.5 * q["alpha"] * (q["slope_a"] - q["slope_b"])
+        return q
+
+    def linear(self, q):
+        alpha = q["alpha"]
+        blocks = np.zeros((alpha.size, 3, 3))
+        blocks[:, 0, 0] = -alpha * (1.0 + q["slope_b"])
+        blocks[:, 0, 1] = alpha
+        blocks[:, 1] = (1.0, -1.0, 1.0)
+        blocks[:, 2, 1] = -q["beta"]
+        return blocks
+
+    def rest(self, q, x, sgn):
+        x1 = x[..., 0]
+        return q["knee"] * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0))
+
+    def forcing(self, q, ts, delayed, sgn):
+        return sgn(np.sin(ts[:, None, None] - q["offset"]))
+
+
+class _Relay(NodeFamily):
+    """A linear plant under relay feedback: h = A x, g = −B sgn(Cx)."""
+
+    name = "relay"
+    keys = ("a_matrix", "b_vector", "c_vector")
+    h_keys = ("a_matrix",)
+
+    def stack(self, params):
+        q = super().stack(params)
+        q["c_column"] = q["c_vector"][:, :, None]
+        q["neg_b_row"] = -q["b_vector"][:, None, :]
+        return q
+
+    def linear(self, q):
+        return q["a_matrix"]
+
+    def rest(self, q, x, sgn):
+        return (sgn(x[..., None, :] @ q["c_column"]) @ q["neg_b_row"])[..., 0, :]
+
+
+class _Kuramoto(NodeFamily):
+    """A phase-error node: h ≡ 0, g the frequency detuning ω − ω̄."""
+
+    name = "kuramoto"
+    keys = ("detune",)
+
+    def linear(self, q):
+        return np.zeros((q["detune"].size, 1, 1))
+
+    def forcing(self, q, ts, delayed, sgn):
+        detune = q["detune"][:, None]
+        return np.broadcast_to(detune, (ts.size, 1) + detune.shape)
+
+
+class _Decay(NodeFamily):
+    """Scalar linear decay: h = −rate·x, g ≡ 0."""
+
+    name = "decay"
+    keys = h_keys = positive = ("rate",)
+
+    def linear(self, q):
+        return -q["rate"][:, None, None]
+
+
+IKEDA, CHUA, RELAY, KURAMOTO, DECAY = _Ikeda(), _Chua(), _Relay(), _Kuramoto(), _Decay()
+
+
+def _node_field(family: NodeFamily, params: dict, **annotations) -> AffineDecomposedField:
+    """One node of ``family``: its h and g read the family's kernels with
+    this node's (checked) parameters as a stack of one."""
+    col, rest, forcing = family.column, family.rest, family.forcing
+    rest_h, rest_g = (rest, None) if family.rest_in_h else (None, rest)
+
+    def h(t, x):
+        q = family.stack([params])
+        x = np.asarray(x, dtype=float)
+        out = x @ family.linear(q)[0].T
+        if rest_h is not None:
+            out[..., None, :][..., col] += rest_h(q, x[..., None, :], None)
+        return out
+
+    def g(t, x, history, sgn):
+        q = family.stack([params])
+        x = np.asarray(x, dtype=float)[..., None, :]
+        out = np.zeros(x.shape)
+        if rest_g is not None:
+            out[..., col] += rest_g(q, x, sgn)
+        if forcing is not None:
+            past = lambda lags: history(t - lags)[None, None]  # noqa: E731
+            out[..., col] += forcing(q, np.array([float(t)]), past, sgn)[0, 0]
+        return out[..., 0, :]
+
+    delay = None if family.delay_key is None else float(params[family.delay_key])
+    return AffineDecomposedField(h=h, g=g, delay=delay, family=family, params=params,
+                                 **annotations)
 
 
 @dataclass(frozen=True)
@@ -162,29 +330,11 @@ class KuramotoParams:
 
 def ikeda_field(p: IkedaParams) -> AffineDecomposedField:
     """Delayed scalar node; h = -a x contracts, the delayed sine is bounded by b."""
-    a, b, tau = float(p.a), float(p.b), float(p.tau)
-    if a <= 0.0 or b <= 0.0 or tau <= 0.0:
-        raise ValueError("ikeda parameters a, b, tau must be positive")
-
-    def h(t, x):
-        return -a * np.asarray(x, dtype=float)
-
-    def g(t, x, history, sgn):
-        return b * np.sin(history(t - tau))
-
-    return AffineDecomposedField(
-        dim=1,
-        h=h,
-        g=g,
-        M=b,
-        delay=tau,
-        discontinuous=False,
-        h_gain=a,
-        h0_norm=0.0,
-        w_identity=np.array([-a]),
+    params = IKEDA.check({"a": float(p.a), "b": float(p.b), "tau": float(p.tau)})
+    a, b, tau = params["a"], params["b"], params["tau"]
+    return _node_field(
+        IKEDA, params, dim=1, M=b, h_gain=a, w_identity=np.array([-a]),
         label=f"ikeda(a={a:g}, b={b:g}, tau={tau:g})",
-        family="ikeda",
-        params={"a": a, "b": b, "tau": tau},
     )
 
 
@@ -197,46 +347,17 @@ def chua_field(p: ChuaParams, node_index: int, n_nodes: int) -> AffineDecomposed
     """
     if not 0 <= node_index < n_nodes:
         raise ValueError("node_index must lie in [0, n_nodes)")
-    alpha, beta = float(p.alpha), float(p.beta)
-    sa, sb = float(p.slope_a), float(p.slope_b)
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("alpha and beta must be positive")
-    offset = node_index * math.pi / n_nodes + float(p.forcing_phase)
-
-    def phi(u):
-        return sb * u + 0.5 * (sa - sb) * (np.abs(u + 1.0) - np.abs(u - 1.0))
-
-    def h(t, x):
-        x = np.asarray(x, dtype=float)
-        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [alpha * (x2 - x1 - phi(x1)), x1 - x2 + x3, -beta * x2],
-            axis=-1,
-        )
-
-    def g(t, x, history, sgn):
-        out = np.zeros(np.shape(x))
-        out[..., 0] = sgn(np.sin(t - offset))
-        return out
-
-    # Slope bound: the map is piecewise linear in x1 with two sector
-    # Jacobians; the steeper one bounds the global Lipschitz constant.
-    gain = max(
-        spectral_norm(np.array([[-alpha * (1.0 + s), alpha, 0.0], [1.0, -1.0, 1.0], [0.0, -beta, 0.0]]))
-        for s in (sa, sb)
-    )
-    return AffineDecomposedField(
-        dim=3,
-        h=h,
-        g=g,
-        M=1.0,
-        discontinuous=True,
-        h_gain=gain,
-        h0_norm=0.0,
-        label=f"chua(node {node_index}/{n_nodes})",
-        family="chua",
-        params={"alpha": alpha, "beta": beta, "slope_a": sa, "slope_b": sb, "offset": offset},
-    )
+    params = CHUA.check({
+        "alpha": float(p.alpha), "beta": float(p.beta),
+        "slope_a": float(p.slope_a), "slope_b": float(p.slope_b),
+        "offset": node_index * math.pi / n_nodes + float(p.forcing_phase),
+    })
+    # Slope bound: h is piecewise linear in x1, and the steeper of its two
+    # sector Jacobians (the linear block at either slope) bounds its slope.
+    slopes = [dict(params, slope_b=params[key]) for key in ("slope_a", "slope_b")]
+    gain = max(spectral_norm(jac) for jac in CHUA.linear(CHUA.stack(slopes)))
+    return _node_field(CHUA, params, dim=3, M=1.0, h_gain=gain,
+                       label=f"chua(node {node_index}/{n_nodes})")
 
 
 def relay_field(p: RelayParams) -> AffineDecomposedField:
@@ -247,77 +368,22 @@ def relay_field(p: RelayParams) -> AffineDecomposedField:
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n,) or C.shape != (n,):
         raise ValueError("a_matrix must be square and b/c vectors must match its size")
-    A_T = A.T.copy()
-
-    def h(t, x):
-        return np.asarray(x, dtype=float) @ A_T
-
-    def g(t, x, history, sgn):
-        y = np.asarray(x, dtype=float) @ C
-        return -np.multiply.outer(sgn(y), B)
-
+    params = RELAY.check({"a_matrix": A, "b_vector": B, "c_vector": C})
     bound = float(np.sqrt(B @ B)) if p.m_override is None else float(p.m_override)
     lam_max = float(np.linalg.eigvalsh(symmetric_part(A))[-1])
-    return AffineDecomposedField(
-        dim=n,
-        h=h,
-        g=g,
-        M=bound,
-        discontinuous=True,
-        h_gain=spectral_norm(A),
-        h0_norm=0.0,
-        w_identity=np.full(n, lam_max),
-        label="relay",
-        family="relay",
-        params={"a_matrix": A, "b_vector": B, "c_vector": C},
-    )
+    return _node_field(RELAY, params, dim=n, M=bound, h_gain=spectral_norm(A),
+                       w_identity=np.full(n, lam_max), label="relay")
 
 
 def kuramoto_error_field(p: KuramotoParams, omega_mean: float) -> AffineDecomposedField:
     """Phase-error node: h ≡ 0, g = ω − ω̄ (the frequency detuning)."""
-    detune = float(p.omega) - float(omega_mean)
-
-    def h(t, x):
-        return np.zeros(np.shape(x))
-
-    def g(t, x, history, sgn):
-        return np.full(np.shape(x), detune)
-
-    return AffineDecomposedField(
-        dim=1,
-        h=h,
-        g=g,
-        M=abs(detune),
-        discontinuous=False,
-        h_gain=0.0,
-        h0_norm=0.0,
-        w_identity=np.zeros(1),
-        label=f"kuramoto(detune={detune:g})",
-        family="kuramoto",
-        params={"detune": detune},
-    )
+    detune = KURAMOTO.check({"detune": float(p.omega) - float(omega_mean)})["detune"]
+    return _node_field(KURAMOTO, {"detune": detune}, dim=1, M=abs(detune), h_gain=0.0,
+                       w_identity=np.zeros(1), label=f"kuramoto(detune={detune:g})")
 
 
 def decay_field(rate: float = 1.0) -> AffineDecomposedField:
     """Scalar linear decay: h = -rate·x, g ≡ 0."""
-    rate = float(rate)
-    if rate <= 0.0:
-        raise ValueError("decay rate must be positive")
-
-    def h(t, x):
-        return -rate * np.asarray(x, dtype=float)
-
-    def g(t, x, history, sgn):
-        return np.zeros(np.shape(x))
-
-    return AffineDecomposedField(
-        dim=1,
-        h=h,
-        g=g,
-        M=0.0,
-        h_gain=rate,
-        w_identity=np.array([-rate]),
-        label=f"decay(rate={rate:g})",
-        family="decay",
-        params={"rate": rate},
-    )
+    rate = DECAY.check({"rate": float(rate)})["rate"]
+    return _node_field(DECAY, {"rate": rate}, dim=1, M=0.0, h_gain=rate,
+                       w_identity=np.array([-rate]), label=f"decay(rate={rate:g})")

@@ -266,9 +266,12 @@ def _get(cfg, section, key, default=None, required=False):
 
 def _as_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: expected a number, got '{raw}'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got '{raw}'")
+    return value
 
 
 def _as_int(raw: str, where: str) -> int:

@@ -1,27 +1,22 @@
 """Fixed-step RK4 integration of coupled networks.
 
 One RK4 loop advances a state of shape (B, N, dim): B coupling gains,
-each a copy of the N-node network; a gain sweep is one pass.  Every term
-linear in the state sits in one matrix per gain, J_b = blockdiag(Aᵢ) −
-c_b·(L ⊗ Γ), so a stage is one batched matmul plus each node family's
-residual (h + g − Aᵢx), evaluated for all nodes of the family at once
-from per-node parameter arrays.  Fields without a family have a zero
-block and go through their own ``h`` and ``g``, one node at a time.
-Nonlinear coupling is summed over the edge list.
+each a copy of the N-node network; a gain sweep is one pass.  The nodes
+of each family in :mod:`pwsync.dynamics` are stacked into parameter
+arrays once per run, and a stage reads the same kernels that give each
+node's ``h`` and ``g``.  Every term linear in the state sits in one
+matrix per gain, J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ), so a stage is one
+batched matmul plus each family's state-dependent rest and the
+nonlinear coupling summed over the edge list.  Fields without a family
+go through their own ``h`` and ``g``, one node at a time.
 
-Terms that depend only on time and stored history (Ikeda's delayed
-feedback b·sin x(t − τ), Chua's forcing sgn sin(t − offset)) are
-tabulated once per block of steps, at all 2m + 1 stage times of the
-block, and each RK4 stage reads its row.  By the method of steps every
-delayed value a block needs is already stored when m ≤ τ_min/dt; m is at
-most 64, so a table holds at most 129 rows.
-
-When no node term depends on the state outside J (decay and Ikeda nodes,
-under linear coupling or at zero gain), the system is x' = Jx + f(t) with
-f the tables' rows, and RK4 on it is exactly affine: one step is
-x ← x·M + g, with M = R(dt·Jᵀ) RK4's stability polynomial, built once
-per gain, and the block's forcing rows g computed from its table in two
-batched products.  Every other run takes the four RK4 stages.
+Each family's time-only forcing is tabulated once per block of m ≤ 64
+steps, at the block's 2m + 1 stage times; with m ≤ τ_min/dt, every
+delayed value a block reads is already stored.  When no term depends on
+the state outside J (no rest, no edge term, no hand-built field), RK4 on
+x' = Jx + f(t) is exactly affine: a step is x ← x·M + g, with M =
+R(dt·Jᵀ) built once per gain and the forcing rows g computed per block
+in two batched products.  Every other run takes the four RK4 stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -138,10 +133,8 @@ def integrate(fields: Sequence[AffineDecomposedField], topo: Topology,
     """Integrate the coupled network with classical RK4 at fixed step.
 
     A batch of one gain through :func:`integrate_gains`.  Delayed fields
-    require their delay to be at least one step.  The shortest delay τ_min
-    bounds the block of steps whose delayed reads are tabulated at once
-    (at most ⌊τ_min/dt⌋ steps), so no read runs ahead of the stored
-    history; before t=0 the history is the constant initial state.
+    require their delay to be at least one step; before t=0 the history
+    is the constant initial state.
     """
     return integrate_gains(fields, topo, coupling, [coupling.c], x0, config)[0]
 
@@ -157,10 +150,10 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     would.  Returns one :class:`Trajectory` per gain, in input order.
 
     The step is chosen from the run's structure.  With no edge term (linear
-    coupling, or every gain zero), no hand-built field and every family
-    residual time-only (decay: none; Ikeda: its delayed table), a step is
-    one product with M = R(dt·Jᵀ) plus the step's forcing row; otherwise it
-    is the four RK4 stages.  Both agree to rounding (about 1e-13 relative
+    coupling, or every gain zero), no hand-built field and no family with
+    a state-dependent rest (decay, Ikeda and Kuramoto nodes only), a step
+    is one product with M = R(dt·Jᵀ) plus the step's forcing row; otherwise
+    it is the four RK4 stages.  Both agree to rounding (about 1e-13 relative
     over the 15 000 steps of ikeda10-linear).
     """
     n_nodes = topo.n_nodes
@@ -173,6 +166,8 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (size,):
         raise SimError(f"x0 must have {size} entries")
+    if not np.isfinite(x0).all():
+        raise SimError("x0 must be finite")
     if coupling.variant == "linear":
         if coupling.gamma.shape != (dim,):
             raise SimError("gamma must have one entry per state component")
@@ -264,33 +259,17 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
                 weights, forcing = weights[ok], forcing[:, ok]
         store[history.rows, k + 1] = x
 
+    run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
+                    n_nodes=n_nodes, dim=dim, coupling_variant=coupling.variant,
+                    coupling_label=coupling.label, regularization_width=width,
+                    divergence_threshold=threshold, seed=config.seed)
     trajectories = []
     for b, c in enumerate(gains):
         end = int(last[b])
         diverged = end < n_steps
-        meta = {
-            "method": "rk4",
-            "dt": dt,
-            "t_end": float(n_steps * dt),
-            "steps": n_steps,
-            "n_nodes": n_nodes,
-            "dim": dim,
-            "coupling_variant": coupling.variant,
-            "coupling_label": coupling.label,
-            "c": float(c),
-            "regularization_width": width,
-            "divergence_threshold": threshold,
-            "diverged": diverged,
-            "seed": config.seed,
-        }
-        trajectories.append(Trajectory(
-            times=times[: end + 1],
-            states=states[b, : end + 1].reshape(end + 1, size),
-            n_nodes=n_nodes,
-            dim=dim,
-            diverged=diverged,
-            meta=meta,
-        ))
+        meta = {**run_meta, "c": float(c), "diverged": diverged}
+        trajectories.append(Trajectory(times[: end + 1], states[b, : end + 1].reshape(end + 1, size),
+                                       n_nodes, dim, diverged=diverged, meta=meta))
     return trajectories
 
 
@@ -334,24 +313,32 @@ class _History:
         return np.where(frac > 1e-9, row + frac * (nxt - row), row)
 
 
-class _Table:
-    """A term that depends only on time and stored history, at the 2m + 1
-    stage times of a block of m steps: ``rows`` has shape (2m + 1, B, …),
-    row 2j at the block's step j and row 2j + 1 at its half step.
+class _Terms:
+    """The nodes of one family: their stacked parameters ``q``, the rest
+    read at each stage, and the time-only forcing tabulated at the 2m + 1
+    stage times of a block of m steps (``rows``, shape (2m + 1, B, n, …);
+    row 2j at the block's step j, row 2j + 1 at its half step).
+    :meth:`add` adds the rest and the stage's row in one ``+=`` on the
+    components ``column`` of ``nodes``."""
 
-    A table made with ``nodes`` is its family's whole residual, a forcing
-    whose rows (2m + 1, B, n, dim) add to those nodes (:meth:`add`)."""
-
-    def __init__(self, tabulate, nodes=None):
-        self.tabulate = tabulate
-        self.nodes = nodes
+    def __init__(self, family, q, idx, nodes, sgn, history):
+        self.rest, self.forcing, self.column = family.rest, family.forcing, family.column
+        self.q, self.idx, self.nodes, self.sgn, self.history = q, idx, nodes, sgn, history
         self.rows = None
 
     def add(self, t, stage, x, out):
-        out[:, self.nodes] += self.rows[stage]
+        if self.rest is None:
+            value = self.rows[stage]
+        else:
+            value = self.rest(self.q, x[:, self.nodes], self.sgn)
+            if self.rows is not None:
+                value = value + self.rows[stage]
+        out[:, self.nodes, self.column] += value
 
     def fill(self, ts):
-        self.rows = self.tabulate(ts)
+        history = self.history
+        rows = self.forcing(self.q, ts, lambda lags: history.delayed(ts, lags, self.idx), self.sgn)
+        self.rows = np.broadcast_to(rows, (ts.size, history.live.size) + rows.shape[2:])
 
     def keep(self, ok):
         """Keep the live members ``ok`` (a mask over the current ones)."""
@@ -401,7 +388,7 @@ def _affine_forcing(tables, weights, sixth: float, n_nodes: int, dim: int):
     n_rows, n_live = tables[0].rows.shape[:2]
     f = np.zeros((n_rows, n_live, n_nodes, dim))
     for table in tables:
-        f[:, :, table.nodes] += table.rows
+        f[:, :, table.nodes, table.column] += table.rows
     f = f.reshape(n_rows, n_live, n_nodes * dim).transpose(1, 0, 2)
     g = f[:, :-1:2] @ weights[:, 0] + f[:, 1::2] @ weights[:, 1] + sixth * f[:, 2::2]
     return np.ascontiguousarray(g.transpose(1, 0, 2)[:, :, None])
@@ -425,63 +412,8 @@ def _edge_sum(coupling: CouplingSpec, topo: Topology):
     return term
 
 
-def _column(fields, key):
-    return np.array([f.params[key] for f in fields], dtype=float)[:, None]
-
-
-def _ikeda_terms(fields, nodes, idx, sgn, history):
-    b = _column(fields, "b")
-    tau = _column(fields, "tau")[:, 0]
-
-    table = _Table(lambda ts: b * np.sin(history.delayed(ts, tau, idx)), nodes)
-    return -_column(fields, "a")[:, :, None], None, table
-
-
-def _chua_terms(fields, nodes, idx, sgn, history):
-    alpha, beta, sa, sb, offset = (
-        _column(fields, key)[:, 0] for key in ("alpha", "beta", "slope_a", "slope_b", "offset"))
-    blocks = np.array([[[-a * (1.0 + s), a, 0.0], [1.0, -1.0, 1.0], [0.0, -b, 0.0]]
-                       for a, b, s in zip(alpha, beta, sb)])
-    knee = -0.5 * alpha * (sa - sb)
-
-    def tabulate(ts):
-        forcing = sgn(np.sin(ts[:, None] - offset))[:, None]
-        return np.broadcast_to(forcing, (len(ts), len(history.live), len(offset)))
-
-    table = _Table(tabulate)
-
-    def residual(t, stage, x, out):
-        x1 = x[:, nodes, 0]
-        out[:, nodes, 0] += knee * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0)) + table.rows[stage]
-
-    return blocks, residual, table
-
-
-def _relay_terms(fields, nodes, idx, sgn, history):
-    c = np.array([f.params["c_vector"] for f in fields])[:, :, None]
-    neg_b = -np.array([f.params["b_vector"] for f in fields])[:, None, :]
-
-    def residual(t, stage, x, out):
-        out[:, nodes] += (sgn(x[:, nodes, None, :] @ c) @ neg_b)[:, :, 0]
-
-    return np.array([f.params["a_matrix"] for f in fields]), residual, None
-
-
-def _kuramoto_terms(fields, nodes, idx, sgn, history):
-    detune = _column(fields, "detune")
-
-    def residual(t, stage, x, out):
-        out[:, nodes] += detune
-
-    return 0.0, residual, None
-
-
-def _decay_terms(fields, nodes, idx, sgn, history):
-    return -_column(fields, "rate")[:, :, None], None, None
-
-
-def _closure_terms(fields, nodes, idx, sgn, history):
-    """Fields without a recorded family: a zero block; h + g node by node."""
+def _closure_terms(fields, idx, sgn, history):
+    """Fields without a family: a zero block; h + g node by node."""
 
     def residual(t, stage, x, out):
         for p in range(x.shape[0]):
@@ -489,43 +421,35 @@ def _closure_terms(fields, nodes, idx, sgn, history):
                 xb = x[p, i]
                 out[p, i] += f.h(t, xb) + f.g(t, xb, history.node(p, i), sgn)
 
-    return 0.0, residual, None
-
-
-_FAMILY_TERMS = {
-    "ikeda": _ikeda_terms,
-    "chua": _chua_terms,
-    "relay": _relay_terms,
-    "kuramoto": _kuramoto_terms,
-    "decay": _decay_terms,
-}
+    return residual
 
 
 def _node_terms(fields, sgn, history):
-    """Linear blocks Aᵢ (N, dim, dim), the family residuals, their tables,
-    and whether every residual depends on time only.  Each family gives its
-    blocks, a residual(t, stage, x, out) adding h + g − Aᵢx into out, and,
-    where part of that depends only on time and stored history, the
-    :class:`_Table` of that part, which the residual reads at row ``stage``.
-    A family without a residual has none (decay), or its table with
-    ``nodes`` is all of it (Ikeda)."""
+    """Linear blocks Aᵢ (N, dim, dim), the residuals that add h + g − Aᵢx
+    into a stage's ``out``, the :class:`_Terms` whose forcing is tabulated,
+    and whether every residual depends on time only.  Nodes are grouped by
+    family object and each group's parameters are stacked once; fields
+    without a family go through their own ``h`` and ``g``."""
     blocks = np.zeros((len(fields), fields[0].dim, fields[0].dim))
     groups = {}
     for i, f in enumerate(fields):
-        groups.setdefault(f.family if f.family in _FAMILY_TERMS else None, []).append(i)
-    residuals, tables, time_only = [], [], True
+        groups.setdefault(f.family, []).append(i)
+    residuals, tables = [], []
+    time_only = None not in groups
     for family, idx in groups.items():
         idx = np.array(idx)
         nodes = slice(None) if idx.size == len(fields) else idx
-        build = _FAMILY_TERMS.get(family, _closure_terms)
-        blocks[idx], residual, table = build([fields[i] for i in idx], nodes, idx, sgn, history)
-        if residual is not None:
-            residuals.append(residual)
-            time_only = False
-        elif table is not None:
-            residuals.append(table.add)
-        if table is not None:
-            tables.append(table)
+        members = [fields[i] for i in idx]
+        if family is None:
+            residuals.append(_closure_terms(members, idx, sgn, history))
+            continue
+        terms = _Terms(family, family.stack([f.params for f in members]), idx, nodes, sgn, history)
+        blocks[idx] = family.linear(terms.q)
+        if family.forcing is not None:
+            tables.append(terms)
+        if family.rest is not None or family.forcing is not None:
+            residuals.append(terms.add)
+        time_only &= family.rest is None
     return blocks, residuals, tables, time_only
 
 

@@ -19,7 +19,7 @@ from pwsync.certify import (
     pws_coupling,
     quad_linear_cert,
 )
-from pwsync.certify import _MARGIN, _unit_cert
+from pwsync.certify import _MARGIN, _require_common_h, _unit_cert
 from pwsync.dynamics import (
     AffineDecomposedField,
     ChuaParams,
@@ -365,6 +365,47 @@ def test_shared_smooth_part_is_enforced():
     family = PointFamily(QuadCertificate(p=np.ones(1), w=np.array([-1.0])))
     with pytest.raises(CertifyError):
         linear_common_bounds(fields, complete_topology(3), np.ones(1), 1.0, family)
+
+
+def test_shared_h_is_structural_within_a_family():
+    # h holds neither Chua's forcing offset nor Kuramoto's detuning, and
+    # Ikeda's h is -a x alone, so b and tau may differ
+    _require_common_h([chua_field(ChuaParams(), i, 4) for i in range(4)])
+    _require_common_h([kuramoto_error_field(KuramotoParams(w), 0.1) for w in (0.3, -0.2, 0.0)])
+    _require_common_h([ikeda_field(IkedaParams(a=1.5, b=b, tau=t)) for b, t in ((4.0, 2.0), (3.0, 1.0))])
+    ikeda = [ikeda_field(IkedaParams(a=1.0)), ikeda_field(IkedaParams(a=1.0)),
+             ikeda_field(IkedaParams(a=1.5))]
+    with pytest.raises(CertifyError, match=re.escape("node 3 'ikeda(a=1.5, b=4, tau=2)'")):
+        _require_common_h(ikeda)
+    mixed = [chua_field(ChuaParams(), 0, 2), chua_field(ChuaParams(alpha=9.0), 1, 2)]
+    with pytest.raises(CertifyError, match="node 2"):
+        _require_common_h(mixed)
+
+
+def test_shared_h_draws_no_random_numbers(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the shared-h check drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    _require_common_h([chua_field(ChuaParams(), i, 10) for i in range(10)])
+    with pytest.raises(CertifyError):
+        _require_common_h([ikeda_field(IkedaParams(a=a)) for a in (1.0, 2.0)])
+
+
+def test_separately_built_hand_fields_do_not_share_h():
+    # equal formulas in distinct closures are not a shared smooth part: only
+    # the identical h object, or one family with equal h-parameters, is
+    fields = [_two_component_field(-1.0, -2.0, 1.0) for _ in range(4)]
+    family = PointFamily(QuadCertificate(p=np.ones(2), w=np.array([-1.0, -2.0])))
+    with pytest.raises(CertifyError, match="share one smooth part"):
+        linear_common_bounds(fields, ring_topology(4), np.ones(2), 1.0, family)
+    coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
+                            upsilon=np.array([UPSILON_PWS, UPSILON_PWS]))
+    with pytest.raises(CertifyError, match="share one smooth part"):
+        nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
+    shared = [fields[0]] * 4
+    assert linear_common_bounds(shared, ring_topology(4), np.ones(2), 1.0, family).certified
+    assert nonlinear_bounds(shared, ring_topology(4), coupling, np.zeros(8), mode="thm4").certified
 
 
 def test_below_threshold_report_is_uncertified():
@@ -732,6 +773,25 @@ def test_coupling_spec_validation():
         CouplingSpec("diffusive", c=1.0, gamma=np.ones(2))
     spec = CouplingSpec("linear", c=2.0, gamma=np.ones(3))
     assert spec.with_gain(7.0).c == 7.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coupling_is_rejected(bad):
+    with pytest.raises(CertifyError, match="gamma must be a finite"):
+        CouplingSpec("linear", c=1.0, gamma=np.array([1.0, bad]))
+    with pytest.raises(CertifyError, match="upsilon must be a finite"):
+        CouplingSpec("nonlinear", c=1.0, eta=np.sin, upsilon=np.array([bad]))
+    with pytest.raises(CertifyError, match="e_max"):
+        CouplingSpec("nonlinear", c=1.0, eta=np.sin, upsilon=np.array([1.0]), e_max=math.nan)
+    with pytest.raises(CertifyError, match="e_max"):
+        certify_upsilon(np.sin, math.nan)
+    # the bound builders take gamma directly
+    scenario = load_scenario("ikeda10-linear", 0)
+    with pytest.raises(CertifyError, match="gamma must be a finite"):
+        linear_hetero_bounds(scenario.fields, scenario.topo, np.array([bad]), 20.0)
+    family = PointFamily(quad_linear_cert(RELAY_A))
+    with pytest.raises(CertifyError, match="gamma must be a finite"):
+        linear_common_bounds(_relay_fields(5), _relay_topo(), np.array([1.0, bad, 1.0]), 50.0, family)
 
 
 def test_report_serialization_round_trip():

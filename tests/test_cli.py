@@ -325,6 +325,53 @@ def test_bad_node_parameters_exit_one(tmp_path, capsys, command, family, key, va
     assert "must be positive" in err
 
 
+FINITE_INI = """
+[topology]
+source = ring
+n = 4
+
+[nodes]
+family = {family}
+{node_key} = {node_value}
+
+[coupling]
+variant = linear
+c = 1
+gamma = {gamma}
+
+[init]
+scale = {scale}
+
+[sim]
+dt = 0.01
+t_end = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize(
+    "family, node_key, node_value, gamma, scale, where",
+    [
+        ("ikeda", "tau", "inf", "1", "1", "[nodes] tau"),
+        ("decay", "rate", "1", "nan", "1", "[coupling] gamma"),
+        ("decay", "rate", "1", "1", "nan", "[init] scale"),
+        ("ikeda", "mismatch", "nan", "1", "1", "[nodes] mismatch"),
+        ("decay", "rate", "inf", "1", "1", "[nodes] rate"),
+        ("decay", "rate", "1", "1", "-inf", "[init] scale"),
+    ],
+)
+def test_non_finite_node_coupling_and_init_numbers_exit_one(
+        tmp_path, capsys, command, family, node_key, node_value, gamma, scale, where):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(FINITE_INI.format(family=family, node_key=node_key, node_value=node_value,
+                                     gamma=gamma, scale=scale))
+    rc = main([command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: expected a finite number")
+    assert "Traceback" not in err
+
+
 EDGES_INI = """
 [topology]
 source = edgelist

@@ -10,6 +10,7 @@ from pwsync.dynamics import (
     KuramotoParams,
     RelayParams,
     chua_field,
+    decay_field,
     hard_sgn,
     ikeda_field,
     kuramoto_error_field,
@@ -151,3 +152,34 @@ def test_w_identity_is_read_only():
     f = ikeda_field(IkedaParams())
     with pytest.raises(ValueError):
         f.w_identity[0] = 5.0
+
+
+@pytest.mark.parametrize("key", ["delay", "h_gain", "h0_norm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_field_rejects_non_finite_annotations(key, bad):
+    ok = lambda t, x: np.zeros(np.shape(x))
+    g = lambda t, x, history, sgn: np.zeros(np.shape(x))
+    with pytest.raises(ValueError, match=key):
+        AffineDecomposedField(dim=1, h=ok, g=g, M=1.0, **{key: bad})
+    with pytest.raises(ValueError, match="w_identity"):
+        AffineDecomposedField(dim=2, h=ok, g=g, M=1.0, w_identity=np.array([-1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_family_check_rejects_non_finite_parameters(bad):
+    # nan slips past a bare `a <= 0` test; each family checks finiteness first
+    builders = [
+        lambda: ikeda_field(IkedaParams(a=bad)),
+        lambda: ikeda_field(IkedaParams(tau=bad)),
+        lambda: chua_field(ChuaParams(alpha=bad), 0, 2),
+        lambda: chua_field(ChuaParams(slope_a=bad), 0, 2),
+        lambda: chua_field(ChuaParams(forcing_phase=bad), 0, 2),
+        lambda: relay_field(RelayParams(a_matrix=((bad, 0.0), (0.0, -1.0)),
+                                        b_vector=(1.0, 0.0), c_vector=(1.0, 0.0))),
+        lambda: kuramoto_error_field(KuramotoParams(omega=bad), 0.0),
+        lambda: decay_field(bad),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+

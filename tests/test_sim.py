@@ -274,6 +274,15 @@ def test_coupling_shapes_are_checked_at_zero_gain():
                       np.array([1.0, -1.0]), SimConfig(dt=1e-2, t_end=0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_state_is_rejected(bad):
+    fields = [decay_field(1.0)] * 2
+    coupling = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
+    with pytest.raises(SimError, match="x0 must be finite"):
+        integrate_gains(fields, complete_topology(2), coupling, [0.0, 1.0],
+                        np.array([1.0, bad]), SimConfig(dt=1e-2, t_end=0.5))
+
+
 def _assert_sweep_matches_scalar_runs(scenario, gains):
     """sweep_coupling's one-pass batch against one integrate per gain."""
     cfg = scenario.sim
