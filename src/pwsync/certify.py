@@ -28,9 +28,10 @@ Five report modes exist, keyed by the CLI selector tokens:
   coupling, shared smooth part.
 
 thm1, thm3 and thm4 read P = I and each node's identity-metric W.  thm2
-and cor1 ask a :class:`CertificateFamily` for two members: the one with
-the least c̃, and the one with the least ε̄ at the requested gain.  A
-:class:`PointFamily` holds one fixed certificate and gives it for both.
+and cor1 ask a :class:`CertificateFamily`, by default the one the nodes'
+family gives, for two members: the one with the least c̃, and the one
+with the least ε̄ at the requested gain.  A :class:`PointFamily` holds one
+fixed certificate and gives it for both.
 The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
 ρ) and one scale: its best ρ is a quadratic root for each p1/p3, and the
 one-dimensional rest is minimised on a deterministic log grid through its
@@ -45,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AffineDecomposedField
+from .dynamics import CHUA, AffineDecomposedField, ChuaParams
 from .graph import Topology, build_laplacian, lambda2
 from .linalg import symmetric_part
 
@@ -550,8 +551,8 @@ class ChuaCertFamily(CertificateFamily):
     :func:`_log_argmin` on a grid through those kinks.
     """
 
-    def __init__(self, alpha: float = 10.0, beta: float = 17.30,
-                 slope_a: float = -1.34, slope_b: float = -0.73):
+    def __init__(self, alpha: float = ChuaParams.alpha, beta: float = ChuaParams.beta,
+                 slope_a: float = ChuaParams.slope_a, slope_b: float = ChuaParams.slope_b):
         if not (alpha > 0.0 and beta > 0.0):
             raise CertifyError("alpha and beta must be positive")
         self.alpha = alpha
@@ -847,14 +848,28 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 # ---------------------------------------------------------------------------
 
 
+def _shared_h_family(fields: Sequence[AffineDecomposedField]) -> CertificateFamily:
+    """The certificates of the nodes' shared h: the double-scroll family at
+    Chua nodes' h-parameters, else the one with P = I and W the largest
+    declared identity-metric entry of each component."""
+    f0 = fields[0]
+    if f0.family is CHUA:
+        return ChuaCertFamily(**{key: f0.params[key] for key in CHUA.h_keys})
+    w = _identity_rows(fields).max(axis=0)
+    return PointFamily(QuadCertificate(np.ones(w.size), w))
+
+
 def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float, family: CertificateFamily,
+                         gamma, c: float, family: Optional[CertificateFamily] = None,
                          mode: str = "thm2") -> BoundReport:
     """Gain threshold and residual bound when all nodes share one smooth part.
 
     The shared-h requirement is checked structurally (one ``h``, or one
     family with equal h-parameters);
-    M̄ is the largest per-node bound on the non-shared parts.  c̃ is read
+    M̄ is the largest per-node bound on the non-shared parts.  Without a
+    ``family``, the certificates come from the nodes: the double-scroll
+    :class:`ChuaCertFamily` for Chua nodes, else the identity-metric
+    :class:`PointFamily` of the nodes' declared W.  c̃ is read
     off the family's threshold certificate, whose W entries on uncoupled
     components must be negative.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
     decay margin, is read off the family's residual certificate at the
@@ -864,6 +879,8 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
         raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
     dim = _validate_network(fields, topo)
     _require_common_h(fields)
+    if family is None:
+        family = _shared_h_family(fields)
     gamma = _checked_gamma(gamma, dim)
     active = gamma > 0.0
     if mode == "cor1" and not active.all():

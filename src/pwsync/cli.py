@@ -31,6 +31,7 @@ from .graph import GraphError
 from .scenarios import BUILTINS, ConfigError, load_scenario
 from .sim import (
     SimError,
+    _meta_lines,
     error_series,
     steady_state_eps,
     sweep_coupling,
@@ -112,8 +113,7 @@ def cmd_certify(args) -> int:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
     meta = _scenario_meta(scenario)
-    header = [f"# {key} = {meta[key]}" for key in sorted(meta)]
-    text = "\n".join(header) + "\n\n" + report.to_text() + "\n"
+    text = "\n".join(_meta_lines(meta)) + "\n\n" + report.to_text() + "\n"
     (outdir / "report.txt").write_text(text)
     payload = {"report": report.to_dict(), "scenario": {k: str(v) for k, v in meta.items()}}
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -164,8 +164,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"eps_hat <= eps_bar = {ok}")
     else:
         lines.append(f"certification skipped: {cert_note}")
-    for key in sorted(meta):
-        lines.append(f"# {key} = {meta[key]}")
+    lines += _meta_lines(meta)
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
     for line in lines:

@@ -382,7 +382,7 @@ def kuramoto_error_field(p: KuramotoParams, omega_mean: float) -> AffineDecompos
                        w_identity=np.zeros(1), label=f"kuramoto(detune={detune:g})")
 
 
-def decay_field(rate: float = 1.0) -> AffineDecomposedField:
+def decay_field(rate: float) -> AffineDecomposedField:
     """Scalar linear decay: h = -rate·x, g ≡ 0."""
     rate = DECAY.check({"rate": float(rate)})["rate"]
     return _node_field(DECAY, {"rate": rate}, dim=1, M=0.0, h_gain=rate,

@@ -27,18 +27,13 @@ import numpy as np
 
 from .certify import (
     CertifyError,
-    ChuaCertFamily,
     CouplingSpec,
-    PointFamily,
-    QuadCertificate,
-    _identity_rows,
     _require_common_h,
     certify_upsilon,
     linear_common_bounds,
     linear_hetero_bounds,
     nonlinear_bounds,
     pws_coupling,
-    quad_linear_cert,
 )
 from .dynamics import (
     ChuaParams,
@@ -88,7 +83,6 @@ class Scenario:
     sim: SimConfig
     x0: np.ndarray
     mode: str = "auto"
-    family: Optional[object] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -138,10 +132,8 @@ class Scenario:
         if mode == "thm1":
             return linear_hetero_bounds(self.fields, self.topo, self.coupling.gamma, c_val)
         if mode in ("thm2", "cor1"):
-            fam = self.family if self.family is not None else _default_point_family(self.fields)
-            return linear_common_bounds(
-                self.fields, self.topo, self.coupling.gamma, c_val, fam, mode=mode
-            )
+            return linear_common_bounds(self.fields, self.topo, self.coupling.gamma, c_val,
+                                        mode=mode)
         return nonlinear_bounds(self.fields, self.topo, self.coupling, self.x0, c_val, mode=mode)
 
     def simulate(self, config: Optional[SimConfig] = None, c: Optional[float] = None):
@@ -155,11 +147,6 @@ class Scenario:
 
     def with_gain(self, c: float) -> "Scenario":
         return replace(self, coupling=self.coupling.with_gain(c), meta=dict(self.meta))
-
-
-def _default_point_family(fields) -> PointFamily:
-    w = _identity_rows(fields).max(axis=0)
-    return PointFamily(QuadCertificate(np.ones(w.size), w))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +213,19 @@ BUILTINS = {
 # the loader, shared by built-ins and scenario files
 # ---------------------------------------------------------------------------
 
+# The [nodes] keys of each family, beside 'family' and 'seed', with their defaults.
+_NODE_KEYS = {
+    "ikeda": {"a": IkedaParams.a, "b": IkedaParams.b, "tau": IkedaParams.tau, "mismatch": 0.0},
+    "chua": {key: getattr(ChuaParams, key) for key in ("alpha", "beta", "slope_a", "slope_b")},
+    "relay": {"m_override": RelayParams.m_override},
+    "kuramoto": {"omega_scale": 0.316},
+    "decay": {"rate": 1.0},
+}
+
 _SCHEMA = {
     "scenario": {"name", "mode"},
     "topology": {"source", "path", "edges", "n", "p", "seed", "weight", "rescale_lambda2"},
-    "nodes": {
-        "family", "seed", "a", "b", "tau", "mismatch",
-        "alpha", "beta", "slope_a", "slope_b",
-        "m_override", "omega_scale", "rate",
-    },
+    "nodes": {"family", "seed"}.union(*_NODE_KEYS.values()),
     "coupling": {"variant", "c", "gamma", "eta", "e_max", "grid"},
     "init": {"kind", "scale", "low", "high", "center", "cap_norm", "seed"},
     "sim": {"dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"},
@@ -342,71 +334,63 @@ def _config_topology(cfg, path, seed: int) -> Topology:
 def _config_nodes(cfg, n_nodes, rng):
     family = _get(cfg, "nodes", "family", required=True)
     rng = _section_rng(cfg, "nodes", rng)
+    if family not in _NODE_KEYS:
+        raise ConfigError(f"[nodes] family must be {'|'.join(_NODE_KEYS)}, got '{family}'")
+    values = {}
+    for key, default in _NODE_KEYS[family].items():
+        raw = _get(cfg, "nodes", key)
+        # an optional key (default None) left empty stays unset
+        unset = raw is None or (default is None and raw == "")
+        values[key] = default if unset else _as_float(raw, f"[nodes] {key}")
+    foreign = sorted(set(cfg["nodes"]) - {"family", "seed"} - set(values))
+    if foreign:
+        raise ConfigError(f"[nodes] key '{foreign[0]}' does not apply to family {family}")
     try:
-        fields, fam, node_meta = _family_nodes(cfg, family, n_nodes, rng)
+        fields, node_meta = _family_nodes(family, values, n_nodes, rng)
     except ConfigError:
         raise
     except ValueError as exc:  # a family builder rejected a parameter value
         raise ConfigError(f"[nodes] {exc}") from exc
-    return fields, fam, {"node_family": family, **node_meta}
+    return fields, {"node_family": family, **node_meta}
 
 
-def _family_nodes(cfg, family, n_nodes, rng):
+def _family_nodes(family, values, n_nodes, rng):
+    """The fields of ``n_nodes`` nodes of ``family`` with [nodes] ``values``,
+    and the metadata that records their draws."""
     if family == "ikeda":
         # (a, b, tau) = base + uniform(-mismatch, mismatch) per node; no draw without mismatch
-        base = [
-            _as_float(_get(cfg, "nodes", k, d), f"[nodes] {k}")
-            for k, d in (("a", "1.0"), ("b", "4.0"), ("tau", "2.0"))
-        ]
-        mism = _as_float(_get(cfg, "nodes", "mismatch", "0.0"), "[nodes] mismatch")
+        mism = values["mismatch"]
         if mism > 0:
             spread = rng.uniform(-mism, mism, size=(3, n_nodes))
         else:
             spread = np.zeros((3, n_nodes))
-        a, b, tau = (base_k + row for base_k, row in zip(base, spread))
+        a, b, tau = (values[key] + row for key, row in zip(("a", "b", "tau"), spread))
         fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(n_nodes)]
         meta = {
             f"node_{i + 1}": f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
             for i in range(n_nodes)
         }
-        return fields, None, meta
+        return fields, meta
     if family == "chua":
-        p = ChuaParams(
-            alpha=_as_float(_get(cfg, "nodes", "alpha", "10.0"), "[nodes] alpha"),
-            beta=_as_float(_get(cfg, "nodes", "beta", "17.30"), "[nodes] beta"),
-            slope_a=_as_float(_get(cfg, "nodes", "slope_a", "-1.34"), "[nodes] slope_a"),
-            slope_b=_as_float(_get(cfg, "nodes", "slope_b", "-0.73"), "[nodes] slope_b"),
-        )
+        p = ChuaParams(**values)
         fields = [chua_field(p, i, n_nodes) for i in range(n_nodes)]
-        fam = ChuaCertFamily(p.alpha, p.beta, p.slope_a, p.slope_b)
         meta = {
             "node_params": f"alpha={p.alpha:g} beta={p.beta:g} slopes {p.slope_a:g}/{p.slope_b:g}"
         }
-        return fields, fam, meta
+        return fields, meta
     if family == "relay":
-        override_raw = _get(cfg, "nodes", "m_override")
-        override = _as_float(override_raw, "[nodes] m_override") if override_raw else None
-        p = RelayParams(m_override=override)
-        node = relay_field(p)
-        fam = PointFamily(quad_linear_cert(np.asarray(p.a_matrix, dtype=float)))
-        return [node] * n_nodes, fam, {}
+        return [relay_field(RelayParams(**values))] * n_nodes, {}
     if family == "kuramoto":
         # a centred normal draw rescaled to max |omega| = omega_scale
-        scale = _as_float(_get(cfg, "nodes", "omega_scale", "0.316"), "[nodes] omega_scale")
         omega = rng.normal(size=n_nodes)
         omega = omega - omega.mean()
         peak = float(np.abs(omega).max())
         if peak == 0.0:
             raise ConfigError("degenerate frequency draw; pick another seed")
-        omega = omega * (scale / peak)
+        omega = omega * (values["omega_scale"] / peak)
         fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
-        return fields, None, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
-    if family == "decay":
-        rate = _as_float(_get(cfg, "nodes", "rate", "1.0"), "[nodes] rate")
-        return [decay_field(rate)] * n_nodes, None, {}
-    raise ConfigError(
-        f"[nodes] family must be ikeda|chua|relay|kuramoto|decay, got '{family}'"
-    )
+        return fields, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
+    return [decay_field(values["rate"])] * n_nodes, {}
 
 
 def _config_coupling(cfg, dim):
@@ -456,8 +440,10 @@ def _config_init(cfg, size, rng) -> np.ndarray:
     cap_raw = _get(cfg, "init", "cap_norm")
     if cap_raw is not None:
         cap = _as_float(cap_raw, "[init] cap_norm")
+        if cap <= 0.0:
+            raise ConfigError("[init] cap_norm must be positive")
         norm = float(np.linalg.norm(x0))
-        if norm > cap > 0.0:
+        if norm > cap:
             x0 = x0 * (cap / norm)
     return x0
 
@@ -483,7 +469,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
     rng = np.random.default_rng(seed)
 
     topo = _config_topology(cfg, path, seed)
-    fields, family, node_meta = _config_nodes(cfg, topo.n_nodes, rng)
+    fields, node_meta = _config_nodes(cfg, topo.n_nodes, rng)
     coupling = _config_coupling(cfg, fields[0].dim)
     x0 = _config_init(cfg, topo.n_nodes * fields[0].dim, rng)
 
@@ -492,7 +478,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
         raw = _get(cfg, "sim", key)
         if raw is not None:
             sim_kwargs[key] = _as_float(raw, f"[sim] {key}")
-    sim_cfg = SimConfig(seed=seed, **sim_kwargs)
+    sim_cfg = SimConfig(**sim_kwargs)
 
     name = _get(cfg, "scenario", "name", name)
     mode = _get(cfg, "scenario", "mode", "auto")
@@ -505,7 +491,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
         )
     return Scenario(
         name=name, topo=topo, fields=fields, coupling=coupling, sim=sim_cfg,
-        x0=x0, mode=mode, family=family, meta=meta,
+        x0=x0, mode=mode, meta=meta,
     )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .certify import CertifyError, CouplingSpec
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
-from .graph import GraphError, Topology, build_laplacian
+from .graph import Topology, build_laplacian
 
 __all__ = [
     "SimError",
@@ -66,16 +66,13 @@ class SimConfig:
 
     ``regularization_width`` = 0 keeps the exact sign function (value 0 on
     the switching set); positive values saturate linearly inside the
-    layer.  ``seed`` does not influence the integrator itself (it is
-    deterministic); it is echoed so outputs document the scenario draw
-    they belong to.
+    layer.
     """
 
     dt: float = 1e-3
     t_end: float = 10.0
     tail_fraction: float = 0.25
     regularization_width: float = 0.0
-    seed: int = 0
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
@@ -262,7 +259,7 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
                     n_nodes=n_nodes, dim=dim, coupling_variant=coupling.variant,
                     coupling_label=coupling.label, regularization_width=width,
-                    divergence_threshold=threshold, seed=config.seed)
+                    divergence_threshold=threshold)
     trajectories = []
     for b, c in enumerate(gains):
         end = int(last[b])
@@ -490,7 +487,7 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
     All gains are integrated in one pass (:func:`integrate_gains`).  Each
     row reports the measured residual ε̂ and, when the scenario's
     certification mode passes its hypotheses at that gain, the certified
-    bound ε̄ (NaN otherwise).
+    bound ε̄ (NaN otherwise); bad input, such as a disconnected graph, raises.
     """
     cfg = config if config is not None else scenario.sim
     gains = sorted(float(v) for v in c_values)
@@ -506,7 +503,7 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
             if report.certified:
                 eps_bar = float(report.eps_bar)
                 certified = True
-        except (CertifyError, GraphError):
+        except CertifyError:  # not certified at this gain
             pass
         rows.append({
             "c": c,

@@ -508,7 +508,7 @@ CHUA10_PATTERNS = [
 @pytest.mark.parametrize("gamma, mode, expected", CHUA10_PATTERNS)
 def test_chua10_gamma_patterns(gamma, mode, expected):
     scenario = load_scenario("chua10", seed=0)
-    args = (scenario.fields, scenario.topo, np.array(gamma, dtype=float), 10.0, scenario.family)
+    args = (scenario.fields, scenario.topo, np.array(gamma, dtype=float), 10.0)
     if isinstance(expected, str):
         with pytest.raises(CertifyError, match=expected):
             linear_common_bounds(*args, mode=mode)
@@ -517,6 +517,27 @@ def test_chua10_gamma_patterns(gamma, mode, expected):
     assert report.certified
     assert abs(report.c_tilde - expected[0]) < 1e-13 * expected[0]
     assert abs(report.eps_bar - expected[1]) < 1e-13 * expected[1]
+
+
+# Without a family, linear_common_bounds takes it from the nodes; it must give
+# the reports of the families the relay and double-scroll nodes call for.
+EXPLICIT_FAMILIES = {
+    "relay5": (lambda: PointFamily(quad_linear_cert(RELAY_A)), (0.0, 24.0, 50.0, 80.0)),
+    "chua10": (ChuaCertFamily, (0.0, 5.0, 10.0, 20.0)),
+}
+
+
+@pytest.mark.parametrize("mode", ["thm2", "cor1"])
+@pytest.mark.parametrize("name", sorted(EXPLICIT_FAMILIES))
+def test_derived_family_matches_the_explicit_one(name, mode):
+    scenario = load_scenario(name, seed=0)
+    make_family, gains = EXPLICIT_FAMILIES[name]
+    gamma = scenario.coupling.gamma if mode == "thm2" else np.ones(scenario.dim)
+    for c in gains:
+        args = (scenario.fields, scenario.topo, gamma, c)
+        derived = linear_common_bounds(*args, mode=mode)
+        explicit = linear_common_bounds(*args, make_family(), mode=mode)
+        assert derived.to_text() == explicit.to_text(), (name, mode, c)
 
 
 # ---------------------------------------------------------------------------

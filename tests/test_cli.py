@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pwsync.cli import main
+from pwsync.scenarios import load_scenario
 
 DIVERGING_INI = """
 [scenario]
@@ -323,6 +324,75 @@ def test_bad_node_parameters_exit_one(tmp_path, capsys, command, family, key, va
     err = capsys.readouterr().err
     assert err.startswith("error: [nodes] ")
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "family, key, gamma",
+    [("decay", "alpha", "1"), ("ikeda", "rate", "1"), ("chua", "mismatch", "1,0,1"),
+     ("relay", "omega_scale", "1,1,1"), ("kuramoto", "m_override", "1")],
+)
+def test_another_familys_node_key_exits_one(tmp_path, capsys, family, key, gamma):
+    ini = tmp_path / "foreign.ini"
+    ini.write_text(NODES_INI.format(family=family, key=key, value="7", gamma=gamma))
+    rc = main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: [nodes] key '{key}' does not apply to family {family}\n")
+
+
+def test_empty_relay_m_override_means_none(tmp_path):
+    ini = tmp_path / "relay.ini"
+    ini.write_text(NODES_INI.format(family="relay", key="m_override", value="", gamma="1,1,1"))
+    fields = load_scenario(str(ini)).fields
+    assert all(f.M == math.sqrt(6.0) for f in fields)  # ‖B‖ of B = (1, -2, 1)
+
+
+CAP_INI = RING_INI.format(weight="1", dt="0.01") + """
+[init]
+scale = 5
+cap_norm = {cap}
+"""
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_nonpositive_cap_norm_exits_one(tmp_path, capsys, command, cap):
+    ini = tmp_path / "cap.ini"
+    ini.write_text(CAP_INI.format(cap=cap))
+    rc = main([command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [init] cap_norm must be positive\n"
+
+
+DISCONNECTED_INI = """
+[topology]
+source = edgelist
+edges = 0 1, 2 3
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+c = 1
+gamma = 1
+
+[sim]
+dt = 0.01
+t_end = 1
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["certify"], ["simulate"], ["sweep", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
+], ids=["certify", "simulate", "sweep"])
+def test_disconnected_graph_exits_one_in_every_command(tmp_path, capsys, command):
+    ini = tmp_path / "split.ini"
+    ini.write_text(DISCONNECTED_INI)
+    rc = main([*command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: graph is disconnected: algebraic connectivity is zero\n")
 
 
 FINITE_INI = """

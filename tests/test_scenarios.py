@@ -110,8 +110,7 @@ def test_mode_coupling_compatibility_is_enforced():
 def test_auto_mode_resolution():
     s = load_scenario("relay5", 0)
     auto = Scenario(name="relay-auto", topo=s.topo, fields=s.fields,
-                    coupling=s.coupling, sim=s.sim, x0=s.x0, mode="auto",
-                    family=s.family)
+                    coupling=s.coupling, sim=s.sim, x0=s.x0, mode="auto")
     assert auto.resolved_mode() == "cor1"
     k = load_scenario("kuramoto4", 0)
     k_auto = Scenario(name="k-auto", topo=k.topo, fields=k.fields,
@@ -132,8 +131,7 @@ def test_certify_dispatch_reports_requested_mode():
     report = s.certify()
     assert report.mode == "cor1"
     forced = Scenario(name="relay-thm2", topo=s.topo, fields=s.fields,
-                      coupling=s.coupling, sim=s.sim, x0=s.x0, mode="thm2",
-                      family=s.family)
+                      coupling=s.coupling, sim=s.sim, x0=s.x0, mode="thm2")
     assert forced.certify().mode == "thm2"
 
 
@@ -335,7 +333,7 @@ def test_config_file_chua_matches_builtin_graph(tmp_path):
     s = load_scenario(str(path))
     ref = load_scenario("chua10", 0)
     assert np.allclose(s.topo.weights, ref.topo.weights, atol=1e-12)
-    assert s.family is not None
+    assert s.certify().to_text() == ref.certify().to_text()
 
 
 def test_config_seed_override_fills_missing_section_seeds(tmp_path):
