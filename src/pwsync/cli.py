@@ -10,8 +10,10 @@ file) and a seed override:
   ``errors.csv`` and ``summary.txt``; exit 0, or 3 when the state
   diverged, 1 on bad input.
 * ``sweep``    - integrate every gain of a grid in one pass and certify
-  each, write ``sweep.csv``; exit 0, 1 on bad input (checked before the
-  output directory is created).
+  each, write ``sweep.csv``; exit 0, 1 on bad input.
+
+Each command rejects a disconnected graph before it creates the output
+directory or integrates anything.
 
 Outputs carry no timestamps, so a rerun with identical arguments
 produces byte-identical files.
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertifyError
-from .graph import GraphError
+from .graph import DISCONNECTED, GraphError, is_connected
 from .scenarios import BUILTINS, ConfigError, load_scenario
 from .sim import (
     SimError,
@@ -89,6 +91,14 @@ def _scenario_meta(scenario) -> dict:
     return meta
 
 
+def _load(args):
+    """The scenario ``args`` name; a disconnected graph is bad input."""
+    scenario = load_scenario(args.scenario, args.seed)
+    if not is_connected(scenario.topo):
+        raise GraphError(DISCONNECTED)
+    return scenario
+
+
 def _apply_sim_overrides(scenario, args):
     overrides = {}
     if args.dt is not None:
@@ -104,7 +114,7 @@ def _apply_gain(scenario, args):
 
 
 def cmd_certify(args) -> int:
-    scenario = _apply_gain(load_scenario(args.scenario, args.seed), args)
+    scenario = _apply_gain(_load(args), args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -123,7 +133,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _apply_sim_overrides(load_scenario(args.scenario, args.seed), args)
+    scenario = _apply_sim_overrides(_load(args), args)
     scenario = _apply_gain(scenario, args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +197,7 @@ def cmd_sweep(args) -> int:
         c_values = np.geomspace(args.c_min, args.c_max, args.points)
     else:
         c_values = np.linspace(args.c_min, args.c_max, args.points)
-    scenario = _apply_sim_overrides(load_scenario(args.scenario, args.seed), args)
+    scenario = _apply_sim_overrides(_load(args), args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -120,22 +120,28 @@ class AffineDecomposedField:
 
 
 class NodeFamily:
-    """One family of node equations f(t, x) = Aᵢx + rest(x) + forcing(t),
-    read over per-node parameters stacked by :meth:`stack` into a dict q
-    of arrays, one row per node (plus what the kernels derive once):
+    """One family of node equations f(t, x) = Aᵢx + kernel(x·Gᵢ)·Sᵢ +
+    forcing(t), read over per-node parameters stacked by :meth:`stack` into
+    a dict q of arrays, one row per node (plus what the kernels derive once):
 
     - ``linear(q)``: the blocks Aᵢ, shape (n, dim, dim);
-    - ``rest(q, x, sgn)``: the state-dependent remainder at x (..., n, dim),
-      in h when ``rest_in_h`` (Chua's diode knee), else in g (the relay's
-      −B·sgn(Cx));
+    - ``gather(q)``, ``kernel(y, sgn)`` and ``scatter(q)``: the
+      state-dependent rest, kernel(x·Gᵢ)·Sᵢ on a row state x, with gather
+      blocks Gᵢ (n, dim, k) and scatter blocks Sᵢ (n, k, dim).  The relay's
+      −B·sgn(Cx) is C, sgn and −Bᵀ; Chua's diode knee is e₁,
+      |y + 1| − |y − 1| and knee·e₁ᵀ.  The rest is in h when ``rest_in_h``,
+      else in g;
     - ``forcing(q, ts, delayed, sgn)``: the term in g that depends only on
       time and stored history, at times ts, shape (T, B or 1, n, ...), with
       ``delayed(lags)`` the states (T, B, n, dim) at ts − lags (Ikeda's
       delayed sine, Chua's square wave, Kuramoto's detuning).
 
-    rest and forcing act on the components ``column`` and are None when
-    absent.  ``h_keys`` names the parameters that make up h, ``positive``
-    those that must be positive, and ``delay_key`` the delay, if any.
+    The builders read the blocks of their one node; the integrator puts a
+    family's blocks into block-diagonal matrices, or applies them node by
+    node on large networks.  ``kernel`` and ``forcing`` are None when
+    absent, and forcing acts on the components ``column``.  ``h_keys``
+    names the parameters that make up h, ``positive`` those that must be
+    positive, and ``delay_key`` the delay, if any.
     """
 
     name = ""
@@ -145,7 +151,7 @@ class NodeFamily:
     delay_key = None
     column = slice(None)
     rest_in_h = False
-    rest = None
+    kernel = None
     forcing = None
 
     def check(self, params: dict) -> dict:
@@ -192,11 +198,6 @@ class _Chua(NodeFamily):
     column = 0
     rest_in_h = True
 
-    def stack(self, params):
-        q = super().stack(params)
-        q["knee"] = -0.5 * q["alpha"] * (q["slope_a"] - q["slope_b"])
-        return q
-
     def linear(self, q):
         alpha = q["alpha"]
         blocks = np.zeros((alpha.size, 3, 3))
@@ -206,9 +207,16 @@ class _Chua(NodeFamily):
         blocks[:, 2, 1] = -q["beta"]
         return blocks
 
-    def rest(self, q, x, sgn):
-        x1 = x[..., 0]
-        return q["knee"] * (np.abs(x1 + 1.0) - np.abs(x1 - 1.0))
+    def gather(self, q):
+        return np.broadcast_to(np.eye(3)[:, :1], (q["alpha"].size, 3, 1))
+
+    def kernel(self, y, sgn):
+        return np.abs(y + 1.0) - np.abs(y - 1.0)
+
+    def scatter(self, q):
+        blocks = np.zeros((q["alpha"].size, 1, 3))
+        blocks[:, 0, 0] = -0.5 * q["alpha"] * (q["slope_a"] - q["slope_b"])  # the knee
+        return blocks
 
     def forcing(self, q, ts, delayed, sgn):
         return sgn(np.sin(ts[:, None, None] - q["offset"]))
@@ -221,17 +229,17 @@ class _Relay(NodeFamily):
     keys = ("a_matrix", "b_vector", "c_vector")
     h_keys = ("a_matrix",)
 
-    def stack(self, params):
-        q = super().stack(params)
-        q["c_column"] = q["c_vector"][:, :, None]
-        q["neg_b_row"] = -q["b_vector"][:, None, :]
-        return q
-
     def linear(self, q):
         return q["a_matrix"]
 
-    def rest(self, q, x, sgn):
-        return (sgn(x[..., None, :] @ q["c_column"]) @ q["neg_b_row"])[..., 0, :]
+    def gather(self, q):
+        return q["c_vector"][:, :, None]
+
+    def kernel(self, y, sgn):
+        return sgn(y)
+
+    def scatter(self, q):
+        return -q["b_vector"][:, None, :]
 
 
 class _Kuramoto(NodeFamily):
@@ -264,7 +272,11 @@ IKEDA, CHUA, RELAY, KURAMOTO, DECAY = _Ikeda(), _Chua(), _Relay(), _Kuramoto(), 
 def _node_field(family: NodeFamily, params: dict, **annotations) -> AffineDecomposedField:
     """One node of ``family``: its h and g read the family's kernels with
     this node's (checked) parameters as a stack of one."""
-    col, rest, forcing = family.column, family.rest, family.forcing
+    col, forcing = family.column, family.forcing
+    rest = None
+    if family.kernel is not None:
+        def rest(q, x, sgn):
+            return family.kernel(x @ family.gather(q)[0], sgn) @ family.scatter(q)[0]
     rest_h, rest_g = (rest, None) if family.rest_in_h else (None, rest)
 
     def h(t, x):
@@ -272,19 +284,17 @@ def _node_field(family: NodeFamily, params: dict, **annotations) -> AffineDecomp
         x = np.asarray(x, dtype=float)
         out = x @ family.linear(q)[0].T
         if rest_h is not None:
-            out[..., None, :][..., col] += rest_h(q, x[..., None, :], None)
+            out += rest_h(q, x, None)
         return out
 
     def g(t, x, history, sgn):
         q = family.stack([params])
-        x = np.asarray(x, dtype=float)[..., None, :]
-        out = np.zeros(x.shape)
-        if rest_g is not None:
-            out[..., col] += rest_g(q, x, sgn)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape) if rest_g is None else rest_g(q, x, sgn)
         if forcing is not None:
             past = lambda lags: history(t - lags)[None, None]  # noqa: E731
-            out[..., col] += forcing(q, np.array([float(t)]), past, sgn)[0, 0]
-        return out[..., 0, :]
+            out[..., None, :][..., col] += forcing(q, np.array([float(t)]), past, sgn)[0, 0]
+        return out
 
     delay = None if family.delay_key is None else float(params[family.delay_key])
     return AffineDecomposedField(h=h, g=g, delay=delay, family=family, params=params,

@@ -35,6 +35,9 @@ class GraphError(ValueError):
     """Invalid topology or an ill-posed spectral query."""
 
 
+DISCONNECTED = "graph is disconnected: algebraic connectivity is zero"
+
+
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Symmetric nonnegative weight matrix with a zero diagonal."""
@@ -185,19 +188,15 @@ def build_laplacian(topo: Topology) -> Laplacian:
 
 
 def is_connected(topo: Topology) -> bool:
-    """Breadth-first reachability over positive-weight edges."""
-    w = topo.weights
-    n = topo.n_nodes
-    seen = np.zeros(n, dtype=bool)
+    """Breadth-first reachability over positive-weight edges, one frontier
+    of nodes per step."""
+    adjacent = topo.weights > 0.0
+    seen = np.zeros(topo.n_nodes, dtype=bool)
     seen[0] = True
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        neighbors = np.nonzero(w[i] > 0.0)[0]
-        for j in neighbors:
-            if not seen[j]:
-                seen[j] = True
-                frontier.append(int(j))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -215,5 +214,5 @@ def lambda2(lap: Laplacian) -> float:
         raise GraphError(f"Laplacian lost its structural zero eigenvalue (got {evals[0]:.3e})")
     lam2 = float(evals[1])
     if lam2 < _ZERO_EIG_TOL:
-        raise GraphError("graph is disconnected: algebraic connectivity is zero")
+        raise GraphError(DISCONNECTED)
     return lam2

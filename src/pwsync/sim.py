@@ -1,22 +1,28 @@
 """Fixed-step RK4 integration of coupled networks.
 
-One RK4 loop advances a state of shape (B, N, dim): B coupling gains,
-each a copy of the N-node network; a gain sweep is one pass.  The nodes
-of each family in :mod:`pwsync.dynamics` are stacked into parameter
-arrays once per run, and a stage reads the same kernels that give each
-node's ``h`` and ``g``.  Every term linear in the state sits in one
-matrix per gain, J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ), so a stage is one
-batched matmul plus each family's state-dependent rest and the
-nonlinear coupling summed over the edge list.  Fields without a family
-go through their own ``h`` and ``g``, one node at a time.
+One RK4 loop advances B coupling gains at once, each a copy of the
+N-node network held as one row state of N·dim entries, shape (B, 1,
+N·dim); a gain sweep is one pass.  The nodes of each family in
+:mod:`pwsync.dynamics` are stacked into parameter arrays once per run.
+Every term linear in the state sits in one dense matrix per gain,
+J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ).  Every state-dependent term is one
+triple, added as kernel(x @ G) @ S: a family's rest (its gather blocks,
+kernel and scatter blocks), and the nonlinear coupling (the signed
+incidence x_j − x_i per directed edge and component, η, and the scatter
+of c_b·w_ij to the receiving node).  G and S are dense block-diagonal and
+incidence matrices while G has at most ``_DENSE`` entries; a larger term
+applies the same triple node by node and over the edge list.  Fields
+without a family go through their own ``h`` and ``g``, one node at a
+time.
 
 Each family's time-only forcing is tabulated once per block of m ≤ 64
-steps, at the block's 2m + 1 stage times; with m ≤ τ_min/dt, every
-delayed value a block reads is already stored.  When no term depends on
-the state outside J (no rest, no edge term, no hand-built field), RK4 on
-x' = Jx + f(t) is exactly affine: a step is x ← x·M + g, with M =
-R(dt·Jᵀ) built once per gain and the forcing rows g computed per block
-in two batched products.  Every other run takes the four RK4 stages.
+steps, at the block's 2m + 1 stage times, into one table of full rows;
+with m ≤ τ_min/dt, every delayed value a block reads is already stored.
+A stage is x @ Jᵀ plus the table's row plus each triple.  When there is
+no triple and no hand-built field, RK4 on x' = Jx + f(t) is exactly
+affine: a step is x ← x·M + g, with M = R(dt·Jᵀ) built once per gain and
+the forcing rows g read off the same table in two batched products per
+block.  Every other run takes the four RK4 stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +61,9 @@ __all__ = [
 
 
 _BLOCK = 64  # most steps per table of time-only terms
+# most entries of a dense gather G; past it a triple runs node by node and
+# over the edge list (the crossover measured at a batch of six gains)
+_DENSE = 4096
 
 
 class SimError(ValueError):
@@ -140,18 +150,20 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
                     coupling: CouplingSpec, gains, x0, config: SimConfig) -> list:
     """Integrate the network once per coupling gain, all gains in one pass.
 
-    The state has shape (B, N, dim), one row per gain, and every stage
+    The state has one row of N·dim entries per gain, and every stage
     evaluates all of them together.  The run holds B × (steps + 1) × N ×
     dim floats.  A gain whose state leaves the divergence threshold drops
     out of the batch at that step; its trajectory ends where its own run
     would.  Returns one :class:`Trajectory` per gain, in input order.
 
-    The step is chosen from the run's structure.  With no edge term (linear
-    coupling, or every gain zero), no hand-built field and no family with
-    a state-dependent rest (decay, Ikeda and Kuramoto nodes only), a step
-    is one product with M = R(dt·Jᵀ) plus the step's forcing row; otherwise
-    it is the four RK4 stages.  Both agree to rounding (about 1e-13 relative
-    over the 15 000 steps of ikeda10-linear).
+    The step is chosen from the run's structure.  With no state-dependent
+    term outside J (linear coupling, or every gain zero; no hand-built
+    field; decay, Ikeda and Kuramoto nodes only), a step is one product
+    with M = R(dt·Jᵀ) plus the step's forcing row.  Otherwise it is the
+    four RK4 stages, each x @ Jᵀ plus the forcing table's row plus every
+    triple kernel(x @ G) @ S.  Both steps agree to rounding (about 1e-13
+    relative over the 15 000 steps of ikeda10-linear), and so do the dense
+    and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
     if len(fields) != n_nodes:
@@ -188,48 +200,48 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     width = config.regularization_width
     sgn = hard_sgn if width == 0.0 else saturated_sgn(width)
     history = _History(states, dt)
-    blocks, residuals, tables, time_only = _node_terms(fields, sgn, history)
+    blocks, terms, forced, closure = _node_terms(fields, sgn, history)
     # lin is the per-gain operator on row states: Jᵀ for the staged step,
     # M = R(dt·Jᵀ) for the affine one
     lin = _linear_part(blocks, coupling, topo, gains)
-    edge = _edge_sum(coupling, topo) if coupling.variant != "linear" and gains.any() else None
-    affine = time_only and edge is None and lin is not None
+    coupled = coupling.variant != "linear" and gains.any()
+    if coupled:
+        terms.append(_coupling_term(coupling.eta, topo, dim, gains))
+    affine = not terms and closure is None and lin is not None
     if affine:
-        lin, weights = _affine_step(lin, dt, bool(tables))
-    c_live = gains[:, None, None]
+        lin, weights = _affine_step(lin, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
     # delayed reads need no row past the one stored at the start
     block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
 
     def rhs(t, stage, x):
-        rows = x.reshape(len(x), 1, size)
-        out = np.zeros(x.shape) if lin is None else (rows @ lin).reshape(x.shape)
-        for residual in residuals:
-            residual(t, stage, x, out)
-        if edge is not None:
-            out += c_live * edge(x)
-        return out
+        out = None if table is None else table[stage]
+        for gather, kernel, scatter in terms:
+            term = kernel(x @ gather) @ scatter
+            out = term if out is None else out + term
+        if closure is not None:
+            term = closure(t, x)
+            out = term if out is None else out + term
+        return out if lin is None else x @ lin + out
 
-    # the affine step keeps each state as one row (B, 1, N·dim)
-    store = states.reshape(gains.size, n_steps + 1, -1, size if affine else dim)
+    store = states.reshape(gains.size, n_steps + 1, 1, size)
     x = store[:, 0].copy()
     live = np.arange(gains.size)
     last = np.full(gains.size, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
     threshold = config.divergence_threshold
-    forcing = None
+    table = forcing = None
     for k in range(n_steps):
         j = k % block
-        if j == 0 and tables:
+        if j == 0 and forced:
             end = min(k + block, n_steps)
             stage_times = np.empty(2 * (end - k) + 1)
             stage_times[0::2] = times[k:end + 1]
             stage_times[1::2] = times[k:end] + half
-            for table in tables:
-                table.fill(stage_times)
+            table = _forcing_table(forced, stage_times, history, sgn, n_nodes, dim)
             if affine:
-                forcing = _affine_forcing(tables, weights, sixth, n_nodes, dim)
+                forcing = _affine_forcing(table, weights, sixth)
         if affine:
             x = x @ lin if forcing is None else x @ lin + forcing[j]
         else:
@@ -244,16 +256,19 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
         if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
             ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
             last[live[~ok]] = k
-            live, x, c_live = live[ok], x[ok], c_live[ok]
+            live, x = live[ok], x[ok]
             if live.size == 0:
                 break
             history.keep(live)
-            for table in tables:
-                table.keep(ok)
+            if table is not None:
+                table = table[:, ok]
             if lin is not None:
                 lin = lin[ok]
             if forcing is not None:
                 weights, forcing = weights[ok], forcing[:, ok]
+            if coupled:
+                gather, eta, scatter = terms[-1]
+                terms[-1] = gather, eta, scatter[ok]
         store[history.rows, k + 1] = x
 
     run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
@@ -310,38 +325,6 @@ class _History:
         return np.where(frac > 1e-9, row + frac * (nxt - row), row)
 
 
-class _Terms:
-    """The nodes of one family: their stacked parameters ``q``, the rest
-    read at each stage, and the time-only forcing tabulated at the 2m + 1
-    stage times of a block of m steps (``rows``, shape (2m + 1, B, n, …);
-    row 2j at the block's step j, row 2j + 1 at its half step).
-    :meth:`add` adds the rest and the stage's row in one ``+=`` on the
-    components ``column`` of ``nodes``."""
-
-    def __init__(self, family, q, idx, nodes, sgn, history):
-        self.rest, self.forcing, self.column = family.rest, family.forcing, family.column
-        self.q, self.idx, self.nodes, self.sgn, self.history = q, idx, nodes, sgn, history
-        self.rows = None
-
-    def add(self, t, stage, x, out):
-        if self.rest is None:
-            value = self.rows[stage]
-        else:
-            value = self.rest(self.q, x[:, self.nodes], self.sgn)
-            if self.rows is not None:
-                value = value + self.rows[stage]
-        out[:, self.nodes, self.column] += value
-
-    def fill(self, ts):
-        history = self.history
-        rows = self.forcing(self.q, ts, lambda lags: history.delayed(ts, lags, self.idx), self.sgn)
-        self.rows = np.broadcast_to(rows, (ts.size, history.live.size) + rows.shape[2:])
-
-    def keep(self, ok):
-        """Keep the live members ``ok`` (a mask over the current ones)."""
-        self.rows = self.rows[:, ok]
-
-
 def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarray):
     """J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ) per gain, transposed to act on row
     states (B, 1, N·dim): shape (B, N·dim, N·dim), or None if all zero."""
@@ -378,76 +361,168 @@ def _affine_step(jac_t, dt: float, forced: bool):
     return m, dt / 6.0 * np.stack([f0, f_half], axis=1)
 
 
-def _affine_forcing(tables, weights, sixth: float, n_nodes: int, dim: int):
+def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
+    """The families' time-only terms at the stage times ``ts`` of a block,
+    scattered into full rows: shape (len(ts), B, 1, N·dim), row 2j at the
+    block's step j and row 2j + 1 at its half step."""
+    table = np.zeros((ts.size, history.live.size, n_nodes, dim))
+    for family, q, idx in forced:
+        delayed = lambda lags: history.delayed(ts, lags, idx)  # noqa: E731
+        table[:, :, idx, family.column] = family.forcing(q, ts, delayed, sgn)
+    return table.reshape(ts.size, -1, 1, n_nodes * dim)
+
+
+def _affine_forcing(table, weights, sixth: float):
     """The affine step's forcing rows for a block of m steps, g_j = f_j·F₀ +
-    f_{j+½}·F½ + f_{j+1}·dt/6 with f the tables' 2m + 1 rows summed into
-    full states: shape (m, B, 1, N·dim), two batched products per block."""
-    n_rows, n_live = tables[0].rows.shape[:2]
-    f = np.zeros((n_rows, n_live, n_nodes, dim))
-    for table in tables:
-        f[:, :, table.nodes, table.column] += table.rows
-    f = f.reshape(n_rows, n_live, n_nodes * dim).transpose(1, 0, 2)
+    f_{j+½}·F½ + f_{j+1}·dt/6 with f the forcing table's 2m + 1 rows:
+    shape (m, B, 1, N·dim), two batched products per block."""
+    f = table[:, :, 0].transpose(1, 0, 2)
     g = f[:, :-1:2] @ weights[:, 0] + f[:, 1::2] @ weights[:, 1] + sixth * f[:, 2::2]
     return np.ascontiguousarray(g.transpose(1, 0, 2)[:, :, None])
 
 
-def _edge_sum(coupling: CouplingSpec, topo: Topology):
-    """Σⱼ w_ij η(x_j − x_i) over the edge list, x (B, N, dim) -> (B, N, dim);
-    a node without edges gets a zero-weight self-loop, so each owns a sum."""
+def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray):
+    """The nonlinear coupling c_b·Σⱼ w_ij η(x_j − x_i) as a triple (gather,
+    η, scatter) on row states (B, 1, N·dim).  The gather is the signed
+    incidence and the scatter carries c_b·w_ij to the receiving node i:
+    dense, one scatter per gain, while the gather has at most ``_DENSE``
+    entries, else over the edge list sorted by receiving node (a node
+    without edges gets a zero-weight self-loop, so each owns a sum).
+    Indexing the scatter with a mask over the gains keeps those gains."""
     edges = topo.weights != 0.0
     isolated = np.flatnonzero(~edges.any(axis=1))
     edges[isolated, isolated] = True
     rows, cols = np.nonzero(edges)
-    weights = topo.weights[rows, cols][:, None]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    eta = coupling.eta
+    weights = topo.weights[rows, cols]
+    n_nodes, n_edges = topo.n_nodes, rows.size
+    if n_nodes * n_edges * dim * dim > _DENSE:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        return (_Incidence(rows, cols, n_nodes), eta,
+                _EdgeScatter(weights[:, None], starts, gains[:, None, None]))
+    edge = np.arange(n_edges)
+    incidence = np.zeros((n_nodes, n_edges))
+    incidence[cols, edge] += 1.0
+    incidence[rows, edge] -= 1.0
+    scatter = np.zeros((n_edges, n_nodes))
+    scatter[edge, rows] = weights
+    eye = np.eye(dim)
+    return np.kron(incidence, eye), eta, gains[:, None, None] * np.kron(scatter, eye)
 
-    def term(x):
-        diffs = x.take(cols, axis=1) - x.take(rows, axis=1)
-        return np.add.reduceat(weights * eta(diffs), starts, axis=1)
+
+class _Incidence:
+    """``x @ G`` for the signed incidence over the edge list, x_j − x_i on
+    each directed edge (i ← j): row states (B, 1, N·dim) -> (B, E, dim)."""
+
+    __array_ufunc__ = None  # ndarray @ self defers to __rmatmul__
+
+    def __init__(self, rows, cols, n_nodes):
+        self.rows, self.cols, self.n_nodes = rows, cols, n_nodes
+
+    def __rmatmul__(self, x):
+        x = x.reshape(len(x), self.n_nodes, -1)
+        return x.take(self.cols, axis=1) - x.take(self.rows, axis=1)
+
+
+class _EdgeScatter:
+    """``y @ S`` over the edge list: c_b·Σ w·y over each node's edges, one
+    gain per member, (B, E, dim) -> row states (B, 1, N·dim)."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, weights, starts, gains):
+        self.weights, self.starts, self.gains = weights, starts, gains
+
+    def __rmatmul__(self, y):
+        summed = np.add.reduceat(self.weights * y, self.starts, axis=1)
+        return (self.gains * summed).reshape(len(y), 1, -1)
+
+    def __getitem__(self, ok):
+        return _EdgeScatter(self.weights, self.starts, self.gains[ok])
+
+
+def _family_term(family, q, idx, n_nodes: int, sgn):
+    """A family's rest on the nodes ``idx`` as a triple (gather, kernel,
+    scatter) on row states (B, 1, N·dim): block-diagonal matrices while the
+    gather has at most ``_DENSE`` entries, else the per-node blocks."""
+    gather, scatter = family.gather(q), family.scatter(q)
+    n, dim, width = gather.shape
+    kernel = partial(family.kernel, sgn=sgn)
+    if n_nodes * dim * n * width > _DENSE:
+        return _NodeGather(gather, idx, n_nodes), kernel, _NodeScatter(scatter, idx, n_nodes)
+    pick = np.eye(n_nodes)[idx]
+    return (np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width), kernel,
+            np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim))
+
+
+class _NodeGather:
+    """``x @ G`` with per-node gather blocks (n, dim, k) on the nodes
+    ``idx``: row states (B, 1, N·dim) -> (B, n, 1, k)."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, blocks, idx, n_nodes):
+        self.blocks, self.idx, self.n_nodes = blocks, idx, n_nodes
+
+    def __rmatmul__(self, x):
+        return x.reshape(len(x), self.n_nodes, 1, -1)[:, self.idx] @ self.blocks
+
+
+class _NodeScatter:
+    """``y @ S`` with per-node scatter blocks (n, k, dim) into the nodes
+    ``idx``: (B, n, 1, k) -> row states (B, 1, N·dim)."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, blocks, idx, n_nodes):
+        self.blocks, self.idx, self.n_nodes = blocks, idx, n_nodes
+
+    def __rmatmul__(self, y):
+        out = np.zeros((len(y), self.n_nodes, 1, self.blocks.shape[-1]))
+        out[:, self.idx] = y @ self.blocks
+        return out.reshape(len(y), 1, -1)
+
+
+def _closure_term(fields, idx, n_nodes: int, sgn, history):
+    """Fields without a family: h + g node by node on row states, a zero
+    block in J."""
+
+    def term(t, x):
+        x = x.reshape(len(x), n_nodes, -1)
+        out = np.zeros(x.shape)
+        for p in range(len(x)):
+            for i, f in zip(idx, fields):
+                xb = x[p, i]
+                out[p, i] = f.h(t, xb) + f.g(t, xb, history.node(p, i), sgn)
+        return out.reshape(len(x), 1, -1)
 
     return term
 
 
-def _closure_terms(fields, idx, sgn, history):
-    """Fields without a family: a zero block; h + g node by node."""
-
-    def residual(t, stage, x, out):
-        for p in range(x.shape[0]):
-            for i, f in zip(idx, fields):
-                xb = x[p, i]
-                out[p, i] += f.h(t, xb) + f.g(t, xb, history.node(p, i), sgn)
-
-    return residual
-
-
 def _node_terms(fields, sgn, history):
-    """Linear blocks Aᵢ (N, dim, dim), the residuals that add h + g − Aᵢx
-    into a stage's ``out``, the :class:`_Terms` whose forcing is tabulated,
-    and whether every residual depends on time only.  Nodes are grouped by
-    family object and each group's parameters are stacked once; fields
-    without a family go through their own ``h`` and ``g``."""
-    blocks = np.zeros((len(fields), fields[0].dim, fields[0].dim))
+    """Linear blocks Aᵢ (N, dim, dim), each family's rest as a triple (see
+    :func:`_family_term`), the families with time-only forcing as (family,
+    q, node indices), and the hand-built fields' term (None without one).  Nodes are grouped by family object and each group's
+    parameters are stacked once; fields without a family go through their
+    own ``h`` and ``g``."""
+    n_nodes = len(fields)
+    blocks = np.zeros((n_nodes, fields[0].dim, fields[0].dim))
     groups = {}
     for i, f in enumerate(fields):
         groups.setdefault(f.family, []).append(i)
-    residuals, tables = [], []
-    time_only = None not in groups
+    terms, forced, closure = [], [], None
     for family, idx in groups.items():
         idx = np.array(idx)
-        nodes = slice(None) if idx.size == len(fields) else idx
         members = [fields[i] for i in idx]
         if family is None:
-            residuals.append(_closure_terms(members, idx, sgn, history))
+            closure = _closure_term(members, idx, n_nodes, sgn, history)
             continue
-        terms = _Terms(family, family.stack([f.params for f in members]), idx, nodes, sgn, history)
-        blocks[idx] = family.linear(terms.q)
+        q = family.stack([f.params for f in members])
+        blocks[idx] = family.linear(q)
+        if family.kernel is not None:
+            terms.append(_family_term(family, q, idx, n_nodes, sgn))
         if family.forcing is not None:
-            tables.append(terms)
-        if family.rest is not None or family.forcing is not None:
-            residuals.append(terms.add)
-        time_only &= family.rest is None
-    return blocks, residuals, tables, time_only
+            forced.append((family, q, idx))
+    return blocks, terms, forced, closure
 
 
 def error_series(traj: Trajectory) -> ErrorSeries:

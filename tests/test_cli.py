@@ -386,13 +386,20 @@ t_end = 1
 @pytest.mark.parametrize("command", [
     ["certify"], ["simulate"], ["sweep", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
 ], ids=["certify", "simulate", "sweep"])
-def test_disconnected_graph_exits_one_in_every_command(tmp_path, capsys, command):
+def test_disconnected_graph_exits_one_in_every_command(tmp_path, capsys, monkeypatch, command):
+    # the graph is checked before the output directory exists and before
+    # any gain is integrated
+    def integrate_gains(*args, **kwargs):
+        raise AssertionError("a disconnected graph was integrated")
+
+    monkeypatch.setattr("pwsync.sim.integrate_gains", integrate_gains)
     ini = tmp_path / "split.ini"
     ini.write_text(DISCONNECTED_INI)
     rc = main([*command, "--scenario", str(ini), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: graph is disconnected: algebraic connectivity is zero\n")
+    assert not (tmp_path / "o").exists()
 
 
 FINITE_INI = """

@@ -20,6 +20,7 @@ from pwsync.dynamics import (
     relay_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
+from pwsync import sim
 from pwsync.scenarios import Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
@@ -636,9 +637,27 @@ def test_error_csv_labels_come_from_the_series(tmp_path):
         assert lines[0] == header, extra
 
 
-def test_coupling_term_matches_dense_sums():
+def _forms(monkeypatch, build):
+    """A stage term (gather, kernel, scatter) built in its dense form and in
+    its node-by-node and edge-list form."""
+    terms = []
+    for limit in (10 ** 12, 0):
+        monkeypatch.setattr(sim, "_DENSE", limit)
+        terms.append(build())
+    dense, sparse = terms
+    assert isinstance(dense[0], np.ndarray) and isinstance(dense[2], np.ndarray)
+    assert not isinstance(sparse[0], np.ndarray) and not isinstance(sparse[2], np.ndarray)
+    return terms
+
+
+def _apply(term, x):
+    gather, kernel, scatter = term
+    return kernel(x @ gather) @ scatter
+
+
+def test_coupling_term_matches_dense_sums(monkeypatch):
     from pwsync.graph import build_laplacian
-    from pwsync.sim import _edge_sum, _linear_part
+    from pwsync.sim import _coupling_term, _linear_part
 
     rng = np.random.default_rng(5)
     w = rng.uniform(0.2, 1.5, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.7)
@@ -648,15 +667,16 @@ def test_coupling_term_matches_dense_sums():
     topo = Topology(w)
     x = rng.normal(size=(3, 5, 2))
     gains = np.array([0.0, 0.5, 2.0])
-    nonlinear = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(2, 0.75))
     diffs = x[:, None, :, :] - x[:, :, None, :]
     expected = gains[:, None, None] * np.einsum("ij,bijk->bik", w, pws_coupling(diffs))
-    got = gains[:, None, None] * _edge_sum(nonlinear, topo)(x)
-    assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
-    assert not got[:, 4].any()
+    for term in _forms(monkeypatch, lambda: _coupling_term(pws_coupling, topo, 2, gains)):
+        got = _apply(term, x.reshape(3, 1, 10)).reshape(x.shape)
+        assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
+        assert not got[:, 4].any()
     # J x = Aᵢ xᵢ − c (L ⊗ Γ) x, one matrix per gain acting on row states
     blocks = rng.normal(size=(5, 2, 2))
     linear = CouplingSpec("linear", c=1.0, gamma=np.array([1.0, 0.5]))
+    nonlinear = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(2, 0.75))
     lap = build_laplacian(topo).matrix
     expected = (np.einsum("ikl,bil->bik", blocks, x)
                 - gains[:, None, None] * np.einsum("ij,bjk->bik", lap, x) * linear.gamma)
@@ -665,6 +685,85 @@ def test_coupling_term_matches_dense_sums():
     got = np.matmul(x.reshape(3, 1, 10), jac_t).reshape(x.shape)
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
     assert _linear_part(np.zeros((5, 2, 2)), nonlinear, topo, gains) is None
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
+    from pwsync.dynamics import CHUA, RELAY, hard_sgn, saturated_sgn
+    from pwsync.sim import _coupling_term, _family_term
+
+    rng = np.random.default_rng(17 + batch)
+    w = rng.uniform(0.2, 1.5, size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.6)
+    w = np.triu(w, 1)
+    w = w + w.T
+    w[2, :] = w[:, 2] = 0.0  # an isolated node
+    topo = Topology(w)
+    gains = np.array([1.5, 0.0, 40.0])[:batch]
+    builds = {}
+    for dim in (1, 2):
+        for eta in (np.sin, pws_coupling):
+            builds[f"{eta.__name__}, dim {dim}"] = (
+                6 * dim, lambda eta=eta, dim=dim: _coupling_term(eta, topo, dim, gains))
+    # node rests on every node and on the non-contiguous nodes 0, 3 and 4
+    chua = [chua_field(ChuaParams(slope_a=-1.34 + 0.1 * i), i, 6).params for i in range(6)]
+    relay = relay_field(RelayParams(c_vector=(1.0, 0.5, -0.25))).params
+    for nodes in (np.arange(6), np.array([0, 3, 4])):
+        n = nodes.size
+        q_chua = CHUA.stack(chua[:n])
+        q_relay = RELAY.stack([relay] * n)
+        for label, sgn in (("hard", hard_sgn), ("layer", saturated_sgn(0.3))):
+            builds[f"relay {label}, {n} nodes"] = (
+                18, lambda q=q_relay, nodes=nodes, sgn=sgn: _family_term(RELAY, q, nodes, 6, sgn))
+        builds[f"chua, {n} nodes"] = (
+            18, lambda q=q_chua, nodes=nodes: _family_term(CHUA, q, nodes, 6, hard_sgn))
+    for label, (size, build) in builds.items():
+        dense, sparse = _forms(monkeypatch, build)
+        # the last member sits near the divergence threshold
+        x = rng.normal(size=(batch, 1, size))
+        x[-1] *= 1e11
+        got, expected = _apply(dense, x), _apply(sparse, x)
+        assert got.shape == expected.shape == (batch, 1, size), label
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale), label
+
+
+def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
+    # ikeda4 under pws (blocks of four steps) and Chua beside relay nodes
+    # (dim 3, two families with a rest); each batch loses its last member
+    # partway through a run, and the live members' scatter is sliced
+    for scenario, wild in _interleaved_networks()[:2]:
+        gains = [0.0, 1.5, wild]
+        args = (scenario.fields, scenario.topo, scenario.coupling, gains, scenario.x0, scenario.sim)
+        runs = []
+        for limit in (10 ** 12, 0):
+            monkeypatch.setattr(sim, "_DENSE", limit)
+            runs.append(integrate_gains(*args))
+        for dense, sparse in zip(*runs):
+            assert dense.diverged == sparse.diverged, scenario.name
+            assert dense.states.shape == sparse.states.shape, scenario.name
+            tol = 1e-12 * float(np.abs(sparse.states).max())
+            assert float(np.abs(dense.states - sparse.states).max()) <= tol, scenario.name
+        assert [traj.diverged for traj in runs[0]] == [False, False, True], scenario.name
+
+
+def test_benchmark_sized_runs_take_the_expected_form():
+    # the small networks hold every stage term densely; the 100-node graph
+    # of ikeda100-pws, 1000 directed edges, keeps its edge list
+    from pwsync.dynamics import hard_sgn
+    from pwsync.sim import _coupling_term, _node_terms
+
+    cases = {"relay5": True, "chua10": True, "kuramoto4": True, "ikeda10-nonlinear": True,
+             str(BENCH_SCENARIOS / "ikeda100-pws.ini"): False}
+    for name, dense in cases.items():
+        scenario = load_scenario(name, 0)
+        terms = _node_terms(scenario.fields, hard_sgn, None)[1]
+        if scenario.coupling.variant == "nonlinear":
+            terms.append(_coupling_term(scenario.coupling.eta, scenario.topo,
+                                        scenario.fields[0].dim, np.array([scenario.coupling.c])))
+        assert len(terms) == 1, name
+        gather, _, scatter = terms[0]
+        assert isinstance(gather, np.ndarray) is dense, name
+        assert isinstance(scatter, np.ndarray) is dense, name
 
 
 def _reference_csv(meta, header, columns):
