@@ -307,10 +307,19 @@ class BoundReport:
 
 
 def pws_coupling(z):
-    """Odd piecewise coupling: identity inside |z| ≤ 1, then sgn(z)((|z|−1)² + 1)."""
+    """Odd piecewise coupling: identity inside |z| ≤ 1, then sgn(z)((|z|−1)² + 1).
+
+    With the clipped part c = min(max(z, −1), 1) and the excess o = z − c
+    this is c + o·|o|.  ``pieces`` is the one interval on which it is
+    affine, as a row (lo, hi, slope, intercept).
+    """
     z = np.asarray(z, dtype=float)
-    a = np.abs(z)
-    return np.where(a <= 1.0, z, np.sign(z) * ((a - 1.0) ** 2 + 1.0))
+    inner = np.minimum(np.maximum(z, -1.0), 1.0)
+    outer = z - inner
+    return inner + outer * np.abs(outer)
+
+
+pws_coupling.pieces = ((-1.0, 1.0, 1.0, 0.0),)
 
 
 def quad_linear_cert(a_matrix, p=None) -> QuadCertificate:

@@ -58,7 +58,8 @@ def saturated_sgn(width: float) -> Callable:
 
     Replaces the exact relay inside a thin layer so a fixed-step
     integrator chatters with bounded amplitude instead of stalling on the
-    switching manifold.
+    switching manifold.  Its ``pieces`` are the three intervals on which it
+    is affine, as rows (lo, hi, slope, intercept).
     """
     if width <= 0.0:
         raise ValueError("boundary layer width must be positive")
@@ -66,6 +67,8 @@ def saturated_sgn(width: float) -> Callable:
     def sgn(y):
         return np.minimum(np.maximum(y / width, -1.0), 1.0)
 
+    sgn.pieces = ((-math.inf, -width, 0.0, -1.0), (-width, width, 1.0 / width, 0.0),
+                  (width, math.inf, 0.0, 1.0))
     return sgn
 
 
@@ -131,6 +134,9 @@ class NodeFamily:
       −B·sgn(Cx) is C, sgn and −Bᵀ; Chua's diode knee is e₁,
       |y + 1| − |y − 1| and knee·e₁ᵀ.  The rest is in h when ``rest_in_h``,
       else in g;
+    - ``pieces(sgn)``: the closed intervals on which ``kernel`` is affine,
+      as rows (lo, hi, slope, intercept) in increasing order, or None when
+      it is not piecewise linear (the relay's hard sign);
     - ``forcing(q, ts, delayed, sgn)``: the term in g that depends only on
       time and stored history, at times ts, shape (T, B or 1, n, ...), with
       ``delayed(lags)`` the states (T, B, n, dim) at ts − lags (Ikeda's
@@ -170,6 +176,9 @@ class NodeFamily:
 
     def linear(self, q) -> np.ndarray:
         raise NotImplementedError
+
+    def pieces(self, sgn):
+        return None
 
 
 class _Ikeda(NodeFamily):
@@ -213,6 +222,9 @@ class _Chua(NodeFamily):
     def kernel(self, y, sgn):
         return np.abs(y + 1.0) - np.abs(y - 1.0)
 
+    def pieces(self, sgn):
+        return (-math.inf, -1.0, 0.0, -2.0), (-1.0, 1.0, 2.0, 0.0), (1.0, math.inf, 0.0, 2.0)
+
     def scatter(self, q):
         blocks = np.zeros((q["alpha"].size, 1, 3))
         blocks[:, 0, 0] = -0.5 * q["alpha"] * (q["slope_a"] - q["slope_b"])  # the knee
@@ -237,6 +249,9 @@ class _Relay(NodeFamily):
 
     def kernel(self, y, sgn):
         return sgn(y)
+
+    def pieces(self, sgn):
+        return getattr(sgn, "pieces", None)
 
     def scatter(self, q):
         return -q["b_vector"][:, None, :]

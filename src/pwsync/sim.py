@@ -10,19 +10,26 @@ triple, added as kernel(x @ G) @ S: a family's rest (its gather blocks,
 kernel and scatter blocks), and the nonlinear coupling (the signed
 incidence x_j − x_i per directed edge and component, η, and the scatter
 of c_b·w_ij to the receiving node).  G and S are dense block-diagonal and
-incidence matrices while G has at most ``_DENSE`` entries; a larger term
-applies the same triple node by node and over the edge list.  Fields
-without a family go through their own ``h`` and ``g``, one node at a
-time.
+incidence matrices while G's entries times the batch size are at most
+``_DENSE``; a larger term applies the same triple node by node and over
+the edge list.  Fields without a family go through their own ``h`` and
+``g``, one node at a time.
 
 Each family's time-only forcing is tabulated once per block of m ≤ 64
 steps, at the block's 2m + 1 stage times, into one table of full rows;
 with m ≤ τ_min/dt, every delayed value a block reads is already stored.
-A stage is x @ Jᵀ plus the table's row plus each triple.  When there is
-no triple and no hand-built field, RK4 on x' = Jx + f(t) is exactly
-affine: a step is x ← x·M + g, with M = R(dt·Jᵀ) built once per gain and
-the forcing rows g read off the same table in two batched products per
-block.  Every other run takes the four RK4 stages.
+A stage is x @ Jᵀ plus the table's row plus each triple.
+
+Where every kernel is affine on declared intervals (the boundary-layer
+sign, Chua's knee, pws inside |z| ≤ 1), a member whose gather entries all
+sit in such pieces, its region, is an affine system, and RK4's step is
+exactly affine: x ← x·M + g, with M = R(dt·J_rᵀ) built when the member's
+region changes and the forcing rows g read off the same table in two
+batched products per block.  The same product gives the gathers of all
+four stage states; a step holds only when they stay in the region, and
+otherwise the member takes the four RK4 stages.  A run with no triple is
+one region, so every step is one product.  The hard sign, sin, hand-built
+fields and edge-list triples always take the four stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -36,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,9 +68,9 @@ __all__ = [
 
 
 _BLOCK = 64  # most steps per table of time-only terms
-# most entries of a dense gather G; past it a triple runs node by node and
-# over the edge list (the crossover measured at a batch of six gains)
-_DENSE = 4096
+# most entries of a dense gather G times the batch size; past it a triple
+# runs node by node and over the edge list (the measured crossover)
+_DENSE = 32768
 
 
 class SimError(ValueError):
@@ -156,14 +163,19 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     out of the batch at that step; its trajectory ends where its own run
     would.  Returns one :class:`Trajectory` per gain, in input order.
 
-    The step is chosen from the run's structure.  With no state-dependent
-    term outside J (linear coupling, or every gain zero; no hand-built
-    field; decay, Ikeda and Kuramoto nodes only), a step is one product
-    with M = R(dt·Jᵀ) plus the step's forcing row.  Otherwise it is the
-    four RK4 stages, each x @ Jᵀ plus the forcing table's row plus every
-    triple kernel(x @ G) @ S.  Both steps agree to rounding (about 1e-13
-    relative over the 15 000 steps of ikeda10-linear), and so do the dense
-    and the edge-list form of a triple.
+    The step is chosen per member and step.  When every triple
+    kernel(x @ G) @ S is dense and its kernel declares affine pieces, and
+    there is no hand-built field, a member inside one region (every gather
+    entry in one piece) takes one product with its region's M = R(dt·J_rᵀ)
+    plus the step's forcing row, and the same product checks that all
+    four stage states stay in the region.  A member outside every region,
+    or whose step would leave it, takes the four RK4 stages, each x @ Jᵀ
+    plus the forcing table's row plus every triple, and its region is read
+    again.  A run with no triple (linear coupling, or every gain zero;
+    decay, Ikeda and Kuramoto nodes) is one region.  Both steps agree to
+    rounding (about 1e-13 relative over the 15 000 steps of
+    ikeda10-linear, 3.4e-14 of max|x| on relay5), and so do the dense and
+    the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
     if len(fields) != n_nodes:
@@ -200,29 +212,45 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     width = config.regularization_width
     sgn = hard_sgn if width == 0.0 else saturated_sgn(width)
     history = _History(states, dt)
-    blocks, terms, forced, closure = _node_terms(fields, sgn, history)
-    # lin is the per-gain operator on row states: Jᵀ for the staged step,
-    # M = R(dt·Jᵀ) for the affine one
-    lin = _linear_part(blocks, coupling, topo, gains)
+    blocks, terms, forced, closure = _node_terms(fields, sgn, history, gains.size)
+    jac_t = _linear_part(blocks, coupling, topo, gains)
     coupled = coupling.variant != "linear" and gains.any()
     if coupled:
         terms.append(_coupling_term(coupling.eta, topo, dim, gains))
-    affine = not terms and closure is None and lin is not None
-    if affine:
-        lin, weights = _affine_step(lin, dt, bool(forced))
+    regions = None
+    if closure is None and (jac_t is not None or terms) and all(
+            isinstance(term.gather, np.ndarray) and term.pieces is not None for term in terms):
+        regions = _Regions(jac_t, terms, gains.size, size, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
     # delayed reads need no row past the one stored at the start
     block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
 
-    def rhs(t, stage, x):
-        out = None if table is None else table[stage]
-        for gather, kernel, scatter in terms:
+    def rhs(t, stage, x, lin, stage_terms, rows):
+        out = None if table is None else table[stage] if rows is None else table[stage, rows]
+        for gather, kernel, scatter, _ in stage_terms:
             term = kernel(x @ gather) @ scatter
             out = term if out is None else out + term
         if closure is not None:
             term = closure(t, x)
             out = term if out is None else out + term
         return out if lin is None else x @ lin + out
+
+    def staged(k, x, rows=None):
+        """The four-stage step from x at step k, of the live members ``rows``
+        (all when None; only runs without a closure take a subset)."""
+        lin, stage_terms = jac_t, terms
+        if rows is not None:
+            lin = None if lin is None else lin[rows]
+            if coupled:
+                stage_terms = terms[:-1] + [terms[-1]._replace(scatter=terms[-1].scatter[rows])]
+        stage = 2 * (k % block)
+        t = times[k]
+        t_half = t + half
+        k1 = rhs(t, stage, x, lin, stage_terms, rows)
+        k2 = rhs(t_half, stage + 1, x + half * k1, lin, stage_terms, rows)
+        k3 = rhs(t_half, stage + 1, x + half * k2, lin, stage_terms, rows)
+        k4 = rhs(times[k + 1], stage + 2, x + dt * k3, lin, stage_terms, rows)
+        return x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
     store = states.reshape(gains.size, n_steps + 1, 1, size)
     x = store[:, 0].copy()
@@ -231,7 +259,9 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     half = 0.5 * dt
     sixth = dt / 6.0
     threshold = config.divergence_threshold
-    table = forcing = None
+    table = None
+    if regions is not None:
+        regions.enter(x, live)
     for k in range(n_steps):
         j = k % block
         if j == 0 and forced:
@@ -240,19 +270,19 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             stage_times[0::2] = times[k:end + 1]
             stage_times[1::2] = times[k:end] + half
             table = _forcing_table(forced, stage_times, history, sgn, n_nodes, dim)
-            if affine:
-                forcing = _affine_forcing(table, weights, sixth)
-        if affine:
-            x = x @ lin if forcing is None else x @ lin + forcing[j]
+            if regions is not None:
+                regions.tabulate(table)
+        if regions is None:
+            x_new = staged(k, x)
         else:
-            stage = 2 * j
-            t = times[k]
-            t_half = t + half
-            k1 = rhs(t, stage, x)
-            k2 = rhs(t_half, stage + 1, x + half * k1)
-            k3 = rhs(t_half, stage + 1, x + half * k2)
-            k4 = rhs(times[k + 1], stage + 2, x + dt * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            x_new, out = regions.advance(x, j)
+            if x_new is None:
+                x_new = staged(k, x)
+            elif out is not None:
+                x_new[out] = staged(k, x[out], out)
+            if out is not None:
+                regions.enter(x_new, out)
+        x = x_new
         if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
             ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
             last[live[~ok]] = k
@@ -262,13 +292,12 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             history.keep(live)
             if table is not None:
                 table = table[:, ok]
-            if lin is not None:
-                lin = lin[ok]
-            if forcing is not None:
-                weights, forcing = weights[ok], forcing[:, ok]
+            if jac_t is not None:
+                jac_t = jac_t[ok]
             if coupled:
-                gather, eta, scatter = terms[-1]
-                terms[-1] = gather, eta, scatter[ok]
+                terms[-1] = terms[-1]._replace(scatter=terms[-1].scatter[ok])
+            if regions is not None:
+                regions.keep(ok)
         store[history.rows, k + 1] = x
 
     run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
@@ -339,26 +368,47 @@ def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarr
     return np.ascontiguousarray(np.broadcast_to(jac, (gains.size, size, size)).transpose(0, 2, 1))
 
 
-def _affine_step(jac_t, dt: float, forced: bool):
+def _affine_step(jac_t, dt: float, gather, weighted: bool):
     """RK4 on x' = x·Jᵀ + f(t) (row states) is exactly affine: with
     A = dt·Jᵀ, x_{k+1} = x_k·M + g_k, where M = I + A + A²/2 + A³/6 + A⁴/24
     is RK4's stability function R(A) and g_k = f_k·F₀ + f_{k+½}·F½ +
     f_{k+1}·dt/6, with F₀ = dt/6·(I + A + A²/2 + A³/4) and F½ = dt/6·(4I +
-    2A + A²/2).  Returns M (B, n, n) and, for a forced run, F₀ and F½
-    stacked as (B, 2, n, n); each in Horner form, so no power of A is kept."""
+    2A + A²/2).  The four stage states are x_k·Pᵢ plus their own forcing
+    terms, P₁ = I, P₂ = I + A/2, P₃ = I + A/2 + A²/4 and P₄ = I + A + A²/2
+    + A³/4; of those, f_k enters X₂, X₃ and X₄ through dt/2·I, dt/4·A and
+    dt/4·A², and f_{k+½} enters X₃ and X₄ through dt/2·I and dt/2·(A + 2I).
+
+    Returns the step [M | G | P₂G | P₃G | P₄G] (B, n, n + 4K), whose
+    product with x_k is x_{k+1} and the gathers X·G of the four stage
+    states before forcing, and, when ``weighted``, the weights of f_k and
+    f_{k+½} in the same columns stacked as (B, 2, n, n + 4K), or None.
+    Every polynomial is in Horner form, so no power of A is kept."""
     a = dt * jac_t
     eye = np.eye(a.shape[-1])
     m = eye + a / 4.0
     m = eye + a @ m / 3.0
     m = eye + a @ m / 2.0
     m = eye + a @ m
-    if not forced:
+    if gather.shape[1]:
+        gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
+        ag = a @ gather
+        p2 = gather + ag / 2.0
+        p3 = gather + a @ p2 / 2.0
+        m = np.concatenate([m, gather, p2, p3, gather + a @ p3], axis=-1)
+    if not weighted:
         return m, None
     f0 = 0.5 * eye + a / 4.0
     f0 = eye + a @ f0
     f0 = eye + a @ f0
     f_half = 4.0 * eye + a @ (2.0 * eye + a / 2.0)
-    return m, dt / 6.0 * np.stack([f0, f_half], axis=1)
+    weights = dt / 6.0 * np.stack([f0, f_half], axis=1)
+    if gather.shape[-1]:
+        zero = np.zeros(gather.shape)
+        weights = np.concatenate([weights, np.stack([
+            np.concatenate([zero, 0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)], axis=-1),
+            np.concatenate([zero, zero, 0.5 * dt * gather, 0.5 * dt * ag + dt * gather], axis=-1),
+        ], axis=1)], axis=-1)
+    return m, weights
 
 
 def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
@@ -373,32 +423,173 @@ def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
 
 
 def _affine_forcing(table, weights, sixth: float):
-    """The affine step's forcing rows for a block of m steps, g_j = f_j·F₀ +
-    f_{j+½}·F½ + f_{j+1}·dt/6 with f the forcing table's 2m + 1 rows:
-    shape (m, B, 1, N·dim), two batched products per block."""
+    """The forcing rows of the affine step (see :func:`_affine_step`) for a
+    block of m steps, g_j = f_j·F₀ + f_{j+½}·F½ + f_{j+1}·dt/6 in the
+    step's first N·dim columns and the stage gathers' forcing terms in the
+    rest, with f the forcing table's 2m + 1 rows: shape (B, m, 1, N·dim +
+    4K), two batched products per block."""
     f = table[:, :, 0].transpose(1, 0, 2)
-    g = f[:, :-1:2] @ weights[:, 0] + f[:, 1::2] @ weights[:, 1] + sixth * f[:, 2::2]
-    return np.ascontiguousarray(g.transpose(1, 0, 2)[:, :, None])
+    g = f[:, :-1:2] @ weights[:, 0]
+    g += f[:, 1::2] @ weights[:, 1]
+    g[..., :f.shape[-1]] += sixth * f[:, 2::2]
+    return g[:, :, None]
 
 
-def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray):
-    """The nonlinear coupling c_b·Σⱼ w_ij η(x_j − x_i) as a triple (gather,
-    η, scatter) on row states (B, 1, N·dim).  The gather is the signed
-    incidence and the scatter carries c_b·w_ij to the receiving node i:
-    dense, one scatter per gain, while the gather has at most ``_DENSE``
-    entries, else over the edge list sorted by receiving node (a node
-    without edges gets a zero-weight self-loop, so each owns a sum).
-    Indexing the scatter with a mask over the gains keeps those gains."""
+class _Regions:
+    """The linear region of each live member of a run whose triples are all
+    dense and piecewise affine, and the one-product step of that region.
+
+    A member's region is the piece of every gather entry.  Inside it each
+    triple is affine, kernel(x·G)·S = x·G·diag(slope)·S + intercept·S, so
+    the run is x' = x·J_rᵀ + e_r + f(t), with J_rᵀ = Jᵀ + G·diag(slope)·S
+    over the triples and e_r the intercepts' row, and RK4's step is exactly
+    x·M_r + g plus the gathers of its four stage states (:func:`_affine_step`,
+    :func:`_affine_forcing`, with e_r as a constant forcing row).  A step
+    holds only when all four stage gathers lie in the region's closed
+    intervals; a member whose step does not hold, or whose state lies in no
+    region (pws past |z| = 1), takes the four-stage step, and its region is
+    read again from its new state.  Each member keeps only its current
+    region, and rebuilds its step when that changes.  A run with no triple
+    has K = 0 gather entries and one region, entered once.
+    """
+
+    def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
+        self.jac_t = np.zeros((batch, size, size)) if jac_t is None else jac_t
+        self.size, self.dt = size, dt
+        self.terms, stop = [], 0
+        for term in terms:  # (gather columns, pieces (P, 4), scatter)
+            cols = slice(stop, stop + term.gather.shape[1])
+            self.terms.append((cols, np.array(term.pieces, dtype=float), term.scatter))
+            stop = cols.stop
+        self.gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
+        width = size + 4 * stop
+        self.step = np.zeros((batch, size, width))
+        self.weights = np.zeros((batch, 2, size, width)) if forced or stop else None
+        self.offset = np.zeros((batch, 1, width)) if stop else None
+        self.lower, self.upper = np.zeros((2, batch, 1, 4 * stop))
+        self.pieces = np.zeros((batch, stop), dtype=np.intp)
+        self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
+        self.inside = np.zeros(batch, dtype=bool)  # state inside ``pieces``
+        self.everyone = False  # every member inside
+        self.table = self.forcing = None
+
+    def enter(self, x, rows):
+        """Read the regions of the live members ``rows`` from their states
+        x[rows] and rebuild the step of each whose region changed."""
+        y = (x[rows] @ self.gather)[:, 0]
+        pieces = np.empty(y.shape, dtype=np.intp)
+        for cols, table, _ in self.terms:
+            idx = np.searchsorted(table[:, 1], y[:, cols])
+            held = (idx < len(table)) & (table[np.minimum(idx, len(table) - 1), 0] <= y[:, cols])
+            pieces[:, cols] = np.where(held, idx, -1)
+        inside = (pieces >= 0).all(axis=1)
+        changed = inside & (~self.ready[rows] | (pieces != self.pieces[rows]).any(axis=1))
+        self.inside[rows] = inside
+        self.everyone = bool(self.inside.all())
+        self.pieces[rows[inside]] = pieces[inside]
+        if changed.any():
+            self._build(rows[changed])
+
+    def _build(self, rows):
+        if rows.size == len(self.ready):
+            rows = slice(None)  # every member: read views, not copies
+        jac, sixth = self.jac_t[rows], self.dt / 6.0
+        shift = np.zeros((len(jac), 1, self.size))
+        bounds = np.empty((len(jac), self.gather.shape[1], 2))
+        for cols, table, scatter in self.terms:
+            piece = table[self.pieces[rows, cols]]
+            scatter = scatter if scatter.ndim == 2 else scatter[rows]
+            jac = jac + (self.gather[:, cols] * piece[:, None, :, 2]) @ scatter
+            shift = shift + piece[:, None, :, 3] @ scatter
+            bounds[:, cols] = piece[..., :2]
+        step, weights = _affine_step(jac, self.dt, self.gather, self.weights is not None)
+        self.step[rows] = step
+        self.ready[rows] = True
+        if weights is not None:
+            self.weights[rows] = weights
+        if self.offset is not None:
+            self.offset[rows] = _affine_forcing(np.broadcast_to(shift, (3,) + shift.shape),
+                                                weights, sixth)[:, 0]
+            self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None]
+            self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None]
+        if self.table is not None:
+            self.forcing[rows] = self._forcing(self.table[:, rows], rows)
+
+    def _forcing(self, table, rows):
+        forcing = _affine_forcing(table, self.weights[rows], self.dt / 6.0)
+        if self.offset is not None:
+            forcing += self.offset[rows, None]
+        return forcing
+
+    def tabulate(self, table):
+        """Take the forcing table of a new block."""
+        self.table, self.forcing = table, None
+        self.forcing = self._forcing(table, slice(None))
+
+    def advance(self, x, j):
+        """The step j of the block from x: (x_next, rows), with rows the
+        members that must take the four-stage step instead (None if none),
+        and x_next None when no member is inside a region."""
+        if not (self.everyone or self.inside.any()):
+            return None, np.arange(len(x))
+        y = x @ self.step
+        shift = self.offset if self.forcing is None else self.forcing[:, j]
+        if shift is not None:
+            y += shift
+        if self.offset is None:  # no triple: one region, always held
+            return y, None
+        gathers = y[..., self.size:]
+        held = (self.lower <= gathers) & (gathers <= self.upper)
+        if self.everyone and held.all():
+            return y[..., :self.size], None
+        return y[..., :self.size], np.flatnonzero(~(held.all(axis=(1, 2)) & self.inside))
+
+    def keep(self, ok):
+        """Drop the members not in the mask ``ok``."""
+        self.jac_t, self.step, self.lower, self.upper = (
+            self.jac_t[ok], self.step[ok], self.lower[ok], self.upper[ok])
+        self.pieces, self.ready, self.inside = self.pieces[ok], self.ready[ok], self.inside[ok]
+        self.everyone = bool(self.inside.all())
+        self.terms = [(cols, table, scatter if scatter.ndim == 2 else scatter[ok])
+                      for cols, table, scatter in self.terms]
+        if self.weights is not None:
+            self.weights = self.weights[ok]
+        if self.offset is not None:
+            self.offset = self.offset[ok]
+        if self.table is not None:
+            self.table, self.forcing = self.table[:, ok], self.forcing[ok]
+
+
+class _Triple(NamedTuple):
+    """A stage term kernel(x @ gather) @ scatter on row states (B, 1, N·dim),
+    with the kernel's affine ``pieces`` (see ``NodeFamily.pieces``) or None."""
+
+    gather: object
+    kernel: Callable
+    scatter: object
+    pieces: Optional[tuple]
+
+
+def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
+    """The nonlinear coupling c_b·Σⱼ w_ij η(x_j − x_i) as a triple on row
+    states (B, 1, N·dim), with the pieces η declares in ``eta.pieces``.
+    The gather is the signed incidence and the scatter carries c_b·w_ij to
+    the receiving node i: dense, one scatter per gain, while the gather's
+    entries times the batch size are at most ``_DENSE``, else over the
+    edge list sorted by receiving node (a node without edges gets a
+    zero-weight self-loop, so each owns a sum).  Indexing the scatter with
+    a mask over the gains keeps those gains."""
     edges = topo.weights != 0.0
     isolated = np.flatnonzero(~edges.any(axis=1))
     edges[isolated, isolated] = True
     rows, cols = np.nonzero(edges)
     weights = topo.weights[rows, cols]
     n_nodes, n_edges = topo.n_nodes, rows.size
-    if n_nodes * n_edges * dim * dim > _DENSE:
+    pieces = getattr(eta, "pieces", None)
+    if n_nodes * n_edges * dim * dim * gains.size > _DENSE:
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        return (_Incidence(rows, cols, n_nodes), eta,
-                _EdgeScatter(weights[:, None], starts, gains[:, None, None]))
+        return _Triple(_Incidence(rows, cols, n_nodes), eta,
+                       _EdgeScatter(weights[:, None], starts, gains[:, None, None]), pieces)
     edge = np.arange(n_edges)
     incidence = np.zeros((n_nodes, n_edges))
     incidence[cols, edge] += 1.0
@@ -406,7 +597,7 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray):
     scatter = np.zeros((n_edges, n_nodes))
     scatter[edge, rows] = weights
     eye = np.eye(dim)
-    return np.kron(incidence, eye), eta, gains[:, None, None] * np.kron(scatter, eye)
+    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * np.kron(scatter, eye), pieces)
 
 
 class _Incidence:
@@ -440,18 +631,20 @@ class _EdgeScatter:
         return _EdgeScatter(self.weights, self.starts, self.gains[ok])
 
 
-def _family_term(family, q, idx, n_nodes: int, sgn):
-    """A family's rest on the nodes ``idx`` as a triple (gather, kernel,
-    scatter) on row states (B, 1, N·dim): block-diagonal matrices while the
-    gather has at most ``_DENSE`` entries, else the per-node blocks."""
+def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
+    """A family's rest on the nodes ``idx`` as a triple on row states (B, 1,
+    N·dim): block-diagonal matrices while the gather's entries times the
+    batch size are at most ``_DENSE``, else the per-node blocks."""
     gather, scatter = family.gather(q), family.scatter(q)
     n, dim, width = gather.shape
-    kernel = partial(family.kernel, sgn=sgn)
-    if n_nodes * dim * n * width > _DENSE:
-        return _NodeGather(gather, idx, n_nodes), kernel, _NodeScatter(scatter, idx, n_nodes)
+    kernel, pieces = partial(family.kernel, sgn=sgn), family.pieces(sgn)
+    if n_nodes * dim * n * width * batch > _DENSE:
+        return _Triple(_NodeGather(gather, idx, n_nodes), kernel,
+                       _NodeScatter(scatter, idx, n_nodes), pieces)
     pick = np.eye(n_nodes)[idx]
-    return (np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width), kernel,
-            np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim))
+    return _Triple(np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width),
+                   kernel, np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim),
+                   pieces)
 
 
 class _NodeGather:
@@ -498,12 +691,13 @@ def _closure_term(fields, idx, n_nodes: int, sgn, history):
     return term
 
 
-def _node_terms(fields, sgn, history):
+def _node_terms(fields, sgn, history, batch: int):
     """Linear blocks Aᵢ (N, dim, dim), each family's rest as a triple (see
-    :func:`_family_term`), the families with time-only forcing as (family,
-    q, node indices), and the hand-built fields' term (None without one).  Nodes are grouped by family object and each group's
-    parameters are stacked once; fields without a family go through their
-    own ``h`` and ``g``."""
+    :func:`_family_term`) for a batch of ``batch`` members, the families
+    with time-only forcing as (family, q, node indices), and the
+    hand-built fields' term (None without one).  Nodes are grouped by
+    family object and each group's parameters are stacked once; fields
+    without a family go through their own ``h`` and ``g``."""
     n_nodes = len(fields)
     blocks = np.zeros((n_nodes, fields[0].dim, fields[0].dim))
     groups = {}
@@ -519,7 +713,7 @@ def _node_terms(fields, sgn, history):
         q = family.stack([f.params for f in members])
         blocks[idx] = family.linear(q)
         if family.kernel is not None:
-            terms.append(_family_term(family, q, idx, n_nodes, sgn))
+            terms.append(_family_term(family, q, idx, n_nodes, sgn, batch))
         if family.forcing is not None:
             forced.append((family, q, idx))
     return blocks, terms, forced, closure

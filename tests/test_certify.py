@@ -232,6 +232,27 @@ def test_pws_coupling_shape():
     assert np.allclose(out, [-5.0, -1.0, 0.0, 0.5, 1.0, 2.0], atol=1e-15)
 
 
+def _pws_by_cases(z):
+    """pws as first written: identity inside |z| ≤ 1, else sgn(z)((|z|−1)² + 1)."""
+    z = np.asarray(z, dtype=float)
+    a = np.abs(z)
+    return np.where(a <= 1.0, z, np.sign(z) * ((a - 1.0) ** 2 + 1.0))
+
+
+def test_pws_coupling_equals_its_case_formula():
+    # the clipped form c + o·|o| gives the same values everywhere; only
+    # pws(−0.0) changes its sign, to +0.0
+    grid = np.concatenate([np.linspace(-7.0, 7.0, 200_001),
+                           np.nextafter([-1.0, -1.0, 1.0, 1.0], [-2.0, 0.0, 0.0, 2.0]),
+                           [-1.0, 1.0, 0.0, 5e-324, -5e-324, 1e150, -1e150]])
+    assert np.array_equal(pws_coupling(grid), _pws_by_cases(grid))
+    special = np.array([np.inf, -np.inf, np.nan])
+    assert np.array_equal(pws_coupling(special), _pws_by_cases(special), equal_nan=True)
+    assert np.array_equal(pws_coupling(special), [np.inf, -np.inf, np.nan], equal_nan=True)
+    assert pws_coupling(-0.0) == 0.0 and not np.signbit(pws_coupling(-0.0))
+    assert pws_coupling.pieces == ((-1.0, 1.0, 1.0, 0.0),)
+
+
 # ---------------------------------------------------------------------------
 # linear coupling, shared smooth part
 # ---------------------------------------------------------------------------

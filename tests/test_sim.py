@@ -651,8 +651,7 @@ def _forms(monkeypatch, build):
 
 
 def _apply(term, x):
-    gather, kernel, scatter = term
-    return kernel(x @ gather) @ scatter
+    return term.kernel(x @ term.gather) @ term.scatter
 
 
 def test_coupling_term_matches_dense_sums(monkeypatch):
@@ -713,9 +712,9 @@ def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
         q_relay = RELAY.stack([relay] * n)
         for label, sgn in (("hard", hard_sgn), ("layer", saturated_sgn(0.3))):
             builds[f"relay {label}, {n} nodes"] = (
-                18, lambda q=q_relay, nodes=nodes, sgn=sgn: _family_term(RELAY, q, nodes, 6, sgn))
+                18, lambda q=q_relay, nodes=nodes, sgn=sgn: _family_term(RELAY, q, nodes, 6, sgn, batch))
         builds[f"chua, {n} nodes"] = (
-            18, lambda q=q_chua, nodes=nodes: _family_term(CHUA, q, nodes, 6, hard_sgn))
+            18, lambda q=q_chua, nodes=nodes: _family_term(CHUA, q, nodes, 6, hard_sgn, batch))
     for label, (size, build) in builds.items():
         dense, sparse = _forms(monkeypatch, build)
         # the last member sits near the divergence threshold
@@ -746,24 +745,206 @@ def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
         assert [traj.diverged for traj in runs[0]] == [False, False, True], scenario.name
 
 
-def test_benchmark_sized_runs_take_the_expected_form():
-    # the small networks hold every stage term densely; the 100-node graph
-    # of ikeda100-pws, 1000 directed edges, keeps its edge list
+class _RegionSpy(sim._Regions):
+    """``_Regions`` that records itself and counts, per call of ``advance``,
+    the members that took the region step."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.region_steps, self.four_stage_steps = [], []
+        self.made.append(self)
+
+    def advance(self, x, j):
+        x_next, rows = super().advance(x, j)
+        fell_back = 0 if rows is None else rows.size
+        self.region_steps.append(len(x) - fell_back)
+        self.four_stage_steps.append(fell_back)
+        return x_next, rows
+
+
+class _FourStageOnly(sim._Regions):
+    """``_Regions`` whose every step falls back: the four-stage step on the
+    same dense triples."""
+
+    def advance(self, x, j):
+        return None, np.arange(len(x))
+
+
+def _spy(monkeypatch):
+    _RegionSpy.made = []
+    monkeypatch.setattr(sim, "_Regions", _RegionSpy)
+    return _RegionSpy.made
+
+
+def _run(scenario, gains):
+    return integrate_gains(scenario.fields, scenario.topo, scenario.coupling, gains,
+                           scenario.x0, scenario.sim)
+
+
+_IKEDA_BENCH = dict(dt=4e-3, t_end=3.2)
+_BENCH_RUNS = {"relay5": dict(dt=5e-5, t_end=0.1), "chua10": dict(t_end=0.5),
+               "ikeda10-nonlinear": _IKEDA_BENCH}
+
+
+def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
+    # the small networks hold every stage term densely at the batch sizes
+    # the benchmark runs them; the 100-node graph of ikeda100-pws, 1000
+    # directed edges, keeps its edge list
     from pwsync.dynamics import hard_sgn
     from pwsync.sim import _coupling_term, _node_terms
 
-    cases = {"relay5": True, "chua10": True, "kuramoto4": True, "ikeda10-nonlinear": True,
-             str(BENCH_SCENARIOS / "ikeda100-pws.ini"): False}
-    for name, dense in cases.items():
+    cases = {"relay5": (1, True), "chua10": (1, True), "kuramoto4": (6, True),
+             "ikeda10-nonlinear": (3, True), str(BENCH_SCENARIOS / "ikeda100-pws.ini"): (1, False)}
+    for name, (batch, dense) in cases.items():
         scenario = load_scenario(name, 0)
-        terms = _node_terms(scenario.fields, hard_sgn, None)[1]
+        terms = _node_terms(scenario.fields, hard_sgn, None, batch)[1]
         if scenario.coupling.variant == "nonlinear":
             terms.append(_coupling_term(scenario.coupling.eta, scenario.topo,
-                                        scenario.fields[0].dim, np.array([scenario.coupling.c])))
+                                        scenario.fields[0].dim, np.full(batch, scenario.coupling.c)))
         assert len(terms) == 1, name
-        gather, _, scatter = terms[0]
-        assert isinstance(gather, np.ndarray) is dense, name
-        assert isinstance(scatter, np.ndarray) is dense, name
+        assert isinstance(terms[0].gather, np.ndarray) is dense, name
+        assert isinstance(terms[0].scatter, np.ndarray) is dense, name
+
+    # relay5's boundary-layer sign, Chua's knee and the pws coupling take
+    # region steps on almost every step, in the simulate and the sweep batch
+    made = _spy(monkeypatch)
+    runs = [(name, kwargs, [None]) for name, kwargs in _BENCH_RUNS.items()]
+    runs.append(("ikeda10-nonlinear", _IKEDA_BENCH, [5.0, 12.5, 20.0]))
+    for name, kwargs, gains in runs:
+        scenario = load_scenario(name, 0).with_sim(**kwargs)
+        made.clear()
+        _run(scenario, [scenario.coupling.c if c is None else c for c in gains])
+        (regions,) = made
+        taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
+        assert regions.gather.shape[1] > 0, name
+        assert fell_back <= 0.03 * (taken + fell_back), (name, taken, fell_back)
+    # the hard sign, sin and the edge list take only four-stage steps
+    made.clear()
+    _run(load_scenario("relay5", 0).with_sim(dt=5e-5, t_end=0.01, regularization_width=0.0), [50.0])
+    _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.5, 2.0])
+    _run(load_scenario(str(BENCH_SCENARIOS / "ikeda100-pws.ini"), 0).with_sim(t_end=0.1), [20.0])
+    assert made == []
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_RUNS))
+def test_region_steps_match_the_four_stage_step(monkeypatch, name):
+    # at the benchmark horizons, seeds 0-2, against the four-stage step on
+    # the same dense triples
+    for seed in (0, 1, 2):
+        scenario = load_scenario(name, seed).with_sim(**_BENCH_RUNS[name])
+        gains = [scenario.coupling.c]
+        (fast,) = _run(scenario, gains)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_Regions", _FourStageOnly)
+            (slow,) = _run(scenario, gains)
+        assert not fast.diverged and fast.states.shape == slow.states.shape
+        peak = float(np.abs(slow.states).max())
+        assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * peak, (name, seed)
+
+
+def _rk4_loop(f, x0, dt, n_steps):
+    rows = [np.asarray(x0, dtype=float)]
+    for _ in range(n_steps):
+        x = rows[-1]
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        rows.append(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
+    return np.array(rows)
+
+
+def test_a_step_whose_fourth_stage_crosses_takes_the_four_stage_step(monkeypatch):
+    # a relay node x' = Ax − B·sat(Cx): from x0, the first step's stages 1-3
+    # and its new state sit inside the layer |Cx| ≤ 1, and only its fourth
+    # stage (Cx = 1.49) leaves it
+    a_matrix, b_vector = np.array([[-5.0, 3.4], [0.6, -3.8]]), np.array([1.7, 1.2])
+    x0, dt = np.array([-0.96, 1.36]), 0.25
+    node = relay_field(RelayParams(a_matrix=a_matrix, b_vector=b_vector, c_vector=(1.0, 0.0)))
+    held = lambda x: a_matrix @ x - b_vector * np.clip(x[0], -1.0, 1.0)  # noqa: E731
+    stretched = lambda x: a_matrix @ x - b_vector * x[0]  # noqa: E731  the layer's piece
+    k1 = held(x0)
+    k2 = held(x0 + 0.5 * dt * k1)
+    k3 = held(x0 + 0.5 * dt * k2)
+    stages = [x0, x0 + 0.5 * dt * k1, x0 + 0.5 * dt * k2, x0 + dt * k3]
+    assert [abs(x[0]) <= 1.0 for x in stages] == [True, True, True, False]
+    expected = _rk4_loop(held, x0, dt, 10)
+    assert abs(expected[1, 0]) < 1.0
+    assert np.abs(_rk4_loop(stretched, x0, dt, 1)[1] - expected[1]).max() > 1e-2
+
+    made = _spy(monkeypatch)
+    traj = integrate([node], SINGLE_NODE, CouplingSpec("linear", c=0.0, gamma=np.ones(2)), x0,
+                     SimConfig(dt=dt, t_end=10 * dt, regularization_width=1.0))
+    (regions,) = made
+    assert regions.four_stage_steps[0] == 1 and sum(regions.region_steps) > 0
+    assert np.abs(traj.states - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_a_batch_in_different_regions_equals_single_runs(monkeypatch):
+    # three gains on chua10 put the members' diode knees in different
+    # pieces; the batch must equal one run per gain
+    scenario = load_scenario("chua10", 1).with_sim(t_end=0.3)
+    gains = [2.0, 10.0, 40.0]
+    made = _spy(monkeypatch)
+    batch = _run(scenario, gains)
+    (regions,) = made
+    assert len({tuple(p) for p in regions.pieces}) == 3
+    for c, traj in zip(gains, batch):
+        (single,) = _run(scenario, [c])
+        assert traj.states.shape == single.states.shape
+        assert float(np.abs(traj.states - single.states).max()) <= 1e-13 * float(np.abs(single.states).max())
+    _assert_sweep_matches_scalar_runs(scenario, gains)
+
+
+def test_a_member_diverging_during_region_steps_is_dropped(monkeypatch):
+    # two unstable relay nodes x' = x/2 − sat(x/0.1) beside two Ikeda nodes
+    # (blocks of 20 steps): uncoupled, the relays run away in the layer's
+    # outer pieces by region steps; at c = 5 they are held
+    dt = 2.0 ** -6
+    relay = relay_field(RelayParams(a_matrix=((0.5,),), b_vector=(1.0,), c_vector=(1.0,)))
+    fields = [relay, ikeda_field(IkedaParams(1.0, 4.0, 20.5 * dt)), relay,
+              ikeda_field(IkedaParams(1.2, 3.5, 30.3 * dt))]
+    scenario = _custom_scenario("relay-ikeda", fields, ring_topology(4),
+                                CouplingSpec("linear", c=1.0, gamma=np.ones(1)),
+                                SimConfig(dt=dt, t_end=15.0, regularization_width=0.1,
+                                          divergence_threshold=1e3),
+                                [5.0, 0.3, -5.0, -0.2])
+    gains = [0.0, 5.0]
+    made = _spy(monkeypatch)
+    wild, calm = _run(scenario, gains)
+    assert wild.diverged and not calm.diverged
+    last = wild.times.shape[0] - 1
+    assert (last + 1) % 20 != 0, last
+    (regions,) = made
+    # up to the step it left, the runaway member took region steps
+    assert regions.region_steps[last] == 2 and regions.four_stage_steps[last] == 0
+    assert len(regions.region_steps) == calm.times.shape[0] - 1
+    _assert_sweep_matches_scalar_runs(scenario, gains)
+    monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+    for fast, slow in zip((wild, calm), _run(scenario, gains)):
+        assert fast.states.shape == slow.states.shape
+        assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * float(np.abs(slow.states).max())
+
+
+def test_region_steps_keep_fourth_order(monkeypatch):
+    # decay-family nodes on K2 under pws coupling, inside |z| ≤ 1 from the
+    # start: one region, in which pws is linear coupling, so the mean decays
+    # at rate r and the difference at r + 2c
+    rate, c = 1.5, 0.8
+    coupling = CouplingSpec("nonlinear", c=c, eta=pws_coupling, upsilon=np.array([0.75]))
+    x0 = np.array([0.5, -0.25])
+    mean, diff = 0.125 * math.exp(-rate), 0.75 * math.exp(-(rate + 2.0 * c))
+    exact = np.array([mean + 0.5 * diff, mean - 0.5 * diff])
+    made = _spy(monkeypatch)
+    errs = []
+    for dt in (0.05, 0.025):
+        traj = integrate([decay_field(rate)] * 2, complete_topology(2), coupling, x0,
+                         SimConfig(dt=dt, t_end=1.0))
+        errs.append(float(np.abs(traj.states[-1] - exact).max()))
+        assert sum(made[-1].four_stage_steps) == 0 and made[-1].gather.shape[1] > 0
+    assert errs[0] / errs[1] >= RK4_ORDER_MIN_RATIO
 
 
 def _reference_csv(meta, header, columns):
