@@ -16,7 +16,8 @@ Each command rejects a disconnected graph before it creates the output
 directory or integrates anything.
 
 Outputs carry no timestamps, so a rerun with identical arguments
-produces byte-identical files.
+produces byte-identical files.  Every output file is UTF-8 with LF line
+ends, whatever the platform and locale.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def cmd_certify(args) -> int:
         return 2
     meta = _scenario_meta(scenario)
     text = "\n".join(_meta_lines(meta)) + "\n\n" + report.to_text() + "\n"
-    (outdir / "report.txt").write_text(text)
+    (outdir / "report.txt").write_text(text, encoding="utf-8", newline="\n")
     payload = {"report": report.to_dict(), "scenario": {k: str(v) for k, v in meta.items()}}
-    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8", newline="\n")
     print(report.to_text())
     print(f"report written to {outdir}")
     return 0 if report.certified else 2
@@ -175,7 +177,7 @@ def cmd_simulate(args) -> int:
     else:
         lines.append(f"certification skipped: {cert_note}")
     lines += _meta_lines(meta)
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
+    (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     for line in lines:
         if not line.startswith("#"):

@@ -451,8 +451,8 @@ def _config_init(cfg, size, rng) -> np.ndarray:
 def _read_file(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read scenario file {path}")

@@ -35,7 +35,10 @@ Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
 solver; delayed terms read a linearly interpolated history of the stored
 trajectory.  Post-processing reduces trajectories to stacked error norms
-and a steady-state residual estimate ε̂ over the final window.
+and a steady-state residual estimate ε̂ over the final window.  The CSV
+writers stack their columns about 4096 values at a time and write each
+block as :func:`pwsync.csvformat.format_block` formats it: C's ``%.17g``
+per value, byte for byte, from a few dozen NumPy calls per block.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .certify import CertifyError, CouplingSpec
+from .csvformat import format_block
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
 from .graph import Topology, build_laplacian
 
@@ -68,6 +72,7 @@ __all__ = [
 
 
 _BLOCK = 64  # most steps per table of time-only terms
+_CSV_BLOCK = 4096  # values per formatted block of a CSV
 # most entries of a dense gather G times the batch size; past it a triple
 # runs node by node and over the edge list (the measured crossover)
 _DENSE = 32768
@@ -378,11 +383,12 @@ def _affine_step(jac_t, dt: float, gather, weighted: bool):
     + A³/4; of those, f_k enters X₂, X₃ and X₄ through dt/2·I, dt/4·A and
     dt/4·A², and f_{k+½} enters X₃ and X₄ through dt/2·I and dt/2·(A + 2I).
 
-    Returns the step [M | G | P₂G | P₃G | P₄G] (B, n, n + 4K), whose
+    Returns the step [M | P₂G | P₃G | P₄G | G] (B, n, n + 4K), whose
     product with x_k is x_{k+1} and the gathers X·G of the four stage
-    states before forcing, and, when ``weighted``, the weights of f_k and
-    f_{k+½} in the same columns stacked as (B, 2, n, n + 4K), or None.
-    Every polynomial is in Horner form, so no power of A is kept."""
+    states before forcing (stage 1's last: it carries no forcing), and,
+    when ``weighted``, the weights of f_k and f_{k+½} in the first n + 3K
+    columns stacked as (B, 2, n, n + 3K), or None.  Every polynomial is in
+    Horner form, so no power of A is kept."""
     a = dt * jac_t
     eye = np.eye(a.shape[-1])
     m = eye + a / 4.0
@@ -394,7 +400,7 @@ def _affine_step(jac_t, dt: float, gather, weighted: bool):
         ag = a @ gather
         p2 = gather + ag / 2.0
         p3 = gather + a @ p2 / 2.0
-        m = np.concatenate([m, gather, p2, p3, gather + a @ p3], axis=-1)
+        m = np.concatenate([m, p2, p3, gather + a @ p3, gather], axis=-1)
     if not weighted:
         return m, None
     f0 = 0.5 * eye + a / 4.0
@@ -403,10 +409,10 @@ def _affine_step(jac_t, dt: float, gather, weighted: bool):
     f_half = 4.0 * eye + a @ (2.0 * eye + a / 2.0)
     weights = dt / 6.0 * np.stack([f0, f_half], axis=1)
     if gather.shape[-1]:
-        zero = np.zeros(gather.shape)
         weights = np.concatenate([weights, np.stack([
-            np.concatenate([zero, 0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)], axis=-1),
-            np.concatenate([zero, zero, 0.5 * dt * gather, 0.5 * dt * ag + dt * gather], axis=-1),
+            np.concatenate([0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)], axis=-1),
+            np.concatenate([np.zeros(gather.shape), 0.5 * dt * gather, 0.5 * dt * ag + dt * gather],
+                           axis=-1),
         ], axis=1)], axis=-1)
     return m, weights
 
@@ -425,9 +431,9 @@ def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
 def _affine_forcing(table, weights, sixth: float):
     """The forcing rows of the affine step (see :func:`_affine_step`) for a
     block of m steps, g_j = f_j·F₀ + f_{j+½}·F½ + f_{j+1}·dt/6 in the
-    step's first N·dim columns and the stage gathers' forcing terms in the
-    rest, with f the forcing table's 2m + 1 rows: shape (B, m, 1, N·dim +
-    4K), two batched products per block."""
+    step's first N·dim columns and the forcing terms of stages 2-4's
+    gathers in the next 3K, with f the forcing table's 2m + 1 rows: shape
+    (B, m, 1, N·dim + 3K), two batched products per block."""
     f = table[:, :, 0].transpose(1, 0, 2)
     g = f[:, :-1:2] @ weights[:, 0]
     g += f[:, 1::2] @ weights[:, 1]
@@ -462,10 +468,10 @@ class _Regions:
             self.terms.append((cols, np.array(term.pieces, dtype=float), term.scatter))
             stop = cols.stop
         self.gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
-        width = size + 4 * stop
-        self.step = np.zeros((batch, size, width))
-        self.weights = np.zeros((batch, 2, size, width)) if forced or stop else None
-        self.offset = np.zeros((batch, 1, width)) if stop else None
+        self.step = np.zeros((batch, size, size + 4 * stop))
+        self.forced_width = size + 3 * stop  # leading step columns that carry forcing
+        self.weights = np.zeros((batch, 2, size, self.forced_width)) if forced or stop else None
+        self.offset = np.zeros((batch, 1, self.forced_width)) if stop else None
         self.lower, self.upper = np.zeros((2, batch, 1, 4 * stop))
         self.pieces = np.zeros((batch, stop), dtype=np.intp)
         self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
@@ -535,7 +541,7 @@ class _Regions:
         y = x @ self.step
         shift = self.offset if self.forcing is None else self.forcing[:, j]
         if shift is not None:
-            y += shift
+            y[..., :self.forced_width] += shift
         if self.offset is None:  # no triple: one region, always held
             return y, None
         gathers = y[..., self.size:]
@@ -790,15 +796,16 @@ def _meta_lines(meta: dict) -> list:
 
 def _write_csv(path, meta: dict, header: str, *columns) -> None:
     """'#' meta lines, the header, then one line per row of the stacked
-    columns, each float as ``f"{v:.17g}"``.  Rows are formatted about 4096
-    values at a time, so no whole table of Python floats is held at once."""
-    table = np.column_stack(columns)
-    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    block = max(1, 4096 // table.shape[1])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in _meta_lines(meta) + [header]))
-        for start in range(0, table.shape[0], block):
-            fh.write("".join([fmt % tuple(row) for row in table[start:start + block].tolist()]))
+    columns, each float as C's ``%.17g`` (``f"{v:.17g}"``), in UTF-8 with
+    LF line ends.  The columns are stacked and formatted ``_CSV_BLOCK``
+    values at a time (:func:`format_block`), so neither the whole table
+    nor its Python floats are ever held at once."""
+    width = sum(1 if np.ndim(column) == 1 else np.shape(column)[1] for column in columns)
+    rows = max(1, _CSV_BLOCK // width)
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in _meta_lines(meta) + [header]).encode("utf-8"))
+        for start in range(0, len(columns[0]), rows):
+            fh.write(format_block(np.column_stack([column[start:start + rows] for column in columns])))
 
 
 def write_trajectory_csv(traj: Trajectory, path, extra_meta: Optional[dict] = None) -> None:

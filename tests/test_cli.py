@@ -537,3 +537,47 @@ def test_python_dash_m_pwsync_runs_the_cli(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "pwsync-out" / "report.txt").exists()
+
+
+UTF8_INI = """
+[scenario]
+name = réseau Ω
+
+[topology]
+source = ring
+n = 4
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+c = 1
+gamma = 1
+
+[sim]
+dt = 0.01
+t_end = 0.5
+"""
+
+
+def test_outputs_are_utf8_with_newlines_in_an_ascii_locale(tmp_path):
+    # the scenario name reaches every output's header; under the C locale
+    # the platform's default text encoding is ASCII, which cannot hold it
+    ini = tmp_path / "net.ini"
+    ini.write_text(UTF8_INI, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for command in ("certify", "simulate"):
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "pwsync", command,
+                               "--scenario", str(ini), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    out = tmp_path / "out"
+    for name in ("report.txt", "summary.txt", "trajectory.csv", "errors.csv"):
+        data = (out / name).read_bytes()
+        assert b"\r" not in data, name
+        assert "# scenario = réseau Ω\n" in data.decode("utf-8"), name
+    report = json.loads((out / "report.json").read_bytes().decode("utf-8"))
+    assert report["scenario"]["scenario"] == "réseau Ω"

@@ -21,7 +21,7 @@ from pwsync.dynamics import (
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
 from pwsync import sim
-from pwsync.scenarios import Scenario, load_scenario
+from pwsync.scenarios import BUILTINS, Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
     SimConfig,
@@ -992,6 +992,61 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
         "# scenario = demo\nc,eps_hat,eps_bar,certified,diverged\n"
         "0.5,inf,nan,0,1\n"
         f"{5e-324:.17g},-0,{1.7976931348623157e308:.17g},1,0\n")
+
+
+NET100_INI = """
+[topology]
+source = random
+n = 100
+p = 0.1
+seed = 2
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+gamma = 1
+c = 0.5
+
+[sim]
+dt = 0.01
+t_end = 1.5
+"""
+
+
+def test_csv_writers_match_per_value_formatting_on_real_runs(tmp_path):
+    # short runs of the six built-ins, a sweep, and a 100-node network
+    # whose 101- and 102-column tables are formatted 40 rows at a time
+    ini = tmp_path / "net100.ini"
+    ini.write_text(NET100_INI)
+    scenarios = [load_scenario(name, 0) for name in sorted(BUILTINS)] + [load_scenario(str(ini), 0)]
+    for scenario in scenarios:
+        scenario = scenario.with_sim(t_end=150 * scenario.sim.dt)
+        traj = scenario.simulate()
+        series = error_series(traj)
+        meta = {"scenario": scenario.name}
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path, extra_meta=meta)
+        header = "t," + ",".join(f"x_{i + 1}_{j + 1}" for i in range(traj.n_nodes) for j in range(traj.dim))
+        assert path.read_bytes() == _reference_csv({**traj.meta, **meta}, header,
+                                                   (traj.times, traj.states)).encode(), scenario.name
+        path = tmp_path / "errors.csv"
+        write_error_csv(series, path, extra_meta=meta)
+        header = "t,err_norm," + ",".join(f"e_{i + 1}_{j + 1}"
+                                          for i in range(traj.n_nodes) for j in range(traj.dim))
+        assert path.read_bytes() == _reference_csv({**series.meta, **meta}, header,
+                                                   (series.times, series.norms, series.errors)).encode(), \
+            scenario.name
+    assert traj.states.shape[1] == 100 and traj.times.size > 3 * (sim._CSV_BLOCK // 101)
+
+    scenario = load_scenario("kuramoto4", 0)
+    rows = sweep_coupling(scenario, np.geomspace(0.1, 30.0, 7), SimConfig(dt=0.01, t_end=2.0))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path, extra_meta={"scenario": "kuramoto4"})
+    keys = ("c", "eps_hat", "eps_bar", "certified", "diverged")
+    assert path.read_bytes() == _reference_csv({"scenario": "kuramoto4"}, ",".join(keys),
+                                               [[float(row[key]) for row in rows] for key in keys]).encode()
 
 
 def test_diverging_gain_is_isolated_within_a_batch():
