@@ -13,11 +13,13 @@ file) and a seed override:
   each, write ``sweep.csv``; exit 0, 1 on bad input.
 
 Each command rejects a disconnected graph before it creates the output
-directory or integrates anything.
+directory or integrates anything; a run too large to allocate is bad
+input too.
 
 Outputs carry no timestamps, so a rerun with identical arguments
 produces byte-identical files.  Every output file is UTF-8 with LF line
-ends, whatever the platform and locale.
+ends, whatever the platform and locale; the console escapes what the
+locale cannot encode.
 """
 
 from __future__ import annotations
@@ -219,11 +221,13 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # escape what the locale cannot encode, as stderr does
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CertifyError, GraphError, SimError, OSError) as exc:
+    except (ConfigError, CertifyError, GraphError, SimError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

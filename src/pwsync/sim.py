@@ -2,18 +2,19 @@
 
 One RK4 loop advances B coupling gains at once, each a copy of the
 N-node network held as one row state of N·dim entries, shape (B, 1,
-N·dim); a gain sweep is one pass.  The nodes of each family in
-:mod:`pwsync.dynamics` are stacked into parameter arrays once per run.
-Every term linear in the state sits in one dense matrix per gain,
-J_b = blockdiag(Aᵢ) − c_b·(L ⊗ Γ).  Every state-dependent term is one
-triple, added as kernel(x @ G) @ S: a family's rest (its gather blocks,
-kernel and scatter blocks), and the nonlinear coupling (the signed
-incidence x_j − x_i per directed edge and component, η, and the scatter
-of c_b·w_ij to the receiving node).  G and S are dense block-diagonal and
-incidence matrices while G's entries times the batch size are at most
-``_DENSE``; a larger term applies the same triple node by node and over
-the edge list.  Fields without a family go through their own ``h`` and
-``g``, one node at a time.
+N·dim); a gain sweep is one pass.  The batch keeps its B rows from the
+first step to the last; a gain that diverges restarts from zero and its
+trajectory ends.  The nodes of each family in :mod:`pwsync.dynamics` are
+stacked into parameter arrays once per run.  Every term linear in the
+state sits in one dense matrix per gain, J_b = blockdiag(Aᵢ) − c_b·(L ⊗
+Γ).  Every state-dependent term is one triple, added as kernel(x @ G) @
+S: a family's rest (its gather blocks, kernel and scatter blocks), and
+the nonlinear coupling (the signed incidence x_j − x_i per directed edge
+and component, η, and the scatter of c_b·w_ij to the receiving node).  G
+and S are dense block-diagonal and incidence matrices while G's entries
+times the batch size are at most ``_DENSE``; a larger term applies the
+same triple node by node and over the edge list.  Fields without a
+family go through their own ``h`` and ``g``, one node at a time.
 
 Each family's time-only forcing is tabulated once per block of m ≤ 64
 steps, at the block's 2m + 1 stage times, into one table of full rows;
@@ -27,9 +28,10 @@ exactly affine: x ← x·M + g, with M = R(dt·J_rᵀ) built when the member's
 region changes and the forcing rows g read off the same table in two
 batched products per block.  The same product gives the gathers of all
 four stage states; a step holds only when they stay in the region, and
-otherwise the member takes the four RK4 stages.  A run with no triple is
-one region, so every step is one product.  The hard sign, sin, hand-built
-fields and edge-list triples always take the four stages.
+otherwise the member takes the four RK4 stages, evaluated for the whole
+batch.  A run with no triple is one region, so every step is one
+product.  The hard sign, sin, hand-built fields and edge-list triples
+always take the four stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -164,9 +166,11 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
     The state has one row of N·dim entries per gain, and every stage
     evaluates all of them together.  The run holds B × (steps + 1) × N ×
-    dim floats.  A gain whose state leaves the divergence threshold drops
-    out of the batch at that step; its trajectory ends where its own run
-    would.  Returns one :class:`Trajectory` per gain, in input order.
+    dim floats.  The batch keeps its B rows to the end: once a gain's
+    max|x| is not ≤ the divergence threshold (NaN included), its
+    trajectory ends at the step before and its row restarts from zero,
+    stepped but never reported; no row reads another.  The run stops when
+    no gain is left.  Returns one :class:`Trajectory` per gain, in order.
 
     The step is chosen per member and step.  When every triple
     kernel(x @ G) @ S is dense and its kernel declares affine pieces, and
@@ -175,12 +179,12 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     plus the step's forcing row, and the same product checks that all
     four stage states stay in the region.  A member outside every region,
     or whose step would leave it, takes the four RK4 stages, each x @ Jᵀ
-    plus the forcing table's row plus every triple, and its region is read
-    again.  A run with no triple (linear coupling, or every gain zero;
-    decay, Ikeda and Kuramoto nodes) is one region.  Both steps agree to
-    rounding (about 1e-13 relative over the 15 000 steps of
-    ikeda10-linear, 3.4e-14 of max|x| on relay5), and so do the dense and
-    the edge-list form of a triple.
+    plus the forcing table's row plus every triple, evaluated for the
+    whole batch, and its region is read again.  A run with no triple
+    (linear coupling, or every gain zero; decay, Ikeda and Kuramoto nodes)
+    is one region.  Both steps agree to rounding (about 1e-13 relative
+    over the 15 000 steps of ikeda10-linear, 3.4e-14 of max|x| on relay5),
+    and so do the dense and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
     if len(fields) != n_nodes:
@@ -219,8 +223,7 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     history = _History(states, dt)
     blocks, terms, forced, closure = _node_terms(fields, sgn, history, gains.size)
     jac_t = _linear_part(blocks, coupling, topo, gains)
-    coupled = coupling.variant != "linear" and gains.any()
-    if coupled:
+    if coupling.variant != "linear" and gains.any():
         terms.append(_coupling_term(coupling.eta, topo, dim, gains))
     regions = None
     if closure is None and (jac_t is not None or terms) and all(
@@ -230,43 +233,37 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     # delayed reads need no row past the one stored at the start
     block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
 
-    def rhs(t, stage, x, lin, stage_terms, rows):
-        out = None if table is None else table[stage] if rows is None else table[stage, rows]
-        for gather, kernel, scatter, _ in stage_terms:
+    def rhs(t, stage, x):
+        out = None if table is None else table[stage]
+        for gather, kernel, scatter, _ in terms:
             term = kernel(x @ gather) @ scatter
             out = term if out is None else out + term
         if closure is not None:
             term = closure(t, x)
             out = term if out is None else out + term
-        return out if lin is None else x @ lin + out
+        return out if jac_t is None else x @ jac_t + out
 
-    def staged(k, x, rows=None):
-        """The four-stage step from x at step k, of the live members ``rows``
-        (all when None; only runs without a closure take a subset)."""
-        lin, stage_terms = jac_t, terms
-        if rows is not None:
-            lin = None if lin is None else lin[rows]
-            if coupled:
-                stage_terms = terms[:-1] + [terms[-1]._replace(scatter=terms[-1].scatter[rows])]
+    def staged(k, x):
+        """The four-stage step of the whole batch from x at step k."""
         stage = 2 * (k % block)
         t = times[k]
         t_half = t + half
-        k1 = rhs(t, stage, x, lin, stage_terms, rows)
-        k2 = rhs(t_half, stage + 1, x + half * k1, lin, stage_terms, rows)
-        k3 = rhs(t_half, stage + 1, x + half * k2, lin, stage_terms, rows)
-        k4 = rhs(times[k + 1], stage + 2, x + dt * k3, lin, stage_terms, rows)
+        k1 = rhs(t, stage, x)
+        k2 = rhs(t_half, stage + 1, x + half * k1)
+        k3 = rhs(t_half, stage + 1, x + half * k2)
+        k4 = rhs(times[k + 1], stage + 2, x + dt * k3)
         return x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
 
     store = states.reshape(gains.size, n_steps + 1, 1, size)
     x = store[:, 0].copy()
-    live = np.arange(gains.size)
+    live = np.ones(gains.size, dtype=bool)
     last = np.full(gains.size, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
     threshold = config.divergence_threshold
     table = None
     if regions is not None:
-        regions.enter(x, live)
+        regions.enter(x, np.arange(gains.size))
     for k in range(n_steps):
         j = k % block
         if j == 0 and forced:
@@ -284,26 +281,20 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             if x_new is None:
                 x_new = staged(k, x)
             elif out is not None:
-                x_new[out] = staged(k, x[out], out)
+                x_new[out] = staged(k, x)[out]
             if out is not None:
                 regions.enter(x_new, out)
         x = x_new
         if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
             ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
-            last[live[~ok]] = k
-            live, x = live[ok], x[ok]
-            if live.size == 0:
+            last[live & ~ok] = k
+            live &= ok
+            if not live.any():
                 break
-            history.keep(live)
-            if table is not None:
-                table = table[:, ok]
-            if jac_t is not None:
-                jac_t = jac_t[ok]
-            if coupled:
-                terms[-1] = terms[-1]._replace(scatter=terms[-1].scatter[ok])
+            x[~ok] = 0.0
             if regions is not None:
-                regions.keep(ok)
-        store[history.rows, k + 1] = x
+                regions.enter(x, np.flatnonzero(~ok))
+        store[:, k + 1] = x
 
     run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
                     n_nodes=n_nodes, dim=dim, coupling_variant=coupling.variant,
@@ -320,7 +311,7 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
 
 class _History:
-    """Stored states of the live batch members, read at past times.
+    """Stored states of the batch members, read at past times.
 
     ``states`` has shape (B, steps + 1, N, dim) and row 0 holds the initial
     state, which is also the history for s ≤ 0 (a negative time reads row 0
@@ -330,25 +321,17 @@ class _History:
     """
 
     def __init__(self, states, dt):
-        self.states = states
-        self.dt = dt
-        self.live = np.arange(states.shape[0])
-        self.rows = slice(None)
-
-    def keep(self, live):
-        """Drop the members not in ``live`` (batch indices, ascending)."""
-        self.live = self.rows = live
+        self.states, self.dt = states, dt
 
     def delayed(self, ts, delays, nodes):
         """States of ``nodes`` at each of ``ts`` minus that node's delay,
-        for every live member: shape (len(ts), B, n, dim)."""
+        for every member: shape (len(ts), B, n, dim)."""
         s = (ts[:, None] - delays)[:, None]
-        return self.read(self.live[:, None], nodes, s)
+        return self.read(np.arange(len(self.states))[:, None], nodes, s)
 
     def node(self, p, i):
-        """History callable of node ``i`` in the live member at position ``p``."""
-        member = int(self.live[p])
-        return lambda s: self.read(member, i, np.asarray(s, dtype=float))
+        """History callable of node ``i`` in member ``p``."""
+        return lambda s: self.read(p, i, np.asarray(s, dtype=float))
 
     def read(self, members, nodes, s):
         u = s / self.dt
@@ -421,7 +404,7 @@ def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
     """The families' time-only terms at the stage times ``ts`` of a block,
     scattered into full rows: shape (len(ts), B, 1, N·dim), row 2j at the
     block's step j and row 2j + 1 at its half step."""
-    table = np.zeros((ts.size, history.live.size, n_nodes, dim))
+    table = np.zeros((ts.size, len(history.states), n_nodes, dim))
     for family, q, idx in forced:
         delayed = lambda lags: history.delayed(ts, lags, idx)  # noqa: E731
         table[:, :, idx, family.column] = family.forcing(q, ts, delayed, sgn)
@@ -442,8 +425,8 @@ def _affine_forcing(table, weights, sixth: float):
 
 
 class _Regions:
-    """The linear region of each live member of a run whose triples are all
-    dense and piecewise affine, and the one-product step of that region.
+    """The linear region of each batch member of a run whose triples are
+    all dense and piecewise affine, and the one-product step of that region.
 
     A member's region is the piece of every gather entry.  Inside it each
     triple is affine, kernel(x·G)·S = x·G·diag(slope)·S + intercept·S, so
@@ -456,7 +439,8 @@ class _Regions:
     region (pws past |z| = 1), takes the four-stage step, and its region is
     read again from its new state.  Each member keeps only its current
     region, and rebuilds its step when that changes.  A run with no triple
-    has K = 0 gather entries and one region, entered once.
+    has K = 0 gather entries and one region, whose step is built once;
+    ``ready`` marks the steps built, since its empty pieces never differ.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
@@ -480,7 +464,7 @@ class _Regions:
         self.table = self.forcing = None
 
     def enter(self, x, rows):
-        """Read the regions of the live members ``rows`` from their states
+        """Read the regions of the members ``rows`` from their states
         x[rows] and rebuild the step of each whose region changed."""
         y = (x[rows] @ self.gather)[:, 0]
         pieces = np.empty(y.shape, dtype=np.intp)
@@ -550,21 +534,6 @@ class _Regions:
             return y[..., :self.size], None
         return y[..., :self.size], np.flatnonzero(~(held.all(axis=(1, 2)) & self.inside))
 
-    def keep(self, ok):
-        """Drop the members not in the mask ``ok``."""
-        self.jac_t, self.step, self.lower, self.upper = (
-            self.jac_t[ok], self.step[ok], self.lower[ok], self.upper[ok])
-        self.pieces, self.ready, self.inside = self.pieces[ok], self.ready[ok], self.inside[ok]
-        self.everyone = bool(self.inside.all())
-        self.terms = [(cols, table, scatter if scatter.ndim == 2 else scatter[ok])
-                      for cols, table, scatter in self.terms]
-        if self.weights is not None:
-            self.weights = self.weights[ok]
-        if self.offset is not None:
-            self.offset = self.offset[ok]
-        if self.table is not None:
-            self.table, self.forcing = self.table[:, ok], self.forcing[ok]
-
 
 class _Triple(NamedTuple):
     """A stage term kernel(x @ gather) @ scatter on row states (B, 1, N·dim),
@@ -583,8 +552,7 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     the receiving node i: dense, one scatter per gain, while the gather's
     entries times the batch size are at most ``_DENSE``, else over the
     edge list sorted by receiving node (a node without edges gets a
-    zero-weight self-loop, so each owns a sum).  Indexing the scatter with
-    a mask over the gains keeps those gains."""
+    zero-weight self-loop, so each owns a sum)."""
     edges = topo.weights != 0.0
     isolated = np.flatnonzero(~edges.any(axis=1))
     edges[isolated, isolated] = True
@@ -632,9 +600,6 @@ class _EdgeScatter:
     def __rmatmul__(self, y):
         summed = np.add.reduceat(self.weights * y, self.starts, axis=1)
         return (self.gains * summed).reshape(len(y), 1, -1)
-
-    def __getitem__(self, ok):
-        return _EdgeScatter(self.weights, self.starts, self.gains[ok])
 
 
 def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:

@@ -562,18 +562,26 @@ t_end = 0.5
 
 
 def test_outputs_are_utf8_with_newlines_in_an_ascii_locale(tmp_path):
-    # the scenario name reaches every output's header; under the C locale
-    # the platform's default text encoding is ASCII, which cannot hold it
+    # the scenario name reaches every output's header and the console, and
+    # kuramoto4's report prints ‖e(0)‖; under the C locale the platform's
+    # default text encoding is ASCII, which can hold neither, so the files
+    # are UTF-8 and the console escapes what it cannot encode
     ini = tmp_path / "net.ini"
     ini.write_text(UTF8_INI, encoding="utf-8")
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8",
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
            "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    for command in ("certify", "simulate"):
+    env.pop("PYTHONIOENCODING", None)
+    stdout = {}
+    for command, scenario, out in (("certify", str(ini), "out"), ("simulate", str(ini), "out"),
+                                   ("certify", "kuramoto4", "kuramoto4")):
         proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "pwsync", command,
-                               "--scenario", str(ini), "--out", str(tmp_path / "out")],
+                               "--scenario", scenario, "--out", str(tmp_path / out)],
                               env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        stdout[command, scenario] = proc.stdout
+    assert b"scenario = r\\xe9seau \\u03a9\n" in stdout["simulate", str(ini)]
+    assert b"\\u2016e(0)\\u2016" in stdout["certify", "kuramoto4"]
     out = tmp_path / "out"
     for name in ("report.txt", "summary.txt", "trajectory.csv", "errors.csv"):
         data = (out / name).read_bytes()
@@ -581,3 +589,27 @@ def test_outputs_are_utf8_with_newlines_in_an_ascii_locale(tmp_path):
         assert "# scenario = réseau Ω\n" in data.decode("utf-8"), name
     report = json.loads((out / "report.json").read_bytes().decode("utf-8"))
     assert report["scenario"]["scenario"] == "réseau Ω"
+    # the same files as a run under a UTF-8 console
+    assert main(["certify", "--scenario", "kuramoto4", "--out", str(tmp_path / "utf8")]) == 0
+    for name in ("report.txt", "report.json"):
+        assert (tmp_path / "kuramoto4" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    assert "‖e(0)‖" in (tmp_path / "utf8" / "report.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "1e9"],
+    ["sweep", "--t-end", "1e9", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
+], ids=["simulate", "sweep"])
+def test_a_run_too_large_to_allocate_is_bad_input(tmp_path, capsys, monkeypatch, command):
+    # --t-end 1e9 asks for terabytes of trajectory; NumPy's MemoryError is
+    # reported as bad input, not a traceback (the integrator is stubbed, so
+    # nothing large is allocated)
+    message = "Unable to allocate 7.28 TiB for an array with shape (1, 1000000001, 3, 1)"
+
+    def integrate_gains(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("pwsync.sim.integrate_gains", integrate_gains)
+    rc = main([*command, "--scenario", "contraction3", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

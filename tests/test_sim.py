@@ -427,7 +427,7 @@ def test_family_kernels_match_the_fields_own_closures():
         assert all(f.family is not None for f in scenario.fields)
         _assert_families_match_closures(scenario, [scenario.coupling.c])
     # non-contiguous groups pin where each block sits in J, and a batch
-    # with c = 0 and a diverging gain pins the slicing of J to live rows
+    # with c = 0 and a diverging gain pins that each gain keeps its own J
     for scenario, wild in _interleaved_networks():
         gains = [0.0, 1.5, wild]
         runs = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
@@ -560,8 +560,8 @@ def test_affine_step_keeps_fourth_order():
 
 def test_tabulated_terms_survive_a_divergence_mid_block():
     # the shortest delay is 20.5 steps, so blocks hold 20 steps; the gain
-    # c = 46 leaves the batch after step 32, inside the block of steps
-    # 20-39, and the surviving member keeps reading its sliced table
+    # c = 46 diverges after step 32, inside the block of steps 20-39, and
+    # the surviving member keeps reading its own rows of the table
     dt = 2.0 ** -6
     taus = (20.5 * dt, 25 * dt, 30.3 * dt, 70 * dt)
     fields = [ikeda_field(IkedaParams(1.0 + 0.1 * i, 4.0 - 0.2 * i, tau))
@@ -581,8 +581,8 @@ def test_tabulated_terms_survive_a_divergence_mid_block():
 
     # Chua's forcing table, with and without the boundary layer (0.05 puts
     # node 0's forcing, which switches at t = 0, inside the layer for 50
-    # steps); the gain 2000 diverges, so the table is sliced to the live
-    # members
+    # steps); the gain 2000 diverges while the others read on in the same
+    # table
     for width in (0.0, 1e-4, 0.05):
         chua = _chua3()
         chua = dataclasses.replace(chua, sim=dataclasses.replace(
@@ -728,8 +728,8 @@ def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
 
 def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
     # ikeda4 under pws (blocks of four steps) and Chua beside relay nodes
-    # (dim 3, two families with a rest); each batch loses its last member
-    # partway through a run, and the live members' scatter is sliced
+    # (dim 3, two families with a rest); each batch's last member diverges
+    # partway through a run, and the others keep their own scatter
     for scenario, wild in _interleaved_networks()[:2]:
         gains = [0.0, 1.5, wild]
         args = (scenario.fields, scenario.topo, scenario.coupling, gains, scenario.x0, scenario.sim)
@@ -898,7 +898,7 @@ def test_a_batch_in_different_regions_equals_single_runs(monkeypatch):
     _assert_sweep_matches_scalar_runs(scenario, gains)
 
 
-def test_a_member_diverging_during_region_steps_is_dropped(monkeypatch):
+def test_a_member_diverging_during_region_steps_ends_its_trajectory(monkeypatch):
     # two unstable relay nodes x' = x/2 − sat(x/0.1) beside two Ikeda nodes
     # (blocks of 20 steps): uncoupled, the relays run away in the layer's
     # outer pieces by region steps; at c = 5 they are held
@@ -1053,7 +1053,7 @@ def test_diverging_gain_is_isolated_within_a_batch():
     # RK4 is unstable for the disagreement mode once dt (a + c λ_max) is
     # past about 2.8: c = 20 on the triangle at dt = 0.1, and c = 100 on
     # the delayed ring at dt = 1/64, whose stable member keeps reading its
-    # history after the other one drops out
+    # history after the other one diverges
     linear = CouplingSpec("linear", c=1.0, gamma=np.ones(1))
     cases = [(load_scenario("contraction3", 0).with_sim(dt=0.1, t_end=5.0), 0.5, 20.0),
              (_ikeda4(linear), 1.0, 100.0)]
@@ -1069,3 +1069,37 @@ def test_diverging_gain_is_isolated_within_a_batch():
         assert np.isfinite(stable.states).all() and stable.times.shape[0] == n_times
         assert runaway.times.shape[0] < n_times
         assert float(np.abs(runaway.states).max()) <= scenario.sim.divergence_threshold
+
+    # on Chua's knee and under pws coupling, whose members take region
+    # steps, every gain of a batch with a diverging gain is bit for bit
+    # its own run
+    batches = [("chua10", dict(t_end=0.5), [0.0, 2.0, 10.0, 2000.0]),
+               ("ikeda10-nonlinear", dict(dt=4e-3, t_end=3.2), [5.0, 200.0, 20.0])]
+    for name, kwargs, gains in batches:
+        scenario = load_scenario(name, 0).with_sim(**kwargs, divergence_threshold=1e3)
+        runs = _run(scenario, gains)
+        assert [traj.diverged for traj in runs] == [c >= 200.0 for c in gains], name
+        for c, traj in zip(gains, runs):
+            (single,) = _run(scenario, [c])
+            assert np.array_equal(traj.times, single.times), (name, c)
+            assert np.array_equal(traj.states, single.states), (name, c)
+
+
+def test_a_non_finite_state_ends_a_gain_as_a_threshold_crossing_does():
+    # x' = x on K2 from ±1, with g = NaN once |x| > 5: uncoupled, the step
+    # whose last stage passes 5 (t ≈ ln 5) turns the state NaN, which only
+    # a "max|x| ≤ threshold" test catches; at c = 10 the mean stays at zero
+    # and the difference decays, so that gain never meets the NaN
+    def g(t, x, history, sgn):
+        return np.full(np.shape(x), math.nan if np.abs(x).max() > 5.0 else 0.0)
+
+    node = AffineDecomposedField(dim=1, h=lambda t, x: np.asarray(x, dtype=float), g=g,
+                                 M=0.0, h_gain=1.0, label="NaN past 5")
+    args = ([node] * 2, complete_topology(2), CouplingSpec("linear", c=10.0, gamma=np.ones(1)))
+    x0, config = np.array([1.0, -1.0]), SimConfig(dt=0.01, t_end=3.0)
+    wild, calm = integrate_gains(*args, [0.0, 10.0], x0, config)
+    assert wild.diverged and not calm.diverged
+    assert wild.times.shape[0] == wild.states.shape[0] == 161
+    assert np.isfinite(wild.states).all()
+    single = integrate(*args, x0, config)
+    assert np.array_equal(calm.times, single.times) and np.array_equal(calm.states, single.states)
