@@ -12,9 +12,10 @@ file) and a seed override:
 * ``sweep``    - integrate every gain of a grid in one pass and certify
   each, write ``sweep.csv``; exit 0, 1 on bad input.
 
-Each command rejects a disconnected graph before it creates the output
-directory or integrates anything; a run too large to allocate is bad
-input too.
+Each command rejects a disconnected graph before it integrates anything;
+a run too large to allocate is bad input too.  The output directory is
+created only once there is something to write, so a command that fails
+leaves none behind.
 
 Outputs carry no timestamps, so a rerun with identical arguments
 produces byte-identical files.  Every output file is UTF-8 with LF line
@@ -116,16 +117,22 @@ def _apply_gain(scenario, args):
     return scenario if args.c is None else scenario.with_gain(args.c)
 
 
-def cmd_certify(args) -> int:
-    scenario = _apply_gain(_load(args), args)
+def _outdir(args) -> Path:
+    """The output directory, created once there is something to write."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
+def cmd_certify(args) -> int:
+    scenario = _apply_gain(_load(args), args)
     try:
         report = scenario.certify()
     except CertifyError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 2
     meta = _scenario_meta(scenario)
+    outdir = _outdir(args)
     text = "\n".join(_meta_lines(meta)) + "\n\n" + report.to_text() + "\n"
     (outdir / "report.txt").write_text(text, encoding="utf-8", newline="\n")
     payload = {"report": report.to_dict(), "scenario": {k: str(v) for k, v in meta.items()}}
@@ -139,8 +146,6 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = _apply_sim_overrides(_load(args), args)
     scenario = _apply_gain(scenario, args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     traj = scenario.simulate()
     series = error_series(traj)
@@ -154,6 +159,7 @@ def cmd_simulate(args) -> int:
         cert_note = None
 
     meta = _scenario_meta(scenario)
+    outdir = _outdir(args)
     write_trajectory_csv(traj, outdir / "trajectory.csv", extra_meta=meta)
     write_error_csv(series, outdir / "errors.csv", extra_meta=meta)
 
@@ -202,12 +208,11 @@ def cmd_sweep(args) -> int:
     else:
         c_values = np.linspace(args.c_min, args.c_max, args.points)
     scenario = _apply_sim_overrides(_load(args), args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     rows = sweep_coupling(scenario, c_values, scenario.sim)
     meta = _scenario_meta(scenario)
     meta["grid"] = f"{args.grid}[{args.c_min:g}, {args.c_max:g}] x {args.points}"
+    outdir = _outdir(args)
     write_sweep_csv(rows, outdir / "sweep.csv", extra_meta=meta)
 
     print(f"{'c':>12} {'eps_hat':>14} {'eps_bar':>14} {'certified':>9} {'diverged':>8}")

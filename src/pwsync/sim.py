@@ -25,13 +25,17 @@ Where every kernel is affine on declared intervals (the boundary-layer
 sign, Chua's knee, pws inside |z| ≤ 1), a member whose gather entries all
 sit in such pieces, its region, is an affine system, and RK4's step is
 exactly affine: x ← x·M + g, with M = R(dt·J_rᵀ) built when the member's
-region changes and the forcing rows g read off the same table in two
-batched products per block.  The same product gives the gathers of all
-four stage states; a step holds only when they stay in the region, and
-otherwise the member takes the four RK4 stages, evaluated for the whole
-batch.  A run with no triple is one region, so every step is one
-product.  The hard sign, sin, hand-built fields and edge-list triples
-always take the four stages.
+region changes and the forcing rows g read off the same table in a few
+batched products per block.  With dense triples the step's product also
+gives the gathers of all four stage states; with node-by-node or
+edge-list triples it gives the stage states, [M | P₂ | P₃ | P₄], and the
+triples' own gathers read them, while N·dim times the batch size is at
+most ``_STATE_SPACE``.  A step holds only when the stage gathers stay in
+the region, and otherwise the member takes the four RK4 stages,
+evaluated for the whole batch.  A run with no triple is one region, so
+every step is one product.  The hard sign, sin and hand-built fields
+always take the four stages, and so do node-by-node and edge-list
+triples past ``_STATE_SPACE``.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -78,6 +82,10 @@ _CSV_BLOCK = 4096  # values per formatted block of a CSV
 # most entries of a dense gather G times the batch size; past it a triple
 # runs node by node and over the edge list (the measured crossover)
 _DENSE = 32768
+# most N·dim times the batch size of a run whose node-by-node or edge-list
+# triples take region steps: past it the step [M_r | P₂ | P₃ | P₄] and its
+# rebuilds cost more than the four stages (the measured crossover)
+_STATE_SPACE = 256
 
 
 class SimError(ValueError):
@@ -173,17 +181,21 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     no gain is left.  Returns one :class:`Trajectory` per gain, in order.
 
     The step is chosen per member and step.  When every triple
-    kernel(x @ G) @ S is dense and its kernel declares affine pieces, and
-    there is no hand-built field, a member inside one region (every gather
-    entry in one piece) takes one product with its region's M = R(dt·J_rᵀ)
-    plus the step's forcing row, and the same product checks that all
-    four stage states stay in the region.  A member outside every region,
-    or whose step would leave it, takes the four RK4 stages, each x @ Jᵀ
-    plus the forcing table's row plus every triple, evaluated for the
-    whole batch, and its region is read again.  A run with no triple
-    (linear coupling, or every gain zero; decay, Ikeda and Kuramoto nodes)
-    is one region.  Both steps agree to rounding (about 1e-13 relative
-    over the 15 000 steps of ikeda10-linear, 3.4e-14 of max|x| on relay5),
+    kernel(x @ G) @ S declares affine pieces, there is no hand-built
+    field, and the triples are dense or N·dim times the batch size is at
+    most ``_STATE_SPACE``, a member inside one region (every gather entry
+    in one piece) takes one product with its region's M = R(dt·J_rᵀ) plus
+    the step's forcing row, and the same product checks that all four
+    stage states stay in the region: through G folded into the step for
+    dense triples, else through the stage states and each triple's own
+    gather.  A member outside every region, or whose step would leave it,
+    takes the four RK4 stages, each x @ Jᵀ plus the forcing table's row
+    plus every triple, evaluated for the whole batch, and its region is
+    read again, after 1, 2, 4, … up to a block of steps while it stays
+    outside.  A run with no triple (linear coupling, or every gain zero;
+    decay, Ikeda and Kuramoto nodes) is one region.  Both steps agree to
+    rounding (about 1e-13 relative over the 15 000 steps of
+    ikeda10-linear, 3.4e-14 of max|x| on relay5, 2e-16 on ikeda100-pws),
     and so do the dense and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
@@ -226,8 +238,9 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     if coupling.variant != "linear" and gains.any():
         terms.append(_coupling_term(coupling.eta, topo, dim, gains))
     regions = None
-    if closure is None and (jac_t is not None or terms) and all(
-            isinstance(term.gather, np.ndarray) and term.pieces is not None for term in terms):
+    dense = all(isinstance(term.gather, np.ndarray) for term in terms)
+    if (closure is None and (jac_t is not None or terms) and all(term.pieces is not None for term in terms)
+            and (dense or size * gains.size <= _STATE_SPACE)):
         regions = _Regions(jac_t, terms, gains.size, size, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
     # delayed reads need no row past the one stored at the start
@@ -366,18 +379,25 @@ def _affine_step(jac_t, dt: float, gather, weighted: bool):
     + A³/4; of those, f_k enters X₂, X₃ and X₄ through dt/2·I, dt/4·A and
     dt/4·A², and f_{k+½} enters X₃ and X₄ through dt/2·I and dt/2·(A + 2I).
 
-    Returns the step [M | P₂G | P₃G | P₄G | G] (B, n, n + 4K), whose
-    product with x_k is x_{k+1} and the gathers X·G of the four stage
-    states before forcing (stage 1's last: it carries no forcing), and,
-    when ``weighted``, the weights of f_k and f_{k+½} in the first n + 3K
-    columns stacked as (B, 2, n, n + 3K), or None.  Every polynomial is in
-    Horner form, so no power of A is kept."""
+    Returns the step [M | P₂G | P₃G | P₄G | G] (B, n, n + 4K) for a dense
+    gather G (n, K), whose product with x_k is x_{k+1} and the gathers X·G
+    of the four stage states before forcing (stage 1's last: it carries no
+    forcing), and, when ``weighted``, the weights of f_k and f_{k+½} in the
+    first n + 3K columns stacked as (B, 2, n, n + 3K), or None.  For
+    ``gather`` None it returns the step [M | P₂ | P₃ | P₄] (B, n, 4n) of
+    the next state and the stage states themselves, and no weights (see
+    :func:`_stage_forcing`).  Every polynomial is in Horner form, so no
+    power of A is kept."""
     a = dt * jac_t
     eye = np.eye(a.shape[-1])
     m = eye + a / 4.0
     m = eye + a @ m / 3.0
     m = eye + a @ m / 2.0
     m = eye + a @ m
+    if gather is None:
+        p2 = eye + a / 2.0
+        p3 = eye + a @ p2 / 2.0
+        return np.concatenate([m, p2, p3, eye + a @ p3], axis=-1), None
     if gather.shape[1]:
         gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
         ag = a @ gather
@@ -424,111 +444,239 @@ def _affine_forcing(table, weights, sixth: float):
     return g[:, :, None]
 
 
+def _stage_forcing(f, jac_t, dt: float):
+    """The forcing rows of the state-space step [M | P₂ | P₃ | P₄] (see
+    :func:`_affine_step`) for a block of m steps: RK4's stages on x' =
+    x·Jᵀ + f(t) from x = 0, with f the forcing rows (B, 2m + 1, n) at the
+    block's stage times.  Returns g_j, the forcing of x_{j+1}, then that of
+    stages 2-4: shape (B, m, 1, 4n), from three batched products per block
+    and no weights."""
+    half, f_half = 0.5 * dt, f[:, 1::2]
+    k1 = f[:, :-1:2]
+    x2 = half * k1
+    k2 = x2 @ jac_t + f_half
+    x3 = half * k2
+    k3 = x3 @ jac_t + f_half
+    x4 = dt * k3
+    k4 = x4 @ jac_t + f[:, 2::2]
+    return np.concatenate([dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), x2, x3, x4], axis=-1)[:, :, None]
+
+
+def _summed(part, values, width: int):
+    """Per member, Σ values[entry]·weight into the slots of a row of
+    ``width``, with ``part`` the (slots, entries, weights) of
+    :func:`_sparse_parts` and ``values`` (R, K): shape (R, width)."""
+    slots, entries, weights = part
+    rows = len(values)
+    at = (np.arange(rows)[:, None] * width + slots).reshape(-1)
+    return np.bincount(at, (values[:, entries] * weights).reshape(-1), rows * width).reshape(rows, width)
+
+
+def _sparse_parts(term, size: int):
+    """How J_rᵀ and e_r of a node-by-node or edge-list triple follow from
+    the slope s_k and intercept i_k of each gather entry k (in the order of
+    ``x @ G`` flattened), read off its edge list or per-node blocks, never
+    off a dense G or S: J_rᵀ gains s_k·G[p, k]·S[k, q] at the flat slot
+    p·n + q, and e_r gains i_k·S[k, q] at q, each times the member's factor
+    of S (the coupling's gains) when it has one.  Returns K, the (slots,
+    entries, weights) of J_rᵀ and of e_r, and the factors or None."""
+    gather, scatter = term.gather, term.scatter
+    if isinstance(gather, _Incidence):  # entry (edge i ← j, component): x_j − x_i, times w_ij into i
+        dim = size // gather.n_nodes
+        comp = np.arange(dim)
+        into = (gather.rows[:, None] * dim + comp).reshape(-1, 1)
+        reads = np.concatenate([(gather.cols[:, None] * dim + comp).reshape(-1, 1), into], axis=1)
+        read_w = np.broadcast_to([1.0, -1.0], reads.shape)
+        write_w = np.broadcast_to(scatter.weights, (len(gather.rows), dim)).reshape(-1, 1)
+        scale = scatter.gains[:, 0, 0]
+    else:  # entry (node, kernel column): that column of the node's gather block, row of its scatter
+        n, dim, width = gather.blocks.shape
+        into = np.broadcast_to((gather.idx[:, None] * dim + np.arange(dim))[:, None], (n, width, dim))
+        reads = into = into.reshape(n * width, dim)
+        read_w = gather.blocks.transpose(0, 2, 1).reshape(n * width, dim)
+        write_w, scale = scatter.blocks.reshape(n * width, dim), None
+    entries = np.arange(len(reads))[:, None]
+    slots = reads[:, :, None] * size + into[:, None, :]
+    jac = (slots.reshape(-1), np.broadcast_to(entries[:, :, None], slots.shape).reshape(-1),
+           (read_w[:, :, None] * write_w[:, None, :]).reshape(-1))
+    shift = (into.reshape(-1), np.broadcast_to(entries, into.shape).reshape(-1), write_w.reshape(-1))
+    return len(reads), jac, shift, scale
+
+
 class _Regions:
     """The linear region of each batch member of a run whose triples are
-    all dense and piecewise affine, and the one-product step of that region.
+    all piecewise affine, and the one-product step of that region.
 
     A member's region is the piece of every gather entry.  Inside it each
     triple is affine, kernel(x·G)·S = x·G·diag(slope)·S + intercept·S, so
     the run is x' = x·J_rᵀ + e_r + f(t), with J_rᵀ = Jᵀ + G·diag(slope)·S
     over the triples and e_r the intercepts' row, and RK4's step is exactly
-    x·M_r + g plus the gathers of its four stage states (:func:`_affine_step`,
-    :func:`_affine_forcing`, with e_r as a constant forcing row).  A step
-    holds only when all four stage gathers lie in the region's closed
-    intervals; a member whose step does not hold, or whose state lies in no
-    region (pws past |z| = 1), takes the four-stage step, and its region is
-    read again from its new state.  Each member keeps only its current
-    region, and rebuilds its step when that changes.  A run with no triple
-    has K = 0 gather entries and one region, whose step is built once;
-    ``ready`` marks the steps built, since its empty pieces never differ.
+    x·M_r + g (:func:`_affine_step`, and :func:`_stage_forcing` on the
+    forcing rows plus e_r).  When every gather is dense, G is folded into
+    the step, whose product gives the gathers of the four stage states.
+    Otherwise the step gives the stage states, [M_r | P₂ | P₃ | P₄], the
+    triples' own gathers read them, and the edge-list or node-by-node part
+    of J_rᵀ and e_r is summed from the edge list or the per-node blocks
+    (:func:`_sparse_parts`), never from a dense G or S.  A step holds
+    only when all four stage gathers lie in the region's closed intervals;
+    a member whose step does not hold, or whose state lies in no region
+    (pws past |z| = 1), takes the four-stage step, and its region is read
+    again from its new state.  Each member keeps only its current region,
+    and rebuilds its step when that changes.  A run with no triple has K =
+    0 gather entries and one region, whose step is built once; ``ready``
+    marks the steps built, since its empty pieces never differ.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
         self.jac_t = np.zeros((batch, size, size)) if jac_t is None else jac_t
         self.size, self.dt = size, dt
+        self.folded = all(isinstance(term.gather, np.ndarray) for term in terms)
         self.terms, stop = [], 0
-        for term in terms:  # (gather columns, pieces (P, 4), scatter)
-            cols = slice(stop, stop + term.gather.shape[1])
-            self.terms.append((cols, np.array(term.pieces, dtype=float), term.scatter))
+        for term in terms:  # (gather columns, pieces (P, 4), triple, its sparse parts or None)
+            sparse = None
+            if isinstance(term.gather, np.ndarray):
+                width = term.gather.shape[1]
+            else:
+                width, *sparse = _sparse_parts(term, size)
+            cols = slice(stop, stop + width)
+            self.terms.append((cols, np.array(term.pieces, dtype=float), term, sparse))
             stop = cols.stop
-        self.gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
-        self.step = np.zeros((batch, size, size + 4 * stop))
-        self.forced_width = size + 3 * stop  # leading step columns that carry forcing
-        self.weights = np.zeros((batch, 2, size, self.forced_width)) if forced or stop else None
-        self.offset = np.zeros((batch, 1, self.forced_width)) if stop else None
+        self.entries = stop  # K
+        if self.folded:
+            self.gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
+            self.forced_width = size + 3 * stop  # leading step columns that carry forcing
+            self.weights = np.zeros((batch, 2, size, self.forced_width)) if forced or stop else None
+        else:  # the step [M_r | P₂ | P₃ | P₄]: its forcing rows come from J_rᵀ and e_r
+            self.gather, self.forced_width, self.weights = None, 4 * size, None
+            self.jac_r, self.shift = np.zeros((batch, size, size)), np.zeros((batch, 1, size))
+        self.step = np.zeros((batch, size, self.forced_width + (stop if self.folded else 0)))
+        # the forcing rows of e_r alone: always when folded, else without a table
+        self.offset = None
+        if stop and (self.folded or not forced):
+            self.offset = np.zeros((batch, 1, self.forced_width))
         self.lower, self.upper = np.zeros((2, batch, 1, 4 * stop))
         self.pieces = np.zeros((batch, stop), dtype=np.intp)
         self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
         self.inside = np.zeros(batch, dtype=bool)  # state inside ``pieces``
         self.everyone = False  # every member inside
+        self.anyone = False  # some member inside
+        # steps taken and, while no member is inside, the first step after
+        # which one is read again; per member, the step after which it is
+        # read again while outside, and the wait after that
+        self.steps, self.next_read = 0, 0
+        self.due, self.retry = np.zeros(batch, dtype=np.intp), np.ones(batch, dtype=np.intp)
         self.table = self.forcing = None
+
+    def _gathers(self, x):
+        """The gather entries of the row states x (R, 1, n): shape (R, K)."""
+        return np.concatenate([(x @ term.gather).reshape(len(x), -1) for _, _, term, _ in self.terms]
+                              + [np.zeros((len(x), 0))], axis=1)
 
     def enter(self, x, rows):
         """Read the regions of the members ``rows`` from their states
-        x[rows] and rebuild the step of each whose region changed."""
-        y = (x[rows] @ self.gather)[:, 0]
+        x[rows] and rebuild the step of each whose region changed.  A
+        member outside every region is read again only when due: after 1,
+        2, 4, … steps, at most a block, for as long as it stays outside."""
+        rows = rows[self.inside[rows] | (self.due[rows] <= self.steps)]
+        if not rows.size:
+            return
+        y = self._gathers(x[rows])
         pieces = np.empty(y.shape, dtype=np.intp)
-        for cols, table, _ in self.terms:
+        for cols, table, _, _ in self.terms:
             idx = np.searchsorted(table[:, 1], y[:, cols])
             held = (idx < len(table)) & (table[np.minimum(idx, len(table) - 1), 0] <= y[:, cols])
             pieces[:, cols] = np.where(held, idx, -1)
         inside = (pieces >= 0).all(axis=1)
         changed = inside & (~self.ready[rows] | (pieces != self.pieces[rows]).any(axis=1))
         self.inside[rows] = inside
-        self.everyone = bool(self.inside.all())
+        self.everyone, self.anyone = bool(self.inside.all()), bool(self.inside.any())
         self.pieces[rows[inside]] = pieces[inside]
+        outside = rows[~inside]
+        self.due[outside] = self.steps + self.retry[outside]
+        self.retry[rows] = np.where(inside, 1, np.minimum(2 * self.retry[rows], _BLOCK))
+        if not self.anyone:
+            self.next_read = int(self.due.min())
         if changed.any():
             self._build(rows[changed])
+        if self.forcing is None and self.table is not None and self.anyone:
+            self.forcing = self._forcing(self.table, slice(None))
 
     def _build(self, rows):
         if rows.size == len(self.ready):
             rows = slice(None)  # every member: read views, not copies
-        jac, sixth = self.jac_t[rows], self.dt / 6.0
-        shift = np.zeros((len(jac), 1, self.size))
-        bounds = np.empty((len(jac), self.gather.shape[1], 2))
-        for cols, table, scatter in self.terms:
+        jac, size = self.jac_t[rows], self.size
+        count = len(jac)
+        shift = np.zeros((count, 1, size))
+        bounds = np.empty((count, self.entries, 2))
+        for cols, table, term, sparse in self.terms:
             piece = table[self.pieces[rows, cols]]
-            scatter = scatter if scatter.ndim == 2 else scatter[rows]
-            jac = jac + (self.gather[:, cols] * piece[:, None, :, 2]) @ scatter
-            shift = shift + piece[:, None, :, 3] @ scatter
+            slope, intercept = piece[..., 2], piece[..., 3]
+            if sparse is None:
+                scatter = term.scatter if term.scatter.ndim == 2 else term.scatter[rows]
+                jac = jac + (term.gather * slope[:, None]) @ scatter
+                shift = shift + intercept[:, None] @ scatter
+            else:
+                jac_part, shift_part, scale = sparse
+                if scale is not None:
+                    slope, intercept = slope * scale[rows, None], intercept * scale[rows, None]
+                jac = jac + _summed(jac_part, slope, size * size).reshape(jac.shape)
+                shift = shift + _summed(shift_part, intercept, size)[:, None]
             bounds[:, cols] = piece[..., :2]
-        step, weights = _affine_step(jac, self.dt, self.gather, self.weights is not None)
+        if self.folded:
+            step, weights = _affine_step(jac, self.dt, self.gather, self.weights is not None)
+            if weights is not None:
+                self.weights[rows] = weights
+            if self.offset is not None:
+                self.offset[rows] = _affine_forcing(np.broadcast_to(shift, (3,) + shift.shape),
+                                                    weights, self.dt / 6.0)[:, 0]
+        else:
+            step, _ = _affine_step(jac, self.dt, None, False)
+            self.jac_r[rows], self.shift[rows] = jac, shift
+            if self.offset is not None:
+                shifts = np.broadcast_to(shift, (count, 3, size))
+                self.offset[rows] = _stage_forcing(shifts, jac, self.dt)[:, 0]
         self.step[rows] = step
         self.ready[rows] = True
-        if weights is not None:
-            self.weights[rows] = weights
-        if self.offset is not None:
-            self.offset[rows] = _affine_forcing(np.broadcast_to(shift, (3,) + shift.shape),
-                                                weights, sixth)[:, 0]
+        if self.entries:  # every stage's gathers, as the step or the stage states give them
             self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None]
             self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None]
-        if self.table is not None:
+        if self.forcing is not None:
             self.forcing[rows] = self._forcing(self.table[:, rows], rows)
 
     def _forcing(self, table, rows):
+        if not self.folded:  # e_r joins the forcing rows
+            f = table[:, :, 0].transpose(1, 0, 2) + self.shift[rows]
+            return _stage_forcing(f, self.jac_r[rows], self.dt)
         forcing = _affine_forcing(table, self.weights[rows], self.dt / 6.0)
         if self.offset is not None:
             forcing += self.offset[rows, None]
         return forcing
 
     def tabulate(self, table):
-        """Take the forcing table of a new block."""
-        self.table, self.forcing = table, None
-        self.forcing = self._forcing(table, slice(None))
+        """Take the forcing table of a new block; its rows for the step
+        wait until a member is inside a region."""
+        self.table = table
+        self.forcing = self._forcing(table, slice(None)) if self.anyone else None
 
     def advance(self, x, j):
         """The step j of the block from x: (x_next, rows), with rows the
         members that must take the four-stage step instead (None if none),
-        and x_next None when no member is inside a region."""
-        if not (self.everyone or self.inside.any()):
-            return None, np.arange(len(x))
+        and x_next None when no member is inside a region (rows None too
+        while none is due to be read again)."""
+        self.steps += 1
+        if not self.anyone:
+            return None, np.arange(len(x)) if self.steps >= self.next_read else None
         y = x @ self.step
         shift = self.offset if self.forcing is None else self.forcing[:, j]
         if shift is not None:
             y[..., :self.forced_width] += shift
-        if self.offset is None:  # no triple: one region, always held
+        if not self.entries:  # no triple: one region, always held
             return y, None
-        gathers = y[..., self.size:]
+        if self.folded:
+            gathers = y[..., self.size:]
+        else:  # the gathers of the stage states x, X₂, X₃ and X₄
+            stages = np.concatenate([x, y[..., self.size:]], axis=-1)
+            gathers = self._gathers(stages.reshape(-1, 1, self.size)).reshape(self.lower.shape)
         held = (self.lower <= gathers) & (gathers <= self.upper)
         if self.everyone and held.all():
             return y[..., :self.size], None

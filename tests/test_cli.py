@@ -613,3 +613,34 @@ def test_a_run_too_large_to_allocate_is_bad_input(tmp_path, capsys, monkeypatch,
     rc = main([*command, "--scenario", "contraction3", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
+], ids=["simulate", "sweep"])
+def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command):
+    # the output directory is created only once there is something to
+    # write, so a run that fails while integrating leaves none behind
+    def integrate_gains(*args, **kwargs):
+        raise MemoryError("Unable to allocate the trajectory")
+
+    monkeypatch.setattr("pwsync.sim.integrate_gains", integrate_gains)
+    rc = main([*command, "--scenario", "contraction3", "--out", str(tmp_path / "o" / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: Unable to allocate the trajectory\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_certificate_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # certify exits 2 when the pipeline raises, and writes nothing
+    from pwsync.certify import CertifyError
+    from pwsync.scenarios import Scenario
+
+    def certify(self, c=None):
+        raise CertifyError("hypotheses fail")
+
+    monkeypatch.setattr(Scenario, "certify", certify)
+    rc = main(["certify", "--scenario", "contraction3", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "certification failed: hypotheses fail\n"
+    assert not (tmp_path / "o").exists()

@@ -8,10 +8,11 @@ written with 17 significant digits, one node component per line.
 A run matches when every component lies within 1e-12·max|x| of the stored
 one, max|x| taken over the whole run.  That admits the rounding by which
 the one-product step of a linear region (every run with no
-state-dependent term, and relay5, chua10 and ikeda10-nonlinear while
-their piecewise-linear terms stay in one piece) and the four-stage step
-may differ, which reaches a few 1e-14·max|x|, and nothing a changed
-formula or a step taken across a breakpoint would produce.
+state-dependent term, and relay5, chua10, ikeda10-nonlinear and, over its
+edge list, ikeda100-pws while their piecewise-linear terms stay in one
+piece) and the four-stage step may differ, which reaches a few
+1e-14·max|x|, and nothing a changed formula or a step taken across a
+breakpoint would produce.
 
 A change that moves a trajectory on purpose rewrites the files with
 

@@ -758,7 +758,7 @@ class _RegionSpy(sim._Regions):
 
     def advance(self, x, j):
         x_next, rows = super().advance(x, j)
-        fell_back = 0 if rows is None else rows.size
+        fell_back = len(x) if x_next is None else 0 if rows is None else rows.size
         self.region_steps.append(len(x) - fell_back)
         self.four_stage_steps.append(fell_back)
         return x_next, rows
@@ -785,7 +785,13 @@ def _run(scenario, gains):
 
 _IKEDA_BENCH = dict(dt=4e-3, t_end=3.2)
 _BENCH_RUNS = {"relay5": dict(dt=5e-5, t_end=0.1), "chua10": dict(t_end=0.5),
-               "ikeda10-nonlinear": _IKEDA_BENCH}
+               "ikeda10-nonlinear": _IKEDA_BENCH, "ikeda100-pws": {}}
+
+
+def _bench_scenario(name, seed):
+    """A built-in or a benchmark scenario file at its benchmark horizon."""
+    path = BENCH_SCENARIOS / f"{name}.ini"
+    return load_scenario(str(path) if path.is_file() else name, seed).with_sim(**_BENCH_RUNS[name])
 
 
 def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
@@ -807,33 +813,35 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
         assert isinstance(terms[0].gather, np.ndarray) is dense, name
         assert isinstance(terms[0].scatter, np.ndarray) is dense, name
 
-    # relay5's boundary-layer sign, Chua's knee and the pws coupling take
-    # region steps on almost every step, in the simulate and the sweep batch
+    # relay5's boundary-layer sign, Chua's knee and the pws coupling, the
+    # edge list of ikeda100-pws included, take region steps on almost every
+    # step at seeds 0-2, in the simulate and the sweep batch
     made = _spy(monkeypatch)
-    runs = [(name, kwargs, [None]) for name, kwargs in _BENCH_RUNS.items()]
-    runs.append(("ikeda10-nonlinear", _IKEDA_BENCH, [5.0, 12.5, 20.0]))
-    for name, kwargs, gains in runs:
-        scenario = load_scenario(name, 0).with_sim(**kwargs)
-        made.clear()
-        _run(scenario, [scenario.coupling.c if c is None else c for c in gains])
-        (regions,) = made
-        taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
-        assert regions.gather.shape[1] > 0, name
-        assert fell_back <= 0.03 * (taken + fell_back), (name, taken, fell_back)
-    # the hard sign, sin and the edge list take only four-stage steps
+    runs = [(name, [None]) for name in _BENCH_RUNS] + [("ikeda10-nonlinear", [5.0, 12.5, 20.0])]
+    for name, gains in runs:
+        for seed in (0, 1, 2):
+            scenario = _bench_scenario(name, seed)
+            made.clear()
+            _run(scenario, [scenario.coupling.c if c is None else c for c in gains])
+            (regions,) = made
+            taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
+            assert regions.entries > 0 and regions.folded is (name != "ikeda100-pws"), name
+            assert fell_back <= 0.03 * (taken + fell_back), (name, seed, taken, fell_back)
+    # the hard sign and sin take only four-stage steps, and so does an edge
+    # list whose batch holds more than sim._STATE_SPACE entries
     made.clear()
     _run(load_scenario("relay5", 0).with_sim(dt=5e-5, t_end=0.01, regularization_width=0.0), [50.0])
     _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.5, 2.0])
-    _run(load_scenario(str(BENCH_SCENARIOS / "ikeda100-pws.ini"), 0).with_sim(t_end=0.1), [20.0])
+    _run(_bench_scenario("ikeda100-pws", 0).with_sim(t_end=0.1), [10.0, 20.0, 30.0])
     assert made == []
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_RUNS))
 def test_region_steps_match_the_four_stage_step(monkeypatch, name):
     # at the benchmark horizons, seeds 0-2, against the four-stage step on
-    # the same dense triples
+    # the same triples, dense or (ikeda100-pws) over the edge list
     for seed in (0, 1, 2):
-        scenario = load_scenario(name, seed).with_sim(**_BENCH_RUNS[name])
+        scenario = _bench_scenario(name, seed)
         gains = [scenario.coupling.c]
         (fast,) = _run(scenario, gains)
         with monkeypatch.context() as patch:
@@ -842,6 +850,60 @@ def test_region_steps_match_the_four_stage_step(monkeypatch, name):
         assert not fast.diverged and fast.states.shape == slow.states.shape
         peak = float(np.abs(slow.states).max())
         assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * peak, (name, seed)
+
+
+def test_node_by_node_region_steps_match_the_four_stage_and_dense_steps(monkeypatch):
+    # relay5's boundary layer and Chua's knee with every triple node by
+    # node: the step [M_r | P₂ | P₃ | P₄] and the triples' own gathers
+    # against the four-stage step and against the dense region step.  In a
+    # layer of 0.2, relay nodes spend about 300 of the 2000 region steps on
+    # its linear piece, where G·diag(slope)·S is not symmetric.
+    # Under pws coupling with a limit of 100, relay5's rest stays dense and
+    # its coupling goes over the edge list, and both read the stage states;
+    # the nodes start outside the band |z| ≤ 1 and enter it after 64-192
+    # of the 2000 steps.
+    made = _spy(monkeypatch)
+    pws = CouplingSpec("nonlinear", c=50.0, eta=pws_coupling, upsilon=np.full(3, 0.75))
+    for name, width, limit, share in (("relay5", None, 0, 0.03), ("relay5", 0.2, 0, 0.03),
+                                      ("chua10", None, 0, 0.03), ("relay5", 0.2, 100, 0.5)):
+        for seed in (0, 1):
+            scenario = _bench_scenario(name, seed)
+            if width is not None:
+                scenario = scenario.with_sim(regularization_width=width)
+            if limit:
+                scenario = dataclasses.replace(scenario, coupling=pws, mode="auto")
+            gains = [scenario.coupling.c]
+            (dense,) = _run(scenario, gains)
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_DENSE", limit)
+                made.clear()
+                (fast,) = _run(scenario, gains)
+                (regions,) = made
+                taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
+                assert not regions.folded and fell_back <= share * (taken + fell_back), (name, seed)
+                dense_rest = [isinstance(term.gather, np.ndarray) for *_, term, _ in regions.terms]
+                assert dense_rest == ([True, False] if limit else [False]), (name, limit)
+                patch.setattr(sim, "_Regions", _FourStageOnly)
+                (slow,) = _run(scenario, gains)
+            peak = float(np.abs(slow.states).max())
+            for other in (fast, dense):
+                assert other.states.shape == slow.states.shape, (name, seed)
+                assert float(np.abs(other.states - slow.states).max()) <= 1e-12 * peak, (name, seed)
+            assert float(np.abs(fast.states - dense.states).max()) <= 1e-12 * peak, (name, seed)
+
+
+def test_integrating_ikeda100_pws_stays_within_its_memory_budget():
+    # the edge-list region step holds [M_r | P₂ | P₃ | P₄] (n × 4n) and a
+    # block of forcing rows, but no forcing weights (B, 2, n, 4n)
+    scenario = _bench_scenario("ikeda100-pws", 0)
+    tracemalloc.start()
+    try:
+        (traj,) = _run(scenario, [scenario.coupling.c])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.shape[0] == 401 and not traj.diverged
+    assert peak <= 2.5e6, peak
 
 
 def _rk4_loop(f, x0, dt, n_steps):
@@ -943,7 +1005,7 @@ def test_region_steps_keep_fourth_order(monkeypatch):
         traj = integrate([decay_field(rate)] * 2, complete_topology(2), coupling, x0,
                          SimConfig(dt=dt, t_end=1.0))
         errs.append(float(np.abs(traj.states[-1] - exact).max()))
-        assert sum(made[-1].four_stage_steps) == 0 and made[-1].gather.shape[1] > 0
+        assert sum(made[-1].four_stage_steps) == 0 and made[-1].entries > 0
     assert errs[0] / errs[1] >= RK4_ORDER_MIN_RATIO
 
 
