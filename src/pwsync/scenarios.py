@@ -273,6 +273,14 @@ def _as_int(raw: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got '{raw}'") from exc
 
 
+def _as_seed(raw, where: str) -> int:
+    """A seed: a nonnegative integer, as NumPy's generators take it."""
+    seed = _as_int(raw, where) if isinstance(raw, str) else int(raw)
+    if seed < 0:
+        raise ConfigError(f"{where}: expected a nonnegative integer, got {seed}")
+    return seed
+
+
 def _as_bool(raw: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -287,7 +295,7 @@ def _section_rng(cfg, section, shared: np.random.Generator) -> np.random.Generat
     raw = _get(cfg, section, "seed")
     if raw is None:
         return shared
-    return np.random.default_rng(_as_int(raw, f"[{section}] seed"))
+    return np.random.default_rng(_as_seed(raw, f"[{section}] seed"))
 
 
 def _edge_list(cfg, path: Optional[Path]) -> Topology:
@@ -318,7 +326,7 @@ def _config_topology(cfg, path, seed: int) -> Topology:
         else:
             p = _as_float(_get(cfg, "topology", "p", required=True), "[topology] p")
             raw_seed = _get(cfg, "topology", "seed")
-            graph_seed = seed if raw_seed is None else _as_int(raw_seed, "[topology] seed")
+            graph_seed = seed if raw_seed is None else _as_seed(raw_seed, "[topology] seed")
             topo = random_connected(n, p, graph_seed)
     else:
         raise ConfigError(f"[topology] source must be ring|complete|random|edgelist, got '{source}'")
@@ -464,7 +472,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
     file they came from, None for a built-in."""
     cfg = {section: dict(parser[section]) for section in parser.sections()}
     _validate_schema(cfg, path or name)
-    seed = 0 if seed is None else int(seed)
+    seed = 0 if seed is None else _as_seed(seed, "seed")
     # one stream for every section without its own seed: nodes draw first, then init
     rng = np.random.default_rng(seed)
 

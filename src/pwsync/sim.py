@@ -19,23 +19,29 @@ family go through their own ``h`` and ``g``, one node at a time.
 Each family's time-only forcing is tabulated once per block of m ≤ 64
 steps, at the block's 2m + 1 stage times, into one table of full rows;
 with m ≤ τ_min/dt, every delayed value a block reads is already stored.
-A stage is x @ Jᵀ plus the table's row plus each triple.
 
 Where every kernel is affine on declared intervals (the boundary-layer
 sign, Chua's knee, pws inside |z| ≤ 1), a member whose gather entries all
 sit in such pieces, its region, is an affine system, and RK4's step is
 exactly affine: x ← x·M + g, with M = R(dt·J_rᵀ) built when the member's
-region changes and the forcing rows g read off the same table in a few
-batched products per block.  With dense triples the step's product also
-gives the gathers of all four stage states; with node-by-node or
-edge-list triples it gives the stage states, [M | P₂ | P₃ | P₄], and the
-triples' own gathers read them, while N·dim times the batch size is at
-most ``_STATE_SPACE``.  A step holds only when the stage gathers stay in
-the region, and otherwise the member takes the four RK4 stages,
-evaluated for the whole batch.  A run with no triple is one region, so
-every step is one product.  The hard sign, sin and hand-built fields
-always take the four stages, and so do node-by-node and edge-list
-triples past ``_STATE_SPACE``.
+region changes and the forcing rows g, RK4's stages on the table's rows,
+in a few batched products per block.  With dense triples the step's
+product also gives the gathers of all four stage states; with
+node-by-node or edge-list triples it gives the stage states, [M | P₂ |
+P₃ | P₄], and the triples' own gathers read them, while N·dim times the
+batch size is at most ``_STATE_SPACE``.  A step holds only when the stage
+gathers stay in the region, and otherwise the member takes the four RK4
+stages, evaluated for the whole batch: a stage is x @ Jᵀ plus the
+table's row plus each triple.  A run with no triple is one region, so
+every step is one product.
+
+A dense run that no region step can carry (the hard sign and sin declare
+no pieces) takes the folded step while N·dim times the batch size is at
+most ``_STATE_SPACE``: the region step of the linear part, with each
+stage's kernel output a term that enters that stage alone, so a step is
+one product plus, per stage and triple, the kernel and one small
+product.  Node-by-node and edge-list triples, hand-built fields and runs
+past the limit take the four stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -84,7 +90,9 @@ _CSV_BLOCK = 4096  # values per formatted block of a CSV
 _DENSE = 32768
 # most N·dim times the batch size of a run whose node-by-node or edge-list
 # triples take region steps: past it the step [M_r | P₂ | P₃ | P₄] and its
-# rebuilds cost more than the four stages (the measured crossover)
+# rebuilds cost more than the four stages (the measured crossover); past it
+# too, a dense run's steps are not folded, and a region is built only once
+# it holds for a block (see :class:`_Folded` and :class:`_Regions`)
 _STATE_SPACE = 256
 
 
@@ -189,14 +197,21 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     stage states stay in the region: through G folded into the step for
     dense triples, else through the stage states and each triple's own
     gather.  A member outside every region, or whose step would leave it,
-    takes the four RK4 stages, each x @ Jᵀ plus the forcing table's row
-    plus every triple, evaluated for the whole batch, and its region is
-    read again, after 1, 2, 4, … up to a block of steps while it stays
-    outside.  A run with no triple (linear coupling, or every gain zero;
-    decay, Ikeda and Kuramoto nodes) is one region.  Both steps agree to
-    rounding (about 1e-13 relative over the 15 000 steps of
-    ikeda10-linear, 3.4e-14 of max|x| on relay5, 2e-16 on ikeda100-pws),
-    and so do the dense and the edge-list form of a triple.
+    takes the four-stage step, evaluated for the whole batch, and its
+    region is read again, after 1, 2, 4, … up to a block of steps while it
+    stays outside (see :class:`_Regions` for a region left soon after its
+    build).  A run with no triple (linear coupling, or every gain zero;
+    decay, Ikeda and Kuramoto nodes) is one region.  The four-stage step
+    takes the four stages, each x @ Jᵀ plus the forcing table's row plus
+    every triple, except in a run with no region step whose triples are
+    dense, with no hand-built field and N·dim times the batch size at most
+    ``_STATE_SPACE`` (sin coupling, the hard sign): every step of such a
+    run is the folded step (:class:`_Folded`).  The steps agree to
+    rounding (region steps and the four stages about 1e-13 relative over
+    the 15 000 steps of ikeda10-linear, 3.4e-14 of max|x| on relay5, 2e-16
+    on ikeda100-pws; the folded step and the four stages 6e-14 of max|x|
+    over kuramoto4's first 2000 steps and 5.5e-13 over its 40 000), and so
+    do the dense and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
     if len(fields) != n_nodes:
@@ -242,6 +257,9 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     if (closure is None and (jac_t is not None or terms) and all(term.pieces is not None for term in terms)
             and (dense or size * gains.size <= _STATE_SPACE)):
         regions = _Regions(jac_t, terms, gains.size, size, dt, bool(forced))
+    folded = None
+    if regions is None and closure is None and dense and size * gains.size <= _STATE_SPACE:
+        folded = _Folded(jac_t, terms, gains.size, size, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
     # delayed reads need no row past the one stored at the start
     block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
@@ -285,9 +303,12 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             stage_times[0::2] = times[k:end + 1]
             stage_times[1::2] = times[k:end] + half
             table = _forcing_table(forced, stage_times, history, sgn, n_nodes, dim)
-            if regions is not None:
-                regions.tabulate(table)
-        if regions is None:
+            for stepper in (regions, folded):
+                if stepper is not None:
+                    stepper.tabulate(table)
+        if folded is not None:
+            x_new = folded.advance(x, j)
+        elif regions is None:
             x_new = staged(k, x)
         else:
             x_new, out = regions.advance(x, j)
@@ -369,25 +390,20 @@ def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarr
     return np.ascontiguousarray(np.broadcast_to(jac, (gains.size, size, size)).transpose(0, 2, 1))
 
 
-def _affine_step(jac_t, dt: float, gather, weighted: bool):
+def _affine_step(jac_t, dt: float, gather):
     """RK4 on x' = x·Jᵀ + f(t) (row states) is exactly affine: with
     A = dt·Jᵀ, x_{k+1} = x_k·M + g_k, where M = I + A + A²/2 + A³/6 + A⁴/24
-    is RK4's stability function R(A) and g_k = f_k·F₀ + f_{k+½}·F½ +
-    f_{k+1}·dt/6, with F₀ = dt/6·(I + A + A²/2 + A³/4) and F½ = dt/6·(4I +
-    2A + A²/2).  The four stage states are x_k·Pᵢ plus their own forcing
-    terms, P₁ = I, P₂ = I + A/2, P₃ = I + A/2 + A²/4 and P₄ = I + A + A²/2
-    + A³/4; of those, f_k enters X₂, X₃ and X₄ through dt/2·I, dt/4·A and
-    dt/4·A², and f_{k+½} enters X₃ and X₄ through dt/2·I and dt/2·(A + 2I).
+    is RK4's stability function R(A) and g_k the step's forcing row
+    (:func:`_affine_forcing`, :func:`_stage_forcing`).  The four stage
+    states are x_k·Pᵢ plus their own forcing terms, P₁ = I, P₂ = I + A/2,
+    P₃ = I + A/2 + A²/4 and P₄ = I + A + A²/2 + A³/4.
 
     Returns the step [M | P₂G | P₃G | P₄G | G] (B, n, n + 4K) for a dense
     gather G (n, K), whose product with x_k is x_{k+1} and the gathers X·G
     of the four stage states before forcing (stage 1's last: it carries no
-    forcing), and, when ``weighted``, the weights of f_k and f_{k+½} in the
-    first n + 3K columns stacked as (B, 2, n, n + 3K), or None.  For
-    ``gather`` None it returns the step [M | P₂ | P₃ | P₄] (B, n, 4n) of
-    the next state and the stage states themselves, and no weights (see
-    :func:`_stage_forcing`).  Every polynomial is in Horner form, so no
-    power of A is kept."""
+    forcing).  For ``gather`` None it returns the step [M | P₂ | P₃ | P₄]
+    (B, n, 4n) of the next state and the stage states themselves.  Every
+    polynomial is in Horner form, so no power of A is kept."""
     a = dt * jac_t
     eye = np.eye(a.shape[-1])
     m = eye + a / 4.0
@@ -397,27 +413,45 @@ def _affine_step(jac_t, dt: float, gather, weighted: bool):
     if gather is None:
         p2 = eye + a / 2.0
         p3 = eye + a @ p2 / 2.0
-        return np.concatenate([m, p2, p3, eye + a @ p3], axis=-1), None
-    if gather.shape[1]:
-        gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
-        ag = a @ gather
-        p2 = gather + ag / 2.0
-        p3 = gather + a @ p2 / 2.0
-        m = np.concatenate([m, p2, p3, gather + a @ p3, gather], axis=-1)
-    if not weighted:
-        return m, None
-    f0 = 0.5 * eye + a / 4.0
-    f0 = eye + a @ f0
-    f0 = eye + a @ f0
-    f_half = 4.0 * eye + a @ (2.0 * eye + a / 2.0)
-    weights = dt / 6.0 * np.stack([f0, f_half], axis=1)
-    if gather.shape[-1]:
-        weights = np.concatenate([weights, np.stack([
-            np.concatenate([0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)], axis=-1),
-            np.concatenate([np.zeros(gather.shape), 0.5 * dt * gather, 0.5 * dt * ag + dt * gather],
-                           axis=-1),
-        ], axis=1)], axis=-1)
-    return m, weights
+        return np.concatenate([m, p2, p3, eye + a @ p3], axis=-1)
+    if not gather.shape[1]:
+        return m
+    gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
+    p2 = gather + a @ gather / 2.0
+    p3 = gather + a @ p2 / 2.0
+    return np.concatenate([m, p2, p3, gather + a @ p3, gather], axis=-1)
+
+
+def _stage_weights(a, dt: float, gather):
+    """RK4's response on x' = x·Jᵀ + u (row states, A = dt·Jᵀ) to a term u
+    that enters stage r alone, r = 1, …, 4: the weights W_r (B, n, n + 3K)
+    by which u reaches x_{k+1} and the gathers X₂G, X₃G, X₄G of the later
+    stages (stage 4's (B, n, n): it reaches x_{k+1} alone).  Stage 1's
+    term reaches x_{k+1} through dt/6·(I + A + A²/2 + A³/4) and X₂, X₃, X₄
+    through dt/2·I, dt/4·A, dt/4·A²; stage 2's through dt/6·(2I + A +
+    A²/2) and X₃, X₄ through dt/2·I, dt/2·A; stage 3's through dt/6·(2I +
+    A) and X₄ through dt·I; stage 4's through dt/6·I.  The forcing f_k
+    enters stage 1, f_{k+½} stages 2 and 3 and f_{k+1} stage 4
+    (:func:`_affine_forcing`); a dense triple's kernel output enters the
+    stage whose gather it reads, through S·W_r (:class:`_Folded`)."""
+    eye = np.eye(a.shape[-1])
+    gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
+    ag, zero, sixth = a @ gather, np.zeros(gather.shape), dt / 6.0
+    first = eye + a @ (eye + a @ (0.5 * eye + a / 4.0))
+    second = 2.0 * eye + a @ (eye + a / 2.0)
+    third = 2.0 * eye + a
+    return [np.concatenate(blocks, axis=-1) for blocks in (
+        [sixth * first, 0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)],
+        [sixth * second, zero, 0.5 * dt * gather, 0.5 * dt * ag],
+        [sixth * third, zero, zero, dt * gather])] + [np.broadcast_to(sixth * eye, a.shape)]
+
+
+def _forcing_weights(stage_weights):
+    """The weights of f_k and f_{k+½} in the first n + 3K columns of the
+    step [M | P₂G | P₃G | P₄G | G], (B, 2, n, n + 3K): W₁ and W₂ + W₃ of
+    :func:`_stage_weights` (f_{k+1} adds dt/6·f to x_{k+1})."""
+    first, second, third, _ = stage_weights
+    return np.stack([first, second + third], axis=1)
 
 
 def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
@@ -431,26 +465,27 @@ def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
     return table.reshape(ts.size, -1, 1, n_nodes * dim)
 
 
-def _affine_forcing(table, weights, sixth: float):
-    """The forcing rows of the affine step (see :func:`_affine_step`) for a
-    block of m steps, g_j = f_j·F₀ + f_{j+½}·F½ + f_{j+1}·dt/6 in the
-    step's first N·dim columns and the forcing terms of stages 2-4's
-    gathers in the next 3K, with f the forcing table's 2m + 1 rows: shape
-    (B, m, 1, N·dim + 3K), two batched products per block."""
-    f = table[:, :, 0].transpose(1, 0, 2)
+def _affine_forcing(f, weights, sixth: float):
+    """The forcing rows of the step [M | P₂G | P₃G | P₄G | G] for a block
+    of m steps, g_j = f_j·W₁ + f_{j+½}·(W₂ + W₃) + f_{j+1}·dt/6 in its
+    first n columns and the forcing of stages 2-4's gathers in the next
+    3K, with f the forcing rows (B, 2m + 1, n) at the block's stage times
+    and ``weights`` those of :func:`_forcing_weights`: shape (B, m, 1, n +
+    3K), two batched products per block."""
     g = f[:, :-1:2] @ weights[:, 0]
     g += f[:, 1::2] @ weights[:, 1]
     g[..., :f.shape[-1]] += sixth * f[:, 2::2]
     return g[:, :, None]
 
 
-def _stage_forcing(f, jac_t, dt: float):
-    """The forcing rows of the state-space step [M | P₂ | P₃ | P₄] (see
-    :func:`_affine_step`) for a block of m steps: RK4's stages on x' =
-    x·Jᵀ + f(t) from x = 0, with f the forcing rows (B, 2m + 1, n) at the
-    block's stage times.  Returns g_j, the forcing of x_{j+1}, then that of
-    stages 2-4: shape (B, m, 1, 4n), from three batched products per block
-    and no weights."""
+def _stage_forcing(f, jac_t, dt: float, gather=None):
+    """The forcing rows of the step (:func:`_affine_step`) for a block of m
+    steps: RK4's stages on x' = x·Jᵀ + f(t) from x = 0, with f the forcing
+    rows (B, 2m + 1, n) at the block's stage times.  Returns g_j, the
+    forcing of x_{j+1}, then that of stages 2-4, their states or, with a
+    dense gather G (n, K), their gathers: shape (B, m, 1, 4n) or (B, m, 1,
+    n + 3K), from three or four batched products per block and no
+    weights."""
     half, f_half = 0.5 * dt, f[:, 1::2]
     k1 = f[:, :-1:2]
     x2 = half * k1
@@ -459,7 +494,11 @@ def _stage_forcing(f, jac_t, dt: float):
     k3 = x3 @ jac_t + f_half
     x4 = dt * k3
     k4 = x4 @ jac_t + f[:, 2::2]
-    return np.concatenate([dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), x2, x3, x4], axis=-1)[:, :, None]
+    stages = np.stack([x2, x3, x4], axis=-2)
+    if gather is not None:
+        stages = stages @ gather
+    g = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return np.concatenate([g, stages.reshape(g.shape[:2] + (-1,))], axis=-1)[:, :, None]
 
 
 def _summed(part, values, width: int):
@@ -522,9 +561,15 @@ class _Regions:
     a member whose step does not hold, or whose state lies in no region
     (pws past |z| = 1), takes the four-stage step, and its region is read
     again from its new state.  Each member keeps only its current region,
-    and rebuilds its step when that changes.  A run with no triple has K =
-    0 gather entries and one region, whose step is built once; ``ready``
-    marks the steps built, since its empty pieces never differ.
+    and rebuilds its step when that changes.  Past ``_STATE_SPACE``, where
+    a build costs as much as the four stages of dozens of steps, the run
+    is ``wary``: a member with no build yet, or whose region changes
+    within a block of its last build, takes the four-stage step for a
+    block, and is built only if its region is then the one the read
+    found, so a chattering member stops paying for builds.  A run with no
+    triple has K = 0 gather entries and one region, whose step is built
+    once; ``ready`` marks the steps built, since its empty pieces never
+    differ.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
@@ -542,18 +587,19 @@ class _Regions:
             self.terms.append((cols, np.array(term.pieces, dtype=float), term, sparse))
             stop = cols.stop
         self.entries = stop  # K
+        # the step [M_r | P₂G | P₃G | P₄G | G] or [M_r | P₂ | P₃ | P₄]; its
+        # leading columns carry forcing, read off J_rᵀ and e_r
+        self.gather = None
+        self.forced_width = 4 * size
         if self.folded:
             self.gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
-            self.forced_width = size + 3 * stop  # leading step columns that carry forcing
-            self.weights = np.zeros((batch, 2, size, self.forced_width)) if forced or stop else None
-        else:  # the step [M_r | P₂ | P₃ | P₄]: its forcing rows come from J_rᵀ and e_r
-            self.gather, self.forced_width, self.weights = None, 4 * size, None
-            self.jac_r, self.shift = np.zeros((batch, size, size)), np.zeros((batch, 1, size))
+            self.forced_width = size + 3 * stop
+        self.jac_r, self.shift = np.zeros((batch, size, size)), np.zeros((batch, 1, size))
         self.step = np.zeros((batch, size, self.forced_width + (stop if self.folded else 0)))
-        # the forcing rows of e_r alone: always when folded, else without a table
-        self.offset = None
-        if stop and (self.folded or not forced):
-            self.offset = np.zeros((batch, 1, self.forced_width))
+        # a dense run's forcing rows come from weights built with the step;
+        # the forcing rows of e_r alone serve a run without a table
+        self.weights = np.zeros((batch, 2, size, self.forced_width)) if self.folded and forced else None
+        self.offset = np.zeros((batch, 1, self.forced_width)) if stop and not forced else None
         self.lower, self.upper = np.zeros((2, batch, 1, 4 * stop))
         self.pieces = np.zeros((batch, stop), dtype=np.intp)
         self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
@@ -565,6 +611,11 @@ class _Regions:
         # read again while outside, and the wait after that
         self.steps, self.next_read = 0, 0
         self.due, self.retry = np.zeros(batch, dtype=np.intp), np.ones(batch, dtype=np.intp)
+        # past ``_STATE_SPACE`` a build costs the four stages of many steps;
+        # per member, the step of its last build and the region its last
+        # read found
+        self.wary = size * batch > _STATE_SPACE
+        self.built, self.seen = np.full(batch, -_BLOCK), np.full((batch, stop), -1)
         self.table = self.forcing = None
 
     def _gathers(self, x):
@@ -588,12 +639,24 @@ class _Regions:
             pieces[:, cols] = np.where(held, idx, -1)
         inside = (pieces >= 0).all(axis=1)
         changed = inside & (~self.ready[rows] | (pieces != self.pieces[rows]).any(axis=1))
+        reset = inside  # members whose wait starts again at one step
+        if self.wary:
+            # a member that held its built region for a block is rebuilt at
+            # once; any other waits a block like a member outside, and is
+            # built only when the read after finds the same region
+            reset = self.inside[rows] & (self.steps - self.built[rows] >= _BLOCK)
+            hasty = changed & ~reset & (pieces != self.seen[rows]).any(axis=1)
+            self.seen[rows] = pieces
+            self.retry[rows[hasty]] = _BLOCK
+            inside &= ~hasty
+            changed &= ~hasty
         self.inside[rows] = inside
         self.everyone, self.anyone = bool(self.inside.all()), bool(self.inside.any())
         self.pieces[rows[inside]] = pieces[inside]
         outside = rows[~inside]
         self.due[outside] = self.steps + self.retry[outside]
-        self.retry[rows] = np.where(inside, 1, np.minimum(2 * self.retry[rows], _BLOCK))
+        retry = self.retry[rows]
+        self.retry[rows] = np.where(inside, np.where(reset, 1, retry), np.minimum(2 * retry, _BLOCK))
         if not self.anyone:
             self.next_read = int(self.due.min())
         if changed.any():
@@ -622,21 +685,15 @@ class _Regions:
                 jac = jac + _summed(jac_part, slope, size * size).reshape(jac.shape)
                 shift = shift + _summed(shift_part, intercept, size)[:, None]
             bounds[:, cols] = piece[..., :2]
-        if self.folded:
-            step, weights = _affine_step(jac, self.dt, self.gather, self.weights is not None)
-            if weights is not None:
-                self.weights[rows] = weights
-            if self.offset is not None:
-                self.offset[rows] = _affine_forcing(np.broadcast_to(shift, (3,) + shift.shape),
-                                                    weights, self.dt / 6.0)[:, 0]
-        else:
-            step, _ = _affine_step(jac, self.dt, None, False)
-            self.jac_r[rows], self.shift[rows] = jac, shift
-            if self.offset is not None:
-                shifts = np.broadcast_to(shift, (count, 3, size))
-                self.offset[rows] = _stage_forcing(shifts, jac, self.dt)[:, 0]
-        self.step[rows] = step
+        self.step[rows] = _affine_step(jac, self.dt, self.gather)
+        self.jac_r[rows], self.shift[rows] = jac, shift
+        if self.weights is not None:
+            self.weights[rows] = _forcing_weights(_stage_weights(self.dt * jac, self.dt, self.gather))
+        if self.offset is not None:
+            shifts = np.broadcast_to(shift, (count, 3, size))
+            self.offset[rows] = _stage_forcing(shifts, jac, self.dt, self.gather)[:, 0]
         self.ready[rows] = True
+        self.built[rows] = self.steps
         if self.entries:  # every stage's gathers, as the step or the stage states give them
             self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None]
             self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None]
@@ -644,13 +701,10 @@ class _Regions:
             self.forcing[rows] = self._forcing(self.table[:, rows], rows)
 
     def _forcing(self, table, rows):
-        if not self.folded:  # e_r joins the forcing rows
-            f = table[:, :, 0].transpose(1, 0, 2) + self.shift[rows]
+        f = table[:, :, 0].transpose(1, 0, 2) + self.shift[rows]  # e_r joins the forcing rows
+        if self.weights is None:
             return _stage_forcing(f, self.jac_r[rows], self.dt)
-        forcing = _affine_forcing(table, self.weights[rows], self.dt / 6.0)
-        if self.offset is not None:
-            forcing += self.offset[rows, None]
-        return forcing
+        return _affine_forcing(f, self.weights[rows], self.dt / 6.0)
 
     def tabulate(self, table):
         """Take the forcing table of a new block; its rows for the step
@@ -681,6 +735,74 @@ class _Regions:
         if self.everyone and held.all():
             return y[..., :self.size], None
         return y[..., :self.size], np.flatnonzero(~(held.all(axis=(1, 2)) & self.inside))
+
+
+class _Folded:
+    """The step of a run whose triples are all dense and that takes no
+    region step.
+
+    RK4 on x' = x·Jᵀ + f(t) + Σ kernel(X·G)·S is the region step with each
+    stage's kernel output φ_r taken as a term that enters stage r alone.
+    One product with the step of the linear part, [M | P₂G | P₃G | P₄G | G]
+    (:func:`_affine_step` at zero slopes), plus the block's forcing row
+    gives x_{k+1}, the gathers of stages 2-4 and x_k·G, each before any
+    kernel term.  Then, stage by stage and triple by triple, φ_r reaches
+    x_{k+1} and the later gathers through one product with R_r = S·W_r
+    (:func:`_stage_weights`, whose W_r give the forcing weights too),
+    added in place, so each stage's gather is whole when its kernel reads
+    it: for one triple, half the NumPy calls of the four stages.  The step
+    writes into two buffers by turns, with their views made once, so its
+    product never reads the buffer it writes; the returned state is a
+    view of one of them.  Past ``_STATE_SPACE`` its matrices
+    outgrow the cache and the four stages are faster (at one gain, 240
+    relay states break even).  A region run's fallback rows take the four
+    stages: they are a few per cent of its steps, which do not pay for
+    building this step, and at three gains pws on the buffer's strided
+    views costs a folded step as much as the four stages.
+    """
+
+    def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
+        jac_t = np.zeros((batch, size, size)) if jac_t is None else jac_t
+        gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
+        entries = gather.shape[1]
+        self.step = _affine_step(jac_t, dt, gather)
+        stage_weights = _stage_weights(dt * jac_t, dt, gather)
+        self.weights = _forcing_weights(stage_weights) if forced else None
+        self.sixth, self.table, self.forcing = dt / 6.0, None, None
+        reach = size + 3 * entries  # the columns a stage-local term reaches
+        stages = []  # (kernel, gather columns, R_r, columns reached), stage by stage
+        # each stage's gathers start at x_k·G (last), then X₂G, X₃G and X₄G
+        for r, first in enumerate([reach] + [size + r * entries for r in range(3)]):
+            stop = first
+            for term in terms:
+                cols = slice(stop, stop + term.gather.shape[1])
+                stages.append((term.kernel, cols, term.scatter @ stage_weights[r], size if r == 3 else reach))
+                stop = cols.stop
+        self.buffers = []
+        for _ in range(2):
+            y = np.zeros((batch, 1, size + 4 * entries))
+            ops = [(kernel, y[..., cols], weight, y[..., :width]) for kernel, cols, weight, width in stages]
+            self.buffers.append((y, y[..., :size], y[..., :reach], ops))
+        self.turn = 0
+
+    def tabulate(self, table):
+        """Take the forcing table of a new block; its rows for the step
+        wait until the step is taken."""
+        self.table, self.forcing = table, None
+
+    def advance(self, x, j):
+        """The four-stage step j of the block from x, for the whole batch."""
+        y, x_next, into, ops = self.buffers[self.turn]
+        self.turn ^= 1
+        np.matmul(x, self.step, out=y)
+        if self.weights is not None:
+            if self.forcing is None:
+                f = self.table[:, :, 0].transpose(1, 0, 2)
+                self.forcing = _affine_forcing(f, self.weights, self.sixth)
+            into += self.forcing[:, j]
+        for kernel, gathered, weight, target in ops:
+            target += kernel(gathered) @ weight
+        return x_next
 
 
 class _Triple(NamedTuple):

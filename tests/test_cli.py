@@ -114,6 +114,16 @@ def test_unknown_scenario_exits_one(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "simulate", "sweep"])
+def test_negative_seed_exits_one_before_any_output(tmp_path, capsys, command):
+    grid = ["--c-min", "0.5", "--c-max", "2", "--points", "2"] if command == "sweep" else []
+    out = tmp_path / "o"
+    rc = main([command, "--scenario", "kuramoto4", "--seed", "-1", *grid, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed: expected a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_simulate_writes_outputs(tmp_path):
     out = tmp_path / "sim"
     rc = main([

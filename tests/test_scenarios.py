@@ -227,6 +227,26 @@ def test_config_file_missing_section_and_bad_values(tmp_path):
         load_scenario(str(bad_gamma))
 
 
+def test_negative_seeds_are_rejected(tmp_path):
+    random_graph = IKEDA_INI.replace("source = complete\nn = 3", "source = random\nn = 3\np = 1\nseed = 4")
+    assert load_scenario(str(_write(tmp_path / "ok.ini", random_graph))).topo.n_nodes == 3
+    for section, text in (("topology", random_graph.replace("seed = 4", "seed = -4")),
+                          ("nodes", IKEDA_INI.replace("seed = 1", "seed = -1")),
+                          ("init", IKEDA_INI.replace("seed = 2", "seed = -2"))):
+        path = _write(tmp_path / f"{section}.ini", text)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] seed: expected a nonnegative integer"):
+            load_scenario(str(path))
+    for spec in ("kuramoto4", str(_write(tmp_path / "demo.ini", IKEDA_INI))):
+        with pytest.raises(ConfigError, match="seed: expected a nonnegative integer, got -1"):
+            load_scenario(spec, seed=-1)
+    assert load_scenario("kuramoto4", seed=2 ** 70).x0.shape == (4,)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 KURAMOTO_INI = """
 [scenario]
 name = ring-phases

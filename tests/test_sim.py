@@ -37,7 +37,7 @@ from pwsync.sim import (
     write_trajectory_csv,
 )
 
-from oracles import rk4_reference_scalar
+from oracles import rk4_network, rk4_reference_scalar
 
 BENCH_SCENARIOS = Path(__file__).parents[1] / "bench" / "scenarios"
 
@@ -470,7 +470,7 @@ def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
     """One uncoupled Ikeda node by a scalar RK4 loop over its own stored
     rows, in the affine step's order of operations: with z = dt·(−a),
     x_{k+1} = x_k·M + g_k, M = R(z) and the forcing f = b·sin of the
-    delayed read weighted by F₀, F½ and dt/6, each in Horner form."""
+    delayed read weighted by W₁, W₂ + W₃ and dt/6, each in Horner form."""
     rows = [x0]
 
     def delayed(s):
@@ -493,7 +493,7 @@ def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
     f0 = 0.5 + z / 4.0
     f0 = 1.0 + z * f0
     f0 = sixth * (1.0 + z * f0)
-    f_half = sixth * (4.0 + z * (2.0 + z / 2.0))
+    f_half = sixth * (2.0 + z * (1.0 + z / 2.0)) + sixth * (2.0 + z)
     for k in range(n_steps):
         t, x = k * dt, rows[-1]
         g = f(t) * f0 + f(t + half) * f_half + sixth * f((k + 1) * dt)
@@ -747,14 +747,18 @@ def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
 
 class _RegionSpy(sim._Regions):
     """``_Regions`` that records itself and counts, per call of ``advance``,
-    the members that took the region step."""
+    the members that took the region step, and the members it built."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.region_steps, self.four_stage_steps = [], []
+        self.region_steps, self.four_stage_steps, self.builds = [], [], 0
         self.made.append(self)
+
+    def _build(self, rows):
+        self.builds += len(rows)
+        super()._build(rows)
 
     def advance(self, x, j):
         x_next, rows = super().advance(x, j)
@@ -766,16 +770,37 @@ class _RegionSpy(sim._Regions):
 
 class _FourStageOnly(sim._Regions):
     """``_Regions`` whose every step falls back: the four-stage step on the
-    same dense triples."""
+    same triples."""
 
     def advance(self, x, j):
         return None, np.arange(len(x))
+
+
+class _FoldedSpy(sim._Folded):
+    """``_Folded`` that records itself and counts the steps it takes."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = 0
+        self.made.append(self)
+
+    def advance(self, x, j):
+        self.steps += 1
+        return super().advance(x, j)
 
 
 def _spy(monkeypatch):
     _RegionSpy.made = []
     monkeypatch.setattr(sim, "_Regions", _RegionSpy)
     return _RegionSpy.made
+
+
+def _spy_folded(monkeypatch):
+    _FoldedSpy.made = []
+    monkeypatch.setattr(sim, "_Folded", _FoldedSpy)
+    return _FoldedSpy.made
 
 
 def _run(scenario, gains):
@@ -815,25 +840,32 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
 
     # relay5's boundary-layer sign, Chua's knee and the pws coupling, the
     # edge list of ikeda100-pws included, take region steps on almost every
-    # step at seeds 0-2, in the simulate and the sweep batch
-    made = _spy(monkeypatch)
+    # step at seeds 0-2, in the simulate and the sweep batch; the steps on
+    # which a member falls back take the four stages, never the folded step
+    made, folded = _spy(monkeypatch), _spy_folded(monkeypatch)
     runs = [(name, [None]) for name in _BENCH_RUNS] + [("ikeda10-nonlinear", [5.0, 12.5, 20.0])]
     for name, gains in runs:
         for seed in (0, 1, 2):
             scenario = _bench_scenario(name, seed)
             made.clear()
+            folded.clear()
             _run(scenario, [scenario.coupling.c if c is None else c for c in gains])
             (regions,) = made
             taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
             assert regions.entries > 0 and regions.folded is (name != "ikeda100-pws"), name
             assert fell_back <= 0.03 * (taken + fell_back), (name, seed, taken, fell_back)
-    # the hard sign and sin take only four-stage steps, and so does an edge
-    # list whose batch holds more than sim._STATE_SPACE entries
+            assert folded == [], (name, seed)
+    # the hard sign and sin take the folded step on every step, and an edge
+    # list whose batch holds more than sim._STATE_SPACE entries the four
+    # stages
     made.clear()
+    folded.clear()
     _run(load_scenario("relay5", 0).with_sim(dt=5e-5, t_end=0.01, regularization_width=0.0), [50.0])
-    _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.5, 2.0])
+    _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.75])
+    _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.5, 0.8, 1.1, 1.4, 1.7, 2.0])
+    assert [f.steps for f in folded] == [200, 500, 500]
     _run(_bench_scenario("ikeda100-pws", 0).with_sim(t_end=0.1), [10.0, 20.0, 30.0])
-    assert made == []
+    assert made == [] and len(folded) == 3
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_RUNS))
@@ -1007,6 +1039,88 @@ def test_region_steps_keep_fourth_order(monkeypatch):
         errs.append(float(np.abs(traj.states[-1] - exact).max()))
         assert sum(made[-1].four_stage_steps) == 0 and made[-1].entries > 0
     assert errs[0] / errs[1] >= RK4_ORDER_MIN_RATIO
+
+
+def _assert_matches_rk4_loop(scenario, gains, sgn):
+    """Each gain's run against classical RK4 over the fields' own h and g
+    and the coupling summed edge by edge (tests/oracles.py), within 1e-12
+    of the run's max|x|.  Returns the runs."""
+    cfg = scenario.sim
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    runs = _run(scenario, gains)
+    for c, traj in zip(gains, runs):
+        expected = rk4_network(scenario.fields, scenario.topo.weights, scenario.coupling.with_gain(c),
+                               scenario.x0, cfg.dt, n_steps, sgn, cfg.divergence_threshold)
+        assert traj.states.shape == expected.shape, (scenario.name, c)
+        assert traj.diverged is (expected.shape[0] <= n_steps), (scenario.name, c)
+        tol = 1e-12 * float(np.abs(expected).max())
+        assert float(np.abs(traj.states - expected).max()) <= tol, (scenario.name, c)
+    return runs
+
+
+def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
+    from pwsync.dynamics import hard_sgn
+
+    made = _spy_folded(monkeypatch)
+    kuramoto = load_scenario("kuramoto4", 1).with_sim(t_end=1.0)
+    _assert_matches_rk4_loop(kuramoto, [kuramoto.coupling.c], hard_sgn)
+    # six gains in one batch; uncoupled, the phase errors pass 0.35 on step
+    # 948, inside a block of 64 steps, and the other five stay at most 0.2
+    drifting = kuramoto.with_sim(divergence_threshold=0.35)
+    runs = _assert_matches_rk4_loop(drifting, [0.0, 0.6, 0.9, 1.2, 1.6, 2.0], hard_sgn)
+    assert [traj.times.shape[0] - 1 for traj in runs] == [948] + [1000] * 5
+    # the hard sign: no region step can carry it
+    relay = load_scenario("relay5", 1).with_sim(dt=5e-5, t_end=5e-3, regularization_width=0.0)
+    _assert_matches_rk4_loop(relay, [relay.coupling.c], hard_sgn)
+    # sin coupling on a weighted graph that is not a ring, among Kuramoto
+    # and decay nodes, so that J holds the decay rates
+    rng = np.random.default_rng(23)
+    w = rng.uniform(0.2, 1.5, size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.6)
+    w = np.triu(w, 1)
+    w = w + w.T
+    fields = [kuramoto_error_field(KuramotoParams(0.9), 1.0), decay_field(1.5),
+              kuramoto_error_field(KuramotoParams(1.3), 1.0), decay_field(0.5),
+              kuramoto_error_field(KuramotoParams(0.8), 1.0), decay_field(2.0)]
+    sine = _custom_scenario("sin-weighted", fields, Topology(w),
+                            CouplingSpec("nonlinear", c=1.0, eta=np.sin, upsilon=np.array([0.8])),
+                            SimConfig(dt=1e-2, t_end=3.0), rng.uniform(-1.5, 1.5, size=6))
+    _assert_matches_rk4_loop(sine, [0.5, 3.0], hard_sgn)
+    assert [f.steps for f in made] == [1000, 1000, 100, 300]
+
+
+def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_limit(monkeypatch):
+    # 100 relay nodes with a boundary layer of 1e-2 under linear coupling:
+    # dense triples at N·dim = 300, past sim._STATE_SPACE, where a build of
+    # M_r costs the four stages of dozens of steps.  The region changes
+    # within a few steps of every build, on about 80 of the 400 steps; a
+    # member built only when two reads a block apart find one region is
+    # built once, and takes the four stages meanwhile
+    fields = [relay_field(RelayParams())] * 100
+    scenario = _custom_scenario("relay100", fields, random_connected(100, 0.1, seed=0),
+                                CouplingSpec("linear", c=50.0, gamma=np.ones(3)),
+                                SimConfig(dt=5e-5, t_end=0.02, regularization_width=1e-2),
+                                np.random.default_rng(0).normal(scale=0.5, size=300))
+    made, folded = _spy(monkeypatch), _spy_folded(monkeypatch)
+    (fast,) = _run(scenario, [50.0])
+    (regions,) = made
+    assert regions.folded and regions.size > sim._STATE_SPACE and folded == []
+    assert regions.builds <= 1 and sum(regions.four_stage_steps) >= 300, regions.builds
+    monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+    (slow,) = _run(scenario, [50.0])
+    assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * float(np.abs(slow.states).max())
+    # 20 such nodes (N·dim = 60): under the limit every change of region
+    # is built at once, and with the limit below them they wait too
+    monkeypatch.setattr(sim, "_Regions", _RegionSpy)
+    small = dataclasses.replace(scenario, name="relay20", fields=fields[:20],
+                                topo=random_connected(20, 0.5, seed=0),
+                                x0=np.random.default_rng(0).normal(scale=0.5, size=60))
+    builds = []
+    for limit in (sim._STATE_SPACE, 0):
+        monkeypatch.setattr(sim, "_STATE_SPACE", limit)
+        made.clear()
+        _run(small, [50.0])
+        builds.append(made[0].builds)
+    assert builds[0] >= 20 and builds[1] <= 1, builds
 
 
 def _reference_csv(meta, header, columns):
