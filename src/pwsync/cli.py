@@ -33,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertifyError
+from .csvformat import meta_lines
 from .graph import DISCONNECTED, GraphError, is_connected
 from .scenarios import BUILTINS, ConfigError, load_scenario
 from .sim import (
     SimError,
-    _meta_lines,
     error_series,
     steady_state_eps,
     sweep_coupling,
@@ -133,7 +133,7 @@ def cmd_certify(args) -> int:
         return 2
     meta = _scenario_meta(scenario)
     outdir = _outdir(args)
-    text = "\n".join(_meta_lines(meta)) + "\n\n" + report.to_text() + "\n"
+    text = "\n".join(meta_lines(meta)) + "\n\n" + report.to_text() + "\n"
     (outdir / "report.txt").write_text(text, encoding="utf-8", newline="\n")
     payload = {"report": report.to_dict(), "scenario": {k: str(v) for k, v in meta.items()}}
     (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -184,7 +184,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"eps_hat <= eps_bar = {ok}")
     else:
         lines.append(f"certification skipped: {cert_note}")
-    lines += _meta_lines(meta)
+    lines += meta_lines(meta)
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     for line in lines:

@@ -9,7 +9,9 @@ the scaled value is computed with a known error, by Dekker's exact
 product (*A floating-point technique for extending the available
 precision*, 1971), and the few values that error could round either way
 go through :func:`format_exact`, one Python call each.  The lookup
-tables are built on first use.
+tables are built on first use.  :func:`write_csv` writes a file of
+``# key = value`` meta lines, a header and the stacked columns, a block
+at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["format_block", "format_exact"]
+__all__ = ["format_block", "format_exact", "meta_lines", "write_csv"]
 
+
+_CSV_BLOCK = 4096  # values per formatted block of a file (:func:`write_csv`)
 
 # A formatted value is one record of six 8-byte words: its sign, the
 # lead-in "0.000", the first digit and a point slot; four words of digits
@@ -222,3 +226,22 @@ def format_block(block) -> bytes:
     step = _COMPACT * _RECORD
     parts = (text[start:start + step] for start in range(0, text.size, step))
     return b"".join(np.compress(part != 0, part).tobytes() for part in parts)
+
+
+def meta_lines(meta: dict) -> list:
+    """``# key = value`` lines, sorted by key."""
+    return [f"# {key} = {meta[key]}" for key in sorted(meta)]
+
+
+def write_csv(path, meta: dict, header: str, *columns) -> None:
+    """'#' meta lines, the header, then one line per row of the stacked
+    columns, each float as C's ``%.17g`` (``f"{v:.17g}"``), in UTF-8 with
+    LF line ends.  The columns are stacked and formatted ``_CSV_BLOCK``
+    values at a time (:func:`format_block`), so neither the whole table
+    nor its Python floats are ever held at once."""
+    width = sum(1 if np.ndim(column) == 1 else np.shape(column)[1] for column in columns)
+    rows = max(1, _CSV_BLOCK // width)
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in meta_lines(meta) + [header]).encode("utf-8"))
+        for start in range(0, len(columns[0]), rows):
+            fh.write(format_block(np.column_stack([column[start:start + rows] for column in columns])))

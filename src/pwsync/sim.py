@@ -2,55 +2,42 @@
 
 One RK4 loop advances B coupling gains at once, each a copy of the
 N-node network held as one row state of N·dim entries, shape (B, 1,
-N·dim); a gain sweep is one pass.  The batch keeps its B rows from the
-first step to the last; a gain that diverges restarts from zero and its
-trajectory ends.  The nodes of each family in :mod:`pwsync.dynamics` are
-stacked into parameter arrays once per run.  Every term linear in the
-state sits in one dense matrix per gain, J_b = blockdiag(Aᵢ) − c_b·(L ⊗
-Γ).  Every state-dependent term is one triple, added as kernel(x @ G) @
-S: a family's rest (its gather blocks, kernel and scatter blocks), and
-the nonlinear coupling (the signed incidence x_j − x_i per directed edge
-and component, η, and the scatter of c_b·w_ij to the receiving node).  G
-and S are dense block-diagonal and incidence matrices while G's entries
-times the batch size are at most ``_DENSE``; a larger term applies the
-same triple node by node and over the edge list.  Fields without a
-family go through their own ``h`` and ``g``, one node at a time.
+N·dim); a gain sweep is one pass.  The nodes of each family in
+:mod:`pwsync.dynamics` are stacked into parameter arrays once per run.
+Every term linear in the state sits in one dense matrix per gain, J_b =
+blockdiag(Aᵢ) − c_b·(L ⊗ Γ).  Every state-dependent term is one triple,
+added as kernel(x @ G) @ S: a family's rest (its gather blocks, kernel
+and scatter blocks), and the nonlinear coupling (the signed incidence
+x_j − x_i per directed edge and component, η, and the scatter of c_b·w_ij
+to the receiving node).  G and S are dense block-diagonal and incidence
+matrices while G's entries times the batch size are at most ``_DENSE``;
+a larger term applies the same triple node by node and over the edge
+list.  Fields without a family go through their own ``h`` and ``g``.
 
-Each family's time-only forcing is tabulated once per block of m ≤ 64
-steps, at the block's 2m + 1 stage times, into one table of full rows;
-with m ≤ τ_min/dt, every delayed value a block reads is already stored.
+The run goes in blocks of m ≤ 64 steps, with m ≤ τ_min/dt so that every
+delayed value a block reads is already stored.  Each family's time-only
+forcing is tabulated once per block, at its 2m + 1 stage times, into one
+table of full rows.  When a block ends, the divergence guard reads its
+stored rows once: a gain past the threshold ends its trajectory at the
+step before and restarts from zero; the batch keeps its B rows.
 
-Where every kernel is affine on declared intervals (the boundary-layer
-sign, Chua's knee, pws inside |z| ≤ 1), a member whose gather entries all
-sit in such pieces, its region, is an affine system, and RK4's step is
-exactly affine: x ← x·M + g, with M = R(dt·J_rᵀ) built when the member's
-region changes and the forcing rows g, RK4's stages on the table's rows,
-in a few batched products per block.  With dense triples the step's
-product also gives the gathers of all four stage states; with
-node-by-node or edge-list triples it gives the stage states, [M | P₂ |
-P₃ | P₄], and the triples' own gathers read them, while N·dim times the
-batch size is at most ``_STATE_SPACE``.  A step holds only when the stage
-gathers stay in the region, and otherwise the member takes the four RK4
-stages, evaluated for the whole batch: a stage is x @ Jᵀ plus the
-table's row plus each triple.  A run with no triple is one region, so
-every step is one product.
-
-A dense run that no region step can carry (the hard sign and sin declare
-no pieces) takes the folded step while N·dim times the batch size is at
-most ``_STATE_SPACE``: the region step of the linear part, with each
-stage's kernel output a term that enters that stage alone, so a step is
-one product plus, per stage and triple, the kernel and one small
-product.  Node-by-node and edge-list triples, hand-built fields and runs
-past the limit take the four stages.
+A step is one of three (see :func:`integrate_gains`).  Where every kernel
+is affine on declared intervals (the boundary-layer sign, Chua's knee,
+pws inside |z| ≤ 1), a member whose gather entries all sit in such
+pieces, its region, takes RK4's step exactly: x ← x·M + g, with M =
+R(dt·J_rᵀ) built when its region changes.  A dense run that no region
+step can carry (the hard sign and sin declare no pieces) takes the folded
+step, held batch-minor, one column per gain: one product plus, per stage
+and triple, the kernel on a contiguous block and one small product.
+Otherwise a step is RK4's four stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
 solver; delayed terms read a linearly interpolated history of the stored
 trajectory.  Post-processing reduces trajectories to stacked error norms
 and a steady-state residual estimate ε̂ over the final window.  The CSV
-writers stack their columns about 4096 values at a time and write each
-block as :func:`pwsync.csvformat.format_block` formats it: C's ``%.17g``
-per value, byte for byte, from a few dozen NumPy calls per block.
+writers name the columns and write them through
+:func:`pwsync.csvformat.write_csv`.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .certify import CertifyError, CouplingSpec
-from .csvformat import format_block
+from .csvformat import write_csv
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
 from .graph import Topology, build_laplacian
 
@@ -84,7 +71,6 @@ __all__ = [
 
 
 _BLOCK = 64  # most steps per table of time-only terms
-_CSV_BLOCK = 4096  # values per formatted block of a CSV
 # most entries of a dense gather G times the batch size; past it a triple
 # runs node by node and over the edge list (the measured crossover)
 _DENSE = 32768
@@ -182,35 +168,31 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
     The state has one row of N·dim entries per gain, and every stage
     evaluates all of them together.  The run holds B × (steps + 1) × N ×
-    dim floats.  The batch keeps its B rows to the end: once a gain's
-    max|x| is not ≤ the divergence threshold (NaN included), its
-    trajectory ends at the step before and its row restarts from zero,
-    stepped but never reported; no row reads another.  The run stops when
-    no gain is left.  Returns one :class:`Trajectory` per gain, in order.
+    dim floats.  The divergence guard reads each block's stored rows once,
+    when the block ends: a gain's trajectory ends at the step before its
+    first row whose max|x| is not ≤ the threshold (NaN included), and its
+    row restarts from zero, stepped but never reported.  Until the block
+    ends it may overflow, with overflow and invalid warnings silenced; no
+    row reads another.  The run stops at the end of the block in which no
+    gain is left.  Returns one :class:`Trajectory` per gain, in order.
 
     The step is chosen per member and step.  When every triple
     kernel(x @ G) @ S declares affine pieces, there is no hand-built
     field, and the triples are dense or N·dim times the batch size is at
     most ``_STATE_SPACE``, a member inside one region (every gather entry
     in one piece) takes one product with its region's M = R(dt·J_rᵀ) plus
-    the step's forcing row, and the same product checks that all four
-    stage states stay in the region: through G folded into the step for
-    dense triples, else through the stage states and each triple's own
-    gather.  A member outside every region, or whose step would leave it,
-    takes the four-stage step, evaluated for the whole batch, and its
-    region is read again, after 1, 2, 4, … up to a block of steps while it
-    stays outside (see :class:`_Regions` for a region left soon after its
-    build).  A run with no triple (linear coupling, or every gain zero;
-    decay, Ikeda and Kuramoto nodes) is one region.  The four-stage step
-    takes the four stages, each x @ Jᵀ plus the forcing table's row plus
-    every triple, except in a run with no region step whose triples are
-    dense, with no hand-built field and N·dim times the batch size at most
-    ``_STATE_SPACE`` (sin coupling, the hard sign): every step of such a
-    run is the folded step (:class:`_Folded`).  The steps agree to
+    the step's forcing row, which also checks that all four stage states
+    stay in the region; any other member takes the four stages, evaluated
+    for the whole batch (:class:`_Regions`).  A run with no triple is one
+    region.  A run with no region step whose triples are dense, with no
+    hand-built field and N·dim times the batch size at most
+    ``_STATE_SPACE`` (sin coupling, the hard sign) takes the folded step
+    (:class:`_Folded`); any other run the four stages.  The steps agree to
     rounding (region steps and the four stages about 1e-13 relative over
     the 15 000 steps of ikeda10-linear, 3.4e-14 of max|x| on relay5, 2e-16
-    on ikeda100-pws; the folded step and the four stages 6e-14 of max|x|
-    over kuramoto4's first 2000 steps and 5.5e-13 over its 40 000), and so
+    on ikeda100-pws; the folded step and the four stages 6.2e-14 of max|x|
+    over kuramoto4's first 2000 steps at one gain or six, 5.5e-13 over its
+    40 000, and 1.4e-13 on relay5 with the hard sign at six gains), and so
     do the dense and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
@@ -266,7 +248,7 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
     def rhs(t, stage, x):
         out = None if table is None else table[stage]
-        for gather, kernel, scatter, _ in terms:
+        for gather, kernel, scatter, *_ in terms:
             term = kernel(x @ gather) @ scatter
             out = term if out is None else out + term
         if closure is not None:
@@ -287,7 +269,6 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
     store = states.reshape(gains.size, n_steps + 1, 1, size)
     x = store[:, 0].copy()
-    live = np.ones(gains.size, dtype=bool)
     last = np.full(gains.size, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -295,53 +276,50 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     table = None
     if regions is not None:
         regions.enter(x, np.arange(gains.size))
-    for k in range(n_steps):
-        j = k % block
-        if j == 0 and forced:
-            end = min(k + block, n_steps)
-            stage_times = np.empty(2 * (end - k) + 1)
-            stage_times[0::2] = times[k:end + 1]
-            stage_times[1::2] = times[k:end] + half
-            table = _forcing_table(forced, stage_times, history, sgn, n_nodes, dim)
-            for stepper in (regions, folded):
-                if stepper is not None:
+    # a member past the threshold may overflow until its block ends
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            if forced:
+                table = _forcing_table(forced, times[start:stop + 1], history, sgn)
+                for stepper in filter(None, (regions, folded)):
                     stepper.tabulate(table)
-        if folded is not None:
-            x_new = folded.advance(x, j)
-        elif regions is None:
-            x_new = staged(k, x)
-        else:
-            x_new, out = regions.advance(x, j)
-            if x_new is None:
-                x_new = staged(k, x)
-            elif out is not None:
-                x_new[out] = staged(k, x)[out]
-            if out is not None:
-                regions.enter(x_new, out)
-        x = x_new
-        if not np.maximum.reduce(np.abs(x), axis=None) <= threshold:
-            ok = np.maximum.reduce(np.abs(x), axis=(1, 2)) <= threshold
-            last[live & ~ok] = k
-            live &= ok
-            if not live.any():
-                break
-            x[~ok] = 0.0
-            if regions is not None:
-                regions.enter(x, np.flatnonzero(~ok))
-        store[:, k + 1] = x
+            for k in range(start, stop):
+                if folded is not None:
+                    x = folded.advance(x, k - start)
+                elif regions is None:
+                    x = staged(k, x)
+                else:
+                    x_new, out = regions.advance(x, k - start)
+                    if x_new is None:
+                        x_new = staged(k, x)
+                    elif out is not None:
+                        x_new[out] = staged(k, x)[out]
+                    if out is not None:
+                        regions.enter(x_new, out)
+                    x = x_new
+                store[:, k + 1] = x
+            # a member ends at the step before its block's first row whose
+            # max|x| is not ≤ the threshold, and restarts from zero, its
+            # stored rows too, which its delayed terms read
+            rows = store[:, start + 1:stop + 1]
+            ok = np.logical_and.accumulate(np.abs(rows).max(axis=(2, 3)) <= threshold, axis=1)
+            if not ok.all():
+                wild = ~ok[:, -1]
+                last = np.minimum(last, np.where(wild, start + ok.sum(axis=1), n_steps))
+                if (last < n_steps).all():
+                    break
+                rows[~ok] = x[wild] = 0.0
+                if regions is not None:
+                    regions.enter(x, np.flatnonzero(wild))
 
     run_meta = dict(method="rk4", dt=dt, t_end=float(n_steps * dt), steps=n_steps,
                     n_nodes=n_nodes, dim=dim, coupling_variant=coupling.variant,
                     coupling_label=coupling.label, regularization_width=width,
                     divergence_threshold=threshold)
-    trajectories = []
-    for b, c in enumerate(gains):
-        end = int(last[b])
-        diverged = end < n_steps
-        meta = {**run_meta, "c": float(c), "diverged": diverged}
-        trajectories.append(Trajectory(times[: end + 1], states[b, : end + 1].reshape(end + 1, size),
-                                       n_nodes, dim, diverged=diverged, meta=meta))
-    return trajectories
+    return [Trajectory(times[:end + 1], states[b, :end + 1].reshape(end + 1, size), n_nodes, dim,
+                       end < n_steps, {**run_meta, "c": float(c), "diverged": end < n_steps})
+            for b, (c, end) in enumerate(zip(gains, last.tolist()))]
 
 
 class _History:
@@ -414,8 +392,6 @@ def _affine_step(jac_t, dt: float, gather):
         p2 = eye + a / 2.0
         p3 = eye + a @ p2 / 2.0
         return np.concatenate([m, p2, p3, eye + a @ p3], axis=-1)
-    if not gather.shape[1]:
-        return m
     gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
     p2 = gather + a @ gather / 2.0
     p3 = gather + a @ p2 / 2.0
@@ -454,15 +430,19 @@ def _forcing_weights(stage_weights):
     return np.stack([first, second + third], axis=1)
 
 
-def _forcing_table(forced, ts, history, sgn, n_nodes: int, dim: int):
-    """The families' time-only terms at the stage times ``ts`` of a block,
-    scattered into full rows: shape (len(ts), B, 1, N·dim), row 2j at the
-    block's step j and row 2j + 1 at its half step."""
-    table = np.zeros((ts.size, len(history.states), n_nodes, dim))
+def _forcing_table(forced, times, history, sgn):
+    """The families' time-only terms at the stage times of a block whose
+    step times are ``times``, scattered into full rows: shape (2m + 1, B,
+    1, N·dim), row 2j at the block's step j and row 2j + 1 at its half
+    step."""
+    ts = np.empty(2 * len(times) - 1)
+    ts[0::2] = times
+    ts[1::2] = times[:-1] + 0.5 * history.dt
+    table = np.zeros((ts.size,) + history.states.shape[:1] + history.states.shape[2:])
     for family, q, idx in forced:
         delayed = lambda lags: history.delayed(ts, lags, idx)  # noqa: E731
         table[:, :, idx, family.column] = family.forcing(q, ts, delayed, sgn)
-    return table.reshape(ts.size, -1, 1, n_nodes * dim)
+    return table.reshape(ts.size, len(table[0]), 1, -1)
 
 
 def _affine_forcing(f, weights, sixth: float):
@@ -739,80 +719,85 @@ class _Regions:
 
 class _Folded:
     """The step of a run whose triples are all dense and that takes no
-    region step.
+    region step, held batch-minor: one column per gain.
 
     RK4 on x' = x·Jᵀ + f(t) + Σ kernel(X·G)·S is the region step with each
-    stage's kernel output φ_r taken as a term that enters stage r alone.
-    One product with the step of the linear part, [M | P₂G | P₃G | P₄G | G]
-    (:func:`_affine_step` at zero slopes), plus the block's forcing row
-    gives x_{k+1}, the gathers of stages 2-4 and x_k·G, each before any
-    kernel term.  Then, stage by stage and triple by triple, φ_r reaches
-    x_{k+1} and the later gathers through one product with R_r = S·W_r
-    (:func:`_stage_weights`, whose W_r give the forcing weights too),
-    added in place, so each stage's gather is whole when its kernel reads
-    it: for one triple, half the NumPy calls of the four stages.  The step
-    writes into two buffers by turns, with their views made once, so its
-    product never reads the buffer it writes; the returned state is a
-    view of one of them.  Past ``_STATE_SPACE`` its matrices
-    outgrow the cache and the four stages are faster (at one gain, 240
-    relay states break even).  A region run's fallback rows take the four
-    stages: they are a few per cent of its steps, which do not pay for
-    building this step, and at three gains pws on the buffer's strided
-    views costs a folded step as much as the four stages.
+    stage's kernel output φ_r a term that enters stage r alone.  In a
+    buffer (n + 4K, B), one product of [M | P₂G | P₃G | P₄G | G]ᵀ
+    (:func:`_affine_step` at zero slopes) with the states (n, B), plus the
+    block's forcing rows (m, n + 3K, B), gives x_{k+1}, the gathers of
+    stages 2-4 and x_k·G as contiguous row blocks.  Then, per stage and
+    triple, the kernel reads its (K, B) block, and φ_r, times the
+    coupling's gains as a row (at one gain they sit in R_r), reaches
+    x_{k+1} and the later gathers through one product with R_rᵀ =
+    (S·W_r)ᵀ (:func:`_stage_weights`), added in place.  Where J differs
+    per gain (linear coupling), each product is batched over the columns,
+    one matrix per gain.  Two buffers are written by turns, so a product
+    never reads the buffer it writes.  Past ``_STATE_SPACE`` the four
+    stages are faster (at one gain, 240 relay states break even); a region
+    run's few fallback steps do not pay for building this step.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
-        jac_t = np.zeros((batch, size, size)) if jac_t is None else jac_t
+        jac_t = np.zeros((1, size, size)) if jac_t is None else jac_t
+        shared = (jac_t == jac_t[0]).all()  # one J for every gain: 2-D products
+        jac_t, pick = (jac_t[:1], 0) if shared else (jac_t, slice(None))
         gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
         entries = gather.shape[1]
-        self.step = _affine_step(jac_t, dt, gather)
+        reach = size + 3 * entries  # the rows a stage-local term reaches
         stage_weights = _stage_weights(dt * jac_t, dt, gather)
         self.weights = _forcing_weights(stage_weights) if forced else None
-        self.sixth, self.table, self.forcing = dt / 6.0, None, None
-        reach = size + 3 * entries  # the columns a stage-local term reaches
-        stages = []  # (kernel, gather columns, R_r, columns reached), stage by stage
+        self.step = _affine_step(jac_t, dt, gather).transpose(0, 2, 1)[pick].copy()
+        self.sixth, self.forcing, self.turn = dt / 6.0, None, 0
+        stages = []  # (kernel, gather rows, R_rᵀ, rows reached, gains row or None)
         # each stage's gathers start at x_k·G (last), then X₂G, X₃G and X₄G
         for r, first in enumerate([reach] + [size + r * entries for r in range(3)]):
-            stop = first
             for term in terms:
-                cols = slice(stop, stop + term.gather.shape[1])
-                stages.append((term.kernel, cols, term.scatter @ stage_weights[r], size if r == 3 else reach))
-                stop = cols.stop
-        self.buffers = []
-        for _ in range(2):
-            y = np.zeros((batch, 1, size + 4 * entries))
-            ops = [(kernel, y[..., cols], weight, y[..., :width]) for kernel, cols, weight, width in stages]
-            self.buffers.append((y, y[..., :size], y[..., :reach], ops))
-        self.turn = 0
+                gains, scatter = term.factors if term.factors and batch > 1 else (None, term.scatter)
+                stages.append((term.kernel, slice(first, first + term.gather.shape[1]),
+                               (scatter @ stage_weights[r]).transpose(0, 2, 1)[pick].copy(),
+                               size if r == 3 else reach, gains))
+                first += term.gather.shape[1]
+        buffers = []
+        for y in np.zeros((2, reach + entries, batch)):
+            v = y if shared else y.T[:, :, None]  # the products' view: (rows, B) or (B, rows, 1)
+            ops = [(kernel, v[..., rows, :], weight, v[..., :width, :], gains)
+                   for kernel, rows, weight, width, gains in stages]
+            buffers.append((v, y[:reach], ops, y[:size].T[:, None], v[..., :size, :]))
+        # turn t writes buffer t from the state held in the other
+        self.turns = [buffers[t][:4] + buffers[1 - t][3:] for t in (0, 1)]
 
     def tabulate(self, table):
-        """Take the forcing table of a new block; its rows for the step
-        wait until the step is taken."""
-        self.table, self.forcing = table, None
+        """Take the forcing table of a new block: the step's forcing rows."""
+        g = _affine_forcing(table[:, :, 0].transpose(1, 0, 2), self.weights, self.sixth)[:, :, 0]
+        self.forcing = g.transpose(1, 2, 0).copy()
 
     def advance(self, x, j):
         """The four-stage step j of the block from x, for the whole batch."""
-        y, x_next, into, ops = self.buffers[self.turn]
+        out, into, ops, x_next, state, source = self.turns[self.turn]
         self.turn ^= 1
-        np.matmul(x, self.step, out=y)
-        if self.weights is not None:
-            if self.forcing is None:
-                f = self.table[:, :, 0].transpose(1, 0, 2)
-                self.forcing = _affine_forcing(f, self.weights, self.sixth)
-            into += self.forcing[:, j]
-        for kernel, gathered, weight, target in ops:
-            target += kernel(gathered) @ weight
+        if x is not state:  # the first step's state
+            state[...] = x
+        np.matmul(self.step, source, out=out)
+        if self.forcing is not None:
+            into += self.forcing[j]
+        for kernel, gathered, weight, target, gains in ops:
+            phi = kernel(gathered)
+            target += weight @ (phi if gains is None else phi * gains)
         return x_next
 
 
 class _Triple(NamedTuple):
     """A stage term kernel(x @ gather) @ scatter on row states (B, 1, N·dim),
-    with the kernel's affine ``pieces`` (see ``NodeFamily.pieces``) or None."""
+    with the kernel's affine ``pieces`` (see ``NodeFamily.pieces``) or None;
+    a dense coupling's scatter is c_b·S̄, and its ``factors`` the row of
+    gains c_b (1, B) and S̄."""
 
     gather: object
     kernel: Callable
     scatter: object
     pieces: Optional[tuple]
+    factors: Optional[tuple] = None
 
 
 def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
@@ -841,7 +826,8 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     scatter = np.zeros((n_edges, n_nodes))
     scatter[edge, rows] = weights
     eye = np.eye(dim)
-    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * np.kron(scatter, eye), pieces)
+    bare = np.kron(scatter, eye)
+    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * bare, pieces, (gains[None], bare))
 
 
 class _Incidence:
@@ -967,15 +953,7 @@ def error_series(traj: Trajectory) -> ErrorSeries:
     deviations = blocks - blocks.mean(axis=1, keepdims=True)
     flat = deviations.reshape(n_times, -1)
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    return ErrorSeries(
-        times=traj.times,
-        norms=norms,
-        errors=flat,
-        n_nodes=traj.n_nodes,
-        dim=traj.dim,
-        diverged=traj.diverged,
-        meta=dict(traj.meta),
-    )
+    return ErrorSeries(traj.times, norms, flat, traj.n_nodes, traj.dim, traj.diverged, dict(traj.meta))
 
 
 def steady_state_eps(series: ErrorSeries, tail_fraction: float = 0.25) -> float:
@@ -1015,51 +993,27 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
                 certified = True
         except CertifyError:  # not certified at this gain
             pass
-        rows.append({
-            "c": c,
-            "eps_hat": eps_hat,
-            "eps_bar": eps_bar,
-            "certified": certified,
-            "diverged": traj.diverged,
-        })
+        rows.append(dict(c=c, eps_hat=eps_hat, eps_bar=eps_bar, certified=certified, diverged=traj.diverged))
     return rows
-
-
-def _meta_lines(meta: dict) -> list:
-    return [f"# {key} = {meta[key]}" for key in sorted(meta)]
-
-
-def _write_csv(path, meta: dict, header: str, *columns) -> None:
-    """'#' meta lines, the header, then one line per row of the stacked
-    columns, each float as C's ``%.17g`` (``f"{v:.17g}"``), in UTF-8 with
-    LF line ends.  The columns are stacked and formatted ``_CSV_BLOCK``
-    values at a time (:func:`format_block`), so neither the whole table
-    nor its Python floats are ever held at once."""
-    width = sum(1 if np.ndim(column) == 1 else np.shape(column)[1] for column in columns)
-    rows = max(1, _CSV_BLOCK // width)
-    with open(path, "wb") as fh:
-        fh.write("".join(line + "\n" for line in _meta_lines(meta) + [header]).encode("utf-8"))
-        for start in range(0, len(columns[0]), rows):
-            fh.write(format_block(np.column_stack([column[start:start + rows] for column in columns])))
 
 
 def write_trajectory_csv(traj: Trajectory, path, extra_meta: Optional[dict] = None) -> None:
     """Write times and stacked states; '#' meta lines precede the header."""
     header = ["t"] + [f"x_{i + 1}_{j + 1}" for i in range(traj.n_nodes) for j in range(traj.dim)]
-    _write_csv(path, {**traj.meta, **(extra_meta or {})}, ",".join(header),
-               traj.times, traj.states)
+    write_csv(path, {**traj.meta, **(extra_meta or {})}, ",".join(header),
+              traj.times, traj.states)
 
 
 def write_error_csv(series: ErrorSeries, path, extra_meta: Optional[dict] = None) -> None:
     """Write times, stacked error norm, and per-component deviations."""
     header = ["t", "err_norm"] + [f"e_{i + 1}_{j + 1}"
                                   for i in range(series.n_nodes) for j in range(series.dim)]
-    _write_csv(path, {**series.meta, **(extra_meta or {})}, ",".join(header),
-               series.times, series.norms, series.errors)
+    write_csv(path, {**series.meta, **(extra_meta or {})}, ",".join(header),
+              series.times, series.norms, series.errors)
 
 
 def write_sweep_csv(rows: list, path, extra_meta: Optional[dict] = None) -> None:
     """Write one row per gain: c, measured ε̂, certified ε̄, flags as 0/1."""
     keys = ("c", "eps_hat", "eps_bar", "certified", "diverged")
-    _write_csv(path, extra_meta or {}, ",".join(keys),
-               *(np.array([float(row[key]) for row in rows]) for key in keys))
+    write_csv(path, extra_meta or {}, ",".join(keys),
+              *(np.array([float(row[key]) for row in rows]) for key in keys))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pwsync import csvformat, sim
+from pwsync import csvformat
 from pwsync.csvformat import format_block
 
 
@@ -114,12 +114,12 @@ def test_normal_states_take_the_fast_path_except_zeros(monkeypatch):
 
 def test_one_column_and_a_partial_last_block(tmp_path):
     rng = np.random.default_rng(8)
-    column = rng.normal(size=sim._CSV_BLOCK * 2 + 123)
+    column = rng.normal(size=csvformat._CSV_BLOCK * 2 + 123)
     path = tmp_path / "column.csv"
-    sim._write_csv(path, {"n": 1}, "x", column)
+    csvformat.write_csv(path, {"n": 1}, "x", column)
     assert path.read_bytes() == b"# n = 1\nx\n" + _reference(column[:, None])
-    table = rng.normal(size=(sim._CSV_BLOCK // 7 * 3 + 5, 7))
-    sim._write_csv(path, {}, "t,a,b,c,d,e,f", table[:, 0], table[:, 1:])
+    table = rng.normal(size=(csvformat._CSV_BLOCK // 7 * 3 + 5, 7))
+    csvformat.write_csv(path, {}, "t,a,b,c,d,e,f", table[:, 0], table[:, 1:])
     assert path.read_bytes() == b"t,a,b,c,d,e,f\n" + _reference(table)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from pwsync.dynamics import (
     relay_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
-from pwsync import sim
+from pwsync import csvformat, sim
 from pwsync.scenarios import BUILTINS, Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
@@ -747,13 +748,14 @@ def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
 
 class _RegionSpy(sim._Regions):
     """``_Regions`` that records itself and counts, per call of ``advance``,
-    the members that took the region step, and the members it built."""
+    the members that took the region step, the members it built, and the
+    steps taken from a state holding inf."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.region_steps, self.four_stage_steps, self.builds = [], [], 0
+        self.region_steps, self.four_stage_steps, self.builds, self.overflows = [], [], 0, 0
         self.made.append(self)
 
     def _build(self, rows):
@@ -761,6 +763,7 @@ class _RegionSpy(sim._Regions):
         super()._build(rows)
 
     def advance(self, x, j):
+        self.overflows += bool(np.isinf(x).any())
         x_next, rows = super().advance(x, j)
         fell_back = len(x) if x_next is None else 0 if rows is None else rows.size
         self.region_steps.append(len(x) - fell_back)
@@ -777,17 +780,19 @@ class _FourStageOnly(sim._Regions):
 
 
 class _FoldedSpy(sim._Folded):
-    """``_Folded`` that records itself and counts the steps it takes."""
+    """``_Folded`` that records itself and counts the steps it takes and
+    those taken from a state holding inf."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.steps = 0
+        self.steps = self.overflows = 0
         self.made.append(self)
 
     def advance(self, x, j):
         self.steps += 1
+        self.overflows += bool(np.isinf(x).any())
         return super().advance(x, j)
 
 
@@ -1072,6 +1077,13 @@ def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
     # the hard sign: no region step can carry it
     relay = load_scenario("relay5", 1).with_sim(dt=5e-5, t_end=5e-3, regularization_width=0.0)
     _assert_matches_rk4_loop(relay, [relay.coupling.c], hard_sgn)
+    # and under linear coupling at three gains, one J per gain: the step's
+    # products are batched over the gains.  The gain 5000 passes 1e40 on
+    # step 36, inside a block of 64 steps
+    wild = relay.with_sim(dt=2e-4, t_end=0.02, divergence_threshold=1e40)
+    runs = _assert_matches_rk4_loop(wild, [30.0, 5e3, 50.0], hard_sgn)
+    assert [traj.times.shape[0] - 1 for traj in runs] == [100, 35, 100]
+    assert made[-1].step.ndim == 3  # one step matrix per gain
     # sin coupling on a weighted graph that is not a ring, among Kuramoto
     # and decay nodes, so that J holds the decay rates
     rng = np.random.default_rng(23)
@@ -1085,7 +1097,31 @@ def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
                             CouplingSpec("nonlinear", c=1.0, eta=np.sin, upsilon=np.array([0.8])),
                             SimConfig(dt=1e-2, t_end=3.0), rng.uniform(-1.5, 1.5, size=6))
     _assert_matches_rk4_loop(sine, [0.5, 3.0], hard_sgn)
-    assert [f.steps for f in made] == [1000, 1000, 100, 300]
+    assert [f.steps for f in made] == [1000, 1000, 100, 100, 300]
+
+
+def test_a_gain_that_overflows_inside_a_block_ends_where_its_own_run_ends(monkeypatch):
+    # the divergence guard reads a block's rows at its end, so a gain past
+    # the threshold of 1e100 keeps stepping and overflows to inf before the
+    # block of 64 steps ends: relay5 with the hard sign (the folded step,
+    # one matrix per gain) ends on step 15, chua10 (region steps) on step
+    # 17.  No RuntimeWarning escapes, and every gain, the wild one
+    # included, is bit for bit its own run
+    folded, made = _spy_folded(monkeypatch), _spy(monkeypatch)
+    cases = [("relay5", dict(dt=2e-4, t_end=0.02, regularization_width=0.0), [30.0, 1e5, 50.0], 15),
+             ("chua10", dict(t_end=0.5), [2.0, 2000.0, 10.0], 17)]
+    for name, kwargs, gains, end in cases:
+        scenario = load_scenario(name, 1).with_sim(**kwargs, divergence_threshold=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = _run(scenario, gains)
+            singles = [_run(scenario, [c])[0] for c in gains]
+        assert [traj.diverged for traj in runs] == [False, True, False], name
+        assert runs[1].times.shape[0] - 1 == end, name
+        for traj, single in zip(runs, singles):
+            assert np.array_equal(traj.times, single.times), name
+            assert np.array_equal(traj.states, single.states), name
+    assert folded[0].overflows > 0 and made[0].overflows > 0
 
 
 def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_limit(monkeypatch):
@@ -1214,7 +1250,7 @@ def test_csv_writers_match_per_value_formatting_on_real_runs(tmp_path):
         assert path.read_bytes() == _reference_csv({**series.meta, **meta}, header,
                                                    (series.times, series.norms, series.errors)).encode(), \
             scenario.name
-    assert traj.states.shape[1] == 100 and traj.times.size > 3 * (sim._CSV_BLOCK // 101)
+    assert traj.states.shape[1] == 100 and traj.times.size > 3 * (csvformat._CSV_BLOCK // 101)
 
     scenario = load_scenario("kuramoto4", 0)
     rows = sweep_coupling(scenario, np.geomspace(0.1, 30.0, 7), SimConfig(dt=0.01, t_end=2.0))
