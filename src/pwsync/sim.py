@@ -25,7 +25,9 @@ A step is one of three (see :func:`integrate_gains`).  Where every kernel
 is affine on declared intervals (the boundary-layer sign, Chua's knee,
 pws inside |z| ≤ 1), a member whose gather entries all sit in such
 pieces, its region, takes RK4's step exactly: x ← x·M + g, with M =
-R(dt·J_rᵀ) built when its region changes.  A dense run that no region
+R(dt·J_rᵀ) built when its region changes.  Region steps go in passes of
+up to a block, one product per step, and each pass checks the stage
+gathers of all its steps at once.  A dense run that no region
 step can carry (the hard sign and sin declare no pieces) takes the folded
 step, held batch-minor, one column per gain: one product plus, per stage
 and triple, the kernel on a contiguous block and one small product.
@@ -49,6 +51,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .affine import affine_forcing, affine_step, forcing_weights, stage_forcing, stage_weights
 from .certify import CertifyError, CouplingSpec
 from .csvformat import write_csv
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
@@ -181,10 +184,13 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     field, and the triples are dense or N·dim times the batch size is at
     most ``_STATE_SPACE``, a member inside one region (every gather entry
     in one piece) takes one product with its region's M = R(dt·J_rᵀ) plus
-    the step's forcing row, which also checks that all four stage states
-    stay in the region; any other member takes the four stages, evaluated
-    for the whole batch (:class:`_Regions`).  A run with no triple is one
-    region.  A run with no region step whose triples are dense, with no
+    the step's forcing row; any other member takes the four stages,
+    evaluated for the whole batch (:class:`_Regions`).  Region steps go in
+    passes, whose stage gathers are checked once, when the pass ends: up
+    to a block while every member is inside (one step for the edge-list
+    and node-by-node forms), the length doubling after a pass that held.
+    A run with no triple is one region.  A run with no region step whose
+    triples are dense, with no
     hand-built field and N·dim times the batch size at most
     ``_STATE_SPACE`` (sin coupling, the hard sign) takes the folded step
     (:class:`_Folded`); any other run the four stages.  The steps agree to
@@ -284,20 +290,16 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
                 table = _forcing_table(forced, times[start:stop + 1], history, sgn)
                 for stepper in filter(None, (regions, folded)):
                     stepper.tabulate(table)
-            for k in range(start, stop):
-                if folded is not None:
-                    x = folded.advance(x, k - start)
-                elif regions is None:
-                    x = staged(k, x)
-                else:
-                    x_new, out = regions.advance(x, k - start)
-                    if x_new is None:
-                        x_new = staged(k, x)
-                    elif out is not None:
-                        x_new[out] = staged(k, x)[out]
-                    if out is not None:
-                        regions.enter(x_new, out)
-                    x = x_new
+            k = start
+            while regions is not None and k < stop:  # passes of region steps
+                taken, out = regions.advance(store, k, k - start, stop - k)
+                k += taken
+                x = store[:, k]
+                if out is not None:
+                    x[out] = staged(k - 1, store[:, k - 1])[out]
+                    regions.enter(x, out)
+            for k in range(k, stop):
+                x = staged(k, x) if folded is None else folded.advance(x, k - start)
                 store[:, k + 1] = x
             # a member ends at the step before its block's first row whose
             # max|x| is not ≤ the threshold, and restarts from zero, its
@@ -368,68 +370,6 @@ def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarr
     return np.ascontiguousarray(np.broadcast_to(jac, (gains.size, size, size)).transpose(0, 2, 1))
 
 
-def _affine_step(jac_t, dt: float, gather):
-    """RK4 on x' = x·Jᵀ + f(t) (row states) is exactly affine: with
-    A = dt·Jᵀ, x_{k+1} = x_k·M + g_k, where M = I + A + A²/2 + A³/6 + A⁴/24
-    is RK4's stability function R(A) and g_k the step's forcing row
-    (:func:`_affine_forcing`, :func:`_stage_forcing`).  The four stage
-    states are x_k·Pᵢ plus their own forcing terms, P₁ = I, P₂ = I + A/2,
-    P₃ = I + A/2 + A²/4 and P₄ = I + A + A²/2 + A³/4.
-
-    Returns the step [M | P₂G | P₃G | P₄G | G] (B, n, n + 4K) for a dense
-    gather G (n, K), whose product with x_k is x_{k+1} and the gathers X·G
-    of the four stage states before forcing (stage 1's last: it carries no
-    forcing).  For ``gather`` None it returns the step [M | P₂ | P₃ | P₄]
-    (B, n, 4n) of the next state and the stage states themselves.  Every
-    polynomial is in Horner form, so no power of A is kept."""
-    a = dt * jac_t
-    eye = np.eye(a.shape[-1])
-    m = eye + a / 4.0
-    m = eye + a @ m / 3.0
-    m = eye + a @ m / 2.0
-    m = eye + a @ m
-    if gather is None:
-        p2 = eye + a / 2.0
-        p3 = eye + a @ p2 / 2.0
-        return np.concatenate([m, p2, p3, eye + a @ p3], axis=-1)
-    gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
-    p2 = gather + a @ gather / 2.0
-    p3 = gather + a @ p2 / 2.0
-    return np.concatenate([m, p2, p3, gather + a @ p3, gather], axis=-1)
-
-
-def _stage_weights(a, dt: float, gather):
-    """RK4's response on x' = x·Jᵀ + u (row states, A = dt·Jᵀ) to a term u
-    that enters stage r alone, r = 1, …, 4: the weights W_r (B, n, n + 3K)
-    by which u reaches x_{k+1} and the gathers X₂G, X₃G, X₄G of the later
-    stages (stage 4's (B, n, n): it reaches x_{k+1} alone).  Stage 1's
-    term reaches x_{k+1} through dt/6·(I + A + A²/2 + A³/4) and X₂, X₃, X₄
-    through dt/2·I, dt/4·A, dt/4·A²; stage 2's through dt/6·(2I + A +
-    A²/2) and X₃, X₄ through dt/2·I, dt/2·A; stage 3's through dt/6·(2I +
-    A) and X₄ through dt·I; stage 4's through dt/6·I.  The forcing f_k
-    enters stage 1, f_{k+½} stages 2 and 3 and f_{k+1} stage 4
-    (:func:`_affine_forcing`); a dense triple's kernel output enters the
-    stage whose gather it reads, through S·W_r (:class:`_Folded`)."""
-    eye = np.eye(a.shape[-1])
-    gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])
-    ag, zero, sixth = a @ gather, np.zeros(gather.shape), dt / 6.0
-    first = eye + a @ (eye + a @ (0.5 * eye + a / 4.0))
-    second = 2.0 * eye + a @ (eye + a / 2.0)
-    third = 2.0 * eye + a
-    return [np.concatenate(blocks, axis=-1) for blocks in (
-        [sixth * first, 0.5 * dt * gather, 0.25 * dt * ag, 0.25 * dt * (a @ ag)],
-        [sixth * second, zero, 0.5 * dt * gather, 0.5 * dt * ag],
-        [sixth * third, zero, zero, dt * gather])] + [np.broadcast_to(sixth * eye, a.shape)]
-
-
-def _forcing_weights(stage_weights):
-    """The weights of f_k and f_{k+½} in the first n + 3K columns of the
-    step [M | P₂G | P₃G | P₄G | G], (B, 2, n, n + 3K): W₁ and W₂ + W₃ of
-    :func:`_stage_weights` (f_{k+1} adds dt/6·f to x_{k+1})."""
-    first, second, third, _ = stage_weights
-    return np.stack([first, second + third], axis=1)
-
-
 def _forcing_table(forced, times, history, sgn):
     """The families' time-only terms at the stage times of a block whose
     step times are ``times``, scattered into full rows: shape (2m + 1, B,
@@ -443,42 +383,6 @@ def _forcing_table(forced, times, history, sgn):
         delayed = lambda lags: history.delayed(ts, lags, idx)  # noqa: E731
         table[:, :, idx, family.column] = family.forcing(q, ts, delayed, sgn)
     return table.reshape(ts.size, len(table[0]), 1, -1)
-
-
-def _affine_forcing(f, weights, sixth: float):
-    """The forcing rows of the step [M | P₂G | P₃G | P₄G | G] for a block
-    of m steps, g_j = f_j·W₁ + f_{j+½}·(W₂ + W₃) + f_{j+1}·dt/6 in its
-    first n columns and the forcing of stages 2-4's gathers in the next
-    3K, with f the forcing rows (B, 2m + 1, n) at the block's stage times
-    and ``weights`` those of :func:`_forcing_weights`: shape (B, m, 1, n +
-    3K), two batched products per block."""
-    g = f[:, :-1:2] @ weights[:, 0]
-    g += f[:, 1::2] @ weights[:, 1]
-    g[..., :f.shape[-1]] += sixth * f[:, 2::2]
-    return g[:, :, None]
-
-
-def _stage_forcing(f, jac_t, dt: float, gather=None):
-    """The forcing rows of the step (:func:`_affine_step`) for a block of m
-    steps: RK4's stages on x' = x·Jᵀ + f(t) from x = 0, with f the forcing
-    rows (B, 2m + 1, n) at the block's stage times.  Returns g_j, the
-    forcing of x_{j+1}, then that of stages 2-4, their states or, with a
-    dense gather G (n, K), their gathers: shape (B, m, 1, 4n) or (B, m, 1,
-    n + 3K), from three or four batched products per block and no
-    weights."""
-    half, f_half = 0.5 * dt, f[:, 1::2]
-    k1 = f[:, :-1:2]
-    x2 = half * k1
-    k2 = x2 @ jac_t + f_half
-    x3 = half * k2
-    k3 = x3 @ jac_t + f_half
-    x4 = dt * k3
-    k4 = x4 @ jac_t + f[:, 2::2]
-    stages = np.stack([x2, x3, x4], axis=-2)
-    if gather is not None:
-        stages = stages @ gather
-    g = dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    return np.concatenate([g, stages.reshape(g.shape[:2] + (-1,))], axis=-1)[:, :, None]
 
 
 def _summed(part, values, width: int):
@@ -530,26 +434,35 @@ class _Regions:
     triple is affine, kernel(x·G)·S = x·G·diag(slope)·S + intercept·S, so
     the run is x' = x·J_rᵀ + e_r + f(t), with J_rᵀ = Jᵀ + G·diag(slope)·S
     over the triples and e_r the intercepts' row, and RK4's step is exactly
-    x·M_r + g (:func:`_affine_step`, and :func:`_stage_forcing` on the
+    x·M_r + g (:func:`affine_step`, and :func:`stage_forcing` on the
     forcing rows plus e_r).  When every gather is dense, G is folded into
     the step, whose product gives the gathers of the four stage states.
     Otherwise the step gives the stage states, [M_r | P₂ | P₃ | P₄], the
     triples' own gathers read them, and the edge-list or node-by-node part
     of J_rᵀ and e_r is summed from the edge list or the per-node blocks
     (:func:`_sparse_parts`), never from a dense G or S.  A step holds
-    only when all four stage gathers lie in the region's closed intervals;
-    a member whose step does not hold, or whose state lies in no region
-    (pws past |z| = 1), takes the four-stage step, and its region is read
-    again from its new state.  Each member keeps only its current region,
-    and rebuilds its step when that changes.  Past ``_STATE_SPACE``, where
-    a build costs as much as the four stages of dozens of steps, the run
-    is ``wary``: a member with no build yet, or whose region changes
-    within a block of its last build, takes the four-stage step for a
-    block, and is built only if its region is then the one the read
-    found, so a chattering member stops paying for builds.  A run with no
-    triple has K = 0 gather entries and one region, whose step is built
-    once; ``ready`` marks the steps built, since its empty pieces never
-    differ.
+    only when all four stage gathers lie in the region's closed intervals.
+    Steps go in passes (:meth:`advance`), one product each, whose stage
+    gathers are checked together when the pass ends; the pass keeps its
+    steps up to the first that some member does not hold.  There a member
+    whose step does not hold, or whose state lies in no region (pws past
+    |z| = 1), takes the four-stage step, and its region is read again from
+    its new state.  A pass takes one step while some member is outside,
+    and otherwise ``length`` steps, which doubles after a pass that held,
+    up to a block, and drops to one after one that did not.  The edge-list
+    and node-by-node forms keep passes of one step: longer ones gather
+    4·K entries per step into temporaries that, past 128 KiB, the C
+    allocator maps afresh and faults in on every pass.
+
+    Each member keeps only its current region, and rebuilds its step when
+    that changes.  Past ``_STATE_SPACE``, where a build costs as much as
+    the four stages of dozens of steps, the run is ``wary``: a member with
+    no build yet, or whose region changes within a block of its last
+    build, takes the four-stage step for a block, and is built only if its
+    region is then the one the read found, so a chattering member stops
+    paying for builds.  A run with no triple has K = 0 gather entries and
+    one region, whose step is built once and whose passes never fail;
+    ``ready`` marks the steps built, since its empty pieces never differ.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
@@ -577,10 +490,11 @@ class _Regions:
         self.jac_r, self.shift = np.zeros((batch, size, size)), np.zeros((batch, 1, size))
         self.step = np.zeros((batch, size, self.forced_width + (stop if self.folded else 0)))
         # a dense run's forcing rows come from weights built with the step;
-        # the forcing rows of e_r alone serve a run without a table
+        # the forcing rows of e_r alone, one per step of a block, serve a
+        # run without a table
         self.weights = np.zeros((batch, 2, size, self.forced_width)) if self.folded and forced else None
-        self.offset = np.zeros((batch, 1, self.forced_width)) if stop and not forced else None
-        self.lower, self.upper = np.zeros((2, batch, 1, 4 * stop))
+        self.offset = np.zeros((batch, _BLOCK, 1, self.forced_width)) if stop and not forced else None
+        self.lower, self.upper = np.zeros((2, batch, 1, 1, 4 * stop))
         self.pieces = np.zeros((batch, stop), dtype=np.intp)
         self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
         self.inside = np.zeros(batch, dtype=bool)  # state inside ``pieces``
@@ -590,6 +504,11 @@ class _Regions:
         # which one is read again; per member, the step after which it is
         # read again while outside, and the wait after that
         self.steps, self.next_read = 0, 0
+        # the next pass's length and the most it may reach: a block, or one
+        # step for the edge-list and node-by-node forms; with no triple a
+        # pass never fails
+        self.most = _BLOCK if self.folded else 1
+        self.length = 1 if stop else _BLOCK
         self.due, self.retry = np.zeros(batch, dtype=np.intp), np.ones(batch, dtype=np.intp)
         # past ``_STATE_SPACE`` a build costs the four stages of many steps;
         # per member, the step of its last build and the region its last
@@ -600,14 +519,16 @@ class _Regions:
 
     def _gathers(self, x):
         """The gather entries of the row states x (R, 1, n): shape (R, K)."""
-        return np.concatenate([(x @ term.gather).reshape(len(x), -1) for _, _, term, _ in self.terms]
-                              + [np.zeros((len(x), 0))], axis=1)
+        parts = [(x @ term.gather).reshape(len(x), -1) for *_, term, _ in self.terms]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts + [np.zeros((len(x), 0))], axis=1)
 
     def enter(self, x, rows):
         """Read the regions of the members ``rows`` from their states
         x[rows] and rebuild the step of each whose region changed.  A
         member outside every region is read again only when due: after 1,
         2, 4, … steps, at most a block, for as long as it stays outside."""
+        if not self.anyone and self.steps < self.next_read:
+            return
         rows = rows[self.inside[rows] | (self.due[rows] <= self.steps)]
         if not rows.size:
             return
@@ -665,26 +586,26 @@ class _Regions:
                 jac = jac + _summed(jac_part, slope, size * size).reshape(jac.shape)
                 shift = shift + _summed(shift_part, intercept, size)[:, None]
             bounds[:, cols] = piece[..., :2]
-        self.step[rows] = _affine_step(jac, self.dt, self.gather)
+        self.step[rows] = affine_step(jac, self.dt, self.gather)
         self.jac_r[rows], self.shift[rows] = jac, shift
         if self.weights is not None:
-            self.weights[rows] = _forcing_weights(_stage_weights(self.dt * jac, self.dt, self.gather))
+            self.weights[rows] = forcing_weights(stage_weights(self.dt * jac, self.dt, self.gather))
         if self.offset is not None:
             shifts = np.broadcast_to(shift, (count, 3, size))
-            self.offset[rows] = _stage_forcing(shifts, jac, self.dt, self.gather)[:, 0]
+            self.offset[rows] = stage_forcing(shifts, jac, self.dt, self.gather)
         self.ready[rows] = True
         self.built[rows] = self.steps
         if self.entries:  # every stage's gathers, as the step or the stage states give them
-            self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None]
-            self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None]
+            self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None, None]
+            self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None, None]
         if self.forcing is not None:
             self.forcing[rows] = self._forcing(self.table[:, rows], rows)
 
     def _forcing(self, table, rows):
         f = table[:, :, 0].transpose(1, 0, 2) + self.shift[rows]  # e_r joins the forcing rows
         if self.weights is None:
-            return _stage_forcing(f, self.jac_r[rows], self.dt)
-        return _affine_forcing(f, self.weights[rows], self.dt / 6.0)
+            return stage_forcing(f, self.jac_r[rows], self.dt)
+        return affine_forcing(f, self.weights[rows], self.dt / 6.0)
 
     def tabulate(self, table):
         """Take the forcing table of a new block; its rows for the step
@@ -692,29 +613,51 @@ class _Regions:
         self.table = table
         self.forcing = self._forcing(table, slice(None)) if self.anyone else None
 
-    def advance(self, x, j):
-        """The step j of the block from x: (x_next, rows), with rows the
-        members that must take the four-stage step instead (None if none),
-        and x_next None when no member is inside a region (rows None too
-        while none is due to be read again)."""
-        self.steps += 1
+    def advance(self, store, k, j, steps):
+        """A pass of region steps from the stored state at step k, the
+        block's step j, with ``steps`` left in the block: (taken, rows),
+        the steps stored from row k + 1 on and the members that must take
+        the four-stage step on the last of them instead (None if none).
+        Each step is one product with the step plus its forcing row; the
+        stage gathers of every step are checked once, when the pass ends.
+        The pass keeps its steps up to the first that some member fails;
+        that member, or every member while none is inside, falls back
+        there.  A pass takes one step while some member is outside, else
+        ``length`` steps, at most ``steps``; ``length`` doubles after a
+        pass that held, up to ``most``, and drops to one after one that
+        did not.  A member's products and checks are the same whatever the
+        pass's length and batch."""
         if not self.anyone:
-            return None, np.arange(len(x)) if self.steps >= self.next_read else None
-        y = x @ self.step
-        shift = self.offset if self.forcing is None else self.forcing[:, j]
-        if shift is not None:
-            y[..., :self.forced_width] += shift
+            self.steps += 1
+            return 1, np.arange(len(store))
+        span = min(self.length if self.everyone else 1, steps)
+        x, n = store[:, k], self.size
+        ys = np.empty((len(x), span, 1, self.step.shape[-1]))
+        shift = self.offset if self.forcing is None else self.forcing
+        for i in range(span):
+            y = ys[:, i]
+            np.matmul(x, self.step, out=y)
+            if shift is not None:
+                y[..., :self.forced_width] += shift[:, j + i]
+            x = y[..., :n]
+        store[:, k + 1:k + span + 1] = ys[..., :n]
         if not self.entries:  # no triple: one region, always held
-            return y, None
-        if self.folded:
-            gathers = y[..., self.size:]
-        else:  # the gathers of the stage states x, X₂, X₃ and X₄
-            stages = np.concatenate([x, y[..., self.size:]], axis=-1)
-            gathers = self._gathers(stages.reshape(-1, 1, self.size)).reshape(self.lower.shape)
+            self.steps += span
+            return span, None
+        gathers = ys[..., n:]
+        if not self.folded:  # the gathers of the stage states x, X₂, X₃ and X₄
+            stages = np.concatenate([store[:, k:k + span], gathers], axis=-1)
+            gathers = self._gathers(stages.reshape(-1, 1, n)).reshape(ys.shape[:-1] + (-1,))
         held = (self.lower <= gathers) & (gathers <= self.upper)
         if self.everyone and held.all():
-            return y[..., :self.size], None
-        return y[..., :self.size], np.flatnonzero(~(held.all(axis=(1, 2)) & self.inside))
+            self.steps += span
+            self.length = min(2 * self.length, self.most)
+            return span, None
+        held = held.all(axis=(2, 3)) & self.inside[:, None]
+        taken = int(held.all(axis=0).argmin()) + 1
+        self.steps += taken
+        self.length = 1
+        return taken, np.flatnonzero(~held[:, taken - 1])
 
 
 class _Folded:
@@ -724,13 +667,13 @@ class _Folded:
     RK4 on x' = x·Jᵀ + f(t) + Σ kernel(X·G)·S is the region step with each
     stage's kernel output φ_r a term that enters stage r alone.  In a
     buffer (n + 4K, B), one product of [M | P₂G | P₃G | P₄G | G]ᵀ
-    (:func:`_affine_step` at zero slopes) with the states (n, B), plus the
+    (:func:`affine_step` at zero slopes) with the states (n, B), plus the
     block's forcing rows (m, n + 3K, B), gives x_{k+1}, the gathers of
     stages 2-4 and x_k·G as contiguous row blocks.  Then, per stage and
     triple, the kernel reads its (K, B) block, and φ_r, times the
     coupling's gains as a row (at one gain they sit in R_r), reaches
     x_{k+1} and the later gathers through one product with R_rᵀ =
-    (S·W_r)ᵀ (:func:`_stage_weights`), added in place.  Where J differs
+    (S·W_r)ᵀ (:func:`stage_weights`), added in place.  Where J differs
     per gain (linear coupling), each product is batched over the columns,
     one matrix per gain.  Two buffers are written by turns, so a product
     never reads the buffer it writes.  Past ``_STATE_SPACE`` the four
@@ -745,9 +688,9 @@ class _Folded:
         gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
         entries = gather.shape[1]
         reach = size + 3 * entries  # the rows a stage-local term reaches
-        stage_weights = _stage_weights(dt * jac_t, dt, gather)
-        self.weights = _forcing_weights(stage_weights) if forced else None
-        self.step = _affine_step(jac_t, dt, gather).transpose(0, 2, 1)[pick].copy()
+        weights = stage_weights(dt * jac_t, dt, gather)
+        self.weights = forcing_weights(weights) if forced else None
+        self.step = affine_step(jac_t, dt, gather).transpose(0, 2, 1)[pick].copy()
         self.sixth, self.forcing, self.turn = dt / 6.0, None, 0
         stages = []  # (kernel, gather rows, R_rᵀ, rows reached, gains row or None)
         # each stage's gathers start at x_k·G (last), then X₂G, X₃G and X₄G
@@ -755,7 +698,7 @@ class _Folded:
             for term in terms:
                 gains, scatter = term.factors if term.factors and batch > 1 else (None, term.scatter)
                 stages.append((term.kernel, slice(first, first + term.gather.shape[1]),
-                               (scatter @ stage_weights[r]).transpose(0, 2, 1)[pick].copy(),
+                               (scatter @ weights[r]).transpose(0, 2, 1)[pick].copy(),
                                size if r == 3 else reach, gains))
                 first += term.gather.shape[1]
         buffers = []
@@ -769,7 +712,7 @@ class _Folded:
 
     def tabulate(self, table):
         """Take the forcing table of a new block: the step's forcing rows."""
-        g = _affine_forcing(table[:, :, 0].transpose(1, 0, 2), self.weights, self.sixth)[:, :, 0]
+        g = affine_forcing(table[:, :, 0].transpose(1, 0, 2), self.weights, self.sixth)[:, :, 0]
         self.forcing = g.transpose(1, 2, 0).copy()
 
     def advance(self, x, j):

@@ -151,6 +151,32 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # two in-process runs of one command share the parser and write
+    # byte-identical files; a bad argument still exits 2 and leaves the
+    # parser as it was
+    from pwsync import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        argv = ["certify", "--scenario", "relay5", "--seed", "2"]
+        for out in ("a", "b"):
+            assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--scenario", "relay5", "--c", "ten"])
+        assert exc.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    for name in ("report.txt", "report.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
 def test_simulate_divergence_exits_three(tmp_path):
     ini = tmp_path / "runaway.ini"
     ini.write_text(DIVERGING_INI)

@@ -12,7 +12,11 @@ state-dependent term, and relay5, chua10, ikeda10-nonlinear and, over its
 edge list, ikeda100-pws while their piecewise-linear terms stay in one
 piece), the folded step of dense runs with no region step (kuramoto4)
 and the four stages may differ, which reaches a few 1e-14·max|x|, and nothing a changed
-formula or a step taken across a breakpoint would produce.
+formula or a step taken across a breakpoint would produce.  Region steps
+go in passes of up to 64 steps (one step over an edge list or node by
+node) whose stage gathers are checked once per pass; a pass keeps its
+steps up to the first one that leaves the region, so its trajectory is
+that of one region step at a time.
 
 A change that moves a trajectory on purpose rewrites the files with
 

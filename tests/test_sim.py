@@ -747,36 +747,47 @@ def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
 
 
 class _RegionSpy(sim._Regions):
-    """``_Regions`` that records itself and counts, per call of ``advance``,
-    the members that took the region step, the members it built, and the
-    steps taken from a state holding inf."""
+    """``_Regions`` that records itself and counts, per step inside each
+    pass, the members that took the region step and those that took the
+    four stages, the members it built, the steps taken from a state
+    holding inf, and each pass as (steps taken, members that fell back on
+    its last step)."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.region_steps, self.four_stage_steps, self.builds, self.overflows = [], [], 0, 0
+        self.passes = []
         self.made.append(self)
 
     def _build(self, rows):
         self.builds += len(rows)
         super()._build(rows)
 
-    def advance(self, x, j):
-        self.overflows += bool(np.isinf(x).any())
-        x_next, rows = super().advance(x, j)
-        fell_back = len(x) if x_next is None else 0 if rows is None else rows.size
-        self.region_steps.append(len(x) - fell_back)
-        self.four_stage_steps.append(fell_back)
-        return x_next, rows
+    def advance(self, store, k, j, steps):
+        taken, rows = super().advance(store, k, j, steps)
+        batch, fell_back = len(store), 0 if rows is None else rows.size
+        self.overflows += int(np.isinf(store[:, k:k + taken]).any(axis=(0, 2, 3)).sum())
+        self.region_steps += [batch] * (taken - 1) + [batch - fell_back]
+        self.four_stage_steps += [0] * (taken - 1) + [fell_back]
+        self.passes.append((taken, fell_back))
+        return taken, rows
+
+
+class _StepByStep(_RegionSpy):
+    """``_RegionSpy`` whose passes take one step each."""
+
+    def advance(self, store, k, j, steps):
+        return super().advance(store, k, j, 1)
 
 
 class _FourStageOnly(sim._Regions):
-    """``_Regions`` whose every step falls back: the four-stage step on the
-    same triples."""
+    """``_Regions`` whose every pass is one step on which every member
+    falls back: the four-stage step on the same triples."""
 
-    def advance(self, x, j):
-        return None, np.arange(len(x))
+    def advance(self, store, k, j, steps):
+        return 1, np.arange(len(store))
 
 
 class _FoldedSpy(sim._Folded):
@@ -995,6 +1006,52 @@ def test_a_batch_in_different_regions_equals_single_runs(monkeypatch):
         assert traj.states.shape == single.states.shape
         assert float(np.abs(traj.states - single.states).max()) <= 1e-13 * float(np.abs(single.states).max())
     _assert_sweep_matches_scalar_runs(scenario, gains)
+
+
+def test_a_member_leaving_its_region_mid_pass_falls_back_where_single_steps_do(monkeypatch):
+    # relay5 and chua10 at their benchmark horizons, and three chua10 gains
+    # in different regions, leave a region in the middle of a pass: against
+    # passes of one step every fallback lands on the same step, and the runs
+    # are bit for bit the same; against the four stages they agree to
+    # rounding
+    made = _spy(monkeypatch)
+    for name, gains in (("relay5", None), ("chua10", None), ("chua10", [2.0, 10.0, 40.0])):
+        scenario = _bench_scenario(name, 1)
+        gains = gains or [scenario.coupling.c]
+        made.clear()
+        runs = []
+        for regions in (_RegionSpy, _StepByStep, _FourStageOnly):
+            monkeypatch.setattr(sim, "_Regions", regions)
+            runs.append(_run(scenario, gains))
+        passes, steps = made
+        assert any(taken > 1 and fell_back for taken, fell_back in passes.passes), name
+        assert {taken for taken, _ in steps.passes} == {1}, name
+        assert passes.four_stage_steps == steps.four_stage_steps, name
+        for fast, single, slow in zip(*runs):
+            assert np.array_equal(fast.states, single.states), name
+            peak = float(np.abs(slow.states).max())
+            assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * peak, name
+
+
+def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
+    # relay5, chua10 and ikeda10-nonlinear at their benchmark horizons take
+    # at least 95 % of their steps in passes longer than one, up to a
+    # block; the edge list of ikeda100-pws takes one step per pass, whose
+    # 4·K gather entries stay within sim._DENSE
+    made = _spy(monkeypatch)
+    for name in _BENCH_RUNS:
+        for seed in (0, 1, 2):
+            scenario = _bench_scenario(name, seed)
+            made.clear()
+            (traj,) = _run(scenario, [scenario.coupling.c])
+            (regions,) = made
+            steps = [taken for taken, _ in regions.passes]
+            assert sum(steps) == len(regions.region_steps) == traj.times.shape[0] - 1, name
+            if name == "ikeda100-pws":
+                assert max(steps) == 1 and 4 * regions.entries <= sim._DENSE, name
+            else:
+                assert max(steps) == sim._BLOCK, name
+                assert sum(taken for taken in steps if taken > 1) >= 0.95 * sum(steps), (name, seed)
 
 
 def test_a_member_diverging_during_region_steps_ends_its_trajectory(monkeypatch):
