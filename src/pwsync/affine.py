@@ -6,7 +6,7 @@ and g_k the step's forcing row.  These helpers build M and the stage
 matrices beside it, the weights by which a term entering one stage
 reaches the next state and the later stages, and the forcing rows of a
 block of steps, each from a few batched products.  :mod:`pwsync.sim`
-steps linear regions and folds the stage terms of dense runs with them.
+steps linear regions and chains the stage terms of dense runs with them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def stage_weights(a, dt: float, gather):
     A) and X₄ through dt·I; stage 4's through dt/6·I.  The forcing f_k
     enters stage 1, f_{k+½} stages 2 and 3 and f_{k+1} stage 4
     (:func:`affine_forcing`); a dense triple's kernel output enters the
-    stage whose gather it reads, through S·W_r (the folded step of
+    stage whose gather it reads, through S·W_r (the chained step of
     :mod:`pwsync.sim`)."""
     eye = np.eye(a.shape[-1])
     gather = np.broadcast_to(gather, a.shape[:-1] + gather.shape[-1:])

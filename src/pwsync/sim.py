@@ -28,10 +28,10 @@ pieces, its region, takes RK4's step exactly: x ← x·M + g, with M =
 R(dt·J_rᵀ) built when its region changes.  Region steps go in passes of
 up to a block, one product per step, and each pass checks the stage
 gathers of all its steps at once.  A dense run that no region
-step can carry (the hard sign and sin declare no pieces) takes the folded
-step, held batch-minor, one column per gain: one product plus, per stage
-and triple, the kernel on a contiguous block and one small product.
-Otherwise a step is RK4's four stages.
+step can carry (the hard sign and sin declare no pieces) takes the
+chained step, a block of steps per call: each step owns one column of a
+buffer, and its four products and the kernels, run in place on that
+column, carry it to the next.  Otherwise a step is RK4's four stages.
 
 Switching fields are integrated with small steps plus an optional
 boundary-layer sign regularization instead of an event-driven sliding
@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -56,6 +57,7 @@ from .certify import CertifyError, CouplingSpec
 from .csvformat import write_csv
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
 from .graph import Topology, build_laplacian
+from .sparse import EdgeScatter, Incidence, NodeGather, NodeScatter, sparse_parts, summed
 
 __all__ = [
     "SimError",
@@ -80,8 +82,12 @@ _DENSE = 32768
 # most N·dim times the batch size of a run whose node-by-node or edge-list
 # triples take region steps: past it the step [M_r | P₂ | P₃ | P₄] and its
 # rebuilds cost more than the four stages (the measured crossover); past it
-# too, a dense run's steps are not folded, and a region is built only once
-# it holds for a block (see :class:`_Folded` and :class:`_Regions`)
+# too, a dense run takes the four stages instead of the chained step, and
+# a region is built only once it holds for a block (see :class:`_Chained`
+# and :class:`_Regions`).  At one gain on relay nets with the hard sign the
+# chained step breaks even with the four stages at about 230 states (225:
+# 39-48 against 41-49 ms for 400 steps; 240: 52-55 against 41-46 ms), the
+# step it replaced at about 215 on the same host
 _STATE_SPACE = 256
 
 
@@ -190,16 +196,16 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     to a block while every member is inside (one step for the edge-list
     and node-by-node forms), the length doubling after a pass that held.
     A run with no triple is one region.  A run with no region step whose
-    triples are dense, with no
-    hand-built field and N·dim times the batch size at most
-    ``_STATE_SPACE`` (sin coupling, the hard sign) takes the folded step
-    (:class:`_Folded`); any other run the four stages.  The steps agree to
-    rounding (region steps and the four stages about 1e-13 relative over
-    the 15 000 steps of ikeda10-linear, 3.4e-14 of max|x| on relay5, 2e-16
-    on ikeda100-pws; the folded step and the four stages 6.2e-14 of max|x|
-    over kuramoto4's first 2000 steps at one gain or six, 5.5e-13 over its
-    40 000, and 1.4e-13 on relay5 with the hard sign at six gains), and so
-    do the dense and the edge-list form of a triple.
+    triples are dense, with no hand-built field and N·dim times the batch
+    size at most ``_STATE_SPACE`` (sin coupling, the hard sign) takes the
+    chained step, a block per call (:class:`_Chained`); any other run the
+    four stages.  The steps agree to rounding (region steps and the four
+    stages about 1e-13 relative over the 15 000 steps of ikeda10-linear,
+    3.4e-14 of max|x| on relay5, 2e-16 on ikeda100-pws; the chained step
+    and the four stages 5.5e-14 of max|x| over kuramoto4's first 2000
+    steps at one gain or six, 2.1e-12 over its 40 000, and 1.9e-13 on
+    relay5 with the hard sign at six gains, seeds 0-2), and so do the dense
+    and the edge-list form of a triple.
     """
     n_nodes = topo.n_nodes
     if len(fields) != n_nodes:
@@ -245,12 +251,12 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     if (closure is None and (jac_t is not None or terms) and all(term.pieces is not None for term in terms)
             and (dense or size * gains.size <= _STATE_SPACE)):
         regions = _Regions(jac_t, terms, gains.size, size, dt, bool(forced))
-    folded = None
-    if regions is None and closure is None and dense and size * gains.size <= _STATE_SPACE:
-        folded = _Folded(jac_t, terms, gains.size, size, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
     # delayed reads need no row past the one stored at the start
     block = min([_BLOCK] + [int(f.delay // dt) for f in fields if f.delay is not None])
+    chained = None
+    if regions is None and closure is None and dense and size * gains.size <= _STATE_SPACE:
+        chained = _Chained(jac_t, terms, gains.size, size, dt, bool(forced), min(block, n_steps))
 
     def rhs(t, stage, x):
         out = None if table is None else table[stage]
@@ -288,7 +294,7 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
             stop = min(start + block, n_steps)
             if forced:
                 table = _forcing_table(forced, times[start:stop + 1], history, sgn)
-                for stepper in filter(None, (regions, folded)):
+                for stepper in filter(None, (regions, chained)):
                     stepper.tabulate(table)
             k = start
             while regions is not None and k < stop:  # passes of region steps
@@ -298,9 +304,12 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
                 if out is not None:
                     x[out] = staged(k - 1, store[:, k - 1])[out]
                     regions.enter(x, out)
-            for k in range(k, stop):
-                x = staged(k, x) if folded is None else folded.advance(x, k - start)
-                store[:, k + 1] = x
+            if chained is not None:
+                chained.advance(store, k, stop - k)
+            else:
+                for k in range(k, stop):
+                    x = staged(k, x)
+                    store[:, k + 1] = x
             # a member ends at the step before its block's first row whose
             # max|x| is not ≤ the threshold, and restarts from zero, its
             # stored rows too, which its delayed terms read
@@ -385,47 +394,6 @@ def _forcing_table(forced, times, history, sgn):
     return table.reshape(ts.size, len(table[0]), 1, -1)
 
 
-def _summed(part, values, width: int):
-    """Per member, Σ values[entry]·weight into the slots of a row of
-    ``width``, with ``part`` the (slots, entries, weights) of
-    :func:`_sparse_parts` and ``values`` (R, K): shape (R, width)."""
-    slots, entries, weights = part
-    rows = len(values)
-    at = (np.arange(rows)[:, None] * width + slots).reshape(-1)
-    return np.bincount(at, (values[:, entries] * weights).reshape(-1), rows * width).reshape(rows, width)
-
-
-def _sparse_parts(term, size: int):
-    """How J_rᵀ and e_r of a node-by-node or edge-list triple follow from
-    the slope s_k and intercept i_k of each gather entry k (in the order of
-    ``x @ G`` flattened), read off its edge list or per-node blocks, never
-    off a dense G or S: J_rᵀ gains s_k·G[p, k]·S[k, q] at the flat slot
-    p·n + q, and e_r gains i_k·S[k, q] at q, each times the member's factor
-    of S (the coupling's gains) when it has one.  Returns K, the (slots,
-    entries, weights) of J_rᵀ and of e_r, and the factors or None."""
-    gather, scatter = term.gather, term.scatter
-    if isinstance(gather, _Incidence):  # entry (edge i ← j, component): x_j − x_i, times w_ij into i
-        dim = size // gather.n_nodes
-        comp = np.arange(dim)
-        into = (gather.rows[:, None] * dim + comp).reshape(-1, 1)
-        reads = np.concatenate([(gather.cols[:, None] * dim + comp).reshape(-1, 1), into], axis=1)
-        read_w = np.broadcast_to([1.0, -1.0], reads.shape)
-        write_w = np.broadcast_to(scatter.weights, (len(gather.rows), dim)).reshape(-1, 1)
-        scale = scatter.gains[:, 0, 0]
-    else:  # entry (node, kernel column): that column of the node's gather block, row of its scatter
-        n, dim, width = gather.blocks.shape
-        into = np.broadcast_to((gather.idx[:, None] * dim + np.arange(dim))[:, None], (n, width, dim))
-        reads = into = into.reshape(n * width, dim)
-        read_w = gather.blocks.transpose(0, 2, 1).reshape(n * width, dim)
-        write_w, scale = scatter.blocks.reshape(n * width, dim), None
-    entries = np.arange(len(reads))[:, None]
-    slots = reads[:, :, None] * size + into[:, None, :]
-    jac = (slots.reshape(-1), np.broadcast_to(entries[:, :, None], slots.shape).reshape(-1),
-           (read_w[:, :, None] * write_w[:, None, :]).reshape(-1))
-    shift = (into.reshape(-1), np.broadcast_to(entries, into.shape).reshape(-1), write_w.reshape(-1))
-    return len(reads), jac, shift, scale
-
-
 class _Regions:
     """The linear region of each batch member of a run whose triples are
     all piecewise affine, and the one-product step of that region.
@@ -440,7 +408,7 @@ class _Regions:
     Otherwise the step gives the stage states, [M_r | P₂ | P₃ | P₄], the
     triples' own gathers read them, and the edge-list or node-by-node part
     of J_rᵀ and e_r is summed from the edge list or the per-node blocks
-    (:func:`_sparse_parts`), never from a dense G or S.  A step holds
+    (:func:`pwsync.sparse.sparse_parts`), never from a dense G or S.  A step holds
     only when all four stage gathers lie in the region's closed intervals.
     Steps go in passes (:meth:`advance`), one product each, whose stage
     gathers are checked together when the pass ends; the pass keeps its
@@ -475,7 +443,7 @@ class _Regions:
             if isinstance(term.gather, np.ndarray):
                 width = term.gather.shape[1]
             else:
-                width, *sparse = _sparse_parts(term, size)
+                width, *sparse = sparse_parts(term, size)
             cols = slice(stop, stop + width)
             self.terms.append((cols, np.array(term.pieces, dtype=float), term, sparse))
             stop = cols.stop
@@ -583,8 +551,8 @@ class _Regions:
                 jac_part, shift_part, scale = sparse
                 if scale is not None:
                     slope, intercept = slope * scale[rows, None], intercept * scale[rows, None]
-                jac = jac + _summed(jac_part, slope, size * size).reshape(jac.shape)
-                shift = shift + _summed(shift_part, intercept, size)[:, None]
+                jac = jac + summed(jac_part, slope, size * size).reshape(jac.shape)
+                shift = shift + summed(shift_part, intercept, size)[:, None]
             bounds[:, cols] = piece[..., :2]
         self.step[rows] = affine_step(jac, self.dt, self.gather)
         self.jac_r[rows], self.shift[rows] = jac, shift
@@ -660,74 +628,114 @@ class _Regions:
         return taken, np.flatnonzero(~held[:, taken - 1])
 
 
-class _Folded:
+class _Chained:
     """The step of a run whose triples are all dense and that takes no
-    region step, held batch-minor: one column per gain.
+    region step, a block of steps per call.
 
-    RK4 on x' = x·Jᵀ + f(t) + Σ kernel(X·G)·S is the region step with each
-    stage's kernel output φ_r a term that enters stage r alone.  In a
-    buffer (n + 4K, B), one product of [M | P₂G | P₃G | P₄G | G]ᵀ
-    (:func:`affine_step` at zero slopes) with the states (n, B), plus the
-    block's forcing rows (m, n + 3K, B), gives x_{k+1}, the gathers of
-    stages 2-4 and x_k·G as contiguous row blocks.  Then, per stage and
-    triple, the kernel reads its (K, B) block, and φ_r, times the
-    coupling's gains as a row (at one gain they sit in R_r), reaches
-    x_{k+1} and the later gathers through one product with R_rᵀ =
-    (S·W_r)ᵀ (:func:`stage_weights`), added in place.  Where J differs
-    per gain (linear coupling), each product is batched over the columns,
-    one matrix per gain.  Two buffers are written by turns, so a product
-    never reads the buffer it writes.  Past ``_STATE_SPACE`` the four
-    stages are faster (at one gain, 240 relay states break even); a region
-    run's few fallback steps do not pay for building this step.
+    RK4 on x' = x·Jᵀ + f(t) + Σ kernel(X·G)·S is the region step of the
+    linear part (:func:`affine_step` at zero slopes) with each stage's
+    kernel output φ_r a term that enters stage r alone and reaches x_{k+1}
+    and the later stage gathers through R_r = S·W_r (:func:`stage_weights`).
+    Step j of a block owns column j of one buffer, rows [g_j | x_j | φ₁ |
+    φ₂ | φ₃ | φ₄]: its forcing rows (none without forcing), its state and
+    each stage's gathers, which the kernels overwrite with their output,
+    times the coupling's gains as a row (at one gain they sit in R_r).
+    Stage 1's gathers are there when the step starts; stage r's, r = 2,
+    3, 4, are one product of the rows above them with A_r, which holds
+    P_rG, the identity on stage r's forcing rows and R_s on stage r's
+    gathers for s < r.  One product of the whole column with [L | L·G], L
+    the weights of x_{k+1} (the identity on its forcing rows, M and R_r),
+    writes x_{k+1} and stage 1's gathers into the next column.  A step is
+    thus its kernels and four products.  Where J differs per gain (linear
+    coupling), each gain's rows sit together and every product is batched
+    over the gains, one matrix per gain.  Past ``_STATE_SPACE`` the four
+    stages are faster; a region run's few fallback steps do not pay for
+    building this step.
     """
 
-    def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
+    def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool, steps: int):
         jac_t = np.zeros((1, size, size)) if jac_t is None else jac_t
         shared = (jac_t == jac_t[0]).all()  # one J for every gain: 2-D products
-        jac_t, pick = (jac_t[:1], 0) if shared else (jac_t, slice(None))
+        jac_t = jac_t[:1] if shared else jac_t
         gather = np.concatenate([term.gather for term in terms] + [np.zeros((size, 0))], axis=1)
-        entries = gather.shape[1]
-        reach = size + 3 * entries  # the rows a stage-local term reaches
+        n, entries = size, gather.shape[1]
+        reach = n + 3 * entries  # the rows a stage-local term reaches: x_{k+1} and stages 2-4's gathers
+        lead = reach if forced else 0  # forcing rows
         weights = stage_weights(dt * jac_t, dt, gather)
         self.weights = forcing_weights(weights) if forced else None
-        self.step = affine_step(jac_t, dt, gather).transpose(0, 2, 1)[pick].copy()
-        self.sixth, self.forcing, self.turn = dt / 6.0, None, 0
-        stages = []  # (kernel, gather rows, R_rᵀ, rows reached, gains row or None)
-        # each stage's gathers start at x_k·G (last), then X₂G, X₃G and X₄G
-        for r, first in enumerate([reach] + [size + r * entries for r in range(3)]):
-            for term in terms:
-                gains, scatter = term.factors if term.factors and batch > 1 else (None, term.scatter)
-                stages.append((term.kernel, slice(first, first + term.gather.shape[1]),
-                               (scatter @ weights[r]).transpose(0, 2, 1)[pick].copy(),
-                               size if r == 3 else reach, gains))
-                first += term.gather.shape[1]
-        buffers = []
-        for y in np.zeros((2, reach + entries, batch)):
-            v = y if shared else y.T[:, :, None]  # the products' view: (rows, B) or (B, rows, 1)
-            ops = [(kernel, v[..., rows, :], weight, v[..., :width, :], gains)
-                   for kernel, rows, weight, width, gains in stages]
-            buffers.append((v, y[:reach], ops, y[:size].T[:, None], v[..., :size, :]))
-        # turn t writes buffer t from the state held in the other
-        self.turns = [buffers[t][:4] + buffers[1 - t][3:] for t in (0, 1)]
+        self.sixth = dt / 6.0
+        step = affine_step(jac_t, dt, gather)
+        triples, scatters, first = [], [], 0  # (kernel, first and end row in φ, gains or None)
+        for term in terms:
+            gains, scatter = term.factors if term.factors and shared and batch > 1 else (None, term.scatter)
+            width = term.gather.shape[1]
+            if gains is not None:  # full (K, B): a broadcast row costs the ufunc about twice as long
+                gains = np.broadcast_to(gains, (width, batch)).copy()
+            triples.append((term.kernel, first, first + width, gains))
+            scatters.append(scatter)
+            first += width
+        reached = [np.concatenate([s @ w for s in scatters] + [w[:, :0]], axis=1) for w in weights]  # R_r
+        eye = np.broadcast_to(np.eye(reach)[:, :lead], (len(jac_t), reach, lead))
+        stages = []
+        for r in (1, 2, 3):
+            cols = slice(n + (r - 1) * entries, n + r * entries)
+            stages.append(np.concatenate([eye[:, cols], step[..., cols].swapaxes(1, 2)]
+                                         + [w[..., cols].swapaxes(1, 2) for w in reached[:r]], axis=-1))
+        lin = np.concatenate([eye[:, :n], step[..., :n].swapaxes(1, 2)]
+                             + [w[..., :n].swapaxes(1, 2) for w in reached], axis=-1)
+        self.step = np.concatenate([lin, gather.T @ lin], axis=1)
+        rows, x0, phi = lead + n + 4 * entries, lead, lead + n
+        if shared:  # one column (rows, B) per step, 2-D products
+            buf = np.zeros((steps + 1, rows, batch))
+            flat, product, self.step = buf.transpose(2, 0, 1), np.dot, self.step[0]
+            stages = [a[0].copy() for a in stages]
+        else:  # one column (B, rows, 1) per step, products batched over the gains
+            buf = np.zeros((steps + 1, batch, rows, 1))
+            flat, product = buf[..., 0].transpose(1, 0, 2), np.matmul
+
+        def rows_of(top, bottom, first=0):
+            """Rows [top, bottom) of each step's column, from column ``first`` on."""
+            cols = buf[first:first + steps]
+            return list(cols[:, top:bottom] if shared else cols[:, :, top:bottom])
+
+        # (B, steps + 1, rows): each step's forcing rows, the first state and those stored
+        self.forcing, self.state, self.states = flat[:, :, :lead], flat[:, 0, x0:phi], flat[:, 1:, x0:phi]
+        calls = []  # per call of a step, that call for every step of a block
+        for r in range(4):
+            top = phi + r * entries
+            if r:
+                calls.append(map(partial, repeat(product), repeat(stages[r - 1]), rows_of(0, top),
+                                 rows_of(top, top + entries)))
+            for kernel, start, stop, gains in triples:
+                ys = rows_of(top + start, top + stop)
+                calls.append(map(partial, repeat(kernel), ys, ys) if isinstance(kernel, np.ufunc)
+                             else map(partial, repeat(_overwrite), repeat(kernel), ys))
+                if gains is not None:
+                    calls.append(map(partial, repeat(np.multiply), ys, repeat(gains), ys))
+        calls.append(map(partial, repeat(product), repeat(self.step), rows_of(0, rows),
+                         rows_of(x0, phi + entries, 1)))
+        self.per_step = len(calls)
+        # the first state's gathers, then the steps
+        self.ops = [partial(product, gather.T.copy(), rows_of(x0, phi)[0], rows_of(phi, phi + entries)[0])]
+        self.ops += [call for step in zip(*calls) for call in step]
 
     def tabulate(self, table):
-        """Take the forcing table of a new block: the step's forcing rows."""
-        g = affine_forcing(table[:, :, 0].transpose(1, 0, 2), self.weights, self.sixth)[:, :, 0]
-        self.forcing = g.transpose(1, 2, 0).copy()
+        """Take the forcing table of a new block: the steps' forcing rows."""
+        g = affine_forcing(table[:, :, 0].transpose(1, 0, 2), self.weights, self.sixth)
+        self.forcing[:, :g.shape[1]] = g[:, :, 0]
 
-    def advance(self, x, j):
-        """The four-stage step j of the block from x, for the whole batch."""
-        out, into, ops, x_next, state, source = self.turns[self.turn]
-        self.turn ^= 1
-        if x is not state:  # the first step's state
-            state[...] = x
-        np.matmul(self.step, source, out=out)
-        if self.forcing is not None:
-            into += self.forcing[j]
-        for kernel, gathered, weight, target, gains in ops:
-            phi = kernel(gathered)
-            target += weight @ (phi if gains is None else phi * gains)
-        return x_next
+    def advance(self, store, k, steps):
+        """``steps`` steps of the whole batch from the stored state at step
+        k, their states stored from row k + 1 on in one copy."""
+        self.state[...] = store[:, k, 0]
+        for op in self.ops[:1 + steps * self.per_step]:
+            op()
+        store[:, k + 1:k + steps + 1, 0] = self.states[:, :steps]
+
+
+def _overwrite(kernel, y):
+    """y ← kernel(y), for a kernel that is no ufunc."""
+    np.copyto(y, kernel(y))
 
 
 class _Triple(NamedTuple):
@@ -760,8 +768,8 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     pieces = getattr(eta, "pieces", None)
     if n_nodes * n_edges * dim * dim * gains.size > _DENSE:
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        return _Triple(_Incidence(rows, cols, n_nodes), eta,
-                       _EdgeScatter(weights[:, None], starts, gains[:, None, None]), pieces)
+        return _Triple(Incidence(rows, cols, n_nodes), eta,
+                       EdgeScatter(weights[:, None], starts, gains[:, None, None]), pieces)
     edge = np.arange(n_edges)
     incidence = np.zeros((n_nodes, n_edges))
     incidence[cols, edge] += 1.0
@@ -773,34 +781,6 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * bare, pieces, (gains[None], bare))
 
 
-class _Incidence:
-    """``x @ G`` for the signed incidence over the edge list, x_j − x_i on
-    each directed edge (i ← j): row states (B, 1, N·dim) -> (B, E, dim)."""
-
-    __array_ufunc__ = None  # ndarray @ self defers to __rmatmul__
-
-    def __init__(self, rows, cols, n_nodes):
-        self.rows, self.cols, self.n_nodes = rows, cols, n_nodes
-
-    def __rmatmul__(self, x):
-        x = x.reshape(len(x), self.n_nodes, -1)
-        return x.take(self.cols, axis=1) - x.take(self.rows, axis=1)
-
-
-class _EdgeScatter:
-    """``y @ S`` over the edge list: c_b·Σ w·y over each node's edges, one
-    gain per member, (B, E, dim) -> row states (B, 1, N·dim)."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, weights, starts, gains):
-        self.weights, self.starts, self.gains = weights, starts, gains
-
-    def __rmatmul__(self, y):
-        summed = np.add.reduceat(self.weights * y, self.starts, axis=1)
-        return (self.gains * summed).reshape(len(y), 1, -1)
-
-
 def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
     """A family's rest on the nodes ``idx`` as a triple on row states (B, 1,
     N·dim): block-diagonal matrices while the gather's entries times the
@@ -809,40 +789,12 @@ def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
     n, dim, width = gather.shape
     kernel, pieces = partial(family.kernel, sgn=sgn), family.pieces(sgn)
     if n_nodes * dim * n * width * batch > _DENSE:
-        return _Triple(_NodeGather(gather, idx, n_nodes), kernel,
-                       _NodeScatter(scatter, idx, n_nodes), pieces)
+        return _Triple(NodeGather(gather, idx, n_nodes), kernel,
+                       NodeScatter(scatter, idx, n_nodes), pieces)
     pick = np.eye(n_nodes)[idx]
     return _Triple(np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width),
                    kernel, np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim),
                    pieces)
-
-
-class _NodeGather:
-    """``x @ G`` with per-node gather blocks (n, dim, k) on the nodes
-    ``idx``: row states (B, 1, N·dim) -> (B, n, 1, k)."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, blocks, idx, n_nodes):
-        self.blocks, self.idx, self.n_nodes = blocks, idx, n_nodes
-
-    def __rmatmul__(self, x):
-        return x.reshape(len(x), self.n_nodes, 1, -1)[:, self.idx] @ self.blocks
-
-
-class _NodeScatter:
-    """``y @ S`` with per-node scatter blocks (n, k, dim) into the nodes
-    ``idx``: (B, n, 1, k) -> row states (B, 1, N·dim)."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, blocks, idx, n_nodes):
-        self.blocks, self.idx, self.n_nodes = blocks, idx, n_nodes
-
-    def __rmatmul__(self, y):
-        out = np.zeros((len(y), self.n_nodes, 1, self.blocks.shape[-1]))
-        out[:, self.idx] = y @ self.blocks
-        return out.reshape(len(y), 1, -1)
 
 
 def _closure_term(fields, idx, n_nodes: int, sgn, history):

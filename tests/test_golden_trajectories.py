@@ -10,7 +10,7 @@ one, max|x| taken over the whole run.  That admits the rounding by which
 the one-product step of a linear region (every run with no
 state-dependent term, and relay5, chua10, ikeda10-nonlinear and, over its
 edge list, ikeda100-pws while their piecewise-linear terms stay in one
-piece), the folded step of dense runs with no region step (kuramoto4)
+piece), the chained step of dense runs with no region step (kuramoto4)
 and the four stages may differ, which reaches a few 1e-14·max|x|, and nothing a changed
 formula or a step taken across a breakpoint would produce.  Region steps
 go in passes of up to 64 steps (one step over an edge list or node by

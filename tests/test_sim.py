@@ -790,9 +790,9 @@ class _FourStageOnly(sim._Regions):
         return 1, np.arange(len(store))
 
 
-class _FoldedSpy(sim._Folded):
-    """``_Folded`` that records itself and counts the steps it takes and
-    those taken from a state holding inf."""
+class _ChainedSpy(sim._Chained):
+    """``_Chained`` that records itself and counts, block by block, the
+    steps it takes and the stored rows that hold inf."""
 
     made = []
 
@@ -801,10 +801,10 @@ class _FoldedSpy(sim._Folded):
         self.steps = self.overflows = 0
         self.made.append(self)
 
-    def advance(self, x, j):
-        self.steps += 1
-        self.overflows += bool(np.isinf(x).any())
-        return super().advance(x, j)
+    def advance(self, store, k, steps):
+        super().advance(store, k, steps)
+        self.steps += steps
+        self.overflows += int(np.isinf(store[:, k + 1:k + steps + 1]).any(axis=(2, 3)).sum())
 
 
 def _spy(monkeypatch):
@@ -813,10 +813,10 @@ def _spy(monkeypatch):
     return _RegionSpy.made
 
 
-def _spy_folded(monkeypatch):
-    _FoldedSpy.made = []
-    monkeypatch.setattr(sim, "_Folded", _FoldedSpy)
-    return _FoldedSpy.made
+def _spy_chained(monkeypatch):
+    _ChainedSpy.made = []
+    monkeypatch.setattr(sim, "_Chained", _ChainedSpy)
+    return _ChainedSpy.made
 
 
 def _run(scenario, gains):
@@ -857,31 +857,31 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
     # relay5's boundary-layer sign, Chua's knee and the pws coupling, the
     # edge list of ikeda100-pws included, take region steps on almost every
     # step at seeds 0-2, in the simulate and the sweep batch; the steps on
-    # which a member falls back take the four stages, never the folded step
-    made, folded = _spy(monkeypatch), _spy_folded(monkeypatch)
+    # which a member falls back take the four stages, never the chained step
+    made, chained = _spy(monkeypatch), _spy_chained(monkeypatch)
     runs = [(name, [None]) for name in _BENCH_RUNS] + [("ikeda10-nonlinear", [5.0, 12.5, 20.0])]
     for name, gains in runs:
         for seed in (0, 1, 2):
             scenario = _bench_scenario(name, seed)
             made.clear()
-            folded.clear()
+            chained.clear()
             _run(scenario, [scenario.coupling.c if c is None else c for c in gains])
             (regions,) = made
             taken, fell_back = sum(regions.region_steps), sum(regions.four_stage_steps)
             assert regions.entries > 0 and regions.folded is (name != "ikeda100-pws"), name
             assert fell_back <= 0.03 * (taken + fell_back), (name, seed, taken, fell_back)
-            assert folded == [], (name, seed)
-    # the hard sign and sin take the folded step on every step, and an edge
+            assert chained == [], (name, seed)
+    # the hard sign and sin take the chained step on every step, and an edge
     # list whose batch holds more than sim._STATE_SPACE entries the four
     # stages
     made.clear()
-    folded.clear()
+    chained.clear()
     _run(load_scenario("relay5", 0).with_sim(dt=5e-5, t_end=0.01, regularization_width=0.0), [50.0])
     _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.75])
     _run(load_scenario("kuramoto4", 0).with_sim(t_end=0.5), [0.5, 0.8, 1.1, 1.4, 1.7, 2.0])
-    assert [f.steps for f in folded] == [200, 500, 500]
+    assert [f.steps for f in chained] == [200, 500, 500]
     _run(_bench_scenario("ikeda100-pws", 0).with_sim(t_end=0.1), [10.0, 20.0, 30.0])
-    assert made == [] and len(folded) == 3
+    assert made == [] and len(chained) == 3
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_RUNS))
@@ -1123,7 +1123,7 @@ def _assert_matches_rk4_loop(scenario, gains, sgn):
 def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
     from pwsync.dynamics import hard_sgn
 
-    made = _spy_folded(monkeypatch)
+    made = _spy_chained(monkeypatch)
     kuramoto = load_scenario("kuramoto4", 1).with_sim(t_end=1.0)
     _assert_matches_rk4_loop(kuramoto, [kuramoto.coupling.c], hard_sgn)
     # six gains in one batch; uncoupled, the phase errors pass 0.35 on step
@@ -1157,14 +1157,33 @@ def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
     assert [f.steps for f in made] == [1000, 1000, 100, 100, 300]
 
 
+def test_two_dense_triples_share_each_stage_products(monkeypatch):
+    # relay nodes with the hard sign under sin coupling: the relay kernel
+    # and the coupling kernel both read the one gathers product of each
+    # stage, against classical RK4 at one gain and at three (where the
+    # coupling's gains multiply its kernel output as a row)
+    from pwsync.dynamics import hard_sgn
+
+    made = _spy_chained(monkeypatch)
+    scenario = _custom_scenario("relay4-sin", [relay_field(RelayParams())] * 4, ring_topology(4),
+                                CouplingSpec("nonlinear", c=20.0, eta=np.sin, upsilon=np.ones(3)),
+                                SimConfig(dt=5e-5, t_end=5e-3, regularization_width=0.0),
+                                np.random.default_rng(5).normal(scale=0.5, size=12))
+    _assert_matches_rk4_loop(scenario, [20.0], hard_sgn)
+    _assert_matches_rk4_loop(scenario, [5.0, 20.0, 40.0], hard_sgn)
+    assert [f.steps for f in made] == [100, 100]
+    # per step: two kernels and one product per stage, then the gains row
+    assert [f.per_step for f in made] == [12, 16]
+
+
 def test_a_gain_that_overflows_inside_a_block_ends_where_its_own_run_ends(monkeypatch):
     # the divergence guard reads a block's rows at its end, so a gain past
     # the threshold of 1e100 keeps stepping and overflows to inf before the
-    # block of 64 steps ends: relay5 with the hard sign (the folded step,
+    # block of 64 steps ends: relay5 with the hard sign (the chained step,
     # one matrix per gain) ends on step 15, chua10 (region steps) on step
     # 17.  No RuntimeWarning escapes, and every gain, the wild one
     # included, is bit for bit its own run
-    folded, made = _spy_folded(monkeypatch), _spy(monkeypatch)
+    chained, made = _spy_chained(monkeypatch), _spy(monkeypatch)
     cases = [("relay5", dict(dt=2e-4, t_end=0.02, regularization_width=0.0), [30.0, 1e5, 50.0], 15),
              ("chua10", dict(t_end=0.5), [2.0, 2000.0, 10.0], 17)]
     for name, kwargs, gains, end in cases:
@@ -1178,7 +1197,7 @@ def test_a_gain_that_overflows_inside_a_block_ends_where_its_own_run_ends(monkey
         for traj, single in zip(runs, singles):
             assert np.array_equal(traj.times, single.times), name
             assert np.array_equal(traj.states, single.states), name
-    assert folded[0].overflows > 0 and made[0].overflows > 0
+    assert chained[0].overflows > 0 and made[0].overflows > 0
 
 
 def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_limit(monkeypatch):
@@ -1193,10 +1212,10 @@ def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_l
                                 CouplingSpec("linear", c=50.0, gamma=np.ones(3)),
                                 SimConfig(dt=5e-5, t_end=0.02, regularization_width=1e-2),
                                 np.random.default_rng(0).normal(scale=0.5, size=300))
-    made, folded = _spy(monkeypatch), _spy_folded(monkeypatch)
+    made, chained = _spy(monkeypatch), _spy_chained(monkeypatch)
     (fast,) = _run(scenario, [50.0])
     (regions,) = made
-    assert regions.folded and regions.size > sim._STATE_SPACE and folded == []
+    assert regions.folded and regions.size > sim._STATE_SPACE and chained == []
     assert regions.builds <= 1 and sum(regions.four_stage_steps) >= 300, regions.builds
     monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
     (slow,) = _run(scenario, [50.0])
