@@ -40,6 +40,7 @@ kinks, so the same inputs always give the same certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Callable, Optional, Sequence
@@ -413,64 +414,53 @@ def check_quad_sampled(h: Callable, cert: QuadCertificate, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# sector certification for nonlinear couplings
+# sector bounds: min η(z)/z on 0 < z ≤ e_max in closed form, as exact ratios
 # ---------------------------------------------------------------------------
 
 
-def _trisect_min(fn: Callable, lo: float, hi: float, iters: int = 120) -> float:
-    """Minimum value of a locally unimodal scalar function on [lo, hi]."""
-    for _ in range(iters):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if fn(m1) <= fn(m2):
-            hi = m2
-        else:
-            lo = m1
-    return float(fn(0.5 * (lo + hi)))
+def _sin_sector(e: float) -> tuple:
+    """sin(e)/e from below: its series Σ (−e²)ⁿ/(2n+1)! summed exactly and
+    cut after a negative term under 2⁻⁶⁰ of the sum.  For e ≤ π the terms
+    shrink past n = 1, so the cut sum is below the limit by less than that."""
+    if e > math.pi:
+        raise CertifyError(f"the sin coupling has a sector bound only for e_max ≤ π, got {e:g}")
+    p, q = e.as_integer_ratio()
+    num = den = term = 1  # the sum and its latest term (−p²)ⁿ, both over den
+    for n in itertools.count(1):
+        scale = q * q * 2 * n * (2 * n + 1)
+        term *= -p * p
+        num, den = num * scale + term, den * scale
+        if n % 2 and -term << 60 < num:
+            return num, den
 
 
-def certify_upsilon(eta: Callable, e_max: float, grid_points: int = 4096,
-                    dim: int = 1, probe_radius: float = 100.0) -> np.ndarray:
-    """Componentwise sector lower bounds for an odd coupling function.
+def _pws_sector(e: float) -> tuple:
+    """1 up to z = 1, then z − 2 + 2/z, least at z = √2: √8 − 2, √8 from below."""
+    if e <= 1.0:
+        return 1, 1
+    if e < math.sqrt(2.0):  # the double √2 lies above √2, so this is e < √2
+        p, q = e.as_integer_ratio()
+        return p * p - 2 * p * q + 2 * q * q, p * q
+    return math.isqrt(8 << 200) - (2 << 100), 1 << 100
 
-    Returns, per component i, the largest υᵢ ≥ 0 found such that
-    z·ηᵢ(z·eᵢ) ≥ υᵢ·z² for 0 < |z| ≤ e_max; a grid scan refined by
-    bracketed trisection around the grid minimum.  Infinite e_max is
-    probed on ``probe_radius`` (callers should surface that the bound was
-    certified on a finite probe).  Raises when η fails the oddness spot
-    check or no component has a positive bound.
-    """
+
+_SECTOR_BOUNDS = {np.sin: _sin_sector, pws_coupling: _pws_sector}
+
+
+def certify_upsilon(eta: Callable, e_max: float, dim: int = 1) -> np.ndarray:
+    """υ with z·η(z) ≥ υ·z² on |z| ≤ e_max in each of ``dim`` components: the
+    closed form, rounded down, for ``np.sin`` (e_max ≤ π) and
+    :func:`pws_coupling` (any e_max); any other η needs its own υ."""
     if not e_max > 0.0:
         raise CertifyError("e_max must be positive")
-    if grid_points < 8:
-        raise CertifyError("grid_points must be at least 8")
-    radius = e_max if math.isfinite(e_max) else float(probe_radius)
-    zs = np.linspace(radius / grid_points, radius, grid_points)
-    out = np.empty(dim)
-    for i in range(dim):
-        def ratio(z, i=i):
-            z = np.asarray(z, dtype=float)
-            full = np.zeros(z.shape + (dim,))
-            full[..., i] = z
-            val = np.asarray(eta(full), dtype=float)[..., i]
-            return val / z
-
-        # oddness spot check on this axis
-        probes = np.array([radius * f for f in (0.17, 0.43, 0.71, 0.98)])
-        plus = ratio(probes) * probes
-        minus = ratio(-probes) * (-probes)
-        if np.max(np.abs(plus + minus)) > 1e-9 * max(1.0, np.max(np.abs(plus))):
-            raise CertifyError("coupling function must be componentwise odd")
-
-        vals = ratio(zs)
-        k = int(np.argmin(vals))
-        lo = zs[max(k - 1, 0)]
-        hi = zs[min(k + 1, grid_points - 1)]
-        refined = _trisect_min(lambda z: float(ratio(np.array([z]))[0]), float(lo), float(hi))
-        out[i] = max(min(float(vals[k]), refined), 0.0)
-    if out.max() <= 0.0:
-        raise CertifyError("coupling has no positive sector bound on any component")
-    return out
+    bound = next((b for f, b in _SECTOR_BOUNDS.items() if f is eta), None)  # η may be unhashable
+    if bound is None:
+        raise CertifyError(f"no closed-form sector bound for '{getattr(eta, '__name__', eta)}'; "
+                           "pass it as CouplingSpec(upsilon=...)")
+    num, den = bound(float(e_max))
+    ups = num / den  # int division rounds to nearest; step down where that rounded up
+    p, q = ups.as_integer_ratio()
+    return np.full(dim, ups if p * den <= num * q else math.nextafter(ups, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,12 @@ _SCHEMA = {
     "scenario": {"name", "mode"},
     "topology": {"source", "path", "edges", "n", "p", "seed", "weight", "rescale_lambda2"},
     "nodes": {"family", "seed"}.union(*_NODE_KEYS.values()),
-    "coupling": {"variant", "c", "gamma", "eta", "e_max", "grid"},
+    "coupling": {"variant", "c", "gamma", "eta", "e_max"},
     "init": {"kind", "scale", "low", "high", "center", "cap_norm", "seed"},
     "sim": {"dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"},
 }
 
 _ETA_FUNCTIONS = {"sin": np.sin, "pws": pws_coupling}
-_PROBE_RADIUS = 100.0
 
 
 def _validate_schema(cfg: dict, where):
@@ -416,13 +415,9 @@ def _config_coupling(cfg, dim):
             raise ConfigError(f"[coupling] eta must be one of {sorted(_ETA_FUNCTIONS)}")
         raw_emax = _get(cfg, "coupling", "e_max", "inf")
         e_max = math.inf if raw_emax.strip().lower() == "inf" else _as_float(raw_emax, "[coupling] e_max")
-        grid = _as_int(_get(cfg, "coupling", "grid", "4096"), "[coupling] grid")
-        ups = certify_upsilon(_ETA_FUNCTIONS[eta_name], e_max, grid_points=grid, dim=dim,
-                              probe_radius=_PROBE_RADIUS)
-        return CouplingSpec(
-            "nonlinear", c=c, eta=_ETA_FUNCTIONS[eta_name],
-            upsilon=ups, e_max=e_max, label=eta_name,
-        )
+        eta = _ETA_FUNCTIONS[eta_name]
+        ups = certify_upsilon(eta, e_max, dim=dim)
+        return CouplingSpec("nonlinear", c=c, eta=eta, upsilon=ups, e_max=e_max, label=eta_name)
     raise ConfigError(f"[coupling] variant must be linear|nonlinear, got '{variant}'")
 
 
@@ -493,10 +488,6 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
     meta = {"scenario": name, "seed": seed, **node_meta}
     if path is not None:
         meta["source_file"] = path.name
-    if coupling.variant == "nonlinear" and math.isinf(coupling.e_max):
-        meta["sector_note"] = (
-            f"sector bound certified on finite probe radius {_PROBE_RADIUS:g} (e_max infinite)"
-        )
     return Scenario(
         name=name, topo=topo, fields=fields, coupling=coupling, sim=sim_cfg,
         x0=x0, mode=mode, meta=meta,

@@ -196,7 +196,7 @@ def test_criterion_4_ikeda_sweep():
     decreasing = all(b < a for a, b in zip(eps_bars, eps_bars[1:]))
     jitter_ok = all(b <= 1.10 * a for a, b in zip(eps_hats, eps_hats[1:]))
 
-    ups = float(certify_upsilon(pws_coupling, math.inf, probe_radius=100.0)[0])
+    ups = float(certify_upsilon(pws_coupling, math.inf)[0])
     nonlinear = load_scenario("ikeda10-nonlinear", 0)
     report_nl = nonlinear.certify()
     traj_nl = nonlinear.simulate()

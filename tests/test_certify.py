@@ -1,7 +1,9 @@
 import json
 import math
 import re
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,39 +193,69 @@ def test_sampled_check_rejects_field_that_does_not_broadcast():
 # ---------------------------------------------------------------------------
 
 
-def test_upsilon_identity_is_one():
-    ups = certify_upsilon(lambda z: np.asarray(z, dtype=float), 2.0)
-    assert abs(ups[0] - 1.0) < 1e-12
-
-
 def test_upsilon_sine_on_sector():
     ups = certify_upsilon(np.sin, math.pi / 3.0)
     assert abs(ups[0] - UPSILON_SIN) < 1e-9
 
 
 def test_upsilon_piecewise_coupling_unbounded_domain():
-    ups = certify_upsilon(pws_coupling, math.inf, probe_radius=100.0)
+    ups = certify_upsilon(pws_coupling, math.inf)
     assert abs(ups[0] - UPSILON_PWS) < 1e-9
+    # 2*sqrt(2) - 2 in floats is 0.8284271247461903, above the exact value
+    assert ups[0] == 0.8284271247461901
 
 
 def test_upsilon_componentwise():
-    def eta(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([np.sin(z[..., 0]), z[..., 1]], axis=-1)
-
-    ups = certify_upsilon(eta, math.pi / 3.0, dim=2)
+    ups = certify_upsilon(np.sin, math.pi / 3.0, dim=2)
+    assert ups.shape == (2,)
+    assert (ups == certify_upsilon(np.sin, math.pi / 3.0)[0]).all()
     assert abs(ups[0] - UPSILON_SIN) < 1e-9
-    assert abs(ups[1] - 1.0) < 1e-9
 
 
-def test_upsilon_rejects_non_odd_function():
-    with pytest.raises(CertifyError):
-        certify_upsilon(lambda z: np.asarray(z) + 0.1, 1.0)
+@dataclass
+class _Scaled:
+    """A callable dataclass: eq without frozen makes it unhashable."""
+    k: float
+
+    def __call__(self, z):
+        return self.k * np.asarray(z, dtype=float)
 
 
-def test_upsilon_rejects_sign_reversing_function():
-    with pytest.raises(CertifyError):
-        certify_upsilon(lambda z: -np.asarray(z, dtype=float), 1.0)
+@pytest.mark.parametrize("eta", [lambda z: np.asarray(z, dtype=float), np.tanh, _Scaled(1.0)])
+def test_upsilon_rejects_coupling_without_closed_form(eta):
+    with pytest.raises(CertifyError, match=re.escape("CouplingSpec(upsilon=...)")):
+        certify_upsilon(eta, 2.0)
+
+
+@pytest.mark.parametrize("e_max", [0.0, -1.0, math.nan])
+def test_upsilon_rejects_nonpositive_radius(e_max):
+    with pytest.raises(CertifyError, match="e_max must be positive"):
+        certify_upsilon(pws_coupling, e_max)
+
+
+def _mp_exact(eta, e):
+    """min eta(z)/z on 0 < z <= e at 200 bits, from the closed forms."""
+    with mpmath.workprec(200):
+        if eta is np.sin:
+            return mpmath.sin(mpmath.mpf(e)) / mpmath.mpf(e)
+        if e <= 1.0:
+            return mpmath.mpf(1)
+        if mpmath.mpf(e) ** 2 < 2:
+            return mpmath.mpf(e) - 2 + 2 / mpmath.mpf(e)
+        return 2 * mpmath.sqrt(2) - 2
+
+
+@pytest.mark.parametrize(
+    "eta, e_max",
+    [(np.sin, e) for e in (math.pi / 3.0, 0.5, 2.0, 3.0, math.pi)]
+    + [(pws_coupling, e) for e in (0.5, 1.0, 1.2, math.sqrt(2.0), 1.45, 2.0, math.inf)],
+)
+def test_upsilon_is_the_closed_form_rounded_down(eta, e_max):
+    ups = certify_upsilon(eta, e_max)[0]
+    exact = _mp_exact(eta, e_max)
+    with mpmath.workprec(200):
+        assert mpmath.mpf(float(ups)) <= exact
+        assert exact - mpmath.mpf(float(ups)) <= 4 * math.ulp(float(ups))
 
 
 def test_pws_coupling_shape():
@@ -626,7 +658,7 @@ def test_identity_ensemble_requires_annotations():
 
 
 def _pws_coupling_spec(c, e_max, dim=1):
-    ups = certify_upsilon(pws_coupling, e_max, dim=dim, probe_radius=100.0)
+    ups = certify_upsilon(pws_coupling, e_max, dim=dim)
     return CouplingSpec("nonlinear", c=c, eta=pws_coupling, upsilon=ups,
                         e_max=e_max, label="piecewise odd")
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pwsync.cli import main
@@ -537,14 +538,45 @@ c = 5
 """
 
 
-def test_infinite_sector_report_carries_sector_note(tmp_path):
+def test_infinite_sector_report_has_no_sector_note(tmp_path):
     ini = tmp_path / "pws.ini"
     ini.write_text(PWS_INI)
     out = tmp_path / "cert"
     assert main(["certify", "--scenario", str(ini), "--out", str(out)]) == 0
-    header = (out / "report.txt").read_text().split("\n\n", 1)[0].splitlines()
-    assert ("# sector_note = sector bound certified on finite probe radius 100 "
-            "(e_max infinite)") in header
+    header = (out / "report.txt").read_text().split("\n\n", 1)[0]
+    assert "sector_note" not in header
+    # the closed form 2*sqrt(2) - 2 holds on all of R, rounded down to a double
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["upsilon"] == [0.8284271247461901]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("grid = 4096", "unknown key 'grid' in section [coupling]"),
+        ("e_max = 4", "sin coupling has a sector bound only for e_max ≤ π, got 4"),
+        ("e_max = inf", "sin coupling has a sector bound only for e_max ≤ π, got inf"),
+    ],
+)
+def test_bad_sector_input_exits_one(tmp_path, capsys, extra, message):
+    ini = tmp_path / "sin.ini"
+    ini.write_text(f"[topology]\nsource = ring\nn = 4\n\n[nodes]\nfamily = kuramoto\n\n"
+                   f"[coupling]\nvariant = nonlinear\nc = 1\neta = sin\n{extra}\n")
+    assert main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_coupling_without_closed_form_exits_one(tmp_path, capsys, monkeypatch):
+    from pwsync import scenarios
+
+    monkeypatch.setitem(scenarios._ETA_FUNCTIONS, "tanh", np.tanh)
+    ini = tmp_path / "tanh.ini"
+    ini.write_text(PWS_INI.replace("eta = pws", "eta = tanh"))
+    assert main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "CouplingSpec(upsilon=...)" in err
 
 
 def test_cli_certify_of_chua10_imports_no_scipy(tmp_path):
