@@ -221,7 +221,11 @@ class _Scaled:
         return self.k * np.asarray(z, dtype=float)
 
 
-@pytest.mark.parametrize("eta", [lambda z: np.asarray(z, dtype=float), np.tanh, _Scaled(1.0)])
+@pytest.mark.parametrize(
+    "eta",
+    [lambda z: np.asarray(z, dtype=float), np.tanh, _Scaled(1.0)],
+    ids=["identity", "tanh", "unhashable"],
+)
 def test_upsilon_rejects_coupling_without_closed_form(eta):
     with pytest.raises(CertifyError, match=re.escape("CouplingSpec(upsilon=...)")):
         certify_upsilon(eta, 2.0)
