@@ -17,13 +17,14 @@ Five report modes exist, keyed by the CLI selector tokens:
 - ``thm1`` (:func:`linear_hetero_bounds`): linear coupling, each node's
   declared identity-metric certificate negative definite (heterogeneous
   smooth parts); bounded for every gain, two closed-form candidate
-  residual bounds.
+  residual bounds.  Every node needs a slope bound ``h_gain``.
 - ``thm2`` (:func:`linear_common_bounds`): linear coupling, one smooth part
   shared by all nodes, sign-indefinite W allowed on coupled components;
   gain threshold plus a residual bound minimized over a certificate family.
 - ``cor1``: same as thm2 with every state component coupled.
 - ``thm3`` (:func:`nonlinear_bounds`): odd componentwise nonlinear coupling,
-  heterogeneous smooth parts with identity-metric certificates.
+  heterogeneous smooth parts with identity-metric certificates and slope
+  bounds ``h_gain``.
 - ``thm4`` (:func:`nonlinear_bounds`): odd componentwise nonlinear
   coupling, shared smooth part.
 
@@ -73,6 +74,7 @@ __all__ = [
 
 _MARGIN = 1e-6              # W ≤ −_MARGIN: the strict W < 0 a family member must meet
 _WITNESS_SLACK = 1e-9       # tolerance before the sampler reports a witness
+_BALL_DELTA = 1e-6          # thm3's r_max: max(ball radius, ‖x(0)‖) inflated by this
 
 
 class CertifyError(ValueError):
@@ -232,7 +234,6 @@ class BoundReport:
     upsilon: Optional[tuple] = None
     e_max: Optional[float] = None
     hypotheses: tuple = ()
-    notes: tuple = ()
 
     @property
     def certified(self) -> bool:
@@ -296,8 +297,6 @@ class BoundReport:
             status = "pass" if hyp.passed else "FAIL"
             detail = f" [{hyp.detail}]" if hyp.detail else ""
             lines.append(f"  - {hyp.name}: {status}{detail}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         lines.append(f"certified: {'yes' if self.certified else 'no'}")
         return "\n".join(lines) + "\n"
 
@@ -706,33 +705,19 @@ def _decay_margin(c: float, lam2_graph: float, pg: np.ndarray,
     return -np.where(terms[1] > terms[0], terms[1], terms[0])
 
 
-def _h_sup_on_ball(fields: Sequence[AffineDecomposedField], radius: float,
-                   n_samples: int = 100_000, seed: int = 97):
-    """sup over nodes and the origin ball of ‖h(t, x)‖₂, with method tag.
+def _h_sup_on_ball(fields: Sequence[AffineDecomposedField], radius: float) -> float:
+    """sup over nodes and the origin ball of ‖h(t, x)‖₂, as max h_gain·radius + h0_norm.
 
-    Fields annotated with a slope bound are evaluated exactly as
-    h_gain·radius + h0_norm; others are sampled on the ball across a few
-    times, and the result is flagged statistical.
+    A sample of a supremum can only fall below it, so a node without a
+    slope bound ``h_gain`` is refused.
     """
-    if radius < 0.0:
-        raise CertifyError("radius must be nonnegative")
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    method = "analytic"
-    for f in fields:
-        if f.h_gain is not None:
-            val = f.h_gain * radius + f.h0_norm
-        else:
-            method = "sampled"
-            val = 0.0
-            times = rng.uniform(0.0, 10.0, 8)
-            per_time = max(n_samples // len(times), 1)
-            for t in times:
-                pts = _uniform_ball(rng, per_time, f.dim, radius)
-                hv = _batch_h(f.h, float(t), pts)
-                val = max(val, float(np.linalg.norm(hv, axis=1).max()))
-        best = max(best, val)
-    return best, method
+    for i, f in enumerate(fields, start=1):
+        if f.h_gain is None:
+            raise CertifyError(
+                f"node {i} '{f.label or '?'}' carries no slope bound h_gain; "
+                "thm1 and thm3 need one to bound h on the trapping ball"
+            )
+    return max(f.h_gain * radius + f.h0_norm for f in fields)
 
 
 def _require_common_h(fields: Sequence[AffineDecomposedField]):
@@ -787,7 +772,9 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     negative definite.  Boundedness then holds for every gain c ≥ 0, so
     the report carries no gain threshold.  Two candidate bounds are
     computed: the trapping-ball diameter (gain independent) and the
-    decay-margin bound (shrinking with c); ε̄ is their minimum.
+    decay-margin bound (shrinking with c); ε̄ is their minimum.  The decay
+    bound needs h bounded on the ball, so every node needs a slope bound
+    ``h_gain``.
     """
     dim = _validate_network(fields, topo)
     gamma = _checked_gamma(gamma, dim)
@@ -800,7 +787,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     rows = _identity_rows(fields)
     w_top, radius = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
     eps1 = 2.0 * radius
-    h_max, h_method = _h_sup_on_ball(fields, radius)
+    h_max = _h_sup_on_ball(fields, radius)
 
     need_lam2 = bool(active.any()) and c > 0.0
     lam2_graph = lambda2(build_laplacian(topo)) if need_lam2 else 0.0
@@ -831,7 +818,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
         w_max=w_top,
         ball_radius=radius,
         h_max=h_max,
-        h_max_method=h_method,
+        h_max_method="analytic",
         w_max_diag=tuple(float(v) for v in w_diag),
         m_value=m_value,
         lambda2=lam2_graph if need_lam2 else None,
@@ -940,7 +927,7 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 
 def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
                      coupling: CouplingSpec, x0, c: Optional[float] = None,
-                     mode: str = "thm3", delta: float = 1e-6) -> BoundReport:
+                     mode: str = "thm3") -> BoundReport:
     """Gain threshold and residual bound for odd componentwise coupling.
 
     Both modes read P = I and each node's identity-metric W.
@@ -948,7 +935,8 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     - ``thm3``: heterogeneous nodes whose W is negative definite.  ε̄ is
       the smaller of the trapping-ball radius and the decay bound.  The
       h supremum is taken on the ball of radius r_max, the larger of that
-      radius and ‖x(0)‖, inflated by delta.
+      radius and ‖x(0)‖, inflated by 1e-6.  Every node needs a
+      slope bound ``h_gain``.
     - ``thm4``: one shared smooth part with a sign-indefinite W; components
       whose W entry is nonnegative must carry a positive sector bound.  No
       trapping ball is needed, so ε̄ is the decay bound alone.
@@ -965,8 +953,6 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     dim = _validate_network(fields, topo)
     if not hetero:
         _require_common_h(fields)
-    if delta <= 0.0:
-        raise CertifyError("delta must be positive")
     c = float(coupling.c if c is None else c)
     _check_gain(c)
     if coupling.variant != "nonlinear":
@@ -989,11 +975,11 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     if hetero:
         w_top, eps1 = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
         nu = float(np.linalg.norm(x0))
-        r_max = max(eps1, nu) + delta
-        h_max, h_method = _h_sup_on_ball(fields, r_max)
+        r_max = max(eps1, nu) + _BALL_DELTA
+        h_max = _h_sup_on_ball(fields, r_max)
         h_extra = h_max
         ball = dict(eps1=eps1, h_bar0=h_bar0, w_max=w_top, ball_radius=eps1, h_max=h_max,
-                    h_max_method=h_method, r_max=r_max, nu=nu, delta=delta)
+                    h_max_method="analytic", r_max=r_max, nu=nu, delta=_BALL_DELTA)
     else:
         if ((w_diag >= 0.0) & ~active).any():
             raise CertifyError(

@@ -79,8 +79,8 @@ class AffineDecomposedField:
     Optional analytic annotations sharpen the certified bounds:
 
     - ``h_gain``: a global bound on the slope of h, so that
-      sup_{‖x‖≤r} ‖h(t, x)‖ ≤ h_gain·r + h0_norm exactly.  When absent,
-      ball suprema fall back to sampling and are flagged statistical.
+      sup_{‖x‖≤r} ‖h(t, x)‖ ≤ h_gain·r + h0_norm exactly.  thm1 and thm3
+      need it to bound h on their trapping ball, and refuse a node without it.
     - ``h0_norm``: sup over t of ‖h(t, 0)‖.
     - ``w_identity``: diagonal entries of a W certifying the identity-metric
       quadratic bound (x−y)ᵀ(h(t,x)−h(t,y)) ≤ (x−y)ᵀ diag(w) (x−y),

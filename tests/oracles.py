@@ -51,8 +51,31 @@ def rk4_reference_scalar(rate, forcing_amp, x0, t_end):
     return c0 * np.exp(-r * t) + k * (r * np.cos(t) + np.sin(t))
 
 
-def _no_history(s):
-    raise AssertionError("the RK4 oracle takes fields without delay")
+def _past_row(rows, dt, s):
+    """The stored network state at time s ≤ the last stored step: x(0) for
+    s ≤ 0; else, with u = s/dt and i = ⌊u⌋, row i when u − i ≤ 1e-9 and
+    row i + (u − i)·(row i+1 − row i) otherwise."""
+    if s <= 0.0:
+        return rows[0]
+    u = s / dt
+    i = math.floor(u)
+    frac = u - i
+    if frac <= 1e-9:
+        return rows[i]
+    return rows[i] + frac * (rows[i + 1] - rows[i])
+
+
+def _node_history(rows, dt, node, dim):
+    """Node ``node``'s history callable: each past time in s, a scalar or an
+    array, read by :func:`_past_row`; shape s.shape + (dim,)."""
+    def history(s):
+        s = np.asarray(s, dtype=float)
+        out = np.empty(s.shape + (dim,))
+        for at, time in np.ndenumerate(s):
+            out[at] = _past_row(rows, dt, float(time))[node * dim:(node + 1) * dim]
+        return out
+
+    return history
 
 
 def rk4_network(fields, weights, coupling, x0, dt, n_steps, sgn, threshold=math.inf):
@@ -60,16 +83,22 @@ def rk4_network(fields, weights, coupling, x0, dt, n_steps, sgn, threshold=math.
     x_i' = h_i(t, x_i) + g_i(t, x_i) + c·Σ_j w_ij·Γ(x_j − x_i) under
     linear coupling, or + c·Σ_j w_ij·η(x_j − x_i) under nonlinear
     coupling, with each field's own ``h`` and ``g`` (``sgn`` the relay's
-    sign) and c = ``coupling.c``.  Stops before the first state whose
-    max|x| is not ≤ ``threshold``.  Returns the states, (steps + 1, N·dim)."""
+    sign) and c = ``coupling.c``.  A delayed field reads the stored rows
+    through its history callable: the constant pre-history x(0) before
+    t = 0, and linear interpolation between stored steps after it
+    (:func:`_past_row`), so every delay must be at least ``dt``.  Stops
+    before the first state whose max|x| is not ≤ ``threshold``.  Returns
+    the states, (steps + 1, N·dim)."""
     n_nodes, dim = len(fields), fields[0].dim
     weights = np.asarray(weights, dtype=float)
+    rows = [np.asarray(x0, dtype=float).reshape(-1)]
+    histories = [_node_history(rows, dt, i, dim) for i in range(n_nodes)]
 
     def rate(t, x):
         x = x.reshape(n_nodes, dim)
         out = np.zeros((n_nodes, dim))
         for i, field in enumerate(fields):
-            out[i] = field.h(t, x[i]) + field.g(t, x[i], _no_history, sgn)
+            out[i] = field.h(t, x[i]) + field.g(t, x[i], histories[i], sgn)
             for j in np.flatnonzero(weights[i]):
                 diff = x[j] - x[i]
                 if coupling.variant == "linear":
@@ -78,7 +107,6 @@ def rk4_network(fields, weights, coupling, x0, dt, n_steps, sgn, threshold=math.
                     out[i] += coupling.c * weights[i, j] * coupling.eta(diff)
         return out.reshape(-1)
 
-    rows = [np.asarray(x0, dtype=float).reshape(-1)]
     for k in range(n_steps):
         t, x = k * dt, rows[-1]
         k1 = rate(t, x)

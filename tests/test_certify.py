@@ -34,7 +34,8 @@ from pwsync.dynamics import (
     relay_field,
 )
 from pwsync.graph import complete_topology, ring_topology, topology_from_edges
-from pwsync.scenarios import load_scenario
+from pwsync.scenarios import Scenario, load_scenario
+from pwsync.sim import SimConfig
 
 RELAY_A = np.array([[1.35, 1.0, 0.0], [-99.93, 0.0, 1.0], [-5.0, 0.0, 0.0]])
 RELAY_EDGES = ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
@@ -656,6 +657,42 @@ def test_identity_ensemble_requires_annotations():
         nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(9))
 
 
+def _tanh_node(i, h_gain=None):
+    """h = −2x + 0.5·tanh x, contracting with W = −1.5; its slope bound is 2.5."""
+    def h(t, x):
+        x = np.asarray(x, dtype=float)
+        return -2.0 * x + 0.5 * np.tanh(x)
+
+    return AffineDecomposedField(dim=1, h=h, g=lambda t, x, history, sgn: np.full_like(x, 0.1),
+                                 M=0.1,
+                                 h_gain=h_gain, w_identity=np.array([-1.5]),
+                                 label=f"tanh-{i}")
+
+
+def test_ball_modes_refuse_a_node_without_a_slope_bound():
+    # a sampled supremum can only fall below the true one, so thm1 and thm3
+    # refuse the node instead of certifying from a sample
+    fields = [_tanh_node(1, h_gain=2.5), _tanh_node(2), _tanh_node(3)]
+    topo = complete_topology(3)
+    x0 = np.array([0.3, -0.1, 0.2])
+    named = re.escape("node 2 'tanh-2'") + ".*h_gain"
+    linear = CouplingSpec("linear", c=2.0, gamma=np.ones(1))
+    nonlinear = _pws_coupling_spec(2.0, math.inf)
+    with pytest.raises(CertifyError, match=named):
+        linear_hetero_bounds(fields, topo, linear.gamma, linear.c)
+    with pytest.raises(CertifyError, match=named):
+        nonlinear_bounds(fields, topo, nonlinear, x0)
+    for coupling, mode in ((linear, "thm1"), (nonlinear, "thm3")):
+        auto = Scenario(name="tanh", topo=topo, fields=fields, coupling=coupling,
+                        sim=SimConfig(), x0=x0)
+        assert auto.resolved_mode() == mode
+        with pytest.raises(CertifyError, match=named):
+            auto.certify()
+    with_gains = [_tanh_node(i, h_gain=2.5) for i in (1, 2, 3)]
+    report = linear_hetero_bounds(with_gains, topo, linear.gamma, linear.c)
+    assert report.certified and report.h_max_method == "analytic"
+
+
 # ---------------------------------------------------------------------------
 # nonlinear coupling
 # ---------------------------------------------------------------------------
@@ -672,7 +709,7 @@ def test_nonlinear_hetero_unbounded_sector_matches_hand_formulas():
     topo = complete_topology(3)
     x0 = np.array([0.5, -0.2, 0.1])
     coupling = _pws_coupling_spec(2.0, math.inf)
-    report = nonlinear_bounds(fields, topo, coupling, x0, delta=1e-6)
+    report = nonlinear_bounds(fields, topo, coupling, x0)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5  # no doubling for this mode
     assert abs(report.eps1 - eps1) < REL_TOL * eps1
@@ -695,7 +732,7 @@ def test_nonlinear_hetero_finite_sector_threshold():
     x0 = np.array([0.5, -0.2, 0.1])
     e_max = 3.0
     coupling = _pws_coupling_spec(8.0, e_max)
-    report = nonlinear_bounds(fields, topo, coupling, x0, delta=1e-6)
+    report = nonlinear_bounds(fields, topo, coupling, x0)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5
     r_max = max(eps1, float(np.linalg.norm(x0))) + 1e-6

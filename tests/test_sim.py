@@ -1157,6 +1157,37 @@ def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
     assert [f.steps for f in made] == [1000, 1000, 100, 100, 300]
 
 
+def test_delayed_runs_match_the_rk4_oracle_in_every_step_form(monkeypatch):
+    # three Ikeda nodes, one delay on a grid point (four steps, which sets
+    # the block) and two between grid points, against the oracle's own reads
+    # within 1e-12 of max|x|: region passes, the four stages on the same
+    # triples and, for pws, the edge-list form with and without regions.
+    # The pws pairs start past |z| = 1, so the runs change region
+    from pwsync.dynamics import hard_sgn
+
+    dt = 2.0 ** -6
+    fields = [ikeda_field(IkedaParams(1.0 + 0.2 * i, 4.0 - 0.5 * i, tau))
+              for i, tau in enumerate((4 * dt, 0.05, 0.1 + 1e-3))]
+    gains = [0.0, 1.5, 5.0]
+    pws = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.array([0.75]))
+    for coupling in (CouplingSpec("linear", c=1.0, gamma=np.ones(1)), pws):
+        scenario = _custom_scenario("ikeda3", fields, complete_topology(3), coupling,
+                                    SimConfig(dt=dt, t_end=1.0), [0.9, -1.1, 0.4])
+        made = _spy(monkeypatch)
+        _assert_matches_rk4_loop(scenario, gains, hard_sgn)
+        (regions,) = made
+        assert sum(regions.region_steps) > 0, scenario.name
+        monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+        _assert_matches_rk4_loop(scenario, gains, hard_sgn)
+    made = _spy(monkeypatch)
+    monkeypatch.setattr(sim, "_DENSE", 0)
+    for limit, built in ((sim._STATE_SPACE, 1), (0, 0)):
+        monkeypatch.setattr(sim, "_STATE_SPACE", limit)
+        made.clear()
+        _assert_matches_rk4_loop(scenario, gains, hard_sgn)
+        assert len(made) == built, limit
+
+
 def test_two_dense_triples_share_each_stage_products(monkeypatch):
     # relay nodes with the hard sign under sin coupling: the relay kernel
     # and the coupling kernel both read the one gathers product of each
