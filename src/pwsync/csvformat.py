@@ -25,15 +25,15 @@ __all__ = ["format_block", "format_exact", "meta_lines", "write_csv"]
 
 _CSV_BLOCK = 4096  # values per formatted block of a file (:func:`write_csv`)
 
-# A formatted value is one record of six 8-byte words: its sign, the
-# lead-in "0.000", the first digit and a point slot; four words of digits
-# 2-17, each followed by a point slot; then "e", the exponent's sign, its
-# three digits and the separator.  Unused bytes are NUL and are dropped.
-_RECORD = 48
-_COMPACT = 512  # records per np.compress, which holds an int64 index per kept byte
+# A formatted value is one record of four little-endian 8-byte words.  Word
+# 0: its sign, the lead-in "0.000", the first digit and a point slot.  Words
+# 1-2: digits 2-17, where a point after digit X + 1 (1 ≤ X ≤ 15) shifts the
+# later digits one byte on.  Word 3: the digit shifted out, "e", the
+# exponent's sign and three digits, a NUL and the separator.  Unused bytes
+# are NUL and are dropped.
+_RECORD = 32
 _POWERS = range(-270, 301)  # the exponents q of the table of 10^q
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into halves
-_LEADS, _EXPONENTS = 10000, 10010  # rows of the word table (see _layouts)
 _KINDS = 330  # exponents -330..330 index the layout kinds
 
 
@@ -63,47 +63,46 @@ def _powers() -> np.ndarray:
 
 @cache
 def _layouts():
-    """The tables that lay out a record (see ``_RECORD``).
+    """The tables that fill the words of a record (see ``_RECORD``).
 
-    ``words``: rows 0-9999 are the four-digit groups, each digit followed by a NUL,
-    rows ``_LEADS`` + d the first digit d at byte 6, rows ``_EXPONENTS`` +
-    |X| the exponent's three digits at bytes 2-4.  ``keep`` and ``put``,
-    one row per layout class (kind, last digit shown, sign), mask the record's
-    digits and separator and add its sign, lead-in, point and "e±".  The
-    kind is X + 4 in fixed notation (−4 ≤ X ≤ 16), else 21-24 for the
-    exponent signs + and − with two, then three digits.  ``kinds``: the
-    class of each exponent X + ``_KINDS`` with all 17 digits and sign +."""
-    i = np.arange(10000, dtype=np.int16)
-    words = np.zeros((_EXPONENTS + 400, 8), np.uint8)
-    words[:_LEADS, 0::2] = 48 + i[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
-    words[_LEADS:_EXPONENTS, 6] = 48 + i[:10]
-    words[_EXPONENTS:, 2:5] = 48 + i[:400, None] // np.array([100, 10, 1], np.int16) % 10
-
-    digits = np.r_[6, 8:40:2]  # the byte of each of the 17 digits
-    x = np.arange(25)[:, None] - 4  # X of the fixed kinds
-    fixed = x <= 16
-    last = np.arange(17)
-    shown = np.where(fixed & (x >= 0), np.maximum(last, x), last)  # (kind, last)
-    point = np.where(fixed, np.where(x >= 0, x, -1), 0)  # the digit a point follows
-    keep = np.zeros((25, 17, 2, _RECORD), np.uint8)
-    put = np.zeros((25, 17, 2, _RECORD), np.uint8)
-    keep[..., digits] = 255 * (np.arange(17) <= shown[..., None, None])
-    keep[21:, ..., 43:45] = 255
-    keep[23:, ..., 42] = 255
-    keep[..., 45] = 255
-    put[:, :, 1, 0] = ord("-")
-    for lead in range(1, 5):  # X = −lead: "0." and lead − 1 zeros
-        put[4 - lead, ..., 1:2 + lead] = np.frombuffer(b"0.000"[:1 + lead], np.uint8)
-    kind, end = np.nonzero((point >= 0) & (point < shown))
-    put[kind, end, :, digits[point[kind, 0]] + 1] = ord(".")
-    put[21:, ..., 40] = ord("e")
-    put[21:, ..., 41] = np.array([ord("+"), ord("-"), ord("+"), ord("-")])[:, None, None]
-    record = f"V{_RECORD}"
-    keep = keep.reshape(-1, _RECORD).view(record).ravel()
-    put = put.reshape(-1, _RECORD).view(record).ravel()
+    ``groups``: the four ASCII digits of each group 0-9999 in bytes 0-3
+    (``high``: in bytes 4-7); ``zeros``: twice its trailing zeros;
+    ``leads``: the first digit in word 0.  Per exponent X + ``_KINDS``:
+    ``kinds``, the layout class of X with all 17 digits and sign +, and
+    ``tails``, word 3.  The kind is X + 4 in fixed notation (−4 ≤ X ≤ 16),
+    else 21-24 for the exponent signs + and − with two, then three digits.
+    ``classes``, one column per layout class (kind, last digit shown,
+    sign): word 0 with its sign, lead-in and point; the masks of the
+    digits 2-17 shown and of those before a point among them; that point."""
+    g = np.arange(10000)
+    groups = sum((48 + g // 10 ** (3 - j) % 10) << 8 * j for j in range(4)).astype(np.uint64)
+    zeros = 2 * sum(g % 10 ** k == 0 for k in range(1, 5))
+    leads = (48 + np.arange(10, dtype=np.uint64)) << np.uint64(48)
     e = np.arange(-_KINDS, _KINDS + 1)
-    kinds = np.where((e >= -4) & (e < 17), e + 4, 21 + (e < 0) + 2 * (np.abs(e) >= 100))
-    return words.view(np.uint64).ravel(), keep, put, kinds * 34 + 32
+    fixed = (e >= -4) & (e <= 16)
+    kinds = np.where(fixed, e + 4, 21 + (e < 0) + 2 * (np.abs(e) >= 100))
+    tails = np.zeros((e.size, 8), np.uint8)
+    tails[:, 1] = ord("e")
+    tails[:, 2] = np.where(e < 0, ord("-"), ord("+"))
+    tails[:, 3:6] = 48 + np.abs(e)[:, None] // np.array([100, 10, 1]) % 10
+    tails[np.abs(e) < 100, 3] = 0
+    tails[fixed] = 0
+
+    kind, last, sign = np.unravel_index(np.arange(25 * 17 * 2), (25, 17, 2))
+    x = kind - 4
+    shown = np.where((x >= 0) & (x <= 16), np.maximum(last, x), last)  # the last digit shown
+    point = np.where((x >= 1) & (x <= 15) & (shown > x), x, 16)  # its byte in words 1-2
+    table = np.zeros((kind.size, 56), np.uint8)
+    table[sign == 1, 0] = ord("-")
+    for lead in range(1, 5):  # X = −lead: "0." and lead − 1 zeros
+        table[x == -lead, 1:2 + lead] = np.frombuffer(b"0.000"[:1 + lead], np.uint8)
+    table[((x == 0) | (kind > 20)) & (shown > 0), 7] = ord(".")
+    byte = np.arange(16)
+    table[:, 8:24] = 255 * (byte < shown[:, None])
+    table[:, 24:40] = 255 * (byte < np.minimum(point, shown)[:, None])
+    table[:, 40:56] = ord(".") * (byte == point[:, None])
+    return (groups, groups << np.uint64(32), zeros, leads, kinds * 34 + 32,
+            tails.view(np.uint64).ravel(), table.view(np.uint64).T.copy())
 
 
 def _scaled(a, e, powers):
@@ -164,50 +163,66 @@ def _digits(flat):
     return digits, e, ok
 
 
-def _word_rows(digits, e):
-    """The rows of each record's six words in the word table: (n, 6),
-    the first digit, the four groups of four digits and the exponent.
-    Row-major, so ``take`` reads it without a copy, and freed once read."""
-    idx = np.empty((digits.size, 6), np.int64)
-    groups = idx[:, 1:5].reshape(-1, 2, 2)  # [[g1, g2], [g3, g4]]
-    np.floor_divide(digits, 10 ** 8, out=groups[:, 0, 1])
-    np.multiply(groups[:, 0, 1], -10 ** 8, out=groups[:, 1, 1])
-    groups[:, 1, 1] += digits
-    np.floor_divide(groups[:, :, 1], 10 ** 4, out=groups[:, :, 0])
-    groups[:, :, 1] -= groups[:, :, 0] * 10 ** 4
-    np.floor_divide(idx[:, 1], 10 ** 4, out=idx[:, 0])
-    idx[:, 1] -= idx[:, 0] * 10 ** 4
-    idx[:, 0] += _LEADS
-    np.abs(e, out=idx[:, 5])
-    idx[:, 5] += _EXPONENTS
-    return idx
-
-
 def _records(x):
     """The records (see ``_RECORD``) of a (rows, cols) float block, row
-    after row: (rows·cols, ``_RECORD``) bytes with "," or a newline as
-    each value's separator.  The layout follows the "g" rules: fixed notation
+    after row, as (rows·cols, 4) words, with "," or a newline as each
+    value's separator.  The layout follows the "g" rules: fixed notation
     for −4 ≤ X < 17, else d.ddde±XX, and no trailing zeros."""
+    # Each temporary is dropped once read.  That keeps a block's peak heap
+    # near 0.4 MB; at the 0.8 MB it took otherwise, malloc handed the top of
+    # the heap back after every block and page-faulted it in on the next.
     flat = x.reshape(-1)
     digits, e, ok = _digits(flat)
-    words, keep, put, kinds = _layouts()
+    groups, high, zeros, leads, kinds, tails, classes = _layouts()
+    top = digits // 10 ** 8
+    lower = np.empty((2, flat.size), np.int64)
+    np.subtract(digits, top * 10 ** 8, out=lower[1])
+    del digits
+    lead = top // 10 ** 8
+    np.subtract(top, lead * 10 ** 8, out=lower[0])
+    del top
+    upper = lower // 10 ** 4  # digits 2-5 and 10-13, then 6-9 and 14-17
+    lower -= upper * 10 ** 4
     # the layout class: kind, last digit shown (16 less trailing zeros), sign
-    cls = kinds.take(e + _KINDS)
+    e += _KINDS
+    cls = kinds.take(e)
     cls += flat < 0.0
-    ends = np.flatnonzero(digits % 10 == 0)
-    if ends.size:
-        tail = digits[ends]
-        cls[ends] -= 2 * sum(tail % 10 ** k == 0 for k in range(1, 17))
-    record = words.take(_word_rows(digits, e)).view(np.uint8)
-    separators = record.reshape(*x.shape, _RECORD)[..., 45]
-    separators[:] = ord(",")
-    separators[:, -1] = ord("\n")
-    record &= keep.take(cls).view(np.uint8).reshape(record.shape)
-    record |= put.take(cls).view(np.uint8).reshape(record.shape)
+    cls -= zeros.take(lower[1])
+    more = np.flatnonzero(lower[1] == 0)
+    for group in (upper[1], lower[0], upper[0]):
+        if not more.size:
+            break
+        cls[more] -= zeros.take(group[more])
+        more = more[group[more] == 0]
+    words = groups.take(upper)
+    del upper
+    words |= high.take(lower)
+    del lower
+    words &= classes[1:3].take(cls, axis=1)
+    record = np.empty((flat.size, 4), np.uint64)
+    np.bitwise_or(classes[0].take(cls), leads.take(lead), out=record[:, 0])
+    del lead
+    record[:, 3] = tails.take(e)
+    if ((e - (_KINDS + 1)).view(np.uint64) < np.uint64(15)).any():  # some 1 ≤ X ≤ 15
+        before = classes[3:5].take(cls, axis=1)
+        before &= words
+        words ^= before  # the digits after the point, moved one byte on
+        shifted = words >> np.uint64(56)  # word 1's last digit, and the one shifted out
+        words <<= np.uint64(8)
+        words |= before
+        words |= classes[5:7].take(cls, axis=1)
+        words[1] |= shifted[0]
+        record[:, 3] |= shifted[1]
+    record[:, 1] = words[0]
+    record[:, 2] = words[1]
+    separators = np.full(x.shape[1], ord(",") << 56, np.uint64)
+    separators[-1] = ord("\n") << 56
+    record.reshape(*x.shape, 4)[..., 3] |= separators
     exact = np.flatnonzero(~ok)
     if exact.size:
-        text = "".join(s.ljust(45, "\0") for s in format_exact(flat[exact]))
-        record[exact, :45] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 45)
+        width = _RECORD - 1  # all but the separator
+        text = "".join(s.ljust(width, "\0") for s in format_exact(flat[exact]))
+        record.view(np.uint8)[exact, :width] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
     return record
 
 
@@ -219,13 +234,10 @@ def format_exact(values) -> list:
 def format_block(block) -> bytes:
     """A (rows, cols) float block as CSV text: each value as
     ``f"{v:.17g}"``, byte for byte, joined by "," with a newline after
-    each row.  Each value fills one NUL-padded record (:func:`_records`) and
-    compresses drop the NULs; :func:`format_exact` formats what
-    :func:`_digits` leaves out."""
-    text = _records(np.ascontiguousarray(block, dtype=float)).reshape(-1)
-    step = _COMPACT * _RECORD
-    parts = (text[start:start + step] for start in range(0, text.size, step))
-    return b"".join(np.compress(part != 0, part).tobytes() for part in parts)
+    each row.  Each value fills one NUL-padded record (:func:`_records`)
+    and ``bytes.translate`` drops the NULs in one C pass; :func:`format_exact`
+    formats what :func:`_digits` leaves out."""
+    return _records(np.ascontiguousarray(block, dtype=float)).tobytes().translate(None, b"\0")
 
 
 def meta_lines(meta: dict) -> list:

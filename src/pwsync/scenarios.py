@@ -246,6 +246,14 @@ def _validate_schema(cfg: dict, where):
             raise ConfigError(f"{where}: missing required section [{required}]")
 
 
+def _one_line(text: str, where: str) -> str:
+    """``text``, refused if it holds a line break or another control
+    character: it goes into the '# key = value' lines of every output."""
+    if any(ord(ch) < 32 or 127 <= ord(ch) < 160 or ch in "\u2028\u2029" for ch in text):
+        raise ConfigError(f"{where} {text!r} holds a line break or another control character")
+    return text
+
+
 def _get(cfg, section, key, default=None, required=False):
     value = cfg.get(section, {}).get(key)
     if value is not None:
@@ -467,6 +475,8 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
     file they came from, None for a built-in."""
     cfg = {section: dict(parser[section]) for section in parser.sections()}
     _validate_schema(cfg, path or name)
+    source = None if path is None else _one_line(path.name, "scenario file name")
+    name = _one_line(_get(cfg, "scenario", "name", name), "[scenario] name")
     seed = 0 if seed is None else _as_seed(seed, "seed")
     # one stream for every section without its own seed: nodes draw first, then init
     rng = np.random.default_rng(seed)
@@ -483,11 +493,10 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
             sim_kwargs[key] = _as_float(raw, f"[sim] {key}")
     sim_cfg = SimConfig(**sim_kwargs)
 
-    name = _get(cfg, "scenario", "name", name)
     mode = _get(cfg, "scenario", "mode", "auto")
     meta = {"scenario": name, "seed": seed, **node_meta}
-    if path is not None:
-        meta["source_file"] = path.name
+    if source is not None:
+        meta["source_file"] = source
     return Scenario(
         name=name, topo=topo, fields=fields, coupling=coupling, sim=sim_cfg,
         x0=x0, mode=mode, meta=meta,

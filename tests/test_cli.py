@@ -125,6 +125,45 @@ def test_negative_seed_exits_one_before_any_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+DECAY_INI = """
+[scenario]
+{name}mode = thm1
+
+[topology]
+source = complete
+n = 3
+
+[nodes]
+family = decay
+rate = 1.0
+
+[coupling]
+variant = linear
+gamma = 1
+c = 0.5
+
+[sim]
+dt = 0.01
+t_end = 0.2
+"""
+
+
+@pytest.mark.parametrize("file_name, name_line", [
+    ("multi.ini", "name = decay\n  second line\n"),  # a configparser continuation line
+    ("escape.ini", "name = decay\x1b[2J\n"),
+    ("two\nlines.ini", ""),  # the name defaults to the file's stem
+    ("two\nlines.ini", "name = decay\n"),  # the file name still goes into source_file
+], ids=["continuation-line", "escape-character", "file-stem-as-name", "file-name-as-source"])
+def test_a_name_with_a_line_break_exits_one_before_any_output(tmp_path, capsys, file_name, name_line):
+    ini = tmp_path / file_name
+    ini.write_text(DECAY_INI.format(name=name_line), encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["simulate", "--scenario", str(ini), "--out", str(out)])
+    assert rc == 1
+    assert "holds a line break or another control character" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_outputs(tmp_path):
     out = tmp_path / "sim"
     rc = main([

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,6 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwsync import csvformat
 from pwsync.csvformat import format_block
@@ -52,6 +56,48 @@ def _ties():
         digits = Decimal(value).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, value
     return np.array(found)
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps_from(value: float, steps: int) -> float:
+    """The double ``steps`` ulps above a positive ``value`` (below for
+    negative steps)."""
+    return _from_bits(max(struct.unpack("<Q", struct.pack("<d", value))[0] + steps, 0))
+
+
+_powers_of_ten = st.one_of(st.integers(-6, 18), st.integers(-323, 308)).map(lambda k: float(f"1e{k}"))
+_magnitudes = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),  # raw bit patterns, subnormals and nans included
+    st.sampled_from([0.0, math.inf, math.nan]),
+    st.builds(_ulps_from, _powers_of_ten, st.integers(-3, 3)),
+    # the notation switches, at X = −5, −4, 16 and 17
+    st.builds(_ulps_from, st.sampled_from([1e-5, 1e-4, 1e16, 1e17]), st.integers(-3, 3)),
+    st.builds(lambda k, dt: k * dt, st.integers(0, 10 ** 6), st.sampled_from([5e-5, 1e-3, 4e-3, 0.25])),
+    st.integers(0, 10 ** 17).map(float),  # integral values, many trailing zeros
+    st.builds(lambda m, j: m / 10 ** j, st.integers(0, 10 ** 17), st.integers(0, 21)),  # short decimals
+    # every decade of fixed notation and the next ones, so a point falls after each digit
+    st.builds(lambda f, x: f * 10.0 ** x, st.floats(1.0, 10.0, exclude_max=True), st.integers(-6, 18)),
+)
+_values = st.builds(lambda v, negative: -v if negative else v, _magnitudes, st.booleans())
+
+
+@st.composite
+def _blocks(draw):
+    """A block from 1×1 to rows of 300 values: up to 40 drawn values,
+    repeated to fill the shape."""
+    values = draw(st.lists(_values, min_size=1, max_size=40))
+    cols = draw(st.one_of(st.integers(1, 8), st.integers(9, 300)))
+    rows = draw(st.integers(1, 4))
+    return np.resize(np.array(values), (rows, cols))
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_blocks())
+def test_any_block_formats_as_per_value_f_strings(block):
+    _assert_formats(block)
 
 
 def test_raw_bit_patterns_of_every_exponent():
@@ -121,6 +167,24 @@ def test_one_column_and_a_partial_last_block(tmp_path):
     table = rng.normal(size=(csvformat._CSV_BLOCK // 7 * 3 + 5, 7))
     csvformat.write_csv(path, {}, "t,a,b,c,d,e,f", table[:, 0], table[:, 1:])
     assert path.read_bytes() == b"t,a,b,c,d,e,f\n" + _reference(table)
+
+
+@pytest.mark.parametrize("width", [7, csvformat._CSV_BLOCK + 5])
+def test_write_csv_formats_bounded_blocks(tmp_path, monkeypatch, width):
+    blocks = []
+    block_of = csvformat.format_block
+
+    def spy(block):
+        blocks.append(np.shape(block))
+        return block_of(block)
+
+    monkeypatch.setattr(csvformat, "format_block", spy)
+    table = np.random.default_rng(4).normal(size=(3 * csvformat._CSV_BLOCK // width + 2, width))
+    path = tmp_path / "table.csv"
+    csvformat.write_csv(path, {}, "t,x", table[:, 0], table[:, 1:])
+    assert path.read_bytes() == b"t,x\n" + _reference(table)
+    assert sum(rows for rows, _ in blocks) == len(table) and len(blocks) > 1
+    assert max(rows * cols for rows, cols in blocks) <= max(csvformat._CSV_BLOCK, width)
 
 
 def test_power_table_is_correctly_rounded():
