@@ -29,10 +29,11 @@ Five report modes exist, keyed by the CLI selector tokens:
   coupling, shared smooth part.
 
 thm1, thm3 and thm4 read P = I and each node's identity-metric W.  thm2
-and cor1 ask a :class:`CertificateFamily`, by default the one the nodes'
-family gives, for two members: the one with the least c̃, and the one
-with the least ε̄ at the requested gain.  A :class:`PointFamily` holds one
-fixed certificate and gives it for both.
+and cor1 ask a certificate family, by default the one the nodes' family
+gives, for two members: the one with the least c̃, and the one with the
+least ε̄ at the requested gain (the protocol is in
+:func:`linear_common_bounds`).  A :class:`PointFamily` holds one fixed
+certificate and gives it for both.
 The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
 ρ) and one scale: its best ρ is a quadratic root for each p1/p3, and the
 one-dimensional rest is minimised on a deterministic log grid through its
@@ -60,7 +61,6 @@ __all__ = [
     "QuadCheck",
     "Hypothesis",
     "BoundReport",
-    "CertificateFamily",
     "PointFamily",
     "ChuaCertFamily",
     "pws_coupling",
@@ -88,11 +88,10 @@ class CertifyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuadCertificate:
-    """Diagonal pair (P, W) with P > 0, valid inside ``domain_radius``."""
+    """Diagonal pair (P, W) with P > 0."""
 
     p: np.ndarray
     w: np.ndarray
-    domain_radius: float = math.inf
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -103,8 +102,6 @@ class QuadCertificate:
             raise CertifyError("certificate entries must be finite")
         if p.min() <= 0.0:
             raise CertifyError("P must have strictly positive diagonal entries")
-        if self.domain_radius <= 0.0:
-            raise CertifyError("domain_radius must be positive")
         p.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -367,20 +364,17 @@ def _batch_h(h: Callable, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def check_quad_sampled(h: Callable, cert: QuadCertificate, radius: float,
-                       n_samples: int = 100_000, seed: int = 0,
-                       t_window: tuple = (0.0, 10.0)) -> QuadCheck:
+                       n_samples: int = 100_000, seed: int = 0) -> QuadCheck:
     """Monte Carlo check of a certificate on state pairs inside a ball.
 
     Pairs (x, y) are drawn uniformly in the ball of the given radius; each
-    block of samples shares one uniformly drawn time t.  The first pair
-    whose left side exceeds the right side by more than 1e-9 is returned
-    as a witness.  A passing check is evidence, not proof; analytic
+    block of samples shares one time t drawn uniformly from [0, 10).  The
+    first pair whose left side exceeds the right side by more than 1e-9 is
+    returned as a witness.  A passing check is evidence, not proof; analytic
     certificates should prefer exact constructions.
     """
     if radius <= 0.0:
         raise CertifyError("radius must be positive")
-    if radius > cert.domain_radius:
-        raise CertifyError("check radius exceeds the certificate's validity domain")
     if n_samples < 1:
         raise CertifyError("n_samples must be positive")
     rng = np.random.default_rng(seed)
@@ -390,7 +384,7 @@ def check_quad_sampled(h: Callable, cert: QuadCertificate, radius: float,
     block = 65536
     while checked < n_samples:
         k = min(block, n_samples - checked)
-        t = float(rng.uniform(t_window[0], t_window[1]))
+        t = float(rng.uniform(0.0, 10.0))
         x = _uniform_ball(rng, k, n, radius)
         y = _uniform_ball(rng, k, n, radius)
         d = x - y
@@ -474,25 +468,7 @@ def _unit_cert(p, w) -> QuadCertificate:
     return QuadCertificate(scale * np.asarray(p), scale * np.asarray(w))
 
 
-class CertificateFamily:
-    """The certificates thm2/cor1 may choose from, asked for their best.
-
-    ``threshold_cert(lam2_graph, gamma)`` is the member with the least gain
-    threshold c̃ whose W entries on uncoupled components (γᵢ = 0) are
-    negative; ``residual_cert(c, lam2_graph, gamma)`` is the member with
-    the largest decay margin, so the least ε̄, at gain c.  Both return a
-    unit-scaled, validated :class:`QuadCertificate` or raise
-    :class:`CertifyError` saying why no member qualifies.
-    """
-
-    def threshold_cert(self, lam2_graph: float, gamma: np.ndarray) -> QuadCertificate:
-        raise NotImplementedError
-
-    def residual_cert(self, c: float, lam2_graph: float, gamma: np.ndarray) -> QuadCertificate:
-        raise NotImplementedError
-
-
-class PointFamily(CertificateFamily):
+class PointFamily:
     """The degenerate family holding a single fixed certificate."""
 
     def __init__(self, cert: QuadCertificate):
@@ -529,7 +505,7 @@ def _log_argmin(score: Callable, knots) -> tuple:
     return best_u, best_score
 
 
-class ChuaCertFamily(CertificateFamily):
+class ChuaCertFamily:
     """The double-scroll certificates (p1, p3, ρ), solved for their best.
 
     P = diag(p1, β·p3, p3) cancels the cross terms between the second and
@@ -834,7 +810,7 @@ def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 # ---------------------------------------------------------------------------
 
 
-def _shared_h_family(fields: Sequence[AffineDecomposedField]) -> CertificateFamily:
+def _shared_h_family(fields: Sequence[AffineDecomposedField]):
     """The certificates of the nodes' shared h: the double-scroll family at
     Chua nodes' h-parameters, else the one with P = I and W the largest
     declared identity-metric entry of each component."""
@@ -846,8 +822,7 @@ def _shared_h_family(fields: Sequence[AffineDecomposedField]) -> CertificateFami
 
 
 def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float, family: Optional[CertificateFamily] = None,
-                         mode: str = "thm2") -> BoundReport:
+                         gamma, c: float, family=None, mode: str = "thm2") -> BoundReport:
     """Gain threshold and residual bound when all nodes share one smooth part.
 
     The shared-h requirement is checked structurally (one ``h``, or one
@@ -860,6 +835,14 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     components must be negative.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
     decay margin, is read off the family's residual certificate at the
     requested gain.  ``cor1`` requires every component coupled.
+
+    A family is any object with two methods.  ``threshold_cert(lam2_graph,
+    gamma)`` gives the member with the least gain threshold c̃ whose W
+    entries on uncoupled components (γᵢ = 0) are negative;
+    ``residual_cert(c, lam2_graph, gamma)`` gives the member with the
+    largest decay margin, so the least ε̄, at gain c.  Both return a
+    unit-scaled, validated :class:`QuadCertificate` or raise
+    :class:`CertifyError` saying why no member qualifies.
     """
     if mode not in ("thm2", "cor1"):
         raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
@@ -926,11 +909,11 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
 
 
 def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                     coupling: CouplingSpec, x0, c: Optional[float] = None,
-                     mode: str = "thm3") -> BoundReport:
+                     coupling: CouplingSpec, x0, mode: str = "thm3") -> BoundReport:
     """Gain threshold and residual bound for odd componentwise coupling.
 
-    Both modes read P = I and each node's identity-metric W.
+    The gain is ``coupling.c``.  Both modes read P = I and each node's
+    identity-metric W.
 
     - ``thm3``: heterogeneous nodes whose W is negative definite.  ε̄ is
       the smaller of the trapping-ball radius and the decay bound.  The
@@ -953,8 +936,7 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     dim = _validate_network(fields, topo)
     if not hetero:
         _require_common_h(fields)
-    c = float(coupling.c if c is None else c)
-    _check_gain(c)
+    c = float(coupling.c)
     if coupling.variant != "nonlinear":
         raise CertifyError("this mode needs a nonlinear coupling spec")
     ups = coupling.upsilon

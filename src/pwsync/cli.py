@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
         c_values = np.linspace(args.c_min, args.c_max, args.points)
     scenario = _apply_sim_overrides(_load(args), args)
 
-    rows = sweep_coupling(scenario, c_values, scenario.sim)
+    rows = sweep_coupling(scenario, c_values)
     meta = _scenario_meta(scenario)
     meta["grid"] = f"{args.grid}[{args.c_min:g}, {args.c_max:g}] x {args.points}"
     outdir = _outdir(args)

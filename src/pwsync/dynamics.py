@@ -333,7 +333,6 @@ class ChuaParams:
     beta: float = 17.30
     slope_a: float = -1.34
     slope_b: float = -0.73
-    forcing_phase: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +374,7 @@ def chua_field(p: ChuaParams, node_index: int, n_nodes: int) -> AffineDecomposed
     params = CHUA.check({
         "alpha": float(p.alpha), "beta": float(p.beta),
         "slope_a": float(p.slope_a), "slope_b": float(p.slope_b),
-        "offset": node_index * math.pi / n_nodes + float(p.forcing_phase),
+        "offset": node_index * math.pi / n_nodes,
     })
     # Slope bound: h is piecewise linear in x1, and the steeper of its two
     # sector Jacobians (the linear block at either slope) bounds its slope.

@@ -1,8 +1,11 @@
 """Weighted undirected network topologies and Laplacian spectral quantities.
 
-The coupling strength certified elsewhere always enters through the
-algebraic connectivity (second-smallest Laplacian eigenvalue), so that
-number gets a dedicated accessor that also checks the graph is connected.
+A :class:`Topology` holds a symmetric nonnegative weight matrix;
+:func:`build_laplacian` turns it into the read-only Laplacian matrix.  The
+coupling strength certified elsewhere always enters through the algebraic
+connectivity (second-smallest Laplacian eigenvalue), so that number gets a
+dedicated accessor, :func:`lambda2`, that also checks the graph is
+connected.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 __all__ = [
     "GraphError",
     "Topology",
-    "Laplacian",
     "topology_from_edges",
     "ring_topology",
     "complete_topology",
@@ -29,6 +31,7 @@ __all__ = [
 
 _ATOL = 1e-12
 _ZERO_EIG_TOL = 1e-9
+_MAX_TRIES = 1000  # random draws before random_connected gives up
 
 
 class GraphError(ValueError):
@@ -76,24 +79,14 @@ class Topology:
         return Topology(self.weights * factor)
 
 
-@dataclass(eq=False)
-class Laplacian:
-    """Graph Laplacian: row sums on the diagonal, minus weights elsewhere."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-
-def topology_from_edges(n_nodes: int, edges, default_weight: float = 1.0) -> Topology:
-    """Build a topology from (i, j) or (i, j, weight) tuples, zero-based."""
+def topology_from_edges(n_nodes: int, edges) -> Topology:
+    """Build a topology from (i, j) or (i, j, weight) tuples, zero-based;
+    an (i, j) edge has weight 1."""
     w = np.zeros((n_nodes, n_nodes))
     for edge in edges:
         if len(edge) == 2:
             i, j = edge
-            weight = default_weight
+            weight = 1.0
         else:
             i, j, weight = edge
         i, j = int(i), int(j)
@@ -157,11 +150,15 @@ def parse_edge_list(text: str, source: str) -> Topology:
 
 
 def load_edge_list(path) -> Topology:
-    """Read an edge-list file in the format of ``parse_edge_list``."""
-    return parse_edge_list(Path(path).read_text(), str(path))
+    """Read a UTF-8 edge-list file in the format of ``parse_edge_list``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_edge_list(text, str(path))
 
 
-def random_connected(n_nodes: int, p: float, seed: int, max_tries: int = 1000) -> Topology:
+def random_connected(n_nodes: int, p: float, seed: int) -> Topology:
     """Seeded Erdős–Rényi draw with unit weights, retried until connected."""
     if not 0.0 < p <= 1.0:
         raise GraphError("edge probability must lie in (0, 1]")
@@ -169,22 +166,23 @@ def random_connected(n_nodes: int, p: float, seed: int, max_tries: int = 1000) -
         raise GraphError("need at least two nodes")
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n_nodes, 1)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         w = np.zeros((n_nodes, n_nodes))
         w[iu] = (rng.random(len(iu[0])) < p).astype(float)
         w = w + w.T
         topo = Topology(w)
         if is_connected(topo):
             return topo
-    raise GraphError(f"no connected draw in {max_tries} tries (n={n_nodes}, p={p})")
+    raise GraphError(f"no connected draw in {_MAX_TRIES} tries (n={n_nodes}, p={p})")
 
 
-def build_laplacian(topo: Topology) -> Laplacian:
-    """Laplacian of a topology; rows sum to zero by construction."""
+def build_laplacian(topo: Topology) -> np.ndarray:
+    """Read-only Laplacian matrix of a topology: row sums on the diagonal,
+    minus weights elsewhere, so rows sum to zero by construction."""
     w = topo.weights
     lap = np.diag(w.sum(axis=1)) - w
     lap.setflags(write=False)
-    return Laplacian(lap)
+    return lap
 
 
 def is_connected(topo: Topology) -> bool:
@@ -200,16 +198,17 @@ def is_connected(topo: Topology) -> bool:
     return bool(seen.all())
 
 
-def lambda2(lap: Laplacian) -> float:
-    """Algebraic connectivity: second-smallest Laplacian eigenvalue.
+def lambda2(lap: np.ndarray) -> float:
+    """Algebraic connectivity: second-smallest eigenvalue of a Laplacian
+    matrix.
 
     Raises GraphError when the graph is disconnected (zero algebraic
     connectivity) or the structural zero eigenvalue is lost to numerical
     noise.
     """
-    if lap.n_nodes < 2:
+    if lap.shape[0] < 2:
         raise GraphError("algebraic connectivity needs at least two nodes")
-    evals = np.linalg.eigvalsh(lap.matrix)
+    evals = np.linalg.eigvalsh(lap)
     if abs(evals[0]) > _ZERO_EIG_TOL:
         raise GraphError(f"Laplacian lost its structural zero eigenvalue (got {evals[0]:.3e})")
     lam2 = float(evals[1])

@@ -4,6 +4,9 @@ A scenario bundles a topology, one field per node, a coupling spec, a
 simulation config, a certification mode, and the initial state, plus flat
 metadata echoed into every output header (seeded draws are expanded here
 so outputs document the exact parameters they were produced with).
+:meth:`Scenario.certify` and :meth:`Scenario.simulate` take no arguments:
+a scenario's gain is changed by :meth:`Scenario.with_gain` and its
+simulation settings by :meth:`Scenario.with_sim`.
 
 A built-in is scenario data: ``BUILTINS`` maps each name to the sections
 and string values of a scenario file, and ``load_scenario`` builds it by
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -125,21 +128,20 @@ class Scenario:
             return "cor1" if bool((self.coupling.gamma > 0.0).all()) else "thm2"
         return "thm4" if common else "thm3"
 
-    def certify(self, c: Optional[float] = None):
-        """Run the certification pipeline for the resolved mode."""
+    def certify(self):
+        """Run the certification pipeline for the resolved mode at the
+        scenario's gain."""
         mode = self.resolved_mode()
-        c_val = float(self.coupling.c if c is None else c)
+        c = float(self.coupling.c)
         if mode == "thm1":
-            return linear_hetero_bounds(self.fields, self.topo, self.coupling.gamma, c_val)
+            return linear_hetero_bounds(self.fields, self.topo, self.coupling.gamma, c)
         if mode in ("thm2", "cor1"):
-            return linear_common_bounds(self.fields, self.topo, self.coupling.gamma, c_val,
-                                        mode=mode)
-        return nonlinear_bounds(self.fields, self.topo, self.coupling, self.x0, c_val, mode=mode)
+            return linear_common_bounds(self.fields, self.topo, self.coupling.gamma, c, mode=mode)
+        return nonlinear_bounds(self.fields, self.topo, self.coupling, self.x0, mode=mode)
 
-    def simulate(self, config: Optional[SimConfig] = None, c: Optional[float] = None):
-        cfg = config if config is not None else self.sim
-        coupling = self.coupling if c is None else self.coupling.with_gain(c)
-        return integrate(self.fields, self.topo, coupling, self.x0, cfg)
+    def simulate(self):
+        """Integrate the scenario at its gain with its ``sim`` settings."""
+        return integrate(self.fields, self.topo, self.coupling, self.x0, self.sim)
 
     def with_sim(self, **changes) -> "Scenario":
         """Copy with replaced simulation settings (dt, t_end, ...)."""
@@ -228,7 +230,7 @@ _SCHEMA = {
     "nodes": {"family", "seed"}.union(*_NODE_KEYS.values()),
     "coupling": {"variant", "c", "gamma", "eta", "e_max"},
     "init": {"kind", "scale", "low", "high", "center", "cap_norm", "seed"},
-    "sim": {"dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"},
+    "sim": {f.name for f in dataclass_fields(SimConfig)},
 }
 
 _ETA_FUNCTIONS = {"sin": np.sin, "pws": pws_coupling}
@@ -440,6 +442,8 @@ def _config_init(cfg, size, rng) -> np.ndarray:
         high = _as_float(_get(cfg, "init", "high", "1.0"), "[init] high")
         if high <= low:
             raise ConfigError("[init] high must exceed low")
+        if not math.isfinite(high - low):
+            raise ConfigError("[init] high - low must be finite")
         x0 = rng.uniform(low, high, size=size)
     elif kind == "zero":
         x0 = np.zeros(size)
@@ -487,7 +491,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
     x0 = _config_init(cfg, topo.n_nodes * fields[0].dim, rng)
 
     sim_kwargs = {}
-    for key in ("dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"):
+    for key in (f.name for f in dataclass_fields(SimConfig)):
         raw = _get(cfg, "sim", key)
         if raw is not None:
             sim_kwargs[key] = _as_float(raw, f"[sim] {key}")

@@ -45,7 +45,7 @@ writers name the columns and write them through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -111,9 +111,9 @@ class SimConfig:
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "tail_fraction", "regularization_width", "divergence_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimError(f"{name} must be finite")
+        for f in dataclass_fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise SimError(f"{f.name} must be finite")
         if self.dt <= 0.0:
             raise SimError("dt must be positive")
         if self.t_end < 10.0 * self.dt:
@@ -177,7 +177,9 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
 
     The state has one row of N·dim entries per gain, and every stage
     evaluates all of them together.  The run holds B × (steps + 1) × N ×
-    dim floats.  The divergence guard reads each block's stored rows once,
+    dim floats; a run larger than NumPy's largest array raises
+    :class:`SimError` before anything is allocated.  The divergence guard
+    reads each block's stored rows once,
     when the block ends: a gain's trajectory ends at the step before its
     first row whose max|x| is not ≤ the threshold (NaN included), and its
     row restarts from zero, stepped but never reported.  Until the block
@@ -235,6 +237,9 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     if gains.size == 0:
         return []
     n_steps = int(round(config.t_end / dt))
+    if 8 * gains.size * (n_steps + 1) * size > np.iinfo(np.intp).max:
+        raise SimError(f"{n_steps + 1:.3g} time points of {gains.size * size} floats each "
+                       "exceed the largest array NumPy can allocate")
     times = np.arange(n_steps + 1) * dt
     states = np.zeros((gains.size, n_steps + 1, n_nodes, dim))
     states[:, 0] = x0.reshape(n_nodes, dim)
@@ -372,7 +377,7 @@ def _linear_part(blocks, coupling: CouplingSpec, topo: Topology, gains: np.ndarr
     size = n_nodes * dim
     jac = np.einsum("ij,ikl->ikjl", np.eye(n_nodes), blocks).reshape(size, size)
     if coupling.variant == "linear" and gains.any():
-        coupled = np.kron(build_laplacian(topo).matrix, np.diag(coupling.gamma))
+        coupled = np.kron(build_laplacian(topo), np.diag(coupling.gamma))
         jac = jac - gains[:, None, None] * coupled
     elif not jac.any():
         return None
@@ -864,15 +869,16 @@ def steady_state_eps(series: ErrorSeries, tail_fraction: float = 0.25) -> float:
     return float(series.norms[mask].max())
 
 
-def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> list:
+def sweep_coupling(scenario, c_values) -> list:
     """Simulate and certify a scenario across gains; rows sorted by c.
 
     All gains are integrated in one pass (:func:`integrate_gains`).  Each
     row reports the measured residual ε̂ and, when the scenario's
     certification mode passes its hypotheses at that gain, the certified
     bound ε̄ (NaN otherwise); bad input, such as a disconnected graph, raises.
+    The scenario's own ``sim`` settings apply.
     """
-    cfg = config if config is not None else scenario.sim
+    cfg = scenario.sim
     gains = sorted(float(v) for v in c_values)
     trajectories = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
                                    gains, scenario.x0, cfg)
@@ -882,7 +888,7 @@ def sweep_coupling(scenario, c_values, config: Optional[SimConfig] = None) -> li
         eps_bar = math.nan
         certified = False
         try:
-            report = scenario.certify(c=c)
+            report = scenario.with_gain(c).certify()
             if report.certified:
                 eps_bar = float(report.eps_bar)
                 certified = True

@@ -171,12 +171,6 @@ def test_sampled_check_finds_witness_for_deflated_certificate():
     assert np.linalg.norm(w.y) <= 5.0 + 1e-12
 
 
-def test_sampled_check_respects_domain_radius():
-    cert = QuadCertificate(p=np.ones(2), w=np.full(2, -1.0), domain_radius=1.0)
-    with pytest.raises(CertifyError):
-        check_quad_sampled(lambda t, x: -np.asarray(x), cert, radius=2.0, n_samples=10)
-
-
 def test_sampled_check_rejects_field_that_does_not_broadcast():
     # a rotation written for one state at a time: on a (k, 2) batch it
     # returns a (2, 2) block instead of one row per state
@@ -364,10 +358,11 @@ def test_report_builders_reject_bad_gains(c):
     fields = [ikeda_field(IkedaParams(a=a, b=b)) for a, b in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.5))]
     with pytest.raises(CertifyError, match="finite and nonnegative"):
         linear_hetero_bounds(fields, complete_topology(3), np.ones(1), c)
+    # nonlinear_bounds reads its gain from the coupling spec, which refuses it
     scenario = load_scenario("kuramoto4", seed=0)
     with pytest.raises(CertifyError, match="finite and nonnegative"):
-        nonlinear_bounds(scenario.fields, scenario.topo, scenario.coupling, scenario.x0,
-                         c, mode="thm4")
+        nonlinear_bounds(scenario.fields, scenario.topo, scenario.coupling.with_gain(c),
+                         scenario.x0, mode="thm4")
 
 
 def test_threshold_scale_invariance():

@@ -560,6 +560,19 @@ def test_inline_edges_rules_exit_one(tmp_path, capsys, topology, message):
     assert "[topology]" in err and message in err
 
 
+def test_a_non_utf8_edge_file_exits_one(tmp_path, capsys):
+    # the file starts with a UTF-16 byte-order mark, which is no UTF-8
+    (tmp_path / "graph.txt").write_bytes(b"\xff\xfe0 1\n1 2\n")
+    ini = tmp_path / "edges.ini"
+    ini.write_text(EDGES_INI.format(topology="path = graph.txt"))
+    rc = main(["certify", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'graph.txt'}: not UTF-8 text")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 PWS_INI = """
 [topology]
 source = complete
@@ -725,6 +738,21 @@ def test_a_run_too_large_to_allocate_is_bad_input(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", [
     ["simulate"], ["sweep", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
 ], ids=["simulate", "sweep"])
+def test_a_run_past_numpys_largest_array_is_bad_input(tmp_path, capsys, command):
+    # 1e300 steps: past the largest array NumPy can describe, so the
+    # integrator refuses before it allocates anything
+    rc = main([*command, "--scenario", "contraction3", "--dt", "1e-300", "--t-end", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1e+300 time points of ")
+    assert "largest array NumPy can allocate" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--c-min", "0.5", "--c-max", "2", "--points", "3"],
+], ids=["simulate", "sweep"])
 def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command):
     # the output directory is created only once there is something to
     # write, so a run that fails while integrating leaves none behind
@@ -743,7 +771,7 @@ def test_a_failed_certificate_leaves_no_output_directory(tmp_path, capsys, monke
     from pwsync.certify import CertifyError
     from pwsync.scenarios import Scenario
 
-    def certify(self, c=None):
+    def certify(self):
         raise CertifyError("hypotheses fail")
 
     monkeypatch.setattr(Scenario, "certify", certify)

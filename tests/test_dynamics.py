@@ -173,7 +173,6 @@ def test_family_check_rejects_non_finite_parameters(bad):
         lambda: ikeda_field(IkedaParams(tau=bad)),
         lambda: chua_field(ChuaParams(alpha=bad), 0, 2),
         lambda: chua_field(ChuaParams(slope_a=bad), 0, 2),
-        lambda: chua_field(ChuaParams(forcing_phase=bad), 0, 2),
         lambda: relay_field(RelayParams(a_matrix=((bad, 0.0), (0.0, -1.0)),
                                         b_vector=(1.0, 0.0), c_vector=(1.0, 0.0))),
         lambda: kuramoto_error_field(KuramotoParams(omega=bad), 0.0),

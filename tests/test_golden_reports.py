@@ -51,7 +51,8 @@ def render(case: str) -> bytes:
         for c in gains:
             label = "" if c is None else f" c {c:g}"
             parts.append(f"=== {name} seed {seed}{label} ===\n")
-            parts.append(scenario.certify(c).to_text())
+            at_gain = scenario if c is None else scenario.with_gain(c)
+            parts.append(at_gain.certify().to_text())
     return "".join(parts).encode("utf-8")
 
 

@@ -1,4 +1,5 @@
-"""Every name a ``pwsync`` module imports is used there or re-exported.
+"""Every name a ``pwsync`` module imports is used there or re-exported, and
+every private module-level name is read somewhere in the package.
 
 An import that nothing reads is dead code that still couples the module
 to another; the scan reads each module's syntax tree with ``ast``.
@@ -37,3 +38,35 @@ def test_every_import_is_used(module):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - read - _exported(tree))
     assert not unused, f"{module} imports {', '.join(unused)} without using them"
+
+
+def _private_definitions(tree):
+    """Module-level ``def _x``, ``class _X`` and ``_X = ...`` names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_name_is_read():
+    # a helper left behind by a deletion is dead code; reads count from
+    # any module of the package, so imported helpers are covered
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    dead = sorted(f"{module}: {name}" for module, tree in trees.items()
+                  for name in _private_definitions(tree)
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not dead, f"private names nothing reads: {', '.join(dead)}"

@@ -287,6 +287,13 @@ def test_config_file_kuramoto(tmp_path):
     assert abs(report.c_tilde - 1.264 / math.sqrt(3.0)) < 1e-3
 
 
+def test_uniform_init_of_overflowing_width_is_a_config_error(tmp_path):
+    # both ends are finite, but the draw low + (high - low)·u would overflow
+    wide = KURAMOTO_INI.replace("low = -0.2", "low = -1e308").replace("high = 0.2", "high = 1e308")
+    with pytest.raises(ConfigError, match=r"\[init\] high - low must be finite"):
+        load_scenario(str(_write(tmp_path / "wide.ini", wide)))
+
+
 RELAY_INI = """
 [topology]
 source = edgelist

@@ -219,12 +219,12 @@ def test_steady_state_eps_uses_tail_window():
 
 def test_sweep_rows_are_sorted_and_flagged(tmp_path):
     scenario = load_scenario("contraction3", 0).with_sim(t_end=2.0)
-    rows = sweep_coupling(scenario, [2.0, 0.5, 1.0], scenario.sim)
+    rows = sweep_coupling(scenario, [2.0, 0.5, 1.0])
     assert [r["c"] for r in rows] == [0.5, 1.0, 2.0]
     assert all(r["certified"] for r in rows)
     assert not any(r["diverged"] for r in rows)
     with pytest.raises(SimError):
-        sweep_coupling(scenario, [-1.0], scenario.sim)
+        sweep_coupling(scenario, [-1.0])
     out = tmp_path / "sweep.csv"
     write_sweep_csv(rows, out, extra_meta={"scenario": "contraction3"})
     text = out.read_text()
@@ -291,7 +291,7 @@ def _assert_sweep_matches_scalar_runs(scenario, gains):
     gains = sorted(gains)
     batch = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
                             gains, scenario.x0, cfg)
-    rows = sweep_coupling(scenario, gains, cfg)
+    rows = sweep_coupling(scenario, gains)
     assert [row["c"] for row in rows] == gains
     for c, traj, row in zip(gains, batch, rows):
         single = integrate(scenario.fields, scenario.topo, scenario.coupling.with_gain(c),
@@ -677,7 +677,7 @@ def test_coupling_term_matches_dense_sums(monkeypatch):
     blocks = rng.normal(size=(5, 2, 2))
     linear = CouplingSpec("linear", c=1.0, gamma=np.array([1.0, 0.5]))
     nonlinear = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(2, 0.75))
-    lap = build_laplacian(topo).matrix
+    lap = build_laplacian(topo)
     expected = (np.einsum("ikl,bil->bik", blocks, x)
                 - gains[:, None, None] * np.einsum("ij,bjk->bik", lap, x) * linear.gamma)
     jac_t = _linear_part(blocks, linear, topo, gains)
@@ -1360,7 +1360,7 @@ def test_csv_writers_match_per_value_formatting_on_real_runs(tmp_path):
     assert traj.states.shape[1] == 100 and traj.times.size > 3 * (csvformat._CSV_BLOCK // 101)
 
     scenario = load_scenario("kuramoto4", 0)
-    rows = sweep_coupling(scenario, np.geomspace(0.1, 30.0, 7), SimConfig(dt=0.01, t_end=2.0))
+    rows = sweep_coupling(scenario.with_sim(dt=0.01, t_end=2.0), np.geomspace(0.1, 30.0, 7))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path, extra_meta={"scenario": "kuramoto4"})
     keys = ("c", "eps_hat", "eps_bar", "certified", "diverged")
@@ -1378,7 +1378,7 @@ def test_diverging_gain_is_isolated_within_a_batch():
              (_ikeda4(linear), 1.0, 100.0)]
     for scenario, calm, wild in cases:
         _assert_sweep_matches_scalar_runs(scenario, [wild, calm])
-        rows = sweep_coupling(scenario, [calm, wild], scenario.sim)
+        rows = sweep_coupling(scenario, [calm, wild])
         assert [row["diverged"] for row in rows] == [False, True]
         assert rows[1]["eps_hat"] == math.inf
         assert math.isfinite(rows[0]["eps_hat"])
