@@ -39,6 +39,7 @@ from pwsync.sim import (
 )
 
 from oracles import rk4_network, rk4_reference_scalar
+from test_golden_reports import LOW_GAINS
 
 BENCH_SCENARIOS = Path(__file__).parents[1] / "bench" / "scenarios"
 
@@ -230,6 +231,22 @@ def test_sweep_rows_are_sorted_and_flagged(tmp_path):
     text = out.read_text()
     assert text.startswith("# scenario = contraction3\n")
     assert "c,eps_hat,eps_bar,certified,diverged" in text
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_a_sweep_row_is_the_certify_report_at_its_gain(name):
+    # c = 0, the scenario's own gain and a gain below c_tilde where there is
+    # one, over the shortest horizon a run takes
+    scenario = load_scenario(name, 0)
+    scenario = scenario.with_sim(t_end=10 * scenario.sim.dt)
+    gains = sorted({scenario.coupling.c, *LOW_GAINS[name]})
+    rows = sweep_coupling(scenario, gains)
+    assert [row["c"] for row in rows] == gains
+    for row in rows:
+        report = scenario.with_gain(row["c"]).certify()
+        assert row["certified"] == report.certified, (name, row["c"])
+        eps_bar = report.eps_bar if report.certified else math.nan
+        assert row["eps_bar"].hex() == eps_bar.hex(), (name, row["c"])
 
 
 def test_csv_writers_round_trip(tmp_path):
