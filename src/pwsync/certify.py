@@ -38,10 +38,18 @@ The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
 ρ) and one scale: its best ρ is a quadratic root for each p1/p3, and the
 one-dimensional rest is minimised on a deterministic log grid through its
 kinks, so the same inputs always give the same certificate.
+
+All five modes share one path.  The gain c reaches c̃ and ε̄ only through
+the decay margin, so a gain-free part (``_GainFree``, built once per
+network and mode) holds λ₂, the certificate, the ball and c̃, and its
+``at(c)`` makes the report at one gain.  Each pipeline function above is
+one such build and evaluation; ``Scenario.certification`` returns the
+gain-free part, so a gain sweep builds it once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
@@ -609,9 +617,12 @@ class ChuaCertFamily:
             shift = c * lam2_graph * pg[:, active].min(axis=-1)
             b = self._k * u + 1.0 - shift * active[0] + shift * active[1]
             p, w = self._members(u, b)
-            return -_decay_margin(c, lam2_graph, p * gamma, w, active), p, w
+            margin = _decay_margin(c, lam2_graph, p * gamma, w, active)
+            # a member without a positive margin bounds nothing: infeasible,
+            # so a flat score toward the grid's edge is refused, not returned
+            return np.where(margin > 0.0, -margin, np.inf), p, w
 
-        return self._best(score, gamma, active, "has a finite decay margin")
+        return self._best(score, gamma, active, "has a positive decay margin")
 
 
 # ---------------------------------------------------------------------------
@@ -627,35 +638,6 @@ def _identity_rows(fields: Sequence[AffineDecomposedField]) -> np.ndarray:
                 f"node '{f.label or '?'}' carries no identity-metric certificate"
             )
     return np.array([f.w_identity for f in fields], dtype=float)
-
-
-def _trapping_radius(rows: np.ndarray, sqrt_n: float, m_bar: float, h_bar0: float):
-    """Largest W entry across nodes and the radius √N(M̄ + h̄₀)/(−w_top) of the
-    ball every node's error enters; the entry must be negative."""
-    w_top = float(rows.max())
-    if w_top >= 0.0:
-        raise CertifyError(
-            "every node needs a negative-definite identity-metric certificate "
-            f"(max W entry: {w_top:.6g})"
-        )
-    return w_top, sqrt_n * (m_bar + h_bar0) / (-w_top)
-
-
-def _smaller_candidate(eps1: float, eps2: float):
-    """ε̄ and its source: the ball candidate wins ties."""
-    return (eps1, "ball") if eps1 <= eps2 else (eps2, "decay")
-
-
-def _checked_gamma(gamma, dim: int) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (dim,) or not (np.isfinite(gamma) & (gamma >= 0.0)).all():
-        raise CertifyError("gamma must be a finite nonnegative vector of the node dimension")
-    return gamma
-
-
-def _check_gain(c: float):
-    if not (math.isfinite(c) and c >= 0.0):
-        raise CertifyError("gain c must be finite and nonnegative")
 
 
 def _gain_ratio(lam2_graph: float, pg: np.ndarray, w_diag: np.ndarray, active: np.ndarray):
@@ -713,103 +695,6 @@ def _require_common_h(fields: Sequence[AffineDecomposedField]):
         )
 
 
-def _stack_mismatch_bounds(fields: Sequence[AffineDecomposedField]):
-    m_bar = max(f.M for f in fields)
-    h_bar0 = max(f.h0_norm for f in fields)
-    return m_bar, h_bar0
-
-
-def _validate_network(fields, topo: Topology):
-    if len(fields) != topo.n_nodes:
-        raise CertifyError(
-            f"{len(fields)} node fields for a {topo.n_nodes}-node topology"
-        )
-    dim = fields[0].dim
-    if any(f.dim != dim for f in fields):
-        raise CertifyError("all nodes must share one state dimension")
-    return dim
-
-
-def _center_stack(x_stack: np.ndarray, n_nodes: int, dim: int) -> np.ndarray:
-    blocks = np.asarray(x_stack, dtype=float).reshape(n_nodes, dim)
-    return (blocks - blocks.mean(axis=0)).reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# linear coupling, heterogeneous smooth parts (mode thm1)
-# ---------------------------------------------------------------------------
-
-
-def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float) -> BoundReport:
-    """Residual bound for linearly coupled nodes that each contract.
-
-    Reads P = I and each node's declared identity-metric W; every W must be
-    negative definite.  Boundedness then holds for every gain c ≥ 0, so
-    the report carries no gain threshold.  Two candidate bounds are
-    computed: the trapping-ball diameter (gain independent) and the
-    decay-margin bound (shrinking with c); ε̄ is their minimum.  The decay
-    bound needs h bounded on the ball, so every node needs a slope bound
-    ``h_gain``.
-    """
-    dim = _validate_network(fields, topo)
-    gamma = _checked_gamma(gamma, dim)
-    _check_gain(c)
-    n_nodes = topo.n_nodes
-    sqrt_n = math.sqrt(n_nodes)
-    m_bar, h_bar0 = _stack_mismatch_bounds(fields)
-    active = gamma > 0.0
-
-    rows = _identity_rows(fields)
-    w_top, radius = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
-    eps1 = 2.0 * radius
-    h_max = _h_sup_on_ball(fields, radius)
-
-    need_lam2 = bool(active.any()) and c > 0.0
-    lam2_graph = lambda2(build_laplacian(topo)) if need_lam2 else 0.0
-    w_diag = rows.max(axis=0)
-    m_value = float(_decay_margin(c, lam2_graph, gamma, w_diag, active))
-    eps2 = sqrt_n * (m_bar + h_max) / m_value if m_value > 0.0 else math.inf
-    eps_bar, source = _smaller_candidate(eps1, eps2)
-
-    hyps = (
-        Hypothesis(
-            "negative-definite certificates",
-            True,
-            f"max W entry {w_top:.6g} < 0 across nodes",
-        ),
-    )
-    return BoundReport(
-        mode="thm1",
-        n_nodes=n_nodes,
-        dim=dim,
-        c=c,
-        c_tilde=0.0,
-        eps1=eps1,
-        eps2=eps2,
-        eps_bar=eps_bar,
-        eps_source=source,
-        m_bar=m_bar,
-        h_bar0=h_bar0,
-        w_max=w_top,
-        ball_radius=radius,
-        h_max=h_max,
-        h_max_method="analytic",
-        w_max_diag=tuple(float(v) for v in w_diag),
-        m_value=m_value,
-        lambda2=lam2_graph if need_lam2 else None,
-        lambda2_coupled=(lam2_graph * float(gamma[active].min())) if need_lam2 else None,
-        p_opt=(1.0,) * dim,
-        gamma=tuple(float(v) for v in gamma),
-        hypotheses=hyps,
-    )
-
-
-# ---------------------------------------------------------------------------
-# linear coupling, shared smooth part (modes thm2 / cor1)
-# ---------------------------------------------------------------------------
-
-
 def _shared_h_family(fields: Sequence[AffineDecomposedField]):
     """The certificates of the nodes' shared h: the double-scroll family at
     Chua nodes' h-parameters, else the one with P = I and W the largest
@@ -819,6 +704,182 @@ def _shared_h_family(fields: Sequence[AffineDecomposedField]):
         return ChuaCertFamily(**{key: f0.params[key] for key in CHUA.h_keys})
     w = _identity_rows(fields).max(axis=0)
     return PointFamily(QuadCertificate(np.ones(w.size), w))
+
+
+# ---------------------------------------------------------------------------
+# certification as a function of the gain (every mode)
+# ---------------------------------------------------------------------------
+
+_LINEAR_MODES = ("thm1", "thm2", "cor1")
+
+
+class _GainFree:
+    """The part of a certification that the gain c does not change, built once.
+
+    With g = Γ (linear coupling) or υ (nonlinear), c enters only through
+    the decay margin m(c) = −max(w_coupled − c·λ₂·min coupled p·g,
+    w_uncoupled).  So the network checks, M̄ and h̄₀, λ₂, the certificate
+    (P = I with each component's largest identity-metric W, or the
+    family's threshold member in thm2/cor1), the trapping ball and h sup,
+    the x(0) and uncoupled-residual hypotheses and c̃ are all found here,
+    and :meth:`at` gives the report at one gain.  c̃ is one formula in
+    every mode, max((gain term + largest coupled W) / (λ₂·min coupled p·g), 0),
+    with the gain term 2√N(M̄ + h sup)/e_max of a finite sector radius;
+    in thm1 it is 0 since W < 0.  λ₂ is solved on first use and then kept:
+    thm1 at c = 0 and without coupled components reads none.
+    """
+
+    def __init__(self, mode: str, fields: Sequence[AffineDecomposedField], topo: Topology,
+                 coupling: CouplingSpec, x0=None, family=None):
+        n_nodes, dim = topo.n_nodes, fields[0].dim
+        if len(fields) != n_nodes:
+            raise CertifyError(f"{len(fields)} node fields for a {n_nodes}-node topology")
+        if any(f.dim != dim for f in fields):
+            raise CertifyError("all nodes must share one state dimension")
+        linear = mode in _LINEAR_MODES
+        if coupling.variant != ("linear" if linear else "nonlinear"):
+            raise CertifyError(f"mode {mode} needs {'linear' if linear else 'nonlinear'} coupling")
+        if mode in ("thm2", "cor1", "thm4"):
+            _require_common_h(fields)
+        g = coupling.gamma if linear else coupling.upsilon
+        if g.shape != (dim,):
+            raise CertifyError(f"{'gamma' if linear else 'upsilon'} must have one entry "
+                               "per state component")
+        active = g > 0.0
+        if mode == "cor1" and not active.all():
+            raise CertifyError("full-coupling mode requires every gamma entry positive")
+        self.mode, self.topo, self.g, self.active = mode, topo, g, active
+        self.coupled = coupled = bool(active.any())
+        self.sqrt_n = sqrt_n = math.sqrt(n_nodes)
+        self.m_bar = m_bar = max(f.M for f in fields)
+        h_bar0 = max(f.h0_norm for f in fields)
+        self.family = self.eps1 = None
+        self.h_sup = 0.0
+        self.hypotheses = []
+        self.known = dict(mode=mode, n_nodes=n_nodes, dim=dim, m_bar=m_bar)
+        if linear:
+            self.known["gamma"] = tuple(float(v) for v in g)
+        else:
+            self.known.update(upsilon=tuple(float(v) for v in g), e_max=coupling.e_max)
+            x0 = np.asarray(x0, dtype=float).reshape(-1)
+            if x0.shape != (n_nodes * dim,):
+                raise CertifyError(f"x0 must have shape ({n_nodes * dim},)")
+        if mode != "thm4":
+            self.known["h_bar0"] = h_bar0
+
+        if mode in ("thm2", "cor1"):
+            self.family = _shared_h_family(fields) if family is None else family
+            cert = self.family.threshold_cert(self.lam2 if coupled else 0.0, g)
+            self.p, self.w = cert.p, cert.w
+        else:
+            self.p, self.w = np.ones(dim), _identity_rows(fields).max(axis=0)
+            self.known["w_max_diag"] = tuple(float(v) for v in self.w)
+        if mode in ("thm1", "thm3"):
+            w_top = float(self.w.max())
+            if w_top >= 0.0:
+                raise CertifyError("every node needs a negative-definite identity-metric "
+                                   f"certificate (max W entry: {w_top:.6g})")
+            radius = sqrt_n * (m_bar + h_bar0) / (-w_top)
+            if mode == "thm1":
+                self.eps1, r_max = 2.0 * radius, radius
+                self.known["p_opt"] = (1.0,) * dim
+                self.hypotheses.append(Hypothesis("negative-definite certificates", True,
+                                                  f"max W entry {w_top:.6g} < 0 across nodes"))
+            else:
+                nu = float(np.linalg.norm(x0))
+                self.eps1, r_max = radius, max(radius, nu) + _BALL_DELTA
+                self.known.update(r_max=r_max, nu=nu, delta=_BALL_DELTA)
+            self.h_sup = _h_sup_on_ball(fields, r_max)
+            self.known.update(eps1=self.eps1, w_max=w_top, ball_radius=radius,
+                              h_max=self.h_sup, h_max_method="analytic")
+        w_unc = float(self.w[~active].max()) if not active.all() else -math.inf
+        if w_unc >= 0.0:
+            raise CertifyError("the certificate's W entries on the uncoupled components "
+                               f"must be negative (largest: {w_unc:.6g})")
+
+        e_max = coupling.e_max
+        if not linear:
+            # υ holds on 0 < |z| ≤ e_max: errors within e_max/2 keep every pairwise
+            # difference inside it
+            half = e_max / 2.0
+            blocks = x0.reshape(n_nodes, dim)
+            e0_norm = float(np.linalg.norm(blocks - blocks.mean(axis=0)))
+            self.hypotheses.append(Hypothesis(
+                "initial error within half the sector radius", e0_norm <= half,
+                f"‖e(0)‖ = {e0_norm:.6g} vs e_max/2 = {half:.6g}"))
+            if active.all() or math.isinf(e_max):
+                passed = True
+                detail = ("vacuous: all components coupled" if active.all()
+                          else "vacuous: global sector bound")
+            else:
+                residual = -sqrt_n * (m_bar + self.h_sup) / w_unc
+                passed, detail = residual <= half, f"residual {residual:.6g} vs e_max/2 = {half:.6g}"
+            self.hypotheses.append(Hypothesis(
+                "uncoupled components stay within half the sector radius", passed, detail))
+        gain_term = 2.0 * sqrt_n * (m_bar + self.h_sup) / e_max if math.isfinite(e_max) else 0.0
+        top = gain_term + float(self.w[active].max()) if coupled else 0.0
+        self.c_tilde = top / (self.lam2 * float((self.p * g)[active].min())) if top > 0.0 else 0.0
+
+    @functools.cached_property
+    def lam2(self) -> float:
+        return lambda2(build_laplacian(self.topo))
+
+    def at(self, c: float) -> BoundReport:
+        """The report at gain c, which must be finite and nonnegative.
+
+        thm1 has no gain hypothesis.  thm2/cor1 read the family's residual
+        member at c.  ε₂ = √N(M̄ + h sup)·‖P‖₂/m(c), and ε̄ is the smaller
+        of ε₂ and the ball candidate ε₁ where there is a ball.
+        """
+        hyps = list(self.hypotheses)
+        if self.mode != "thm1":
+            hyps.append(Hypothesis("gain exceeds threshold", c > self.c_tilde,
+                                   f"c = {c:g} vs c_tilde = {self.c_tilde:.10g}"))
+        # thm1 reads λ₂ only through c·λ₂; the other modes report it at every gain
+        lam2 = self.lam2 if self.coupled and (c > 0.0 or self.mode != "thm1") else None
+        p, w = self.p, self.w
+        m_value = eps2 = eps_bar = source = None
+        if all(h.passed for h in hyps):
+            try:
+                if self.family is not None:
+                    cert = self.family.residual_cert(c, lam2 or 0.0, self.g)
+                    p, w = cert.p, cert.w
+                m_value = float(_decay_margin(c, lam2 or 0.0, p * self.g, w, self.active))
+            except CertifyError:  # no family member has a positive margin
+                pass
+            # W < 0 keeps m > 0 in the ball modes, so only thm2/cor1/thm4 fail here
+            if m_value is not None and m_value > 0.0:
+                eps2 = self.sqrt_n * (self.m_bar + self.h_sup) * float(p.max()) / m_value
+                ball = self.eps1 is not None and self.eps1 <= eps2  # the ball wins ties
+                eps_bar, source = (self.eps1, "ball") if ball else (eps2, "decay")
+            else:
+                hyps.append(Hypothesis("positive decay margin", False,
+                                       "no certificate has a positive margin at this gain"))
+        member = {}
+        if self.family is not None:
+            member = dict(p_opt=tuple(float(v) for v in p), w_opt=tuple(float(v) for v in w))
+        return BoundReport(
+            c=c, c_tilde=self.c_tilde, eps2=eps2, eps_bar=eps_bar, eps_source=source,
+            m_value=m_value, lambda2=lam2,
+            lambda2_coupled=None if lam2 is None else lam2 * float((p * self.g)[self.active].min()),
+            hypotheses=tuple(hyps), **self.known, **member,
+        )
+
+
+def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
+                         gamma, c: float) -> BoundReport:
+    """Residual bound for linearly coupled nodes that each contract (thm1).
+
+    Reads P = I and each node's declared identity-metric W; every W must be
+    negative definite.  Boundedness then holds for every gain c ≥ 0, so
+    the report carries no gain threshold.  Two candidate bounds are
+    computed: the trapping-ball diameter (gain independent) and the
+    decay-margin bound (shrinking with c); ε̄ is their minimum.  The decay
+    bound needs h bounded on the ball, so every node needs a slope bound
+    ``h_gain``.  λ₂ is solved only for a positive gain on coupled
+    components.
+    """
+    return _GainFree("thm1", fields, topo, CouplingSpec("linear", c, gamma=gamma)).at(float(c))
 
 
 def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
@@ -842,70 +903,14 @@ def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology
     ``residual_cert(c, lam2_graph, gamma)`` gives the member with the
     largest decay margin, so the least ε̄, at gain c.  Both return a
     unit-scaled, validated :class:`QuadCertificate` or raise
-    :class:`CertifyError` saying why no member qualifies.
+    :class:`CertifyError` saying why no member qualifies; a residual
+    member that cannot be had shows as a failed "positive decay margin"
+    hypothesis.
     """
     if mode not in ("thm2", "cor1"):
         raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
-    dim = _validate_network(fields, topo)
-    _require_common_h(fields)
-    if family is None:
-        family = _shared_h_family(fields)
-    gamma = _checked_gamma(gamma, dim)
-    active = gamma > 0.0
-    if mode == "cor1" and not active.all():
-        raise CertifyError("full-coupling mode requires every gamma entry positive")
-    _check_gain(c)
-    m_bar, h_bar0 = _stack_mismatch_bounds(fields)
-    sqrt_n = math.sqrt(topo.n_nodes)
-    lam2_graph = lambda2(build_laplacian(topo)) if active.any() else 0.0
-
-    cert = family.threshold_cert(lam2_graph, gamma)
-    if (~active).any() and float(cert.w[~active].max()) >= 0.0:
-        raise CertifyError(
-            "the certificate's W entries on the uncoupled components must be negative "
-            f"(largest: {float(cert.w[~active].max()):.6g})"
-        )
-    c_tilde = 0.0
-    if active.any():
-        c_tilde = max(float(_gain_ratio(lam2_graph, cert.p * gamma, cert.w, active)), 0.0)
-
-    gain_ok = c > c_tilde
-    hyps = [Hypothesis("gain exceeds threshold", gain_ok, f"c = {c:g} vs c_tilde = {c_tilde:.10g}")]
-    eps_bar = m_value = None
-    if gain_ok:
-        cert = family.residual_cert(c, lam2_graph, gamma)
-        m_value = float(_decay_margin(c, lam2_graph, cert.p * gamma, cert.w, active))
-        if m_value > 0.0:
-            eps_bar = m_bar * sqrt_n * cert.p_norm / m_value
-        else:
-            hyps.append(Hypothesis("positive decay margin", False,
-                                   "no family member has a positive margin at this gain"))
-
-    pg = cert.p * gamma
-    return BoundReport(
-        mode=mode,
-        n_nodes=topo.n_nodes,
-        dim=dim,
-        c=c,
-        c_tilde=c_tilde,
-        eps2=eps_bar,
-        eps_bar=eps_bar,
-        eps_source="decay" if eps_bar is not None else None,
-        m_bar=m_bar,
-        h_bar0=h_bar0,
-        m_value=m_value,
-        lambda2=lam2_graph if active.any() else None,
-        lambda2_coupled=(lam2_graph * float(pg[active].min())) if active.any() else None,
-        p_opt=tuple(float(v) for v in cert.p),
-        w_opt=tuple(float(v) for v in cert.w),
-        gamma=tuple(float(v) for v in gamma),
-        hypotheses=tuple(hyps),
-    )
-
-
-# ---------------------------------------------------------------------------
-# nonlinear coupling (modes thm3 / thm4)
-# ---------------------------------------------------------------------------
+    coupling = CouplingSpec("linear", c, gamma=gamma)
+    return _GainFree(mode, fields, topo, coupling, family=family).at(float(c))
 
 
 def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
@@ -932,102 +937,4 @@ def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
     """
     if mode not in ("thm3", "thm4"):
         raise CertifyError(f"nonlinear mode must be thm3 or thm4, got '{mode}'")
-    hetero = mode == "thm3"
-    dim = _validate_network(fields, topo)
-    if not hetero:
-        _require_common_h(fields)
-    c = float(coupling.c)
-    if coupling.variant != "nonlinear":
-        raise CertifyError("this mode needs a nonlinear coupling spec")
-    ups = coupling.upsilon
-    if ups.shape != (dim,):
-        raise CertifyError("upsilon must have one entry per state component")
-    active = ups > 0.0
-    lam2_graph = lambda2(build_laplacian(topo))
-    lam2_coupled = lam2_graph * float(ups[active].min())
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    n_nodes = topo.n_nodes
-    if x0.shape != (n_nodes * dim,):
-        raise CertifyError(f"x0 must have shape ({n_nodes * dim},)")
-    sqrt_n = math.sqrt(n_nodes)
-    m_bar, h_bar0 = _stack_mismatch_bounds(fields)
-
-    rows = _identity_rows(fields)
-    w_diag = rows.max(axis=0)
-    if hetero:
-        w_top, eps1 = _trapping_radius(rows, sqrt_n, m_bar, h_bar0)
-        nu = float(np.linalg.norm(x0))
-        r_max = max(eps1, nu) + _BALL_DELTA
-        h_max = _h_sup_on_ball(fields, r_max)
-        h_extra = h_max
-        ball = dict(eps1=eps1, h_bar0=h_bar0, w_max=w_top, ball_radius=eps1, h_max=h_max,
-                    h_max_method="analytic", r_max=r_max, nu=nu, delta=_BALL_DELTA)
-    else:
-        if ((w_diag >= 0.0) & ~active).any():
-            raise CertifyError(
-                "components with nonnegative W entries must carry positive sector bounds"
-            )
-        h_extra = 0.0
-        ball = {}
-    e_max = coupling.e_max
-    half = e_max / 2.0
-
-    e0_norm = float(np.linalg.norm(_center_stack(x0, n_nodes, dim)))
-    hyp_init = Hypothesis(
-        "initial error within half the sector radius",
-        e0_norm <= half,
-        f"‖e(0)‖ = {e0_norm:.6g} vs e_max/2 = {half:.6g}",
-    )
-    if active.all() or math.isinf(e_max):
-        hyp_unc = Hypothesis(
-            "uncoupled components stay within half the sector radius",
-            True,
-            "vacuous: all components coupled" if active.all() else "vacuous: global sector bound",
-        )
-    else:
-        w_unc = float(w_diag[~active].max())
-        residual = -sqrt_n * (m_bar + h_extra) / w_unc if w_unc < 0.0 else math.inf
-        hyp_unc = Hypothesis(
-            "uncoupled components stay within half the sector radius",
-            residual <= half,
-            f"residual {residual:.6g} vs e_max/2 = {half:.6g}",
-        )
-
-    gain_term = (2.0 * sqrt_n * (m_bar + h_extra) / e_max) if math.isfinite(e_max) else 0.0
-    c_tilde = max((gain_term + float(w_diag[active].max())) / lam2_coupled, 0.0)
-    hyp_gain = Hypothesis(
-        "gain exceeds threshold", c > c_tilde, f"c = {c:g} vs c_tilde = {c_tilde:.10g}"
-    )
-
-    hyps = (hyp_init, hyp_unc, hyp_gain)
-    eps2 = eps_bar = source = m_value = None
-    if all(h.passed for h in hyps):
-        m_value = float(_decay_margin(c, lam2_graph, ups, w_diag, active))
-        if m_value > 0.0:
-            eps2 = sqrt_n * (m_bar + h_extra) / m_value
-        elif hetero:
-            eps2 = math.inf
-        if hetero:
-            eps_bar, source = _smaller_candidate(eps1, eps2)
-        elif eps2 is not None:
-            eps_bar, source = eps2, "decay"
-
-    return BoundReport(
-        mode=mode,
-        n_nodes=n_nodes,
-        dim=dim,
-        c=c,
-        c_tilde=c_tilde,
-        eps2=eps2,
-        eps_bar=eps_bar,
-        eps_source=source,
-        m_bar=m_bar,
-        w_max_diag=tuple(float(v) for v in w_diag),
-        m_value=m_value,
-        lambda2=lam2_graph,
-        lambda2_coupled=lam2_coupled,
-        upsilon=tuple(float(v) for v in ups),
-        e_max=e_max,
-        hypotheses=hyps,
-        **ball,
-    )
+    return _GainFree(mode, fields, topo, coupling, x0).at(float(coupling.c))

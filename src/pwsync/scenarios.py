@@ -6,7 +6,11 @@ metadata echoed into every output header (seeded draws are expanded here
 so outputs document the exact parameters they were produced with).
 :meth:`Scenario.certify` and :meth:`Scenario.simulate` take no arguments:
 a scenario's gain is changed by :meth:`Scenario.with_gain` and its
-simulation settings by :meth:`Scenario.with_sim`.
+simulation settings by :meth:`Scenario.with_sim`.  Every mode certifies
+through one shared path: :meth:`Scenario.certification` builds the part
+that no gain changes (λ₂, certificates, ball, c̃) once, and
+:meth:`Scenario.certify` evaluates it at the scenario's gain, as
+``sweep_coupling`` does at every gain of its grid.
 
 A built-in is scenario data: ``BUILTINS`` maps each name to the sections
 and string values of a scenario file, and ``load_scenario`` builds it by
@@ -31,11 +35,10 @@ import numpy as np
 from .certify import (
     CertifyError,
     CouplingSpec,
+    _GainFree,
+    _LINEAR_MODES,
     _require_common_h,
     certify_upsilon,
-    linear_common_bounds,
-    linear_hetero_bounds,
-    nonlinear_bounds,
     pws_coupling,
 )
 from .dynamics import (
@@ -69,7 +72,6 @@ __all__ = [
 ]
 
 _MODES = ("auto", "thm1", "thm2", "cor1", "thm3", "thm4")
-_LINEAR_MODES = ("thm1", "thm2", "cor1")
 _NONLINEAR_MODES = ("thm3", "thm4")
 
 
@@ -128,16 +130,15 @@ class Scenario:
             return "cor1" if bool((self.coupling.gamma > 0.0).all()) else "thm2"
         return "thm4" if common else "thm3"
 
+    def certification(self):
+        """The part of certifying the scenario in its resolved mode that the
+        gain does not change, built once; its ``at(c)`` gives the
+        :class:`BoundReport` at gain c."""
+        return _GainFree(self.resolved_mode(), self.fields, self.topo, self.coupling, self.x0)
+
     def certify(self):
-        """Run the certification pipeline for the resolved mode at the
-        scenario's gain."""
-        mode = self.resolved_mode()
-        c = float(self.coupling.c)
-        if mode == "thm1":
-            return linear_hetero_bounds(self.fields, self.topo, self.coupling.gamma, c)
-        if mode in ("thm2", "cor1"):
-            return linear_common_bounds(self.fields, self.topo, self.coupling.gamma, c, mode=mode)
-        return nonlinear_bounds(self.fields, self.topo, self.coupling, self.x0, mode=mode)
+        """The certification report for the resolved mode at the scenario's gain."""
+        return self.certification().at(float(self.coupling.c))
 
     def simulate(self):
         """Integrate the scenario at its gain with its ``sim`` settings."""

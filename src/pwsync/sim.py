@@ -872,8 +872,9 @@ def steady_state_eps(series: ErrorSeries, tail_fraction: float = 0.25) -> float:
 def sweep_coupling(scenario, c_values) -> list:
     """Simulate and certify a scenario across gains; rows sorted by c.
 
-    All gains are integrated in one pass (:func:`integrate_gains`).  Each
-    row reports the measured residual ε̂ and, when the scenario's
+    All gains are integrated in one pass (:func:`integrate_gains`) and
+    certified from one gain-free part (:meth:`Scenario.certification`).
+    Each row reports the measured residual ε̂ and, when the scenario's
     certification mode passes its hypotheses at that gain, the certified
     bound ε̄ (NaN otherwise); bad input, such as a disconnected graph, raises.
     The scenario's own ``sim`` settings apply.
@@ -882,19 +883,17 @@ def sweep_coupling(scenario, c_values) -> list:
     gains = sorted(float(v) for v in c_values)
     trajectories = integrate_gains(scenario.fields, scenario.topo, scenario.coupling,
                                    gains, scenario.x0, cfg)
+    try:
+        certification = scenario.certification()
+    except CertifyError:  # no gain is certified
+        certification = None
     rows = []
     for c, traj in zip(gains, trajectories):
-        eps_hat = steady_state_eps(error_series(traj), cfg.tail_fraction)
-        eps_bar = math.nan
-        certified = False
-        try:
-            report = scenario.with_gain(c).certify()
-            if report.certified:
-                eps_bar = float(report.eps_bar)
-                certified = True
-        except CertifyError:  # not certified at this gain
-            pass
-        rows.append(dict(c=c, eps_hat=eps_hat, eps_bar=eps_bar, certified=certified, diverged=traj.diverged))
+        report = certification and certification.at(c)
+        certified = report is not None and report.certified
+        rows.append(dict(c=c, eps_hat=steady_state_eps(error_series(traj), cfg.tail_fraction),
+                         eps_bar=float(report.eps_bar) if certified else math.nan,
+                         certified=certified, diverged=traj.diverged))
     return rows
 
 

@@ -29,11 +29,12 @@ from pwsync.dynamics import (
     KuramotoParams,
     RelayParams,
     chua_field,
+    decay_field,
     ikeda_field,
     kuramoto_error_field,
     relay_field,
 )
-from pwsync.graph import complete_topology, ring_topology, topology_from_edges
+from pwsync.graph import GraphError, complete_topology, ring_topology, topology_from_edges
 from pwsync.scenarios import Scenario, load_scenario
 from pwsync.sim import SimConfig
 
@@ -156,6 +157,13 @@ def test_sampled_check_accepts_chua_family_certificate():
     for cert in (family.threshold_cert(2.22, gamma), family.residual_cert(10.0, 2.22, gamma)):
         check = check_quad_sampled(node.h, cert, radius=5.0, n_samples=100_000, seed=3)
         assert check.holds
+
+
+def test_chua_residual_cert_refuses_a_family_without_a_positive_margin():
+    # at γ = (0.3, 0, 1) the score is flat for every u ≤ 1e-7 and no member
+    # has a positive margin; the search used to return its own grid edge
+    with pytest.raises(CertifyError, match="no double-scroll certificate has a positive decay margin"):
+        ChuaCertFamily().residual_cert(10.0, 2.22, np.array([0.3, 0.0, 1.0]))
 
 
 def test_sampled_check_finds_witness_for_deflated_certificate():
@@ -329,6 +337,20 @@ def test_residual_raises_for_noncontracting_uncoupled_component():
     gamma = np.array([1.0, 1.0, 0.0])
     with pytest.raises(CertifyError):
         linear_common_bounds(_relay_fields(5, 1.0), _relay_topo(), gamma, 100.0, family)
+
+
+def test_a_family_without_a_residual_member_fails_the_margin_hypothesis():
+    class NoResidual(PointFamily):
+        def residual_cert(self, c, lam2_graph, gamma):
+            raise CertifyError("no member at this gain")
+
+    family = NoResidual(quad_linear_cert(RELAY_A))
+    report = linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0, family,
+                                  mode="cor1")
+    assert not report.certified
+    assert report.eps_bar is None and report.m_value is None
+    assert [(h.name, h.passed) for h in report.hypotheses] == [
+        ("gain exceeds threshold", True), ("positive decay margin", False)]
 
 
 def test_chua_family_threshold_matches_analytic_optimum():
@@ -632,6 +654,18 @@ def test_hetero_linear_bounds_hold_at_zero_gain():
     # without coupling only the uncoupled margin is left: m = min a_i
     assert abs(report.m_value - 0.5) < 1e-12
     assert report.lambda2 is None
+
+
+def test_hetero_linear_bounds_at_zero_gain_need_no_connected_graph():
+    # c = 0 leaves λ₂ out of the margin, so two components certify; any
+    # positive gain needs λ₂, which a disconnected graph does not have
+    fields = [decay_field(1.0)] * 4
+    topo = topology_from_edges(4, [(0, 1), (2, 3)])
+    report = linear_hetero_bounds(fields, topo, np.ones(1), 0.0)
+    assert report.certified
+    assert report.lambda2 is None
+    with pytest.raises(GraphError, match="disconnected"):
+        linear_hetero_bounds(fields, topo, np.ones(1), 1.0)
 
 
 def test_hetero_linear_requires_contracting_nodes():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwsync.certify import CouplingSpec, pws_coupling
+from pwsync.certify import CertifyError, CouplingSpec, pws_coupling
 from pwsync.dynamics import (
     AffineDecomposedField,
     ChuaParams,
@@ -21,7 +22,7 @@ from pwsync.dynamics import (
     relay_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
-from pwsync import csvformat, sim
+from pwsync import certify, csvformat, sim
 from pwsync.scenarios import BUILTINS, Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
@@ -247,6 +248,38 @@ def test_a_sweep_row_is_the_certify_report_at_its_gain(name):
         assert row["certified"] == report.certified, (name, row["c"])
         eps_bar = report.eps_bar if report.certified else math.nan
         assert row["eps_bar"].hex() == eps_bar.hex(), (name, row["c"])
+
+
+def test_a_sweep_of_a_scenario_no_gain_certifies_writes_nan_bounds():
+    # component 3 uncoupled: no double-scroll certificate exists at any gain
+    scenario = load_scenario("chua10", 0)
+    scenario = dataclasses.replace(scenario, coupling=CouplingSpec(
+        "linear", c=10.0, gamma=np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(CertifyError, match="component 3 is uncoupled"):
+        scenario.certify()
+    rows = sweep_coupling(scenario.with_sim(t_end=10 * scenario.sim.dt), [5.0, 10.0])
+    assert [(row["certified"], math.isnan(row["eps_bar"])) for row in rows] == [(False, True)] * 2
+
+
+def test_a_sweep_does_its_gain_free_certification_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(certify, "lambda2", counted("lambda2", certify.lambda2))
+    monkeypatch.setattr(certify.ChuaCertFamily, "threshold_cert",
+                        counted("threshold_cert", certify.ChuaCertFamily.threshold_cert))
+    for name, gains, expected in (
+            ("chua10", [5.0, 10.0, 15.0], {"lambda2": 1, "threshold_cert": 1}),
+            ("kuramoto4", np.linspace(0.5, 2.0, 6), {"lambda2": 1})):
+        scenario = load_scenario(name, 0)
+        calls.clear()
+        sweep_coupling(scenario.with_sim(t_end=10 * scenario.sim.dt), gains)
+        assert calls == expected, name
 
 
 def test_csv_writers_round_trip(tmp_path):
