@@ -35,9 +35,12 @@ least ε̄ at the requested gain (the protocol is in
 :func:`linear_common_bounds`).  A :class:`PointFamily` holds one fixed
 certificate and gives it for both.
 The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
-ρ) and one scale: its best ρ is a quadratic root for each p1/p3, and the
-one-dimensional rest is minimised on a deterministic log grid through its
-kinks, so the same inputs always give the same certificate.
+ρ) and one scale: its best ρ is a quadratic root for each p1/p2, and the
+one-dimensional rest is minimised exactly, by one score pass over a finite
+candidate set that holds the minimiser (its kinks, and the roots of
+quadratics for stationary points, clip transitions, feasibility boundaries
+and zero crossings).  Ties go to the least p1/p2; an infimum that is only
+a limit as p1/p2 → 0 or ∞ raises :class:`CertifyError`.
 
 All five modes share one path.  The gain c reaches c̃ and ε̄ only through
 the decay margin, so a gain-free part (``_GainFree``, built once per
@@ -489,28 +492,42 @@ class PointFamily:
         return self._cert
 
 
-def _log_argmin(score: Callable, knots) -> tuple:
-    """The u > 0 with the least ``score(u)`` (batched over u), and its score.
+def _lin_mul(p, q):
+    """(u⁰, u¹, u²) rows of the product of two linear polynomials given as
+    (u⁰, u¹) rows; rows of one column broadcast against longer ones."""
+    return np.array([p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]])
 
-    The first grid runs through the knots and six decades past them on a
-    log scale; each of eleven zooms puts 33 log-spaced points on the two
-    grid cells around the best point so far, shrinking the bracket 16-fold
-    to about 1e-14 in log u.  That settles a smooth minimum or one at a
-    kink off the grid to ~1e-14 relative, while points beside a knot stay
-    far enough from it to score visibly worse when the knot is the
-    minimum.  Ties keep the earliest point; when every score is inf the u
-    is nan.
-    """
-    knots = np.asarray(knots, dtype=float)
-    grid = np.union1d(np.geomspace(knots.min() * 1e-6, knots.max() * 1e6, 241), knots)
-    best_u, best_score = math.nan, math.inf
-    for _ in range(12):
-        scores = score(grid)
-        i = int(np.argmin(scores))
-        if scores[i] < best_score:
-            best_u, best_score = float(grid[i]), float(scores[i])
-        grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 33)
-    return best_u, best_score
+
+def _radical_rows(x, a, b, d=None):
+    """Quadratic rows whose roots hold the u where x + r = 0, or, given d,
+    the stationary points of (x + r)/d; x, a, b and d are linear and
+    r = √(a² + b²).  Each equation is X + Y·r = 0 with X linear and Y
+    constant, squared to X² = Y²·r²."""
+    r2 = _lin_mul(a, a) + _lin_mul(b, b)  # g0 + 2·g1·u + g2·u²
+    y = 1.0
+    if d is not None:  # ((x + r)/d)′·d²·r = X + Y·r
+        g1 = r2[1] / 2.0
+        x, y = (g1 * d[0] - r2[0] * d[1], r2[2] * d[0] - g1 * d[1]), x[1] * d[0] - x[0] * d[1]
+    return _lin_mul(x, x) - y * y * r2
+
+
+def _ratio_rows(n, m):
+    """Rows whose roots hold the stationary points of n/m for quadratic
+    rows n and m: n′m − nm′ = 0, whose cubic terms cancel."""
+    return np.array([n[1] * m[0] - n[0] * m[1], 2.0 * (n[2] * m[0] - n[0] * m[2]),
+                     n[2] * m[1] - n[1] * m[2]])
+
+
+def _positive_roots(rows) -> np.ndarray:
+    """The finite positive real roots of q0 + q1·u + q2·u² = 0 over the
+    (q0, q1, q2) rows, each with its two float neighbours; a row with
+    q2 = 0 gives its linear root."""
+    q0, q1, q2 = np.concatenate(rows, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1))
+        roots = np.concatenate([t / q2, q0 / t])
+    roots = roots[(roots > 0.0) & (roots < math.inf)]
+    return np.concatenate([roots, np.nextafter(roots, 0.0), np.nextafter(roots, math.inf)])
 
 
 class ChuaCertFamily:
@@ -528,13 +545,31 @@ class ChuaCertFamily:
     term and terms free of ρ, so it is least where the w1 and w2 terms
     meet, the positive root of a·ρ² + 2b·ρ − a = 0 with a = α·u + 1,
     clipped to the ρ where an uncoupled w1 or w2 is ≤ −_MARGIN on the
-    unit-scaled W.  That leaves a function of u, smooth between kinks where
-    max(u, 1, 1/β) or the least coupled p·γ changes entry, minimised by
-    :func:`_log_argmin` on a grid through those kinks.
+    unit-scaled W.  There, with r = √(a² + b²), w1 = k·u + (r − b)/2 and
+    w2 = (r + b)/2 − 1 (k = −α(1+s)); at a clip bound the member is
+    rational in u.  Between the knots, where max(u, 1, 1/β) or the least
+    coupled p·γ changes entry, both are linear in u, so every branch of
+    each score is (c0 + c1·r)/d with low-degree polynomials c0, c1, d.
+
+    The score is read once on a finite set that holds its least point: the
+    knots; the positive real roots of quadratics for the stationary points
+    of each branch, the clip transitions, the feasibility boundaries and
+    the zero crossings of the max(·, 0) terms, each root with its two float
+    neighbours; and one probe past each end of that set.  Every such
+    equation is X + Y·r = 0 with X linear and Y constant, squared, or a
+    polynomial of degree ≤ 2.  The least score wins, ties going to the
+    smallest u.  Past the last candidate the score is monotone, so a probe
+    that wins means the infimum is only a limit as u → 0 or u → ∞:
+    that raises :class:`CertifyError`, as does a score that is nowhere
+    feasible.
     """
 
     def __init__(self, alpha: float = ChuaParams.alpha, beta: float = ChuaParams.beta,
                  slope_a: float = ChuaParams.slope_a, slope_b: float = ChuaParams.slope_b):
+        for name, value in (("alpha", alpha), ("beta", beta), ("slope_a", slope_a),
+                            ("slope_b", slope_b)):
+            if not math.isfinite(value):
+                raise CertifyError(f"the double-scroll {name} must be finite, got {value}")
         if not (alpha > 0.0 and beta > 0.0):
             raise CertifyError("alpha and beta must be positive")
         self.alpha = alpha
@@ -543,8 +578,9 @@ class ChuaCertFamily:
         self.slope_b = slope_b
         self._k = -alpha * (1.0 + min(slope_a, slope_b))  # w1 = k·u + ρ·a/2
 
-    def _active(self, gamma) -> np.ndarray:
-        """Coupled components; raises on the patterns no member certifies."""
+    def _active(self, gamma, lam2_graph, c=0.0) -> np.ndarray:
+        """Coupled components; raises on the patterns no member certifies,
+        then on a λ₂ or a gain c out of range."""
         active = np.asarray(gamma, dtype=float) > 0.0
         if active.shape != (3,):
             raise CertifyError("the double-scroll family needs three gamma entries")
@@ -558,7 +594,19 @@ class ChuaCertFamily:
                 "w1 = −α(1+s)·p1 + ρ(α·p1 + p2)/2 > 0, since "
                 f"−α(1+s) = {self._k:.6g} ≥ 0 and ρ > 0"
             )
+        if not 0.0 < lam2_graph < math.inf:
+            raise CertifyError(f"lambda2 must be positive and finite, got {float(lam2_graph)}")
+        if not 0.0 <= c < math.inf:
+            raise CertifyError(f"the gain c must be finite and nonnegative, got {float(c)}")
         return active
+
+    def _forms(self, gamma, active):
+        """S = max(u, 1, 1/β) and D = min coupled p·γ as (u⁰, u¹) rows over
+        every pairing of their entries: the linear forms they take between knots."""
+        s = [(0.0, 1.0), (max(1.0, 1.0 / self.beta), 0.0)]
+        d = [(0.0, gamma[0]), (gamma[1], 0.0), (gamma[2] / self.beta, 0.0)]
+        rows = np.array([sv + dv for sv in s for dv, on in zip(d, active) if on]).T
+        return rows[:2], rows[2:]
 
     def _knots(self, gamma, active) -> list:
         """Where max(u, 1, 1/β) or the least coupled p·γ changes entry."""
@@ -580,16 +628,22 @@ class ChuaCertFamily:
         scale = 1.0 / p.max(axis=-1, keepdims=True)
         return scale * p, scale * w
 
-    def _best(self, score, gamma, active, what: str) -> QuadCertificate:
-        u, value = _log_argmin(lambda u: score(u)[0], self._knots(gamma, active))
-        if not math.isfinite(value):
+    def _best(self, score, rows, gamma, active, what: str) -> QuadCertificate:
+        """The least-scoring member on the candidate set of the class docstring."""
+        u = np.unique(np.concatenate([_positive_roots(rows), self._knots(gamma, active)]))
+        u = np.concatenate([[u[0] / 2.0], u, [u[-1] * 2.0]])  # a probe past each end
+        scores, p, w = score(u)
+        i = int(np.argmin(scores))
+        if not scores[i] < math.inf:
             raise CertifyError(f"no double-scroll certificate {what}")
-        _, p, w = score(np.array([u]))
-        return QuadCertificate(p[0], w[0])
+        if i in (0, u.size - 1):
+            raise CertifyError(f"no double-scroll certificate {what} at its infimum, which is "
+                               f"only a limit as p1/p2 → {'0' if i == 0 else '∞'}")
+        return QuadCertificate(p[i], w[i])
 
     def threshold_cert(self, lam2_graph, gamma):
         gamma = np.asarray(gamma, dtype=float)
-        active = self._active(gamma)
+        active = self._active(gamma, lam2_graph)
 
         def score(u):
             # uncoupled wᵢ ≤ −_MARGIN·max(u, 1, 1/β) before unit scaling
@@ -603,12 +657,25 @@ class ChuaCertFamily:
                 ratio = np.maximum(_gain_ratio(lam2_graph, p * gamma, w, active), 0.0)
             return np.where(feasible, ratio, np.inf), p, w
 
-        return self._best(score, gamma, active,
+        s, d = self._forms(gamma, active)
+        k, margin = self._k, _MARGIN * s
+        # unclipped, 2·w1 = 2·w2 = v + r; at ρ = lo, 4e·w1 = lo_w1; at ρ = hi, 4f·w2 = hi_w2
+        a, b, v, one, ku = np.array([[[1.0], [self.alpha]], [[1.0], [k]], [[-1.0], [k]],
+                                     [[1.0], [0.0]], [[0.0], [k]]])
+        e, f = one - margin, -ku - margin  # 1 − margin and −margin − k·u
+        aa = _lin_mul(a, a)
+        lo_w1, hi_w2 = 4.0 * _lin_mul(ku, e) + aa, aa - 4.0 * _lin_mul(f, one)
+        rows = [_radical_rows(v, a, b, d), _radical_rows(v, a, b), lo_w1, hi_w2,
+                _ratio_rows(lo_w1, _lin_mul(e, d)), _ratio_rows(hi_w2, _lin_mul(f, d)),
+                4.0 * (_lin_mul(e, e) - _lin_mul(b, e)) - aa,  # unclipped ρ = lo
+                aa - 4.0 * (_lin_mul(b, f) + _lin_mul(f, f)),  # unclipped ρ = hi
+                aa - 4.0 * _lin_mul(e, f), _lin_mul(e, f)]  # lo = hi; margin = 1 or hi = 0
+        return self._best(score, rows, gamma, active,
                           f"has W ≤ −{_MARGIN:g} on the uncoupled components")
 
     def residual_cert(self, c, lam2_graph, gamma):
         gamma = np.asarray(gamma, dtype=float)
-        active = self._active(gamma)
+        active = self._active(gamma, lam2_graph, c)
 
         def score(u):
             # the margin's coupling term c·λ₂·min coupled p·γ, before unit scaling
@@ -619,10 +686,16 @@ class ChuaCertFamily:
             p, w = self._members(u, b)
             margin = _decay_margin(c, lam2_graph, p * gamma, w, active)
             # a member without a positive margin bounds nothing: infeasible,
-            # so a flat score toward the grid's edge is refused, not returned
+            # so a flat score toward u → 0 or u → ∞ is refused, not returned
             return np.where(margin > 0.0, -margin, np.inf), p, w
 
-        return self._best(score, gamma, active, "has a positive decay margin")
+        s, d = self._forms(gamma, active)
+        shift, a = c * lam2_graph * d, np.array([[1.0], [self.alpha]])
+        b = [[1.0], [self._k]] + (float(active[1]) - float(active[0])) * shift
+        x = [[0.0], [2.0 * self._k]] - b - 2.0 * active[0] * shift  # 2·(balanced term) = x + r
+        rows = [_radical_rows(x, a, b, s), _radical_rows(x, a, b),  # margin 0
+                _radical_rows(x + 2.0 * shift, a, b)]  # the balanced term meets −shift
+        return self._best(score, rows, gamma, active, "has a positive decay margin")
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +906,10 @@ class _GainFree:
         """
         hyps = list(self.hypotheses)
         if self.mode != "thm1":
+            # as the header prints them, unless that hides which is larger
+            n = 10 if f"{c:.10g}" != f"{self.c_tilde:.10g}" else 17
             hyps.append(Hypothesis("gain exceeds threshold", c > self.c_tilde,
-                                   f"c = {c:g} vs c_tilde = {self.c_tilde:.10g}"))
+                                   f"c = {c:.{n}g} vs c_tilde = {self.c_tilde:.{n}g}"))
         # thm1 reads λ₂ only through c·λ₂; the other modes report it at every gain
         lam2 = self.lam2 if self.coupled and (c > 0.0 or self.mode != "thm1") else None
         p, w = self.p, self.w

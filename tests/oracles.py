@@ -11,6 +11,7 @@ own ``h`` and ``g`` closures and the coupling sum edge by edge.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -118,3 +119,86 @@ def rk4_network(fields, weights, coupling, x0, dt, n_steps, sgn, threshold=math.
             break
         rows.append(x)
     return np.array(rows)
+
+
+def chua_family_optimum(alpha, beta, slopes, gamma, lam2, c, margin=1e-6, points=400):
+    """c̃ and the largest decay margin over the double-scroll certificates,
+    at 200 bits, as floats (c̃ = inf or margin = -inf when no member qualifies).
+
+    Each u = p1/p2 (p2 = 1, p3 = 1/β) gets its best ρ from the monotonicity of
+    w1(ρ) = k·u + ρ(α·u + 1)/2 (increasing) and w2(ρ) = (α·u + 1)/(2ρ) − 1
+    (decreasing): for c̃, the balance w1 = w2 when both are coupled, else
+    the least ρ with w2 ≤ −margin·S or the greatest with w1 ≤ −margin·S; for
+    the decay margin, the balance of the two coupling-shifted terms.  The
+    scores are read on a log grid of ``points`` over ten decades past the
+    kinks (kinks included), then each grid cell beside the best point is
+    refined by golden-section search in log u to 1e-20.
+    """
+    with mpmath.workprec(200):
+        mpf = mpmath.mpf
+        alpha, beta, c, lam2 = mpf(alpha), mpf(beta), mpf(c), mpf(lam2)
+        k = -alpha * (1 + mpf(min(slopes)))
+        gamma = [mpf(g) for g in gamma]
+        on = [g > 0 for g in gamma]
+
+        def parts(u):
+            a, scale = alpha * u + 1, max(u, 1, 1 / beta)
+            least = min(p * g for p, g, o in zip((u, 1, 1 / beta), gamma, on) if o)
+            return a, scale, margin * scale, least
+
+        def gain_score(u):
+            a, _, mu, least = parts(u)
+            lo = a / (2 * (1 - mu)) if not on[1] else mpf(0)
+            hi = 2 * (-mu - k * u) / a if not on[0] else mpmath.inf
+            if (not on[1] and mu >= 1) or hi <= 0 or lo > hi:
+                return mpmath.inf
+            if on[0] and on[1]:
+                b = k * u + 1
+                rho = (mpmath.sqrt(a * a + b * b) - b) / a
+            else:
+                rho = lo if on[0] else hi
+            w = [k * u + rho * a / 2, a / (2 * rho) - 1, mpf(0)]
+            return max(max(wi for wi, o in zip(w, on) if o), 0) / (lam2 * least)
+
+        def margin_score(u):  # minus the unit-scaled decay margin; inf where it is ≤ 0
+            a, scale, _, least = parts(u)
+            shift = c * lam2 * least
+            s1, s2 = (shift if on[0] else 0), (shift if on[1] else 0)
+            b = k * u + 1 - s1 + s2
+            rho = (mpmath.sqrt(a * a + b * b) - b) / a
+            top = max(k * u + rho * a / 2 - s1, a / (2 * rho) - 1 - s2, -shift) / scale
+            return top if top < 0 else mpmath.inf
+
+        kinks = [mpf(1), 1 / beta]
+        if on[0]:
+            kinks += [g * p / gamma[0] for g, p, o in zip(gamma[1:], (1, 1 / beta), on[1:]) if o]
+        lo, hi = mpmath.log(min(kinks)) - 23, mpmath.log(max(kinks)) + 23
+        grid = sorted([lo + (hi - lo) * i / (points - 1) for i in range(points)]
+                      + [mpmath.log(x) for x in kinks])
+        best = []
+        for score in (gain_score, margin_score):
+            values = [score(mpmath.exp(t)) for t in grid]
+            i = min(range(len(grid)), key=values.__getitem__)
+            found = values[i]
+            for left, right in ((max(i - 1, 0), i), (i, min(i + 1, len(grid) - 1))):
+                found = min(found, _golden_min(lambda t: score(mpmath.exp(t)), grid[left], grid[right]))
+            best.append(found)
+        return float(best[0]), -float(best[1])
+
+
+def _golden_min(f, a, b, tol=1e-20):
+    """The least f seen by golden-section search on [a, b], endpoints included."""
+    ratio = (mpmath.sqrt(5) - 1) / 2
+    found = min(f(a), f(b))
+    x1, x2 = b - ratio * (b - a), a + ratio * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - ratio * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + ratio * (b - a)
+            f2 = f(x2)
+    return min(found, f1, f2)

@@ -38,6 +38,8 @@ from pwsync.graph import GraphError, complete_topology, ring_topology, topology_
 from pwsync.scenarios import Scenario, load_scenario
 from pwsync.sim import SimConfig
 
+from oracles import chua_family_optimum
+
 RELAY_A = np.array([[1.35, 1.0, 0.0], [-99.93, 0.0, 1.0], [-5.0, 0.0, 0.0]])
 RELAY_EDGES = ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4))
 
@@ -164,6 +166,47 @@ def test_chua_residual_cert_refuses_a_family_without_a_positive_margin():
     # has a positive margin; the search used to return its own grid edge
     with pytest.raises(CertifyError, match="no double-scroll certificate has a positive decay margin"):
         ChuaCertFamily().residual_cert(10.0, 2.22, np.array([0.3, 0.0, 1.0]))
+
+
+def test_chua_family_refuses_non_finite_parameters():
+    for bad in (dict(alpha=math.inf), dict(beta=math.nan), dict(slope_a=math.nan),
+                dict(slope_b=-math.inf)):
+        (name, value), = bad.items()
+        with pytest.raises(CertifyError, match=f"double-scroll {name} must be finite, got {value}"):
+            ChuaCertFamily(**bad)
+
+
+def test_chua_family_refuses_a_lambda2_that_is_not_positive_and_finite():
+    family, gamma = ChuaCertFamily(), np.array([1.0, 0.0, 1.0])
+    for lam2_graph in (0.0, -2.22, math.inf, math.nan):
+        message = f"lambda2 must be positive and finite, got {lam2_graph}"
+        with pytest.raises(CertifyError, match=message):
+            family.threshold_cert(lam2_graph, gamma)
+        with pytest.raises(CertifyError, match=message):
+            family.residual_cert(10.0, lam2_graph, gamma)
+    # the γ patterns no member certifies are refused first, with their own reason
+    with pytest.raises(CertifyError, match="component 3 is uncoupled"):
+        family.threshold_cert(0.0, np.array([1.0, 0.0, 0.0]))
+
+
+def test_chua_family_refuses_a_gain_that_is_negative_or_not_finite():
+    for c in (-1.0, math.inf, math.nan):
+        with pytest.raises(CertifyError, match=f"gain c must be finite and nonnegative, got {c}"):
+            ChuaCertFamily().residual_cert(c, 2.22, np.array([1.0, 0.0, 1.0]))
+
+
+def test_chua_family_refuses_an_infimum_that_is_only_a_limit():
+    # a score that falls all the way to u → ∞ (or is flat toward u → 0) has
+    # no least member: the probe past the candidates wins, and that raises.
+    # The family's own scores are infeasible or grow at both ends, so a
+    # synthetic score drives the search here.
+    family, gamma = ChuaCertFamily(), np.array([1.0, 0.0, 1.0])
+    no_roots = [np.zeros((3, 0))]
+    for score, end in ((lambda u: 1.0 / u, "∞"), (lambda u: np.ones_like(u), "0")):
+        def members(u, score=score):
+            return score(u), *family._members(u, u + 1.0)
+        with pytest.raises(CertifyError, match=f"only a limit as p1/p2 → {end}"):
+            family._best(members, no_roots, gamma, gamma > 0.0, "has a least score")
 
 
 def test_sampled_check_finds_witness_for_deflated_certificate():
@@ -592,6 +635,46 @@ def test_chua10_gamma_patterns(gamma, mode, expected):
     assert report.certified
     assert abs(report.c_tilde - expected[0]) < 1e-13 * expected[0]
     assert abs(report.eps_bar - expected[1]) < 1e-13 * expected[1]
+
+
+def _chua_optimum_cases():
+    """chua10's two certified γ patterns at c = 10, then 20 seeded draws."""
+    params, topo = ChuaParams(), complete_topology(10).scaled(2.22 / 10.0)
+    yield params, np.array([1.0, 0.0, 1.0]), topo, 10.0
+    yield params, np.ones(3), topo, 10.0
+    rng = np.random.default_rng(20240611)
+    for _ in range(20):
+        params, gamma, lam2_graph = _chua_case(rng)
+        yield params, gamma, complete_topology(4).scaled(lam2_graph / 4.0), None
+
+
+def test_chua_family_optimum_matches_a_200_bit_oracle():
+    # c̃ and the decay margin of the family's two members agree with an
+    # mpmath search of the same family (tests/oracles.py) to 1e-13 relative
+    for case, (params, gamma, topo, c) in enumerate(_chua_optimum_cases()):
+        family = ChuaCertFamily(params.alpha, params.beta, params.slope_a, params.slope_b)
+        fields = [chua_field(params, i, topo.n_nodes) for i in range(topo.n_nodes)]
+        if c is None:
+            c = 2.0 * (linear_common_bounds(fields, topo, gamma, 0.0, family).c_tilde + 0.1)
+        report = linear_common_bounds(fields, topo, gamma, c, family)
+        c_tilde, margin = chua_family_optimum(params.alpha, params.beta,
+                                              (params.slope_a, params.slope_b), gamma,
+                                              report.lambda2, c)
+        assert abs(report.c_tilde - c_tilde) <= 1e-13 * c_tilde, case
+        assert abs(report.m_value - margin) <= 1e-13 * margin, case
+
+
+def test_the_gain_hypothesis_prints_the_gain_as_the_header_does():
+    # c = 6.3829267 is below c̃ = 6.38292679…; at 6 digits it printed as 6.38293
+    scenario = load_scenario("chua10", seed=0)
+    for c, detail in ((6.3829267, "c = 6.3829267 vs c_tilde = 6.382926791"),
+                      (6.38292679067559, "c = {0} vs c_tilde = {0}"),
+                      (6.3829267906755796, "c = {1} vs c_tilde = {0}")):
+        report = scenario.with_gain(c).certify()
+        gain, = (h for h in report.hypotheses if h.name == "gain exceeds threshold")
+        # where c and c̃ read the same at 10 digits, both print at 17
+        assert gain.detail == detail.format(f"{report.c_tilde:.17g}", f"{c:.17g}"), c
+        assert not gain.passed and not report.certified
 
 
 # Without a family, linear_common_bounds takes it from the nodes; it must give

@@ -1,11 +1,13 @@
-"""Every name a ``pwsync`` module imports is used there or re-exported, and
-every private module-level name is read somewhere in the package.
+"""Every name a ``pwsync`` module imports is used there or re-exported,
+every private module-level name is read somewhere in the package, and
+every module stays under the parser's token budget.
 
 An import that nothing reads is dead code that still couples the module
 to another; the scan reads each module's syntax tree with ``ast``.
 """
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,16 @@ def test_every_private_name_is_read():
                   for name in _private_definitions(tree)
                   if name.startswith("_") and not name.startswith("__") and name not in read)
     assert not dead, f"private names nothing reads: {', '.join(dead)}"
+
+
+# CPython's parser keeps a module's tokens in one array that doubles in size
+# past 8192 entries; every process compiles the modules it imports, so a
+# module past that count raises the peak memory of every command.
+TOKEN_BUDGET = 8192
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_module_stays_under_the_token_budget(module):
+    with open(PACKAGE / module, "rb") as source:
+        count = sum(1 for _ in tokenize.tokenize(source.readline))
+    assert count < TOKEN_BUDGET, f"{module} holds {count} tokens; move code out of it"
