@@ -13,15 +13,13 @@ the error classes; every other name is importable from its submodule.
 
 from .certify import (
     BoundReport,
+    Certification,
     CertifyError,
     ChuaCertFamily,
     PointFamily,
     QuadCertificate,
     certify_upsilon,
     check_quad_sampled,
-    linear_common_bounds,
-    linear_hetero_bounds,
-    nonlinear_bounds,
     quad_linear_cert,
 )
 from .dynamics import (
@@ -41,6 +39,7 @@ __all__ = [
     "AffineDecomposedField",
     "BoundReport",
     "BUILTINS",
+    "Certification",
     "CertifyError",
     "ChuaCertFamily",
     "ConfigError",
@@ -59,10 +58,7 @@ __all__ = [
     "integrate",
     "kuramoto_error_field",
     "lambda2",
-    "linear_common_bounds",
-    "linear_hetero_bounds",
     "load_scenario",
-    "nonlinear_bounds",
     "quad_linear_cert",
     "random_connected",
     "relay_field",

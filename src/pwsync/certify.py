@@ -5,35 +5,29 @@ A diagonal pair (P, W), P > 0, certifies the smooth part h of a node when
     (x − y)ᵀ P (h(t,x) − h(t,y)) ≤ (x − y)ᵀ W (x − y)   for all x, y, t.
 
 The bounded parts g only enter through their norm bounds M.  From such
-certificates, a graph topology, and a coupling description, the report
-builders in this module compute:
+certificates, a graph topology, and a coupling description, a
+:class:`Certification` computes:
 
 - a gain threshold c̃ above which the network error contracts, and
 - a residual bound ε̄ on the limsup of the stacked error norm ‖e(t)‖₂,
   where eᵢ = xᵢ − x̄ and x̄ is the node average.
 
-Five report modes exist, keyed by the CLI selector tokens:
+Five report modes exist, keyed by the CLI selector tokens: ``thm1`` and
+``thm3`` for heterogeneous contracting nodes under linear and under odd
+componentwise nonlinear coupling, ``thm2`` and ``thm4`` for nodes that
+share one smooth part under the same two couplings, and ``cor1``, thm2
+with every state component coupled.  All five share one path,
+:class:`Certification`, whose docstring says what each mode reads.  The
+gain c reaches c̃ and ε̄ only through the decay margin, so a
+certification, built once per network and mode, holds λ₂, the
+certificate, the ball and c̃, and its ``at(c)`` makes the report at one
+gain; a gain sweep builds it once.  This module alone knows the modes:
+:func:`resolve_mode` checks a mode against the coupling variant and picks
+one for ``auto``.
 
-- ``thm1`` (:func:`linear_hetero_bounds`): linear coupling, each node's
-  declared identity-metric certificate negative definite (heterogeneous
-  smooth parts); bounded for every gain, two closed-form candidate
-  residual bounds.  Every node needs a slope bound ``h_gain``.
-- ``thm2`` (:func:`linear_common_bounds`): linear coupling, one smooth part
-  shared by all nodes, sign-indefinite W allowed on coupled components;
-  gain threshold plus a residual bound minimized over a certificate family.
-- ``cor1``: same as thm2 with every state component coupled.
-- ``thm3`` (:func:`nonlinear_bounds`): odd componentwise nonlinear coupling,
-  heterogeneous smooth parts with identity-metric certificates and slope
-  bounds ``h_gain``.
-- ``thm4`` (:func:`nonlinear_bounds`): odd componentwise nonlinear
-  coupling, shared smooth part.
-
-thm1, thm3 and thm4 read P = I and each node's identity-metric W.  thm2
-and cor1 ask a certificate family, by default the one the nodes' family
-gives, for two members: the one with the least c̃, and the one with the
-least ε̄ at the requested gain (the protocol is in
-:func:`linear_common_bounds`).  A :class:`PointFamily` holds one fixed
-certificate and gives it for both.
+thm2 and cor1 ask a certificate family for two members: the one with the
+least c̃, and the one with the least ε̄ at the requested gain.  A
+:class:`PointFamily` holds one fixed certificate and gives it for both.
 The double-scroll :class:`ChuaCertFamily` has three parameters (p1, p3,
 ρ) and one scale: its best ρ is a quadratic root for each p1/p2, and the
 one-dimensional rest is minimised exactly, by one score pass over a finite
@@ -41,13 +35,6 @@ candidate set that holds the minimiser (its kinks, and the roots of
 quadratics for stationary points, clip transitions, feasibility boundaries
 and zero crossings).  Ties go to the least p1/p2; an infimum that is only
 a limit as p1/p2 → 0 or ∞ raises :class:`CertifyError`.
-
-All five modes share one path.  The gain c reaches c̃ and ε̄ only through
-the decay margin, so a gain-free part (``_GainFree``, built once per
-network and mode) holds λ₂, the certificate, the ball and c̃, and its
-``at(c)`` makes the report at one gain.  Each pipeline function above is
-one such build and evaluation; ``Scenario.certification`` returns the
-gain-free part, so a gain sweep builds it once.
 """
 
 from __future__ import annotations
@@ -78,9 +65,8 @@ __all__ = [
     "check_quad_sampled",
     "quad_linear_cert",
     "certify_upsilon",
-    "linear_hetero_bounds",
-    "linear_common_bounds",
-    "nonlinear_bounds",
+    "resolve_mode",
+    "Certification",
 ]
 
 _MARGIN = 1e-6              # W ≤ −_MARGIN: the strict W < 0 a family member must meet
@@ -652,7 +638,7 @@ class ChuaCertFamily:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lo = np.zeros_like(u) if active[1] else a / (2.0 * (1.0 - margin))
                 hi = np.full_like(u, np.inf) if active[0] else 2.0 * (-margin - self._k * u) / a
-                feasible = (margin < 1.0) & (hi > 0.0) & (lo <= hi)
+                feasible = ((margin < 1.0) | active[1]) & (hi > 0.0) & (lo <= hi)
                 p, w = self._members(u, self._k * u + 1.0, lo, hi)
                 ratio = np.maximum(_gain_ratio(lam2_graph, p * gamma, w, active), 0.0)
             return np.where(feasible, ratio, np.inf), p, w
@@ -783,35 +769,92 @@ def _shared_h_family(fields: Sequence[AffineDecomposedField]):
 # certification as a function of the gain (every mode)
 # ---------------------------------------------------------------------------
 
-_LINEAR_MODES = ("thm1", "thm2", "cor1")
+_VARIANTS = {"thm1": "linear", "thm2": "linear", "cor1": "linear",
+             "thm3": "nonlinear", "thm4": "nonlinear"}  # the coupling each mode reads
 
 
-class _GainFree:
-    """The part of a certification that the gain c does not change, built once.
+def resolve_mode(mode: str, fields: Sequence[AffineDecomposedField],
+                 coupling: CouplingSpec) -> str:
+    """``mode``, which must match the coupling variant, or for ``auto`` the
+    mode the structure calls for: thm1 (linear) or thm3 (nonlinear), thm2
+    or thm4 when all nodes share one smooth part, cor1 for thm2 with every
+    γ entry positive."""
+    if mode == "auto":
+        try:
+            _require_common_h(fields)
+            common = True
+        except CertifyError:
+            common = False
+        if coupling.variant == "nonlinear":
+            return "thm4" if common else "thm3"
+        if not common:
+            return "thm1"
+        return "cor1" if bool((coupling.gamma > 0.0).all()) else "thm2"
+    if mode not in _VARIANTS:
+        raise CertifyError(f"unknown mode '{mode}' (expected one of auto, {', '.join(_VARIANTS)})")
+    if coupling.variant != _VARIANTS[mode]:
+        raise CertifyError(f"mode {mode} needs {_VARIANTS[mode]} coupling")
+    return mode
 
-    With g = Γ (linear coupling) or υ (nonlinear), c enters only through
-    the decay margin m(c) = −max(w_coupled − c·λ₂·min coupled p·g,
-    w_uncoupled).  So the network checks, M̄ and h̄₀, λ₂, the certificate
-    (P = I with each component's largest identity-metric W, or the
-    family's threshold member in thm2/cor1), the trapping ball and h sup,
-    the x(0) and uncoupled-residual hypotheses and c̃ are all found here,
-    and :meth:`at` gives the report at one gain.  c̃ is one formula in
-    every mode, max((gain term + largest coupled W) / (λ₂·min coupled p·g), 0),
-    with the gain term 2√N(M̄ + h sup)/e_max of a finite sector radius;
-    in thm1 it is 0 since W < 0.  λ₂ is solved on first use and then kept:
+
+class Certification:
+    """A network certified in one mode, as a function of the gain.
+
+    ``at(c)`` gives the :class:`BoundReport` at gain c; ``coupling.c`` is
+    not read.  ``mode`` goes through :func:`resolve_mode`.  thm3 and thm4
+    read the stacked initial state ``x0``; only thm2 and cor1 read a
+    certificate ``family``, and the other modes refuse one.
+
+    - thm1: P = I and each node's identity-metric W, negative definite, so
+      every c ≥ 0 is bounded and c̃ = 0; ε̄ is the smaller of the
+      trapping-ball diameter and the decay bound.
+    - thm2, cor1: one smooth part shared by all nodes, checked
+      structurally (one ``h``, or one family with equal h-parameters).  c̃
+      is read off the family's threshold member, and ε̄ = M̄·√N·‖P‖₂/m off
+      its residual member at c, M̄ being the largest node bound M.  cor1 needs every γ entry positive.  By
+      default the nodes give the family: :class:`ChuaCertFamily` for Chua
+      nodes, else the :class:`PointFamily` of their largest identity-metric W.
+    - thm3: thm1 under odd componentwise coupling, with the ball's radius
+      in place of its diameter, and h bounded on the ball of radius
+      r_max = max(radius, ‖x(0)‖) + 1e-6.
+    - thm4: a shared smooth part with P = I and a sign-indefinite W, whose
+      nonnegative entries must be on coupled components; no ball, so ε̄ is
+      the decay bound alone.
+
+    thm1 and thm3 bound h on the ball by h_gain·r + h0_norm, so every node
+    needs ``h_gain``.  υ holds only on 0 < |z| ≤ e_max, so in thm3 and
+    thm4 the initial error x(0) − x̄(0) and the uncoupled components'
+    residual must each fit in e_max/2.
+
+    A family is any object with two methods.  ``threshold_cert(lam2_graph,
+    gamma)`` gives the member with the least gain threshold c̃ whose W
+    entries on uncoupled components (γᵢ = 0) are negative;
+    ``residual_cert(c, lam2_graph, gamma)`` gives the member with the
+    largest decay margin, so the least ε̄, at gain c.  Both return a
+    unit-scaled, validated :class:`QuadCertificate` or raise
+    :class:`CertifyError` saying why no member qualifies; a residual
+    member that cannot be had shows as a failed "positive decay margin"
+    hypothesis.
+
+    c enters only through the decay margin m(c) = −max(w_coupled −
+    c·λ₂·min coupled p·g, w_uncoupled), with g = Γ or υ, so everything
+    else, c̃ included, is found once, here: c̃ = max((gain term + largest
+    coupled W) / (λ₂·min coupled p·g), 0), the gain term being
+    2√N(M̄ + h sup)/e_max for a finite e_max.  λ₂ is solved on first use:
     thm1 at c = 0 and without coupled components reads none.
     """
 
-    def __init__(self, mode: str, fields: Sequence[AffineDecomposedField], topo: Topology,
-                 coupling: CouplingSpec, x0=None, family=None):
+    def __init__(self, fields: Sequence[AffineDecomposedField], topo: Topology,
+                 coupling: CouplingSpec, x0=None, mode: str = "auto", family=None):
+        mode = resolve_mode(mode, fields, coupling)
+        if family is not None and mode not in ("thm2", "cor1"):
+            raise CertifyError(f"mode {mode} reads no certificate family; only thm2 and cor1 do")
         n_nodes, dim = topo.n_nodes, fields[0].dim
         if len(fields) != n_nodes:
             raise CertifyError(f"{len(fields)} node fields for a {n_nodes}-node topology")
         if any(f.dim != dim for f in fields):
             raise CertifyError("all nodes must share one state dimension")
-        linear = mode in _LINEAR_MODES
-        if coupling.variant != ("linear" if linear else "nonlinear"):
-            raise CertifyError(f"mode {mode} needs {'linear' if linear else 'nonlinear'} coupling")
+        linear = coupling.variant == "linear"
         if mode in ("thm2", "cor1", "thm4"):
             _require_common_h(fields)
         g = coupling.gamma if linear else coupling.upsilon
@@ -904,6 +947,9 @@ class _GainFree:
         member at c.  ε₂ = √N(M̄ + h sup)·‖P‖₂/m(c), and ε̄ is the smaller
         of ε₂ and the ball candidate ε₁ where there is a ball.
         """
+        c = float(c)
+        if not 0.0 <= c < math.inf:
+            raise CertifyError("coupling gain c must be finite and nonnegative")
         hyps = list(self.hypotheses)
         if self.mode != "thm1":
             # as the header prints them, unless that hides which is larger
@@ -940,76 +986,3 @@ class _GainFree:
             hypotheses=tuple(hyps), **self.known, **member,
         )
 
-
-def linear_hetero_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float) -> BoundReport:
-    """Residual bound for linearly coupled nodes that each contract (thm1).
-
-    Reads P = I and each node's declared identity-metric W; every W must be
-    negative definite.  Boundedness then holds for every gain c ≥ 0, so
-    the report carries no gain threshold.  Two candidate bounds are
-    computed: the trapping-ball diameter (gain independent) and the
-    decay-margin bound (shrinking with c); ε̄ is their minimum.  The decay
-    bound needs h bounded on the ball, so every node needs a slope bound
-    ``h_gain``.  λ₂ is solved only for a positive gain on coupled
-    components.
-    """
-    return _GainFree("thm1", fields, topo, CouplingSpec("linear", c, gamma=gamma)).at(float(c))
-
-
-def linear_common_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                         gamma, c: float, family=None, mode: str = "thm2") -> BoundReport:
-    """Gain threshold and residual bound when all nodes share one smooth part.
-
-    The shared-h requirement is checked structurally (one ``h``, or one
-    family with equal h-parameters);
-    M̄ is the largest per-node bound on the non-shared parts.  Without a
-    ``family``, the certificates come from the nodes: the double-scroll
-    :class:`ChuaCertFamily` for Chua nodes, else the identity-metric
-    :class:`PointFamily` of the nodes' declared W.  c̃ is read
-    off the family's threshold certificate, whose W entries on uncoupled
-    components must be negative.  Above c̃, ε̄ = M̄·√N·‖P‖₂ / m, with m the
-    decay margin, is read off the family's residual certificate at the
-    requested gain.  ``cor1`` requires every component coupled.
-
-    A family is any object with two methods.  ``threshold_cert(lam2_graph,
-    gamma)`` gives the member with the least gain threshold c̃ whose W
-    entries on uncoupled components (γᵢ = 0) are negative;
-    ``residual_cert(c, lam2_graph, gamma)`` gives the member with the
-    largest decay margin, so the least ε̄, at gain c.  Both return a
-    unit-scaled, validated :class:`QuadCertificate` or raise
-    :class:`CertifyError` saying why no member qualifies; a residual
-    member that cannot be had shows as a failed "positive decay margin"
-    hypothesis.
-    """
-    if mode not in ("thm2", "cor1"):
-        raise CertifyError(f"linear common mode must be thm2 or cor1, got '{mode}'")
-    coupling = CouplingSpec("linear", c, gamma=gamma)
-    return _GainFree(mode, fields, topo, coupling, family=family).at(float(c))
-
-
-def nonlinear_bounds(fields: Sequence[AffineDecomposedField], topo: Topology,
-                     coupling: CouplingSpec, x0, mode: str = "thm3") -> BoundReport:
-    """Gain threshold and residual bound for odd componentwise coupling.
-
-    The gain is ``coupling.c``.  Both modes read P = I and each node's
-    identity-metric W.
-
-    - ``thm3``: heterogeneous nodes whose W is negative definite.  ε̄ is
-      the smaller of the trapping-ball radius and the decay bound.  The
-      h supremum is taken on the ball of radius r_max, the larger of that
-      radius and ‖x(0)‖, inflated by 1e-6.  Every node needs a
-      slope bound ``h_gain``.
-    - ``thm4``: one shared smooth part with a sign-indefinite W; components
-      whose W entry is nonnegative must carry a positive sector bound.  No
-      trapping ball is needed, so ε̄ is the decay bound alone.
-
-    The sector bounds υ are only valid on ‖z‖ ≤ e_max, so two state-dependent
-    hypotheses are checked: the initial error x(0) − x̄(0) must fit in half
-    the sector radius, and so must the residual of the uncoupled components.
-    Both tests are ≤ e_max/2 in both modes: υ holds on the closed range
-    0 < |z| ≤ e_max, so pairwise errors of twice that size stay inside it.
-    """
-    if mode not in ("thm3", "thm4"):
-        raise CertifyError(f"nonlinear mode must be thm3 or thm4, got '{mode}'")
-    return _GainFree(mode, fields, topo, coupling, x0).at(float(coupling.c))

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Three subcommands share a scenario argument (built-in name or scenario
-file) and a seed override:
+file) and a seed override; the two that integrate also take step and
+horizon overrides:
 
 * ``certify``  - compute the coupling threshold and residual bound,
   write ``report.txt`` and ``report.json``; exit 0 when certified, 2
@@ -57,8 +58,6 @@ def _add_common(sub: argparse.ArgumentParser):
     )
     sub.add_argument("--seed", type=int, default=None, help="seed override for all scenario draws")
     sub.add_argument("--out", default="pwsync-out", help="output directory (created if missing)")
-    sub.add_argument("--dt", type=float, default=None, help="integration step override")
-    sub.add_argument("--t-end", type=float, default=None, help="integration horizon override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,6 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=10, help="number of grid points")
     sweep.add_argument("--grid", choices=("lin", "log"), default="lin", help="grid spacing")
     sweep.set_defaults(func=cmd_sweep)
+    for sub in (sim, sweep):
+        sub.add_argument("--dt", type=float, default=None, help="integration step override")
+        sub.add_argument("--t-end", type=float, default=None, help="integration horizon override")
     return parser
 
 

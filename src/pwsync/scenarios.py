@@ -6,9 +6,10 @@ metadata echoed into every output header (seeded draws are expanded here
 so outputs document the exact parameters they were produced with).
 :meth:`Scenario.certify` and :meth:`Scenario.simulate` take no arguments:
 a scenario's gain is changed by :meth:`Scenario.with_gain` and its
-simulation settings by :meth:`Scenario.with_sim`.  Every mode certifies
-through one shared path: :meth:`Scenario.certification` builds the part
-that no gain changes (λ₂, certificates, ball, c̃) once, and
+simulation settings by :meth:`Scenario.with_sim`.  A scenario names its
+mode; ``certify`` checks it and resolves ``auto``.
+:meth:`Scenario.certification` builds the scenario's
+:class:`certify.Certification` (λ₂, certificates, ball, c̃) once, and
 :meth:`Scenario.certify` evaluates it at the scenario's gain, as
 ``sweep_coupling`` does at every gain of its grid.
 
@@ -33,13 +34,12 @@ from typing import Optional
 import numpy as np
 
 from .certify import (
+    Certification,
     CertifyError,
     CouplingSpec,
-    _GainFree,
-    _LINEAR_MODES,
-    _require_common_h,
     certify_upsilon,
     pws_coupling,
+    resolve_mode,
 )
 from .dynamics import (
     ChuaParams,
@@ -71,9 +71,6 @@ __all__ = [
     "load_scenario",
 ]
 
-_MODES = ("auto", "thm1", "thm2", "cor1", "thm3", "thm4")
-_NONLINEAR_MODES = ("thm3", "thm4")
-
 
 class ConfigError(ValueError):
     """Malformed scenario file or unknown scenario name."""
@@ -91,12 +88,6 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigError(f"unknown mode '{self.mode}' (expected one of {', '.join(_MODES)})")
-        if self.mode in _LINEAR_MODES and self.coupling.variant != "linear":
-            raise ConfigError(f"mode {self.mode} needs linear coupling")
-        if self.mode in _NONLINEAR_MODES and self.coupling.variant != "nonlinear":
-            raise ConfigError(f"mode {self.mode} needs nonlinear coupling")
         if len(self.fields) != self.topo.n_nodes:
             raise ConfigError(
                 f"{len(self.fields)} node fields for a {self.topo.n_nodes}-node topology"
@@ -109,36 +100,26 @@ class Scenario:
             raise ConfigError(
                 f"x0 must have {self.topo.n_nodes * dim} entries, got {self.x0.shape[0]}"
             )
+        try:
+            self.resolved_mode()
+        except CertifyError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def dim(self) -> int:
         return self.fields[0].dim
 
     def resolved_mode(self) -> str:
-        """Pick the certification mode: shared smooth part upgrades the
-        heterogeneous modes, full coupling upgrades thm2 to cor1."""
-        if self.mode != "auto":
-            return self.mode
-        try:
-            _require_common_h(self.fields)
-            common = True
-        except CertifyError:
-            common = False
-        if self.coupling.variant == "linear":
-            if not common:
-                return "thm1"
-            return "cor1" if bool((self.coupling.gamma > 0.0).all()) else "thm2"
-        return "thm4" if common else "thm3"
+        """The certification mode, as :func:`certify.resolve_mode` picks it."""
+        return resolve_mode(self.mode, self.fields, self.coupling)
 
-    def certification(self):
-        """The part of certifying the scenario in its resolved mode that the
-        gain does not change, built once; its ``at(c)`` gives the
-        :class:`BoundReport` at gain c."""
-        return _GainFree(self.resolved_mode(), self.fields, self.topo, self.coupling, self.x0)
+    def certification(self) -> Certification:
+        """The scenario's :class:`Certification`, built once for every gain."""
+        return Certification(self.fields, self.topo, self.coupling, self.x0, self.mode)
 
     def certify(self):
         """The certification report for the resolved mode at the scenario's gain."""
-        return self.certification().at(float(self.coupling.c))
+        return self.certification().at(self.coupling.c)
 
     def simulate(self):
         """Integrate the scenario at its gain with its ``sim`` settings."""

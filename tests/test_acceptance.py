@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from pwsync.certify import (
+    Certification,
+    CouplingSpec,
     PointFamily,
     QuadCertificate,
     certify_upsilon,
     check_quad_sampled,
-    linear_common_bounds,
     pws_coupling,
     quad_linear_cert,
 )
@@ -103,9 +104,10 @@ def test_criterion_2b_relay_stated_constants():
     cert = quad_linear_cert(RELAY_A)
     lam_max = float(cert.w[0])
     scenario = load_scenario("relay5", 0)
-    c_tilde = linear_common_bounds(
-        scenario.fields, scenario.topo, np.ones(3), scenario.coupling.c, PointFamily(cert)
-    ).c_tilde
+    coupling = CouplingSpec("linear", 0.0, gamma=np.ones(3))
+    certification = Certification(scenario.fields, scenario.topo, coupling, mode="thm2",
+                                  family=PointFamily(cert))
+    c_tilde = certification.at(scenario.coupling.c).c_tilde
     ok = abs(lam_max - 50.0) <= 1e-9 and c_tilde == 25.0
     _line(
         "2b relay stated constants",
@@ -272,11 +274,12 @@ def test_criterion_5c_scale_invariance():
     base = quad_linear_cert(RELAY_A)
     topo = topology_from_edges(5, ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3),
                                    (1, 4), (2, 3), (3, 4)))
-    gamma = np.ones(3)
+    coupling = CouplingSpec("linear", 0.0, gamma=np.ones(3))
     fields = [relay_field(RelayParams(m_override=math.sqrt(6.0)))] * 5
 
     def bounds(cert):
-        report = linear_common_bounds(fields, topo, gamma, 50.0, PointFamily(cert))
+        report = Certification(fields, topo, coupling, mode="thm2",
+                               family=PointFamily(cert)).at(50.0)
         return report.c_tilde, report.eps_bar
 
     ct_ref, eps_ref = bounds(base)
@@ -293,7 +296,6 @@ def test_criterion_5c_scale_invariance():
 
 def test_criterion_5d_integrator_order():
     from oracles import rk4_reference_scalar
-    from pwsync.certify import CouplingSpec
     from pwsync.dynamics import AffineDecomposedField
 
     def h(t, x):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pwsync.certify import (
+    Certification,
     CertifyError,
     ChuaCertFamily,
     CouplingSpec,
@@ -15,11 +16,9 @@ from pwsync.certify import (
     QuadCertificate,
     certify_upsilon,
     check_quad_sampled,
-    linear_common_bounds,
-    linear_hetero_bounds,
-    nonlinear_bounds,
     pws_coupling,
     quad_linear_cert,
+    resolve_mode,
 )
 from pwsync.certify import _MARGIN, _require_common_h, _unit_cert
 from pwsync.dynamics import (
@@ -69,6 +68,11 @@ def _relay_topo():
     return topology_from_edges(5, RELAY_EDGES)
 
 
+def _linear(gamma):
+    """Linear coupling on ``gamma``: a certification reads its gain from ``at(c)`` only."""
+    return CouplingSpec("linear", 0.0, gamma=gamma)
+
+
 def _scaled(cert, alpha):
     return QuadCertificate(alpha * cert.p, alpha * cert.w)
 
@@ -114,9 +118,10 @@ def test_chua_family_known_values():
     assert cert.p[0] * 2.0 == cert.p[2] == 1.0 / 17.3
     # γ1 = 0.1 puts that kink past p1 = 1/α, so the optimum is smooth: there
     # c̃ ∝ −α(1+s) + (α·p1 + 1)² / (4(1 − _MARGIN)·p1) is least at p1 = 1/α
-    report = linear_common_bounds([chua_field(ChuaParams(), i, 10) for i in range(10)],
-                                  complete_topology(10).scaled(2.22 / 10.0),
-                                  np.array([0.1, 0.0, 1.0]), 0.0, ChuaCertFamily())
+    report = Certification([chua_field(ChuaParams(), i, 10) for i in range(10)],
+                           complete_topology(10).scaled(2.22 / 10.0),
+                           _linear(np.array([0.1, 0.0, 1.0])), mode="thm2",
+                           family=ChuaCertFamily()).at(0.0)
     expected = 10.0 * (1.0 / (1.0 - _MARGIN) - 1.0 + 1.34) / (2.22 * 0.1)
     assert abs(report.c_tilde - expected) < 1e-13 * expected
     assert abs(report.p_opt[0] - 0.1) < 1e-6
@@ -166,6 +171,19 @@ def test_chua_residual_cert_refuses_a_family_without_a_positive_margin():
     # has a positive margin; the search used to return its own grid edge
     with pytest.raises(CertifyError, match="no double-scroll certificate has a positive decay margin"):
         ChuaCertFamily().residual_cert(10.0, 2.22, np.array([0.3, 0.0, 1.0]))
+
+
+def test_chua_threshold_with_every_component_coupled_needs_no_uncoupled_margin():
+    # margin = 1e-6·max(u, 1, 1/β) ≥ 1 for every u once β ≤ 1e-6; that bound
+    # only clips ρ when component 2 is uncoupled, so it must not empty the family
+    family = ChuaCertFamily(beta=1e-7)
+    cert = family.threshold_cert(2.22, np.ones(3))
+    c_tilde = cert.w.max() / (2.22 * cert.p.min())
+    grid_c_tilde, _ = _grid_optima(family.alpha, family.beta,
+                                   min(family.slope_a, family.slope_b), np.ones(3), 2.22, 0.0)
+    assert 0.0 < c_tilde <= grid_c_tilde * (1.0 + 1e-9)
+    with pytest.raises(CertifyError, match="on the uncoupled components"):
+        family.threshold_cert(2.22, np.array([1.0, 0.0, 1.0]))
 
 
 def test_chua_family_refuses_non_finite_parameters():
@@ -342,7 +360,8 @@ def test_pws_coupling_equals_its_case_formula():
 
 def test_relay_threshold_from_point_family():
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 0.0, family)
+    report = Certification(_relay_fields(5), _relay_topo(), _linear(np.ones(3)), mode="thm2",
+                           family=family).at(0.0)
     expected = RELAY_LAMBDA_MAX / 2.0
     assert abs(report.c_tilde - expected) < REL_TOL * expected
     assert abs(max(report.p_opt) - 1.0) < 1e-12
@@ -351,7 +370,8 @@ def test_relay_threshold_from_point_family():
 def test_relay_own_residual_bound_at_double_gain():
     fields = _relay_fields(5)
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(fields, _relay_topo(), np.ones(3), 50.0, family, mode="cor1")
+    report = Certification(fields, _relay_topo(), _linear(np.ones(3)), mode="cor1",
+                           family=family).at(50.0)
     m = 50.0 * 2.0 - RELAY_LAMBDA_MAX
     expected = math.sqrt(6.0) * math.sqrt(5.0) / m
     assert report.certified
@@ -363,14 +383,16 @@ def test_literal_residual_arithmetic():
     # With a hand-entered certificate (P = I, W = 50 I), mismatch bound 2 and
     # gain 50 on the 5-node benchmark graph, the bound is 2*sqrt(5)/50.
     family = PointFamily(QuadCertificate(p=np.ones(3), w=np.full(3, 50.0)))
-    report = linear_common_bounds(_relay_fields(5, 2.0), _relay_topo(), np.ones(3), 50.0, family)
+    report = Certification(_relay_fields(5, 2.0), _relay_topo(), _linear(np.ones(3)), mode="thm2",
+                           family=family).at(50.0)
     expected = 2.0 * math.sqrt(5.0) / 50.0
     assert abs(report.eps_bar - expected) < 1e-12
 
 
 def test_residual_is_withheld_below_threshold():
     family = PointFamily(QuadCertificate(p=np.ones(3), w=np.full(3, 50.0)))
-    report = linear_common_bounds(_relay_fields(5, 2.0), _relay_topo(), np.ones(3), 24.0, family)
+    report = Certification(_relay_fields(5, 2.0), _relay_topo(), _linear(np.ones(3)), mode="thm2",
+                           family=family).at(24.0)
     assert not report.certified
     assert report.eps_bar is None
 
@@ -379,7 +401,8 @@ def test_residual_raises_for_noncontracting_uncoupled_component():
     family = PointFamily(QuadCertificate(p=np.ones(3), w=np.array([-1.0, -1.0, 0.0])))
     gamma = np.array([1.0, 1.0, 0.0])
     with pytest.raises(CertifyError):
-        linear_common_bounds(_relay_fields(5, 1.0), _relay_topo(), gamma, 100.0, family)
+        Certification(_relay_fields(5, 1.0), _relay_topo(), _linear(gamma), mode="thm2",
+                      family=family).at(100.0)
 
 
 def test_a_family_without_a_residual_member_fails_the_margin_hypothesis():
@@ -388,8 +411,8 @@ def test_a_family_without_a_residual_member_fails_the_margin_hypothesis():
             raise CertifyError("no member at this gain")
 
     family = NoResidual(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0, family,
-                                  mode="cor1")
+    report = Certification(_relay_fields(5), _relay_topo(), _linear(np.ones(3)), mode="cor1",
+                           family=family).at(50.0)
     assert not report.certified
     assert report.eps_bar is None and report.m_value is None
     assert [(h.name, h.passed) for h in report.hypotheses] == [
@@ -401,33 +424,26 @@ def test_chua_family_threshold_matches_analytic_optimum():
     gamma = np.array([1.0, 0.0, 1.0])
     fields = [chua_field(ChuaParams(), node_index=i, n_nodes=10) for i in range(10)]
     # at c = 0 no ε̄ search runs, so P* and W* are the c̃ winner
-    report = linear_common_bounds(fields, topo, gamma, 0.0, ChuaCertFamily())
+    report = Certification(fields, topo, _linear(gamma), mode="thm2",
+                           family=ChuaCertFamily()).at(0.0)
     expected = CHUA_OBJECTIVE_MIN / 2.22
     assert abs(report.c_tilde - expected) < 1e-4 * expected
     assert report.w_opt[1] < 0.0  # the uncoupled middle component must contract
-
-
-def test_linear_common_bounds_rejects_unknown_mode():
-    family = PointFamily(quad_linear_cert(RELAY_A))
-    for mode in ("thm1", "thm4", "auto", "cor2"):
-        with pytest.raises(CertifyError, match="thm2 or cor1"):
-            linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), 50.0,
-                                 family, mode=mode)
 
 
 @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
 def test_report_builders_reject_bad_gains(c):
     family = PointFamily(quad_linear_cert(RELAY_A))
     with pytest.raises(CertifyError, match="finite and nonnegative"):
-        linear_common_bounds(_relay_fields(5), _relay_topo(), np.ones(3), c, family)
+        Certification(_relay_fields(5), _relay_topo(), _linear(np.ones(3)), mode="thm2",
+                      family=family).at(c)
     fields = [ikeda_field(IkedaParams(a=a, b=b)) for a, b in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.5))]
     with pytest.raises(CertifyError, match="finite and nonnegative"):
-        linear_hetero_bounds(fields, complete_topology(3), np.ones(1), c)
-    # nonlinear_bounds reads its gain from the coupling spec, which refuses it
+        Certification(fields, complete_topology(3), _linear(np.ones(1)), mode="thm1").at(c)
     scenario = load_scenario("kuramoto4", seed=0)
     with pytest.raises(CertifyError, match="finite and nonnegative"):
-        nonlinear_bounds(scenario.fields, scenario.topo, scenario.coupling.with_gain(c),
-                         scenario.x0, mode="thm4")
+        Certification(scenario.fields, scenario.topo, scenario.coupling, scenario.x0,
+                      mode="thm4").at(c)
 
 
 def test_threshold_scale_invariance():
@@ -435,8 +451,8 @@ def test_threshold_scale_invariance():
     topo = _relay_topo()
 
     def c_tilde(cert):
-        return linear_common_bounds(_relay_fields(5), topo, np.ones(3), 0.0,
-                                    PointFamily(cert)).c_tilde
+        return Certification(_relay_fields(5), topo, _linear(np.ones(3)), mode="thm2",
+                             family=PointFamily(cert)).at(0.0).c_tilde
 
     ref = c_tilde(base)
     for alpha in (0.1, 10.0):
@@ -450,8 +466,8 @@ def test_residual_scale_invariance():
     gamma = np.array([1.0, 1.0, 0.0])
 
     def eps_bar(cert):
-        return linear_common_bounds(_relay_fields(5, 1.5), topo, gamma, 4.0,
-                                    PointFamily(cert)).eps_bar
+        return Certification(_relay_fields(5, 1.5), topo, _linear(gamma), mode="thm2",
+                             family=PointFamily(cert)).at(4.0).eps_bar
 
     ref = eps_bar(cert)
     for alpha in (0.1, 10.0):
@@ -463,8 +479,8 @@ def test_full_coupling_mode_requires_positive_gamma():
     fields = _relay_fields(5)
     family = PointFamily(quad_linear_cert(RELAY_A))
     with pytest.raises(CertifyError):
-        linear_common_bounds(fields, _relay_topo(), np.array([1.0, 0.0, 1.0]),
-                             50.0, family, mode="cor1")
+        Certification(fields, _relay_topo(), _linear(np.array([1.0, 0.0, 1.0])), mode="cor1",
+                      family=family).at(50.0)
 
 
 def test_field_free_full_coupling_variant():
@@ -472,7 +488,8 @@ def test_field_free_full_coupling_variant():
     # eps_bar is sqrt(N)·M / m with m = c·λ₂ − λ_max(sym A)
     fields = [relay_field(RelayParams(m_override=2.0))] * 5
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(fields, _relay_topo(), np.ones(3), 50.0, family, mode="cor1")
+    report = Certification(fields, _relay_topo(), _linear(np.ones(3)), mode="cor1",
+                           family=family).at(50.0)
     m = 50.0 * 2.0 - RELAY_LAMBDA_MAX
     expected = 2.0 * math.sqrt(5.0) / m
     assert abs(report.eps_bar - expected) < REL_TOL * expected
@@ -482,7 +499,8 @@ def test_shared_smooth_part_is_enforced():
     fields = [ikeda_field(IkedaParams(a=1.0 + 0.1 * i)) for i in range(3)]
     family = PointFamily(QuadCertificate(p=np.ones(1), w=np.array([-1.0])))
     with pytest.raises(CertifyError):
-        linear_common_bounds(fields, complete_topology(3), np.ones(1), 1.0, family)
+        Certification(fields, complete_topology(3), _linear(np.ones(1)), mode="thm2",
+                      family=family).at(1.0)
 
 
 def test_shared_h_is_structural_within_a_family():
@@ -516,20 +534,24 @@ def test_separately_built_hand_fields_do_not_share_h():
     fields = [_two_component_field(-1.0, -2.0, 1.0) for _ in range(4)]
     family = PointFamily(QuadCertificate(p=np.ones(2), w=np.array([-1.0, -2.0])))
     with pytest.raises(CertifyError, match="share one smooth part"):
-        linear_common_bounds(fields, ring_topology(4), np.ones(2), 1.0, family)
+        Certification(fields, ring_topology(4), _linear(np.ones(2)), mode="thm2",
+                      family=family).at(1.0)
     coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, UPSILON_PWS]))
     with pytest.raises(CertifyError, match="share one smooth part"):
-        nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
+        Certification(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4").at(coupling.c)
     shared = [fields[0]] * 4
-    assert linear_common_bounds(shared, ring_topology(4), np.ones(2), 1.0, family).certified
-    assert nonlinear_bounds(shared, ring_topology(4), coupling, np.zeros(8), mode="thm4").certified
+    assert Certification(shared, ring_topology(4), _linear(np.ones(2)), mode="thm2",
+                         family=family).at(1.0).certified
+    assert Certification(shared, ring_topology(4), coupling, np.zeros(8),
+                         mode="thm4").at(coupling.c).certified
 
 
 def test_below_threshold_report_is_uncertified():
     fields = _relay_fields(5)
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(fields, _relay_topo(), np.ones(3), 10.0, family, mode="cor1")
+    report = Certification(fields, _relay_topo(), _linear(np.ones(3)), mode="cor1",
+                           family=family).at(10.0)
     assert not report.certified
     assert report.eps_bar is None
     assert any(not h.passed for h in report.hypotheses)
@@ -588,9 +610,10 @@ def test_chua_family_optimum_beats_a_dense_grid():
         fields = [chua_field(params, i, 4) for i in range(4)]
         family = ChuaCertFamily(alpha, beta, params.slope_a, params.slope_b)
         scaled = topo.scaled(lam2_graph / 4.0)
-        c_tilde = linear_common_bounds(fields, scaled, gamma, 0.0, family).c_tilde
+        c_tilde = Certification(fields, scaled, _linear(gamma), mode="thm2",
+                                family=family).at(0.0).c_tilde
         c = (c_tilde + 0.1) * rng.uniform(1.05, 5.0)
-        report = linear_common_bounds(fields, scaled, gamma, c, family)
+        report = Certification(fields, scaled, _linear(gamma), mode="thm2", family=family).at(c)
         grid_c_tilde, grid_margin = _grid_optima(alpha, beta, s, gamma, lam2_graph, c)
         assert report.c_tilde <= grid_c_tilde * (1.0 + 1e-9), case
         assert report.certified, case
@@ -626,12 +649,12 @@ CHUA10_PATTERNS = [
 @pytest.mark.parametrize("gamma, mode, expected", CHUA10_PATTERNS)
 def test_chua10_gamma_patterns(gamma, mode, expected):
     scenario = load_scenario("chua10", seed=0)
-    args = (scenario.fields, scenario.topo, np.array(gamma, dtype=float), 10.0)
+    args = (scenario.fields, scenario.topo, _linear(np.array(gamma, dtype=float)))
     if isinstance(expected, str):
         with pytest.raises(CertifyError, match=expected):
-            linear_common_bounds(*args, mode=mode)
+            Certification(*args, mode=mode).at(10.0)
         return
-    report = linear_common_bounds(*args, mode=mode)
+    report = Certification(*args, mode=mode).at(10.0)
     assert report.certified
     assert abs(report.c_tilde - expected[0]) < 1e-13 * expected[0]
     assert abs(report.eps_bar - expected[1]) < 1e-13 * expected[1]
@@ -655,8 +678,9 @@ def test_chua_family_optimum_matches_a_200_bit_oracle():
         family = ChuaCertFamily(params.alpha, params.beta, params.slope_a, params.slope_b)
         fields = [chua_field(params, i, topo.n_nodes) for i in range(topo.n_nodes)]
         if c is None:
-            c = 2.0 * (linear_common_bounds(fields, topo, gamma, 0.0, family).c_tilde + 0.1)
-        report = linear_common_bounds(fields, topo, gamma, c, family)
+            c = 2.0 * (Certification(fields, topo, _linear(gamma), mode="thm2",
+                                     family=family).at(0.0).c_tilde + 0.1)
+        report = Certification(fields, topo, _linear(gamma), mode="thm2", family=family).at(c)
         c_tilde, margin = chua_family_optimum(params.alpha, params.beta,
                                               (params.slope_a, params.slope_b), gamma,
                                               report.lambda2, c)
@@ -677,7 +701,7 @@ def test_the_gain_hypothesis_prints_the_gain_as_the_header_does():
         assert not gain.passed and not report.certified
 
 
-# Without a family, linear_common_bounds takes it from the nodes; it must give
+# Without a family, a certification takes it from the nodes; it must give
 # the reports of the families the relay and double-scroll nodes call for.
 EXPLICIT_FAMILIES = {
     "relay5": (lambda: PointFamily(quad_linear_cert(RELAY_A)), (0.0, 24.0, 50.0, 80.0)),
@@ -692,9 +716,9 @@ def test_derived_family_matches_the_explicit_one(name, mode):
     make_family, gains = EXPLICIT_FAMILIES[name]
     gamma = scenario.coupling.gamma if mode == "thm2" else np.ones(scenario.dim)
     for c in gains:
-        args = (scenario.fields, scenario.topo, gamma, c)
-        derived = linear_common_bounds(*args, mode=mode)
-        explicit = linear_common_bounds(*args, make_family(), mode=mode)
+        args = (scenario.fields, scenario.topo, _linear(gamma))
+        derived = Certification(*args, mode=mode).at(c)
+        explicit = Certification(*args, mode=mode, family=make_family()).at(c)
         assert derived.to_text() == explicit.to_text(), (name, mode, c)
 
 
@@ -713,7 +737,7 @@ def _hetero_fields():
 def test_hetero_linear_bounds_match_hand_formulas():
     fields = _hetero_fields()
     topo = complete_topology(3)
-    report = linear_hetero_bounds(fields, topo, np.ones(1), 2.0)
+    report = Certification(fields, topo, _linear(np.ones(1)), mode="thm1").at(2.0)
 
     radius = math.sqrt(3.0) * 2.0 / 0.5
     assert abs(report.ball_radius - radius) < REL_TOL * radius
@@ -732,7 +756,8 @@ def test_hetero_linear_bounds_match_hand_formulas():
 
 
 def test_hetero_linear_bounds_hold_at_zero_gain():
-    report = linear_hetero_bounds(_hetero_fields(), complete_topology(3), np.ones(1), 0.0)
+    report = Certification(_hetero_fields(), complete_topology(3), _linear(np.ones(1)),
+                           mode="thm1").at(0.0)
     assert report.certified
     # without coupling only the uncoupled margin is left: m = min a_i
     assert abs(report.m_value - 0.5) < 1e-12
@@ -744,17 +769,17 @@ def test_hetero_linear_bounds_at_zero_gain_need_no_connected_graph():
     # positive gain needs λ₂, which a disconnected graph does not have
     fields = [decay_field(1.0)] * 4
     topo = topology_from_edges(4, [(0, 1), (2, 3)])
-    report = linear_hetero_bounds(fields, topo, np.ones(1), 0.0)
+    report = Certification(fields, topo, _linear(np.ones(1)), mode="thm1").at(0.0)
     assert report.certified
     assert report.lambda2 is None
     with pytest.raises(GraphError, match="disconnected"):
-        linear_hetero_bounds(fields, topo, np.ones(1), 1.0)
+        Certification(fields, topo, _linear(np.ones(1)), mode="thm1").at(1.0)
 
 
 def test_hetero_linear_requires_contracting_nodes():
     fields = [kuramoto_error_field(KuramotoParams(0.1), 0.0) for _ in range(3)]
     with pytest.raises(CertifyError):
-        linear_hetero_bounds(fields, complete_topology(3), np.ones(1), 1.0)
+        Certification(fields, complete_topology(3), _linear(np.ones(1)), mode="thm1").at(1.0)
 
 
 def test_identity_ensemble_requires_annotations():
@@ -763,10 +788,11 @@ def test_identity_ensemble_requires_annotations():
     fields = [chua_field(ChuaParams(), i, 3) for i in range(3)]
     named = re.escape(f"node '{fields[0].label}'") + ".*identity-metric"
     with pytest.raises(CertifyError, match=named):
-        linear_hetero_bounds(fields, complete_topology(3), np.ones(3), 1.0)
+        Certification(fields, complete_topology(3), _linear(np.ones(3)), mode="thm1").at(1.0)
     coupling = _pws_coupling_spec(1.0, math.inf, dim=3)
     with pytest.raises(CertifyError, match=named):
-        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(9))
+        Certification(fields, complete_topology(3), coupling, np.zeros(9),
+                      mode="thm3").at(coupling.c)
 
 
 def _tanh_node(i, h_gain=None):
@@ -791,9 +817,9 @@ def test_ball_modes_refuse_a_node_without_a_slope_bound():
     linear = CouplingSpec("linear", c=2.0, gamma=np.ones(1))
     nonlinear = _pws_coupling_spec(2.0, math.inf)
     with pytest.raises(CertifyError, match=named):
-        linear_hetero_bounds(fields, topo, linear.gamma, linear.c)
+        Certification(fields, topo, linear, mode="thm1").at(linear.c)
     with pytest.raises(CertifyError, match=named):
-        nonlinear_bounds(fields, topo, nonlinear, x0)
+        Certification(fields, topo, nonlinear, x0, mode="thm3").at(nonlinear.c)
     for coupling, mode in ((linear, "thm1"), (nonlinear, "thm3")):
         auto = Scenario(name="tanh", topo=topo, fields=fields, coupling=coupling,
                         sim=SimConfig(), x0=x0)
@@ -801,7 +827,7 @@ def test_ball_modes_refuse_a_node_without_a_slope_bound():
         with pytest.raises(CertifyError, match=named):
             auto.certify()
     with_gains = [_tanh_node(i, h_gain=2.5) for i in (1, 2, 3)]
-    report = linear_hetero_bounds(with_gains, topo, linear.gamma, linear.c)
+    report = Certification(with_gains, topo, linear, mode="thm1").at(linear.c)
     assert report.certified and report.h_max_method == "analytic"
 
 
@@ -821,7 +847,7 @@ def test_nonlinear_hetero_unbounded_sector_matches_hand_formulas():
     topo = complete_topology(3)
     x0 = np.array([0.5, -0.2, 0.1])
     coupling = _pws_coupling_spec(2.0, math.inf)
-    report = nonlinear_bounds(fields, topo, coupling, x0)
+    report = Certification(fields, topo, coupling, x0, mode="thm3").at(coupling.c)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5  # no doubling for this mode
     assert abs(report.eps1 - eps1) < REL_TOL * eps1
@@ -844,7 +870,7 @@ def test_nonlinear_hetero_finite_sector_threshold():
     x0 = np.array([0.5, -0.2, 0.1])
     e_max = 3.0
     coupling = _pws_coupling_spec(8.0, e_max)
-    report = nonlinear_bounds(fields, topo, coupling, x0)
+    report = Certification(fields, topo, coupling, x0, mode="thm3").at(coupling.c)
 
     eps1 = math.sqrt(3.0) * 2.0 / 0.5
     r_max = max(eps1, float(np.linalg.norm(x0))) + 1e-6
@@ -859,7 +885,7 @@ def test_nonlinear_hetero_rejects_large_initial_error():
     fields = _hetero_fields()
     coupling = _pws_coupling_spec(8.0, 3.0)
     x0 = np.array([10.0, -10.0, 0.0])
-    report = nonlinear_bounds(fields, complete_topology(3), coupling, x0)
+    report = Certification(fields, complete_topology(3), coupling, x0, mode="thm3").at(coupling.c)
     assert not report.certified
     assert report.eps_bar is None
     failed = [h for h in report.hypotheses if not h.passed]
@@ -870,7 +896,8 @@ def test_nonlinear_hetero_requires_contracting_nodes():
     fields = [kuramoto_error_field(KuramotoParams(0.1), 0.0) for _ in range(3)]
     coupling = _pws_coupling_spec(1.0, math.inf)
     with pytest.raises(CertifyError):
-        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(3))
+        Certification(fields, complete_topology(3), coupling, np.zeros(3),
+                      mode="thm3").at(coupling.c)
 
 
 def test_nonlinear_common_kuramoto_hand_arithmetic():
@@ -881,7 +908,7 @@ def test_nonlinear_common_kuramoto_hand_arithmetic():
     coupling = CouplingSpec("nonlinear", c=0.75, eta=np.sin,
                             upsilon=np.array([UPSILON_SIN]), e_max=e_max)
     x0 = np.array([0.1, -0.1, 0.05, -0.05])  # already centred
-    report = nonlinear_bounds(fields, topo, coupling, x0, mode="thm4")
+    report = Certification(fields, topo, coupling, x0, mode="thm4").at(coupling.c)
 
     expected_ct = 1.264 / math.sqrt(3.0)
     assert abs(report.c_tilde - expected_ct) < 1e-12
@@ -902,16 +929,11 @@ def test_nonlinear_bounds_measure_the_centred_initial_error():
          np.array([0.5, -0.2, 0.1]), "thm3"),
     ]
     for fields, topo, coupling, x0, mode in cases:
-        ref = nonlinear_bounds(fields, topo, coupling, x0, mode=mode).hypotheses[0]
-        shifted = nonlinear_bounds(fields, topo, coupling, x0 + 0.25, mode=mode).hypotheses[0]
+        ref = Certification(fields, topo, coupling, x0, mode=mode).at(coupling.c).hypotheses[0]
+        shifted = Certification(fields, topo, coupling, x0 + 0.25,
+                                mode=mode).at(coupling.c).hypotheses[0]
         assert ref.passed and shifted.passed
         assert ref.detail == shifted.detail
-
-
-def test_nonlinear_bounds_reject_unknown_mode():
-    with pytest.raises(CertifyError):
-        nonlinear_bounds(_hetero_fields(), complete_topology(3),
-                         _pws_coupling_spec(1.0, math.inf), np.zeros(3), mode="thm1")
 
 
 def test_nonlinear_common_threshold_blocks_low_gain():
@@ -919,8 +941,8 @@ def test_nonlinear_common_threshold_blocks_low_gain():
     fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omegas]
     coupling = CouplingSpec("nonlinear", c=0.7, eta=np.sin,
                             upsilon=np.array([UPSILON_SIN]), e_max=math.pi / 3.0)
-    report = nonlinear_bounds(fields, ring_topology(4), coupling,
-                              np.array([0.1, -0.1, 0.05, -0.05]), mode="thm4")
+    report = Certification(fields, ring_topology(4), coupling, np.array([0.1, -0.1, 0.05, -0.05]),
+                           mode="thm4").at(coupling.c)
     assert not report.certified
     assert report.eps_bar is None
 
@@ -949,7 +971,8 @@ def test_nonlinear_common_uncoupled_component_boundary_is_inclusive():
     def bounds(e_max, mode):
         coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
                                 upsilon=np.array([UPSILON_PWS, 0.0]), e_max=e_max)
-        return nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode=mode)
+        return Certification(fields, ring_topology(4), coupling, np.zeros(8),
+                             mode=mode).at(coupling.c)
 
     for mode in ("thm3", "thm4"):
         h_extra = bounds(math.inf, mode).h_max or 0.0
@@ -967,7 +990,7 @@ def test_nonlinear_common_rejects_noncontracting_uncoupled_component():
     coupling = CouplingSpec("nonlinear", c=5.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, 0.0]), e_max=2.0)
     with pytest.raises(CertifyError):
-        nonlinear_bounds(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4")
+        Certification(fields, ring_topology(4), coupling, np.zeros(8), mode="thm4").at(coupling.c)
 
 
 def test_upsilon_shape_must_match_dimension():
@@ -975,7 +998,70 @@ def test_upsilon_shape_must_match_dimension():
     coupling = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling,
                             upsilon=np.array([UPSILON_PWS, UPSILON_PWS]), e_max=math.inf)
     with pytest.raises(CertifyError):
-        nonlinear_bounds(fields, complete_topology(3), coupling, np.zeros(3))
+        Certification(fields, complete_topology(3), coupling, np.zeros(3),
+                      mode="thm3").at(coupling.c)
+
+
+# ---------------------------------------------------------------------------
+# the modes: their names, the coupling each reads, the family rule and auto
+# ---------------------------------------------------------------------------
+
+
+def test_certification_refuses_an_unknown_mode():
+    family = PointFamily(quad_linear_cert(RELAY_A))
+    for coupling in (_linear(np.ones(3)), _pws_coupling_spec(1.0, math.inf, dim=3)):
+        with pytest.raises(CertifyError, match="unknown mode 'cor2'"):
+            Certification(_relay_fields(5), _relay_topo(), coupling, np.zeros(15), mode="cor2",
+                          family=family)
+
+
+@pytest.mark.parametrize("mode", ["thm1", "thm2", "cor1", "thm3", "thm4"])
+def test_certification_refuses_a_mode_of_the_other_coupling_variant(mode):
+    needs = "linear" if mode in ("thm1", "thm2", "cor1") else "nonlinear"
+    other = _pws_coupling_spec(1.0, math.inf) if needs == "linear" else _linear(np.ones(1))
+    with pytest.raises(CertifyError, match=f"mode {mode} needs {needs} coupling"):
+        Certification(_hetero_fields(), complete_topology(3), other, np.zeros(3), mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["thm1", "thm3", "thm4", "auto"])
+def test_certification_refuses_a_family_where_no_mode_reads_one(mode):
+    # heterogeneous nodes resolve auto to thm1; shared ones take thm4 past
+    # its own checks, so only the family can be what is refused
+    family = PointFamily(QuadCertificate(p=np.ones(1), w=np.array([-1.0])))
+    fields = _hetero_fields() if mode in ("thm1", "auto") else [decay_field(1.0)] * 3
+    coupling = _linear(np.ones(1)) if mode in ("thm1", "auto") else _pws_coupling_spec(1.0, 3.0)
+    resolved = "thm1" if mode == "auto" else mode
+    with pytest.raises(CertifyError, match=f"mode {resolved} reads no certificate family"):
+        Certification(fields, complete_topology(3), coupling, np.zeros(3), mode=mode,
+                      family=family)
+    assert Certification(fields, complete_topology(3), coupling, np.zeros(3),
+                         mode=mode).at(1.0).certified
+
+
+def test_auto_reads_a_family_where_it_resolves_to_thm2_or_cor1():
+    class Marked(PointFamily):
+        pass
+
+    family = Marked(quad_linear_cert(RELAY_A))
+    certification = Certification(_relay_fields(5), _relay_topo(), _linear(np.ones(3)),
+                                  family=family)
+    assert certification.mode == "cor1" and certification.family is family
+
+
+# auto on each built-in's network gives the mode the built-in names, but
+# for contraction3: its decay nodes share h, so auto gives cor1 where the
+# built-in names thm1
+AUTO_MODES = {"relay5": "cor1", "chua10": "thm2", "kuramoto4": "thm4",
+              "ikeda10-linear": "thm1", "ikeda10-nonlinear": "thm3", "contraction3": "cor1"}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_MODES))
+def test_auto_resolves_each_builtin(name):
+    scenario = load_scenario(name, seed=0)
+    auto = Certification(scenario.fields, scenario.topo, scenario.coupling, scenario.x0)
+    assert auto.mode == auto.at(scenario.coupling.c).mode == AUTO_MODES[name]
+    assert resolve_mode("auto", scenario.fields, scenario.coupling) == AUTO_MODES[name]
+    assert resolve_mode(scenario.mode, scenario.fields, scenario.coupling) == scenario.mode
 
 
 # ---------------------------------------------------------------------------
@@ -1012,19 +1098,22 @@ def test_non_finite_coupling_is_rejected(bad):
         CouplingSpec("nonlinear", c=1.0, eta=np.sin, upsilon=np.array([1.0]), e_max=math.nan)
     with pytest.raises(CertifyError, match="e_max"):
         certify_upsilon(np.sin, math.nan)
-    # the bound builders take gamma directly
+    # a certification takes gamma only through its coupling spec
     scenario = load_scenario("ikeda10-linear", 0)
     with pytest.raises(CertifyError, match="gamma must be a finite"):
-        linear_hetero_bounds(scenario.fields, scenario.topo, np.array([bad]), 20.0)
+        Certification(scenario.fields, scenario.topo, _linear(np.array([bad])),
+                      mode="thm1").at(20.0)
     family = PointFamily(quad_linear_cert(RELAY_A))
     with pytest.raises(CertifyError, match="gamma must be a finite"):
-        linear_common_bounds(_relay_fields(5), _relay_topo(), np.array([1.0, bad, 1.0]), 50.0, family)
+        Certification(_relay_fields(5), _relay_topo(), _linear(np.array([1.0, bad, 1.0])),
+                      mode="thm2", family=family).at(50.0)
 
 
 def test_report_serialization_round_trip():
     fields = _relay_fields(5)
     family = PointFamily(quad_linear_cert(RELAY_A))
-    report = linear_common_bounds(fields, _relay_topo(), np.ones(3), 50.0, family, mode="cor1")
+    report = Certification(fields, _relay_topo(), _linear(np.ones(3)), mode="cor1",
+                           family=family).at(50.0)
     blob = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["mode"] == "cor1"
@@ -1037,7 +1126,7 @@ def test_report_serialization_round_trip():
 def test_report_infinities_serialize_as_strings():
     fields = _hetero_fields()
     coupling = _pws_coupling_spec(2.0, math.inf)
-    report = nonlinear_bounds(fields, complete_topology(3), coupling,
-                                     np.array([0.5, -0.2, 0.1]))
+    report = Certification(fields, complete_topology(3), coupling, np.array([0.5, -0.2, 0.1]),
+                           mode="thm3").at(coupling.c)
     blob = json.dumps(report.to_dict())
     assert "inf" in blob

@@ -217,6 +217,16 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         assert first == (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+def test_certify_refuses_the_integration_overrides(tmp_path, capsys, flag):
+    # certify integrates nothing, so a step or a horizon would go unread
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "contraction3", flag, "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_divergence_exits_three(tmp_path):
     ini = tmp_path / "runaway.ini"
     ini.write_text(DIVERGING_INI)

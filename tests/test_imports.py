@@ -1,6 +1,7 @@
 """Every name a ``pwsync`` module imports is used there or re-exported,
-every private module-level name is read somewhere in the package, and
-every module stays under the parser's token budget.
+no module imports another's private name, every private module-level
+name is read somewhere in the package, and every module stays under the
+parser's token budget.
 
 An import that nothing reads is dead code that still couples the module
 to another; the scan reads each module's syntax tree with ``ast``.
@@ -72,6 +73,21 @@ def test_every_private_name_is_read():
                   for name in _private_definitions(tree)
                   if name.startswith("_") and not name.startswith("__") and name not in read)
     assert not dead, f"private names nothing reads: {', '.join(dead)}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's private names are its own; a module that needs one of
+    # another's needs a public name for it
+    imported = sorted(
+        f"{path.name}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "pwsync")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not imported, f"private names imported from another module: {', '.join(imported)}"
 
 
 # CPython's parser keeps a module's tokens in one array that doubles in size
