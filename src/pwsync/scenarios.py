@@ -11,7 +11,11 @@ mode; ``certify`` checks it and resolves ``auto``.
 :meth:`Scenario.certification` builds the scenario's
 :class:`certify.Certification` (λ₂, certificates, ball, c̃) once, and
 :meth:`Scenario.certify` evaluates it at the scenario's gain, as
-``sweep_coupling`` does at every gain of its grid.
+``sweep_coupling`` does at every gain of its grid.  The ``[sim]``
+settings are a :class:`SimConfig`, which raises :class:`SimError` on bad
+values; both live here, beside the loader, so that loading a scenario
+loads no integrator: :meth:`Scenario.simulate` imports :mod:`pwsync.sim`
+when it is called.
 
 A built-in is scenario data: ``BUILTINS`` maps each name to the sections
 and string values of a scenario file, and ``load_scenario`` builds it by
@@ -62,10 +66,11 @@ from .graph import (
     random_connected,
     ring_topology,
 )
-from .sim import SimConfig, integrate
 
 __all__ = [
     "ConfigError",
+    "SimError",
+    "SimConfig",
     "Scenario",
     "BUILTINS",
     "load_scenario",
@@ -74,6 +79,41 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed scenario file or unknown scenario name."""
+
+
+class SimError(ValueError):
+    """Invalid simulation configuration or post-processing request."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Integration settings; ``t_end`` must cover at least ten steps.
+
+    ``regularization_width`` = 0 keeps the exact sign function (value 0 on
+    the switching set); positive values saturate linearly inside the
+    layer.
+    """
+
+    dt: float = 1e-3
+    t_end: float = 10.0
+    tail_fraction: float = 0.25
+    regularization_width: float = 0.0
+    divergence_threshold: float = 1e12
+
+    def __post_init__(self):
+        for f in dataclass_fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise SimError(f"{f.name} must be finite")
+        if self.dt <= 0.0:
+            raise SimError("dt must be positive")
+        if self.t_end < 10.0 * self.dt:
+            raise SimError("t_end must cover at least ten steps")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise SimError("tail_fraction must lie in (0, 1]")
+        if self.regularization_width < 0.0:
+            raise SimError("regularization_width must be nonnegative")
+        if self.divergence_threshold <= 0.0:
+            raise SimError("divergence_threshold must be positive")
 
 
 @dataclass(eq=False)
@@ -123,6 +163,8 @@ class Scenario:
 
     def simulate(self):
         """Integrate the scenario at its gain with its ``sim`` settings."""
+        from .sim import integrate
+
         return integrate(self.fields, self.topo, self.coupling, self.x0, self.sim)
 
     def with_sim(self, **changes) -> "Scenario":
@@ -500,3 +542,13 @@ def load_scenario(spec: str, seed: Optional[int] = None) -> Scenario:
         known = ", ".join(sorted(BUILTINS))
         raise ConfigError(f"unknown scenario '{spec}': not a built-in ({known}) and not a file")
     return _build(_read_file(path), path.stem, seed, path)
+
+
+def __getattr__(name):
+    # the integrator loads on the first simulate; ``integrate`` stays a
+    # name of this module (bench/tracing.py patches it) without loading it
+    if name == "integrate":
+        from .sim import integrate
+
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

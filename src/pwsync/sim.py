@@ -45,7 +45,7 @@ writers name the columns and write them through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -57,6 +57,7 @@ from .certify import CertifyError, CouplingSpec
 from .csvformat import write_csv
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
 from .graph import Topology, build_laplacian
+from .scenarios import SimConfig, SimError
 from .sparse import EdgeScatter, Incidence, NodeGather, NodeScatter, sparse_parts, summed
 
 __all__ = [
@@ -89,41 +90,6 @@ _DENSE = 32768
 # 39-48 against 41-49 ms for 400 steps; 240: 52-55 against 41-46 ms), the
 # step it replaced at about 215 on the same host
 _STATE_SPACE = 256
-
-
-class SimError(ValueError):
-    """Invalid simulation configuration or post-processing request."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Integration settings; ``t_end`` must cover at least ten steps.
-
-    ``regularization_width`` = 0 keeps the exact sign function (value 0 on
-    the switching set); positive values saturate linearly inside the
-    layer.
-    """
-
-    dt: float = 1e-3
-    t_end: float = 10.0
-    tail_fraction: float = 0.25
-    regularization_width: float = 0.0
-    divergence_threshold: float = 1e12
-
-    def __post_init__(self):
-        for f in dataclass_fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise SimError(f"{f.name} must be finite")
-        if self.dt <= 0.0:
-            raise SimError("dt must be positive")
-        if self.t_end < 10.0 * self.dt:
-            raise SimError("t_end must cover at least ten steps")
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise SimError("tail_fraction must lie in (0, 1]")
-        if self.regularization_width < 0.0:
-            raise SimError("regularization_width must be nonnegative")
-        if self.divergence_threshold <= 0.0:
-            raise SimError("divergence_threshold must be positive")
 
 
 @dataclass(eq=False)
@@ -442,17 +408,25 @@ class _Regions:
         self.jac_t = np.zeros((batch, size, size)) if jac_t is None else jac_t
         self.size, self.dt = size, dt
         self.folded = all(isinstance(term.gather, np.ndarray) for term in terms)
-        self.terms, stop = [], 0
+        self.terms, stop, idle = [], 0, []
         for term in terms:  # (gather columns, pieces (P, 4), triple, its sparse parts or None)
-            sparse = None
+            sparse, gains = None, term.factors and term.factors[0][0]
             if isinstance(term.gather, np.ndarray):
                 width = term.gather.shape[1]
             else:
                 width, *sparse = sparse_parts(term, size)
+                gains = sparse[2]
             cols = slice(stop, stop + width)
             self.terms.append((cols, np.array(term.pieces, dtype=float), term, sparse))
+            zero = np.zeros(batch, dtype=bool) if gains is None else gains == 0.0
+            idle.append(np.repeat(zero[:, None], width, axis=1))
             stop = cols.stop
         self.entries = stop  # K
+        # the coupling's gather entries of a member at gain zero add nothing:
+        # they stay in the first piece, held at any value, so the member
+        # steps as its own run, which has no coupling term
+        idle = np.concatenate(idle + [np.zeros((batch, 0), dtype=bool)], axis=1)
+        self.idle = idle if idle.any() else None
         # the step [M_r | P₂G | P₃G | P₄G | G] or [M_r | P₂ | P₃ | P₄]; its
         # leading columns carry forcing, read off J_rᵀ and e_r
         self.gather = None
@@ -487,7 +461,7 @@ class _Regions:
         # per member, the step of its last build and the region its last
         # read found
         self.wary = size * batch > _STATE_SPACE
-        self.built, self.seen = np.full(batch, -_BLOCK), np.full((batch, stop), -1)
+        self.built, self.seen = np.full(batch, -_BLOCK), np.where(idle, 0, -1)
         self.table = self.forcing = None
 
     def _gathers(self, x):
@@ -511,6 +485,8 @@ class _Regions:
             idx = np.searchsorted(table[:, 1], y[:, cols])
             held = (idx < len(table)) & (table[np.minimum(idx, len(table) - 1), 0] <= y[:, cols])
             pieces[:, cols] = np.where(held, idx, -1)
+        if self.idle is not None:
+            pieces[self.idle[rows]] = 0
         inside = (pieces >= 0).all(axis=1)
         changed = inside & (~self.ready[rows] | (pieces != self.pieces[rows]).any(axis=1))
         reset = inside  # members whose wait starts again at one step
@@ -559,6 +535,8 @@ class _Regions:
                 jac = jac + summed(jac_part, slope, size * size).reshape(jac.shape)
                 shift = shift + summed(shift_part, intercept, size)[:, None]
             bounds[:, cols] = piece[..., :2]
+        if self.idle is not None:
+            bounds[self.idle[rows]] = (-np.inf, np.inf)
         self.step[rows] = affine_step(jac, self.dt, self.gather)
         self.jac_r[rows], self.shift[rows] = jac, shift
         if self.weights is not None:

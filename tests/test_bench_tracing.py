@@ -44,3 +44,17 @@ def test_bench_tracer_patches_the_package_and_restores_it(tmp_path):
     assert {tracing.LOAD, tracing.UPSILON, tracing.LAPLACIAN, tracing.LAMBDA2,
             tracing.REPORT, tracing.INTEGRATE, tracing.ERROR_SERIES, tracing.WRITE_CSV,
             tracing.SWEEP} <= names
+
+
+def test_a_traced_simulate_records_one_integrate_span(tmp_path):
+    # Scenario.simulate imports the integrator when it is called; the traced
+    # sim.integrate must be the one it reaches, and reached once
+    tracing = _tracing()
+    scenario = scenarios.load_scenario("contraction3", 0).with_sim(t_end=0.1)
+    for run in (scenario.simulate,
+                lambda: cli.main(["simulate", "--scenario", "contraction3", "--t-end", "0.1",
+                                  "--out", str(tmp_path / "sim")])):
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            run()
+        assert [rec["name"] for rec in tracer.spans].count(tracing.INTEGRATE) == 1

@@ -1,7 +1,8 @@
 """Every name a ``pwsync`` module imports is used there or re-exported,
 no module imports another's private name, every private module-level
-name is read somewhere in the package, and every module stays under the
-parser's token budget.
+name is read somewhere in the package, ``import pwsync`` reaches no
+integrator module, and every module stays under the parser's token
+budget.
 
 An import that nothing reads is dead code that still couples the module
 to another; the scan reads each module's syntax tree with ``ast``.
@@ -88,6 +89,42 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     )
     assert not imported, f"private names imported from another module: {', '.join(imported)}"
+
+
+# ``import pwsync`` runs these modules' top levels; the integrator (sim,
+# affine, sparse, csvformat) and cli load only where a function imports them
+EAGER = ("__init__", "linalg", "dynamics", "graph", "certify", "scenarios")
+
+
+def _module_level_imports(tree):
+    """Package modules imported outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "pwsync":
+                continue
+            inner = parts[node.level == 0:]
+            if inner and inner[0]:
+                yield inner[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "pwsync" and len(parts) > 1:
+                    yield parts[1]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", EAGER)
+def test_import_pwsync_loads_no_integrator(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    late = sorted(set(_module_level_imports(tree)) - set(EAGER))
+    assert not late, f"{module}.py imports {', '.join(late)} at module level"
 
 
 # CPython's parser keeps a module's tokens in one array that doubles in size

@@ -1,5 +1,9 @@
 import configparser
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,40 @@ def test_config_file_edgelist_relay(tmp_path):
     assert s.name == "relay"  # falls back to the file stem
     report = s.certify()
     assert report.certified
+
+
+def test_loading_scenarios_leaves_the_integrator_unloaded(tmp_path):
+    # A fresh interpreter, so modules that other tests imported do not count.
+    (tmp_path / "graph.txt").write_text("0 1\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n3 4\n")
+    (tmp_path / "relay.ini").write_text(RELAY_INI)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import pwsync\n"
+        f"specs = [*pwsync.BUILTINS, {str(tmp_path / 'relay.ini')!r}]\n"
+        "scenarios = [pwsync.load_scenario(spec, 0) for spec in specs]\n"
+        "integrator = ('pwsync.sim', 'pwsync.affine', 'pwsync.sparse', 'pwsync.csvformat')\n"
+        "loaded = [name for name in integrator if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from pwsync import sim\n"
+        "for name in ('integrate', 'error_series', 'steady_state_eps', 'sweep_coupling'):\n"
+        "    assert getattr(pwsync, name) is getattr(sim, name), name\n"
+        "traj = scenarios[-1].with_sim(t_end=0.01).simulate()\n"
+        "assert traj.states.shape == (101, 15) and not traj.diverged, traj.states.shape\n"
+        "try:\n"
+        "    pwsync.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert \"module 'pwsync' has no attribute 'no_such_name'\" in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('pwsync.no_such_name resolved')\n"
+        "missing = set(pwsync.__all__) - set(dir(pwsync))\n"
+        "assert not missing, missing\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 CHUA_INI = """

@@ -1454,6 +1454,30 @@ def test_diverging_gain_is_isolated_within_a_batch():
             assert np.array_equal(traj.states, single.states), (name, c)
 
 
+def test_a_member_at_gain_zero_steps_as_its_own_run_under_pws(monkeypatch):
+    # alone, a gain of zero has no coupling term; in a batch the pws term is
+    # there, at zero weight for it, and its gather entries past |z| = 1 sat
+    # in no region, so the member took the four stages where its own run
+    # took region steps (1.4e-14 apart on chua3 below, 5.6e-16 on the two
+    # decay nodes).  Dense, wary (past the state-space limit) and over the
+    # edge list
+    pws = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.full(3, 0.5))
+    chua = dataclasses.replace(_chua3(), coupling=pws, x0=np.random.default_rng(1).uniform(-1.5, 1.5, 9))
+    decay = _custom_scenario("decay2", [decay_field(1.0), decay_field(2.0)], complete_topology(2),
+                             dataclasses.replace(pws, upsilon=np.full(1, 0.5)),
+                             SimConfig(dt=2.0 ** -6, t_end=1.25), [1.5, -1.0])
+    forms = [{}, {"_STATE_SPACE": 0}, {"_DENSE": 0}]
+    for scenario, patches in [(chua, p) for p in forms] + [(decay, forms[0]), (decay, forms[1])]:
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(sim, name, value)
+            made = _spy(patch)
+            batch, _ = _run(scenario, [0.0, 1.0])
+            (single,) = _run(scenario, [0.0])
+        assert sum(made[0].region_steps) > 0, (scenario.name, patches)
+        assert np.array_equal(batch.states, single.states), (scenario.name, patches)
+
+
 def test_a_non_finite_state_ends_a_gain_as_a_threshold_crossing_does():
     # x' = x on K2 from ±1, with g = NaN once |x| > 5: uncoupled, the step
     # whose last stage passes 5 (t ≈ ln 5) turns the state NaN, which only
