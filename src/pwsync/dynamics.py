@@ -34,6 +34,7 @@ from .linalg import spectral_norm, symmetric_part
 __all__ = [
     "hard_sgn",
     "saturated_sgn",
+    "diode_knee",
     "AffineDecomposedField",
     "NodeFamily",
     "IkedaParams",
@@ -48,9 +49,7 @@ __all__ = [
 ]
 
 
-def hard_sgn(y):
-    """Sign with sgn(0) = 0, the selected value on the switching set."""
-    return np.sign(y)
+hard_sgn = np.sign  # sgn(0) = 0, the selected value on the switching set
 
 
 def saturated_sgn(width: float) -> Callable:
@@ -70,6 +69,15 @@ def saturated_sgn(width: float) -> Callable:
     sgn.pieces = ((-math.inf, -width, 0.0, -1.0), (-width, width, 1.0 / width, 0.0),
                   (width, math.inf, 0.0, 1.0))
     return sgn
+
+
+def diode_knee(y):
+    """Chua's diode knee |y + 1| − |y − 1|, affine on the three ``pieces``
+    split at ±1 (rows as in :func:`saturated_sgn`)."""
+    return np.abs(y + 1.0) - np.abs(y - 1.0)
+
+
+diode_knee.pieces = ((-math.inf, -1.0, 0.0, -2.0), (-1.0, 1.0, 2.0, 0.0), (1.0, math.inf, 0.0, 2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,15 +136,15 @@ class NodeFamily:
     a dict q of arrays, one row per node (plus what the kernels derive once):
 
     - ``linear(q)``: the blocks Aᵢ, shape (n, dim, dim);
-    - ``gather(q)``, ``kernel(y, sgn)`` and ``scatter(q)``: the
-      state-dependent rest, kernel(x·Gᵢ)·Sᵢ on a row state x, with gather
-      blocks Gᵢ (n, dim, k) and scatter blocks Sᵢ (n, k, dim).  The relay's
-      −B·sgn(Cx) is C, sgn and −Bᵀ; Chua's diode knee is e₁,
-      |y + 1| − |y − 1| and knee·e₁ᵀ.  The rest is in h when ``rest_in_h``,
-      else in g;
-    - ``pieces(sgn)``: the closed intervals on which ``kernel`` is affine,
-      as rows (lo, hi, slope, intercept) in increasing order, or None when
-      it is not piecewise linear (the relay's hard sign);
+    - ``gather(q)``, ``kernel(sgn)`` and ``scatter(q)``: the
+      state-dependent rest, kernel(sgn)(x·Gᵢ)·Sᵢ on a row state x, with
+      gather blocks Gᵢ (n, dim, k) and scatter blocks Sᵢ (n, k, dim).
+      ``kernel(sgn)`` is the elementwise function itself; like a coupling's
+      η it may carry ``pieces``, the closed intervals on which it is
+      affine, as rows (lo, hi, slope, intercept) in increasing order (none
+      on the relay's hard sign).  The relay's −B·sgn(Cx) is C, sgn and
+      −Bᵀ; Chua's diode knee is e₁, :func:`diode_knee` and knee·e₁ᵀ.  The
+      rest is in h when ``rest_in_h``, else in g;
     - ``forcing(q, ts, delayed, sgn)``: the term in g that depends only on
       time and stored history, at times ts, shape (T, B or 1, n, ...), with
       ``delayed(lags)`` the states (T, B, n, dim) at ts − lags (Ikeda's
@@ -177,9 +185,6 @@ class NodeFamily:
     def linear(self, q) -> np.ndarray:
         raise NotImplementedError
 
-    def pieces(self, sgn):
-        return None
-
 
 class _Ikeda(NodeFamily):
     """dx/dt = −a x + b sin x(t − τ): h = −a x, g the delayed sine."""
@@ -219,11 +224,8 @@ class _Chua(NodeFamily):
     def gather(self, q):
         return np.broadcast_to(np.eye(3)[:, :1], (q["alpha"].size, 3, 1))
 
-    def kernel(self, y, sgn):
-        return np.abs(y + 1.0) - np.abs(y - 1.0)
-
-    def pieces(self, sgn):
-        return (-math.inf, -1.0, 0.0, -2.0), (-1.0, 1.0, 2.0, 0.0), (1.0, math.inf, 0.0, 2.0)
+    def kernel(self, sgn):
+        return diode_knee
 
     def scatter(self, q):
         blocks = np.zeros((q["alpha"].size, 1, 3))
@@ -247,11 +249,8 @@ class _Relay(NodeFamily):
     def gather(self, q):
         return q["c_vector"][:, :, None]
 
-    def kernel(self, y, sgn):
-        return sgn(y)
-
-    def pieces(self, sgn):
-        return getattr(sgn, "pieces", None)
+    def kernel(self, sgn):
+        return sgn
 
     def scatter(self, q):
         return -q["b_vector"][:, None, :]
@@ -291,7 +290,7 @@ def _node_field(family: NodeFamily, params: dict, **annotations) -> AffineDecomp
     rest = None
     if family.kernel is not None:
         def rest(q, x, sgn):
-            return family.kernel(x @ family.gather(q)[0], sgn) @ family.scatter(q)[0]
+            return family.kernel(sgn)(x @ family.gather(q)[0]) @ family.scatter(q)[0]
     rest_h, rest_g = (rest, None) if family.rest_in_h else (None, rest)
 
     def h(t, x):

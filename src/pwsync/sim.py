@@ -219,7 +219,8 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
         terms.append(_coupling_term(coupling.eta, topo, dim, gains))
     regions = None
     dense = all(isinstance(term.gather, np.ndarray) for term in terms)
-    if (closure is None and (jac_t is not None or terms) and all(term.pieces is not None for term in terms)
+    if (closure is None and (jac_t is not None or terms)
+            and all(getattr(term.kernel, "pieces", None) is not None for term in terms)
             and (dense or size * gains.size <= _STATE_SPACE)):
         regions = _Regions(jac_t, terms, gains.size, size, dt, bool(forced))
     # steps per table: within ⌊τ_min/dt⌋ steps of its start, a block's
@@ -417,7 +418,7 @@ class _Regions:
                 width, *sparse = sparse_parts(term, size)
                 gains = sparse[2]
             cols = slice(stop, stop + width)
-            self.terms.append((cols, np.array(term.pieces, dtype=float), term, sparse))
+            self.terms.append((cols, np.array(term.kernel.pieces, dtype=float), term, sparse))
             zero = np.zeros(batch, dtype=bool) if gains is None else gains == 0.0
             idle.append(np.repeat(zero[:, None], width, axis=1))
             stop = cols.stop
@@ -622,7 +623,9 @@ class _Chained:
     Step j of a block owns column j of one buffer, rows [g_j | x_j | φ₁ |
     φ₂ | φ₃ | φ₄]: its forcing rows (none without forcing), its state and
     each stage's gathers, which the kernels overwrite with their output,
-    times the coupling's gains as a row (at one gain they sit in R_r).
+    times the coupling's gains as a row (at one gain they sit in R_r).  A
+    kernel that is a ufunc (the hard sign ``np.sign``, sin) runs in place;
+    any other returns a new array that :func:`_overwrite` copies back.
     Stage 1's gathers are there when the step starts; stage r's, r = 2,
     3, 4, are one product of the rows above them with A_r, which holds
     P_rG, the identity on stage r's forcing rows and R_s on stage r's
@@ -723,36 +726,34 @@ def _overwrite(kernel, y):
 
 class _Triple(NamedTuple):
     """A stage term kernel(x @ gather) @ scatter on row states (B, 1, N·dim),
-    with the kernel's affine ``pieces`` (see ``NodeFamily.pieces``) or None;
-    a dense coupling's scatter is c_b·S̄, and its ``factors`` the row of
-    gains c_b (1, B) and S̄."""
+    with an elementwise kernel that may declare its affine ``pieces`` (see
+    :class:`pwsync.dynamics.NodeFamily`); a dense coupling's scatter is
+    c_b·S̄, and its ``factors`` the row of gains c_b (1, B) and S̄."""
 
     gather: object
     kernel: Callable
     scatter: object
-    pieces: Optional[tuple]
     factors: Optional[tuple] = None
 
 
 def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     """The nonlinear coupling c_b·Σⱼ w_ij η(x_j − x_i) as a triple on row
-    states (B, 1, N·dim), with the pieces η declares in ``eta.pieces``.
-    The gather is the signed incidence and the scatter carries c_b·w_ij to
-    the receiving node i: dense, one scatter per gain, while the gather's
-    entries times the batch size are at most ``_DENSE``, else over the
-    edge list sorted by receiving node (a node without edges gets a
-    zero-weight self-loop, so each owns a sum)."""
+    states (B, 1, N·dim), with η as its kernel.  The gather is the signed
+    incidence and the scatter carries c_b·w_ij to the receiving node i:
+    dense, one scatter per gain, while the gather's entries times the
+    batch size are at most ``_DENSE``, else over the edge list sorted by
+    receiving node (a node without edges gets a zero-weight self-loop, so
+    each owns a sum)."""
     edges = topo.weights != 0.0
     isolated = np.flatnonzero(~edges.any(axis=1))
     edges[isolated, isolated] = True
     rows, cols = np.nonzero(edges)
     weights = topo.weights[rows, cols]
     n_nodes, n_edges = topo.n_nodes, rows.size
-    pieces = getattr(eta, "pieces", None)
     if n_nodes * n_edges * dim * dim * gains.size > _DENSE:
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         return _Triple(Incidence(rows, cols, n_nodes), eta,
-                       EdgeScatter(weights[:, None], starts, gains[:, None, None]), pieces)
+                       EdgeScatter(weights[:, None], starts, gains[:, None, None]))
     edge = np.arange(n_edges)
     incidence = np.zeros((n_nodes, n_edges))
     incidence[cols, edge] += 1.0
@@ -761,7 +762,7 @@ def _coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
     scatter[edge, rows] = weights
     eye = np.eye(dim)
     bare = np.kron(scatter, eye)
-    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * bare, pieces, (gains[None], bare))
+    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * bare, (gains[None], bare))
 
 
 def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
@@ -770,14 +771,12 @@ def _family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
     batch size are at most ``_DENSE``, else the per-node blocks."""
     gather, scatter = family.gather(q), family.scatter(q)
     n, dim, width = gather.shape
-    kernel, pieces = partial(family.kernel, sgn=sgn), family.pieces(sgn)
+    kernel = family.kernel(sgn)
     if n_nodes * dim * n * width * batch > _DENSE:
-        return _Triple(NodeGather(gather, idx, n_nodes), kernel,
-                       NodeScatter(scatter, idx, n_nodes), pieces)
+        return _Triple(NodeGather(gather, idx, n_nodes), kernel, NodeScatter(scatter, idx, n_nodes))
     pick = np.eye(n_nodes)[idx]
     return _Triple(np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width),
-                   kernel, np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim),
-                   pieces)
+                   kernel, np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim))
 
 
 def _closure_term(fields, idx, n_nodes: int, sgn, history):

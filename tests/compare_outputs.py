@@ -2,9 +2,11 @@
 
 Runs ``certify`` (at the scenario's gain and at c = 0, 0.3 and 7),
 a shortened ``simulate`` and a small ``sweep`` of the six built-ins at
-seeds 0-2 through ``pwsync.cli.main``, 108 commands in all, and records
-each command's exit code and a hash of every output, '#' header lines
-left out.  Run it once per tree, then compare the two files:
+seeds 0-2 through ``pwsync.cli.main``, and the same ``simulate`` and
+``sweep`` of relay5 with the exact sign (``regularization_width`` = 0,
+from a scenario file written to a temporary directory), 114 commands in
+all, and records each command's exit code and a hash of every output,
+'#' header lines left out.  Run it once per tree, then compare the two files:
 
     PYTHONPATH=<old tree>/src python tests/compare_outputs.py old.json
     PYTHONPATH=<new tree>/src python tests/compare_outputs.py new.json
@@ -14,6 +16,7 @@ The last call prints the number of keys and of keys that differ, and
 exits 1 when any differs.  pytest does not collect this file.
 """
 
+import configparser
 import contextlib
 import hashlib
 import io
@@ -54,18 +57,34 @@ def _run(*argv) -> list:
         return [code, _digest(json.dumps(rep, sort_keys=True)), _digest(txt), *map(_digest, files)]
 
 
+def _simulate_and_sweep(out: dict, key: str, spec: str, seed: str, short: list, grid: str) -> None:
+    base = ["--scenario", spec, "--seed", seed, *short]
+    lo, hi, n, grid = grid.split()
+    out[f"simulate {key} {seed}"] = _run("simulate", *base)
+    out[f"sweep {key} {seed}"] = _run("sweep", *base, "--c-min", lo, "--c-max", hi,
+                                      "--points", n, "--grid", grid)
+
+
 def record() -> dict:
+    from pwsync.scenarios import BUILTINS
+
     out = {}
     for name, short in SHORT.items():
         for seed in ("0", "1", "2"):
-            base = ["--scenario", name, "--seed", seed]
             for c in (None, "0", "0.3", "7"):
-                out[f"certify {name} {seed} {c}"] = _run("certify", *base,
+                out[f"certify {name} {seed} {c}"] = _run("certify", "--scenario", name, "--seed", seed,
                                                          *([] if c is None else ["--c", c]))
-            out[f"simulate {name} {seed}"] = _run("simulate", *base, *short)
-            lo, hi, n, grid = GRIDS[name].split()
-            out[f"sweep {name} {seed}"] = _run("sweep", *base, *short, "--c-min", lo,
-                                               "--c-max", hi, "--points", n, "--grid", grid)
+            _simulate_and_sweep(out, name, name, seed, short, GRIDS[name])
+    # relay5 with the exact sign, which no built-in runs
+    with tempfile.TemporaryDirectory() as tmp:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(BUILTINS["relay5"])
+        parser["sim"]["regularization_width"] = "0"
+        path = Path(tmp) / "relay5-hard.ini"
+        with path.open("w", encoding="utf-8") as handle:
+            parser.write(handle)
+        for seed in ("0", "1", "2"):
+            _simulate_and_sweep(out, path.stem, str(path), seed, SHORT["relay5"], GRIDS["relay5"])
     return out
 
 

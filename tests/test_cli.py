@@ -789,3 +789,82 @@ def test_a_failed_certificate_leaves_no_output_directory(tmp_path, capsys, monke
     assert rc == 2
     assert capsys.readouterr().err == "certification failed: hypotheses fail\n"
     assert not (tmp_path / "o").exists()
+
+
+REFUSED_INI = """
+[topology]
+source = ring
+n = 4
+
+[nodes]
+family = decay
+
+[coupling]
+variant = linear
+c = 1
+gamma = 1
+
+[init]
+kind = uniform
+
+[sim]
+dt = 0.01
+t_end = 1
+"""
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"source = ring": "source = star"},
+     "[topology] source must be ring|complete|random|edgelist, got 'star'"),
+    ({"family = decay": "family = duffing"},
+     "[nodes] family must be ikeda|chua|relay|kuramoto|decay, got 'duffing'"),
+    ({"variant = linear": "variant = diffusive"},
+     "[coupling] variant must be linear|nonlinear, got 'diffusive'"),
+    ({"variant = linear": "variant = nonlinear", "gamma = 1": "eta = tanh"},
+     "[coupling] eta must be one of ['pws', 'sin']"),
+    ({"kind = uniform": "kind = sobol"}, "[init] kind must be normal|uniform|zero, got 'sobol'"),
+    ({"kind = uniform": "kind = uniform\nlow = 1\nhigh = 1"}, "[init] high must exceed low"),
+    ({"n = 4": "n = 4\nrescale_lambda2 = 0"}, "[topology] rescale_lambda2 must be positive"),
+    ({"n = 4": "n = 4.5"}, "[topology] n: expected an integer, got '4.5'"),
+    ({"kind = uniform": "kind = uniform\ncenter = maybe"},
+     "[init] center: expected a boolean, got 'maybe'"),
+    ({"c = 1\n": ""}, "missing required key 'c' in section [coupling]"),
+    ({"t_end = 1": "t_end = 1\nregularization_width = -1e-4"}, "regularization_width must be nonnegative"),
+    ({"t_end = 1": "t_end = 1\ndivergence_threshold = 0"}, "divergence_threshold must be positive"),
+    ({"source = ring\nn = 4": "source = complete\nn = 1", "family = decay": "family = kuramoto"},
+     "degenerate frequency draw; pick another seed"),
+    (None, "cannot read scenario file {ini}"),
+], ids=["source", "family", "variant", "eta", "init-kind", "init-range", "rescale-lambda2",
+        "n-integer", "center-boolean", "missing-c", "negative-width", "zero-threshold",
+        "degenerate-kuramoto", "directory"])
+def test_a_refused_scenario_exits_one_with_its_message_and_no_output(tmp_path, capsys, edits, message):
+    ini = tmp_path / "refused.ini"
+    if edits is None:  # a directory where the scenario file should be
+        ini.mkdir()
+    else:
+        text = REFUSED_INI
+        for old, new in edits.items():
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        ini.write_text(text)
+    rc = main(["simulate", "--scenario", str(ini), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(ini=ini)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_writes_its_outputs_when_certification_fails(tmp_path, capsys):
+    # Chua nodes coupled on x1 and x2 only: thm2 refuses the pattern, and
+    # simulate still integrates, writes all three files and exits 0
+    ini = tmp_path / "chua-uncoupled.ini"
+    ini.write_text(NODES_INI.format(family="chua", key="alpha", value="10", gamma="1,1,0")
+                   .replace("[topology]", "[scenario]\nmode = thm2\n\n[topology]"))
+    out = tmp_path / "o"
+    rc = main(["simulate", "--scenario", str(ini), "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "summary.txt", "trajectory.csv"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    skipped = [line for line in summary if line.startswith("certification skipped: ")]
+    assert len(skipped) == 1 and skipped[0].startswith("certification skipped: component 3 is uncoupled, ")
+    assert not any(line.startswith("eps_bar") for line in summary)
+    assert skipped[0] in capsys.readouterr().out

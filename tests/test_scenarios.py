@@ -291,6 +291,21 @@ def test_config_file_kuramoto(tmp_path):
     assert abs(report.c_tilde - 1.264 / math.sqrt(3.0)) < 1e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_binding_cap_norm_rescales_the_draw_onto_the_cap(tmp_path, seed):
+    # uniform ±1 on the 4-ring: a cap of 0.1 binds, and scales the draw
+    # without turning it; a cap above its norm leaves it as drawn
+    wide = KURAMOTO_INI.replace("low = -0.2", "low = -1").replace("high = 0.2", "high = 1")
+    drawn = load_scenario(str(_write(tmp_path / "drawn.ini", wide.replace("cap_norm = 0.45\n", ""))), seed).x0
+    norm = float(np.linalg.norm(drawn))
+    assert norm > 0.1
+    capped = load_scenario(str(_write(tmp_path / "capped.ini", wide.replace("0.45", "0.1"))), seed).x0
+    assert abs(float(np.linalg.norm(capped)) - 0.1) <= 1e-15 * 0.1
+    assert np.allclose(capped, drawn * (0.1 / norm), rtol=1e-15, atol=0.0)
+    loose = load_scenario(str(_write(tmp_path / "loose.ini", wide.replace("0.45", f"{2 * norm!r}"))), seed).x0
+    assert loose.tobytes() == drawn.tobytes()
+
+
 def test_uniform_init_of_overflowing_width_is_a_config_error(tmp_path):
     # both ends are finite, but the draw low + (high - low)·u would overflow
     wide = KURAMOTO_INI.replace("low = -0.2", "low = -1e308").replace("high = 0.2", "high = 1e308")

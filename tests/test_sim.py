@@ -1207,6 +1207,41 @@ def test_folded_step_matches_a_plain_rk4_loop(monkeypatch):
     assert [f.steps for f in made] == [1000, 1000, 100, 100, 300]
 
 
+def test_a_family_kernel_is_the_elementwise_function_itself(monkeypatch):
+    # a family's triple applies the function its kernel(sgn) returns, with
+    # the pieces that function carries: the relay's exact sign is the ufunc
+    # np.sign, which the chained step runs in place, with no copy
+    built, copies = [], []
+    node_terms, overwrite = sim._node_terms, sim._overwrite
+
+    def spied_terms(fields, sgn, *args):
+        out = node_terms(fields, sgn, *args)
+        built.append((sgn, out[1]))
+        return out
+
+    def spied_overwrite(kernel, y):
+        copies.append(kernel)
+        overwrite(kernel, y)
+
+    monkeypatch.setattr(sim, "_node_terms", spied_terms)
+    monkeypatch.setattr(sim, "_overwrite", spied_overwrite)
+    made = _spy_chained(monkeypatch)
+    relay = load_scenario("relay5", 3).with_sim(dt=5e-5, t_end=5e-3, regularization_width=0.0)
+    _run(relay, [relay.coupling.c])
+    ((sgn, (term,)),) = built
+    assert sgn is np.sign and term.kernel is np.sign
+    assert [f.steps for f in made] == [100] and copies == []
+    _run(relay.with_sim(regularization_width=1e-2), [relay.coupling.c])
+    sgn, (term,) = built[-1]
+    assert term.kernel is sgn
+    assert term.kernel.pieces == ((-math.inf, -1e-2, 0.0, -1.0), (-1e-2, 1e-2, 100.0, 0.0),
+                                  (1e-2, math.inf, 0.0, 1.0))
+    _run(load_scenario("chua10", 3).with_sim(t_end=0.01), [10.0])
+    _, (term,) = built[-1]
+    assert term.kernel.pieces == ((-math.inf, -1.0, 0.0, -2.0), (-1.0, 1.0, 2.0, 0.0),
+                                  (1.0, math.inf, 0.0, 2.0))
+
+
 def test_delayed_runs_match_the_rk4_oracle_in_every_step_form(monkeypatch):
     # three Ikeda nodes, one delay on a grid point (four steps, which sets
     # the block) and two between grid points, against the oracle's own reads
