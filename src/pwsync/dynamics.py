@@ -43,6 +43,7 @@ __all__ = [
     "KuramotoParams",
     "ikeda_field",
     "chua_field",
+    "chua_fields",
     "relay_field",
     "kuramoto_error_field",
     "decay_field",
@@ -124,7 +125,7 @@ class AffineDecomposedField:
             w = np.array(self.w_identity, dtype=float)
             if w.shape != (self.dim,):
                 raise ValueError("w_identity must have one entry per state component")
-            if not np.isfinite(w).all():
+            if not all(map(math.isfinite, w.tolist())):  # a few entries: faster than a ufunc
                 raise ValueError("w_identity must be finite")
             w.setflags(write=False)
             object.__setattr__(self, "w_identity", w)
@@ -370,17 +371,26 @@ def chua_field(p: ChuaParams, node_index: int, n_nodes: int) -> AffineDecomposed
     """
     if not 0 <= node_index < n_nodes:
         raise ValueError("node_index must lie in [0, n_nodes)")
+    return _chua_nodes(p, [node_index], n_nodes)[0]
+
+
+def chua_fields(p: ChuaParams, n_nodes: int) -> list:
+    """All ``n_nodes`` nodes of one network, node i as ``chua_field(p, i,
+    n_nodes)`` builds it; their checks and slope bound run once."""
+    return _chua_nodes(p, range(n_nodes), n_nodes)
+
+
+def _chua_nodes(p: ChuaParams, indices, n_nodes: int) -> list:
     params = CHUA.check({
         "alpha": float(p.alpha), "beta": float(p.beta),
-        "slope_a": float(p.slope_a), "slope_b": float(p.slope_b),
-        "offset": node_index * math.pi / n_nodes,
+        "slope_a": float(p.slope_a), "slope_b": float(p.slope_b), "offset": 0.0,
     })
     # Slope bound: h is piecewise linear in x1, and the steeper of its two
     # sector Jacobians (the linear block at either slope) bounds its slope.
     slopes = [dict(params, slope_b=params[key]) for key in ("slope_a", "slope_b")]
     gain = max(spectral_norm(jac) for jac in CHUA.linear(CHUA.stack(slopes)))
-    return _node_field(CHUA, params, dim=3, M=1.0, h_gain=gain,
-                       label=f"chua(node {node_index}/{n_nodes})")
+    return [_node_field(CHUA, dict(params, offset=i * math.pi / n_nodes), dim=3, M=1.0,
+                        h_gain=gain, label=f"chua(node {i}/{n_nodes})") for i in indices]
 
 
 def relay_field(p: RelayParams) -> AffineDecomposedField:

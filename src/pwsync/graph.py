@@ -53,13 +53,12 @@ class Topology:
             raise GraphError("weights must form a square matrix")
         if w.shape[0] < 1:
             raise GraphError("a topology needs at least one node")
-        with np.errstate(over="ignore"):  # an overflowing row sum is rejected below
-            row_sums = w.sum(axis=1)
-        if not np.isfinite(row_sums).all():
-            raise GraphError("edge weights and every node's total weight must be finite")
-        if not np.allclose(w, w.T, rtol=0.0, atol=_ATOL):
-            raise GraphError("weights must be symmetric")
-        if np.abs(np.diagonal(w)).max() > _ATOL:
+        with np.errstate(over="ignore"):  # an overflowing sum or difference is refused
+            if not np.isfinite(w.sum(axis=1)).all():
+                raise GraphError("edge weights and every node's total weight must be finite")
+            if np.abs(w - w.T).max() > _ATOL:
+                raise GraphError("weights must be symmetric")
+        if np.abs(w.diagonal()).max() > _ATOL:
             raise GraphError("self-loops are not allowed: diagonal must be zero")
         if w.min() < 0.0:
             raise GraphError("edge weights must be nonnegative")
@@ -165,12 +164,11 @@ def random_connected(n_nodes: int, p: float, seed: int) -> Topology:
     if n_nodes < 2:
         raise GraphError("need at least two nodes")
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n_nodes, 1)
+    upper = ~np.tri(n_nodes, dtype=bool)  # filled row by row, as np.triu_indices orders it
     for _ in range(_MAX_TRIES):
         w = np.zeros((n_nodes, n_nodes))
-        w[iu] = (rng.random(len(iu[0])) < p).astype(float)
-        w = w + w.T
-        topo = Topology(w)
+        w[upper] = rng.random(n_nodes * (n_nodes - 1) // 2) < p
+        topo = Topology(w + w.T)
         if is_connected(topo):
             return topo
     raise GraphError(f"no connected draw in {_MAX_TRIES} tries (n={n_nodes}, p={p})")

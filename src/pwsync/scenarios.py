@@ -18,8 +18,11 @@ loads no integrator: :meth:`Scenario.simulate` imports :mod:`pwsync.sim`
 when it is called.
 
 A built-in is scenario data: ``BUILTINS`` maps each name to the sections
-and string values of a scenario file, and ``load_scenario`` builds it by
-the same code that builds a file.  The built-ins are ``relay5`` (five relay
+of a scenario file, as dicts of string values.  ``load_scenario`` hands
+these dicts to the one builder; a file reaches it as the same dicts, read
+by ConfigParser (imported only then).  The builder never writes to them,
+and refuses a key that the chosen topology source, node family or init
+kind does not read.  The built-ins are ``relay5`` (five relay
 plants, full-state linear coupling), ``chua10`` (ten forced double-scrolls,
 first and third components coupled), ``kuramoto4`` (four phase oscillators
 on a ring, sine coupling), ``ikeda10-linear`` / ``ikeda10-nonlinear`` (ten
@@ -29,7 +32,6 @@ mismatched delayed nodes on a fixed random graph), and ``contraction3``
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
@@ -50,7 +52,7 @@ from .dynamics import (
     IkedaParams,
     KuramotoParams,
     RelayParams,
-    chua_field,
+    chua_fields,
     decay_field,
     ikeda_field,
     kuramoto_error_field,
@@ -248,12 +250,27 @@ _NODE_KEYS = {
     "decay": {"rate": 1.0},
 }
 
+# The [topology] keys each source reads.
+_TOPOLOGY_KEYS = {
+    "ring": {"source", "n", "weight", "rescale_lambda2"},
+    "complete": {"source", "n", "weight", "rescale_lambda2"},
+    "random": {"source", "n", "p", "seed", "rescale_lambda2"},
+    "edgelist": {"source", "path", "edges", "rescale_lambda2"},
+}
+
+# The [init] keys each kind reads.
+_INIT_KEYS = {
+    "normal": {"kind", "scale", "center", "cap_norm", "seed"},
+    "uniform": {"kind", "low", "high", "center", "cap_norm", "seed"},
+    "zero": {"kind", "center", "cap_norm", "seed"},
+}
+
 _SCHEMA = {
     "scenario": {"name", "mode"},
-    "topology": {"source", "path", "edges", "n", "p", "seed", "weight", "rescale_lambda2"},
+    "topology": set().union(*_TOPOLOGY_KEYS.values()),
     "nodes": {"family", "seed"}.union(*_NODE_KEYS.values()),
     "coupling": {"variant", "c", "gamma", "eta", "e_max"},
-    "init": {"kind", "scale", "low", "high", "center", "cap_norm", "seed"},
+    "init": set().union(*_INIT_KEYS.values()),
     "sim": {f.name for f in dataclass_fields(SimConfig)},
 }
 
@@ -270,6 +287,14 @@ def _validate_schema(cfg: dict, where):
     for required in ("topology", "nodes", "coupling"):
         if required not in cfg:
             raise ConfigError(f"{where}: missing required section [{required}]")
+
+
+def _refuse_inapplicable(cfg, section: str, keys, choice: str):
+    """Refuse a key of ``section`` outside ``keys``, the ones that ``choice``
+    (say 'family chua') reads."""
+    foreign = sorted(set(cfg.get(section, ())) - keys)
+    if foreign:
+        raise ConfigError(f"[{section}] key '{foreign[0]}' does not apply to {choice}")
 
 
 def _one_line(text: str, where: str) -> str:
@@ -346,23 +371,21 @@ def _edge_list(cfg, path: Optional[Path]) -> Topology:
 
 def _config_topology(cfg, path, seed: int) -> Topology:
     source = _get(cfg, "topology", "source", required=True)
+    if source not in _TOPOLOGY_KEYS:
+        raise ConfigError(f"[topology] source must be ring|complete|random|edgelist, got '{source}'")
+    _refuse_inapplicable(cfg, "topology", _TOPOLOGY_KEYS[source], f"source {source}")
     if source == "edgelist":
         topo = _edge_list(cfg, path)
-    elif source in ("ring", "complete", "random"):
+    else:
         n = _as_int(_get(cfg, "topology", "n", required=True), "[topology] n")
-        if source == "ring":
-            weight = _as_float(_get(cfg, "topology", "weight", "1.0"), "[topology] weight")
-            topo = ring_topology(n, weight)
-        elif source == "complete":
-            weight = _as_float(_get(cfg, "topology", "weight", "1.0"), "[topology] weight")
-            topo = complete_topology(n, weight)
-        else:
+        if source == "random":
             p = _as_float(_get(cfg, "topology", "p", required=True), "[topology] p")
             raw_seed = _get(cfg, "topology", "seed")
             graph_seed = seed if raw_seed is None else _as_seed(raw_seed, "[topology] seed")
             topo = random_connected(n, p, graph_seed)
-    else:
-        raise ConfigError(f"[topology] source must be ring|complete|random|edgelist, got '{source}'")
+        else:
+            weight = _as_float(_get(cfg, "topology", "weight", "1.0"), "[topology] weight")
+            topo = (ring_topology if source == "ring" else complete_topology)(n, weight)
     target = _get(cfg, "topology", "rescale_lambda2")
     if target is not None:
         goal = _as_float(target, "[topology] rescale_lambda2")
@@ -383,9 +406,7 @@ def _config_nodes(cfg, n_nodes, rng):
         # an optional key (default None) left empty stays unset
         unset = raw is None or (default is None and raw == "")
         values[key] = default if unset else _as_float(raw, f"[nodes] {key}")
-    foreign = sorted(set(cfg["nodes"]) - {"family", "seed"} - set(values))
-    if foreign:
-        raise ConfigError(f"[nodes] key '{foreign[0]}' does not apply to family {family}")
+    _refuse_inapplicable(cfg, "nodes", {"family", "seed", *values}, f"family {family}")
     try:
         fields, node_meta = _family_nodes(family, values, n_nodes, rng)
     except ConfigError:
@@ -405,7 +426,8 @@ def _family_nodes(family, values, n_nodes, rng):
             spread = rng.uniform(-mism, mism, size=(3, n_nodes))
         else:
             spread = np.zeros((3, n_nodes))
-        a, b, tau = (values[key] + row for key, row in zip(("a", "b", "tau"), spread))
+        # Python floats: cheaper per node than indexing arrays, and the same digits
+        a, b, tau = ((values[key] + row).tolist() for key, row in zip(("a", "b", "tau"), spread))
         fields = [ikeda_field(IkedaParams(a[i], b[i], tau[i])) for i in range(n_nodes)]
         meta = {
             f"node_{i + 1}": f"a={a[i]:.17g} b={b[i]:.17g} tau={tau[i]:.17g}"
@@ -414,7 +436,7 @@ def _family_nodes(family, values, n_nodes, rng):
         return fields, meta
     if family == "chua":
         p = ChuaParams(**values)
-        fields = [chua_field(p, i, n_nodes) for i in range(n_nodes)]
+        fields = chua_fields(p, n_nodes)
         meta = {
             "node_params": f"alpha={p.alpha:g} beta={p.beta:g} slopes {p.slope_a:g}/{p.slope_b:g}"
         }
@@ -428,7 +450,7 @@ def _family_nodes(family, values, n_nodes, rng):
         peak = float(np.abs(omega).max())
         if peak == 0.0:
             raise ConfigError("degenerate frequency draw; pick another seed")
-        omega = omega * (values["omega_scale"] / peak)
+        omega = (omega * (values["omega_scale"] / peak)).tolist()
         fields = [kuramoto_error_field(KuramotoParams(w), 0.0) for w in omega]
         return fields, {f"node_{i + 1}_omega": f"{w:.17g}" for i, w in enumerate(omega)}
     return [decay_field(values["rate"])] * n_nodes, {}
@@ -457,6 +479,9 @@ def _config_coupling(cfg, dim):
 
 def _config_init(cfg, size, rng) -> np.ndarray:
     kind = _get(cfg, "init", "kind", "normal")
+    if kind not in _INIT_KEYS:
+        raise ConfigError(f"[init] kind must be normal|uniform|zero, got '{kind}'")
+    _refuse_inapplicable(cfg, "init", _INIT_KEYS[kind], f"kind {kind}")
     rng = _section_rng(cfg, "init", rng)
     if kind == "normal":
         scale = _as_float(_get(cfg, "init", "scale", "1.0"), "[init] scale")
@@ -469,10 +494,8 @@ def _config_init(cfg, size, rng) -> np.ndarray:
         if not math.isfinite(high - low):
             raise ConfigError("[init] high - low must be finite")
         x0 = rng.uniform(low, high, size=size)
-    elif kind == "zero":
-        x0 = np.zeros(size)
     else:
-        raise ConfigError(f"[init] kind must be normal|uniform|zero, got '{kind}'")
+        x0 = np.zeros(size)
     center_raw = _get(cfg, "init", "center")
     if center_raw is not None and _as_bool(center_raw, "[init] center"):
         x0 = x0 - x0.mean()
@@ -487,7 +510,12 @@ def _config_init(cfg, size, rng) -> np.ndarray:
     return x0
 
 
-def _read_file(path: Path) -> configparser.ConfigParser:
+def _read_file(path: Path) -> dict:
+    """The sections of a scenario file as dicts of strings, read by
+    ConfigParser: keys case-folded, ``[DEFAULT]`` keys in every section, a
+    duplicate section or key refused."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
@@ -495,13 +523,13 @@ def _read_file(path: Path) -> configparser.ConfigParser:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read scenario file {path}")
-    return parser
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) -> Scenario:
-    """Build the scenario that parsed INI sections describe; ``path`` is the
-    file they came from, None for a built-in."""
-    cfg = {section: dict(parser[section]) for section in parser.sections()}
+def _build(cfg: dict, name: str, seed: Optional[int], path: Optional[Path] = None) -> Scenario:
+    """Build the scenario that the sections ``cfg`` (dicts of strings, read
+    and never written) describe; ``path`` is the file they came from, None
+    for a built-in."""
     _validate_schema(cfg, path or name)
     source = None if path is None else _one_line(path.name, "scenario file name")
     name = _one_line(_get(cfg, "scenario", "name", name), "[scenario] name")
@@ -534,9 +562,7 @@ def _build(parser, name: str, seed: Optional[int], path: Optional[Path] = None) 
 def load_scenario(spec: str, seed: Optional[int] = None) -> Scenario:
     """Resolve a built-in name or a scenario-file path into a Scenario."""
     if spec in BUILTINS:
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read_dict(BUILTINS[spec])
-        return _build(parser, spec, seed)
+        return _build(BUILTINS[spec], spec, seed)
     path = Path(spec)
     if not path.exists():
         known = ", ".join(sorted(BUILTINS))

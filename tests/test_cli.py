@@ -834,9 +834,23 @@ t_end = 1
     ({"source = ring\nn = 4": "source = complete\nn = 1", "family = decay": "family = kuramoto"},
      "degenerate frequency draw; pick another seed"),
     (None, "cannot read scenario file {ini}"),
+    ({"n = 4": "n = 4\np = 0.5"}, "[topology] key 'p' does not apply to source ring"),
+    ({"n = 4": "n = 4\nseed = 3"}, "[topology] key 'seed' does not apply to source ring"),
+    ({"source = ring": "source = complete", "n = 4": "n = 4\npath = g.txt"},
+     "[topology] key 'path' does not apply to source complete"),
+    ({"source = ring": "source = random", "n = 4": "n = 4\np = 1\nweight = 2"},
+     "[topology] key 'weight' does not apply to source random"),
+    ({"source = ring\nn = 4": "source = edgelist\nedges = 0 1, 1 2\nn = 3"},
+     "[topology] key 'n' does not apply to source edgelist"),
+    ({"kind = uniform": "kind = zero\nscale = 2"}, "[init] key 'scale' does not apply to kind zero"),
+    ({"kind = uniform": "kind = zero\nlow = -1"}, "[init] key 'low' does not apply to kind zero"),
+    ({"kind = uniform": "kind = normal\nhigh = 1"}, "[init] key 'high' does not apply to kind normal"),
+    ({"kind = uniform": "kind = uniform\nscale = 2"},
+     "[init] key 'scale' does not apply to kind uniform"),
 ], ids=["source", "family", "variant", "eta", "init-kind", "init-range", "rescale-lambda2",
         "n-integer", "center-boolean", "missing-c", "negative-width", "zero-threshold",
-        "degenerate-kuramoto", "directory"])
+        "degenerate-kuramoto", "directory", "ring-p", "ring-seed", "complete-path", "random-weight",
+        "edgelist-n", "zero-scale", "zero-low", "normal-high", "uniform-scale"])
 def test_a_refused_scenario_exits_one_with_its_message_and_no_output(tmp_path, capsys, edits, message):
     ini = tmp_path / "refused.ini"
     if edits is None:  # a directory where the scenario file should be

@@ -10,6 +10,7 @@ from pwsync.dynamics import (
     KuramotoParams,
     RelayParams,
     chua_field,
+    chua_fields,
     decay_field,
     hard_sgn,
     ikeda_field,
@@ -182,3 +183,13 @@ def test_family_check_rejects_non_finite_parameters(bad):
         with pytest.raises(ValueError, match="must be finite"):
             build()
 
+
+def _annotations(f):
+    w = None if f.w_identity is None else f.w_identity.tolist()
+    return (f.dim, f.M, f.delay, f.h_gain, f.h0_norm, w, f.label, f.family, f.params)
+
+
+def test_a_chua_network_built_at_once_equals_its_nodes_built_one_by_one():
+    p = ChuaParams(alpha=9.0, slope_a=-1.2)
+    assert [_annotations(f) for f in chua_fields(p, 4)] == [
+        _annotations(chua_field(p, i, 4)) for i in range(4)]

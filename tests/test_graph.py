@@ -110,6 +110,37 @@ def test_topology_validation():
         Topology(np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("gap, symmetric", [(2e-12, False), (5e-13, True), (-2e-12, False)])
+def test_symmetry_tolerance_is_absolute(gap, symmetric):
+    w = np.array([[0.0, 1.0, 3.0], [1.0 + gap, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    if symmetric:
+        assert np.array_equal(Topology(w).weights, 0.5 * (w + w.T))
+    else:
+        with pytest.raises(GraphError, match="weights must be symmetric"):
+            Topology(w)
+
+
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (0, 0)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_single_non_finite_weight_is_refused_as_not_finite(where, bad):
+    w = np.ones((3, 3)) - np.eye(3)
+    w[where] = bad
+    with pytest.raises(GraphError, match="edge weights and every node's total weight must be finite"):
+        Topology(w)
+
+
+def test_finite_weights_whose_difference_overflows_are_asymmetric():
+    with pytest.raises(GraphError, match="weights must be symmetric"):
+        Topology(np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 1e308], [0.0, 1e308, 0.0]]))
+
+
+def test_a_rescale_whose_row_sums_overflow_is_refused():
+    topo = complete_topology(3, 1.0)
+    assert np.isfinite(topo.scaled(1e307).weights).all()
+    with pytest.raises(GraphError, match="must be finite"):
+        topo.scaled(1e308)
+
+
 def test_edge_builder_validation():
     with pytest.raises(GraphError):
         topology_from_edges(3, [(0, 0)])

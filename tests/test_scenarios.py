@@ -1,4 +1,5 @@
 import configparser
+import copy
 import math
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pwsync import dynamics
 from pwsync.certify import CertifyError, CouplingSpec
 from pwsync.graph import build_laplacian, lambda2
+from pwsync.linalg import spectral_norm
 from pwsync.scenarios import BUILTINS, ConfigError, Scenario, load_scenario
 
 EXPECTED_BUILTINS = {
@@ -210,6 +213,24 @@ def test_config_file_unknown_key_and_section(tmp_path):
         load_scenario(str(bad_section))
 
 
+def test_a_file_is_read_with_configparsers_rules(tmp_path):
+    # keys are case-folded, [DEFAULT] keys reach every section, and a
+    # duplicate key is refused
+    plain, folded = tmp_path / "plain.ini", tmp_path / "folded.ini"
+    plain.write_text(IKEDA_INI)
+    folded.write_text(IKEDA_INI.replace("n = 3", "N = 3").replace("mismatch", "MisMatch"))
+    assert load_scenario(str(folded)).meta == {**load_scenario(str(plain)).meta,
+                                               "source_file": "folded.ini"}
+    shared = tmp_path / "shared.ini"
+    shared.write_text("[DEFAULT]\nseed = 3\n" + IKEDA_INI)
+    with pytest.raises(ConfigError, match=r"unknown key 'seed' in section \[scenario\]"):
+        load_scenario(str(shared))
+    twice = tmp_path / "twice.ini"
+    twice.write_text(IKEDA_INI.replace("n = 3", "n = 3\nn = 4"))
+    with pytest.raises(ConfigError, match="option 'n' in section 'topology' already exists"):
+        load_scenario(str(twice))
+
+
 def test_config_file_missing_section_and_bad_values(tmp_path):
     no_coupling = "\n".join(
         line for line in IKEDA_INI.splitlines()
@@ -380,6 +401,61 @@ def test_loading_scenarios_leaves_the_integrator_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_loading_the_builtins_leaves_them_unchanged():
+    # both ikeda10 built-ins share one set of section dicts, so a write
+    # while building one would show in the other
+    before = copy.deepcopy(BUILTINS)
+    for name in BUILTINS:
+        for seed in (0, 1, 2):
+            load_scenario(name, seed)
+    assert BUILTINS == before
+
+
+def test_builtins_load_without_configparser_and_files_with_it(tmp_path):
+    # A fresh interpreter, so modules that other tests imported do not count.
+    (tmp_path / "graph.txt").write_text("0 1\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n3 4\n")
+    (tmp_path / "relay.ini").write_text(RELAY_INI)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import pwsync\n"
+        "for name in pwsync.BUILTINS:\n"
+        "    pwsync.load_scenario(name, 0)\n"
+        "assert 'configparser' not in sys.modules\n"
+        f"pwsync.load_scenario({str(tmp_path / 'relay.ini')!r}, 0)\n"
+        "assert 'configparser' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_chua_slope_bound_is_computed_once_per_load(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return spectral_norm(matrix)
+
+    monkeypatch.setattr(dynamics, "spectral_norm", counted)
+    s = load_scenario("chua10", 0)
+    assert len(calls) == 2  # one sector Jacobian per slope, not two per node
+    load_scenario("chua10", 1)
+    assert len(calls) == 4  # no cache outlives a load
+
+    p = dynamics.ChuaParams()
+
+    def block(slope):
+        return np.array([[-p.alpha * (1.0 + slope), p.alpha, 0.0],
+                         [1.0, -1.0, 1.0],
+                         [0.0, -p.beta, 0.0]])
+
+    gain = max(spectral_norm(block(p.slope_a)), spectral_norm(block(p.slope_b)))
+    assert [f.h_gain for f in s.fields] == [gain] * 10
 
 
 CHUA_INI = """
