@@ -1,22 +1,27 @@
 """Certified synchronization bounds for networks of coupled
 piecewise-smooth systems.
 
-The package splits into five layers: ``graph`` (weighted topologies and
+The package splits into these layers: ``graph`` (weighted topologies and
 algebraic connectivity), ``dynamics`` (per-node vector fields split into
-a smooth part and a bounded remainder), ``certify`` (one-sided
-sector/metric certificates, coupling thresholds, residual error
-bounds), ``sim`` (fixed-step integration, error diagnostics, gain
-sweeps, CSV output) and ``cli`` (the ``pwsync`` command).  The package
-namespace re-exports the names the README's Library section uses, plus
-the error classes; every other name is importable from its submodule.
+a smooth part and a bounded remainder), ``families`` (certificate
+families and the margin arithmetic they are scored by), ``certify``
+(one-sided sector/metric certificates, coupling thresholds, residual
+error bounds), ``scenarios`` (the built-ins and the scenario-file
+loader), ``sim`` (fixed-step integration, error diagnostics, gain
+sweeps, CSV output) with its step forms in ``affine`` and its stage
+triples in ``sparse``, and ``cli`` (the ``pwsync`` command).  The
+package namespace re-exports the names the README's Library section
+uses, plus the error classes; every other name is importable from its
+submodule.
 
-``import pwsync`` loads ``linalg``, ``dynamics``, ``graph``, ``certify``
-and ``scenarios`` only.  The integrator (``sim`` with ``affine``,
-``sparse`` and ``csvformat``) loads on first use: on the first
-``Scenario.simulate()``, or the first read of ``integrate``,
-``error_series``, ``steady_state_eps`` or ``sweep_coupling`` here.
-``SimConfig`` and ``SimError`` live in ``scenarios``, which the loader
-needs, and are importable from ``pwsync.sim`` too.
+``import pwsync`` loads ``linalg``, ``dynamics``, ``graph``,
+``families``, ``certify`` and ``scenarios`` only.  The integrator
+(``sim`` with ``affine``, ``sparse`` and ``csvformat``) loads on first
+use: on the first ``Scenario.simulate()``, or the first read of
+``integrate``, ``error_series``, ``steady_state_eps`` or
+``sweep_coupling`` here.  ``SimConfig`` and ``SimError`` live in
+``scenarios``, which the loader needs, and are importable from
+``pwsync.sim`` too.
 """
 
 from .certify import (

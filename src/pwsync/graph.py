@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
-_ZERO_EIG_TOL = 1e-9
+_ZERO_EIG_TOL = 1e-9  # relative to the Laplacian's largest diagonal entry
 _MAX_TRIES = 1000  # random draws before random_connected gives up
 
 
@@ -111,6 +111,8 @@ def ring_topology(n_nodes: int, weight: float = 1.0) -> Topology:
 
 def complete_topology(n_nodes: int, weight: float = 1.0) -> Topology:
     """All-to-all coupling with a common weight."""
+    if n_nodes < 2:
+        raise GraphError("a complete graph needs at least two nodes")
     w = np.full((n_nodes, n_nodes), float(weight))
     np.fill_diagonal(w, 0.0)
     return Topology(w)
@@ -202,14 +204,17 @@ def lambda2(lap: np.ndarray) -> float:
 
     Raises GraphError when the graph is disconnected (zero algebraic
     connectivity) or the structural zero eigenvalue is lost to numerical
-    noise.
+    noise.  Both are judged against the Laplacian's own scale, its largest
+    diagonal entry, so scaling every weight scales λ₂ and keeps the
+    verdict.
     """
     if lap.shape[0] < 2:
         raise GraphError("algebraic connectivity needs at least two nodes")
     evals = np.linalg.eigvalsh(lap)
-    if abs(evals[0]) > _ZERO_EIG_TOL:
+    tol = _ZERO_EIG_TOL * float(lap.diagonal().max())
+    if abs(evals[0]) > tol:
         raise GraphError(f"Laplacian lost its structural zero eigenvalue (got {evals[0]:.3e})")
     lam2 = float(evals[1])
-    if lam2 < _ZERO_EIG_TOL:
+    if not lam2 > tol:
         raise GraphError(DISCONNECTED)
     return lam2

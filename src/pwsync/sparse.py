@@ -1,19 +1,34 @@
-"""The edge-list and node-by-node forms of a stage triple.
+"""The stage triples of the integrator, dense or over the edge list.
 
-A triple kernel(x @ G) @ S of :mod:`pwsync.sim` whose dense G would hold
-too many entries applies G and S through these objects instead: the
-signed incidence and the scatter of c_b·w_ij over the edge list, or a
+Every state-dependent term of :mod:`pwsync.sim` is one triple
+kernel(x @ G) @ S on row states (B, 1, N·dim): a family's rest (its
+gather blocks, kernel and scatter blocks, :func:`family_term`), and the
+nonlinear coupling (the signed incidence x_j − x_i per directed edge and
+component, η, and the scatter of c_b·w_ij to the receiving node,
+:func:`coupling_term`).  G and S are dense block-diagonal and incidence
+matrices while G's entries times the batch size are at most ``_DENSE``;
+a larger term applies the same triple through the objects here instead:
+the signed incidence and the scatter of c_b·w_ij over the edge list, or a
 family's per-node gather and scatter blocks.  Each answers ``x @ G`` or
-``y @ S`` on row states (B, 1, N·dim).  :func:`sparse_parts` reads off
-them how a region's slopes and intercepts enter J_rᵀ and e_r, and
-:func:`summed` adds those parts up per member.
+``y @ S`` on row states.  :func:`sparse_parts` reads off them how a
+region's slopes and intercepts enter J_rᵀ and e_r, and :func:`summed`
+adds those parts up per member.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple, Optional
+
 import numpy as np
 
-__all__ = ["Incidence", "EdgeScatter", "NodeGather", "NodeScatter", "sparse_parts", "summed"]
+from .graph import Topology
+
+__all__ = ["Incidence", "EdgeScatter", "NodeGather", "NodeScatter", "sparse_parts", "summed",
+           "coupling_term", "family_term"]
+
+# most entries of a dense gather G times the batch size; past it a triple
+# runs node by node and over the edge list (the measured crossover)
+_DENSE = 32768
 
 
 class Incidence:
@@ -111,3 +126,58 @@ def sparse_parts(term, size: int):
            (read_w[:, :, None] * write_w[:, None, :]).reshape(-1))
     shift = (into.reshape(-1), np.broadcast_to(entries, into.shape).reshape(-1), write_w.reshape(-1))
     return len(reads), jac, shift, scale
+
+
+class _Triple(NamedTuple):
+    """A stage term kernel(x @ gather) @ scatter on row states (B, 1, N·dim),
+    with an elementwise kernel that may declare its affine ``pieces`` (see
+    :class:`pwsync.dynamics.NodeFamily`); a dense coupling's scatter is
+    c_b·S̄, and its ``factors`` the row of gains c_b (1, B) and S̄."""
+
+    gather: object
+    kernel: Callable
+    scatter: object
+    factors: Optional[tuple] = None
+
+
+def coupling_term(eta, topo: Topology, dim: int, gains: np.ndarray) -> _Triple:
+    """The nonlinear coupling c_b·Σⱼ w_ij η(x_j − x_i) as a triple on row
+    states (B, 1, N·dim), with η as its kernel.  The gather is the signed
+    incidence and the scatter carries c_b·w_ij to the receiving node i:
+    dense, one scatter per gain, while the gather's entries times the
+    batch size are at most ``_DENSE``, else over the edge list sorted by
+    receiving node (a node without edges gets a zero-weight self-loop, so
+    each owns a sum)."""
+    edges = topo.weights != 0.0
+    isolated = np.flatnonzero(~edges.any(axis=1))
+    edges[isolated, isolated] = True
+    rows, cols = np.nonzero(edges)
+    weights = topo.weights[rows, cols]
+    n_nodes, n_edges = topo.n_nodes, rows.size
+    if n_nodes * n_edges * dim * dim * gains.size > _DENSE:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        return _Triple(Incidence(rows, cols, n_nodes), eta,
+                       EdgeScatter(weights[:, None], starts, gains[:, None, None]))
+    edge = np.arange(n_edges)
+    incidence = np.zeros((n_nodes, n_edges))
+    incidence[cols, edge] += 1.0
+    incidence[rows, edge] -= 1.0
+    scatter = np.zeros((n_edges, n_nodes))
+    scatter[edge, rows] = weights
+    eye = np.eye(dim)
+    bare = np.kron(scatter, eye)
+    return _Triple(np.kron(incidence, eye), eta, gains[:, None, None] * bare, (gains[None], bare))
+
+
+def family_term(family, q, idx, n_nodes: int, sgn, batch: int) -> _Triple:
+    """A family's rest on the nodes ``idx`` as a triple on row states (B, 1,
+    N·dim): block-diagonal matrices while the gather's entries times the
+    batch size are at most ``_DENSE``, else the per-node blocks."""
+    gather, scatter = family.gather(q), family.scatter(q)
+    n, dim, width = gather.shape
+    kernel = family.kernel(sgn)
+    if n_nodes * dim * n * width * batch > _DENSE:
+        return _Triple(NodeGather(gather, idx, n_nodes), kernel, NodeScatter(scatter, idx, n_nodes))
+    pick = np.eye(n_nodes)[idx]
+    return _Triple(np.einsum("im,idk->mdik", pick, gather).reshape(n_nodes * dim, n * width),
+                   kernel, np.einsum("im,ikd->ikmd", pick, scatter).reshape(n * width, n_nodes * dim))

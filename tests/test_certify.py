@@ -20,7 +20,7 @@ from pwsync.certify import (
     quad_linear_cert,
     resolve_mode,
 )
-from pwsync.certify import _MARGIN, _require_common_h, _unit_cert
+from pwsync.certify import _require_common_h
 from pwsync.dynamics import (
     AffineDecomposedField,
     ChuaParams,
@@ -33,6 +33,7 @@ from pwsync.dynamics import (
     kuramoto_error_field,
     relay_field,
 )
+from pwsync.families import _MARGIN, _unit_cert
 from pwsync.graph import GraphError, complete_topology, ring_topology, topology_from_edges
 from pwsync.scenarios import Scenario, load_scenario
 from pwsync.sim import SimConfig

@@ -832,7 +832,9 @@ t_end = 1
     ({"t_end = 1": "t_end = 1\nregularization_width = -1e-4"}, "regularization_width must be nonnegative"),
     ({"t_end = 1": "t_end = 1\ndivergence_threshold = 0"}, "divergence_threshold must be positive"),
     ({"source = ring\nn = 4": "source = complete\nn = 1", "family = decay": "family = kuramoto"},
-     "degenerate frequency draw; pick another seed"),
+     "a complete graph needs at least two nodes"),
+    ({"source = ring\nn = 4": "source = complete\nn = -1"}, "a complete graph needs at least two nodes"),
+    ({"source = ring\nn = 4": "source = complete\nn = 1"}, "a complete graph needs at least two nodes"),
     (None, "cannot read scenario file {ini}"),
     ({"n = 4": "n = 4\np = 0.5"}, "[topology] key 'p' does not apply to source ring"),
     ({"n = 4": "n = 4\nseed = 3"}, "[topology] key 'seed' does not apply to source ring"),
@@ -849,8 +851,9 @@ t_end = 1
      "[init] key 'scale' does not apply to kind uniform"),
 ], ids=["source", "family", "variant", "eta", "init-kind", "init-range", "rescale-lambda2",
         "n-integer", "center-boolean", "missing-c", "negative-width", "zero-threshold",
-        "degenerate-kuramoto", "directory", "ring-p", "ring-seed", "complete-path", "random-weight",
-        "edgelist-n", "zero-scale", "zero-low", "normal-high", "uniform-scale"])
+        "degenerate-kuramoto", "complete-negative-n", "complete-one-node", "directory", "ring-p",
+        "ring-seed", "complete-path", "random-weight", "edgelist-n", "zero-scale", "zero-low",
+        "normal-high", "uniform-scale"])
 def test_a_refused_scenario_exits_one_with_its_message_and_no_output(tmp_path, capsys, edits, message):
     ini = tmp_path / "refused.ini"
     if edits is None:  # a directory where the scenario file should be

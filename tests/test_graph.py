@@ -94,6 +94,34 @@ def test_disconnected_graph_rejected_by_lambda2():
         lambda2(build_laplacian(topo))
 
 
+SCALES = [10.0 ** k for k in range(-10, 9)]
+
+
+@pytest.mark.parametrize("weight", SCALES)
+def test_lambda2_of_a_complete_graph_is_n_times_its_weight_at_every_scale(weight):
+    # an absolute tolerance once refused K10 at weight 1e6 ("lost its
+    # structural zero eigenvalue") and called it disconnected at 1e-10
+    assert abs(lambda2(build_laplacian(complete_topology(10, weight))) / (10 * weight) - 1.0) <= 1e-12
+    topo = random_connected(30, 0.2, seed=0)
+    base = lambda2(build_laplacian(topo))
+    assert abs(lambda2(build_laplacian(topo.scaled(weight))) / (base * weight) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("weight", SCALES)
+def test_a_disconnected_graph_is_refused_at_every_scale(weight):
+    two_triangles = topology_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    isolated = Topology(np.pad(complete_topology(9).weights, (0, 1)))
+    for topo in (two_triangles, isolated):
+        with pytest.raises(GraphError, match="disconnected"):
+            lambda2(build_laplacian(topo.scaled(weight)))
+
+
+@pytest.mark.parametrize("n_nodes", [-2, -1, 0, 1])
+def test_a_complete_graph_needs_two_nodes(n_nodes):
+    with pytest.raises(GraphError, match="a complete graph needs at least two nodes"):
+        complete_topology(n_nodes)
+
+
 def test_topology_validation():
     with pytest.raises(GraphError):
         Topology(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric

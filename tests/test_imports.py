@@ -92,8 +92,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 # ``import pwsync`` runs these modules' top levels; the integrator (sim,
-# affine, sparse, csvformat) and cli load only where a function imports them
-EAGER = ("__init__", "linalg", "dynamics", "graph", "certify", "scenarios")
+# affine with the step forms, sparse with the stage triples, csvformat) and
+# cli load only where a function imports them
+EAGER = ("__init__", "linalg", "dynamics", "graph", "families", "certify", "scenarios")
 
 
 def _module_level_imports(tree):

@@ -22,7 +22,7 @@ from pwsync.dynamics import (
     relay_field,
 )
 from pwsync.graph import Topology, complete_topology, random_connected, ring_topology
-from pwsync import certify, csvformat, sim
+from pwsync import affine, certify, csvformat, sim, sparse
 from pwsync.scenarios import BUILTINS, Scenario, load_scenario
 from pwsync.sim import (
     ErrorSeries,
@@ -693,11 +693,11 @@ def _forms(monkeypatch, build):
     its node-by-node and edge-list form."""
     terms = []
     for limit in (10 ** 12, 0):
-        monkeypatch.setattr(sim, "_DENSE", limit)
+        monkeypatch.setattr(sparse, "_DENSE", limit)
         terms.append(build())
-    dense, sparse = terms
+    dense, listed = terms
     assert isinstance(dense[0], np.ndarray) and isinstance(dense[2], np.ndarray)
-    assert not isinstance(sparse[0], np.ndarray) and not isinstance(sparse[2], np.ndarray)
+    assert not isinstance(listed[0], np.ndarray) and not isinstance(listed[2], np.ndarray)
     return terms
 
 
@@ -707,7 +707,8 @@ def _apply(term, x):
 
 def test_coupling_term_matches_dense_sums(monkeypatch):
     from pwsync.graph import build_laplacian
-    from pwsync.sim import _coupling_term, _linear_part
+    from pwsync.sim import _linear_part
+    from pwsync.sparse import coupling_term
 
     rng = np.random.default_rng(5)
     w = rng.uniform(0.2, 1.5, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.7)
@@ -719,7 +720,7 @@ def test_coupling_term_matches_dense_sums(monkeypatch):
     gains = np.array([0.0, 0.5, 2.0])
     diffs = x[:, None, :, :] - x[:, :, None, :]
     expected = gains[:, None, None] * np.einsum("ij,bijk->bik", w, pws_coupling(diffs))
-    for term in _forms(monkeypatch, lambda: _coupling_term(pws_coupling, topo, 2, gains)):
+    for term in _forms(monkeypatch, lambda: coupling_term(pws_coupling, topo, 2, gains)):
         got = _apply(term, x.reshape(3, 1, 10)).reshape(x.shape)
         assert np.allclose(got, expected, rtol=1e-14, atol=1e-15)
         assert not got[:, 4].any()
@@ -740,7 +741,7 @@ def test_coupling_term_matches_dense_sums(monkeypatch):
 @pytest.mark.parametrize("batch", [1, 3])
 def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
     from pwsync.dynamics import CHUA, RELAY, hard_sgn, saturated_sgn
-    from pwsync.sim import _coupling_term, _family_term
+    from pwsync.sparse import coupling_term, family_term
 
     rng = np.random.default_rng(17 + batch)
     w = rng.uniform(0.2, 1.5, size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.6)
@@ -753,7 +754,7 @@ def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
     for dim in (1, 2):
         for eta in (np.sin, pws_coupling):
             builds[f"{eta.__name__}, dim {dim}"] = (
-                6 * dim, lambda eta=eta, dim=dim: _coupling_term(eta, topo, dim, gains))
+                6 * dim, lambda eta=eta, dim=dim: coupling_term(eta, topo, dim, gains))
     # node rests on every node and on the non-contiguous nodes 0, 3 and 4
     chua = [chua_field(ChuaParams(slope_a=-1.34 + 0.1 * i), i, 6).params for i in range(6)]
     relay = relay_field(RelayParams(c_vector=(1.0, 0.5, -0.25))).params
@@ -763,15 +764,15 @@ def test_dense_and_edge_list_forms_agree(monkeypatch, batch):
         q_relay = RELAY.stack([relay] * n)
         for label, sgn in (("hard", hard_sgn), ("layer", saturated_sgn(0.3))):
             builds[f"relay {label}, {n} nodes"] = (
-                18, lambda q=q_relay, nodes=nodes, sgn=sgn: _family_term(RELAY, q, nodes, 6, sgn, batch))
+                18, lambda q=q_relay, nodes=nodes, sgn=sgn: family_term(RELAY, q, nodes, 6, sgn, batch))
         builds[f"chua, {n} nodes"] = (
-            18, lambda q=q_chua, nodes=nodes: _family_term(CHUA, q, nodes, 6, hard_sgn, batch))
+            18, lambda q=q_chua, nodes=nodes: family_term(CHUA, q, nodes, 6, hard_sgn, batch))
     for label, (size, build) in builds.items():
-        dense, sparse = _forms(monkeypatch, build)
+        dense, listed = _forms(monkeypatch, build)
         # the last member sits near the divergence threshold
         x = rng.normal(size=(batch, 1, size))
         x[-1] *= 1e11
-        got, expected = _apply(dense, x), _apply(sparse, x)
+        got, expected = _apply(dense, x), _apply(listed, x)
         assert got.shape == expected.shape == (batch, 1, size), label
         scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - expected) <= 1e-14 * scale), label
@@ -786,17 +787,17 @@ def test_both_forms_agree_over_a_divergence_mid_block(monkeypatch):
         args = (scenario.fields, scenario.topo, scenario.coupling, gains, scenario.x0, scenario.sim)
         runs = []
         for limit in (10 ** 12, 0):
-            monkeypatch.setattr(sim, "_DENSE", limit)
+            monkeypatch.setattr(sparse, "_DENSE", limit)
             runs.append(integrate_gains(*args))
-        for dense, sparse in zip(*runs):
-            assert dense.diverged == sparse.diverged, scenario.name
-            assert dense.states.shape == sparse.states.shape, scenario.name
-            tol = 1e-12 * float(np.abs(sparse.states).max())
-            assert float(np.abs(dense.states - sparse.states).max()) <= tol, scenario.name
+        for dense, listed in zip(*runs):
+            assert dense.diverged == listed.diverged, scenario.name
+            assert dense.states.shape == listed.states.shape, scenario.name
+            tol = 1e-12 * float(np.abs(listed.states).max())
+            assert float(np.abs(dense.states - listed.states).max()) <= tol, scenario.name
         assert [traj.diverged for traj in runs[0]] == [False, False, True], scenario.name
 
 
-class _RegionSpy(sim._Regions):
+class _RegionSpy(affine._Regions):
     """``_Regions`` that records itself and counts, per step inside each
     pass, the members that took the region step and those that took the
     four stages, the members it built, the steps taken from a state
@@ -832,7 +833,7 @@ class _StepByStep(_RegionSpy):
         return super().advance(store, k, j, 1)
 
 
-class _FourStageOnly(sim._Regions):
+class _FourStageOnly(affine._Regions):
     """``_Regions`` whose every pass is one step on which every member
     falls back: the four-stage step on the same triples."""
 
@@ -840,7 +841,7 @@ class _FourStageOnly(sim._Regions):
         return 1, np.arange(len(store))
 
 
-class _ChainedSpy(sim._Chained):
+class _ChainedSpy(affine._Chained):
     """``_Chained`` that records itself and counts, block by block, the
     steps it takes and the stored rows that hold inf."""
 
@@ -859,13 +860,13 @@ class _ChainedSpy(sim._Chained):
 
 def _spy(monkeypatch):
     _RegionSpy.made = []
-    monkeypatch.setattr(sim, "_Regions", _RegionSpy)
+    monkeypatch.setattr(affine, "_Regions", _RegionSpy)
     return _RegionSpy.made
 
 
 def _spy_chained(monkeypatch):
     _ChainedSpy.made = []
-    monkeypatch.setattr(sim, "_Chained", _ChainedSpy)
+    monkeypatch.setattr(affine, "_Chained", _ChainedSpy)
     return _ChainedSpy.made
 
 
@@ -890,7 +891,8 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
     # the benchmark runs them; the 100-node graph of ikeda100-pws, 1000
     # directed edges, keeps its edge list
     from pwsync.dynamics import hard_sgn
-    from pwsync.sim import _coupling_term, _node_terms
+    from pwsync.sim import _node_terms
+    from pwsync.sparse import coupling_term
 
     cases = {"relay5": (1, True), "chua10": (1, True), "kuramoto4": (6, True),
              "ikeda10-nonlinear": (3, True), str(BENCH_SCENARIOS / "ikeda100-pws.ini"): (1, False)}
@@ -898,7 +900,7 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
         scenario = load_scenario(name, 0)
         terms = _node_terms(scenario.fields, hard_sgn, None, batch)[1]
         if scenario.coupling.variant == "nonlinear":
-            terms.append(_coupling_term(scenario.coupling.eta, scenario.topo,
+            terms.append(coupling_term(scenario.coupling.eta, scenario.topo,
                                         scenario.fields[0].dim, np.full(batch, scenario.coupling.c)))
         assert len(terms) == 1, name
         assert isinstance(terms[0].gather, np.ndarray) is dense, name
@@ -922,7 +924,7 @@ def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
             assert fell_back <= 0.03 * (taken + fell_back), (name, seed, taken, fell_back)
             assert chained == [], (name, seed)
     # the hard sign and sin take the chained step on every step, and an edge
-    # list whose batch holds more than sim._STATE_SPACE entries the four
+    # list whose batch holds more than affine._STATE_SPACE entries the four
     # stages
     made.clear()
     chained.clear()
@@ -943,7 +945,7 @@ def test_region_steps_match_the_four_stage_step(monkeypatch, name):
         gains = [scenario.coupling.c]
         (fast,) = _run(scenario, gains)
         with monkeypatch.context() as patch:
-            patch.setattr(sim, "_Regions", _FourStageOnly)
+            patch.setattr(affine, "_Regions", _FourStageOnly)
             (slow,) = _run(scenario, gains)
         assert not fast.diverged and fast.states.shape == slow.states.shape
         peak = float(np.abs(slow.states).max())
@@ -973,7 +975,7 @@ def test_node_by_node_region_steps_match_the_four_stage_and_dense_steps(monkeypa
             gains = [scenario.coupling.c]
             (dense,) = _run(scenario, gains)
             with monkeypatch.context() as patch:
-                patch.setattr(sim, "_DENSE", limit)
+                patch.setattr(sparse, "_DENSE", limit)
                 made.clear()
                 (fast,) = _run(scenario, gains)
                 (regions,) = made
@@ -981,7 +983,7 @@ def test_node_by_node_region_steps_match_the_four_stage_and_dense_steps(monkeypa
                 assert not regions.folded and fell_back <= share * (taken + fell_back), (name, seed)
                 dense_rest = [isinstance(term.gather, np.ndarray) for *_, term, _ in regions.terms]
                 assert dense_rest == ([True, False] if limit else [False]), (name, limit)
-                patch.setattr(sim, "_Regions", _FourStageOnly)
+                patch.setattr(affine, "_Regions", _FourStageOnly)
                 (slow,) = _run(scenario, gains)
             peak = float(np.abs(slow.states).max())
             for other in (fast, dense):
@@ -1071,7 +1073,7 @@ def test_a_member_leaving_its_region_mid_pass_falls_back_where_single_steps_do(m
         made.clear()
         runs = []
         for regions in (_RegionSpy, _StepByStep, _FourStageOnly):
-            monkeypatch.setattr(sim, "_Regions", regions)
+            monkeypatch.setattr(affine, "_Regions", regions)
             runs.append(_run(scenario, gains))
         passes, steps = made
         assert any(taken > 1 and fell_back for taken, fell_back in passes.passes), name
@@ -1087,7 +1089,7 @@ def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
     # relay5, chua10 and ikeda10-nonlinear at their benchmark horizons take
     # at least 95 % of their steps in passes longer than one, up to a
     # block; the edge list of ikeda100-pws takes one step per pass, whose
-    # 4·K gather entries stay within sim._DENSE
+    # 4·K gather entries stay within sparse._DENSE
     made = _spy(monkeypatch)
     for name in _BENCH_RUNS:
         for seed in (0, 1, 2):
@@ -1098,9 +1100,9 @@ def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
             steps = [taken for taken, _ in regions.passes]
             assert sum(steps) == len(regions.region_steps) == traj.times.shape[0] - 1, name
             if name == "ikeda100-pws":
-                assert max(steps) == 1 and 4 * regions.entries <= sim._DENSE, name
+                assert max(steps) == 1 and 4 * regions.entries <= sparse._DENSE, name
             else:
-                assert max(steps) == sim._BLOCK, name
+                assert max(steps) == affine.BLOCK, name
                 assert sum(taken for taken in steps if taken > 1) >= 0.95 * sum(steps), (name, seed)
 
 
@@ -1128,7 +1130,7 @@ def test_a_member_diverging_during_region_steps_ends_its_trajectory(monkeypatch)
     assert regions.region_steps[last] == 2 and regions.four_stage_steps[last] == 0
     assert len(regions.region_steps) == calm.times.shape[0] - 1
     _assert_sweep_matches_scalar_runs(scenario, gains)
-    monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+    monkeypatch.setattr(affine, "_Regions", _FourStageOnly)
     for fast, slow in zip((wild, calm), _run(scenario, gains)):
         assert fast.states.shape == slow.states.shape
         assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * float(np.abs(slow.states).max())
@@ -1212,7 +1214,7 @@ def test_a_family_kernel_is_the_elementwise_function_itself(monkeypatch):
     # the pieces that function carries: the relay's exact sign is the ufunc
     # np.sign, which the chained step runs in place, with no copy
     built, copies = [], []
-    node_terms, overwrite = sim._node_terms, sim._overwrite
+    node_terms, overwrite = sim._node_terms, affine._overwrite
 
     def spied_terms(fields, sgn, *args):
         out = node_terms(fields, sgn, *args)
@@ -1224,7 +1226,7 @@ def test_a_family_kernel_is_the_elementwise_function_itself(monkeypatch):
         overwrite(kernel, y)
 
     monkeypatch.setattr(sim, "_node_terms", spied_terms)
-    monkeypatch.setattr(sim, "_overwrite", spied_overwrite)
+    monkeypatch.setattr(affine, "_overwrite", spied_overwrite)
     made = _spy_chained(monkeypatch)
     relay = load_scenario("relay5", 3).with_sim(dt=5e-5, t_end=5e-3, regularization_width=0.0)
     _run(relay, [relay.coupling.c])
@@ -1262,12 +1264,12 @@ def test_delayed_runs_match_the_rk4_oracle_in_every_step_form(monkeypatch):
         _assert_matches_rk4_loop(scenario, gains, hard_sgn)
         (regions,) = made
         assert sum(regions.region_steps) > 0, scenario.name
-        monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+        monkeypatch.setattr(affine, "_Regions", _FourStageOnly)
         _assert_matches_rk4_loop(scenario, gains, hard_sgn)
     made = _spy(monkeypatch)
-    monkeypatch.setattr(sim, "_DENSE", 0)
-    for limit, built in ((sim._STATE_SPACE, 1), (0, 0)):
-        monkeypatch.setattr(sim, "_STATE_SPACE", limit)
+    monkeypatch.setattr(sparse, "_DENSE", 0)
+    for limit, built in ((affine._STATE_SPACE, 1), (0, 0)):
+        monkeypatch.setattr(affine, "_STATE_SPACE", limit)
         made.clear()
         _assert_matches_rk4_loop(scenario, gains, hard_sgn)
         assert len(made) == built, limit
@@ -1318,7 +1320,7 @@ def test_a_gain_that_overflows_inside_a_block_ends_where_its_own_run_ends(monkey
 
 def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_limit(monkeypatch):
     # 100 relay nodes with a boundary layer of 1e-2 under linear coupling:
-    # dense triples at N·dim = 300, past sim._STATE_SPACE, where a build of
+    # dense triples at N·dim = 300, past affine._STATE_SPACE, where a build of
     # M_r costs the four stages of dozens of steps.  The region changes
     # within a few steps of every build, on about 80 of the 400 steps; a
     # member built only when two reads a block apart find one region is
@@ -1331,20 +1333,20 @@ def test_a_region_left_soon_after_its_build_waits_a_block_past_the_state_space_l
     made, chained = _spy(monkeypatch), _spy_chained(monkeypatch)
     (fast,) = _run(scenario, [50.0])
     (regions,) = made
-    assert regions.folded and regions.size > sim._STATE_SPACE and chained == []
+    assert regions.folded and regions.size > affine._STATE_SPACE and chained == []
     assert regions.builds <= 1 and sum(regions.four_stage_steps) >= 300, regions.builds
-    monkeypatch.setattr(sim, "_Regions", _FourStageOnly)
+    monkeypatch.setattr(affine, "_Regions", _FourStageOnly)
     (slow,) = _run(scenario, [50.0])
     assert float(np.abs(fast.states - slow.states).max()) <= 1e-12 * float(np.abs(slow.states).max())
     # 20 such nodes (N·dim = 60): under the limit every change of region
     # is built at once, and with the limit below them they wait too
-    monkeypatch.setattr(sim, "_Regions", _RegionSpy)
+    monkeypatch.setattr(affine, "_Regions", _RegionSpy)
     small = dataclasses.replace(scenario, name="relay20", fields=fields[:20],
                                 topo=random_connected(20, 0.5, seed=0),
                                 x0=np.random.default_rng(0).normal(scale=0.5, size=60))
     builds = []
-    for limit in (sim._STATE_SPACE, 0):
-        monkeypatch.setattr(sim, "_STATE_SPACE", limit)
+    for limit in (affine._STATE_SPACE, 0):
+        monkeypatch.setattr(affine, "_STATE_SPACE", limit)
         made.clear()
         _run(small, [50.0])
         builds.append(made[0].builds)
@@ -1501,11 +1503,11 @@ def test_a_member_at_gain_zero_steps_as_its_own_run_under_pws(monkeypatch):
     decay = _custom_scenario("decay2", [decay_field(1.0), decay_field(2.0)], complete_topology(2),
                              dataclasses.replace(pws, upsilon=np.full(1, 0.5)),
                              SimConfig(dt=2.0 ** -6, t_end=1.25), [1.5, -1.0])
-    forms = [{}, {"_STATE_SPACE": 0}, {"_DENSE": 0}]
+    forms = [{}, {(affine, "_STATE_SPACE"): 0}, {(sparse, "_DENSE"): 0}]
     for scenario, patches in [(chua, p) for p in forms] + [(decay, forms[0]), (decay, forms[1])]:
         with monkeypatch.context() as patch:
-            for name, value in patches.items():
-                patch.setattr(sim, name, value)
+            for (module, name), value in patches.items():
+                patch.setattr(module, name, value)
             made = _spy(patch)
             batch, _ = _run(scenario, [0.0, 1.0])
             (single,) = _run(scenario, [0.0])

@@ -2,9 +2,9 @@
 
 ``integrate_gains`` picks, per run and per member, among region passes,
 the chained step and RK4's four stages, each over dense or node-by-node
-and edge-list triples (see :mod:`pwsync.sim`).  The property test draws a
+and edge-list triples (see :mod:`pwsync.affine`).  The property test draws a
 small network and a few gains, runs it in each form by patching
-``sim._DENSE`` and ``sim._STATE_SPACE``, as ``tests/test_sim.py`` does for
+``sparse._DENSE`` and ``affine._STATE_SPACE``, as ``tests/test_sim.py`` does for
 chosen networks, and checks every run against classical RK4 written out
 node by node (``tests/oracles.py``).
 """
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwsync import sim
+from pwsync import affine, sparse
 from pwsync.certify import CouplingSpec, pws_coupling
 from pwsync.dynamics import (
     ChuaParams,
@@ -47,13 +47,13 @@ DT = {"relay": 2e-3, "chua": 1e-2, "kuramoto": 2.0 ** -6, "ikeda": 2.0 ** -6, "d
 
 FORMS = {
     "dense": {},
-    "dense, wary": {"_STATE_SPACE": 0},
-    "edge list": {"_DENSE": 0},
-    "edge list, four stages": {"_DENSE": 0, "_STATE_SPACE": 0},
+    "dense, wary": {(affine, "_STATE_SPACE"): 0},
+    "edge list": {(sparse, "_DENSE"): 0},
+    "edge list, four stages": {(sparse, "_DENSE"): 0, (affine, "_STATE_SPACE"): 0},
 }
 
 
-class _Recorded(sim._Regions):
+class _Recorded(affine._Regions):
     """``_Regions`` that records the form of each run that builds one."""
 
     forms = []
@@ -162,9 +162,9 @@ def test_every_step_form_matches_the_rk4_oracle(family, data):
         touched.append(getattr(sgn, "nearest", math.inf) <= TOLERANCE * float(np.abs(want).max()))
     for form, patches in FORMS.items():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_Regions", _Recorded)
-            for name, value in patches.items():
-                patch.setattr(sim, name, value)
+            patch.setattr(affine, "_Regions", _Recorded)
+            for (module, name), value in patches.items():
+                patch.setattr(module, name, value)
             batch, shared = _runs(fields, topo, coupling, gains, x0, config)
             singles = [_runs(fields, topo, coupling, [c], x0, config) for c in gains]
         for c, want, near, run, ((single,), own) in zip(gains, expected, touched, batch, singles):
@@ -202,8 +202,8 @@ def test_the_hard_sign_splits_the_step_forms_only_on_its_switching_surface():
         gaps = {}
         for form, patches in FORMS.items():
             with pytest.MonkeyPatch.context() as patch:
-                for name, value in patches.items():
-                    patch.setattr(sim, name, value)
+                for (module, name), value in patches.items():
+                    patch.setattr(module, name, value)
                 (traj,) = integrate_gains(fields, topo, coupling, [0.0], x0, config)
             gaps[form] = float(np.abs(traj.states - want).max())
         if width == 0.0:
