@@ -219,8 +219,7 @@ class _Regions:
     build, takes the four-stage step for a block, and is built only if its
     region is then the one the read found, so a chattering member stops
     paying for builds.  A run with no triple has K = 0 gather entries and
-    one region, whose step is built once and whose passes never fail;
-    ``ready`` marks the steps built, since its empty pieces never differ.
+    one region, whose step is built once and whose passes never fail.
     """
 
     def __init__(self, jac_t, terms, batch: int, size: int, dt: float, forced: bool):
@@ -262,7 +261,6 @@ class _Regions:
         self.offset = np.zeros((batch, BLOCK, 1, self.forced_width)) if stop and not forced else None
         self.lower, self.upper = np.zeros((2, batch, 1, 1, 4 * stop))
         self.pieces = np.zeros((batch, stop), dtype=np.intp)
-        self.ready = np.zeros(batch, dtype=bool)  # step built for ``pieces``
         self.inside = np.zeros(batch, dtype=bool)  # state inside ``pieces``
         self.everyone = False  # every member inside
         self.anyone = False  # some member inside
@@ -277,8 +275,8 @@ class _Regions:
         self.length = 1 if stop else BLOCK
         self.due, self.retry = np.zeros(batch, dtype=np.intp), np.ones(batch, dtype=np.intp)
         # past ``_STATE_SPACE`` a build costs the four stages of many steps;
-        # per member, the step of its last build and the region its last
-        # read found
+        # per member, the step of its last build (negative before the
+        # first) and the region its last read found
         self.wary = size * batch > _STATE_SPACE
         self.built, self.seen = np.full(batch, -BLOCK), np.where(idle, 0, -1)
         self.table = self.forcing = None
@@ -307,7 +305,7 @@ class _Regions:
         if self.idle is not None:
             pieces[self.idle[rows]] = 0
         inside = (pieces >= 0).all(axis=1)
-        changed = inside & (~self.ready[rows] | (pieces != self.pieces[rows]).any(axis=1))
+        changed = inside & ((self.built[rows] < 0) | (pieces != self.pieces[rows]).any(axis=1))
         reset = inside  # members whose wait starts again at one step
         if self.wary:
             # a member that held its built region for a block is rebuilt at
@@ -334,7 +332,7 @@ class _Regions:
             self.forcing = self._forcing(self.table, slice(None))
 
     def _build(self, rows):
-        if rows.size == len(self.ready):
+        if rows.size == len(self.built):
             rows = slice(None)  # every member: read views, not copies
         jac, size = self.jac_t[rows], self.size
         count = len(jac)
@@ -363,7 +361,6 @@ class _Regions:
         if self.offset is not None:
             shifts = np.broadcast_to(shift, (count, 3, size))
             self.offset[rows] = stage_forcing(shifts, jac, self.dt, self.gather)
-        self.ready[rows] = True
         self.built[rows] = self.steps
         if self.entries:  # every stage's gathers, as the step or the stage states give them
             self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None, None]

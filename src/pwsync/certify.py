@@ -69,6 +69,7 @@ __all__ = [
     "quad_linear_cert",
     "certify_upsilon",
     "resolve_mode",
+    "check_network",
     "Certification",
 ]
 
@@ -489,6 +490,27 @@ def resolve_mode(mode: str, fields: Sequence[AffineDecomposedField],
     return mode
 
 
+def check_network(fields: Sequence[AffineDecomposedField], topo: Topology,
+                  coupling: CouplingSpec, x0=None, error=CertifyError) -> int:
+    """The state dimension dim of the network's nodes.  Raises ``error``
+    unless the network has one field per node of ``topo``, one dim across
+    its nodes, Γ (or υ) of dim entries and, where ``x0`` is given, N·dim
+    entries in x0."""
+    n_nodes = topo.n_nodes
+    if len(fields) != n_nodes:
+        raise error(f"{len(fields)} node fields for a {n_nodes}-node topology")
+    dim = fields[0].dim
+    if any(f.dim != dim for f in fields):
+        raise error("all nodes must share one state dimension")
+    linear = coupling.variant == "linear"
+    name, g = ("gamma", coupling.gamma) if linear else ("upsilon", coupling.upsilon)
+    if g.shape != (dim,):
+        raise error(f"{name} must have one entry per state component ({dim}), got {g.size}")
+    if x0 is not None and np.size(x0) != n_nodes * dim:
+        raise error(f"x0 must have {n_nodes * dim} entries, got {np.size(x0)}")
+    return dim
+
+
 class Certification:
     """A network certified in one mode, as a function of the gain.
 
@@ -541,18 +563,13 @@ class Certification:
         mode = resolve_mode(mode, fields, coupling)
         if family is not None and mode not in ("thm2", "cor1"):
             raise CertifyError(f"mode {mode} reads no certificate family; only thm2 and cor1 do")
-        n_nodes, dim = topo.n_nodes, fields[0].dim
-        if len(fields) != n_nodes:
-            raise CertifyError(f"{len(fields)} node fields for a {n_nodes}-node topology")
-        if any(f.dim != dim for f in fields):
-            raise CertifyError("all nodes must share one state dimension")
         linear = coupling.variant == "linear"
+        if not linear:  # thm3 and thm4 read x(0)
+            x0 = np.asarray(x0, dtype=float).reshape(-1)
+        n_nodes, dim = topo.n_nodes, check_network(fields, topo, coupling, x0)
         if mode in ("thm2", "cor1", "thm4"):
             _require_common_h(fields)
         g = coupling.gamma if linear else coupling.upsilon
-        if g.shape != (dim,):
-            raise CertifyError(f"{'gamma' if linear else 'upsilon'} must have one entry "
-                               "per state component")
         active = g > 0.0
         if mode == "cor1" and not active.all():
             raise CertifyError("full-coupling mode requires every gamma entry positive")
@@ -569,9 +586,6 @@ class Certification:
             self.known["gamma"] = tuple(float(v) for v in g)
         else:
             self.known.update(upsilon=tuple(float(v) for v in g), e_max=coupling.e_max)
-            x0 = np.asarray(x0, dtype=float).reshape(-1)
-            if x0.shape != (n_nodes * dim,):
-                raise CertifyError(f"x0 must have shape ({n_nodes * dim},)")
         if mode != "thm4":
             self.known["h_bar0"] = h_bar0
 

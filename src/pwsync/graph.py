@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
-_ZERO_EIG_TOL = 1e-9  # relative to the Laplacian's largest diagonal entry
+# times n·eps·(the Laplacian's largest diagonal entry), the error of
+# eigvalsh's eigenvalues; zero and λ₂ are judged against it
+_ZERO_EIG_TOL = 16.0
 _MAX_TRIES = 1000  # random draws before random_connected gives up
 
 
@@ -204,14 +206,15 @@ def lambda2(lap: np.ndarray) -> float:
 
     Raises GraphError when the graph is disconnected (zero algebraic
     connectivity) or the structural zero eigenvalue is lost to numerical
-    noise.  Both are judged against the Laplacian's own scale, its largest
-    diagonal entry, so scaling every weight scales λ₂ and keeps the
-    verdict.
+    noise.  Both are judged against eigvalsh's own error, 16·n·eps times
+    the Laplacian's largest diagonal entry, so scaling every weight scales
+    λ₂ and keeps the verdict, and weights that span many orders of
+    magnitude still resolve a small λ₂.
     """
     if lap.shape[0] < 2:
         raise GraphError("algebraic connectivity needs at least two nodes")
     evals = np.linalg.eigvalsh(lap)
-    tol = _ZERO_EIG_TOL * float(lap.diagonal().max())
+    tol = _ZERO_EIG_TOL * len(lap) * np.finfo(float).eps * float(lap.diagonal().max())
     if abs(evals[0]) > tol:
         raise GraphError(f"Laplacian lost its structural zero eigenvalue (got {evals[0]:.3e})")
     lam2 = float(evals[1])

@@ -21,8 +21,9 @@ A built-in is scenario data: ``BUILTINS`` maps each name to the sections
 of a scenario file, as dicts of string values.  ``load_scenario`` hands
 these dicts to the one builder; a file reaches it as the same dicts, read
 by ConfigParser (imported only then).  The builder never writes to them,
-and refuses a key that the chosen topology source, node family or init
-kind does not read.  The built-ins are ``relay5`` (five relay
+and refuses a key that the chosen topology source, node family, coupling
+variant or init kind does not read (one table, ``_CHOICES``, says which
+keys each choice reads).  The built-ins are ``relay5`` (five relay
 plants, full-state linear coupling), ``chua10`` (ten forced double-scrolls,
 first and third components coupled), ``kuramoto4`` (four phase oscillators
 on a ring, sine coupling), ``ikeda10-linear`` / ``ikeda10-nonlinear`` (ten
@@ -44,6 +45,7 @@ from .certify import (
     CertifyError,
     CouplingSpec,
     certify_upsilon,
+    check_network,
     pws_coupling,
     resolve_mode,
 )
@@ -130,18 +132,8 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.fields) != self.topo.n_nodes:
-            raise ConfigError(
-                f"{len(self.fields)} node fields for a {self.topo.n_nodes}-node topology"
-            )
-        dim = self.fields[0].dim
-        if any(f.dim != dim for f in self.fields):
-            raise ConfigError("all nodes must share one state dimension")
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if self.x0.shape != (self.topo.n_nodes * dim,):
-            raise ConfigError(
-                f"x0 must have {self.topo.n_nodes * dim} entries, got {self.x0.shape[0]}"
-            )
+        check_network(self.fields, self.topo, self.coupling, self.x0, ConfigError)
         try:
             self.resolved_mode()
         except CertifyError as exc:
@@ -250,27 +242,28 @@ _NODE_KEYS = {
     "decay": {"rate": 1.0},
 }
 
-# The [topology] keys each source reads.
-_TOPOLOGY_KEYS = {
-    "ring": {"source", "n", "weight", "rescale_lambda2"},
-    "complete": {"source", "n", "weight", "rescale_lambda2"},
-    "random": {"source", "n", "p", "seed", "rescale_lambda2"},
-    "edgelist": {"source", "path", "edges", "rescale_lambda2"},
-}
-
-# The [init] keys each kind reads.
-_INIT_KEYS = {
-    "normal": {"kind", "scale", "center", "cap_norm", "seed"},
-    "uniform": {"kind", "low", "high", "center", "cap_norm", "seed"},
-    "zero": {"kind", "center", "cap_norm", "seed"},
+# Each choice section: its selector key, the selector's default (None if
+# required) and the keys each choice reads besides the selector.
+_CHOICES = {
+    "topology": ("source", None, {
+        "ring": {"n", "weight", "rescale_lambda2"},
+        "complete": {"n", "weight", "rescale_lambda2"},
+        "random": {"n", "p", "seed", "rescale_lambda2"},
+        "edgelist": {"path", "edges", "rescale_lambda2"},
+    }),
+    "nodes": ("family", None, {family: {"seed", *keys} for family, keys in _NODE_KEYS.items()}),
+    "coupling": ("variant", None, {"linear": {"c", "gamma"}, "nonlinear": {"c", "eta", "e_max"}}),
+    "init": ("kind", "normal", {
+        "normal": {"scale", "center", "cap_norm", "seed"},
+        "uniform": {"low", "high", "center", "cap_norm", "seed"},
+        "zero": {"center", "cap_norm", "seed"},
+    }),
 }
 
 _SCHEMA = {
     "scenario": {"name", "mode"},
-    "topology": set().union(*_TOPOLOGY_KEYS.values()),
-    "nodes": {"family", "seed"}.union(*_NODE_KEYS.values()),
-    "coupling": {"variant", "c", "gamma", "eta", "e_max"},
-    "init": set().union(*_INIT_KEYS.values()),
+    **{section: {selector}.union(*reads.values())
+       for section, (selector, _, reads) in _CHOICES.items()},
     "sim": {f.name for f in dataclass_fields(SimConfig)},
 }
 
@@ -289,12 +282,17 @@ def _validate_schema(cfg: dict, where):
             raise ConfigError(f"{where}: missing required section [{required}]")
 
 
-def _refuse_inapplicable(cfg, section: str, keys, choice: str):
-    """Refuse a key of ``section`` outside ``keys``, the ones that ``choice``
-    (say 'family chua') reads."""
-    foreign = sorted(set(cfg.get(section, ())) - keys)
+def _choice(cfg, section: str) -> str:
+    """The choice that ``section``'s selector key makes, refusing any other
+    key of the section that the choice does not read."""
+    selector, default, reads = _CHOICES[section]
+    choice = _get(cfg, section, selector, default, required=default is None)
+    if choice not in reads:
+        raise ConfigError(f"[{section}] {selector} must be {'|'.join(reads)}, got '{choice}'")
+    foreign = sorted(set(cfg.get(section, ())) - reads[choice] - {selector})
     if foreign:
-        raise ConfigError(f"[{section}] key '{foreign[0]}' does not apply to {choice}")
+        raise ConfigError(f"[{section}] key '{foreign[0]}' does not apply to {selector} {choice}")
+    return choice
 
 
 def _one_line(text: str, where: str) -> str:
@@ -370,10 +368,7 @@ def _edge_list(cfg, path: Optional[Path]) -> Topology:
 
 
 def _config_topology(cfg, path, seed: int) -> Topology:
-    source = _get(cfg, "topology", "source", required=True)
-    if source not in _TOPOLOGY_KEYS:
-        raise ConfigError(f"[topology] source must be ring|complete|random|edgelist, got '{source}'")
-    _refuse_inapplicable(cfg, "topology", _TOPOLOGY_KEYS[source], f"source {source}")
+    source = _choice(cfg, "topology")
     if source == "edgelist":
         topo = _edge_list(cfg, path)
     else:
@@ -396,17 +391,14 @@ def _config_topology(cfg, path, seed: int) -> Topology:
 
 
 def _config_nodes(cfg, n_nodes, rng):
-    family = _get(cfg, "nodes", "family", required=True)
+    family = _choice(cfg, "nodes")
     rng = _section_rng(cfg, "nodes", rng)
-    if family not in _NODE_KEYS:
-        raise ConfigError(f"[nodes] family must be {'|'.join(_NODE_KEYS)}, got '{family}'")
     values = {}
     for key, default in _NODE_KEYS[family].items():
         raw = _get(cfg, "nodes", key)
         # an optional key (default None) left empty stays unset
         unset = raw is None or (default is None and raw == "")
         values[key] = default if unset else _as_float(raw, f"[nodes] {key}")
-    _refuse_inapplicable(cfg, "nodes", {"family", "seed", *values}, f"family {family}")
     try:
         fields, node_meta = _family_nodes(family, values, n_nodes, rng)
     except ConfigError:
@@ -457,31 +449,24 @@ def _family_nodes(family, values, n_nodes, rng):
 
 
 def _config_coupling(cfg, dim):
-    variant = _get(cfg, "coupling", "variant", required=True)
+    variant = _choice(cfg, "coupling")
     c = _as_float(_get(cfg, "coupling", "c", required=True), "[coupling] c")
     if variant == "linear":
         raw = _get(cfg, "coupling", "gamma", required=True)
         gamma = np.array([_as_float(v, "[coupling] gamma") for v in raw.split(",")])
-        if gamma.shape != (dim,):
-            raise ConfigError(f"[coupling] gamma needs {dim} comma-separated entries")
         return CouplingSpec("linear", c=c, gamma=gamma, label="linear")
-    if variant == "nonlinear":
-        eta_name = _get(cfg, "coupling", "eta", required=True)
-        if eta_name not in _ETA_FUNCTIONS:
-            raise ConfigError(f"[coupling] eta must be one of {sorted(_ETA_FUNCTIONS)}")
-        raw_emax = _get(cfg, "coupling", "e_max", "inf")
-        e_max = math.inf if raw_emax.strip().lower() == "inf" else _as_float(raw_emax, "[coupling] e_max")
-        eta = _ETA_FUNCTIONS[eta_name]
-        ups = certify_upsilon(eta, e_max, dim=dim)
-        return CouplingSpec("nonlinear", c=c, eta=eta, upsilon=ups, e_max=e_max, label=eta_name)
-    raise ConfigError(f"[coupling] variant must be linear|nonlinear, got '{variant}'")
+    eta_name = _get(cfg, "coupling", "eta", required=True)
+    if eta_name not in _ETA_FUNCTIONS:
+        raise ConfigError(f"[coupling] eta must be one of {sorted(_ETA_FUNCTIONS)}")
+    raw_emax = _get(cfg, "coupling", "e_max", "inf")
+    e_max = math.inf if raw_emax.strip().lower() == "inf" else _as_float(raw_emax, "[coupling] e_max")
+    eta = _ETA_FUNCTIONS[eta_name]
+    ups = certify_upsilon(eta, e_max, dim=dim)
+    return CouplingSpec("nonlinear", c=c, eta=eta, upsilon=ups, e_max=e_max, label=eta_name)
 
 
 def _config_init(cfg, size, rng) -> np.ndarray:
-    kind = _get(cfg, "init", "kind", "normal")
-    if kind not in _INIT_KEYS:
-        raise ConfigError(f"[init] kind must be normal|uniform|zero, got '{kind}'")
-    _refuse_inapplicable(cfg, "init", _INIT_KEYS[kind], f"kind {kind}")
+    kind = _choice(cfg, "init")
     rng = _section_rng(cfg, "init", rng)
     if kind == "normal":
         scale = _as_float(_get(cfg, "init", "scale", "1.0"), "[init] scale")

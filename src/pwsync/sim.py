@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .affine import BLOCK, choose_step
-from .certify import CertifyError, CouplingSpec
+from .certify import CertifyError, CouplingSpec, check_network
 from .csvformat import write_csv
 from .dynamics import AffineDecomposedField, hard_sgn, saturated_sgn
 from .graph import Topology, build_laplacian
@@ -125,23 +125,11 @@ def integrate_gains(fields: Sequence[AffineDecomposedField], topo: Topology,
     chained step and the four stages (:func:`pwsync.affine.choose_step`);
     the forms agree to rounding.
     """
-    n_nodes = topo.n_nodes
-    if len(fields) != n_nodes:
-        raise SimError(f"{len(fields)} fields for a {n_nodes}-node topology")
-    dim = fields[0].dim
-    if any(f.dim != dim for f in fields):
-        raise SimError("all nodes must share one state dimension")
+    n_nodes, dim = topo.n_nodes, check_network(fields, topo, coupling, x0, SimError)
     size = n_nodes * dim
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (size,):
-        raise SimError(f"x0 must have {size} entries")
     if not np.isfinite(x0).all():
         raise SimError("x0 must be finite")
-    if coupling.variant == "linear":
-        if coupling.gamma.shape != (dim,):
-            raise SimError("gamma must have one entry per state component")
-    elif coupling.upsilon.shape != (dim,):
-        raise SimError("upsilon must have one entry per state component")
     gains = np.array([float(c) for c in gains])
     if not (np.isfinite(gains) & (gains >= 0.0)).all():
         raise SimError("coupling gains must be finite and nonnegative")

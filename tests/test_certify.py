@@ -35,8 +35,8 @@ from pwsync.dynamics import (
 )
 from pwsync.families import _MARGIN, _unit_cert
 from pwsync.graph import GraphError, complete_topology, ring_topology, topology_from_edges
-from pwsync.scenarios import Scenario, load_scenario
-from pwsync.sim import SimConfig
+from pwsync.scenarios import ConfigError, Scenario, load_scenario
+from pwsync.sim import SimConfig, SimError, integrate_gains
 
 from oracles import chua_family_optimum
 
@@ -1131,3 +1131,38 @@ def test_report_infinities_serialize_as_strings():
                            mode="thm3").at(coupling.c)
     blob = json.dumps(report.to_dict())
     assert "inf" in blob
+
+
+_DECAY3 = [decay_field(1.0)] * 3
+_SECTOR = dict(eta=np.sin, e_max=math.pi)
+
+# (fields, coupling, x0, message) on a 3-node complete graph: one fault each
+NETWORK_FAULTS = {
+    "field-count": (_DECAY3[:2], CouplingSpec("linear", c=1.0, gamma=np.ones(1)), np.zeros(3),
+                    "2 node fields for a 3-node topology"),
+    "dimension": (_DECAY3[:2] + [chua_field(ChuaParams(), 0, 3)],
+                  CouplingSpec("linear", c=1.0, gamma=np.ones(1)), np.zeros(3),
+                  "all nodes must share one state dimension"),
+    "gamma": (_DECAY3, CouplingSpec("linear", c=1.0, gamma=np.ones(2)), np.zeros(3),
+              "gamma must have one entry per state component (1), got 2"),
+    "upsilon": (_DECAY3, CouplingSpec("nonlinear", c=1.0, upsilon=np.full(2, 0.5), **_SECTOR),
+                np.zeros(3), "upsilon must have one entry per state component (1), got 2"),
+    "x0": (_DECAY3, CouplingSpec("nonlinear", c=1.0, upsilon=np.full(1, 0.5), **_SECTOR),
+           np.zeros(4), "x0 must have 3 entries, got 4"),
+}
+
+
+@pytest.mark.parametrize("entry", ["scenario", "certification", "integrate_gains"])
+@pytest.mark.parametrize("fault", sorted(NETWORK_FAULTS))
+def test_every_entry_point_refuses_a_misshapen_network_with_its_own_error(entry, fault):
+    fields, coupling, x0, message = NETWORK_FAULTS[fault]
+    topo, sim = complete_topology(3), SimConfig(dt=1e-2, t_end=0.5)
+    mode = "thm1" if coupling.variant == "linear" else "thm3"
+    error, build = {
+        "scenario": (ConfigError, lambda: Scenario(name="bad", topo=topo, fields=fields,
+                                                   coupling=coupling, sim=sim, x0=x0, mode=mode)),
+        "certification": (CertifyError, lambda: Certification(fields, topo, coupling, x0, mode)),
+        "integrate_gains": (SimError, lambda: integrate_gains(fields, topo, coupling, [1.0], x0, sim)),
+    }[entry]
+    with pytest.raises(error, match=re.escape(message)):
+        build()

@@ -849,11 +849,18 @@ t_end = 1
     ({"kind = uniform": "kind = normal\nhigh = 1"}, "[init] key 'high' does not apply to kind normal"),
     ({"kind = uniform": "kind = uniform\nscale = 2"},
      "[init] key 'scale' does not apply to kind uniform"),
+    ({"gamma = 1": "gamma = 1\neta = sin"}, "[coupling] key 'eta' does not apply to variant linear"),
+    ({"gamma = 1": "gamma = 1\ne_max = 0.5"},
+     "[coupling] key 'e_max' does not apply to variant linear"),
+    ({"variant = linear": "variant = nonlinear", "gamma = 1": "eta = pws\ngamma = 1"},
+     "[coupling] key 'gamma' does not apply to variant nonlinear"),
+    ({"gamma = 1": "gamma = 1, 1"}, "gamma must have one entry per state component (1), got 2"),
 ], ids=["source", "family", "variant", "eta", "init-kind", "init-range", "rescale-lambda2",
         "n-integer", "center-boolean", "missing-c", "negative-width", "zero-threshold",
         "degenerate-kuramoto", "complete-negative-n", "complete-one-node", "directory", "ring-p",
         "ring-seed", "complete-path", "random-weight", "edgelist-n", "zero-scale", "zero-low",
-        "normal-high", "uniform-scale"])
+        "normal-high", "uniform-scale", "linear-eta", "linear-e-max", "nonlinear-gamma",
+        "gamma-length"])
 def test_a_refused_scenario_exits_one_with_its_message_and_no_output(tmp_path, capsys, edits, message):
     ini = tmp_path / "refused.ini"
     if edits is None:  # a directory where the scenario file should be

@@ -107,6 +107,16 @@ def test_lambda2_of_a_complete_graph_is_n_times_its_weight_at_every_scale(weight
     assert abs(lambda2(build_laplacian(topo.scaled(weight))) / (base * weight) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("ratio", [10.0 ** k for k in range(6, 13)])
+def test_lambda2_of_a_path_whose_weights_span_many_orders(ratio):
+    # edge 0-1 at weight ratio, 1-2 at 1: a tolerance of 1e-9 times the
+    # largest diagonal entry once called this connected path disconnected
+    topo = topology_from_edges(3, [(0, 1, ratio), (1, 2, 1.0)])
+    assert is_connected(topo)
+    exact = 3.0 * ratio / (ratio + 1.0 + np.sqrt(ratio * ratio - ratio + 1.0))
+    assert abs(lambda2(build_laplacian(topo)) / exact - 1.0) <= 1e-5
+
+
 @pytest.mark.parametrize("weight", SCALES)
 def test_a_disconnected_graph_is_refused_at_every_scale(weight):
     two_triangles = topology_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
