@@ -21,10 +21,12 @@ forms:
   one product with its region's M = R(dt·J_rᵀ), built when its region
   changes, plus the step's forcing row.  Region steps go in passes, whose
   stage gathers are checked once, when the pass ends: up to a block while
-  every member is inside (one step for the edge-list and node-by-node
-  forms), the length doubling after a pass that held.  Any other member
-  takes the four stages, evaluated for the whole batch.  A run with no
-  triple is one region.
+  every member is inside (one step for the node-by-node form), the length
+  doubling after a pass that held.  Over an edge list the spread of the
+  stage states over the nodes clears a pass, and only the steps it does
+  not clear have their edges checked, one step at a time.  Any other
+  member takes the four stages, evaluated for the whole batch.  A run
+  with no triple is one region.
 - The chained step (:class:`_Chained`), for a run with no region step
   whose triples are dense, with no hand-built field and N·dim times the
   batch size at most ``_STATE_SPACE`` (sin coupling, the hard sign): a
@@ -49,7 +51,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .sparse import sparse_parts, summed
+from .sparse import Incidence, sparse_parts, summed
 
 __all__ = ["BLOCK", "affine_step", "stage_weights", "forcing_weights", "affine_forcing",
            "stage_forcing", "choose_step"]
@@ -207,10 +209,16 @@ class _Regions:
     |z| = 1), takes the four-stage step, and its region is read again from
     its new state.  A pass takes one step while some member is outside,
     and otherwise ``length`` steps, which doubles after a pass that held,
-    up to a block, and drops to one after one that did not.  The edge-list
-    and node-by-node forms keep passes of one step: longer ones gather
+    up to a block, and drops to one after one that did not.  The
+    node-by-node form keeps passes of one step: longer ones would gather
     4·K entries per step into temporaries that, past 128 KiB, the C
-    allocator maps afresh and faults in on every pass.
+    allocator maps afresh and faults in on every pass.  An edge-list run
+    has no such temporaries.  Each of its entries x_j − x_i rounds to at
+    most the rounded spread max − min of x over the nodes, so a step
+    whose stage states spread by at most the member's ``bound`` in every
+    component holds, an O(N·dim) check per stage; only a step that this
+    does not clear has its 4·K entries gathered and checked, one step at
+    a time.  The decisions are those of the edge check alone.
 
     Each member keeps only its current region, and rebuilds its step when
     that changes.  Past ``_STATE_SPACE``, where a build costs as much as
@@ -268,10 +276,17 @@ class _Regions:
         # which one is read again; per member, the step after which it is
         # read again while outside, and the wait after that
         self.steps, self.next_read = 0, 0
+        # when every triple gathers x_j − x_i over an edge list, a member's
+        # step holds if the spread max − min over the nodes of each stage
+        # state and component is at most its ``bound``, min(upper, −lower)
+        # over its entries: rounding is monotone, so no entry's |x_j − x_i|
+        # exceeds the spread
+        edges = bool(terms) and all(isinstance(term.gather, Incidence) for term in terms)
+        self.nodes = terms[0].gather.n_nodes if edges else None
+        self.bound = np.zeros(batch) if edges else None
         # the next pass's length and the most it may reach: a block, or one
-        # step for the edge-list and node-by-node forms; with no triple a
-        # pass never fails
-        self.most = BLOCK if self.folded else 1
+        # step for the node-by-node form; with no triple a pass never fails
+        self.most = BLOCK if self.folded or edges else 1
         self.length = 1 if stop else BLOCK
         self.due, self.retry = np.zeros(batch, dtype=np.intp), np.ones(batch, dtype=np.intp)
         # past ``_STATE_SPACE`` a build costs the four stages of many steps;
@@ -365,6 +380,9 @@ class _Regions:
         if self.entries:  # every stage's gathers, as the step or the stage states give them
             self.lower[rows] = np.tile(bounds[..., 0], 4)[:, None, None]
             self.upper[rows] = np.tile(bounds[..., 1], 4)[:, None, None]
+        if self.bound is not None:  # finite, so a state holding inf is never cleared
+            bound = np.minimum(bounds[..., 1], -bounds[..., 0]).min(axis=1)
+            self.bound[rows] = np.minimum(bound, np.finfo(float).max)
         if self.forcing is not None:
             self.forcing[rows] = self._forcing(self.table[:, rows], rows)
 
@@ -411,20 +429,52 @@ class _Regions:
         if not self.entries:  # no triple: one region, always held
             self.steps += span
             return span, None
-        gathers = ys[..., n:]
-        if not self.folded:  # the gathers of the stage states x, X₂, X₃ and X₄
-            stages = np.concatenate([store[:, k:k + span], gathers], axis=-1)
-            gathers = self._gathers(stages.reshape(-1, 1, n)).reshape(ys.shape[:-1] + (-1,))
-        held = (self.lower <= gathers) & (gathers <= self.upper)
-        if self.everyone and held.all():
+        if self.folded:
+            gathers = ys[..., n:]
+            held = ((self.lower <= gathers) & (gathers <= self.upper)).all(axis=(2, 3)) & self.inside[:, None]
+        else:
+            held = self._held(store[:, k:k + span], ys[..., n:])
+        every = held.all(axis=0)
+        if every.all():
             self.steps += span
             self.length = min(2 * self.length, self.most)
             return span, None
-        held = held.all(axis=(2, 3)) & self.inside[:, None]
-        taken = int(held.all(axis=0).argmin()) + 1
+        taken = int(every.argmin()) + 1
         self.steps += taken
         self.length = 1
         return taken, np.flatnonzero(~held[:, taken - 1])
+
+    def _cleared(self, x, stages):
+        """Per member and step of a pass, whether its node spread clears the
+        step (see ``bound``), from its states x (B, m, 1, n) and stage
+        states [X₂ | X₃ | X₄] (B, m, 1, 3n): shape (B, m), all False unless
+        every triple is an edge-list gather."""
+        cleared = np.full(x.shape[:2], self.bound is not None)
+        if self.bound is not None:
+            bound = self.bound[:, None, None, None]
+            for part in (x, stages):
+                nodes = part.reshape(part.shape[:2] + (-1, self.nodes, self.size // self.nodes))
+                cleared &= (nodes.max(axis=3) - nodes.min(axis=3) <= bound).all(axis=(2, 3))
+        return cleared
+
+    def _held(self, x, stages):
+        """Per member and step of a pass of node-by-node or edge-list
+        triples, whether the step holds, from the states and stage states
+        of :meth:`_cleared`: shape (B, m), exact up to the first step that
+        some member fails.  The node spread clears what it can; the
+        gathers of x, X₂, X₃ and X₄ check the rest a step at a time, so no
+        check reads more than one step's 4·K entries per member."""
+        held = self._cleared(x, stages) & self.inside[:, None]
+        for i in np.flatnonzero(~held.all(axis=0)):
+            gathers = self._gathers(np.concatenate([x[:, i], stages[:, i]], axis=-1).reshape(-1, 1, self.size))
+            gathers = gathers.reshape(self.lower.shape)
+            inside = (self.lower <= gathers) & (gathers <= self.upper)
+            if self.everyone and inside.all():
+                held[:, i] = True
+                continue
+            held[:, i] = inside.all(axis=(1, 2, 3)) & self.inside  # some member fails here
+            break
+        return held
 
 
 class _Chained:

@@ -4,7 +4,9 @@ Runs ``certify`` (at the scenario's gain and at c = 0, 0.3 and 7),
 a shortened ``simulate`` and a small ``sweep`` of the six built-ins at
 seeds 0-2 through ``pwsync.cli.main``, and the same ``simulate`` and
 ``sweep`` of relay5 with the exact sign (``regularization_width`` = 0,
-from a scenario file written to a temporary directory), 114 commands in
+from a scenario file written to a temporary directory), and the same
+``simulate`` and ``sweep`` of the two 100-node scenario files under
+``bench/scenarios``, read in place, at their own horizons, 126 commands in
 all, and records each command's exit code and a hash of every output,
 '#' header lines left out.  Run it once per tree, then compare the two files:
 
@@ -32,6 +34,10 @@ SHORT = {"relay5": ["--dt", "5e-5", "--t-end", "0.1"], "chua10": ["--t-end", "0.
 GRIDS = {"relay5": "10 60 3 lin", "chua10": "5 15 3 lin", "kuramoto4": "0.5 2 6 lin",
          "ikeda10-linear": "1 50 6 log", "ikeda10-nonlinear": "5 20 3 lin",
          "contraction3": "0.5 2 3 lin"}
+# the 100-node scenario files: ikeda100-pws runs its coupling over the
+# edge list, in the sweep at two gains
+FILES = {"ikeda100-pws": "10 20 2 lin", "decay100-linear": "0.25 1 2 lin"}
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 OUTPUTS = ("trajectory.csv", "errors.csv", "summary.txt", "sweep.csv")
 
 
@@ -85,6 +91,9 @@ def record() -> dict:
             parser.write(handle)
         for seed in ("0", "1", "2"):
             _simulate_and_sweep(out, path.stem, str(path), seed, SHORT["relay5"], GRIDS["relay5"])
+    for name, grid in FILES.items():
+        for seed in ("0", "1", "2"):
+            _simulate_and_sweep(out, name, str(BENCH_SCENARIOS / f"{name}.ini"), seed, [], grid)
     return out
 
 

@@ -801,20 +801,26 @@ class _RegionSpy(affine._Regions):
     """``_Regions`` that records itself and counts, per step inside each
     pass, the members that took the region step and those that took the
     four stages, the members it built, the steps taken from a state
-    holding inf, and each pass as (steps taken, members that fell back on
-    its last step)."""
+    holding inf, each pass as (steps taken, members that fell back on its
+    last step), and the number of gather entries of each read of the
+    states or stage states."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.region_steps, self.four_stage_steps, self.builds, self.overflows = [], [], 0, 0
-        self.passes = []
+        self.passes, self.reads = [], []
         self.made.append(self)
 
     def _build(self, rows):
         self.builds += len(rows)
         super()._build(rows)
+
+    def _gathers(self, x):
+        gathers = super()._gathers(x)
+        self.reads.append(gathers.size)
+        return gathers
 
     def advance(self, store, k, j, steps):
         taken, rows = super().advance(store, k, j, steps)
@@ -1061,14 +1067,20 @@ def test_a_batch_in_different_regions_equals_single_runs(monkeypatch):
 
 
 def test_a_member_leaving_its_region_mid_pass_falls_back_where_single_steps_do(monkeypatch):
-    # relay5 and chua10 at their benchmark horizons, and three chua10 gains
-    # in different regions, leave a region in the middle of a pass: against
-    # passes of one step every fallback lands on the same step, and the runs
-    # are bit for bit the same; against the four stages they agree to
-    # rounding
+    # relay5 and chua10 at their benchmark horizons, three chua10 gains in
+    # different regions, and two gains of pws over the edge list of a ring
+    # of decay nodes at alternating rates, from one common state whose
+    # edges grow past |z| = 1, leave a region in the middle of a pass:
+    # against passes of one step every fallback lands on the same step, and
+    # the runs are bit for bit the same; against the four stages they agree
+    # to rounding
+    coupling = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.array([1.0]))
+    ring = _custom_scenario("ring-decay", [decay_field(rate) for rate in np.resize([1.0, 0.05], 100)],
+                            ring_topology(100), coupling, SimConfig(dt=0.01, t_end=2.0), np.full(100, 3.0))
     made = _spy(monkeypatch)
-    for name, gains in (("relay5", None), ("chua10", None), ("chua10", [2.0, 10.0, 40.0])):
-        scenario = _bench_scenario(name, 1)
+    for name, gains in (("relay5", None), ("chua10", None), ("chua10", [2.0, 10.0, 40.0]),
+                        (ring, [0.1, 0.2])):
+        scenario = _bench_scenario(name, 1) if isinstance(name, str) else name
         gains = gains or [scenario.coupling.c]
         made.clear()
         runs = []
@@ -1086,10 +1098,12 @@ def test_a_member_leaving_its_region_mid_pass_falls_back_where_single_steps_do(m
 
 
 def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
-    # relay5, chua10 and ikeda10-nonlinear at their benchmark horizons take
-    # at least 95 % of their steps in passes longer than one, up to a
-    # block; the edge list of ikeda100-pws takes one step per pass, whose
-    # 4·K gather entries stay within sparse._DENSE
+    # relay5, chua10, ikeda10-nonlinear and the edge list of ikeda100-pws
+    # at their benchmark horizons take at least 95 % of their steps in
+    # passes longer than one, up to a block (ikeda100-pws's shortest delay
+    # cuts its block below 64 steps); no exact check of ikeda100-pws's
+    # edges reads more than one step's 4·K gather entries, within
+    # sparse._DENSE
     made = _spy(monkeypatch)
     for name in _BENCH_RUNS:
         for seed in (0, 1, 2):
@@ -1099,11 +1113,40 @@ def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
             (regions,) = made
             steps = [taken for taken, _ in regions.passes]
             assert sum(steps) == len(regions.region_steps) == traj.times.shape[0] - 1, name
+            dt = scenario.sim.dt
+            block = min([affine.BLOCK] + [int(f.delay // dt) for f in scenario.fields if f.delay is not None])
+            assert max(steps) == block, (name, seed)
+            assert sum(taken for taken in steps if taken > 1) >= 0.95 * sum(steps), (name, seed)
             if name == "ikeda100-pws":
-                assert max(steps) == 1 and 4 * regions.entries <= sparse._DENSE, name
-            else:
-                assert max(steps) == affine.BLOCK, name
-                assert sum(taken for taken in steps if taken > 1) >= 0.95 * sum(steps), (name, seed)
+                assert max(regions.reads) <= 4 * regions.entries <= sparse._DENSE, seed
+
+
+def test_an_edge_list_run_wider_than_its_bound_steps_as_one_step_passes(monkeypatch):
+    # pws on a 100-node ring at two gains (an edge list), from a tent x0
+    # that climbs from −3 to 3 and back in steps of 0.12: every edge stays
+    # inside |z| ≤ 1, but the node spread stays above 4.85, past the bound
+    # of 1, so no step is cleared by it and each goes to the exact edge
+    # check, one step of both gains at a time, in passes of up to a block
+    n, gains = 100, [1.0, 2.0]
+    x0 = 3.0 - 6.0 * np.abs(2.0 * np.arange(n) / n - 1.0)
+    coupling = CouplingSpec("nonlinear", c=1.0, eta=pws_coupling, upsilon=np.array([1.0]))
+    scenario = _custom_scenario("ring-tent", [decay_field(0.01)] * n, ring_topology(n), coupling,
+                                SimConfig(dt=0.01, t_end=4.0), x0)
+    made = _spy(monkeypatch)
+    fast = _run(scenario, gains)
+    (regions,) = made
+    assert not regions.folded and regions.bound is not None
+    assert max(taken for taken, _ in regions.passes) == affine.BLOCK
+    assert sum(regions.region_steps) == len(gains) * 400
+    stage_reads = [size for size in regions.reads if size > len(gains) * regions.entries]
+    assert stage_reads == [len(gains) * 4 * regions.entries] * 400
+    for traj in fast:
+        ring = np.concatenate([traj.states, traj.states[:, :1]], axis=1)
+        assert np.abs(np.diff(ring, axis=1)).max() <= 1.0
+        assert np.ptp(traj.states, axis=1).min() >= 4.85
+    monkeypatch.setattr(affine, "_Regions", _StepByStep)
+    for one, slow in zip(fast, _run(scenario, gains)):
+        assert np.array_equal(one.states, slow.states)
 
 
 def test_a_member_diverging_during_region_steps_ends_its_trajectory(monkeypatch):

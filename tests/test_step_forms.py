@@ -6,7 +6,9 @@ and edge-list triples (see :mod:`pwsync.affine`).  The property test draws a
 small network and a few gains, runs it in each form by patching
 ``sparse._DENSE`` and ``affine._STATE_SPACE``, as ``tests/test_sim.py`` does for
 chosen networks, and checks every run against classical RK4 written out
-node by node (``tests/oracles.py``).
+node by node (``tests/oracles.py``).  A second property holds the node
+spread by which region passes over an edge list are cleared to the exact
+check of their edges.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from pwsync.dynamics import (
     relay_field,
     saturated_sgn,
 )
-from pwsync.graph import Topology, build_laplacian
+from pwsync.graph import Topology, build_laplacian, random_connected
 from pwsync.sim import SimConfig, integrate_gains
 
 from oracles import rk4_network
@@ -210,3 +212,43 @@ def test_the_hard_sign_splits_the_step_forms_only_on_its_switching_surface():
             assert sgn.nearest <= bound
             assert gaps.pop("dense") > 1e-3  # the chained step
         assert all(gap <= bound for gap in gaps.values()), (width, gaps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_node_spread_clears_no_step_the_edge_check_refuses(data):
+    # random connected graphs over an edge list, members in random pieces
+    # of pws or of the three-piece boundary-layer sign (outer pieces
+    # included) and a member at gain zero, whose entries are idle; random
+    # states and stage states, NaN and ±inf among them
+    n, dim = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 2))
+    topo = random_connected(n, data.draw(st.floats(0.2, 1.0)), data.draw(st.integers(0, 2 ** 16)))
+    width = data.draw(st.sampled_from([None, 0.05, 0.5, 2.0]))
+    eta = pws_coupling if width is None else saturated_sgn(width)
+    gains = data.draw(st.lists(st.sampled_from([0.5, 3.0]), max_size=2))
+    gains.insert(data.draw(st.integers(0, len(gains))), 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "_DENSE", 0)
+        term = sparse.coupling_term(eta, topo, dim, np.array(gains))
+    regions = affine._Regions(None, [term], len(gains), n * dim, 1e-2, False)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    regions.pieces[:] = rng.integers(len(eta.pieces), size=regions.pieces.shape)
+    regions.pieces[regions.idle] = 0
+    regions._build(np.arange(len(gains)))
+
+    steps = data.draw(st.integers(1, 3))
+    scale = data.draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0, 4.0]))
+    states = data.draw(st.floats(-3.0, 3.0)) + scale * rng.uniform(-1.0, 1.0, (len(gains), steps, 1, 4 * n * dim))
+    for value in (np.nan, np.inf, -np.inf):
+        at = rng.integers(states.size, size=data.draw(st.integers(0, 2)))
+        states.reshape(-1)[at] = value
+    with np.errstate(invalid="ignore"):  # inf − inf, as in the integrator's passes
+        cleared = regions._cleared(states[..., :n * dim], states[..., n * dim:])
+        gathers = (states.reshape(-1, 1, n * dim) @ term.gather).reshape(states.shape[:3] + (-1,))
+        spread = np.ptp(states.reshape(states.shape[:2] + (4, n, dim)), axis=3).max(axis=(2, 3))
+    exact = ((regions.lower <= gathers) & (gathers <= regions.upper)).all(axis=(2, 3))
+    assert not (cleared & ~exact).any()
+    # and the bound is no empty one: pws clears every finite step whose
+    # spread is at most 1
+    if width is None:
+        assert cleared[spread <= 1.0].all()
