@@ -243,11 +243,13 @@ class _History:
     state, which is also the history for s ≤ 0 (a negative time reads row 0
     with no interpolation).  Between grid points rows are interpolated
     linearly, except that a fraction of at most 1e-9 of a step reads the
-    earlier row as is.
+    earlier row as is.  A read gathers its rows by one flat index into
+    ``rows``, (B·(steps + 1)·N, dim), a view of ``states``.
     """
 
     def __init__(self, states, dt):
         self.states, self.dt = states, dt
+        self.rows = states.reshape(-1, states.shape[-1])
 
     def delayed(self, ts, delays, nodes):
         """States of ``nodes`` at each of ``ts`` minus that node's delay,
@@ -263,8 +265,10 @@ class _History:
         u = s / self.dt
         idx = np.maximum(u.astype(np.intp), 0)
         frac = (u - idx)[..., None]
-        row = self.states[members, idx, nodes]
-        nxt = self.states[members, idx + 1, nodes]
+        _, length, n_nodes, _ = self.states.shape
+        flat = (members * length + idx) * n_nodes + nodes
+        row = self.rows.take(flat, axis=0)
+        nxt = self.rows.take(flat + n_nodes, axis=0)
         return np.where(frac > 1e-9, row + frac * (nxt - row), row)
 
 

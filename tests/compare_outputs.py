@@ -8,7 +8,11 @@ from a scenario file written to a temporary directory), and the same
 ``simulate`` and ``sweep`` of the two 100-node scenario files under
 ``bench/scenarios``, read in place, at their own horizons, 126 commands in
 all, and records each command's exit code and a hash of every output,
-'#' header lines left out.  Run it once per tree, then compare the two files:
+'#' header lines left out.  For each of the 27 sweeps it also records a
+hash of every member's stored states, from ``pwsync.sim.integrate_gains``
+on the sweep's grid, so batched runs are gated byte for byte and not only
+through ε̂: 153 keys in all.  Run it once per tree, then compare the two
+files:
 
     PYTHONPATH=<old tree>/src python tests/compare_outputs.py old.json
     PYTHONPATH=<new tree>/src python tests/compare_outputs.py new.json
@@ -63,12 +67,29 @@ def _run(*argv) -> list:
         return [code, _digest(json.dumps(rep, sort_keys=True)), _digest(txt), *map(_digest, files)]
 
 
+def _states(spec: str, seed: str, short: list, lo: str, hi: str, n: str, grid: str) -> list:
+    """A hash of each sweep member's stored states, on the sweep's grid."""
+    import numpy as np
+
+    from pwsync.scenarios import load_scenario
+    from pwsync.sim import integrate_gains
+
+    spacing = np.geomspace if grid == "log" else np.linspace
+    gains = sorted(spacing(float(lo), float(hi), int(n)).tolist())
+    sim = {flag[2:].replace("-", "_"): float(value) for flag, value in zip(short[::2], short[1::2])}
+    scenario = load_scenario(spec, int(seed)).with_sim(**sim)
+    trajectories = integrate_gains(scenario.fields, scenario.topo, scenario.coupling, gains,
+                                   scenario.x0, scenario.sim)
+    return [hashlib.sha256(traj.states.tobytes()).hexdigest() for traj in trajectories]
+
+
 def _simulate_and_sweep(out: dict, key: str, spec: str, seed: str, short: list, grid: str) -> None:
     base = ["--scenario", spec, "--seed", seed, *short]
     lo, hi, n, grid = grid.split()
     out[f"simulate {key} {seed}"] = _run("simulate", *base)
     out[f"sweep {key} {seed}"] = _run("sweep", *base, "--c-min", lo, "--c-max", hi,
                                       "--points", n, "--grid", grid)
+    out[f"sweep states {key} {seed}"] = _states(spec, seed, short, lo, hi, n, grid)
 
 
 def record() -> dict:

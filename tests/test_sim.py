@@ -517,6 +517,36 @@ def test_history_reads_follow_the_interpolation_rule():
         assert any(s > 0.0 for s, _ in reads)
 
 
+def test_block_reads_equal_node_reads():
+    # the forcing table's read of many nodes at many times and a hand-built
+    # field's read of one node at one time gather the same rows by the same
+    # rule, bit for bit: three members, times before 0, on grid points, and
+    # a fraction of a step above and below 1e-9 past one
+    dt = 2.0 ** -6
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((3, 41, 5, 2))
+    history = sim._History(states, dt)
+    grid = np.arange(2, 30) * dt
+    ts = np.concatenate([grid, grid + 5e-10 * dt, grid + 2e-9 * dt, grid + 0.37 * dt, [-3.5 * dt]])
+    nodes, lags = np.array([4, 0, 2, 0]), np.array([0.0, 3 * dt, 0.1, 40 * dt])
+    reads = history.delayed(ts, lags, nodes)
+    assert reads.shape == (len(ts), 3, len(nodes), 2)
+    s = ts[:, None] - lags
+    frac = s / dt - np.floor(s / dt)
+    assert (s < 0.0).any() and (frac == 0.0).any()
+    assert ((0.0 < frac) & (frac <= 1e-9)).any() and ((1e-9 < frac) & (frac < 1e-8)).any()
+    for p in range(3):
+        for q, i in enumerate(nodes):
+            read = history.node(p, i)
+            for t in range(len(ts)):
+                u = (ts[t] - lags[q]) / dt
+                idx = max(int(u), 0)
+                row, nxt = states[p, idx, i], states[p, idx + 1, i]
+                expected = row if u - idx <= 1e-9 else row + (u - idx) * (nxt - row)
+                assert np.array_equal(reads[t, p, q], read(ts[t] - lags[q])), (p, i, ts[t])
+                assert np.array_equal(reads[t, p, q], expected), (p, i, ts[t])
+
+
 def _ikeda_rk4_reference(a, b, tau, x0, dt, n_steps):
     """One uncoupled Ikeda node by a scalar RK4 loop over its own stored
     rows, in the affine step's order of operations: with z = dt·(−a),
@@ -886,10 +916,15 @@ _BENCH_RUNS = {"relay5": dict(dt=5e-5, t_end=0.1), "chua10": dict(t_end=0.5),
                "ikeda10-nonlinear": _IKEDA_BENCH, "ikeda100-pws": {}}
 
 
+# every one-member region run of the benchmark's simulate commands
+_REGION_RUNS = {**_BENCH_RUNS, "ikeda10-linear": _IKEDA_BENCH, "contraction3": dict(t_end=2.0),
+                "decay100-linear": {}}
+
+
 def _bench_scenario(name, seed):
     """A built-in or a benchmark scenario file at its benchmark horizon."""
     path = BENCH_SCENARIOS / f"{name}.ini"
-    return load_scenario(str(path) if path.is_file() else name, seed).with_sim(**_BENCH_RUNS[name])
+    return load_scenario(str(path) if path.is_file() else name, seed).with_sim(**_REGION_RUNS[name])
 
 
 def test_benchmark_sized_runs_take_the_expected_form(monkeypatch):
@@ -1119,6 +1154,31 @@ def test_benchmark_runs_take_most_steps_in_long_passes(monkeypatch):
             assert sum(taken for taken in steps if taken > 1) >= 0.95 * sum(steps), (name, seed)
             if name == "ikeda100-pws":
                 assert max(regions.reads) <= 4 * regions.entries <= sparse._DENSE, seed
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_RUNS))
+def test_a_one_member_region_run_equals_its_gain_inside_a_batch(monkeypatch, name):
+    # a one-member run steps its passes from its op list of 2-D products,
+    # a batch by batched products with one step per member; at seeds 0-2
+    # and the benchmark horizon both give the same bits.  chua10 rebuilds
+    # its step inside a block and takes a forcing table per block, which
+    # the op list must see; contraction3 and decay100-linear have no
+    # triple; ikeda100-pws runs over the edge list, and both 100-node files
+    # in batches of two, within affine._STATE_SPACE
+    made = _spy(monkeypatch)
+    for seed in (0, 1, 2):
+        scenario = _bench_scenario(name, seed)
+        c = scenario.coupling.c
+        gains = [c, 0.5 * c] if scenario.topo.n_nodes > 10 else [0.5 * c, c, 2.0 * c]
+        made.clear()
+        (one,) = _run(scenario, [c])
+        batch = _run(scenario, gains)[gains.index(c)]
+        single, batched = made
+        assert single.ops is not None and batched.ops is None, name
+        assert sum(single.region_steps) > 0 and sum(batched.region_steps) > 0, (name, seed)
+        if name == "chua10":
+            assert single.builds > 1, seed
+        assert not one.diverged and np.array_equal(one.states, batch.states), (name, seed)
 
 
 def test_an_edge_list_run_wider_than_its_bound_steps_as_one_step_passes(monkeypatch):

@@ -230,7 +230,7 @@ def test_the_node_spread_clears_no_step_the_edge_check_refuses(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sparse, "_DENSE", 0)
         term = sparse.coupling_term(eta, topo, dim, np.array(gains))
-    regions = affine._Regions(None, [term], len(gains), n * dim, 1e-2, False)
+    regions = affine._Regions(None, [term], len(gains), n * dim, 1e-2, False, 3)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     regions.pieces[:] = rng.integers(len(eta.pieces), size=regions.pieces.shape)
     regions.pieces[regions.idle] = 0
